@@ -10,6 +10,7 @@ wrapper exists for real-network runs and for audit trails.
 from __future__ import annotations
 
 import socket
+import threading
 
 from .netbase import ConnectResult, Network
 from .pcapio import PcapWriter, TcpFlowRecord, TrafficRecorder
@@ -55,11 +56,11 @@ class RecordingNetwork(Network):
         self._writer = PcapWriter(pcap_path)
         self.recorder = TrafficRecorder(self._writer)
         self._client_port = 47000
+        self._port_lock = threading.Lock()
 
     def close(self) -> None:
+        """Finish the pcap; ``inner`` belongs to the caller."""
         self._writer.close()
-        if hasattr(self.inner, "close"):
-            self.inner.close()
 
     def require(self, method: str) -> None:
         self.inner.require(method)
@@ -78,8 +79,10 @@ class RecordingNetwork(Network):
 
     def connect(self, ip: str, port: int, timeout: float) -> ConnectResult:
         result = self.inner.connect(ip, port, timeout)
-        self._client_port = self._client_port + 1 if self._client_port < 64000 else 47001
-        flow = self.recorder.tcp_flow((self.source_ip, self._client_port), (ip, port))
+        with self._port_lock:
+            self._client_port = self._client_port + 1 if self._client_port < 64000 else 47001
+            client_port = self._client_port
+        flow = self.recorder.tcp_flow((self.source_ip, client_port), (ip, port))
         if result.status == "open":
             flow.handshake()
             return ConnectResult("open", _RecordingSocket(result.sock, flow))

@@ -19,11 +19,11 @@ from pathlib import Path
 from . import taxonomy, vulnmatch
 from .config import default_fixtures_path, load_fixtures, load_scan_config
 from .errors import ConfigError, IcsReconError
-from .model import Inventory, Observation, compute_depth, merge_observation
+from .model import Inventory, compute_depth
 from .netbase import RealNetwork
 from .passive import LiveInterface, PcapFile, analyze_capture
 from .scanner import Scanner
-from .simulator import ControlledStation, RemoteSimNetwork, StationHandle
+from .simulator import ControlledStation, RemoteStation, SimNetwork, StationHandle
 
 logger = logging.getLogger("icsrecon")
 
@@ -109,7 +109,7 @@ def _network_for(settings, override_map: str | None):
         if not map_path:
             raise ConfigError("simulator mode needs a map file (simulate --map-out writes one)")
         with open(map_path, "r", encoding="utf-8") as fh:
-            return RemoteSimNetwork(json.load(fh))
+            return SimNetwork(RemoteStation(json.load(fh)))
     return RealNetwork()
 
 
@@ -246,22 +246,8 @@ def cmd_depth(args) -> int:
 def cmd_vulnmatch(args) -> int:
     inventory = Inventory.load(args.inventory)
     db = vulnmatch.load_db(args.db, alias_path=args.aliases)
-    total = 0
-    updated = Inventory()
-    for asset in inventory:
-        info = asset.static_info
-        if info is not None and (info.manufacturer or info.model):
-            matches = vulnmatch.match(info, db)
-            if matches:
-                obs = Observation(
-                    ip=asset.ip,
-                    source=sorted(asset.sources)[0] if asset.sources else "active",
-                    timestamp=asset.last_seen,
-                    vulnerabilities=tuple(matches),
-                )
-                asset = merge_observation(asset, obs)
-                total += len(matches)
-        updated.upsert(asset)
+    assets, total = vulnmatch.enrich(inventory, db)
+    updated = Inventory(assets)
     out = args.out or args.inventory
     updated.save(out)
     _summary(command="vulnmatch", assets=len(updated), matches=total, inventory=out)

@@ -404,10 +404,10 @@ def merge_observation(asset: Asset, obs: Observation) -> Asset:
     """Fold an observation into an asset, returning a new asset.
 
     Set-valued fields are unioned. Optional scalars follow newest-wins
-    (arrival order decides newness; the merger applies observations in
-    the order they were emitted) and the displaced value is retained in
-    the provenance log. Evidence is never removed, so the computed
-    depth never decreases.
+    (arrival order decides newness; each scan worker folds its asset's
+    observations in the order it made them) and the displaced value is
+    retained in the provenance log. Evidence is never removed, so the
+    computed depth never decreases.
     """
     if obs.ip != asset.ip:
         raise AddressMismatch(f"observation for {obs.ip} applied to asset {asset.ip}")
@@ -463,6 +463,13 @@ def merge_observation(asset: Asset, obs: Observation) -> Asset:
     )
 
 
+def _satisfied(evidence: tuple[bool, ...], vuln_db_consulted: bool) -> set[int]:
+    """Levels 1-6 held by (ports, protocols, static, deployment, vulns) bits."""
+    ports, protocols, static, deployment, vulns = evidence
+    held = (True, ports, protocols, static, deployment, vulns and vuln_db_consulted)
+    return {level for level, holds in enumerate(held, start=1) if holds}
+
+
 def evidence_depth(
     has_ports: bool,
     has_protocols: bool,
@@ -475,46 +482,25 @@ def evidence_depth(
 
     Predicates are evaluated independently, not as a ladder.
     """
-    level = DepthLevel.IP_DISCOVERY
-    if has_ports:
-        level = DepthLevel.OPEN_PORTS
-    if has_protocols:
-        level = DepthLevel.PROTOCOL_SERVICE
-    if has_static:
-        level = DepthLevel.STATIC_INFO
-    if has_deployment:
-        level = DepthLevel.DEPLOYMENT_INFO
-    if has_vulns and vuln_db_consulted:
-        level = DepthLevel.VULNERABILITY
-    return level
+    evidence = (has_ports, has_protocols, has_static, has_deployment, has_vulns)
+    return DepthLevel(max(_satisfied(evidence, vuln_db_consulted)))
 
 
-def compute_depth(asset: Asset, vuln_db_consulted: bool = False) -> DepthLevel:
-    """Depth achieved for one asset; total given asset.ip is present."""
-    return evidence_depth(
+def satisfied_levels(asset: Asset, vuln_db_consulted: bool = False) -> set[int]:
+    """The set of individually satisfied levels (1 always holds)."""
+    evidence = (
         bool(asset.open_ports),
         bool(asset.protocols),
         asset.static_info is not None,
         asset.deployment_info is not None,
         bool(asset.vulnerabilities),
-        vuln_db_consulted,
     )
+    return _satisfied(evidence, vuln_db_consulted)
 
 
-def satisfied_levels(asset: Asset, vuln_db_consulted: bool = False) -> set[int]:
-    """The set of individually satisfied levels (1 always holds)."""
-    levels = {1}
-    if asset.open_ports:
-        levels.add(2)
-    if asset.protocols:
-        levels.add(3)
-    if asset.static_info is not None:
-        levels.add(4)
-    if asset.deployment_info is not None:
-        levels.add(5)
-    if asset.vulnerabilities and vuln_db_consulted:
-        levels.add(6)
-    return levels
+def compute_depth(asset: Asset, vuln_db_consulted: bool = False) -> DepthLevel:
+    """Depth achieved for one asset: its highest satisfied level."""
+    return DepthLevel(max(satisfied_levels(asset, vuln_db_consulted)))
 
 
 class Inventory:

@@ -29,8 +29,9 @@ class Network:
     """Interface the scanner depends on; see RealNetwork / SimNetwork."""
 
     def require(self, method: str) -> None:
-        """Raise PrivilegeRequired if the probe method is unavailable."""
-        raise NotImplementedError
+        """Raise PrivilegeRequired if the method is unavailable, ValueError if unknown."""
+        if method not in ("icmp", "arp", "tcp_connect"):
+            raise ValueError(f"unknown discovery method {method!r}")
 
     def ping(self, ip: str, timeout: float) -> bool:
         raise NotImplementedError
@@ -52,10 +53,9 @@ class RealNetwork(Network):
     """
 
     def require(self, method: str) -> None:
+        super().require(method)
         if method in ("icmp", "arp") and os.geteuid() != 0:
             raise PrivilegeRequired(method)
-        if method not in ("icmp", "arp", "tcp_connect"):
-            raise ValueError(f"unknown discovery method {method!r}")
 
     def ping(self, ip: str, timeout: float) -> bool:
         self.require("icmp")

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import ipaddress
 import logging
-import queue
 import socket
 import threading
 import time
@@ -183,7 +182,7 @@ class ScanReport:
 
 
 class Scanner:
-    """One scan run; hosts the worker pool and the observation merger."""
+    """One scan run; each worker returns its asset with the evidence folded in."""
 
     def __init__(
         self,
@@ -193,18 +192,15 @@ class Scanner:
     ):
         self.config = config
         self.network = network if network is not None else RealNetwork()
-        self._owns_recorder = False
+        self._recorder = None
         if config.pcap_out:
             from .audit import RecordingNetwork
 
-            self.network = RecordingNetwork(self.network, config.pcap_out)
-            self._owns_recorder = True
+            self.network = self._recorder = RecordingNetwork(self.network, config.pcap_out)
         self.limiter = TokenBucket(config.rate_limit_pps)
-        self.inventory = Inventory()
         self.anomalies: list[str] = []
         self.probe_log: list[dict[str, str]] = []
         self._log_lock = threading.Lock()
-        self._queue: "queue.Queue[Observation | None]" = queue.Queue()
         self._stop = stop_event or threading.Event()
         self._sweep_used = False
 
@@ -223,24 +219,13 @@ class Scanner:
                 self.anomalies.append(text)
         logger.warning("%s", text)
 
-    def _emit(self, obs: Observation) -> None:
-        self._queue.put(obs)
-
-    def _merger(self) -> None:
-        while True:
-            obs = self._queue.get()
-            if obs is None:
-                return
-            try:
-                self.inventory.apply(obs)
-            except IcsReconError as exc:
-                self._anomaly(f"merge failed for {obs.ip}: {exc}")
-
-    def _send_token(self) -> None:
-        self.limiter.acquire()
+    def _merge(self, asset: Asset, **evidence) -> Asset:
+        """Fold one batch of this scan's evidence into the asset."""
+        obs = Observation(ip=asset.ip, source="active", timestamp=self._now(), **evidence)
+        return merge_observation(asset, obs)
 
     def _connect(self, ip: str, port: int):
-        self._send_token()
+        self.limiter.acquire()
         return self.network.connect(ip, port, self.config.timeout)
 
     # -- phase 1: device discovery ------------------------------------------
@@ -267,12 +252,12 @@ class Scanner:
         mac = None
         for method in methods:
             if method == "arp":
-                self._send_token()
+                self.limiter.acquire()
                 mac = self.network.arp(ip, self.config.timeout)
                 alive = alive or mac is not None
                 self._note(ScanPhase.DEVICE_DISCOVERY, ip, "arp")
             elif method == "icmp":
-                self._send_token()
+                self.limiter.acquire()
                 if self.network.ping(ip, self.config.timeout):
                     alive = True
                 self._note(ScanPhase.DEVICE_DISCOVERY, ip, "icmp")
@@ -288,7 +273,6 @@ class Scanner:
         if not alive:
             return None
         vendor = vendor_for_mac(mac)
-        self._emit(Observation(ip=ip, source="active", timestamp=self._now(), mac=mac, oui_vendor=vendor))
         return Asset.discovered(ip, self._now(), mac=mac, oui_vendor=vendor)
 
     def discover_hosts(self, pool: ThreadPoolExecutor | None = None) -> list[Asset]:
@@ -315,17 +299,13 @@ class Scanner:
                 open_ports.add(PortSpec(port))
                 result.sock.close()  # evidence gathered; be brief
         if open_ports:
-            obs = Observation(
-                ip=asset.ip, source="active", timestamp=self._now(), open_ports=frozenset(open_ports)
-            )
-            self._emit(obs)
-            asset = merge_observation(asset, obs)
+            asset = self._merge(asset, open_ports=frozenset(open_ports))
         return asset
 
     def _exchange(self, sock: socket.socket, payload: bytes, reader) -> bytes:
         """Send one request and read one framed reply, one retry."""
         for attempt in (0, 1):
-            self._send_token()
+            self.limiter.acquire()
             sock.sendall(payload)
             try:
                 return reader(sock, self.config.timeout)
@@ -353,11 +333,7 @@ class Scanner:
         self._note(ScanPhase.SERVICE_IDENTIFICATION, asset.ip, f"probe:{port}")
         if confirmed is None:
             return asset
-        obs = Observation(
-            ip=asset.ip, source="active", timestamp=self._now(), protocols=frozenset({confirmed})
-        )
-        self._emit(obs)
-        return merge_observation(asset, obs)
+        return self._merge(asset, protocols=frozenset({confirmed}))
 
     def _probe_modbus(self, ip: str, port: int) -> str | None:
         result = self._connect(ip, port)
@@ -529,15 +505,7 @@ class Scanner:
         deploy = DeploymentInfo.from_dict(deployment) if deployment else None
         if static is None and deploy is None:
             return asset
-        obs = Observation(
-            ip=asset.ip,
-            source="active",
-            timestamp=self._now(),
-            static_info=static,
-            deployment_info=deploy,
-        )
-        self._emit(obs)
-        return merge_observation(asset, obs)
+        return self._merge(asset, static_info=static, deployment_info=deploy)
 
     def _enumerate(self, asset: Asset) -> Asset:
         handlers = {"modbus": self.enumerate_modbus, "s7comm": self.enumerate_s7, "enip": self.enumerate_enip}
@@ -557,26 +525,11 @@ class Scanner:
         from . import vulnmatch
 
         db = vulnmatch.load_db(self.config.vuln_db_path, alias_path=self.config.vuln_alias_path)
-        out = []
-        for asset in assets:
-            if asset.static_info is None or not (
-                asset.static_info.manufacturer or asset.static_info.model
-            ):
-                out.append(asset)
-                continue
+
+        def note(asset: Asset) -> None:
             self._note(ScanPhase.VULNERABILITY_IDENTIFICATION, asset.ip, "cve_match")
-            matches = vulnmatch.match(asset.static_info, db)
-            if matches:
-                obs = Observation(
-                    ip=asset.ip,
-                    source="active",
-                    timestamp=self._now(),
-                    vulnerabilities=tuple(matches),
-                )
-                self._emit(obs)
-                asset = merge_observation(asset, obs)
-            out.append(asset)
-        return out
+
+        return vulnmatch.enrich(assets, db, on_lookup=note)[0]
 
     # -- whole pipeline --------------------------------------------------------
 
@@ -594,13 +547,14 @@ class Scanner:
         for port in sorted(p.port for p in asset.open_ports):
             if self._stop.is_set():
                 break
-            asset = self.probe_protocol(asset, port)
+            try:
+                asset = self.probe_protocol(asset, port)
+            except (IcsReconError, OSError) as exc:
+                self._anomaly(f"probe failed for {asset.ip}:{port}: {exc}")
         return asset
 
     def run(self) -> ScanReport:
         started = time.monotonic()
-        merger = threading.Thread(target=self._merger, daemon=True, name="inventory-merger")
-        merger.start()
         methods_used: list[str] = []
         assets: list[Asset] = []
         try:
@@ -615,17 +569,14 @@ class Scanner:
         finally:
             if self._stop.is_set():
                 self._anomaly("scan cancelled; emitting partial results")
-            self._queue.put(None)
-            merger.join(timeout=10)
-            if self._owns_recorder:
-                self.network._writer.close()
+            if self._recorder is not None:
+                self._recorder.close()
         duration = time.monotonic() - started
         consulted = self.config.vuln_db_path is not None
-        depths = {
-            asset.ip: int(compute_depth(asset, consulted)) for asset in self.inventory
-        }
+        inventory = Inventory(assets)
+        depths = {asset.ip: int(compute_depth(asset, consulted)) for asset in inventory}
         return ScanReport(
-            inventory=self.inventory,
+            inventory=inventory,
             per_asset_depth=depths,
             packets_sent=self.limiter.granted,
             duration=duration,

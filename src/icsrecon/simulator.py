@@ -107,7 +107,6 @@ class SimDevice:
         self.counters = Counters()
         self._window: collections.deque[float] = collections.deque()
         self._lock = threading.Lock()
-        self._server: socketserver.ThreadingTCPServer | None = None
         self.bound_port: int | None = None
 
     # -- state & counters -------------------------------------------------
@@ -184,18 +183,6 @@ def fragility_tick(device: SimDevice, packet: bytes | None, now: float | None = 
             device.state = SimState.FAULT
         logger.warning("device %s entered fault state (malformed frame)", device.config.name)
     return device.state
-
-
-def reset_device(device: SimDevice) -> SimState:
-    return device.reset()
-
-
-def get_state(device: SimDevice) -> SimState:
-    return device.get_state()
-
-
-def get_counters(device: SimDevice) -> Counters:
-    return device.get_counters()
 
 
 # -- protocol handlers ----------------------------------------------------
@@ -400,6 +387,7 @@ class StationHandle:
         self.recorder = TrafficRecorder(self._pcap_writer, clock=clock)
         self.recorder.register_mac(scanner_ip, "02:00:5e:00:00:01")
         self.devices: list[SimDevice] = []
+        self._servers: list[socketserver.BaseServer] = []
         self._by_endpoint: dict[tuple[str, int], SimDevice] = {}
         self._by_ip: dict[str, SimDevice] = {}
         self._packet_lock = threading.Lock()
@@ -425,18 +413,15 @@ class StationHandle:
             except OSError as exc:
                 self.stop()
                 raise PortUnavailable(f"{device.config.name}: {exc}") from exc
-            device._server = server
+            self._servers.append(server)
             device.bound_port = server.server_address[1]
             thread = threading.Thread(target=server.serve_forever, daemon=True, name=f"sim-{device.config.name}")
             thread.start()
         return self
 
     def stop(self) -> None:
-        for device in self.devices:
-            if device._server is not None:
-                device._server.shutdown()
-                device._server.server_close()
-                device._server = None
+        servers, self._servers = self._servers, []
+        _shutdown_servers(servers)
         if self._pcap_writer is not None:
             self._pcap_writer.close()
 
@@ -521,6 +506,17 @@ class StationHandle:
         }
 
 
+def _shutdown_servers(servers: list[socketserver.BaseServer]) -> None:
+    """Stop serve_forever loops side by side; each shutdown() waits out a poll tick."""
+    waiters = [threading.Thread(target=server.shutdown) for server in servers]
+    for waiter in waiters:
+        waiter.start()
+    for waiter in waiters:
+        waiter.join()
+    for server in servers:
+        server.server_close()
+
+
 def start_station(
     configs: list[SimDeviceConfig],
     scanner_ip: str = "192.168.90.1",
@@ -531,15 +527,11 @@ def start_station(
 
 
 class SimNetwork(Network):
-    """Scanner-facing view of a station: the drop-in Network."""
+    """Scanner-facing view of a StationHandle or a RemoteStation: the drop-in Network."""
 
-    def __init__(self, station: StationHandle):
+    def __init__(self, station: StationHandle | RemoteStation):
         self.station = station
         self.source_ip = station.scanner_ip
-
-    def require(self, method: str) -> None:
-        if method not in ("icmp", "arp", "tcp_connect"):
-            raise ValueError(f"unknown discovery method {method!r}")
 
     def ping(self, ip: str, timeout: float) -> bool:
         return self.station.ping(ip)
@@ -559,6 +551,11 @@ class SimNetwork(Network):
         except (ConnectionRefusedError, socket.timeout, OSError):
             sock.close()
             return ConnectResult("timeout")
+
+    def close(self) -> None:
+        """Close a remote station's control channel; a local one keeps running."""
+        if isinstance(self.station, RemoteStation):
+            self.station.close()
 
 
 # -- remote control (separate-process simulator) ---------------------------
@@ -631,8 +628,8 @@ class ControlledStation:
             pass
 
     def stop(self) -> None:
-        self.control.shutdown()
-        self.control.server_close()
+        servers, self.station._servers = [self.control, *self.station._servers], []
+        _shutdown_servers(servers)
         self.station.stop()
 
 
@@ -642,12 +639,15 @@ class ControlClient:
     def __init__(self, port: int, host: str = "127.0.0.1", timeout: float = 5.0):
         self._sock = socket.create_connection((host, port), timeout=timeout)
         self._fh = self._sock.makefile("rwb")
+        self._lock = threading.Lock()
 
     def call(self, op: str, **kwargs) -> dict:
+        """One request/response pair; safe to share across threads."""
         request = {"op": op, **kwargs}
-        self._fh.write((json.dumps(request) + "\n").encode("utf-8"))
-        self._fh.flush()
-        line = self._fh.readline()
+        with self._lock:
+            self._fh.write((json.dumps(request) + "\n").encode("utf-8"))
+            self._fh.flush()
+            line = self._fh.readline()
         if not line:
             raise IcsReconError("control channel closed")
         response = json.loads(line.decode("utf-8"))
@@ -663,38 +663,26 @@ class ControlClient:
             pass
 
 
-class RemoteSimNetwork(Network):
-    """Network backed by a simulator in another process, via map file."""
+class RemoteStation:
+    """SimNetwork's station for a simulator in another process: map file plus control socket."""
 
     def __init__(self, map_document: dict, timeout: float = 5.0):
-        self.hosts = map_document["hosts"]
         self.scanner_ip = map_document["scanner_ip"]
-        self.source_ip = self.scanner_ip
+        self._hosts = map_document["hosts"]
         self._client = ControlClient(map_document["control_port"], timeout=timeout)
 
-    def require(self, method: str) -> None:
-        if method not in ("icmp", "arp", "tcp_connect"):
-            raise ValueError(f"unknown discovery method {method!r}")
+    def lookup(self, ip: str, port: int) -> int | None:
+        host = self._hosts.get(ip)
+        return host["ports"].get(str(port)) if host else None
 
-    def ping(self, ip: str, timeout: float) -> bool:
+    def ping(self, ip: str) -> bool:
         return bool(self._client.call("ping", ip=ip)["alive"])
 
-    def arp(self, ip: str, timeout: float) -> str | None:
+    def arp(self, ip: str) -> str | None:
         return self._client.call("arp", ip=ip)["mac"]
 
-    def connect(self, ip: str, port: int, timeout: float) -> ConnectResult:
-        host = self.hosts.get(ip)
-        real_port = host["ports"].get(str(port)) if host else None
-        if real_port is None:
-            return ConnectResult(self._client.call("unmapped_syn", ip=ip, port=port)["status"])
-        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        sock.settimeout(timeout)
-        try:
-            sock.connect(("127.0.0.1", real_port))
-            return ConnectResult("open", sock)
-        except (ConnectionRefusedError, socket.timeout, OSError):
-            sock.close()
-            return ConnectResult("timeout")
+    def unmapped_syn(self, ip: str, port: int) -> str:
+        return self._client.call("unmapped_syn", ip=ip, port=port)["status"]
 
     def close(self) -> None:
         self._client.close()

@@ -20,9 +20,10 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
+from typing import Callable, Iterable
 
 from .errors import FormatError
-from .model import CveRecord, StaticDeviceInfo
+from .model import Asset, CveRecord, Observation, StaticDeviceInfo, merge_observation
 
 logger = logging.getLogger(__name__)
 
@@ -201,3 +202,34 @@ def match(info: StaticDeviceInfo, db: CveDatabase) -> list[CveRecord]:
         )
         for r in hits
     ]
+
+
+def enrich(
+    assets: Iterable[Asset],
+    db: CveDatabase,
+    on_lookup: Callable[[Asset], None] | None = None,
+) -> tuple[list[Asset], int]:
+    """Merge each asset's CVE matches in; returns the assets and the match count.
+
+    Assets with neither manufacturer nor model pass through untouched;
+    ``on_lookup(asset)`` runs for every other one before it is matched.
+    The observation reuses the asset's own first source and its
+    ``last_seen``, so enriching never moves ``last_seen``.
+    """
+    out: list[Asset] = []
+    total = 0
+    for asset in assets:
+        info = asset.static_info
+        if info is not None and (info.manufacturer or info.model):
+            if on_lookup is not None:
+                on_lookup(asset)
+            matches = match(info, db)
+            if matches:
+                source = sorted(asset.sources)[0] if asset.sources else "active"
+                obs = Observation(
+                    ip=asset.ip, source=source, timestamp=asset.last_seen, vulnerabilities=tuple(matches)
+                )
+                asset = merge_observation(asset, obs)
+                total += len(matches)
+        out.append(asset)
+    return out, total

@@ -26,7 +26,7 @@ from icsrecon.model import (
 )
 from icsrecon.passive import PcapFile, analyze_capture
 from icsrecon.scanner import ScanConfig, run_scan
-from icsrecon.simulator import SimNetwork, SimState, reset_device, start_station
+from icsrecon.simulator import SimNetwork, SimState, start_station
 from icsrecon import taxonomy as tx
 from icsrecon import vulnmatch
 
@@ -147,7 +147,7 @@ def test_criterion_3_fragility_reproduction():
             # latched: further contact changes nothing until reset
             station.ping("192.168.90.10")
             assert fragile.get_state() is SimState.FAULT
-            assert reset_device(fragile) is SimState.RUNNING
+            assert fragile.reset() is SimState.RUNNING
         finally:
             station.stop()
 

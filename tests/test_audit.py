@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 from icsrecon.config import default_fixtures_path, load_fixtures
-from icsrecon.passive import PcapFile, analyze_capture
+from icsrecon.passive import PcapFile, analyze_capture, read_capture
+from icsrecon.pcapio import PROTO_TCP, TCP_ACK, TCP_SYN, parse_ethernet, parse_ipv4, parse_tcp
 from icsrecon.scanner import ScanConfig, run_scan
 from icsrecon.simulator import SimNetwork, start_station
 
@@ -32,3 +33,21 @@ def test_audit_capture_mirrors_probe_traffic(tmp_path):
         assert passive.per_asset_depth[ip] == depth
     # ARP answers were folded into the audit frames, so vendors resolve
     assert passive.inventory.get("192.168.90.10").oui_vendor == "Siemens AG"
+    # every flow opens with one SYN, and concurrent workers never share
+    # a client port
+    client_ports = syn_client_ports(audit_path)
+    assert len(client_ports) >= len(fixtures.devices) * len(config.ports)
+    assert len(set(client_ports)) == len(client_ports)
+
+
+def syn_client_ports(pcap_path) -> list[int]:
+    ports = []
+    for _, frame in read_capture(PcapFile(str(pcap_path))):
+        eth = parse_ethernet(frame)
+        packet = parse_ipv4(eth.payload) if eth is not None and eth.ethertype == 0x0800 else None
+        if packet is None or packet.proto != PROTO_TCP:
+            continue
+        segment = parse_tcp(packet.payload)
+        if segment is not None and segment.flags & (TCP_SYN | TCP_ACK) == TCP_SYN:
+            ports.append(segment.src_port)
+    return ports

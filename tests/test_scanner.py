@@ -7,7 +7,7 @@ import threading
 import pytest
 
 from icsrecon.config import default_fixtures_path, load_fixtures
-from icsrecon.errors import ConfigError, PrivilegeRequired
+from icsrecon.errors import ConfigError, IcsReconError, PrivilegeRequired
 from icsrecon.model import PortSpec, compute_depth
 from icsrecon.netbase import RealNetwork
 from icsrecon.scanner import ScanConfig, Scanner, expand_targets, run_scan
@@ -259,6 +259,32 @@ def test_phase_monotonicity(station):
     depths.append(int(compute_depth(asset)))
     assert depths == sorted(depths)
     assert depths[-1] == 5
+
+
+def test_failed_probe_keeps_earlier_confirmed_protocol():
+    # one host with Modbus and EtherNet/IP open; the second port's probe
+    # raises after the first protocol was confirmed
+    import dataclasses
+
+    config = load_fixtures(default_fixtures_path())
+    devices = {c.name: c for c in config.devices}
+    rtu = devices["scadapack32_like"]
+    enip_side = dataclasses.replace(devices["controllogix_like"], ip=rtu.ip)
+    handle = start_station([rtu, enip_side], scanner_ip=config.scanner_ip)
+    try:
+        scanner = Scanner(quick_config(targets=(rtu.ip,)), network=SimNetwork(handle))
+
+        def broken_probe(ip, port):
+            raise IcsReconError("enip probe broke")
+
+        scanner._probe_enip = broken_probe
+        report = scanner.run()
+    finally:
+        handle.stop()
+    asset = report.inventory.get(rtu.ip)
+    assert asset.open_ports == frozenset({PortSpec(502), PortSpec(44818)})
+    assert "modbus" in asset.protocols
+    assert any("enip probe broke" in a for a in report.anomalies)
 
 
 def test_cancellation_emits_partial_report(station):

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import socket
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -11,6 +13,8 @@ from icsrecon.config import default_fixtures_path, load_fixtures
 from icsrecon.errors import ConfigError, PortUnavailable
 from icsrecon.netbase import recv_enip_frame, recv_modbus_frame, recv_tpkt_frame
 from icsrecon.simulator import (
+    ControlClient,
+    ControlledStation,
     Counters,
     SimDevice,
     SimDeviceConfig,
@@ -18,9 +22,6 @@ from icsrecon.simulator import (
     SimState,
     StationHandle,
     fragility_tick,
-    get_counters,
-    get_state,
-    reset_device,
     start_station,
 )
 
@@ -121,11 +122,11 @@ def test_fault_latches_until_reset():
     device = make_device(fragile=True, max_pps=1)
     for i in range(10):
         fragility_tick(device, None, now=50.0 + i / 100.0)
-    assert get_state(device) is SimState.FAULT
+    assert device.get_state() is SimState.FAULT
     # still faulted even after quiet time
     assert fragility_tick(device, None, now=500.0) is SimState.FAULT
-    assert reset_device(device) is SimState.RUNNING
-    assert get_state(device) is SimState.RUNNING
+    assert device.reset() is SimState.RUNNING
+    assert device.get_state() is SimState.RUNNING
 
 
 def test_counters_preserved_across_reset():
@@ -133,8 +134,8 @@ def test_counters_preserved_across_reset():
     device.note_received(now=1.0)
     device.note_received(now=2.0)
     device.note_malformed()
-    reset_device(device)
-    counters = get_counters(device)
+    device.reset()
+    counters = device.get_counters()
     assert counters.packets_received == 2
     assert counters.malformed_seen == 1
 
@@ -144,7 +145,7 @@ def test_counters_monotone_snapshots():
     previous = Counters()
     for i in range(5):
         device.note_received(now=float(i))
-        current = get_counters(device)
+        current = device.get_counters()
         assert current.packets_received >= previous.packets_received
         previous = current
 
@@ -276,7 +277,7 @@ def test_fault_latching_no_replies_until_reset(station):
         sock.sendall(modbus.build_report_slave_id_request(unit=1))
         with pytest.raises(socket.timeout):
             recv_modbus_frame(sock, 1.0)
-    reset_device(device)
+    device.reset()
     reply = exchange(station, 502, "192.168.90.13", modbus.build_report_slave_id_request(unit=1), recv_modbus_frame)
     assert modbus.parse_report_slave_id_response(reply).slave_id == 5
 
@@ -302,5 +303,33 @@ def test_faulted_device_times_out_unmapped_ports(station):
 
 
 def test_packets_sent_zero_without_requests(station):
-    counters = get_counters(station.device("rtu"))
+    counters = station.device("rtu").get_counters()
     assert counters.packets_sent == 0
+
+
+def test_control_client_shared_by_concurrent_callers():
+    # scan workers share one control connection to a separate simulator
+    # process; every answer must reach the thread that asked for it
+    config = load_fixtures(default_fixtures_path())
+    controlled = ControlledStation(start_station(list(config.devices), scanner_ip=config.scanner_ip))
+    client = ControlClient(controlled.control_port)
+    expected = {device.ip: device.mac for device in config.devices}
+    expected["192.168.90.200"] = None
+    ips = sorted(expected)
+
+    def wrong_answers(worker: int) -> int:
+        wrong = 0
+        for i in range(200):
+            ip = ips[(worker + i) % len(ips)]
+            wrong += client.call("arp", ip=ip)["mac"] != expected[ip]
+        return wrong
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            assert list(pool.map(wrong_answers, range(8))) == [0] * 8
+    finally:
+        sys.setswitchinterval(interval)
+        client.close()
+        controlled.stop()
