@@ -3,10 +3,14 @@ enumeration, then optional vulnerability lookup.
 
 Later phases only visit hosts that survived earlier ones, and
 protocol enumeration is never attempted without a confirmed protocol
-(the probe log makes that auditable). A single token bucket gates
-every emitted packet across all workers; TCP connect scanning (full
-handshake, closed immediately) is used instead of half-open scanning
-because it needs no privilege and is gentler on fragile stacks.
+(the probe log makes that auditable). Discovery stops at the first
+method that answers for a host. Each confirmed service costs one TCP
+session: the probe's opening exchange confirms the protocol, and
+enumeration continues on that socket, reusing the first reply. A
+single token bucket gates every emitted packet across all workers;
+TCP connect scanning (full handshake, closed immediately) is used
+instead of half-open scanning because it needs no privilege and is
+gentler on fragile stacks.
 """
 
 from __future__ import annotations
@@ -56,6 +60,22 @@ DEFAULT_PORTS = frozenset({102, 502, 44818})
 METHOD_ORDER = ("arp", "icmp", "tcp_connect")
 
 SAFE_MODE_MAX_PPS = 50
+
+Session = tuple[socket.socket, bytes]  # an open socket and the reply to its opening exchange
+
+
+def _confirm_cotp(reply: bytes) -> None:
+    cotp = s7.decode_envelope(reply).cotp
+    if isinstance(cotp, s7.CotpDisconnectRequest):
+        raise ConnectionRefusedByTsap("TSAP pair refused")
+    if not isinstance(cotp, s7.CotpConnectionConfirm):
+        raise FormatError(f"unexpected COTP answer {type(cotp).__name__}")
+
+
+def _confirm_list_identity(reply: bytes) -> None:
+    message, _ = enip.decode_header(reply)
+    if message.command != enip.CMD_LIST_IDENTITY:
+        raise FormatError(f"probe got command 0x{message.command:04x}")
 
 
 class ScanPhase(str, Enum):
@@ -248,18 +268,18 @@ class Scanner:
     def _discover_one(self, ip: str, methods: list[str]) -> Asset | None:
         if self._stop.is_set():
             return None
-        alive = False
-        mac = None
+        alive, mac = False, None
         for method in methods:
+            if alive:
+                break  # ARP runs first, so its MAC is already kept
             if method == "arp":
                 self.limiter.acquire()
                 mac = self.network.arp(ip, self.config.timeout)
-                alive = alive or mac is not None
+                alive = mac is not None
                 self._note(ScanPhase.DEVICE_DISCOVERY, ip, "arp")
             elif method == "icmp":
                 self.limiter.acquire()
-                if self.network.ping(ip, self.config.timeout):
-                    alive = True
+                alive = self.network.ping(ip, self.config.timeout)
                 self._note(ScanPhase.DEVICE_DISCOVERY, ip, "icmp")
             elif method == "tcp_connect":
                 for port in sorted(self.config.ports):
@@ -272,8 +292,7 @@ class Scanner:
                         break
         if not alive:
             return None
-        vendor = vendor_for_mac(mac)
-        return Asset.discovered(ip, self._now(), mac=mac, oui_vendor=vendor)
+        return Asset.discovered(ip, self._now(), mac=mac, oui_vendor=vendor_for_mac(mac))
 
     def discover_hosts(self, pool: ThreadPoolExecutor | None = None) -> list[Asset]:
         """Phase 1: one asset per responding target address."""
@@ -314,103 +333,79 @@ class Scanner:
                     raise
         raise socket.timeout  # unreachable
 
-    def probe_protocol(self, asset: Asset, port: int) -> Asset:
-        """Phase 2b: payload-level protocol confirmation on one port."""
+    def probe_protocol(self, asset: Asset, port: int, sessions: dict[str, Session] | None = None) -> Asset:
+        """Phase 2b: payload-level protocol confirmation on one port; ``sessions`` keeps its socket."""
         if PortSpec(port) not in asset.open_ports:
             raise ValueError(f"port {port} is not known open on {asset.ip}")
-        confirmed: str | None = None
+        protocol, opener = {
+            502: ("modbus", self._open_modbus),
+            102: ("s7comm", self._open_s7),
+            44818: ("enip", self._open_enip),
+        }.get(port, (None, None))
+        session = None
         try:
-            if port == 502:
-                confirmed = self._probe_modbus(asset.ip, port)
-            elif port == 102:
-                confirmed = self._probe_s7(asset.ip, port)
-            elif port == 44818:
-                confirmed = self._probe_enip(asset.ip, port)
+            session = opener(asset.ip, port) if opener else None
         except (DecodeError, FormatError) as exc:
             self._anomaly(f"{asset.ip}:{port} malformed reply during probe: {exc}")
-        except (socket.timeout, ConnectionError, OSError):
+        except (ConnectionRefusedByTsap, OSError):
             pass  # absence of evidence
         self._note(ScanPhase.SERVICE_IDENTIFICATION, asset.ip, f"probe:{port}")
-        if confirmed is None:
+        if session is None:
             return asset
-        return self._merge(asset, protocols=frozenset({confirmed}))
+        if sessions is None:
+            session[0].close()
+        else:
+            sessions[protocol] = session
+        return self._merge(asset, protocols=frozenset({protocol}))
 
-    def _probe_modbus(self, ip: str, port: int) -> str | None:
+    def _open(self, ip: str, port: int, request: bytes, reader, confirm) -> Session | None:
+        """Connect and make the opening exchange; the socket stays open if ``confirm`` accepts the reply."""
         result = self._connect(ip, port)
         if result.sock is None:
             return None
-        with result.sock as sock:
-            request = modbus.build_device_id_request(unit=self.config.modbus_unit)
-            try:
-                reply = self._exchange(sock, request, recv_modbus_frame)
-            except (socket.timeout, ConnectionError, OSError):
-                return None
-            # any well-formed reply, exceptions included, confirms Modbus
-            modbus.decode_modbus(reply)
-            return "modbus"
+        try:
+            reply = self._exchange(result.sock, request, reader)
+            confirm(reply)
+        except OSError:
+            result.sock.close()
+            return None
+        except BaseException:
+            result.sock.close()
+            raise
+        return result.sock, reply
 
-    def _s7_connect(self, ip: str, port: int) -> tuple[socket.socket | None, bool]:
+    def _open_modbus(self, ip: str, port: int) -> Session | None:
+        # any well-formed reply, exceptions included, confirms Modbus
+        request = modbus.build_device_id_request(unit=self.config.modbus_unit)
+        return self._open(ip, port, request, recv_modbus_frame, modbus.decode_modbus)
+
+    def _open_s7(self, ip: str, port: int) -> Session | None:
         """Try the TSAP list in order; new TCP connection per attempt."""
         for _src, dst in self.config.s7_tsap_pairs:
-            result = self._connect(ip, port)
-            if result.sock is None:
-                return None, False
-            sock = result.sock
             try:
-                reply = self._exchange(sock, s7.build_cotp_connect(0x0100, dst), recv_tpkt_frame)
-                cotp = s7.decode_envelope(reply).cotp
-            except (socket.timeout, ConnectionError, OSError):
-                sock.close()
-                return None, False
-            if isinstance(cotp, s7.CotpConnectionConfirm):
-                return sock, True
-            sock.close()
-            if not isinstance(cotp, s7.CotpDisconnectRequest):
-                raise FormatError(f"unexpected COTP answer {type(cotp).__name__}")
+                return self._open(ip, port, s7.build_cotp_connect(0x0100, dst), recv_tpkt_frame, _confirm_cotp)
+            except ConnectionRefusedByTsap:
+                continue
         raise ConnectionRefusedByTsap(f"{ip}: every offered TSAP pair was refused")
 
-    def _probe_s7(self, ip: str, port: int) -> str | None:
-        try:
-            sock, confirmed = self._s7_connect(ip, port)
-        except ConnectionRefusedByTsap:
-            return None
-        if sock is not None:
-            sock.close()
-        return "s7comm" if confirmed else None
+    def _open_enip(self, ip: str, port: int) -> Session | None:
+        return self._open(ip, port, enip.build_list_identity(), recv_enip_frame, _confirm_list_identity)
 
-    def _probe_enip(self, ip: str, port: int) -> str | None:
-        result = self._connect(ip, port)
-        if result.sock is None:
-            return None
-        with result.sock as sock:
-            try:
-                reply = self._exchange(sock, enip.build_list_identity(), recv_enip_frame)
-            except (socket.timeout, ConnectionError, OSError):
-                return None
-            message, _ = enip.decode_header(reply)
-            if message.command != enip.CMD_LIST_IDENTITY:
-                raise FormatError(f"probe got command 0x{message.command:04x}")
-            return "enip"
+    # -- phase 3: enumeration, on the probe's session ------------------------
 
-    # -- phase 3: enumeration -------------------------------------------------
-
-    def enumerate_modbus(self, asset: Asset) -> Asset:
+    def enumerate_modbus(self, asset: Asset, session: Session) -> Asset:
         if "modbus" not in asset.protocols:
             raise ValueError(f"{asset.ip}: modbus not confirmed at protocol level")
         self._note(ScanPhase.ENUMERATION, asset.ip, "enumerate_modbus")
-        result = self._connect(asset.ip, 502)
-        if result.sock is None:
-            return asset
+        sock, reply = session
         static_fields: dict[str, str] = {}
         deployment: dict[str, str] = {}
-        with result.sock as sock:
+        with sock:
             unit = self.config.modbus_unit
             try:
-                static_fields = self._read_device_identification(sock, unit)
-            except ModbusExceptionResponse:
-                pass  # identification unsupported; deployment may still work
+                static_fields = self._read_device_identification(sock, unit, reply)
             except (socket.timeout, ConnectionError, OSError, DecodeError, FormatError):
-                pass
+                pass  # identification unsupported (exception reply) or cut short; deployment may still work
             try:
                 reply = self._exchange(sock, modbus.build_report_slave_id_request(unit), recv_modbus_frame)
                 parsed = modbus.parse_report_slave_id_response(reply)
@@ -424,17 +419,16 @@ class Scanner:
                     deployment["unit_ids"] = ",".join(str(u) for u in responding)
         return self._apply_identity(asset, static_fields, deployment)
 
-    def _read_device_identification(self, sock: socket.socket, unit: int) -> dict[str, str]:
-        objects: dict[int, str] = {}
-        object_id = 0x00
-        for _round in range(4):  # continuation guard
-            request = modbus.build_device_id_request(unit=unit, object_id=object_id)
-            reply = self._exchange(sock, request, recv_modbus_frame)
-            ident = modbus.parse_device_id_response(reply)
-            objects.update(ident.objects)
+    def _read_device_identification(self, sock: socket.socket, unit: int, reply: bytes) -> dict[str, str]:
+        """Fold the reply for object 0 and any continuation rounds."""
+        ident = modbus.parse_device_id_response(reply)
+        objects = dict(ident.objects)
+        for _round in range(3):  # continuation guard
             if not ident.more_follows:
                 break
-            object_id = ident.next_object_id
+            request = modbus.build_device_id_request(unit=unit, object_id=ident.next_object_id)
+            ident = modbus.parse_device_id_response(self._exchange(sock, request, recv_modbus_frame))
+            objects.update(ident.objects)
         return modbus.device_id_to_fields(modbus.DeviceIdentification(objects))
 
     def _sweep_units(self, sock: socket.socket) -> list[int]:
@@ -451,19 +445,11 @@ class Scanner:
                 continue
         return responding
 
-    def enumerate_s7(self, asset: Asset) -> Asset:
+    def enumerate_s7(self, asset: Asset, session: Session) -> Asset:
         if "s7comm" not in asset.protocols:
             raise ValueError(f"{asset.ip}: s7comm not confirmed at protocol level")
         self._note(ScanPhase.ENUMERATION, asset.ip, "enumerate_s7")
-        try:
-            sock, confirmed = self._s7_connect(asset.ip, 102)
-        except (ConnectionRefusedByTsap, FormatError):
-            return asset
-        if sock is None or not confirmed:
-            return asset
-        static_fields: dict[str, str] = {}
-        deployment: dict[str, str] = {}
-        with sock:
+        with session[0] as sock:
             try:
                 reply = self._exchange(sock, s7.build_setup_communication(pdu_ref=1), recv_tpkt_frame)
                 envelope = s7.decode_envelope(reply)
@@ -481,19 +467,16 @@ class Scanner:
             static_fields, deployment = s7.szl_records_to_fields(records)
         return self._apply_identity(asset, static_fields, deployment)
 
-    def enumerate_enip(self, asset: Asset) -> Asset:
+    def enumerate_enip(self, asset: Asset, session: Session) -> Asset:
         if "enip" not in asset.protocols:
             raise ValueError(f"{asset.ip}: enip not confirmed at protocol level")
         self._note(ScanPhase.ENUMERATION, asset.ip, "enumerate_enip")
-        result = self._connect(asset.ip, 44818)
-        if result.sock is None:
+        sock, reply = session
+        sock.close()  # the ListIdentity reply that confirmed EtherNet/IP is all there is to read
+        try:
+            identity = enip.parse_list_identity(reply)
+        except (DecodeError, FormatError):
             return asset
-        with result.sock as sock:
-            try:
-                reply = self._exchange(sock, enip.build_list_identity(), recv_enip_frame)
-                identity = enip.parse_list_identity(reply)
-            except (socket.timeout, ConnectionError, OSError, DecodeError, FormatError):
-                return asset
         vendor = load_enip_vendors().get(identity.vendor_id)
         static_fields = enip.identity_to_fields(identity, vendor)
         # the identity object carries nothing operator-set, so no
@@ -507,14 +490,14 @@ class Scanner:
             return asset
         return self._merge(asset, static_info=static, deployment_info=deploy)
 
-    def _enumerate(self, asset: Asset) -> Asset:
+    def _enumerate(self, asset: Asset, sessions: dict[str, Session]) -> Asset:
         handlers = {"modbus": self.enumerate_modbus, "s7comm": self.enumerate_s7, "enip": self.enumerate_enip}
         for protocol in sorted(asset.protocols):
             handler = handlers.get(protocol)
             if handler is None or self._stop.is_set():
                 continue
             try:
-                asset = handler(asset)
+                asset = handler(asset, sessions.pop(protocol))
             except (IcsReconError, OSError) as exc:
                 self._anomaly(f"enumeration failed for {asset.ip}/{protocol}: {exc}")
         return asset
@@ -543,15 +526,24 @@ class Scanner:
 
         return list(pool.map(guarded, assets))
 
-    def _probe_all(self, asset: Asset) -> Asset:
+    def _probe_all(self, asset: Asset, sessions: dict[str, Session]) -> Asset:
         for port in sorted(p.port for p in asset.open_ports):
             if self._stop.is_set():
                 break
             try:
-                asset = self.probe_protocol(asset, port)
+                asset = self.probe_protocol(asset, port, sessions)
             except (IcsReconError, OSError) as exc:
                 self._anomaly(f"probe failed for {asset.ip}:{port}: {exc}")
         return asset
+
+    def _identify(self, asset: Asset) -> Asset:
+        """Phases 2b and 3 on one host, one TCP session per confirmed service."""
+        sessions: dict[str, Session] = {}
+        try:
+            return self._enumerate(self._probe_all(asset, sessions), sessions)
+        finally:
+            for sock, _reply in sessions.values():
+                sock.close()  # left over by a cancelled or failed enumeration
 
     def run(self) -> ScanReport:
         started = time.monotonic()
@@ -562,8 +554,7 @@ class Scanner:
                 methods_used = self._usable_methods()
                 assets = self.discover_hosts(pool)
                 assets = self._phase_map(pool, self.scan_ports, assets, "service_identification")
-                assets = self._phase_map(pool, self._probe_all, assets, "service_identification")
-                assets = self._phase_map(pool, self._enumerate, assets, "enumeration")
+                assets = self._phase_map(pool, self._identify, assets, "service_identification")
             if self.config.vuln_db_path and not self._stop.is_set():
                 assets = self._match_vulnerabilities(assets)
         finally:

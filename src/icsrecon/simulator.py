@@ -125,10 +125,10 @@ class SimDevice:
             return False
 
     def note_received(self, now: float | None = None) -> None:
-        now = self.station.clock() if now is None else now
+        """Count one received packet; ``now`` is unused, the station keeps counts, not times."""
         with self._lock:
             self.counters.packets_received += 1
-        self.station.note_packet(now)
+        self.station.note_packet()
 
     def note_sent(self) -> None:
         with self._lock:
@@ -391,7 +391,7 @@ class StationHandle:
         self._by_endpoint: dict[tuple[str, int], SimDevice] = {}
         self._by_ip: dict[str, SimDevice] = {}
         self._packet_lock = threading.Lock()
-        self.packet_times: list[float] = []
+        self._packets_received = 0
         seen = set()
         for config in configs:
             endpoint = (config.ip, config.listen_port)
@@ -433,13 +433,13 @@ class StationHandle:
 
     # -- address mapping ---------------------------------------------------
 
-    def note_packet(self, now: float) -> None:
+    def note_packet(self) -> None:
         with self._packet_lock:
-            self.packet_times.append(now)
+            self._packets_received += 1
 
     def total_packets_received(self) -> int:
         with self._packet_lock:
-            return len(self.packet_times)
+            return self._packets_received
 
     def device(self, name: str) -> SimDevice:
         for device in self.devices:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import threading
+from collections import Counter
 
 import pytest
 
@@ -12,6 +13,7 @@ from icsrecon.model import PortSpec, compute_depth
 from icsrecon.netbase import RealNetwork
 from icsrecon.scanner import ScanConfig, Scanner, expand_targets, run_scan
 from icsrecon.simulator import SimNetwork, start_station
+from icsrecon.taxonomy import classify_run
 
 FIXTURE_IPS = ("192.168.90.10", "192.168.90.11", "192.168.90.12", "192.168.90.13", "192.168.90.14")
 
@@ -91,6 +93,29 @@ def test_arp_discovery_fills_mac_and_vendor(station):
     (asset,) = scanner.discover_hosts()
     assert asset.mac == "00:1b:1b:aa:10:01"
     assert asset.oui_vendor == "Siemens AG"
+
+
+def test_discovery_stops_at_first_answering_method(station):
+    config = quick_config(targets=("192.168.90.10", "192.168.90.99"), methods=frozenset({"arp", "icmp"}))
+    scanner = Scanner(config, network=SimNetwork(station))
+    (asset,) = scanner.discover_hosts()
+    tried = {ip: [e["detail"] for e in scanner.probe_log if e["ip"] == ip] for ip in config.targets}
+    # ARP proved the host alive, so no ICMP echo followed it
+    assert tried["192.168.90.10"] == ["arp"]
+    assert asset.mac == "00:1b:1b:aa:10:01"
+    assert asset.oui_vendor == "Siemens AG"
+    # a silent address still gets every method and never becomes an asset
+    assert tried["192.168.90.99"] == ["arp", "icmp"]
+    assert asset.ip == "192.168.90.10"
+
+
+def test_icmp_in_methods_used_is_still_classified(station):
+    config = quick_config(targets=("192.168.90.14",), methods=frozenset({"arp", "icmp"}))
+    report = run_scan(config, network=SimNetwork(station))
+    assert sorted(report.methods_used) == ["arp", "icmp"]
+    assert not any(e["detail"] == "icmp" for e in report.probe_log)
+    enumeration = classify_run(report).exec.enumeration
+    assert {"icmp_scanning", "arp_scanning"} <= set(enumeration)
 
 
 def test_tcp_connect_discovery(station):
@@ -202,9 +227,14 @@ def test_probe_requires_open_port_evidence(station):
 
 
 def test_enumerate_requires_protocol_evidence(station):
+    # even handed an open Modbus session, enumeration refuses an unconfirmed protocol
     scanner, asset = scanned_asset(station, "192.168.90.13")
-    with pytest.raises(ValueError):
-        scanner.enumerate_modbus(asset)
+    session = scanner._open_modbus(asset.ip, 502)
+    try:
+        with pytest.raises(ValueError):
+            scanner.enumerate_modbus(asset, session)
+    finally:
+        session[0].close()
 
 
 # -- full pipeline ---------------------------------------------------------------
@@ -240,10 +270,17 @@ def test_no_probe_without_evidence(station):
         (asset.ip, protocol) for asset in report.inventory for protocol in asset.protocols
     }
     protocol_of = {"enumerate_modbus": "modbus", "enumerate_s7": "s7comm", "enumerate_enip": "enip"}
-    for entry in report.probe_log:
+    port_of = {"enumerate_modbus": 502, "enumerate_s7": 102, "enumerate_enip": 44818}
+    enumerated = 0
+    for index, entry in enumerate(report.probe_log):
         if entry["phase"] != "enumeration":
             continue
+        enumerated += 1
         assert (entry["ip"], protocol_of[entry["detail"]]) in confirmed, entry
+        # the protocol was confirmed on this host before enumeration began
+        probe = {"phase": "service_identification", "ip": entry["ip"], "detail": f"probe:{port_of[entry['detail']]}"}
+        assert probe in report.probe_log[:index], entry
+    assert enumerated == 5
 
 
 def test_phase_monotonicity(station):
@@ -253,31 +290,38 @@ def test_phase_monotonicity(station):
     depths = [int(compute_depth(asset))]
     asset = scanner.scan_ports(asset)
     depths.append(int(compute_depth(asset)))
-    asset = scanner._probe_all(asset)
+    sessions = {}  # the probe's session, which enumeration continues on
+    asset = scanner._probe_all(asset, sessions)
     depths.append(int(compute_depth(asset)))
-    asset = scanner._enumerate(asset)
+    assert set(sessions) == {"s7comm"}
+    asset = scanner._enumerate(asset, sessions)
     depths.append(int(compute_depth(asset)))
+    assert sessions == {}
     assert depths == sorted(depths)
     assert depths[-1] == 5
 
 
-def test_failed_probe_keeps_earlier_confirmed_protocol():
-    # one host with Modbus and EtherNet/IP open; the second port's probe
-    # raises after the first protocol was confirmed
+def start_two_service_host():
+    """One host with Modbus (the RTU) and EtherNet/IP (the ControlLogix) open."""
     import dataclasses
 
     config = load_fixtures(default_fixtures_path())
     devices = {c.name: c for c in config.devices}
     rtu = devices["scadapack32_like"]
     enip_side = dataclasses.replace(devices["controllogix_like"], ip=rtu.ip)
-    handle = start_station([rtu, enip_side], scanner_ip=config.scanner_ip)
+    return start_station([rtu, enip_side], scanner_ip=config.scanner_ip), rtu
+
+
+def test_failed_probe_keeps_earlier_confirmed_protocol():
+    # the second port's probe raises after the first protocol was confirmed
+    handle, rtu = start_two_service_host()
     try:
         scanner = Scanner(quick_config(targets=(rtu.ip,)), network=SimNetwork(handle))
 
         def broken_probe(ip, port):
             raise IcsReconError("enip probe broke")
 
-        scanner._probe_enip = broken_probe
+        scanner._open_enip = broken_probe
         report = scanner.run()
     finally:
         handle.stop()
@@ -285,6 +329,70 @@ def test_failed_probe_keeps_earlier_confirmed_protocol():
     assert asset.open_ports == frozenset({PortSpec(502), PortSpec(44818)})
     assert "modbus" in asset.protocols
     assert any("enip probe broke" in a for a in report.anomalies)
+
+
+class CountingNetwork(SimNetwork):
+    """SimNetwork that counts connection attempts per (ip, port)."""
+
+    def __init__(self, station):
+        super().__init__(station)
+        self.connects: Counter = Counter()
+        self._lock = threading.Lock()
+
+    def connect(self, ip, port, timeout):
+        with self._lock:
+            self.connects[(ip, port)] += 1
+        return super().connect(ip, port, timeout)
+
+
+def test_default_station_scan_cost(station):
+    # the benchmark's active workload: the station plus two dead addresses
+    network = CountingNetwork(station)
+    config = quick_config(
+        targets=FIXTURE_IPS + ("192.168.90.20", "192.168.90.21"),
+        methods=frozenset({"arp", "icmp"}),
+        timeout_ms=800,
+        workers=8,
+    )
+    report = run_scan(config, network=network)
+    assert report.per_asset_depth == {
+        "192.168.90.10": 5,
+        "192.168.90.11": 5,
+        "192.168.90.12": 3,
+        "192.168.90.13": 5,
+        "192.168.90.14": 4,
+    }
+    # discovery 5 ARP + 2x2 for the dead, port scan 15, probes 10,
+    # enumeration 10 (S7 3 x 3, Modbus report-slave-id 1, ENIP 0)
+    assert report.packets_sent == 44
+    open_ports = {(asset.ip, spec.port) for asset in report.inventory for spec in asset.open_ports}
+    assert len(open_ports) == 5
+    # every port is connected once by the port scan; an open one once more, by its probe
+    scanned = {(ip, port) for ip in FIXTURE_IPS for port in config.ports}
+    assert network.connects == Counter({key: 2 if key in open_ports else 1 for key in scanned})
+    assert sum(network.connects.values()) == 20
+
+
+def test_two_service_host_enumerates_both_sessions():
+    # the Modbus session stays open while the EtherNet/IP port is probed;
+    # both are enumerated on their probe's socket
+    handle, rtu = start_two_service_host()
+    try:
+        network = CountingNetwork(handle)
+        report = run_scan(quick_config(targets=(rtu.ip,)), network=network)
+    finally:
+        handle.stop()
+    asset = report.inventory.get(rtu.ip)
+    assert asset.protocols == frozenset({"modbus", "enip"})
+    assert asset.deployment_info.get("modbus_slave_id") == "5"  # Modbus enumeration
+    assert asset.static_info is not None  # ENIP identity; the RTU refuses device-ID reads
+    assert report.per_asset_depth == {rtu.ip: 5}
+    assert sorted(e["detail"] for e in report.probe_log if e["phase"] == "enumeration") == [
+        "enumerate_enip",
+        "enumerate_modbus",
+    ]
+    assert report.anomalies == []
+    assert network.connects == Counter({(rtu.ip, 502): 2, (rtu.ip, 44818): 2, (rtu.ip, 102): 1})
 
 
 def test_cancellation_emits_partial_report(station):
