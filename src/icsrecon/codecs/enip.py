@@ -16,8 +16,9 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from typing import Iterable, Mapping
 
-from ..errors import FormatError, LengthMismatch, Truncated, UnexpectedCommand
+from ..errors import DecodeError, FormatError, LengthMismatch, Truncated, UnexpectedCommand
 
 ENCAP_HEADER = struct.Struct("<HHII8sI")
 ENIP_PORT = 44818
@@ -158,6 +159,23 @@ def parse_list_identity(data: bytes) -> CipIdentity:
         product_name=name,
         state=state,
     )
+
+
+def identity_fields(replies: Iterable[bytes], vendors: Mapping[int, str]) -> tuple[dict[str, str], dict[str, str]]:
+    """Static fields from a server's ListIdentity replies; never raises.
+
+    Other commands and frames that do not decode are skipped. The
+    identity object carries nothing operator-set, so the deployment
+    fields are always empty.
+    """
+    static: dict[str, str] = {}
+    for wire in replies:
+        try:
+            identity = parse_list_identity(wire)
+        except (DecodeError, FormatError):
+            continue
+        static.update(identity_to_fields(identity, vendors.get(identity.vendor_id)))
+    return static, {}
 
 
 def identity_to_fields(identity: CipIdentity, vendor_name: str | None) -> dict[str, str]:

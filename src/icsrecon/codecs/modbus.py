@@ -16,8 +16,10 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from typing import Iterable
 
 from ..errors import (
+    DecodeError,
     FormatError,
     LengthMismatch,
     ModbusExceptionResponse,
@@ -256,6 +258,28 @@ def build_read_holding_request(unit: int, start: int, count: int, transaction_id
 def build_read_holding_response(transaction_id: int, unit: int, registers: list[int]) -> bytes:
     body = bytes([2 * len(registers)]) + b"".join(struct.pack(">H", r) for r in registers)
     return frame(transaction_id, unit, FC_READ_HOLDING, body)
+
+
+def identity_fields(replies: Iterable[bytes]) -> tuple[dict[str, str], dict[str, str]]:
+    """Static and deployment fields from a server's reply frames; never raises.
+
+    FC 0x2B objects merge across continuation rounds (later ones win),
+    FC 0x11 gives the slave id and the replying unit. Exception replies
+    and frames that do not decode or carry neither function are skipped.
+    """
+    objects: dict[int, str] = {}
+    deployment: dict[str, str] = {}
+    for wire in replies:
+        try:
+            header, pdu = decode_modbus(wire)
+            if pdu.function == FC_ENCAPSULATED:
+                objects.update(parse_device_id_response(wire).objects)
+            elif pdu.function == FC_REPORT_SLAVE_ID:
+                deployment["modbus_slave_id"] = str(parse_report_slave_id_response(wire).slave_id)
+                deployment["unit_id"] = str(header.unit_id)
+        except (DecodeError, FormatError):
+            continue
+    return device_id_to_fields(DeviceIdentification(objects)), deployment
 
 
 def device_id_to_fields(ident: DeviceIdentification) -> dict[str, str]:

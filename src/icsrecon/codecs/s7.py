@@ -24,8 +24,9 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from typing import Iterable
 
-from ..errors import FormatError, LengthMismatch, Truncated
+from ..errors import DecodeError, FormatError, LengthMismatch, Truncated
 
 TPKT_VERSION = 3
 ISO_TSAP_PORT = 102
@@ -531,6 +532,21 @@ def parse_szl_response(data: bytes) -> list[SzlRecord]:
     if not record:
         raise FormatError("status list response with no usable fields")
     return [record]
+
+
+def identity_fields(replies: Iterable[bytes]) -> tuple[dict[str, str], dict[str, str]]:
+    """Static and deployment fields from a server's reply frames; never raises.
+
+    Only status-list replies count: COTP confirms, setup acks, refusals
+    and frames that do not decode are skipped.
+    """
+    records: list[SzlRecord] = []
+    for wire in replies:
+        try:
+            records.extend(parse_szl_response(wire))
+        except (DecodeError, FormatError):
+            continue
+    return szl_records_to_fields(records)
 
 
 def szl_records_to_fields(records: list[SzlRecord]) -> tuple[dict[str, str], dict[str, str]]:

@@ -12,12 +12,12 @@ segments are dropped and counted.
 
 from __future__ import annotations
 
-import logging
 import os
 import socket
+import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from typing import Any, Iterator
+from typing import Any, ClassVar, Iterator
 
 from .codecs import enip, modbus, s7
 from .errors import IcsReconError, PrivilegeRequired
@@ -45,8 +45,6 @@ from .pcapio import (
     parse_tcp,
 )
 
-logger = logging.getLogger(__name__)
-
 REASSEMBLY_CAP = 64 * 1024
 WELL_KNOWN_SERVER_PORTS = (102, 502, 44818, 20000)
 
@@ -58,67 +56,78 @@ class PcapFile:
 
 @dataclass(frozen=True)
 class LiveInterface:
+    """A live interface, read through an AF_PACKET socket by iterating it."""
+
     name: str
     promiscuous: bool = True
+    skipped: ClassVar[int] = 0  # the kernel hands over whole frames
+
+    def __iter__(self) -> Iterator[tuple[float, bytes]]:
+        if os.geteuid() != 0:
+            raise PrivilegeRequired("live_capture")
+        sock = socket.socket(socket.AF_PACKET, socket.SOCK_RAW, socket.htons(0x0003))
+        sock.bind((self.name, 0))
+        try:
+            while True:
+                frame = sock.recv(65536)
+                yield time.time(), frame
+        finally:
+            sock.close()
 
 
 CaptureSource = PcapFile | LiveInterface
 
 
-def read_capture(source: CaptureSource) -> Iterator[tuple[float, bytes]]:
-    """Yield (timestamp, link frame) records from the source.
+def read_capture(source: CaptureSource) -> CaptureReader | LiveInterface:
+    """The source's (timestamp, link frame) records.
 
-    Malformed pcap records are skipped by the reader, never aborting
-    the stream; a wrong magic number raises FormatError up front.
+    The returned reader's ``skipped`` counts the malformed records it
+    dropped without aborting the stream; a wrong magic number raises
+    FormatError up front.
     """
     if isinstance(source, PcapFile):
-        yield from CaptureReader(source.path)
-        return
+        return CaptureReader(source.path)
     if isinstance(source, LiveInterface):
-        yield from _live_frames(source)
-        return
+        return source
     raise TypeError(f"not a capture source: {source!r}")
 
 
-def _live_frames(source: LiveInterface) -> Iterator[tuple[float, bytes]]:
-    if os.geteuid() != 0:
-        raise PrivilegeRequired("live_capture")
-    import time
-
-    sock = socket.socket(socket.AF_PACKET, socket.SOCK_RAW, socket.htons(0x0003))
-    sock.bind((source.name, 0))
-    try:
-        while True:
-            frame = sock.recv(65536)
-            yield time.time(), frame
-    finally:
-        sock.close()
+def _frames(protocol: str | None, data: bytes) -> list[bytes]:
+    """Complete frames cut off the front of ``data`` by the protocol's extractor."""
+    if protocol == "modbus":
+        return modbus.extract_frames(data)[0]
+    if protocol == "s7comm":
+        return s7.extract_tpkt_frames(data)[0]
+    if protocol == "enip":
+        return enip.extract_frames(data)[0]
+    return []
 
 
-def classify_flow(flow_bytes: bytes, flow_key: tuple | None = None) -> str | None:
-    """Payload-level protocol classification of one direction.
+def classify_flow(data: bytes) -> tuple[str | None, list[bytes]]:
+    """Payload-level protocol classification of one direction, and its frames.
 
     Requires at least one complete frame of the protocol in question;
-    returns None when nothing matches (ports are deliberately ignored).
+    returns (None, []) when nothing matches (ports are deliberately
+    ignored). DNP3 is recognised by its start bytes and not cut.
     """
-    if not flow_bytes:
-        return None
-    frames, _rest = modbus.extract_frames(flow_bytes)
-    if frames:
-        return "modbus"
-    frames, _rest = s7.extract_tpkt_frames(flow_bytes)
-    if frames:
+    for protocol in ("modbus", "s7comm", "enip"):
+        frames = _frames(protocol, data)
         try:
-            s7.decode_envelope(frames[0])
-            return "s7comm"
+            if frames and (protocol != "s7comm" or s7.decode_envelope(frames[0])):
+                return protocol, frames
         except IcsReconError:
-            pass
-    frames, _rest = enip.extract_frames(flow_bytes)
-    if frames:
-        return "enip"
-    if flow_bytes[:2] == b"\x05\x64":
-        return "dnp3"
-    return None
+            continue  # TPKT-shaped bytes that do not carry COTP
+    return ("dnp3" if data[:2] == b"\x05\x64" else None), []
+
+
+def _identity_fields(protocol: str, replies: list[bytes]) -> tuple[dict[str, str], dict[str, str]]:
+    if protocol == "modbus":
+        return modbus.identity_fields(replies)
+    if protocol == "s7comm":
+        return s7.identity_fields(replies)
+    if protocol == "enip":
+        return enip.identity_fields(replies, load_enip_vendors())
+    return {}, {}
 
 
 class _Direction:
@@ -170,17 +179,15 @@ class _Flow:
                 return endpoint
         return min((low, high), key=lambda e: e[1])
 
-    def server_bytes(self) -> bytes:
-        return bytes(self.dirs[self.server()].buffer)
-
-    def client_bytes(self) -> bytes:
-        server = self.server()
+    def classify(self) -> tuple[str | None, list[bytes]]:
+        """The flow's protocol and the server's frames, each direction cut once."""
         low, high = self.endpoints
-        return bytes(self.dirs[high if server == low else low].buffer)
-
-
-def _flow_key(a: tuple[str, int], b: tuple[str, int]):
-    return tuple(sorted((a, b)))
+        server = self.server()
+        protocol, replies = classify_flow(self.dirs[server].buffer)
+        if protocol is None:
+            protocol, _requests = classify_flow(self.dirs[high if server == low else low].buffer)
+            replies = _frames(protocol, self.dirs[server].buffer)
+        return protocol, replies
 
 
 @dataclass
@@ -215,58 +222,6 @@ class PassiveReport:
         }
 
 
-def _identity_observations(protocol: str, flow: _Flow) -> list[tuple[dict, dict]]:
-    """Parse identity-bearing replies out of the server-side stream."""
-    static: dict[str, str] = {}
-    deployment: dict[str, str] = {}
-    data = flow.server_bytes()
-    if protocol == "modbus":
-        frames, _ = modbus.extract_frames(data)
-        for wire in frames:
-            try:
-                header, pdu = modbus.decode_modbus(wire)
-            except IcsReconError:
-                continue
-            if pdu.is_exception:
-                continue
-            if pdu.function == modbus.FC_ENCAPSULATED:
-                try:
-                    static.update(modbus.device_id_to_fields(modbus.parse_device_id_response(wire)))
-                except IcsReconError:
-                    continue
-            elif pdu.function == modbus.FC_REPORT_SLAVE_ID:
-                try:
-                    parsed = modbus.parse_report_slave_id_response(wire)
-                except IcsReconError:
-                    continue
-                deployment["modbus_slave_id"] = str(parsed.slave_id)
-                deployment["unit_id"] = str(header.unit_id)
-    elif protocol == "s7comm":
-        frames, _ = s7.extract_tpkt_frames(data)
-        records: list[s7.SzlRecord] = []
-        for wire in frames:
-            try:
-                records.extend(s7.parse_szl_response(wire))
-            except IcsReconError:
-                continue
-        static, deployment = s7.szl_records_to_fields(records)
-    elif protocol == "enip":
-        frames, _ = enip.extract_frames(data)
-        for wire in frames:
-            try:
-                message, payload = enip.decode_header(wire)
-            except IcsReconError:
-                continue
-            if message.command != enip.CMD_LIST_IDENTITY or not payload:
-                continue
-            try:
-                identity = enip.parse_list_identity(wire)
-            except IcsReconError:
-                continue
-            static.update(enip.identity_to_fields(identity, load_enip_vendors().get(identity.vendor_id)))
-    return [(static, deployment)] if (static or deployment) else []
-
-
 def analyze_capture(source: CaptureSource) -> PassiveReport:
     """Single pass over the capture; builds the passive inventory."""
     senders: dict[str, dict] = {}
@@ -281,18 +236,13 @@ def analyze_capture(source: CaptureSource) -> PassiveReport:
         if mac and entry["mac"] is None:
             entry["mac"] = mac
 
-    reader_skipped = 0
-    reader_obj: CaptureReader | None = None
-    if isinstance(source, PcapFile):
-        reader_obj = CaptureReader(source.path)
-        frame_iter: Iterator[tuple[float, bytes]] = iter(reader_obj)
-    else:
-        frame_iter = read_capture(source)
-    for when, frame in frame_iter:
+    skipped = 0
+    reader = read_capture(source)
+    for when, frame in reader:
         frames_read += 1
         eth = parse_ethernet(frame)
         if eth is None:
-            reader_skipped += 1
+            skipped += 1
             continue
         if eth.ethertype == ETHERTYPE_ARP:
             arp = parse_arp(eth.payload)
@@ -303,18 +253,19 @@ def analyze_capture(source: CaptureSource) -> PassiveReport:
             continue
         packet = parse_ipv4(eth.payload)
         if packet is None:
-            reader_skipped += 1
+            skipped += 1
             continue
         saw_sender(packet.src_ip, eth.src_mac, when)
         if packet.proto != PROTO_TCP:
             continue
         segment = parse_tcp(packet.payload)
         if segment is None:
-            reader_skipped += 1
+            skipped += 1
             continue
         src = (packet.src_ip, segment.src_port)
         dst = (packet.dst_ip, segment.dst_port)
-        flow = flows.setdefault(_flow_key(src, dst), _Flow(*_flow_key(src, dst)))
+        key = (src, dst) if src < dst else (dst, src)
+        flow = flows.get(key) or flows.setdefault(key, _Flow(*key))
         flow.last_seen = max(flow.last_seen, when)
         direction = flow.dirs[src]
         if segment.flags & TCP_SYN:
@@ -342,56 +293,35 @@ def analyze_capture(source: CaptureSource) -> PassiveReport:
     out_of_order = 0
     for flow in flows.values():
         out_of_order += flow.out_of_order
-        protocol = None
-        for data in (flow.server_bytes(), flow.client_bytes()):
-            protocol = classify_flow(data)
-            if protocol:
-                break
+        protocol, replies = flow.classify()
         if protocol is None:
             continue
         classified += 1
         server_ip, server_port = flow.server()
         if server_ip not in senders:
             continue  # never transmitted; do not invent an asset
-        when = datetime.fromtimestamp(flow.last_seen, tz=timezone.utc)
+        static_fields, deployment = _identity_fields(protocol, replies)
         inventory.apply(
             Observation(
                 ip=server_ip,
                 source="passive",
-                timestamp=when,
+                timestamp=datetime.fromtimestamp(flow.last_seen, tz=timezone.utc),
                 open_ports=frozenset({PortSpec(server_port)}),
                 protocols=frozenset({protocol}),
+                static_info=StaticDeviceInfo.from_fields(static_fields),
+                deployment_info=DeploymentInfo.from_dict(deployment),
             )
         )
-        for static_fields, deployment in _identity_observations(protocol, flow):
-            static = StaticDeviceInfo.from_fields(static_fields) if static_fields else None
-            deploy = DeploymentInfo.from_dict(deployment) if deployment else None
-            if static is None and deploy is None:
-                continue
-            inventory.apply(
-                Observation(
-                    ip=server_ip,
-                    source="passive",
-                    timestamp=when,
-                    static_info=static,
-                    deployment_info=deploy,
-                )
-            )
 
-    skipped = reader_skipped + (reader_obj.skipped if reader_obj is not None else 0)
     depths = {asset.ip: int(compute_depth(asset)) for asset in inventory}
     return PassiveReport(
         inventory=inventory,
         per_asset_depth=depths,
         frames_read=frames_read,
-        frames_skipped=skipped,
+        frames_skipped=skipped + reader.skipped,
         out_of_order_segments=out_of_order,
         classified_flows=classified,
         source=source.path if isinstance(source, PcapFile) else source.name,
         generated_at=datetime.now(timezone.utc),
     )
 
-
-def extract_assets(source: CaptureSource) -> Inventory:
-    """Inventory extracted purely from observed traffic."""
-    return analyze_capture(source).inventory

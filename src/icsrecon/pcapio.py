@@ -211,6 +211,8 @@ class PcapWriter:
             sec, usec = sec + 1, usec - 1_000_000
         record = struct.pack("<IIII", sec, usec, len(frame), len(frame)) + frame
         with self._lock:
+            if self._fh.closed:
+                return  # the capture has ended
             self._fh.write(record)
             self._fh.flush()
 

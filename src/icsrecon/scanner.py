@@ -33,7 +33,6 @@ from .errors import (
     DecodeError,
     FormatError,
     IcsReconError,
-    ModbusExceptionResponse,
     PrivilegeRequired,
 )
 from .model import (
@@ -398,38 +397,29 @@ class Scanner:
             raise ValueError(f"{asset.ip}: modbus not confirmed at protocol level")
         self._note(ScanPhase.ENUMERATION, asset.ip, "enumerate_modbus")
         sock, reply = session
-        static_fields: dict[str, str] = {}
-        deployment: dict[str, str] = {}
+        replies = [reply]
         with sock:
             unit = self.config.modbus_unit
             try:
-                static_fields = self._read_device_identification(sock, unit, reply)
-            except (socket.timeout, ConnectionError, OSError, DecodeError, FormatError):
+                ident = modbus.parse_device_id_response(reply)
+                for _round in range(3):  # continuation guard
+                    if not ident.more_follows:
+                        break
+                    request = modbus.build_device_id_request(unit=unit, object_id=ident.next_object_id)
+                    replies.append(self._exchange(sock, request, recv_modbus_frame))
+                    ident = modbus.parse_device_id_response(replies[-1])
+            except (OSError, DecodeError, FormatError):
                 pass  # identification unsupported (exception reply) or cut short; deployment may still work
             try:
-                reply = self._exchange(sock, modbus.build_report_slave_id_request(unit), recv_modbus_frame)
-                parsed = modbus.parse_report_slave_id_response(reply)
-                deployment["modbus_slave_id"] = str(parsed.slave_id)
-                deployment["unit_id"] = str(unit)
-            except (ModbusExceptionResponse, socket.timeout, ConnectionError, OSError, DecodeError, FormatError):
+                replies.append(self._exchange(sock, modbus.build_report_slave_id_request(unit), recv_modbus_frame))
+            except (OSError, DecodeError, FormatError):
                 pass
+            static_fields, deployment = modbus.identity_fields(replies)
             if self.config.unit_id_sweep and not self.config.safe_mode:
                 responding = self._sweep_units(sock)
                 if responding:
                     deployment["unit_ids"] = ",".join(str(u) for u in responding)
         return self._apply_identity(asset, static_fields, deployment)
-
-    def _read_device_identification(self, sock: socket.socket, unit: int, reply: bytes) -> dict[str, str]:
-        """Fold the reply for object 0 and any continuation rounds."""
-        ident = modbus.parse_device_id_response(reply)
-        objects = dict(ident.objects)
-        for _round in range(3):  # continuation guard
-            if not ident.more_follows:
-                break
-            request = modbus.build_device_id_request(unit=unit, object_id=ident.next_object_id)
-            ident = modbus.parse_device_id_response(self._exchange(sock, request, recv_modbus_frame))
-            objects.update(ident.objects)
-        return modbus.device_id_to_fields(modbus.DeviceIdentification(objects))
 
     def _sweep_units(self, sock: socket.socket) -> list[int]:
         self._sweep_used = True
@@ -441,7 +431,7 @@ class Scanner:
                 reply = self._exchange(sock, modbus.build_report_slave_id_request(unit), recv_modbus_frame)
                 modbus.parse_report_slave_id_response(reply)
                 responding.append(unit)
-            except (ModbusExceptionResponse, socket.timeout, ConnectionError, OSError, DecodeError, FormatError):
+            except (OSError, DecodeError, FormatError):
                 continue
         return responding
 
@@ -449,23 +439,20 @@ class Scanner:
         if "s7comm" not in asset.protocols:
             raise ValueError(f"{asset.ip}: s7comm not confirmed at protocol level")
         self._note(ScanPhase.ENUMERATION, asset.ip, "enumerate_s7")
+        replies = []
         with session[0] as sock:
             try:
                 reply = self._exchange(sock, s7.build_setup_communication(pdu_ref=1), recv_tpkt_frame)
-                envelope = s7.decode_envelope(reply)
-                if not isinstance(envelope.cotp, s7.CotpData):
+                if not isinstance(s7.decode_envelope(reply).cotp, s7.CotpData):
                     return asset
-            except (socket.timeout, ConnectionError, OSError, DecodeError, FormatError):
+            except (OSError, DecodeError, FormatError):
                 return asset
-            records: list[s7.SzlRecord] = []
             for szl_id in (s7.SZL_MODULE_ID, s7.SZL_COMPONENT_ID):
                 try:
-                    reply = self._exchange(sock, s7.build_szl_read(szl_id, pdu_ref=2), recv_tpkt_frame)
-                    records.extend(s7.parse_szl_response(reply))
-                except (socket.timeout, ConnectionError, OSError, DecodeError, FormatError):
-                    continue  # refused list: partial info retained
-            static_fields, deployment = s7.szl_records_to_fields(records)
-        return self._apply_identity(asset, static_fields, deployment)
+                    replies.append(self._exchange(sock, s7.build_szl_read(szl_id, pdu_ref=2), recv_tpkt_frame))
+                except (OSError, DecodeError, FormatError):
+                    continue  # no reply for this list; the other may still answer
+        return self._apply_identity(asset, *s7.identity_fields(replies))
 
     def enumerate_enip(self, asset: Asset, session: Session) -> Asset:
         if "enip" not in asset.protocols:
@@ -473,19 +460,11 @@ class Scanner:
         self._note(ScanPhase.ENUMERATION, asset.ip, "enumerate_enip")
         sock, reply = session
         sock.close()  # the ListIdentity reply that confirmed EtherNet/IP is all there is to read
-        try:
-            identity = enip.parse_list_identity(reply)
-        except (DecodeError, FormatError):
-            return asset
-        vendor = load_enip_vendors().get(identity.vendor_id)
-        static_fields = enip.identity_to_fields(identity, vendor)
-        # the identity object carries nothing operator-set, so no
-        # deployment info from this protocol
-        return self._apply_identity(asset, static_fields, {})
+        return self._apply_identity(asset, *enip.identity_fields([reply], load_enip_vendors()))
 
     def _apply_identity(self, asset: Asset, static_fields: dict[str, str], deployment: dict[str, str]) -> Asset:
-        static = StaticDeviceInfo.from_fields(static_fields) if static_fields else None
-        deploy = DeploymentInfo.from_dict(deployment) if deployment else None
+        static = StaticDeviceInfo.from_fields(static_fields)
+        deploy = DeploymentInfo.from_dict(deployment)
         if static is None and deploy is None:
             return asset
         return self._merge(asset, static_info=static, deployment_info=deploy)

@@ -312,6 +312,17 @@ class _DeviceServer(socketserver.ThreadingTCPServer):
         self.device = device
         super().__init__(("127.0.0.1", 0), _DeviceHandler)
 
+    def process_request(self, request, client_address):
+        # counted on the accepting thread, so wait_idle() cannot miss a connection accepted before it
+        self.device.station._serving(+1)
+        super().process_request(request, client_address)
+
+    def process_request_thread(self, request, client_address):
+        try:
+            super().process_request_thread(request, client_address)
+        finally:
+            self.device.station._serving(-1)
+
 
 class _DeviceHandler(socketserver.BaseRequestHandler):
     def handle(self):
@@ -392,6 +403,8 @@ class StationHandle:
         self._by_ip: dict[str, SimDevice] = {}
         self._packet_lock = threading.Lock()
         self._packets_received = 0
+        self._idle = threading.Condition()
+        self._in_flight = 0
         seen = set()
         for config in configs:
             endpoint = (config.ip, config.listen_port)
@@ -422,8 +435,23 @@ class StationHandle:
     def stop(self) -> None:
         servers, self._servers = self._servers, []
         _shutdown_servers(servers)
+        self.wait_idle()  # teardown frames of the last connections belong in the pcap
         if self._pcap_writer is not None:
             self._pcap_writer.close()
+
+    def _serving(self, delta: int) -> None:
+        with self._idle:
+            self._in_flight += delta
+            self._idle.notify_all()
+
+    def wait_idle(self, timeout: float = CONNECTION_IDLE_TIMEOUT + 1.0) -> bool:
+        """Wait until every accepted connection is served and its teardown recorded.
+
+        A handler outlives its client by at most the idle timeout; False
+        means a connection was still open when ``timeout`` ran out.
+        """
+        with self._idle:
+            return self._idle.wait_for(lambda: self._in_flight == 0, timeout)
 
     def __enter__(self) -> "StationHandle":
         return self

@@ -6,6 +6,7 @@ import random
 from datetime import datetime, timezone
 
 import pytest
+from hypothesis import strategies as st
 
 from icsrecon.model import (
     Asset,
@@ -23,6 +24,17 @@ PROTOCOLS = ["modbus", "s7comm", "enip", "dnp3", "profinet", "bacnet", "opcua", 
 
 def ts(seconds: float = 0.0) -> datetime:
     return datetime.fromtimestamp(1_700_000_000 + seconds, tz=timezone.utc)
+
+
+def one_byte_changed(frames: list[bytes]):
+    """Valid frames with one byte overwritten, so decoding gets past the header."""
+    return st.sampled_from(frames).flatmap(
+        lambda wire: st.builds(
+            lambda at, value: wire[:at] + bytes([value]) + wire[at + 1 :],
+            st.integers(0, len(wire) - 1),
+            st.integers(0, 255),
+        )
+    )
 
 
 def random_static_info(rng: random.Random) -> StaticDeviceInfo | None:

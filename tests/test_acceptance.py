@@ -96,6 +96,11 @@ def test_criterion_2_passive_parity(fixture_scan, tmp_path):
         active_depths = fixture_scan["report"].per_asset_depth
         for ip, depth in active_depths.items():
             assert passive.per_asset_depth[ip] == depth, ip
+            # the same inventory, field by field, not only the same depth
+            active_asset = fixture_scan["report"].inventory.get(ip)
+            passive_asset = passive.inventory.get(ip)
+            for name in ("static_info", "deployment_info", "protocols", "open_ports", "mac"):
+                assert getattr(passive_asset, name) == getattr(active_asset, name), (ip, name)
         # extras in the capture (the scanning host) never exceed level 1
         for ip in set(passive.per_asset_depth) - set(active_depths):
             assert passive.per_asset_depth[ip] == 1

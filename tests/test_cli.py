@@ -136,6 +136,7 @@ def test_scan_command_end_to_end(sim, tmp_path, capsys):
 def test_sniff_command_deterministic(sim, tmp_path, capsys):
     config = scan_config_file(tmp_path, sim["map"])
     assert main(["scan", "--config", config, "--out", str(tmp_path / "active.json")]) == 0
+    assert sim["station"].wait_idle()  # the last teardown frames are in the mirror pcap
 
     out_a, out_b = tmp_path / "passive_a.json", tmp_path / "passive_b.json"
     assert main(["sniff", "--pcap", sim["pcap"], "--out", str(out_a)]) == 0

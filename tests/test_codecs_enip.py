@@ -5,9 +5,12 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from icsrecon.codecs import enip
 from icsrecon.errors import FormatError, LengthMismatch, Truncated, UnexpectedCommand
+
+from conftest import one_byte_changed
 
 CONTROLLOGIX = enip.CipIdentity(
     vendor_id=1,
@@ -99,3 +102,31 @@ def test_extract_frames():
     frames, rest = enip.extract_frames(a + b + b[:10])
     assert frames == [a, b]
     assert rest == b[:10]
+
+
+# -- identity_fields: the decoder the scanner and the passive analyzer share ----
+
+
+def test_identity_fields_reads_list_identity_and_skips_the_rest():
+    reply = enip.build_list_identity_response(CONTROLLOGIX)
+    skipped = [
+        enip.build_list_identity(),  # the request carries no identity item
+        enip.encode_header(enip.CMD_REGISTER_SESSION, b"\x01\x00\x00\x00"),
+        reply[:-1],
+        b"GET / HTTP/1.1\r\n",
+    ]
+    assert enip.identity_fields(skipped, {1: "Rockwell"}) == ({}, {})
+    static, deployment = enip.identity_fields([*skipped, reply], {1: "Rockwell"})
+    assert static == enip.identity_to_fields(CONTROLLOGIX, "Rockwell")
+    assert deployment == {}
+    assert "manufacturer" not in enip.identity_fields([reply], {})[0]
+
+
+@given(
+    st.lists(
+        st.binary(max_size=96) | one_byte_changed([enip.build_list_identity_response(CONTROLLOGIX)]), max_size=6
+    )
+)
+def test_identity_fields_never_raises(replies):
+    static, deployment = enip.identity_fields(replies, {1: "Rockwell"})
+    assert isinstance(static, dict) and deployment == {}

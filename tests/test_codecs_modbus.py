@@ -16,6 +16,8 @@ from icsrecon.errors import (
     Truncated,
 )
 
+from conftest import one_byte_changed
+
 # Hand-encoded per the public Modbus/TCP layout: tx 1, proto 0, length 5,
 # unit 1, FC 0x2B, MEI 0x0E, read code 0x01 (basic), object 0x00.
 GOLDEN_DEVICE_ID_REQUEST = bytes.fromhex("000100000005012b0e0100")
@@ -147,3 +149,50 @@ def test_extract_frames_stops_on_non_modbus():
     frames, rest = modbus.extract_frames(b"GET / HTTP/1.1\r\n")
     assert frames == []
     assert rest == b"GET / HTTP/1.1\r\n"
+
+
+# -- identity_fields: the decoder the scanner and the passive analyzer share ----
+
+
+def test_identity_fields_merges_continuation_rounds_later_objects_win():
+    first = modbus.build_device_id_response(
+        1, 1, {0x00: "Old Vendor", 0x01: "SCADAPack32"}, more_follows=True, next_object_id=0x02
+    )
+    second = modbus.build_device_id_response(2, 1, {0x00: "Schneider Electric", 0x02: "1.0"})
+    static, deployment = modbus.identity_fields([first, second])
+    assert static == {"manufacturer": "Schneider Electric", "model": "SCADAPack32", "firmware_version": "1.0"}
+    assert deployment == {}
+
+
+def test_identity_fields_reads_slave_id_and_replying_unit():
+    static, deployment = modbus.identity_fields([modbus.build_report_slave_id_response(3, 7, slave_id=5)])
+    assert static == {}
+    assert deployment == {"modbus_slave_id": "5", "unit_id": "7"}
+
+
+def test_identity_fields_skips_exceptions_and_unrelated_frames():
+    objects = modbus.build_device_id_response(1, 1, {0x00: "Vendor"})
+    skipped = [
+        modbus.exception_frame(2, 1, modbus.FC_ENCAPSULATED, modbus.EXC_ILLEGAL_FUNCTION),
+        modbus.exception_frame(3, 1, modbus.FC_REPORT_SLAVE_ID, modbus.EXC_ILLEGAL_FUNCTION),
+        modbus.build_read_holding_response(4, 1, [1, 2]),
+        modbus.build_device_id_request(unit=1),  # a request, not a reply
+        objects[:11] + b"\x01" + objects[12:],  # more-follows flag neither 0x00 nor 0xFF
+        b"GET / HTTP/1.1\r\n",
+        objects[:-1],  # cut short
+    ]
+    assert modbus.identity_fields(skipped) == ({}, {})
+    assert modbus.identity_fields([*skipped, objects]) == ({"manufacturer": "Vendor"}, {})
+
+
+MODBUS_REPLIES = [
+    modbus.build_device_id_response(1, 1, {0x00: "V", 0x01: "M"}, more_follows=True, next_object_id=2),
+    modbus.build_report_slave_id_response(2, 1, slave_id=5),
+    modbus.exception_frame(3, 1, modbus.FC_ENCAPSULATED, modbus.EXC_ILLEGAL_FUNCTION),
+]
+
+
+@given(st.lists(st.binary(max_size=64) | one_byte_changed(MODBUS_REPLIES), max_size=6))
+def test_identity_fields_never_raises(replies):
+    static, deployment = modbus.identity_fields(replies)
+    assert isinstance(static, dict) and isinstance(deployment, dict)

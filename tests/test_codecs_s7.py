@@ -5,9 +5,12 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from icsrecon.codecs import s7
 from icsrecon.errors import FormatError, LengthMismatch, Truncated
+
+from conftest import one_byte_changed
 
 
 def test_tpkt_header_golden():
@@ -173,3 +176,54 @@ def test_extract_tpkt_frames():
     frames, rest = s7.extract_tpkt_frames(a + b + a[:3])
     assert frames == [a, b]
     assert rest == a[:3]
+
+
+# -- identity_fields: the decoder the scanner and the passive analyzer share ----
+
+
+MODULE_REPLY = s7.build_szl_response_frame(
+    s7.S7SzlResponse(szl_id=s7.SZL_MODULE_ID, szl_index=0, entries=s7.module_id_entries(ET200S_IDENTITY))
+)
+
+
+def test_identity_fields_skips_handshake_refusals_and_unrelated_frames():
+    component = s7.build_szl_response_frame(
+        s7.S7SzlResponse(
+            szl_id=s7.SZL_COMPONENT_ID,
+            szl_index=0,
+            entries=s7.component_id_entries({"system_name": "ET200S Station", "serial": "S C-A1B2C3"}),
+        )
+    )
+    skipped = [
+        s7.build_cotp_confirm(s7.CotpConnectionRequest(0x0100, 0x0102)),
+        s7.build_setup_ack(pdu_ref=1),
+        s7.build_szl_response_frame(s7.S7SzlResponse(szl_id=0, szl_index=0, entries=(), error_code=0x8104)),
+        s7.build_szl_read(s7.SZL_MODULE_ID),  # a request, not a reply
+        b"\x03\x00\x00\x05\x00",
+    ]
+    assert s7.identity_fields(skipped) == ({}, {})
+    static, deployment = s7.identity_fields([*skipped, MODULE_REPLY, component])
+    assert static == {
+        "model": "6ES7 151-8AB01-0AB0",
+        "firmware_version": "3.2.6",
+        "hardware_version": "2.0",
+        "manufacturer": "Siemens",
+        "serial": "S C-A1B2C3",
+    }
+    assert deployment == {"system_name": "ET200S Station"}
+
+
+S7_REPLIES = [
+    MODULE_REPLY,
+    s7.build_szl_response_frame(
+        s7.S7SzlResponse(szl_id=s7.SZL_COMPONENT_ID, szl_index=0, entries=(s7.SzlEntry(index=1, text="Station"),))
+    ),
+    s7.build_cotp_confirm(s7.CotpConnectionRequest(0x0100, 0x0102)),
+    s7.build_setup_ack(pdu_ref=1),
+]
+
+
+@given(st.lists(st.binary(max_size=96) | one_byte_changed(S7_REPLIES), max_size=6))
+def test_identity_fields_never_raises(replies):
+    static, deployment = s7.identity_fields(replies)
+    assert isinstance(static, dict) and isinstance(deployment, dict)

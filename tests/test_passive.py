@@ -13,7 +13,6 @@ from icsrecon.passive import (
     REASSEMBLY_CAP,
     analyze_capture,
     classify_flow,
-    extract_assets,
     read_capture,
 )
 from icsrecon.pcapio import PcapWriter, TrafficRecorder
@@ -67,24 +66,24 @@ def test_wrong_magic_raises_format_error(tmp_path):
 
 def test_classify_modbus_payload():
     frame = modbus.build_device_id_request(unit=1)
-    assert classify_flow(frame) == "modbus"
+    assert classify_flow(frame)[0] == "modbus"
 
 
 def test_classify_http_on_modbus_port_is_none():
     # port numbers are ignored on purpose; HTTP bytes prove nothing
-    assert classify_flow(b"GET / HTTP/1.1\r\nHost: plc\r\n\r\n") is None
+    assert classify_flow(b"GET / HTTP/1.1\r\nHost: plc\r\n\r\n")[0] is None
 
 
 def test_classify_s7_and_enip_and_dnp3():
-    assert classify_flow(s7.build_cotp_connect(0x0100, 0x0102)) == "s7comm"
-    assert classify_flow(enip.build_list_identity()) == "enip"
-    assert classify_flow(b"\x05\x64\x05\xc0\x01\x00\x00\x04\xe9\x21") == "dnp3"
-    assert classify_flow(b"") is None
+    assert classify_flow(s7.build_cotp_connect(0x0100, 0x0102))[0] == "s7comm"
+    assert classify_flow(enip.build_list_identity())[0] == "enip"
+    assert classify_flow(b"\x05\x64\x05\xc0\x01\x00\x00\x04\xe9\x21")[0] == "dnp3"
+    assert classify_flow(b"")[0] is None
 
 
 def test_classify_concatenated_stream():
-    stream = modbus.build_device_id_request(unit=1) + modbus.build_report_slave_id_request(unit=1)
-    assert classify_flow(stream) == "modbus"
+    requests = [modbus.build_device_id_request(unit=1), modbus.build_report_slave_id_request(unit=1)]
+    assert classify_flow(b"".join(requests)) == ("modbus", requests)
 
 
 # -- crafted captures -------------------------------------------------------------
@@ -108,7 +107,7 @@ def test_silent_devices_are_absent(tmp_path):
     flow = recorder.tcp_flow(("192.168.90.1", 50000), ("192.168.90.42", 502))
     flow.unanswered()  # SYN into the void: target never transmits
     writer.close()
-    inventory = extract_assets(PcapFile(str(path)))
+    inventory = analyze_capture(PcapFile(str(path))).inventory
     assert inventory.get("192.168.90.42") is None
     assert inventory.get("192.168.90.1") is not None
 
@@ -121,10 +120,27 @@ def test_s7_on_nonstandard_port_classified_by_payload(tmp_path):
     flow.server_payload(s7.build_cotp_confirm(s7.CotpConnectionRequest(0x0100, 0x0102)))
     flow.close()
     writer.close()
-    inventory = extract_assets(PcapFile(str(path)))
+    inventory = analyze_capture(PcapFile(str(path))).inventory
     plc = inventory.get("192.168.90.10")
     assert plc.protocols == frozenset({"s7comm"})
     assert plc.open_ports == frozenset({PortSpec(10102)})
+
+
+def test_client_side_classification_still_reads_server_identity(tmp_path):
+    # the server's first TPKT frame is not COTP, so only the client side classifies
+    path, writer, recorder = make_recorder(tmp_path)
+    flow = recorder.tcp_flow(("192.168.90.1", 50006), ("192.168.90.10", 102))
+    flow.handshake()
+    flow.client_payload(s7.build_cotp_connect(0x0100, 0x0102))
+    flow.server_payload(s7.encode_tpkt(b"\x02\x70\x00"))
+    flow.client_payload(s7.build_szl_read(s7.SZL_MODULE_ID))
+    entries = s7.module_id_entries({"module_order_number": "6ES7 151-8AB01-0AB0", "firmware_version": "3.2.6"})
+    flow.server_payload(s7.build_szl_response_frame(s7.S7SzlResponse(s7.SZL_MODULE_ID, 0, entries)))
+    flow.close()
+    writer.close()
+    plc = analyze_capture(PcapFile(str(path))).inventory.get("192.168.90.10")
+    assert plc.protocols == frozenset({"s7comm"})
+    assert plc.static_info.model == "6ES7 151-8AB01-0AB0"
 
 
 def test_identity_free_capture_never_exceeds_level_three(tmp_path):
@@ -194,8 +210,8 @@ def test_determinism_same_pcap_same_json(tmp_path, station_pcap=None):
     flow.server_payload(s7.build_cotp_confirm(s7.CotpConnectionRequest(0x0100, 0x0102)))
     flow.close()
     writer.close()
-    first = extract_assets(PcapFile(str(path))).to_json()
-    second = extract_assets(PcapFile(str(path))).to_json()
+    first = analyze_capture(PcapFile(str(path))).inventory.to_json()
+    second = analyze_capture(PcapFile(str(path))).inventory.to_json()
     assert first == second
 
 

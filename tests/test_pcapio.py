@@ -45,6 +45,15 @@ def test_empty_capture(tmp_path):
     assert reader.skipped == 0
 
 
+def test_write_after_close_is_dropped(tmp_path):
+    # a simulator handler may still record a teardown after the station closed its capture
+    path = tmp_path / "closed.pcap"
+    writer = PcapWriter(str(path))
+    writer.close()
+    writer.write(1_700_000_000.0, b"\x00" * 60)
+    assert list(CaptureReader(str(path))) == []
+
+
 def test_wrong_magic(tmp_path):
     path = tmp_path / "bad.bin"
     path.write_bytes(b"not a capture at all")

@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+import socket
 import threading
 from collections import Counter
 
 import pytest
 
+from icsrecon.codecs import modbus
 from icsrecon.config import default_fixtures_path, load_fixtures
 from icsrecon.errors import ConfigError, IcsReconError, PrivilegeRequired
-from icsrecon.model import PortSpec, compute_depth
+from icsrecon.model import Asset, PortSpec, compute_depth
 from icsrecon.netbase import RealNetwork
 from icsrecon.scanner import ScanConfig, Scanner, expand_targets, run_scan
 from icsrecon.simulator import SimNetwork, start_station
@@ -235,6 +237,20 @@ def test_enumerate_requires_protocol_evidence(station):
             scanner.enumerate_modbus(asset, session)
     finally:
         session[0].close()
+
+
+def test_identification_cut_short_keeps_objects_already_received():
+    # the device announces more objects, then drops the connection on the continuation round
+    first = modbus.build_device_id_response(1, 1, {0x00: "Vendor", 0x01: "Model"}, more_follows=True, next_object_id=2)
+    client, device = socket.socketpair()
+    device.close()
+    scanner = Scanner(quick_config(targets=("192.168.90.13",)), network=RealNetwork())
+    asset = Asset.discovered("192.168.90.13", scanner._now())
+    asset = scanner._merge(asset, open_ports=frozenset({PortSpec(502)}), protocols=frozenset({"modbus"}))
+    asset = scanner.enumerate_modbus(asset, (client, first))
+    assert asset.static_info.manufacturer == "Vendor"
+    assert asset.static_info.model == "Model"
+    assert asset.deployment_info is None
 
 
 # -- full pipeline ---------------------------------------------------------------

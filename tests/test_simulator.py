@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import socket
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -12,6 +13,8 @@ from icsrecon.codecs import enip, modbus, s7
 from icsrecon.config import default_fixtures_path, load_fixtures
 from icsrecon.errors import ConfigError, PortUnavailable
 from icsrecon.netbase import recv_enip_frame, recv_modbus_frame, recv_tpkt_frame
+from icsrecon.passive import PcapFile, read_capture
+from icsrecon.pcapio import TCP_FIN, parse_ethernet, parse_ipv4, parse_tcp
 from icsrecon.simulator import (
     ControlClient,
     ControlledStation,
@@ -333,3 +336,30 @@ def test_control_client_shared_by_concurrent_callers():
         sys.setswitchinterval(interval)
         client.close()
         controlled.stop()
+
+
+def test_wait_idle_returns_after_the_last_teardown_frame(tmp_path):
+    pcap = tmp_path / "mirror.pcap"
+    station = start_station([modbus_config()], pcap_path=str(pcap))
+    try:
+        sock = socket.create_connection(("127.0.0.1", station.lookup("192.168.90.13", 502)), timeout=2)
+        sock.sendall(modbus.build_report_slave_id_request(unit=1))
+        recv_modbus_frame(sock, 2.0)
+        closer = threading.Timer(0.3, sock.close)  # the client lingers, then goes away
+        closer.start()
+        assert station.wait_idle(timeout=5.0)
+        closer.join(timeout=5.0)
+        after_wait = [frame for _, frame in read_capture(PcapFile(str(pcap)))]
+    finally:
+        station.stop()
+    assert len(after_wait) == len(list(read_capture(PcapFile(str(pcap)))))
+    last = parse_tcp(parse_ipv4(parse_ethernet(after_wait[-1]).payload).payload)
+    assert last.flags & TCP_FIN  # the teardown was already written when the wait returned
+
+
+def test_wait_idle_is_bounded_while_a_client_holds_its_connection(station):
+    with socket.create_connection(("127.0.0.1", station.lookup("192.168.90.13", 502)), timeout=2) as sock:
+        sock.sendall(modbus.build_report_slave_id_request(unit=1))
+        recv_modbus_frame(sock, 2.0)  # the server has accepted and is serving it
+        assert not station.wait_idle(timeout=0.2)
+    assert station.wait_idle(timeout=5.0)
