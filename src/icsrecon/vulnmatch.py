@@ -8,6 +8,10 @@ data is known to be patchy and nothing here pretends otherwise.
 Clauses only bind when the device-side value exists (the caller must
 supply at least a manufacturer or a model).
 
+The database is indexed once, when it is built, by canonical vendor and
+then by normalized product, so a lookup only examines the records whose
+vendor and product clauses can hold.
+
 The database is a local JSON file; there is no network fetch, so scans
 stay air-gap friendly.
 """
@@ -17,7 +21,7 @@ from __future__ import annotations
 import json
 import logging
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
 from typing import Callable, Iterable
@@ -34,8 +38,22 @@ _NON_ALNUM = re.compile(r"[^a-z0-9]+")
 
 @dataclass(frozen=True)
 class CveDatabase:
+    """CVE records plus the alias table, indexed for ``match``.
+
+    ``index`` maps canonical vendor -> normalized product -> records; it
+    is derived from ``records`` and ``aliases`` at construction.
+    """
+
     records: tuple[CveRecord, ...]
     aliases: dict[str, str]
+    index: dict[str, dict[str, list[CveRecord]]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        index: dict[str, dict[str, list[CveRecord]]] = {}
+        for record in self.records:
+            products = index.setdefault(_canonical_vendor(record.vendor, self.aliases), {})
+            products.setdefault(normalize_product(record.product), []).append(record)
+        object.__setattr__(self, "index", index)
 
     def __len__(self) -> int:
         return len(self.records)
@@ -56,13 +74,15 @@ def default_aliases() -> dict[str, str]:
 
 
 def load_aliases(path: str | None) -> dict[str, str]:
+    """The alias table at ``path`` (shipped table if None), case- and space-folded."""
     if path is None:
-        return dict(default_aliases())
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"alias table is not valid JSON: {exc.msg}", offset=exc.pos) from exc
+        raw = default_aliases()
+    else:
+        with open(path, "r", encoding="utf-8") as fh:
+            try:
+                raw = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise FormatError(f"alias table is not valid JSON: {exc.msg}", offset=exc.pos) from exc
     if not isinstance(raw, dict) or not all(isinstance(v, str) for v in raw.values()):
         raise FormatError("alias table must map vendor alias -> canonical name")
     return {normalize_vendor(k): normalize_vendor(v) for k, v in raw.items()}
@@ -82,10 +102,13 @@ def load_db(path: str, alias_path: str | None = None) -> CveDatabase:
     seen: set[str] = set()
     for position, entry in enumerate(raw):
         try:
+            vendor, product = entry.get("vendor", ""), entry.get("product", "")
+            if not isinstance(vendor, str) or not isinstance(product, str):
+                raise TypeError("vendor and product must be strings")
             record = CveRecord(
                 cve_id=entry["cve_id"],
-                vendor=normalize_vendor(entry.get("vendor", "")),
-                product=entry.get("product", ""),
+                vendor=normalize_vendor(vendor),
+                product=product,
                 summary=entry.get("summary", ""),
                 version_min=entry.get("version_min"),
                 version_max=entry.get("version_max"),
@@ -95,14 +118,21 @@ def load_db(path: str, alias_path: str | None = None) -> CveDatabase:
             raise FormatError(f"bad CVE record at index {position}: {exc}") from exc
         if record.cve_id in seen:
             raise FormatError(f"duplicate CVE id {record.cve_id} at index {position}")
-        if record.version_min and record.version_max:
+        bounds = []
+        for name in ("version_min", "version_max"):
+            value = getattr(record, name)
+            if not value:
+                continue
+            if not isinstance(value, str):
+                raise FormatError(f"{record.cve_id}: {name} must be a string, got {value!r}")
             try:
-                if compare_versions(record.version_min, record.version_max) > 0:
-                    raise FormatError(
-                        f"{record.cve_id}: version_min {record.version_min} above version_max {record.version_max}"
-                    )
+                bounds.append(parse_version(value))
             except ValueError as exc:
-                raise FormatError(f"{record.cve_id}: {exc}") from exc
+                raise FormatError(f"{record.cve_id}: {name}: {exc}") from exc
+        if len(bounds) == 2 and _compare_keys(*bounds) > 0:
+            raise FormatError(
+                f"{record.cve_id}: version_min {record.version_min} above version_max {record.version_max}"
+            )
         seen.add(record.cve_id)
         records.append(record)
     return CveDatabase(records=tuple(records), aliases=load_aliases(alias_path))
@@ -133,7 +163,10 @@ def parse_version(text: str) -> tuple[tuple[int, str], ...]:
 
 def compare_versions(a: str, b: str) -> int:
     """-1 / 0 / +1 with left-to-right segments, absent segments = 0."""
-    ka, kb = parse_version(a), parse_version(b)
+    return _compare_keys(parse_version(a), parse_version(b))
+
+
+def _compare_keys(ka: tuple[tuple[int, str], ...], kb: tuple[tuple[int, str], ...]) -> int:
     width = max(len(ka), len(kb))
     ka += ((0, ""),) * (width - len(ka))
     kb += ((0, ""),) * (width - len(kb))
@@ -153,8 +186,8 @@ def record_applies(record: CveRecord, info: StaticDeviceInfo, aliases: dict[str,
     """The match predicate for one record.
 
     Device-side absences leave their clause unconstrained; an
-    unparseable device version skips version-bounded records (logged,
-    not silent).
+    unparseable device version skips version-bounded records (``match``
+    logs that once per lookup).
     """
     if info.manufacturer is not None:
         if _canonical_vendor(record.vendor, aliases) != _canonical_vendor(info.manufacturer, aliases):
@@ -170,11 +203,6 @@ def record_applies(record: CveRecord, info: StaticDeviceInfo, aliases: dict[str,
             if record.version_max and compare_versions(info.firmware_version, record.version_max) >= 0:
                 return False
         except ValueError:
-            logger.warning(
-                "VersionUnparseable: device firmware %r; skipping version-bounded record %s",
-                info.firmware_version,
-                record.cve_id,
-            )
             return False
     return True
 
@@ -183,11 +211,35 @@ def match(info: StaticDeviceInfo, db: CveDatabase) -> list[CveRecord]:
     """All records applying to the device, highest severity first.
 
     Requires manufacturer or model to be present; results carry the
-    manual-verification note.
+    manual-verification note. Only the index groups whose vendor and
+    product clauses hold are passed to ``record_applies``.
     """
     if not (info.manufacturer or info.model):
         raise ValueError("matching needs a manufacturer or a model")
-    hits = [record for record in db.records if record_applies(record, info, db.aliases)]
+    if info.manufacturer is None:
+        vendors = db.index.values()
+    else:
+        vendors = [db.index.get(_canonical_vendor(info.manufacturer, db.aliases), {})]
+    model = None if info.model is None else normalize_product(info.model)
+    candidates = [
+        record
+        for products in vendors
+        for product, records in products.items()
+        if model is None or (product and product in model)
+        for record in records
+    ]
+    hits = [record for record in candidates if record_applies(record, info, db.aliases)]
+    if info.firmware_version is not None:
+        try:
+            parse_version(info.firmware_version)
+        except ValueError:
+            skipped = sum(1 for record in candidates if record.version_min or record.version_max)
+            if skipped:
+                logger.warning(
+                    "VersionUnparseable: device firmware %r; skipping %d version-bounded record(s)",
+                    info.firmware_version,
+                    skipped,
+                )
     hits.sort(key=lambda r: (-(r.severity if r.severity is not None else -1.0), r.cve_id))
     return [
         CveRecord(

@@ -127,12 +127,61 @@ def test_match_requires_manufacturer_or_model():
 
 
 def test_unparseable_device_version_skips_bounded_records(caplog):
-    db = db_from([record(cve_id="CVE-2020-11111", vmax="4.0"), record(cve_id="CVE-2020-22222")])
+    db = db_from(
+        [
+            record(cve_id="CVE-2020-11111", vmax="4.0"),
+            record(cve_id="CVE-2020-22222"),
+            record(cve_id="CVE-2020-33333", vmin="1.0"),
+            record(cve_id="CVE-2020-44444", vmin="1.0", vmax="9.0"),
+            record(cve_id="CVE-2020-55555", vendor="wago", vmax="4.0"),
+        ]
+    )
     info = StaticDeviceInfo(manufacturer="Siemens", model="ET200S", firmware_version="fw-unknown")
     with caplog.at_level(logging.WARNING, logger="icsrecon.vulnmatch"):
         hits = match(info, db)
     assert [h.cve_id for h in hits] == ["CVE-2020-22222"]  # unbounded record still applies
-    assert any("VersionUnparseable" in message for message in caplog.messages)
+    warnings = [message for message in caplog.messages if "VersionUnparseable" in message]
+    assert len(warnings) == 1  # one per lookup, not one per record
+    assert "'fw-unknown'" in warnings[0] and "3 version-bounded" in warnings[0]
+
+
+def test_lookup_examines_only_its_vendor_and_product_group(monkeypatch):
+    vendors = ["siemens", "schneider", "rockwell"]
+    products = ["et200s", "scadapack", "logix", ""]
+    records = [
+        record(cve_id=f"CVE-2020-{10000 + 100 * v + 10 * p + n}", vendor=vendor, product=product)
+        for v, vendor in enumerate(vendors)
+        for p, product in enumerate(products)
+        for n in range(2)
+    ]
+    db = db_from(records, {"schneider electric": "schneider"})
+    examined = []
+    original = vulnmatch.record_applies
+
+    def counting(record, info, aliases):
+        examined.append(record)
+        return original(record, info, aliases)
+
+    monkeypatch.setattr(vulnmatch, "record_applies", counting)
+
+    hits = match(StaticDeviceInfo(manufacturer="Schneider Electric", model="SCADAPack 32"), db)
+    assert len(examined) == 2
+    assert {(h.vendor, h.product) for h in hits} == {("schneider", "scadapack")}
+
+    examined.clear()
+    hits = match(StaticDeviceInfo(manufacturer=None, model="ET200S IM151"), db)
+    assert len(examined) == 6  # every vendor's et200s group, nothing else
+    assert {h.vendor for h in hits} == set(vendors)
+
+    examined.clear()
+    hits = match(StaticDeviceInfo(manufacturer="Rockwell", model=None), db)
+    assert len(examined) == 8  # without a model the empty-product records apply too
+    assert len(hits) == 8
+    assert {h.vendor for h in hits} == {"rockwell"}
+
+    examined.clear()
+    assert match(StaticDeviceInfo(manufacturer="Omron", model="ET200S"), db) == []
+    assert examined == []
 
 
 # -- db loading -------------------------------------------------------------------
@@ -176,11 +225,52 @@ def test_load_db_rejects_inverted_range(tmp_path):
         load_db(str(path))
 
 
+@pytest.mark.parametrize(
+    "bounds",
+    [{"version_max": "n/a"}, {"version_min": "n/a"}, {"version_min": "1.0", "version_max": "n/a"},
+     {"version_max": 4.0}],
+)
+def test_load_db_rejects_unparseable_bound(tmp_path, bounds):
+    path = tmp_path / "bound.json"
+    path.write_text(json.dumps([{"cve_id": "CVE-2020-11111", "vendor": "a", "product": "b", **bounds}]))
+    with pytest.raises(FormatError, match="CVE-2020-11111"):
+        load_db(str(path))
+
+
+@pytest.mark.parametrize("entry", [{"vendor": 5, "product": "b"}, {"vendor": "a", "product": 7}])
+def test_load_db_rejects_non_text_vendor_or_product(tmp_path, entry):
+    path = tmp_path / "types.json"
+    path.write_text(json.dumps([{"cve_id": "CVE-2020-11111", **entry}]))
+    with pytest.raises(FormatError):
+        load_db(str(path))
+
+
+def test_mixed_case_alias_table_is_folded_on_every_path(tmp_path, monkeypatch):
+    table = {"Schneider  ELECTRIC": "Schneider", "TELEMECANIQUE": " schneider "}
+    folded = {"schneider electric": "schneider", "telemecanique": "schneider"}
+    alias_path = tmp_path / "aliases.json"
+    alias_path.write_text(json.dumps(table))
+    db_path = tmp_path / "db.json"
+    db_path.write_text(json.dumps([{"cve_id": "CVE-2018-99003", "vendor": "Schneider", "product": "scadapack"}]))
+    info = StaticDeviceInfo(manufacturer="Telemecanique", model="SCADAPack32")
+
+    from_path = load_db(str(db_path), alias_path=str(alias_path))
+    assert from_path.aliases == folded
+    by_hand = CveDatabase(records=from_path.records, aliases=folded)
+    assert [h.cve_id for h in match(info, from_path)] == [h.cve_id for h in match(info, by_hand)] == ["CVE-2018-99003"]
+
+    monkeypatch.setattr(vulnmatch, "default_aliases", lambda: table)
+    assert vulnmatch.load_aliases(None) == folded
+
+
 # -- oracle properties --------------------------------------------------------------
 
 
-VENDORS = ["siemens", "schneider", "rockwell", "wago"]
-PRODUCTS = ["et200s", "s7", "scadapack", "logix", "750"]
+# record-side spellings: case/whitespace variants and alias names of the
+# same vendor, so the index must fold them exactly as the predicate does
+VENDORS = ["siemens", "Siemens ", "SIEMENS  AG", "schneider", "Schneider Electric", "telemecanique",
+           "rockwell", "Allen-Bradley", "wago"]
+PRODUCTS = ["et200s", "ET 200S", "s7", "scadapack", "logix", "750", ""]
 VERSIONS = [None, "1.0", "2.0", "3.2.6", "4.0", "4.4.0", "10.1"]
 
 
@@ -226,14 +316,20 @@ def random_db(rng: random.Random) -> CveDatabase:
                 severity=rng.choice([None, 2.0, 5.0, 9.8]),
             )
         )
-    aliases = {"schneider electric": "schneider"} if rng.random() < 0.5 else {}
+    aliases = rng.choice([
+        {},
+        {"schneider electric": "schneider"},
+        {"schneider electric": "schneider", "telemecanique": "schneider", "siemens ag": "siemens",
+         "allen-bradley": "rockwell"},
+    ])
     return db_from(records, aliases)
 
 
 def random_info(rng: random.Random) -> StaticDeviceInfo:
     while True:
-        manufacturer = rng.choice(["Siemens", "Schneider Electric", "rockwell", None])
-        model = rng.choice(["ET200S", "SCADAPack32", "ControlLogix", "s7-1200", None])
+        manufacturer = rng.choice(["Siemens", " siemens  ag", "Schneider Electric", "TELEMECANIQUE", "rockwell",
+                                   "allen-bradley", "", None])
+        model = rng.choice(["ET200S", "6ES7 ET-200S", "SCADAPack32", "ControlLogix", "s7-1200", "", None])
         firmware = rng.choice(VERSIONS)
         if manufacturer or model or firmware:
             return StaticDeviceInfo(manufacturer=manufacturer, model=model, firmware_version=firmware)
@@ -242,7 +338,7 @@ def random_info(rng: random.Random) -> StaticDeviceInfo:
 def test_match_agrees_with_bruteforce_oracle():
     rng = random.Random(0xBEEF)
     checked = 0
-    for _ in range(300):
+    for _ in range(600):
         db = random_db(rng)
         info = random_info(rng)
         if not (info.manufacturer or info.model):
@@ -250,7 +346,7 @@ def test_match_agrees_with_bruteforce_oracle():
         got = {h.cve_id for h in match(info, db)}
         assert got == naive_match_oracle(info, db)
         checked += 1
-    assert checked > 200
+    assert checked > 400
 
 
 def test_widening_range_never_removes_matches():
