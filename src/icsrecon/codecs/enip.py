@@ -84,16 +84,17 @@ def decode_header(data: bytes) -> tuple[EnipMessage, bytes]:
 def extract_frames(buffer: bytes) -> tuple[list[bytes], bytes]:
     """Cut complete encapsulation frames off the front of a stream."""
     frames: list[bytes] = []
-    while len(buffer) >= ENCAP_HEADER.size:
-        command, length = struct.unpack_from("<HH", buffer)
+    start = 0
+    while len(buffer) - start >= ENCAP_HEADER.size:
+        command, length = struct.unpack_from("<HH", buffer, start)
         if command not in KNOWN_COMMANDS:
             break
-        end = ENCAP_HEADER.size + length
+        end = start + ENCAP_HEADER.size + length
         if len(buffer) < end:
             break
-        frames.append(bytes(buffer[:end]))
-        buffer = buffer[end:]
-    return frames, bytes(buffer)
+        frames.append(bytes(buffer[start:end]))
+        start = end
+    return frames, bytes(buffer[start:])
 
 
 def build_list_identity() -> bytes:

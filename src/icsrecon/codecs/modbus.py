@@ -137,17 +137,17 @@ def extract_frames(buffer: bytes) -> tuple[list[bytes], bytes]:
     cannot be a Modbus/TCP frame.
     """
     frames: list[bytes] = []
-    while len(buffer) >= 7:
-        proto = struct.unpack_from(">H", buffer, 2)[0]
-        length = struct.unpack_from(">H", buffer, 4)[0]
+    start = 0
+    while len(buffer) - start >= 7:
+        proto, length = struct.unpack_from(">HH", buffer, start + 2)
         if proto != 0 or not 2 <= length <= 254:
             break
-        end = 6 + length
+        end = start + 6 + length
         if len(buffer) < end:
             break
-        frames.append(bytes(buffer[:end]))
-        buffer = buffer[end:]
-    return frames, bytes(buffer)
+        frames.append(bytes(buffer[start:end]))
+        start = end
+    return frames, bytes(buffer[start:])
 
 
 def exception_frame(transaction_id: int, unit_id: int, function: int, code: int) -> bytes:

@@ -29,7 +29,6 @@ from typing import Iterable
 from ..errors import DecodeError, FormatError, LengthMismatch, Truncated
 
 TPKT_VERSION = 3
-ISO_TSAP_PORT = 102
 
 COTP_CR = 0xE0
 COTP_CC = 0xD0
@@ -175,17 +174,18 @@ def decode_tpkt(data: bytes) -> bytes:
 def extract_tpkt_frames(buffer: bytes) -> tuple[list[bytes], bytes]:
     """Cut complete TPKT frames off the front of a stream buffer."""
     frames: list[bytes] = []
-    while len(buffer) >= 4:
-        if buffer[0] != TPKT_VERSION or buffer[1] != 0:
+    start = 0
+    while len(buffer) - start >= 4:
+        if buffer[start] != TPKT_VERSION or buffer[start + 1] != 0:
             break
-        length = struct.unpack_from(">H", buffer, 2)[0]
+        length = struct.unpack_from(">H", buffer, start + 2)[0]
         if length < 5:
             break
-        if len(buffer) < length:
+        if len(buffer) < start + length:
             break
-        frames.append(bytes(buffer[:length]))
-        buffer = buffer[length:]
-    return frames, bytes(buffer)
+        frames.append(bytes(buffer[start : start + length]))
+        start += length
+    return frames, bytes(buffer[start:])
 
 
 def _encode_cr_cc(cotp: CotpConnectionRequest | CotpConnectionConfirm, pdu_type: int) -> bytes:

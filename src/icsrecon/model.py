@@ -27,29 +27,12 @@ from .errors import AddressMismatch, FormatError
 
 INVENTORY_VERSION = 1
 
-KNOWN_PROTOCOLS = {
-    "modbus",
-    "s7comm",
-    "enip",
-    "dnp3",
-    "profinet",
-    "bacnet",
-    "opcua",
-    "snmp",
-}
-
 SOURCES = {"active", "passive"}
-
-RESERVED_DEPLOYMENT_KEYS = {
-    "modbus_slave_id",
-    "module_name",
-    "plant_id",
-    "system_name",
-    "unit_id",
-}
 
 _CVE_ID_RE = re.compile(r"^CVE-\d{4}-\d{4,}$")
 _PROTOCOL_TOKEN_RE = re.compile(r"^[a-z0-9_]+$")
+_OCTET = r"(?:25[0-5]|2[0-4][0-9]|1[0-9][0-9]|[1-9]?[0-9])"
+_DOTTED_QUAD_RE = re.compile(rf"{_OCTET}\.{_OCTET}\.{_OCTET}\.{_OCTET}")
 
 
 class DepthLevel(IntEnum):
@@ -272,6 +255,8 @@ def parse_timestamp(text: str) -> datetime:
 
 
 def _check_ip(ip: str) -> str:
+    if isinstance(ip, str) and _DOTTED_QUAD_RE.fullmatch(ip):
+        return ip  # already the canonical text ipaddress would give back
     try:
         return str(ipaddress.IPv4Address(ip))
     except ipaddress.AddressValueError as exc:
@@ -551,6 +536,10 @@ class Inventory:
             existing = Asset(ip=obs.ip, last_seen=obs.timestamp, sources=frozenset({obs.source}))
         self._assets[obs.ip] = merge_observation(existing, obs)
         return self._assets[obs.ip]
+
+    def levels_achieved(self, vuln_db_consulted: bool = False) -> list[int]:
+        """Every level some asset satisfies on its own evidence, ascending."""
+        return sorted(set().union(*(satisfied_levels(a, vuln_db_consulted) for a in self._assets.values())))
 
     def query(
         self,

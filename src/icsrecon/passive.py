@@ -1,23 +1,25 @@
 """Zero-packet asset extraction from mirrored traffic.
 
-The analyzer never opens a sending socket: everything is derived from
+The analyzer never opens a sending socket: everything comes from
 capture records (offline pcap files, or a live interface behind the
-same reader seam). Classification needs payload evidence, a port
-number alone is never enough for a protocol claim; identity-bearing
-replies are parsed with the shared codecs and lift assets to static /
-deployment depth. Flow reassembly is deliberately minimal: in-order
-segment concatenation per direction with a 64 KiB cap, out-of-order
-segments are dropped and counted.
+same reader seam). Each frame is dissected once, by offset; flows and
+senders are keyed by raw address, which becomes text once per asset.
+Protocol claims need payload evidence, never a port alone; identity
+replies are decoded by the shared codecs, and the report's
+``levels_achieved`` counts each level on its own evidence. Reassembly
+is in-order per direction, capped at 64 KiB; out-of-order segments are
+dropped and counted.
 """
 
 from __future__ import annotations
 
 import os
 import socket
+import struct
 import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from typing import Any, ClassVar, Iterator
+from typing import Any, ClassVar, Iterable, Iterator
 
 from .codecs import enip, modbus, s7
 from .errors import IcsReconError, PrivilegeRequired
@@ -32,17 +34,19 @@ from .model import (
 )
 from .ouidb import load_enip_vendors, vendor_for_mac
 from .pcapio import (
+    ARP_LENGTH,
     CaptureReader,
+    ETHERNET_HEADER,
     ETHERTYPE_ARP,
     ETHERTYPE_IPV4,
     PROTO_TCP,
     TCP_ACK,
     TCP_FIN,
     TCP_SYN,
-    parse_arp,
-    parse_ethernet,
-    parse_ipv4,
-    parse_tcp,
+    ip_text,
+    ipv4_span,
+    mac_text,
+    tcp_data_start,
 )
 
 REASSEMBLY_CAP = 64 * 1024
@@ -163,31 +167,32 @@ def _seq_after(a: int, b: int) -> bool:
 
 
 class _Flow:
-    def __init__(self, low, high):
+    def __init__(self, low: tuple[bytes, int], high: tuple[bytes, int]):
         self.endpoints = (low, high)
         self.dirs = {low: _Direction(), high: _Direction()}
-        self.client: tuple[str, int] | None = None
+        self.client: tuple[bytes, int] | None = None
         self.out_of_order = 0
         self.last_seen = 0.0
 
-    def server(self) -> tuple[str, int]:
-        low, high = self.endpoints
+    def server(self) -> tuple[bytes, int]:
         if self.client is not None:
+            low, high = self.endpoints
             return high if self.client == low else low
-        for endpoint in (low, high):
-            if endpoint[1] in WELL_KNOWN_SERVER_PORTS:
-                return endpoint
-        return min((low, high), key=lambda e: e[1])
+        # without a SYN, ties go to the address that sorts first as text:
+        # 10.0.0.10 before 10.0.0.9, unlike their raw bytes
+        ordered = sorted(self.endpoints, key=lambda e: (ip_text(e[0]), e[1]))
+        known = [endpoint for endpoint in ordered if endpoint[1] in WELL_KNOWN_SERVER_PORTS]
+        return known[0] if known else min(ordered, key=lambda e: e[1])
 
-    def classify(self) -> tuple[str | None, list[bytes]]:
-        """The flow's protocol and the server's frames, each direction cut once."""
+    def classify(self) -> tuple[str | None, tuple[bytes, int], list[bytes]]:
+        """The flow's protocol, its server and the server's frames, each direction cut once."""
         low, high = self.endpoints
         server = self.server()
         protocol, replies = classify_flow(self.dirs[server].buffer)
         if protocol is None:
             protocol, _requests = classify_flow(self.dirs[high if server == low else low].buffer)
             replies = _frames(protocol, self.dirs[server].buffer)
-        return protocol, replies
+        return protocol, server, replies
 
 
 @dataclass
@@ -217,75 +222,85 @@ class PassiveReport:
             "out_of_order_segments": self.out_of_order_segments,
             "classified_flows": self.classified_flows,
             "per_asset_depth": dict(sorted(self.per_asset_depth.items())),
+            "levels_achieved": self.inventory.levels_achieved(),
             "anomalies": [],
             "inventory": self.inventory.to_document(),
         }
 
 
-def analyze_capture(source: CaptureSource) -> PassiveReport:
-    """Single pass over the capture; builds the passive inventory."""
-    senders: dict[str, dict] = {}
+def _dissect(records: Iterable[tuple[float, bytes]]) -> tuple[dict[bytes, list], dict[tuple, _Flow], int, int]:
+    """Senders (raw IPv4 -> [raw MAC, last seen]), flows, frames read and frames skipped, in one pass by offset."""
+    senders: dict[bytes, list] = {}
     flows: dict[tuple, _Flow] = {}
-    frames_read = 0
-
-    def saw_sender(ip: str, mac: str | None, when: float) -> None:
-        if ip == "0.0.0.0":
-            return
-        entry = senders.setdefault(ip, {"mac": None, "last": when})
-        entry["last"] = max(entry["last"], when)
-        if mac and entry["mac"] is None:
-            entry["mac"] = mac
-
-    skipped = 0
-    reader = read_capture(source)
-    for when, frame in reader:
+    frames_read = skipped = 0
+    for when, frame in records:
         frames_read += 1
-        eth = parse_ethernet(frame)
-        if eth is None:
+        if len(frame) < ETHERNET_HEADER:
             skipped += 1
             continue
-        if eth.ethertype == ETHERTYPE_ARP:
-            arp = parse_arp(eth.payload)
-            if arp is not None:
-                saw_sender(arp.sender_ip, arp.sender_mac, when)
+        ethertype = frame[12] << 8 | frame[13]
+        if ethertype == ETHERTYPE_ARP:
+            if len(frame) < ETHERNET_HEADER + ARP_LENGTH:
+                continue
+            sender, mac, span = frame[28:32], frame[22:28], None  # ARP sender IPv4 and MAC
+        elif ethertype == ETHERTYPE_IPV4:
+            span = ipv4_span(frame, ETHERNET_HEADER)
+            if span is None:
+                skipped += 1
+                continue
+            sender, mac = frame[26:30], frame[6:12]  # IPv4 and Ethernet sources
+        else:
             continue
-        if eth.ethertype != ETHERTYPE_IPV4:
+        if sender != b"\x00\x00\x00\x00":
+            entry = senders.get(sender)
+            if entry is None:
+                senders[sender] = [mac, when]
+            elif when > entry[1]:
+                entry[1] = when
+        if span is None or frame[23] != PROTO_TCP:  # the IPv4 protocol byte
             continue
-        packet = parse_ipv4(eth.payload)
-        if packet is None:
+        start, end = span
+        data = tcp_data_start(frame, start, end)
+        if data is None:
             skipped += 1
             continue
-        saw_sender(packet.src_ip, eth.src_mac, when)
-        if packet.proto != PROTO_TCP:
-            continue
-        segment = parse_tcp(packet.payload)
-        if segment is None:
-            skipped += 1
-            continue
-        src = (packet.src_ip, segment.src_port)
-        dst = (packet.dst_ip, segment.dst_port)
+        src_port, dst_port, seq = struct.unpack_from(">HHI", frame, start)
+        flags = frame[start + 13]
+        src = (sender, src_port)
+        dst = (frame[30:34], dst_port)  # IPv4 destination
         key = (src, dst) if src < dst else (dst, src)
         flow = flows.get(key) or flows.setdefault(key, _Flow(*key))
-        flow.last_seen = max(flow.last_seen, when)
+        if when > flow.last_seen:
+            flow.last_seen = when
         direction = flow.dirs[src]
-        if segment.flags & TCP_SYN:
-            if flow.client is None and not (segment.flags & TCP_ACK):
+        if flags & TCP_SYN:
+            if flow.client is None and not (flags & TCP_ACK):
                 flow.client = src
-            direction.bump(segment.seq, 1)
-        if segment.payload:
-            direction.add(segment.seq, segment.payload, flow)
-        if segment.flags & TCP_FIN:
-            direction.bump(segment.seq + len(segment.payload), 1)
+            direction.bump(seq, 1)
+        if data < end:
+            direction.add(seq, frame[data:end], flow)
+        if flags & TCP_FIN:
+            direction.bump(seq + end - data, 1)
+    return senders, flows, frames_read, skipped
+
+
+def analyze_capture(source: CaptureSource) -> PassiveReport:
+    """Single pass over the capture; builds the passive inventory."""
+    reader = read_capture(source)
+    senders, flows, frames_read, skipped = _dissect(reader)
 
     inventory = Inventory()
-    for ip, entry in senders.items():
+    names: dict[bytes, str] = {}
+    for raw_ip, (raw_mac, last) in senders.items():
+        names[raw_ip] = ip = ip_text(raw_ip)
+        mac = mac_text(raw_mac)
         inventory.apply(
             Observation(
                 ip=ip,
                 source="passive",
-                timestamp=datetime.fromtimestamp(entry["last"], tz=timezone.utc),
-                mac=entry["mac"],
-                oui_vendor=vendor_for_mac(entry["mac"]),
+                timestamp=datetime.fromtimestamp(last, tz=timezone.utc),
+                mac=mac,
+                oui_vendor=vendor_for_mac(mac),
             )
         )
 
@@ -293,12 +308,12 @@ def analyze_capture(source: CaptureSource) -> PassiveReport:
     out_of_order = 0
     for flow in flows.values():
         out_of_order += flow.out_of_order
-        protocol, replies = flow.classify()
+        protocol, (raw_server, server_port), replies = flow.classify()
         if protocol is None:
             continue
         classified += 1
-        server_ip, server_port = flow.server()
-        if server_ip not in senders:
+        server_ip = names.get(raw_server)
+        if server_ip is None:
             continue  # never transmitted; do not invent an asset
         static_fields, deployment = _identity_fields(protocol, replies)
         inventory.apply(
@@ -324,4 +339,3 @@ def analyze_capture(source: CaptureSource) -> PassiveReport:
         source=source.path if isinstance(source, PcapFile) else source.name,
         generated_at=datetime.now(timezone.utc),
     )
-

@@ -28,6 +28,9 @@ SNAPLEN = 65535
 ETHERTYPE_IPV4 = 0x0800
 ETHERTYPE_ARP = 0x0806
 
+ETHERNET_HEADER = 14  # destination MAC, source MAC, ethertype
+ARP_LENGTH = 28  # an Ethernet/IPv4 ARP message
+
 PROTO_ICMP = 1
 PROTO_TCP = 6
 
@@ -149,14 +152,14 @@ class TcpSegment:
 
 
 def parse_ethernet(frame: bytes) -> EthernetFrame | None:
-    if len(frame) < 14:
+    if len(frame) < ETHERNET_HEADER:
         return None
     ethertype = struct.unpack_from(">H", frame, 12)[0]
-    return EthernetFrame(mac_text(frame[:6]), mac_text(frame[6:12]), ethertype, bytes(frame[14:]))
+    return EthernetFrame(mac_text(frame[:6]), mac_text(frame[6:12]), ethertype, bytes(frame[ETHERNET_HEADER:]))
 
 
 def parse_arp(payload: bytes) -> ArpMessage | None:
-    if len(payload) < 28:
+    if len(payload) < ARP_LENGTH:
         return None
     op = struct.unpack_from(">H", payload, 6)[0]
     return ArpMessage(
@@ -167,31 +170,48 @@ def parse_arp(payload: bytes) -> ArpMessage | None:
     )
 
 
-def parse_ipv4(payload: bytes) -> Ipv4Packet | None:
-    if len(payload) < 20 or payload[0] >> 4 != 4:
+def ipv4_span(buf: bytes, at: int) -> tuple[int, int] | None:
+    """Payload (start, end) of the IPv4 packet at ``buf[at:]``, cut to the bytes captured; None if malformed."""
+    size = len(buf) - at
+    if size < 20 or buf[at] >> 4 != 4:
         return None
-    ihl = (payload[0] & 0x0F) * 4
-    if ihl < 20 or len(payload) < ihl:
+    ihl = (buf[at] & 0x0F) * 4
+    if ihl < 20 or size < ihl:
         return None
-    total = struct.unpack_from(">H", payload, 2)[0]
+    total = buf[at + 2] << 8 | buf[at + 3]
     if total < ihl:
+        return None
+    return at + ihl, at + min(total, size)
+
+
+def tcp_data_start(buf: bytes, at: int, end: int) -> int | None:
+    """Payload offset of the TCP segment in ``buf[at:end]``; None if its header is malformed."""
+    if end - at < 20:
+        return None
+    offset = (buf[at + 12] >> 4) * 4
+    if offset < 20 or end - at < offset:
+        return None
+    return at + offset
+
+
+def parse_ipv4(payload: bytes) -> Ipv4Packet | None:
+    span = ipv4_span(payload, 0)
+    if span is None:
         return None
     return Ipv4Packet(
         src_ip=ip_text(payload[12:16]),
         dst_ip=ip_text(payload[16:20]),
         proto=payload[9],
-        payload=bytes(payload[ihl : min(total, len(payload))]),
+        payload=bytes(payload[span[0] : span[1]]),
     )
 
 
 def parse_tcp(payload: bytes) -> TcpSegment | None:
-    if len(payload) < 20:
+    start = tcp_data_start(payload, 0, len(payload))
+    if start is None:
         return None
     src_port, dst_port, seq, ack = struct.unpack_from(">HHII", payload)
-    offset = (payload[12] >> 4) * 4
-    if offset < 20 or len(payload) < offset:
-        return None
-    return TcpSegment(src_port, dst_port, seq, ack, payload[13], bytes(payload[offset:]))
+    return TcpSegment(src_port, dst_port, seq, ack, payload[13], bytes(payload[start:]))
 
 
 class PcapWriter:

@@ -42,12 +42,3 @@ class TokenBucket:
                     return
                 wait = (1.0 - self._tokens) / self.rate
             self._sleep(wait)
-
-    def try_acquire(self) -> bool:
-        with self._lock:
-            self._refill()
-            if self._tokens >= 1.0:
-                self._tokens -= 1.0
-                self.granted += 1
-                return True
-            return False

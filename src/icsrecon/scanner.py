@@ -45,7 +45,6 @@ from .model import (
     compute_depth,
     format_timestamp,
     merge_observation,
-    satisfied_levels,
 )
 from .netbase import Network, RealNetwork, recv_enip_frame, recv_modbus_frame, recv_tpkt_frame
 from .ouidb import load_enip_vendors, vendor_for_mac
@@ -175,12 +174,6 @@ class ScanReport:
     probe_log: list[dict[str, str]] = field(default_factory=list)
     kind: str = "active"
 
-    def levels_achieved(self) -> list[int]:
-        levels: set[int] = set()
-        for asset in self.inventory:
-            levels |= satisfied_levels(asset, self.vuln_db_consulted)
-        return sorted(levels)
-
     def to_document(self) -> dict[str, Any]:
         return {
             "version": REPORT_VERSION,
@@ -194,7 +187,7 @@ class ScanReport:
             "unit_id_sweep_used": self.unit_id_sweep_used,
             "vuln_db_consulted": self.vuln_db_consulted,
             "per_asset_depth": dict(sorted(self.per_asset_depth.items())),
-            "levels_achieved": self.levels_achieved(),
+            "levels_achieved": self.inventory.levels_achieved(self.vuln_db_consulted),
             "anomalies": list(self.anomalies),
             "inventory": self.inventory.to_document(),
         }

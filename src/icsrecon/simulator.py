@@ -475,9 +475,6 @@ class StationHandle:
                 return device
         raise KeyError(name)
 
-    def device_by_ip(self, ip: str) -> SimDevice | None:
-        return self._by_ip.get(ip)
-
     def lookup(self, ip: str, port: int) -> int | None:
         device = self._by_endpoint.get((ip, port))
         if device is None or device.bound_port is None:

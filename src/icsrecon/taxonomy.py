@@ -15,7 +15,6 @@ import io
 import json
 from dataclasses import dataclass, field
 from datetime import date
-from functools import lru_cache
 from importlib import resources
 from typing import Any, Iterable
 
@@ -221,11 +220,6 @@ def load_profiles(path: str | None = None) -> list[ToolProfile]:
     else:
         tools = raw
     return [profile_from_dict(entry) for entry in tools]
-
-
-@lru_cache(maxsize=1)
-def shipped_dataset() -> tuple[ToolProfile, ...]:
-    return tuple(load_profiles())
 
 
 # -- matrix rendering --------------------------------------------------------

@@ -145,6 +145,19 @@ def test_extract_frames_stream_cutting():
     assert rest == a[:5]
 
 
+def test_extract_frames_cuts_a_capped_polling_stream():
+    # 300 back-to-back 249-byte replies overrun a 64 KiB reassembly buffer
+    replies = [modbus.build_read_holding_response(tid, 1, list(range(120))) for tid in range(300)]
+    assert {len(reply) for reply in replies} == {249}
+    stream = bytearray(b"".join(replies)[: 64 * 1024])
+    whole = 64 * 1024 // 249
+    frames, rest = modbus.extract_frames(stream)
+    assert frames == replies[:whole]
+    assert all(type(frame) is bytes for frame in frames)
+    assert rest == bytes(stream[whole * 249 :]) and type(rest) is bytes
+    assert len(rest) == 64 * 1024 - whole * 249
+
+
 def test_extract_frames_stops_on_non_modbus():
     frames, rest = modbus.extract_frames(b"GET / HTTP/1.1\r\n")
     assert frames == []

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ipaddress
 import itertools
 import random
 
@@ -17,6 +18,7 @@ from icsrecon.model import (
     Observation,
     PortSpec,
     StaticDeviceInfo,
+    _check_ip,
     compute_depth,
     evidence_depth,
     merge_observation,
@@ -246,3 +248,32 @@ def test_port_spec_parse_and_render():
         PortSpec.parse("0/tcp")
     with pytest.raises(ValueError):
         PortSpec.parse("not-a-port")
+
+
+# -- address validation ---------------------------------------------------------
+
+OCTET_TEXT = st.one_of(
+    st.integers(0, 999).map(str),
+    st.integers(0, 255).map(lambda n: f"0{n}"),  # leading zero
+    st.sampled_from(["", "\u0661", "\uff11", "1\u0662", " 1", "1 ", "+1", "-1", "0x1", "\u00b2"]),
+)
+ADDRESS_TEXT = st.one_of(
+    st.tuples(
+        st.sampled_from(["", " ", "\t", "\n"]),
+        st.lists(OCTET_TEXT, min_size=3, max_size=5).map(".".join),
+        st.sampled_from(["", " ", "\n", "\r\n", "."]),
+    ).map("".join),
+    st.text(max_size=20),
+)
+
+
+@settings(max_examples=1000)
+@given(ADDRESS_TEXT)
+def test_check_ip_agrees_with_ipaddress(text):
+    try:
+        expected = str(ipaddress.IPv4Address(text))
+    except ipaddress.AddressValueError:
+        with pytest.raises(ValueError, match="not an IPv4 address"):
+            _check_ip(text)
+    else:
+        assert _check_ip(text) == expected

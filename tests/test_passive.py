@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from icsrecon.codecs import enip, modbus, s7
 from icsrecon.config import default_fixtures_path, load_fixtures
@@ -11,13 +12,40 @@ from icsrecon.model import PortSpec
 from icsrecon.passive import (
     PcapFile,
     REASSEMBLY_CAP,
+    _dissect,
+    _Flow,
     analyze_capture,
     classify_flow,
     read_capture,
 )
-from icsrecon.pcapio import PcapWriter, TrafficRecorder
+from icsrecon.pcapio import (
+    BROADCAST_MAC,
+    ETHERTYPE_ARP,
+    ETHERTYPE_IPV4,
+    PROTO_ICMP,
+    PROTO_TCP,
+    TCP_ACK,
+    TCP_FIN,
+    TCP_PSH,
+    TCP_SYN,
+    PcapWriter,
+    TrafficRecorder,
+    arp_frame,
+    ethernet,
+    icmp_echo,
+    ip_text,
+    ipv4,
+    mac_text,
+    parse_arp,
+    parse_ethernet,
+    parse_ipv4,
+    parse_tcp,
+    tcp_segment,
+)
 from icsrecon.scanner import ScanConfig, run_scan
 from icsrecon.simulator import SimNetwork, start_station
+
+from conftest import one_byte_changed
 
 
 class Clock:
@@ -190,9 +218,19 @@ def test_out_of_order_segments_dropped_and_counted(tmp_path):
     assert report.out_of_order_segments == 1
 
 
-def test_reassembly_cap_is_enforced():
-    from icsrecon.passive import _Flow
+def test_flow_without_syn_gives_the_port_to_the_first_address_in_text_order(tmp_path):
+    # 10.0.0.10 sorts before 10.0.0.9 as text, after it as raw bytes
+    path, writer, recorder = make_recorder(tmp_path)
+    flow = recorder.tcp_flow(("10.0.0.9", 502), ("10.0.0.10", 502))
+    flow.client_payload(modbus.build_read_holding_request(1, 0, 4))
+    flow.server_payload(modbus.build_read_holding_response(1, 1, [1, 2, 3, 4]))
+    writer.close()
+    inventory = analyze_capture(PcapFile(str(path))).inventory
+    assert inventory.get("10.0.0.10").open_ports == frozenset({PortSpec(502)})
+    assert inventory.get("10.0.0.9").open_ports == frozenset()
 
+
+def test_reassembly_cap_is_enforced():
     flow = _Flow(("a", 1), ("b", 2))
     direction = flow.dirs[("a", 1)]
     direction.add(0, b"x" * (REASSEMBLY_CAP + 500), flow)
@@ -213,6 +251,135 @@ def test_determinism_same_pcap_same_json(tmp_path, station_pcap=None):
     first = analyze_capture(PcapFile(str(path))).inventory.to_json()
     second = analyze_capture(PcapFile(str(path))).inventory.to_json()
     assert first == second
+
+
+# -- frame dissection against the per-layer parse chain ------------------------
+
+HOST_A, HOST_B, MAC_A, MAC_B = "10.0.0.9", "10.0.0.10", "00:1b:1b:00:00:09", "00:80:f4:00:00:0a"
+
+
+def _ip_frame(src: str, dst: str, proto: int, body: bytes) -> bytes:
+    return ethernet(MAC_B, MAC_A, ETHERTYPE_IPV4, ipv4(src, dst, proto, body))
+
+
+def _tcp_frame(src: str, dst: str, sport: int, dport: int, seq: int, flags: int, payload: bytes = b"") -> bytes:
+    return _ip_frame(src, dst, PROTO_TCP, tcp_segment(src, dst, sport, dport, seq, 0, flags, payload))
+
+
+def _poke(frame: bytes, at: int, value: int) -> bytes:
+    return frame[:at] + bytes([value]) + frame[at + 1 :]
+
+
+VALID_FRAMES = [
+    arp_frame(1, MAC_A, HOST_A, BROADCAST_MAC, HOST_B),
+    arp_frame(2, MAC_B, HOST_B, MAC_A, HOST_A),
+    arp_frame(1, MAC_B, "0.0.0.0", BROADCAST_MAC, HOST_B),  # address probe
+    _ip_frame(HOST_A, HOST_B, PROTO_ICMP, icmp_echo(1, 1)),
+    _ip_frame(HOST_B, HOST_A, 17, bytes(12)),
+    _tcp_frame(HOST_A, HOST_B, 40000, 502, 999, TCP_SYN),
+    _tcp_frame(HOST_B, HOST_A, 502, 40000, 4999, TCP_SYN | TCP_ACK),
+    _tcp_frame(HOST_A, HOST_B, 40000, 502, 1000, TCP_PSH | TCP_ACK, b"request"),
+    _tcp_frame(HOST_B, HOST_A, 502, 40000, 5000, TCP_PSH | TCP_ACK, b"reply"),
+    _tcp_frame(HOST_A, HOST_B, 40000, 502, 1007, TCP_FIN | TCP_ACK),
+    _tcp_frame(HOST_B, HOST_A, 502, 502, 1, TCP_PSH, b"no syn"),
+    _tcp_frame("0.0.0.0", HOST_B, 68, 502, 7, TCP_PSH, b"unnumbered"),
+]
+_DATA = VALID_FRAMES[7]
+MALFORMED_FRAMES = [
+    b"",
+    _DATA[:13],  # shorter than an Ethernet header
+    VALID_FRAMES[0][:41],  # ARP message one byte short
+    _poke(_DATA, 14, 0x44),  # IHL below 5
+    _poke(_DATA, 14, 0x4F),  # IHL past the end
+    _DATA[:16] + b"\x00\x0a" + _DATA[18:],  # total length below the IHL
+    _poke(_DATA, 34 + 12, 0x40),  # TCP data offset below 5
+    _poke(_DATA, 34 + 12, 0xF0),  # TCP data offset past the end
+]
+FRAMES = st.one_of(
+    st.sampled_from(VALID_FRAMES + MALFORMED_FRAMES),
+    one_byte_changed(VALID_FRAMES),
+    st.sampled_from(VALID_FRAMES).flatmap(lambda f: st.integers(0, len(f) - 1).map(lambda n: f[:n])),
+)
+
+
+def _chain_dissect(records):
+    """The parse_ethernet -> parse_arp/parse_ipv4 -> parse_tcp chain over text addresses."""
+    senders, flows, skipped = {}, {}, 0
+
+    def saw(ip, mac, when):
+        if ip != "0.0.0.0":
+            entry = senders.setdefault(ip, [mac, when])
+            entry[1] = max(entry[1], when)
+
+    for when, frame in records:
+        eth = parse_ethernet(frame)
+        if eth is None:
+            skipped += 1
+            continue
+        if eth.ethertype == ETHERTYPE_ARP:
+            arp = parse_arp(eth.payload)
+            if arp is not None:
+                saw(arp.sender_ip, arp.sender_mac, when)
+            continue
+        if eth.ethertype != ETHERTYPE_IPV4:
+            continue
+        packet = parse_ipv4(eth.payload)
+        if packet is None:
+            skipped += 1
+            continue
+        saw(packet.src_ip, eth.src_mac, when)
+        if packet.proto != PROTO_TCP:
+            continue
+        segment = parse_tcp(packet.payload)
+        if segment is None:
+            skipped += 1
+            continue
+        src, dst = (packet.src_ip, segment.src_port), (packet.dst_ip, segment.dst_port)
+        key = (src, dst) if src < dst else (dst, src)
+        flow = flows.setdefault(key, _Flow(*key))
+        flow.last_seen = max(flow.last_seen, when)
+        direction = flow.dirs[src]
+        if segment.flags & TCP_SYN:
+            if flow.client is None and not segment.flags & TCP_ACK:
+                flow.client = src
+            direction.bump(segment.seq, 1)
+        if segment.payload:
+            direction.add(segment.seq, segment.payload, flow)
+        if segment.flags & TCP_FIN:
+            direction.bump(segment.seq + len(segment.payload), 1)
+    return senders, flows, skipped
+
+
+def _flow_views(flows, name):
+    return {
+        frozenset(map(name, flow.endpoints)): (
+            {name(e): (bytes(d.buffer), d.next_seq, d.capped) for e, d in flow.dirs.items()},
+            flow.client and name(flow.client),
+            flow.out_of_order,
+            flow.last_seen,
+        )
+        for flow in flows.values()
+    }
+
+
+@settings(max_examples=300, deadline=None)
+@given(records=st.lists(st.tuples(st.integers(0, 40).map(float), FRAMES), max_size=24))
+def test_dissection_matches_the_parse_chain(records, tmp_path_factory):
+    want_senders, want_flows, want_skipped = _chain_dissect(records)
+    senders, flows, frames_read, skipped = _dissect(records)
+    assert (frames_read, skipped) == (len(records), want_skipped)
+    assert {ip_text(ip): [mac_text(mac), last] for ip, (mac, last) in senders.items()} == want_senders
+    raw_views = _flow_views(flows, lambda endpoint: (ip_text(endpoint[0]), endpoint[1]))
+    assert raw_views == _flow_views(want_flows, lambda endpoint: endpoint)
+
+    path = tmp_path_factory.getbasetemp() / "dissect.pcap"
+    writer = PcapWriter(str(path))
+    for when, frame in records:
+        writer.write(when, frame)
+    writer.close()
+    report = analyze_capture(PcapFile(str(path)))
+    assert (report.frames_read, report.frames_skipped) == (len(records), want_skipped)
+    assert {asset.ip: asset.mac for asset in report.inventory} == {ip: mac for ip, (mac, _) in want_senders.items()}
 
 
 # -- against the simulator -------------------------------------------------------

@@ -7,10 +7,12 @@ from datetime import date
 import pytest
 
 from icsrecon import taxonomy as tx
+from icsrecon.codecs import modbus
 from icsrecon.config import default_fixtures_path, load_fixtures
 from icsrecon.errors import ValidationRequired
 from icsrecon.passive import PcapFile, analyze_capture
-from icsrecon.scanner import ScanConfig, run_scan
+from icsrecon.pcapio import PcapWriter, TrafficRecorder
+from icsrecon.scanner import ScanConfig, ScanReport, run_scan
 from icsrecon.simulator import SimNetwork, start_station
 
 
@@ -251,6 +253,37 @@ def test_classify_passive_run(fixture_run):
     assert profile.exec.method == frozenset({"passive"})
     assert "offline" in profile.exec.nature
     assert tx.validate_profile(profile) == []
+
+
+def test_passive_levels_are_independent_as_in_active_runs(tmp_path):
+    # an RTU that answers only Report Slave ID: deployment info without static info
+    path = tmp_path / "rtu.pcap"
+    writer = PcapWriter(str(path))
+    flow = TrafficRecorder(writer).tcp_flow(("192.168.90.1", 50000), ("192.168.90.13", 502))
+    flow.handshake()
+    flow.client_payload(modbus.build_report_slave_id_request(unit=1))
+    flow.server_payload(modbus.build_report_slave_id_response(1, 1, slave_id=5))
+    flow.close()
+    writer.close()
+    passive = analyze_capture(PcapFile(str(path)))
+    assert passive.per_asset_depth["192.168.90.13"] == 5
+    assert passive.inventory.get("192.168.90.13").static_info is None
+    active = ScanReport(
+        inventory=passive.inventory,
+        per_asset_depth=passive.per_asset_depth,
+        packets_sent=0,
+        duration=0.0,
+        anomalies=[],
+        methods_used=["icmp"],
+        unit_id_sweep_used=False,
+        vuln_db_consulted=False,
+        rate_limit_pps=50,
+        safe_mode=True,
+        generated_at=passive.generated_at,
+    )
+    assert passive.to_document()["levels_achieved"] == [1, 2, 3, 5]
+    assert tx.classify_run(passive.to_document()).output_levels == frozenset({1, 2, 3, 5})
+    assert tx.classify_run(active.to_document()).output_levels == frozenset({1, 2, 3, 5})
 
 
 def test_classified_run_renders_alongside_dataset(fixture_run):
