@@ -6,8 +6,31 @@ Decoders raise only :class:`icsrecon.errors.DecodeError` /
 :class:`icsrecon.errors.FormatError` subclasses, never anything else,
 regardless of input. Each codec's ``identity_fields`` turns reply
 frames into static / deployment fields for scanner and analyzer alike.
+
+Each codec states its frame rule once, as ``HEADER_SIZE`` plus
+``frame_size(buf, at)``: the length of the frame whose header starts at
+``at``, or None when it cannot start one. ``netbase.recv_frame`` and
+``cut_frames`` below both read it.
 """
 
-from . import enip, modbus, s7
 
-__all__ = ["modbus", "s7", "enip"]
+def cut_frames(buffer: bytes, header_size: int, frame_size) -> tuple[list[bytes], bytes]:
+    """Cut complete frames off the front of a stream by one codec's frame rule.
+
+    Stops, returning the rest untouched, at a header the rule rejects or
+    at a frame that is not complete yet.
+    """
+    frames: list[bytes] = []
+    start = 0
+    while len(buffer) - start >= header_size:
+        size = frame_size(buffer, start)
+        if size is None or len(buffer) - start < size:
+            break
+        frames.append(bytes(buffer[start : start + size]))
+        start += size
+    return frames, bytes(buffer[start:])
+
+
+from . import enip, modbus, s7  # noqa: E402  (the codecs import cut_frames from here)
+
+__all__ = ["cut_frames", "modbus", "s7", "enip"]

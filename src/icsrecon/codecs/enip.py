@@ -18,9 +18,11 @@ import struct
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
+from . import cut_frames
 from ..errors import DecodeError, FormatError, LengthMismatch, Truncated, UnexpectedCommand
 
 ENCAP_HEADER = struct.Struct("<HHII8sI")
+HEADER_SIZE = ENCAP_HEADER.size
 ENIP_PORT = 44818
 
 CMD_NOP = 0x0000
@@ -81,20 +83,18 @@ def decode_header(data: bytes) -> tuple[EnipMessage, bytes]:
     return EnipMessage(command=command, length=length, session=session, status=status, options=options), bytes(payload)
 
 
+def frame_size(buf: bytes, at: int = 0) -> int | None:
+    """Total length of the encapsulation frame starting at ``at``: payload of at most 8192 bytes.
+
+    Any command frames; whether it is a known one is up to the caller.
+    """
+    length = struct.unpack_from("<H", buf, at + 2)[0]
+    return HEADER_SIZE + length if length <= 8192 else None
+
+
 def extract_frames(buffer: bytes) -> tuple[list[bytes], bytes]:
     """Cut complete encapsulation frames off the front of a stream."""
-    frames: list[bytes] = []
-    start = 0
-    while len(buffer) - start >= ENCAP_HEADER.size:
-        command, length = struct.unpack_from("<HH", buffer, start)
-        if command not in KNOWN_COMMANDS:
-            break
-        end = start + ENCAP_HEADER.size + length
-        if len(buffer) < end:
-            break
-        frames.append(bytes(buffer[start:end]))
-        start = end
-    return frames, bytes(buffer[start:])
+    return cut_frames(buffer, HEADER_SIZE, frame_size)
 
 
 def build_list_identity() -> bytes:

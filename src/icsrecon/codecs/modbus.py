@@ -18,6 +18,7 @@ import struct
 from dataclasses import dataclass
 from typing import Iterable
 
+from . import cut_frames
 from ..errors import (
     DecodeError,
     FormatError,
@@ -28,6 +29,7 @@ from ..errors import (
 )
 
 MBAP = struct.Struct(">HHHB")
+HEADER_SIZE = MBAP.size
 
 FC_READ_HOLDING = 0x03
 FC_REPORT_SLAVE_ID = 0x11
@@ -130,24 +132,19 @@ def decode_modbus(data: bytes) -> tuple[MbapHeader, ModbusPdu]:
     return MbapHeader(tx, unit, length), ModbusPdu(function, payload)
 
 
+def frame_size(buf: bytes, at: int = 0) -> int | None:
+    """Total length of the MBAP frame starting at ``at``: protocol id 0, length 2..254."""
+    proto, length = struct.unpack_from(">HH", buf, at + 2)
+    return 6 + length if proto == 0 and 2 <= length <= 254 else None
+
+
 def extract_frames(buffer: bytes) -> tuple[list[bytes], bytes]:
     """Cut complete MBAP frames off the front of a stream buffer.
 
     Stops (returning the remainder untouched) at the first chunk that
     cannot be a Modbus/TCP frame.
     """
-    frames: list[bytes] = []
-    start = 0
-    while len(buffer) - start >= 7:
-        proto, length = struct.unpack_from(">HH", buffer, start + 2)
-        if proto != 0 or not 2 <= length <= 254:
-            break
-        end = start + 6 + length
-        if len(buffer) < end:
-            break
-        frames.append(bytes(buffer[start:end]))
-        start = end
-    return frames, bytes(buffer[start:])
+    return cut_frames(buffer, HEADER_SIZE, frame_size)
 
 
 def exception_frame(transaction_id: int, unit_id: int, function: int, code: int) -> bytes:

@@ -26,9 +26,11 @@ import struct
 from dataclasses import dataclass
 from typing import Iterable
 
+from . import cut_frames
 from ..errors import DecodeError, FormatError, LengthMismatch, Truncated
 
 TPKT_VERSION = 3
+HEADER_SIZE = 4  # TPKT
 
 COTP_CR = 0xE0
 COTP_CC = 0xD0
@@ -171,21 +173,15 @@ def decode_tpkt(data: bytes) -> bytes:
     return bytes(data[4:])
 
 
+def frame_size(buf: bytes, at: int = 0) -> int | None:
+    """Total length of the TPKT frame starting at ``at``: version 3, reserved 0, length 5..8192."""
+    version, reserved, length = struct.unpack_from(">BBH", buf, at)
+    return length if version == TPKT_VERSION and reserved == 0 and 5 <= length <= 8192 else None
+
+
 def extract_tpkt_frames(buffer: bytes) -> tuple[list[bytes], bytes]:
     """Cut complete TPKT frames off the front of a stream buffer."""
-    frames: list[bytes] = []
-    start = 0
-    while len(buffer) - start >= 4:
-        if buffer[start] != TPKT_VERSION or buffer[start + 1] != 0:
-            break
-        length = struct.unpack_from(">H", buffer, start + 2)[0]
-        if length < 5:
-            break
-        if len(buffer) < start + length:
-            break
-        frames.append(bytes(buffer[start : start + length]))
-        start += length
-    return frames, bytes(buffer[start:])
+    return cut_frames(buffer, HEADER_SIZE, frame_size)
 
 
 def _encode_cr_cc(cotp: CotpConnectionRequest | CotpConnectionConfirm, pdu_type: int) -> bytes:

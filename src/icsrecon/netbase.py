@@ -15,7 +15,7 @@ import struct
 import time
 from dataclasses import dataclass
 
-from .errors import PrivilegeRequired
+from .errors import FormatError, PrivilegeRequired
 from .pcapio import icmp_echo
 
 
@@ -113,7 +113,6 @@ class RealNetwork(Network):
 
 def recv_exactly(sock: socket.socket, count: int, timeout: float) -> bytes:
     """Read exactly ``count`` bytes or raise socket.timeout."""
-    sock.settimeout(timeout)
     chunks = bytearray()
     deadline = time.monotonic() + timeout
     while len(chunks) < count:
@@ -128,27 +127,10 @@ def recv_exactly(sock: socket.socket, count: int, timeout: float) -> bytes:
     return bytes(chunks)
 
 
-def recv_modbus_frame(sock: socket.socket, timeout: float) -> bytes:
-    head = recv_exactly(sock, 7, timeout)
-    length = struct.unpack(">H", head[4:6])[0]
-    if not 2 <= length <= 254:
-        raise ConnectionError(f"implausible MBAP length {length}")
-    return head + recv_exactly(sock, length - 1, timeout)
-
-
-def recv_tpkt_frame(sock: socket.socket, timeout: float) -> bytes:
-    head = recv_exactly(sock, 4, timeout)
-    if head[0] != 3:
-        raise ConnectionError(f"not a TPKT frame (version {head[0]})")
-    total = struct.unpack(">H", head[2:4])[0]
-    if not 5 <= total <= 8192:
-        raise ConnectionError(f"implausible TPKT length {total}")
-    return head + recv_exactly(sock, total - 4, timeout)
-
-
-def recv_enip_frame(sock: socket.socket, timeout: float) -> bytes:
-    head = recv_exactly(sock, 24, timeout)
-    length = struct.unpack("<H", head[2:4])[0]
-    if length > 8192:
-        raise ConnectionError(f"implausible encapsulation length {length}")
-    return head + (recv_exactly(sock, length, timeout) if length else b"")
+def recv_frame(sock: socket.socket, codec, timeout: float) -> bytes:
+    """Read one frame by the codec's frame rule; FormatError when the header cannot start one."""
+    head = recv_exactly(sock, codec.HEADER_SIZE, timeout)
+    size = codec.frame_size(head)
+    if size is None:
+        raise FormatError(f"{codec.__name__}: {head.hex()} cannot start a frame")
+    return head + recv_exactly(sock, size - len(head), timeout)

@@ -110,14 +110,17 @@ def _frames(protocol: str | None, data: bytes) -> list[bytes]:
 def classify_flow(data: bytes) -> tuple[str | None, list[bytes]]:
     """Payload-level protocol classification of one direction, and its frames.
 
-    Requires at least one complete frame of the protocol in question;
-    returns (None, []) when nothing matches (ports are deliberately
-    ignored). DNP3 is recognised by its start bytes and not cut.
+    Requires at least one complete frame of the protocol in question,
+    and for S7 a COTP envelope and for EtherNet/IP a known command in the
+    first one; returns (None, []) when nothing matches (ports are
+    deliberately ignored). DNP3 is recognised by its start bytes and not cut.
     """
     for protocol in ("modbus", "s7comm", "enip"):
         frames = _frames(protocol, data)
         try:
-            if frames and (protocol != "s7comm" or s7.decode_envelope(frames[0])):
+            if frames and (protocol != "s7comm" or s7.decode_envelope(frames[0])) and (
+                protocol != "enip" or enip.decode_header(frames[0])[0].command in enip.KNOWN_COMMANDS
+            ):
                 return protocol, frames
         except IcsReconError:
             continue  # TPKT-shaped bytes that do not carry COTP
@@ -338,4 +341,5 @@ def analyze_capture(source: CaptureSource) -> PassiveReport:
         classified_flows=classified,
         source=source.path if isinstance(source, PcapFile) else source.name,
         generated_at=datetime.now(timezone.utc),
+        nature="real_time" if isinstance(source, LiveInterface) else "offline",
     )

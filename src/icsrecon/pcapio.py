@@ -246,18 +246,23 @@ class CaptureReader:
     """Iterates (timestamp, frame) records from a classic pcap file.
 
     Malformed records bump :attr:`skipped` and end the stream instead
-    of raising; a wrong magic number is a FormatError up front.
+    of raising; a wrong magic number, a truncated global header or a
+    link type other than Ethernet is a FormatError up front.
     """
 
     def __init__(self, path: str):
         self.path = path
         self.skipped = 0
-        self.link_type = LINKTYPE_ETHERNET
         with open(path, "rb") as fh:
-            magic_raw = fh.read(4)
-        if len(magic_raw) < 4:
+            header = fh.read(24)
+        if len(header) < 4:
             raise FormatError("capture file shorter than a pcap global header", offset=0)
-        self._endian, self._nanos = self._classify_magic(magic_raw)
+        self._endian, self._nanos = self._classify_magic(header[:4])
+        if len(header) < 24:
+            raise FormatError("truncated pcap global header", offset=len(header))
+        self.link_type = struct.unpack(self._endian + "I", header[20:24])[0]
+        if self.link_type != LINKTYPE_ETHERNET:
+            raise FormatError(f"link type {self.link_type} is not Ethernet ({LINKTYPE_ETHERNET})", offset=20)
 
     @staticmethod
     def _classify_magic(raw: bytes) -> tuple[str, bool]:
@@ -272,10 +277,7 @@ class CaptureReader:
     def __iter__(self) -> Iterator[tuple[float, bytes]]:
         divisor = 1e9 if self._nanos else 1e6
         with open(self.path, "rb") as fh:
-            header = fh.read(24)
-            if len(header) < 24:
-                raise FormatError("truncated pcap global header", offset=len(header))
-            self.link_type = struct.unpack(self._endian + "I", header[20:24])[0]
+            fh.seek(24)
             while True:
                 record = fh.read(16)
                 if not record:

@@ -46,7 +46,7 @@ from .model import (
     format_timestamp,
     merge_observation,
 )
-from .netbase import Network, RealNetwork, recv_enip_frame, recv_modbus_frame, recv_tpkt_frame
+from .netbase import Network, RealNetwork, recv_frame
 from .ouidb import load_enip_vendors, vendor_for_mac
 from .ratelimit import TokenBucket
 
@@ -313,13 +313,13 @@ class Scanner:
             asset = self._merge(asset, open_ports=frozenset(open_ports))
         return asset
 
-    def _exchange(self, sock: socket.socket, payload: bytes, reader) -> bytes:
-        """Send one request and read one framed reply, one retry."""
+    def _exchange(self, sock: socket.socket, payload: bytes, codec) -> bytes:
+        """Send one request and read one reply framed by ``codec``, one retry."""
         for attempt in (0, 1):
             self.limiter.acquire()
             sock.sendall(payload)
             try:
-                return reader(sock, self.config.timeout)
+                return recv_frame(sock, codec, self.config.timeout)
             except socket.timeout:
                 if attempt == 1:
                     raise
@@ -350,13 +350,13 @@ class Scanner:
             sessions[protocol] = session
         return self._merge(asset, protocols=frozenset({protocol}))
 
-    def _open(self, ip: str, port: int, request: bytes, reader, confirm) -> Session | None:
+    def _open(self, ip: str, port: int, request: bytes, codec, confirm) -> Session | None:
         """Connect and make the opening exchange; the socket stays open if ``confirm`` accepts the reply."""
         result = self._connect(ip, port)
         if result.sock is None:
             return None
         try:
-            reply = self._exchange(result.sock, request, reader)
+            reply = self._exchange(result.sock, request, codec)
             confirm(reply)
         except OSError:
             result.sock.close()
@@ -369,19 +369,19 @@ class Scanner:
     def _open_modbus(self, ip: str, port: int) -> Session | None:
         # any well-formed reply, exceptions included, confirms Modbus
         request = modbus.build_device_id_request(unit=self.config.modbus_unit)
-        return self._open(ip, port, request, recv_modbus_frame, modbus.decode_modbus)
+        return self._open(ip, port, request, modbus, modbus.decode_modbus)
 
     def _open_s7(self, ip: str, port: int) -> Session | None:
         """Try the TSAP list in order; new TCP connection per attempt."""
         for _src, dst in self.config.s7_tsap_pairs:
             try:
-                return self._open(ip, port, s7.build_cotp_connect(0x0100, dst), recv_tpkt_frame, _confirm_cotp)
+                return self._open(ip, port, s7.build_cotp_connect(0x0100, dst), s7, _confirm_cotp)
             except ConnectionRefusedByTsap:
                 continue
         raise ConnectionRefusedByTsap(f"{ip}: every offered TSAP pair was refused")
 
     def _open_enip(self, ip: str, port: int) -> Session | None:
-        return self._open(ip, port, enip.build_list_identity(), recv_enip_frame, _confirm_list_identity)
+        return self._open(ip, port, enip.build_list_identity(), enip, _confirm_list_identity)
 
     # -- phase 3: enumeration, on the probe's session ------------------------
 
@@ -399,12 +399,12 @@ class Scanner:
                     if not ident.more_follows:
                         break
                     request = modbus.build_device_id_request(unit=unit, object_id=ident.next_object_id)
-                    replies.append(self._exchange(sock, request, recv_modbus_frame))
+                    replies.append(self._exchange(sock, request, modbus))
                     ident = modbus.parse_device_id_response(replies[-1])
             except (OSError, DecodeError, FormatError):
                 pass  # identification unsupported (exception reply) or cut short; deployment may still work
             try:
-                replies.append(self._exchange(sock, modbus.build_report_slave_id_request(unit), recv_modbus_frame))
+                replies.append(self._exchange(sock, modbus.build_report_slave_id_request(unit), modbus))
             except (OSError, DecodeError, FormatError):
                 pass
             static_fields, deployment = modbus.identity_fields(replies)
@@ -421,7 +421,7 @@ class Scanner:
             if self._stop.is_set():
                 break
             try:
-                reply = self._exchange(sock, modbus.build_report_slave_id_request(unit), recv_modbus_frame)
+                reply = self._exchange(sock, modbus.build_report_slave_id_request(unit), modbus)
                 modbus.parse_report_slave_id_response(reply)
                 responding.append(unit)
             except (OSError, DecodeError, FormatError):
@@ -435,14 +435,14 @@ class Scanner:
         replies = []
         with session[0] as sock:
             try:
-                reply = self._exchange(sock, s7.build_setup_communication(pdu_ref=1), recv_tpkt_frame)
+                reply = self._exchange(sock, s7.build_setup_communication(pdu_ref=1), s7)
                 if not isinstance(s7.decode_envelope(reply).cotp, s7.CotpData):
                     return asset
             except (OSError, DecodeError, FormatError):
                 return asset
             for szl_id in (s7.SZL_MODULE_ID, s7.SZL_COMPONENT_ID):
                 try:
-                    replies.append(self._exchange(sock, s7.build_szl_read(szl_id, pdu_ref=2), recv_tpkt_frame))
+                    replies.append(self._exchange(sock, s7.build_szl_read(szl_id, pdu_ref=2), s7))
                 except (OSError, DecodeError, FormatError):
                     continue  # no reply for this list; the other may still answer
         return self._apply_identity(asset, *s7.identity_fields(replies))

@@ -19,6 +19,7 @@ from __future__ import annotations
 import collections
 import json
 import logging
+import select
 import socket
 import socketserver
 import struct
@@ -29,13 +30,7 @@ from enum import Enum
 
 from .codecs import enip, modbus, s7
 from .errors import ConfigError, DecodeError, FormatError, IcsReconError, PortUnavailable
-from .netbase import (
-    ConnectResult,
-    Network,
-    recv_enip_frame,
-    recv_modbus_frame,
-    recv_tpkt_frame,
-)
+from .netbase import ConnectResult, Network, recv_frame
 from .pcapio import PcapWriter, TrafficRecorder
 
 logger = logging.getLogger(__name__)
@@ -297,13 +292,6 @@ def _enip_reply(device: SimDevice, request: bytes) -> bytes | None:
     return enip.encode_header(message.command, b"", status=0x0001)
 
 
-_FRAME_READERS = {
-    "modbus": recv_modbus_frame,
-    "s7comm": recv_tpkt_frame,
-    "enip": recv_enip_frame,
-}
-
-
 class _DeviceServer(socketserver.ThreadingTCPServer):
     daemon_threads = True
     allow_reuse_address = True
@@ -335,16 +323,16 @@ class _DeviceHandler(socketserver.BaseRequestHandler):
             (device.config.ip, device.config.listen_port),
         )
         flow.handshake()
-        reader = _FRAME_READERS[device.config.protocol]
+        codec = {"modbus": modbus, "s7comm": s7, "enip": enip}[device.config.protocol]
         session = _S7Session(device) if device.config.protocol == "s7comm" else None
         reset = False
         try:
             while True:
                 try:
-                    request = reader(self.request, CONNECTION_IDLE_TIMEOUT)
+                    request = recv_frame(self.request, codec, CONNECTION_IDLE_TIMEOUT)
                 except socket.timeout:
                     return
-                except (ConnectionError, OSError):
+                except (FormatError, OSError):
                     # unframeable input: treat whatever is pending as one
                     # malformed packet
                     device.note_received()
@@ -445,13 +433,16 @@ class StationHandle:
             self._idle.notify_all()
 
     def wait_idle(self, timeout: float = CONNECTION_IDLE_TIMEOUT + 1.0) -> bool:
-        """Wait until every accepted connection is served and its teardown recorded.
+        """Wait until every connection is accepted and served, and its teardown recorded.
 
         A handler outlives its client by at most the idle timeout; False
-        means a connection was still open when ``timeout`` ran out.
+        means a connection was still pending or open when ``timeout`` ran out.
         """
+        def idle() -> bool:  # a readable listening socket holds a connection not yet accepted
+            return self._in_flight == 0 and not select.select([s.socket for s in self._servers], [], [], 0)[0]
+
         with self._idle:
-            return self._idle.wait_for(lambda: self._in_flight == 0, timeout)
+            return self._idle.wait_for(idle, timeout)
 
     def __enter__(self) -> "StationHandle":
         return self

@@ -1,0 +1,60 @@
+"""One frame rule per protocol: the socket reader and the stream cutter agree."""
+
+from __future__ import annotations
+
+import socket
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from icsrecon.codecs import enip, modbus, s7
+from icsrecon.errors import FormatError
+from icsrecon.netbase import recv_frame
+
+EXTRACTORS = {modbus: modbus.extract_frames, s7: s7.extract_tpkt_frames, enip: enip.extract_frames}
+
+
+def read_frames(codec, data: bytes) -> list[bytes]:
+    """Frames ``recv_frame`` reads one by one off a socket fed ``data``, up to a rejected or cut-short one."""
+    left, right = socket.socketpair()
+    with left, right:
+        left.sendall(data)
+        left.shutdown(socket.SHUT_WR)
+        frames = []
+        while True:
+            try:
+                frames.append(recv_frame(right, codec, 1.0))
+            except (FormatError, socket.timeout):
+                return frames
+
+
+@pytest.mark.parametrize(
+    "codec, data, accepted",
+    [
+        pytest.param(s7, s7.encode_tpkt(b"\x02\xf0\x80" + bytes(8993)), False, id="tpkt_9000_bytes"),
+        pytest.param(s7, bytes([3, 1, 0, 7]) + b"\x02\xf0\x80", False, id="tpkt_reserved_1"),
+        pytest.param(modbus, bytes.fromhex("000199990003012b00"), False, id="mbap_protocol_id_9999"),
+        pytest.param(enip, enip.encode_header(0x0999, b""), True, id="enip_unknown_command"),
+        pytest.param(enip, enip.encode_header(enip.CMD_LIST_IDENTITY, bytes(9000)), False, id="enip_9000_payload"),
+    ],
+)
+def test_socket_reader_and_stream_cutter_agree(codec, data, accepted):
+    expected = [data] if accepted else []
+    assert EXTRACTORS[codec](data)[0] == expected
+    assert read_frames(codec, data) == expected
+
+
+GOOD_FRAMES = {
+    modbus: [modbus.build_device_id_request(unit=1), modbus.build_report_slave_id_response(2, 1, slave_id=5)],
+    s7: [s7.build_cotp_connect(0x0100, 0x0102), s7.build_setup_communication(pdu_ref=1)],
+    enip: [enip.build_list_identity(), enip.encode_header(0x0999, b"\x01\x02")],
+}
+
+
+@pytest.mark.parametrize("codec", [modbus, s7, enip], ids=["modbus", "s7", "enip"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_reader_matches_cutter_on_arbitrary_streams(codec, data):
+    pieces = data.draw(st.lists(st.one_of(st.sampled_from(GOOD_FRAMES[codec]), st.binary(max_size=40)), max_size=6))
+    stream = b"".join(pieces)
+    assert read_frames(codec, stream) == EXTRACTORS[codec](stream)[0]

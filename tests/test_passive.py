@@ -10,6 +10,7 @@ from icsrecon.config import default_fixtures_path, load_fixtures
 from icsrecon.errors import FormatError
 from icsrecon.model import PortSpec
 from icsrecon.passive import (
+    LiveInterface,
     PcapFile,
     REASSEMBLY_CAP,
     _dissect,
@@ -44,6 +45,7 @@ from icsrecon.pcapio import (
 )
 from icsrecon.scanner import ScanConfig, run_scan
 from icsrecon.simulator import SimNetwork, start_station
+from icsrecon.taxonomy import classify_run
 
 from conftest import one_byte_changed
 
@@ -105,6 +107,8 @@ def test_classify_http_on_modbus_port_is_none():
 def test_classify_s7_and_enip_and_dnp3():
     assert classify_flow(s7.build_cotp_connect(0x0100, 0x0102))[0] == "s7comm"
     assert classify_flow(enip.build_list_identity())[0] == "enip"
+    # well framed, but a command no adapter knows: framing alone claims nothing
+    assert classify_flow(enip.encode_header(0x0999, b"") + enip.build_list_identity()) == (None, [])
     assert classify_flow(b"\x05\x64\x05\xc0\x01\x00\x00\x04\xe9\x21")[0] == "dnp3"
     assert classify_flow(b"")[0] is None
 
@@ -202,6 +206,23 @@ def test_identity_payloads_reach_level_five(tmp_path):
     assert rtu.static_info.manufacturer == "Schneider Electric"
     assert rtu.deployment_info.get("modbus_slave_id") == "5"
     assert rtu.deployment_info.get("unit_id") == "1"
+
+
+def test_live_interface_run_is_real_time(tmp_path, monkeypatch):
+    path, writer, recorder = make_recorder(tmp_path)
+    flow = recorder.tcp_flow(("192.168.90.1", 50003), ("192.168.90.13", 502))
+    flow.handshake()
+    flow.client_payload(modbus.build_report_slave_id_request(unit=1))
+    flow.server_payload(modbus.build_report_slave_id_response(1, 1, slave_id=5))
+    flow.close()
+    writer.close()
+    frames = list(read_capture(PcapFile(str(path))))
+    monkeypatch.setattr(LiveInterface, "__iter__", lambda self: iter(frames))
+    report = analyze_capture(LiveInterface("eth9"))
+    assert report.to_document()["nature"] == "real_time"
+    assert report.source == "eth9" and report.frames_read == len(frames)
+    assert classify_run(report).exec.nature == frozenset({"real_time"})
+    assert classify_run(analyze_capture(PcapFile(str(path)))).exec.nature == frozenset({"offline"})
 
 
 def test_out_of_order_segments_dropped_and_counted(tmp_path):

@@ -61,6 +61,15 @@ def test_wrong_magic(tmp_path):
         CaptureReader(str(path))
 
 
+def test_non_ethernet_link_type_is_format_error(tmp_path):
+    # LINKTYPE_RAW (101): IPv4 packets with no Ethernet header, which the dissector cannot read
+    path = tmp_path / "raw.pcap"
+    blob = struct.pack("<IHHiIII", pcapio.MAGIC_MICROS, 2, 4, 0, 0, 65535, 101)
+    path.write_bytes(blob + struct.pack("<IIII", 1, 0, 20, 20) + b"\x45" + b"\x00" * 19)
+    with pytest.raises(FormatError, match="link type 101"):
+        CaptureReader(str(path))
+
+
 def test_big_endian_and_nanosecond_variants(tmp_path):
     frame = b"\xaa" * 16
     for magic, endian, nanos in [

@@ -494,7 +494,16 @@ def test_unsafe_unit_sweep_reaches_capture_and_report(tmp_path):
     assert len(swept_units) == 247
 
 
-def test_malformed_reply_recorded_as_anomaly_without_claim():
+@pytest.mark.parametrize(
+    "port, reply",
+    [
+        # well-framed MBAP length, but a nonzero protocol id
+        pytest.param(502, bytes.fromhex("000199990003012b00"), id="mbap_protocol_id"),
+        # something that is not TPKT answering on the S7 port
+        pytest.param(102, b"HTTP/1.1 400 Bad Request\r\n\r\n", id="non_tpkt"),
+    ],
+)
+def test_malformed_reply_recorded_as_anomaly_without_claim(port, reply):
     import socketserver
     import threading
 
@@ -502,14 +511,13 @@ def test_malformed_reply_recorded_as_anomaly_without_claim():
         def handle(self):
             try:
                 self.request.recv(1024)
-                # well-framed MBAP length, but a nonzero protocol id
-                self.request.sendall(bytes.fromhex("000199990003012b00"))
+                self.request.sendall(reply)
             except OSError:
                 pass
 
     server = socketserver.ThreadingTCPServer(("127.0.0.1", 0), GarbageHandler)
     threading.Thread(target=server.serve_forever, daemon=True).start()
-    port = server.server_address[1]
+    real_port = server.server_address[1]
 
     from icsrecon.netbase import ConnectResult, Network
     import socket as socket_mod
@@ -525,16 +533,16 @@ def test_malformed_reply_recorded_as_anomaly_without_claim():
             return None
 
         def connect(self, ip, port_number, timeout):
-            if port_number != 502:
+            if port_number != port:
                 return ConnectResult("refused")
-            sock = socket_mod.create_connection(("127.0.0.1", port), timeout=timeout)
+            sock = socket_mod.create_connection(("127.0.0.1", real_port), timeout=timeout)
             return ConnectResult("open", sock)
 
     try:
         scanner = Scanner(quick_config(targets=("10.9.9.9",)), network=RogueNetwork())
         (asset,) = scanner.discover_hosts()
         asset = scanner.scan_ports(asset)
-        asset = scanner.probe_protocol(asset, 502)
+        asset = scanner.probe_protocol(asset, port)
         assert asset.protocols == frozenset()
         assert any("malformed reply" in a for a in scanner.anomalies)
     finally:

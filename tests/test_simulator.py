@@ -12,7 +12,7 @@ import pytest
 from icsrecon.codecs import enip, modbus, s7
 from icsrecon.config import default_fixtures_path, load_fixtures
 from icsrecon.errors import ConfigError, PortUnavailable
-from icsrecon.netbase import recv_enip_frame, recv_modbus_frame, recv_tpkt_frame
+from icsrecon.netbase import recv_frame
 from icsrecon.passive import PcapFile, read_capture
 from icsrecon.pcapio import TCP_FIN, parse_ethernet, parse_ipv4, parse_tcp
 from icsrecon.simulator import (
@@ -50,11 +50,11 @@ def station():
     handle.stop()
 
 
-def exchange(station, config_port, ip, request, reader):
+def exchange(station, config_port, ip, request, codec):
     real_port = station.lookup(ip, config_port)
     with socket.create_connection(("127.0.0.1", real_port), timeout=2) as sock:
         sock.sendall(request)
-        return reader(sock, 2.0)
+        return recv_frame(sock, codec, 2.0)
 
 
 # -- config validation ---------------------------------------------------
@@ -180,7 +180,7 @@ def test_default_fixture_station_starts_and_answers(station=None):
     assert len(config.devices) == 5
     handle = start_station(list(config.devices), scanner_ip=config.scanner_ip)
     try:
-        reply = exchange(handle, 102, "192.168.90.10", s7.build_cotp_connect(0x0100, 0x0102), recv_tpkt_frame)
+        reply = exchange(handle, 102, "192.168.90.10", s7.build_cotp_connect(0x0100, 0x0102), s7)
         assert isinstance(s7.decode_envelope(reply).cotp, s7.CotpConnectionConfirm)
     finally:
         handle.stop()
@@ -190,18 +190,18 @@ def test_default_fixture_station_starts_and_answers(station=None):
 
 
 def test_modbus_replies_parse_cleanly(station):
-    reply = exchange(station, 502, "192.168.90.13", modbus.build_device_id_request(unit=1), recv_modbus_frame)
+    reply = exchange(station, 502, "192.168.90.13", modbus.build_device_id_request(unit=1), modbus)
     ident = modbus.parse_device_id_response(reply)
     assert ident.objects[modbus.OBJ_VENDOR_NAME] == "Schneider Electric"
     assert ident.objects[modbus.OBJ_PRODUCT_CODE] == "SCADAPack32"
 
-    reply = exchange(station, 502, "192.168.90.13", modbus.build_report_slave_id_request(unit=1), recv_modbus_frame)
+    reply = exchange(station, 502, "192.168.90.13", modbus.build_report_slave_id_request(unit=1), modbus)
     parsed = modbus.parse_report_slave_id_response(reply)
     assert parsed.slave_id == 5
 
 
 def test_modbus_wrong_unit_gets_gateway_exception(station):
-    reply = exchange(station, 502, "192.168.90.13", modbus.build_report_slave_id_request(unit=99), recv_modbus_frame)
+    reply = exchange(station, 502, "192.168.90.13", modbus.build_report_slave_id_request(unit=99), modbus)
     _, pdu = modbus.decode_modbus(reply)
     assert pdu.is_exception
     assert pdu.exception_code == 0x0B
@@ -211,7 +211,7 @@ def test_modbus_unsupported_function_is_wellformed_exception():
     config = modbus_config(feature_flags=frozenset({"report_slave_id_fc11"}))
     handle = start_station([config])
     try:
-        reply = exchange(handle, 502, "192.168.90.13", modbus.build_device_id_request(unit=1), recv_modbus_frame)
+        reply = exchange(handle, 502, "192.168.90.13", modbus.build_device_id_request(unit=1), modbus)
         _, pdu = modbus.decode_modbus(reply)
         assert pdu.is_exception
         assert pdu.exception_code == modbus.EXC_ILLEGAL_FUNCTION
@@ -231,9 +231,9 @@ def test_s7_wrong_tsap_refused():
     )
     handle = start_station([config])
     try:
-        reply = exchange(handle, 102, "192.168.90.10", s7.build_cotp_connect(0x0100, 0x0999), recv_tpkt_frame)
+        reply = exchange(handle, 102, "192.168.90.10", s7.build_cotp_connect(0x0100, 0x0999), s7)
         assert isinstance(s7.decode_envelope(reply).cotp, s7.CotpDisconnectRequest)
-        reply = exchange(handle, 102, "192.168.90.10", s7.build_cotp_connect(0x0100, 0x0102), recv_tpkt_frame)
+        reply = exchange(handle, 102, "192.168.90.10", s7.build_cotp_connect(0x0100, 0x0102), s7)
         assert isinstance(s7.decode_envelope(reply).cotp, s7.CotpConnectionConfirm)
     finally:
         handle.stop()
@@ -246,11 +246,11 @@ def test_s7_szl_refused_without_feature():
         real_port = handle.lookup("192.168.90.12", 102)  # the HMI-like panel
         with socket.create_connection(("127.0.0.1", real_port), timeout=2) as sock:
             sock.sendall(s7.build_cotp_connect(0x0100, 0x0102))
-            assert isinstance(s7.decode_envelope(recv_tpkt_frame(sock, 2.0)).cotp, s7.CotpConnectionConfirm)
+            assert isinstance(s7.decode_envelope(recv_frame(sock, s7, 2.0)).cotp, s7.CotpConnectionConfirm)
             sock.sendall(s7.build_setup_communication(pdu_ref=1))
-            recv_tpkt_frame(sock, 2.0)
+            recv_frame(sock, s7, 2.0)
             sock.sendall(s7.build_szl_read(s7.SZL_MODULE_ID, pdu_ref=2))
-            reply = recv_tpkt_frame(sock, 2.0)
+            reply = recv_frame(sock, s7, 2.0)
             message = s7.decode_s7(s7.decode_envelope(reply).cotp.payload)
             assert isinstance(message, s7.S7SzlResponse)
             assert message.error_code != 0
@@ -262,11 +262,23 @@ def test_enip_identity_reply_matches_fixture():
     config = load_fixtures(default_fixtures_path())
     handle = start_station(list(config.devices))
     try:
-        reply = exchange(handle, 44818, "192.168.90.14", enip.build_list_identity(), recv_enip_frame)
+        reply = exchange(handle, 44818, "192.168.90.14", enip.build_list_identity(), enip)
         identity = enip.parse_list_identity(reply)
         assert identity.product_name == "ControlLogix 5561"
         assert identity.vendor_id == 1
         assert identity.revision == (20, 11)
+    finally:
+        handle.stop()
+
+
+def test_unknown_enip_command_gets_status_one():
+    config = load_fixtures(default_fixtures_path())
+    handle = start_station(list(config.devices))
+    try:
+        reply = exchange(handle, 44818, "192.168.90.14", enip.encode_header(0x0999, b""), enip)
+        message, payload = enip.decode_header(reply)
+        assert (message.command, message.status, payload) == (0x0999, 0x0001, b"")
+        assert handle.device("controllogix_like").counters.malformed_seen == 0
     finally:
         handle.stop()
 
@@ -279,9 +291,9 @@ def test_fault_latching_no_replies_until_reset(station):
     with socket.create_connection(("127.0.0.1", real_port), timeout=2) as sock:
         sock.sendall(modbus.build_report_slave_id_request(unit=1))
         with pytest.raises(socket.timeout):
-            recv_modbus_frame(sock, 1.0)
+            recv_frame(sock, modbus, 1.0)
     device.reset()
-    reply = exchange(station, 502, "192.168.90.13", modbus.build_report_slave_id_request(unit=1), recv_modbus_frame)
+    reply = exchange(station, 502, "192.168.90.13", modbus.build_report_slave_id_request(unit=1), modbus)
     assert modbus.parse_report_slave_id_response(reply).slave_id == 5
 
 
@@ -344,7 +356,7 @@ def test_wait_idle_returns_after_the_last_teardown_frame(tmp_path):
     try:
         sock = socket.create_connection(("127.0.0.1", station.lookup("192.168.90.13", 502)), timeout=2)
         sock.sendall(modbus.build_report_slave_id_request(unit=1))
-        recv_modbus_frame(sock, 2.0)
+        recv_frame(sock, modbus, 2.0)
         closer = threading.Timer(0.3, sock.close)  # the client lingers, then goes away
         closer.start()
         assert station.wait_idle(timeout=5.0)
@@ -360,6 +372,14 @@ def test_wait_idle_returns_after_the_last_teardown_frame(tmp_path):
 def test_wait_idle_is_bounded_while_a_client_holds_its_connection(station):
     with socket.create_connection(("127.0.0.1", station.lookup("192.168.90.13", 502)), timeout=2) as sock:
         sock.sendall(modbus.build_report_slave_id_request(unit=1))
-        recv_modbus_frame(sock, 2.0)  # the server has accepted and is serving it
+        recv_frame(sock, modbus, 2.0)  # the server has accepted and is serving it
         assert not station.wait_idle(timeout=0.2)
     assert station.wait_idle(timeout=5.0)
+
+
+def test_wait_idle_counts_a_connection_not_yet_accepted(station):
+    port = station.lookup("192.168.90.13", 502)
+    for _ in range(20):
+        # nothing is sent or read: the connection may still sit in the accept queue
+        with socket.create_connection(("127.0.0.1", port), timeout=2):
+            assert not station.wait_idle(timeout=0.2)
