@@ -174,7 +174,7 @@ class DeploymentInfo:
         return self.as_dict().get(key)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CveRecord:
     """One vulnerability database entry (version bounds: [min, max))."""
 
@@ -190,8 +190,12 @@ class CveRecord:
     def __post_init__(self):
         if not _CVE_ID_RE.match(self.cve_id):
             raise ValueError(f"bad CVE id {self.cve_id!r}")
-        if self.severity is not None and not 0.0 <= self.severity <= 10.0:
-            raise ValueError(f"severity out of range: {self.severity}")
+        if not isinstance(self.summary, str):
+            raise ValueError(f"summary must be text, got {self.summary!r}")
+        if self.severity is not None and (
+            isinstance(self.severity, bool) or not isinstance(self.severity, (int, float)) or not 0 <= self.severity <= 10
+        ):
+            raise ValueError(f"severity must be a number in 0-10, got {self.severity!r}")
 
     def to_dict(self) -> dict[str, Any]:
         return {

@@ -50,9 +50,14 @@ class CveDatabase:
 
     def __post_init__(self):
         index: dict[str, dict[str, list[CveRecord]]] = {}
+        groups: dict[str, dict[str, list[CveRecord]]] = {}
+        products: dict[str, str] = {}
         for record in self.records:
-            products = index.setdefault(_canonical_vendor(record.vendor, self.aliases), {})
-            products.setdefault(normalize_product(record.product), []).append(record)
+            if record.vendor not in groups:
+                groups[record.vendor] = index.setdefault(_canonical_vendor(record.vendor, self.aliases), {})
+            if record.product not in products:
+                products[record.product] = normalize_product(record.product)
+            groups[record.vendor].setdefault(products[record.product], []).append(record)
         object.__setattr__(self, "index", index)
 
     def __len__(self) -> int:
@@ -100,6 +105,7 @@ def load_db(path: str, alias_path: str | None = None) -> CveDatabase:
         raise FormatError("CVE database must be a JSON array of records")
     records = []
     seen: set[str] = set()
+    keys: dict[str, tuple[tuple[int, str], ...]] = {}  # bound text -> parsed key, for this load only
     for position, entry in enumerate(raw):
         try:
             vendor, product = entry.get("vendor", ""), entry.get("product", "")
@@ -125,10 +131,12 @@ def load_db(path: str, alias_path: str | None = None) -> CveDatabase:
                 continue
             if not isinstance(value, str):
                 raise FormatError(f"{record.cve_id}: {name} must be a string, got {value!r}")
-            try:
-                bounds.append(parse_version(value))
-            except ValueError as exc:
-                raise FormatError(f"{record.cve_id}: {name}: {exc}") from exc
+            if value not in keys:
+                try:
+                    keys[value] = parse_version(value)
+                except ValueError as exc:
+                    raise FormatError(f"{record.cve_id}: {name}: {exc}") from exc
+            bounds.append(keys[value])
         if len(bounds) == 2 and _compare_keys(*bounds) > 0:
             raise FormatError(
                 f"{record.cve_id}: version_min {record.version_min} above version_max {record.version_max}"
@@ -138,7 +146,7 @@ def load_db(path: str, alias_path: str | None = None) -> CveDatabase:
     return CveDatabase(records=tuple(records), aliases=load_aliases(alias_path))
 
 
-_SEGMENT = re.compile(r"^(\d*)(.*)$")
+_SEGMENT = re.compile(r"^(\d*)(.*)$", re.DOTALL)
 
 
 def parse_version(text: str) -> tuple[tuple[int, str], ...]:
@@ -148,6 +156,9 @@ def parse_version(text: str) -> tuple[tuple[int, str], ...]:
     suffix); missing segments compare as (0, ""). A version with no
     digits anywhere does not parse.
     """
+    segments = text.split(".")
+    if all(map(str.isdecimal, segments)):  # plain "4.2.1": the pattern below would give the same key
+        return tuple((int(segment), "") for segment in segments)
     cleaned = text.strip()
     if cleaned[:1] in ("v", "V"):
         cleaned = cleaned[1:]

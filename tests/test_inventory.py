@@ -8,7 +8,7 @@ import random
 import pytest
 
 from icsrecon.errors import FormatError
-from icsrecon.model import Asset, Inventory, PortSpec, StaticDeviceInfo
+from icsrecon.model import Asset, CveRecord, Inventory, PortSpec, StaticDeviceInfo
 
 from conftest import random_asset, ts
 
@@ -95,6 +95,22 @@ def test_load_bad_asset_record(tmp_path):
     path = tmp_path / "inv.json"
     path.write_text(json.dumps({"version": 1, "assets": [{"ip": "not-an-ip", "last_seen": "x"}]}))
     with pytest.raises(FormatError):
+        Inventory.load(path)
+
+
+@pytest.mark.parametrize("fields", [{"severity": True}, {"severity": "9.8"}, {"summary": ["x"]}, {"summary": None}])
+def test_load_rejects_non_numeric_severity_and_non_text_summary(tmp_path, fields):
+    asset = Asset(
+        "10.0.0.1", ts(), static_info=StaticDeviceInfo(manufacturer="Siemens"),
+        vulnerabilities=(CveRecord("CVE-2020-12345", "siemens", "et200s", summary="ok", severity=7.5),),
+    )
+    path = tmp_path / "inv.json"
+    Inventory([asset]).save(path)
+    doc = json.loads(path.read_text())
+    assert Inventory.from_document(doc).get("10.0.0.1") == asset
+    doc["assets"][0]["vulnerabilities"][0].update(fields)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(FormatError, match="bad asset record"):
         Inventory.load(path)
 
 

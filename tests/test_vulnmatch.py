@@ -5,8 +5,10 @@ from __future__ import annotations
 import json
 import logging
 import random
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from icsrecon.errors import FormatError
 from icsrecon.model import CveRecord, StaticDeviceInfo
@@ -14,8 +16,11 @@ from icsrecon import vulnmatch
 from icsrecon.vulnmatch import (
     CveDatabase,
     compare_versions,
+    load_aliases,
     load_db,
     match,
+    normalize_product,
+    normalize_vendor,
     parse_version,
 )
 
@@ -60,6 +65,56 @@ def test_unparseable_version_raises():
         parse_version("not-a-version")
     with pytest.raises(ValueError):
         parse_version("")
+
+
+_REFERENCE_SEGMENT = re.compile(r"^(\d*)(.*)$", re.DOTALL)
+
+
+def reference_parse_version(text: str) -> tuple[tuple[int, str], ...]:
+    """``parse_version`` without its all-decimal fast path: the regex-only reference."""
+    cleaned = text.strip()
+    if cleaned[:1] in ("v", "V"):
+        cleaned = cleaned[1:]
+    if not any(ch.isdigit() for ch in cleaned):
+        raise ValueError(f"unparseable version {text!r}")
+    key = []
+    for segment in cleaned.split("."):
+        parts = _REFERENCE_SEGMENT.match(segment.strip())
+        digits, suffix = parts.group(1), parts.group(2)
+        key.append((int(digits) if digits else 0, suffix))
+    return tuple(key)
+
+
+# dotted texts near the fast path's edge: non-ASCII decimal digits ("٣", "１") that
+# int() reads, a superscript ("²") that isdigit() accepts but int() does not, letters,
+# padding, a newline, empty segments and a v/V prefix
+_VERSION_PIECES = st.sampled_from(
+    ["0", "1", "42", "007", "\u00b2", "\u0663", "\uff11", "a", "rc", "x", " ", "\t", "\n", ""]
+)
+DOTTED_VERSIONS = st.builds(
+    lambda prefix, segments: prefix + ".".join(segments),
+    st.sampled_from(["", "v", "V", " v"]),
+    st.lists(st.lists(_VERSION_PIECES, max_size=3).map("".join), min_size=1, max_size=5),
+)
+
+
+@settings(max_examples=500)
+@given(st.one_of(st.text(), DOTTED_VERSIONS))
+def test_parse_version_agrees_with_regex_reference(text):
+    try:
+        expected = reference_parse_version(text)
+    except ValueError:
+        with pytest.raises(ValueError):
+            parse_version(text)
+    else:
+        assert parse_version(text) == expected
+
+
+def test_newline_inside_a_version_is_part_of_the_suffix():
+    assert parse_version("1.a\nb") == ((1, ""), (0, "a\nb"))
+    db = db_from([record(vmax="4.0")])
+    info = StaticDeviceInfo(manufacturer="Siemens", model="ET200S", firmware_version="3.a\nb")
+    assert [h.cve_id for h in match(info, db)] == ["CVE-2020-10000"]
 
 
 # -- matching -------------------------------------------------------------------
@@ -242,6 +297,93 @@ def test_load_db_rejects_non_text_vendor_or_product(tmp_path, entry):
     path = tmp_path / "types.json"
     path.write_text(json.dumps([{"cve_id": "CVE-2020-11111", **entry}]))
     with pytest.raises(FormatError):
+        load_db(str(path))
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [{"severity": True}, {"severity": "9.8"}, {"severity": 10.5}, {"severity": -1}, {"summary": ["x"]},
+     {"summary": None}, {"severity": True, "summary": ["x"]}],
+)
+def test_load_db_rejects_non_numeric_severity_and_non_text_summary(tmp_path, fields):
+    good = {"cve_id": "CVE-2020-11111", "vendor": "a", "product": "b", "severity": 0, "summary": "ok"}
+    path = tmp_path / "fields.json"
+    path.write_text(json.dumps([good, {**good, "cve_id": "CVE-2020-22222", **fields}]))
+    with pytest.raises(FormatError, match="index 1"):
+        load_db(str(path))
+
+
+def reference_db(path: str) -> CveDatabase:
+    """The records of the database at ``path``, each built field by field."""
+    with open(path, encoding="utf-8") as fh:
+        rows = json.load(fh)
+    records = []
+    for row in rows:
+        records.append(
+            CveRecord(
+                cve_id=row["cve_id"],
+                vendor=normalize_vendor(row.get("vendor", "")),
+                product=row.get("product", ""),
+                summary=row.get("summary", ""),
+                version_min=row.get("version_min"),
+                version_max=row.get("version_max"),
+                severity=row.get("severity"),
+            )
+        )
+    return CveDatabase(records=tuple(records), aliases=load_aliases(None))
+
+
+def reference_index(db: CveDatabase) -> list:
+    """The index folded record by record, as ordered (vendor, [(product, records)]) pairs."""
+    index: dict[str, dict[str, list[CveRecord]]] = {}
+    for r in db.records:
+        vendor = normalize_vendor(r.vendor)
+        products = index.setdefault(db.aliases.get(vendor, vendor), {})
+        products.setdefault(normalize_product(r.product), []).append(r)
+    return [(vendor, list(products.items())) for vendor, products in index.items()]
+
+
+def test_load_db_equals_a_record_by_record_construction(tmp_path):
+    rng = random.Random(0x5EED)
+    texts = ["1.0", "2.0", "2.0", "3.2.6", "v4.4", "4.10rc1", "10.1"]  # repeated, also across min and max
+    rows = []
+    for i in range(300):
+        vmin, vmax = rng.choice([None, *texts]), rng.choice([None, *texts])
+        if vmin and vmax and compare_versions(vmin, vmax) > 0:
+            vmin, vmax = vmax, vmin
+        rows.append({"cve_id": f"CVE-2021-{10000 + i}", "vendor": rng.choice(VENDORS), "product":
+                     rng.choice(PRODUCTS), "version_min": vmin, "version_max": vmax,
+                     "severity": rng.choice([None, 4, 9.8]), "summary": f"entry {i}"})
+    generated = tmp_path / "generated.json"
+    generated.write_text(json.dumps(rows))
+    for path in (FIXTURE_DB, str(generated)):
+        loaded, expected = load_db(path), reference_db(path)
+        assert loaded.records == expected.records
+        assert loaded.aliases == expected.aliases
+        assert [(v, list(p.items())) for v, p in loaded.index.items()] == reference_index(expected)
+
+
+def test_reused_bound_texts_still_checked_per_record(tmp_path):
+    base = {"vendor": "a", "product": "b"}
+    rows = [
+        {**base, "cve_id": "CVE-2020-11111", "version_min": "1.0", "version_max": "2.0"},
+        {**base, "cve_id": "CVE-2020-22222", "version_min": "2.0", "version_max": "5.0"},
+        {**base, "cve_id": "CVE-2020-33333", "version_min": "5.0", "version_max": "1.0"},
+    ]
+    path = tmp_path / "inverted.json"
+    path.write_text(json.dumps(rows))
+    with pytest.raises(FormatError, match="CVE-2020-33333"):
+        load_db(str(path))
+
+    rows[2] = {**base, "cve_id": "CVE-2020-33333", "version_min": "1.0", "version_max": ["2.0"]}
+    path.write_text(json.dumps(rows))
+    with pytest.raises(FormatError, match="CVE-2020-33333"):
+        load_db(str(path))
+
+    rows[2] = {**base, "cve_id": "CVE-2020-33333", "version_min": "n/a"}
+    rows.append({**base, "cve_id": "CVE-2020-44444", "version_max": "n/a"})
+    path.write_text(json.dumps(rows))
+    with pytest.raises(FormatError, match="CVE-2020-33333"):
         load_db(str(path))
 
 
