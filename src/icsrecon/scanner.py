@@ -4,9 +4,11 @@ enumeration, then optional vulnerability lookup.
 Later phases only visit hosts that survived earlier ones, and
 protocol enumeration is never attempted without a confirmed protocol
 (the probe log makes that auditable). Discovery stops at the first
-method that answers for a host. Each confirmed service costs one TCP
-session: the probe's opening exchange confirms the protocol, and
-enumeration continues on that socket, reusing the first reply. A
+method that answers for a host. Each host is then handled in one pass:
+a port scan, then each open port in order is probed and, once its
+protocol is confirmed, enumerated at once on the probe's own socket,
+reusing the first reply. No session outlives its port, so a device's
+idle timeout never runs while another port is probed. A
 single token bucket gates every emitted packet across all workers;
 TCP connect scanning (full handshake, closed immediately) is used
 instead of half-open scanning because it needs no privilege and is
@@ -325,15 +327,15 @@ class Scanner:
                     raise
         raise socket.timeout  # unreachable
 
-    def probe_protocol(self, asset: Asset, port: int, sessions: dict[str, Session] | None = None) -> Asset:
-        """Phase 2b: payload-level protocol confirmation on one port; ``sessions`` keeps its socket."""
+    def probe_protocol(self, asset: Asset, port: int) -> Asset:
+        """Payload-level protocol confirmation on one port, then enumeration on the same socket."""
         if PortSpec(port) not in asset.open_ports:
             raise ValueError(f"port {port} is not known open on {asset.ip}")
-        protocol, opener = {
-            502: ("modbus", self._open_modbus),
-            102: ("s7comm", self._open_s7),
-            44818: ("enip", self._open_enip),
-        }.get(port, (None, None))
+        protocol, opener, enumerate_ = {
+            502: ("modbus", self._open_modbus, self.enumerate_modbus),
+            102: ("s7comm", self._open_s7, self.enumerate_s7),
+            44818: ("enip", self._open_enip, self.enumerate_enip),
+        }.get(port, (None, None, None))
         session = None
         try:
             session = opener(asset.ip, port) if opener else None
@@ -344,11 +346,15 @@ class Scanner:
         self._note(ScanPhase.SERVICE_IDENTIFICATION, asset.ip, f"probe:{port}")
         if session is None:
             return asset
-        if sessions is None:
-            session[0].close()
-        else:
-            sessions[protocol] = session
-        return self._merge(asset, protocols=frozenset({protocol}))
+        with session[0]:
+            asset = self._merge(asset, protocols=frozenset({protocol}))
+            if self._stop.is_set():
+                return asset
+            try:
+                return enumerate_(asset, session)
+            except (IcsReconError, OSError) as exc:
+                self._anomaly(f"enumeration failed for {asset.ip}/{protocol}: {exc}")
+                return asset
 
     def _open(self, ip: str, port: int, request: bytes, codec, confirm) -> Session | None:
         """Connect and make the opening exchange; the socket stays open if ``confirm`` accepts the reply."""
@@ -383,7 +389,7 @@ class Scanner:
     def _open_enip(self, ip: str, port: int) -> Session | None:
         return self._open(ip, port, enip.build_list_identity(), enip, _confirm_list_identity)
 
-    # -- phase 3: enumeration, on the probe's session ------------------------
+    # -- phase 3: enumeration, on the probe's session, which the probe closes ---
 
     def enumerate_modbus(self, asset: Asset, session: Session) -> Asset:
         if "modbus" not in asset.protocols:
@@ -391,27 +397,26 @@ class Scanner:
         self._note(ScanPhase.ENUMERATION, asset.ip, "enumerate_modbus")
         sock, reply = session
         replies = [reply]
-        with sock:
-            unit = self.config.modbus_unit
-            try:
-                ident = modbus.parse_device_id_response(reply)
-                for _round in range(3):  # continuation guard
-                    if not ident.more_follows:
-                        break
-                    request = modbus.build_device_id_request(unit=unit, object_id=ident.next_object_id)
-                    replies.append(self._exchange(sock, request, modbus))
-                    ident = modbus.parse_device_id_response(replies[-1])
-            except (OSError, DecodeError, FormatError):
-                pass  # identification unsupported (exception reply) or cut short; deployment may still work
-            try:
-                replies.append(self._exchange(sock, modbus.build_report_slave_id_request(unit), modbus))
-            except (OSError, DecodeError, FormatError):
-                pass
-            static_fields, deployment = modbus.identity_fields(replies)
-            if self.config.unit_id_sweep and not self.config.safe_mode:
-                responding = self._sweep_units(sock)
-                if responding:
-                    deployment["unit_ids"] = ",".join(str(u) for u in responding)
+        unit = self.config.modbus_unit
+        try:
+            ident = modbus.parse_device_id_response(reply)
+            for _round in range(3):  # continuation guard
+                if not ident.more_follows:
+                    break
+                request = modbus.build_device_id_request(unit=unit, object_id=ident.next_object_id)
+                replies.append(self._exchange(sock, request, modbus))
+                ident = modbus.parse_device_id_response(replies[-1])
+        except (OSError, DecodeError, FormatError):
+            pass  # identification unsupported (exception reply) or cut short; deployment may still work
+        try:
+            replies.append(self._exchange(sock, modbus.build_report_slave_id_request(unit), modbus))
+        except (OSError, DecodeError, FormatError):
+            pass
+        static_fields, deployment = modbus.identity_fields(replies)
+        if self.config.unit_id_sweep and not self.config.safe_mode:
+            responding = self._sweep_units(sock)
+            if responding:
+                deployment["unit_ids"] = ",".join(str(u) for u in responding)
         return self._apply_identity(asset, static_fields, deployment)
 
     def _sweep_units(self, sock: socket.socket) -> list[int]:
@@ -432,28 +437,26 @@ class Scanner:
         if "s7comm" not in asset.protocols:
             raise ValueError(f"{asset.ip}: s7comm not confirmed at protocol level")
         self._note(ScanPhase.ENUMERATION, asset.ip, "enumerate_s7")
-        replies = []
-        with session[0] as sock:
-            try:
-                reply = self._exchange(sock, s7.build_setup_communication(pdu_ref=1), s7)
-                if not isinstance(s7.decode_envelope(reply).cotp, s7.CotpData):
-                    return asset
-            except (OSError, DecodeError, FormatError):
+        sock, replies = session[0], []
+        try:
+            reply = self._exchange(sock, s7.build_setup_communication(pdu_ref=1), s7)
+            if not isinstance(s7.decode_envelope(reply).cotp, s7.CotpData):
                 return asset
-            for szl_id in (s7.SZL_MODULE_ID, s7.SZL_COMPONENT_ID):
-                try:
-                    replies.append(self._exchange(sock, s7.build_szl_read(szl_id, pdu_ref=2), s7))
-                except (OSError, DecodeError, FormatError):
-                    continue  # no reply for this list; the other may still answer
+        except (OSError, DecodeError, FormatError):
+            return asset
+        for szl_id in (s7.SZL_MODULE_ID, s7.SZL_COMPONENT_ID):
+            try:
+                replies.append(self._exchange(sock, s7.build_szl_read(szl_id, pdu_ref=2), s7))
+            except (OSError, DecodeError, FormatError):
+                continue  # no reply for this list; the other may still answer
         return self._apply_identity(asset, *s7.identity_fields(replies))
 
     def enumerate_enip(self, asset: Asset, session: Session) -> Asset:
         if "enip" not in asset.protocols:
             raise ValueError(f"{asset.ip}: enip not confirmed at protocol level")
         self._note(ScanPhase.ENUMERATION, asset.ip, "enumerate_enip")
-        sock, reply = session
-        sock.close()  # the ListIdentity reply that confirmed EtherNet/IP is all there is to read
-        return self._apply_identity(asset, *enip.identity_fields([reply], load_enip_vendors()))
+        # the ListIdentity reply that confirmed EtherNet/IP is all there is to read
+        return self._apply_identity(asset, *enip.identity_fields([session[1]], load_enip_vendors()))
 
     def _apply_identity(self, asset: Asset, static_fields: dict[str, str], deployment: dict[str, str]) -> Asset:
         static = StaticDeviceInfo.from_fields(static_fields)
@@ -461,18 +464,6 @@ class Scanner:
         if static is None and deploy is None:
             return asset
         return self._merge(asset, static_info=static, deployment_info=deploy)
-
-    def _enumerate(self, asset: Asset, sessions: dict[str, Session]) -> Asset:
-        handlers = {"modbus": self.enumerate_modbus, "s7comm": self.enumerate_s7, "enip": self.enumerate_enip}
-        for protocol in sorted(asset.protocols):
-            handler = handlers.get(protocol)
-            if handler is None or self._stop.is_set():
-                continue
-            try:
-                asset = handler(asset, sessions.pop(protocol))
-            except (IcsReconError, OSError) as exc:
-                self._anomaly(f"enumeration failed for {asset.ip}/{protocol}: {exc}")
-        return asset
 
     # -- phase 4: vulnerability identification --------------------------------
 
@@ -488,34 +479,21 @@ class Scanner:
 
     # -- whole pipeline --------------------------------------------------------
 
-    def _phase_map(self, pool: ThreadPoolExecutor, fn, assets: list[Asset], phase: str) -> list[Asset]:
-        def guarded(asset: Asset) -> Asset:
-            try:
-                return fn(asset)
-            except (IcsReconError, OSError) as exc:
-                self._anomaly(f"{phase} failed for {asset.ip}: {exc}")
-                return asset
-
-        return list(pool.map(guarded, assets))
-
-    def _probe_all(self, asset: Asset, sessions: dict[str, Session]) -> Asset:
+    def _identify(self, asset: Asset) -> Asset:
+        """Phases 2 and 3 on one host: the port scan, then each open port probed and enumerated in turn."""
+        try:
+            asset = self.scan_ports(asset)
+        except (IcsReconError, OSError) as exc:
+            self._anomaly(f"service_identification failed for {asset.ip}: {exc}")
+            return asset
         for port in sorted(p.port for p in asset.open_ports):
             if self._stop.is_set():
                 break
             try:
-                asset = self.probe_protocol(asset, port, sessions)
+                asset = self.probe_protocol(asset, port)
             except (IcsReconError, OSError) as exc:
                 self._anomaly(f"probe failed for {asset.ip}:{port}: {exc}")
         return asset
-
-    def _identify(self, asset: Asset) -> Asset:
-        """Phases 2b and 3 on one host, one TCP session per confirmed service."""
-        sessions: dict[str, Session] = {}
-        try:
-            return self._enumerate(self._probe_all(asset, sessions), sessions)
-        finally:
-            for sock, _reply in sessions.values():
-                sock.close()  # left over by a cancelled or failed enumeration
 
     def run(self) -> ScanReport:
         started = time.monotonic()
@@ -525,8 +503,7 @@ class Scanner:
             with ThreadPoolExecutor(max_workers=self.config.workers) as pool:
                 methods_used = self._usable_methods()
                 assets = self.discover_hosts(pool)
-                assets = self._phase_map(pool, self.scan_ports, assets, "service_identification")
-                assets = self._phase_map(pool, self._identify, assets, "service_identification")
+                assets = list(pool.map(self._identify, assets))
             if self.config.vuln_db_path and not self._stop.is_set():
                 assets = self._match_vulnerabilities(assets)
         finally:

@@ -108,6 +108,8 @@ def load_db(path: str, alias_path: str | None = None) -> CveDatabase:
     keys: dict[str, tuple[tuple[int, str], ...]] = {}  # bound text -> parsed key, for this load only
     for position, entry in enumerate(raw):
         try:
+            if not isinstance(entry, dict):
+                raise TypeError(f"expected a JSON object, got {type(entry).__name__}")
             vendor, product = entry.get("vendor", ""), entry.get("product", "")
             if not isinstance(vendor, str) or not isinstance(product, str):
                 raise TypeError("vendor and product must be strings")
@@ -127,8 +129,8 @@ def load_db(path: str, alias_path: str | None = None) -> CveDatabase:
         bounds = []
         for name in ("version_min", "version_max"):
             value = getattr(record, name)
-            if not value:
-                continue
+            if value is None or value == "":
+                continue  # no bound; any other non-text value, falsy or not, is an error
             if not isinstance(value, str):
                 raise FormatError(f"{record.cve_id}: {name} must be a string, got {value!r}")
             if value not in keys:

@@ -105,6 +105,16 @@ def test_missing_config_is_operational_error(capsys):
     assert "ConfigError" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("entry", [[1], "x", None])
+def test_vulnmatch_non_object_db_entry_is_format_error(tmp_path, capsys, entry):
+    inventory = tmp_path / "inventory.json"
+    inventory.write_text(json.dumps({"version": 1, "assets": []}))
+    db = tmp_path / "db.json"
+    db.write_text(json.dumps([entry]))
+    assert main(["vulnmatch", "--inventory", str(inventory), "--db", str(db)]) == 1
+    assert "error[FormatError]: bad CVE record at index 0" in capsys.readouterr().err
+
+
 # -- end-to-end against the simulator ------------------------------------------
 
 

@@ -247,7 +247,8 @@ def test_identification_cut_short_keeps_objects_already_received():
     scanner = Scanner(quick_config(targets=("192.168.90.13",)), network=RealNetwork())
     asset = Asset.discovered("192.168.90.13", scanner._now())
     asset = scanner._merge(asset, open_ports=frozenset({PortSpec(502)}), protocols=frozenset({"modbus"}))
-    asset = scanner.enumerate_modbus(asset, (client, first))
+    with client:  # the session's owner closes it, as probe_protocol does
+        asset = scanner.enumerate_modbus(asset, (client, first))
     assert asset.static_info.manufacturer == "Vendor"
     assert asset.static_info.model == "Model"
     assert asset.deployment_info is None
@@ -306,15 +307,17 @@ def test_phase_monotonicity(station):
     depths = [int(compute_depth(asset))]
     asset = scanner.scan_ports(asset)
     depths.append(int(compute_depth(asset)))
-    sessions = {}  # the probe's session, which enumeration continues on
-    asset = scanner._probe_all(asset, sessions)
+    enumerate_s7 = scanner.enumerate_s7
+
+    def recording(asset, session):
+        # the probe confirmed S7 and hands its open session straight on
+        depths.append(int(compute_depth(asset)))
+        return enumerate_s7(asset, session)
+
+    scanner.enumerate_s7 = recording
+    asset = scanner.probe_protocol(asset, 102)
     depths.append(int(compute_depth(asset)))
-    assert set(sessions) == {"s7comm"}
-    asset = scanner._enumerate(asset, sessions)
-    depths.append(int(compute_depth(asset)))
-    assert sessions == {}
-    assert depths == sorted(depths)
-    assert depths[-1] == 5
+    assert depths == [1, 2, 3, 5]
 
 
 def start_two_service_host():
@@ -389,9 +392,9 @@ def test_default_station_scan_cost(station):
     assert sum(network.connects.values()) == 20
 
 
-def test_two_service_host_enumerates_both_sessions():
-    # the Modbus session stays open while the EtherNet/IP port is probed;
-    # both are enumerated on their probe's socket
+def test_two_service_host_enumerates_each_port_before_probing_the_next():
+    # Modbus is enumerated and its socket closed before the EtherNet/IP
+    # port is probed; each service is enumerated on its own probe's socket
     handle, rtu = start_two_service_host()
     try:
         network = CountingNetwork(handle)
@@ -403,12 +406,34 @@ def test_two_service_host_enumerates_both_sessions():
     assert asset.deployment_info.get("modbus_slave_id") == "5"  # Modbus enumeration
     assert asset.static_info is not None  # ENIP identity; the RTU refuses device-ID reads
     assert report.per_asset_depth == {rtu.ip: 5}
-    assert sorted(e["detail"] for e in report.probe_log if e["phase"] == "enumeration") == [
-        "enumerate_enip",
+    steps = [e["detail"] for e in report.probe_log if e["ip"] == rtu.ip and e["phase"] != "device_discovery"]
+    assert [d for d in steps if not d.startswith("connect:")] == [
+        "probe:502",
         "enumerate_modbus",
+        "probe:44818",
+        "enumerate_enip",
     ]
     assert report.anomalies == []
     assert network.connects == Counter({(rtu.ip, 502): 2, (rtu.ip, 44818): 2, (rtu.ip, 102): 1})
+
+
+def test_idle_timeout_does_not_cost_an_earlier_port_its_enumeration(monkeypatch):
+    # a faulted EtherNet/IP side accepts connections but never answers, so its
+    # probe waits out two timeouts; the device drops a session idle for 0.5 s
+    from icsrecon import simulator
+    from icsrecon.simulator import SimState
+
+    monkeypatch.setattr(simulator, "CONNECTION_IDLE_TIMEOUT", 0.5)
+    handle, rtu = start_two_service_host()
+    try:
+        handle.device("controllogix_like").state = SimState.FAULT
+        report = run_scan(quick_config(targets=(rtu.ip,)), network=SimNetwork(handle))
+    finally:
+        handle.stop()
+    asset = report.inventory.get(rtu.ip)
+    assert asset.protocols == frozenset({"modbus"})
+    assert asset.deployment_info.get("modbus_slave_id") == "5"
+    assert report.per_asset_depth == {rtu.ip: 5}
 
 
 def test_cancellation_emits_partial_report(station):

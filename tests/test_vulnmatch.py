@@ -283,7 +283,9 @@ def test_load_db_rejects_inverted_range(tmp_path):
 @pytest.mark.parametrize(
     "bounds",
     [{"version_max": "n/a"}, {"version_min": "n/a"}, {"version_min": "1.0", "version_max": "n/a"},
-     {"version_max": 4.0}],
+     {"version_max": 4.0},
+     # falsy, yet not "no bound": only null and "" are, or the record would match every firmware
+     {"version_max": 0}, {"version_min": []}, {"version_max": False}],
 )
 def test_load_db_rejects_unparseable_bound(tmp_path, bounds):
     path = tmp_path / "bound.json"
@@ -311,6 +313,25 @@ def test_load_db_rejects_non_numeric_severity_and_non_text_summary(tmp_path, fie
     path.write_text(json.dumps([good, {**good, "cve_id": "CVE-2020-22222", **fields}]))
     with pytest.raises(FormatError, match="index 1"):
         load_db(str(path))
+
+
+@pytest.mark.parametrize("entry", [[1], "x", None])
+def test_load_db_rejects_non_object_entries(tmp_path, entry):
+    good = {"cve_id": "CVE-2020-11111", "vendor": "a", "product": "b"}
+    path = tmp_path / "entries.json"
+    path.write_text(json.dumps([good, entry]))
+    with pytest.raises(FormatError, match="bad CVE record at index 1: expected a JSON object"):
+        load_db(str(path))
+
+
+@pytest.mark.parametrize("value", [None, ""])
+def test_load_db_reads_null_and_empty_bounds_as_absent(tmp_path, value):
+    path = tmp_path / "bounds.json"
+    path.write_text(json.dumps([{"cve_id": "CVE-2020-11111", "vendor": "a", "product": "b",
+                                 "version_min": value, "version_max": value}]))
+    db = load_db(str(path))
+    hits = match(StaticDeviceInfo(manufacturer="a", model="b", firmware_version="9.9"), db)
+    assert [h.cve_id for h in hits] == ["CVE-2020-11111"]
 
 
 def reference_db(path: str) -> CveDatabase:
