@@ -111,10 +111,9 @@ class RealNetwork(Network):
             return ConnectResult("timeout")
 
 
-def recv_exactly(sock: socket.socket, count: int, timeout: float) -> bytes:
-    """Read exactly ``count`` bytes or raise socket.timeout."""
+def recv_exactly(sock: socket.socket, count: int, deadline: float) -> bytes:
+    """Read exactly ``count`` bytes by the ``time.monotonic()`` deadline or raise socket.timeout."""
     chunks = bytearray()
-    deadline = time.monotonic() + timeout
     while len(chunks) < count:
         remaining = deadline - time.monotonic()
         if remaining <= 0:
@@ -128,9 +127,10 @@ def recv_exactly(sock: socket.socket, count: int, timeout: float) -> bytes:
 
 
 def recv_frame(sock: socket.socket, codec, timeout: float) -> bytes:
-    """Read one frame by the codec's frame rule; FormatError when the header cannot start one."""
-    head = recv_exactly(sock, codec.HEADER_SIZE, timeout)
+    """Read one frame by the codec's frame rule within one ``timeout``; FormatError when the header cannot start one."""
+    deadline = time.monotonic() + timeout
+    head = recv_exactly(sock, codec.HEADER_SIZE, deadline)
     size = codec.frame_size(head)
     if size is None:
         raise FormatError(f"{codec.__name__}: {head.hex()} cannot start a frame")
-    return head + recv_exactly(sock, size - len(head), timeout)
+    return head + recv_exactly(sock, size - len(head), deadline)

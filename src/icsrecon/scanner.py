@@ -4,19 +4,21 @@ enumeration, then optional vulnerability lookup.
 Later phases only visit hosts that survived earlier ones, and
 protocol enumeration is never attempted without a confirmed protocol
 (the probe log makes that auditable). Discovery stops at the first
-method that answers for a host. Each host is then handled in one pass:
-a port scan, then each open port in order is probed and, once its
-protocol is confirmed, enumerated at once on the probe's own socket,
-reusing the first reply. No session outlives its port, so a device's
-idle timeout never runs while another port is probed. A
-single token bucket gates every emitted packet across all workers;
-TCP connect scanning (full handshake, closed immediately) is used
-instead of half-open scanning because it needs no privilege and is
-gentler on fragile stacks.
+method that answers for a host. Each host is then handled in one pass
+over its ports, in order: a port with a known protocol is probed on the
+connection that found it open and, once its protocol is confirmed,
+enumerated at once on that same connection, reusing the first reply.
+Only an open port without a known protocol is closed immediately. No
+session outlives its port, so a device's idle timeout never runs while
+another port is probed. A single token bucket gates every emitted
+packet across all workers; TCP connect scanning (full handshake) is
+used instead of half-open scanning because it needs no privilege and
+is gentler on fragile stacks.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ipaddress
 import logging
 import socket
@@ -57,6 +59,7 @@ logger = logging.getLogger(__name__)
 REPORT_VERSION = 1
 
 DEFAULT_PORTS = frozenset({102, 502, 44818})
+PROTOCOL_PORTS = {102: "s7comm", 502: "modbus", 44818: "enip"}
 METHOD_ORDER = ("arp", "icmp", "tcp_connect")
 
 SAFE_MODE_MAX_PPS = 50
@@ -301,18 +304,22 @@ class Scanner:
     # -- phase 2: service identification -------------------------------------
 
     def scan_ports(self, asset: Asset) -> Asset:
-        """Connect scan: a port is open iff the handshake completes."""
-        open_ports = set()
+        """Connect scan: a port is open iff the handshake completes; a known protocol is probed on that connection."""
         for port in sorted(self.config.ports):
             if self._stop.is_set():
                 break
             result = self._connect(asset.ip, port)
             self._note(ScanPhase.SERVICE_IDENTIFICATION, asset.ip, f"connect:{port}")
-            if result.status == "open":
-                open_ports.add(PortSpec(port))
-                result.sock.close()  # evidence gathered; be brief
-        if open_ports:
-            asset = self._merge(asset, open_ports=frozenset(open_ports))
+            if result.status != "open":
+                continue
+            with result.sock:  # opened here, so closed here, before the next port is connected
+                asset = self._merge(asset, open_ports=frozenset({PortSpec(port)}))
+                if port not in PROTOCOL_PORTS:
+                    continue  # evidence gathered; be brief
+                try:
+                    asset = self.probe_protocol(asset, port, result.sock)
+                except (IcsReconError, OSError) as exc:
+                    self._anomaly(f"probe failed for {asset.ip}:{port}: {exc}")
         return asset
 
     def _exchange(self, sock: socket.socket, payload: bytes, codec) -> bytes:
@@ -327,18 +334,19 @@ class Scanner:
                     raise
         raise socket.timeout  # unreachable
 
-    def probe_protocol(self, asset: Asset, port: int) -> Asset:
-        """Payload-level protocol confirmation on one port, then enumeration on the same socket."""
+    def probe_protocol(self, asset: Asset, port: int, sock: socket.socket) -> Asset:
+        """Payload-level protocol confirmation on the port scan's open ``sock``, then enumeration on that session."""
         if PortSpec(port) not in asset.open_ports:
             raise ValueError(f"port {port} is not known open on {asset.ip}")
-        protocol, opener, enumerate_ = {
-            502: ("modbus", self._open_modbus, self.enumerate_modbus),
-            102: ("s7comm", self._open_s7, self.enumerate_s7),
-            44818: ("enip", self._open_enip, self.enumerate_enip),
-        }.get(port, (None, None, None))
+        protocol = PROTOCOL_PORTS[port]
+        opener, enumerate_ = {
+            "modbus": (self._open_modbus, self.enumerate_modbus),
+            "s7comm": (self._open_s7, self.enumerate_s7),
+            "enip": (self._open_enip, self.enumerate_enip),
+        }[protocol]
         session = None
         try:
-            session = opener(asset.ip, port) if opener else None
+            session = opener(asset.ip, port, sock)
         except (DecodeError, FormatError) as exc:
             self._anomaly(f"{asset.ip}:{port} malformed reply during probe: {exc}")
         except (ConnectionRefusedByTsap, OSError):
@@ -346,7 +354,8 @@ class Scanner:
         self._note(ScanPhase.SERVICE_IDENTIFICATION, asset.ip, f"probe:{port}")
         if session is None:
             return asset
-        with session[0]:
+        # an S7 retry's connection was opened by this probe, so it closes here; ``sock`` is the caller's
+        with session[0] if session[0] is not sock else contextlib.nullcontext():
             asset = self._merge(asset, protocols=frozenset({protocol}))
             if self._stop.is_set():
                 return asset
@@ -356,40 +365,38 @@ class Scanner:
                 self._anomaly(f"enumeration failed for {asset.ip}/{protocol}: {exc}")
                 return asset
 
-    def _open(self, ip: str, port: int, request: bytes, codec, confirm) -> Session | None:
-        """Connect and make the opening exchange; the socket stays open if ``confirm`` accepts the reply."""
-        result = self._connect(ip, port)
-        if result.sock is None:
-            return None
-        try:
-            reply = self._exchange(result.sock, request, codec)
-            confirm(reply)
-        except OSError:
-            result.sock.close()
-            return None
-        except BaseException:
-            result.sock.close()
-            raise
-        return result.sock, reply
+    def _open(self, sock: socket.socket, request: bytes, codec, confirm) -> Session:
+        """Make the opening exchange on a connected socket; a session if ``confirm`` accepts the reply."""
+        reply = self._exchange(sock, request, codec)
+        confirm(reply)
+        return sock, reply
 
-    def _open_modbus(self, ip: str, port: int) -> Session | None:
+    def _open_modbus(self, ip: str, port: int, sock: socket.socket) -> Session:
         # any well-formed reply, exceptions included, confirms Modbus
         request = modbus.build_device_id_request(unit=self.config.modbus_unit)
-        return self._open(ip, port, request, modbus, modbus.decode_modbus)
+        return self._open(sock, request, modbus, modbus.decode_modbus)
 
-    def _open_s7(self, ip: str, port: int) -> Session | None:
-        """Try the TSAP list in order; new TCP connection per attempt."""
-        for _src, dst in self.config.s7_tsap_pairs:
+    def _open_s7(self, ip: str, port: int, sock: socket.socket) -> Session | None:
+        """Try the TSAP list in order: the first pair on ``sock``, each later one on a new connection."""
+        for index, (_src, dst) in enumerate(self.config.s7_tsap_pairs):
+            if index:
+                result = self._connect(ip, port)
+                if result.sock is None:
+                    return None
+                sock = result.sock
             try:
-                return self._open(ip, port, s7.build_cotp_connect(0x0100, dst), s7, _confirm_cotp)
-            except ConnectionRefusedByTsap:
-                continue
+                return self._open(sock, s7.build_cotp_connect(0x0100, dst), s7, _confirm_cotp)
+            except BaseException as exc:
+                if index:
+                    sock.close()  # a failed retry's own connection; a confirmed one is the probe's to close
+                if not isinstance(exc, ConnectionRefusedByTsap):
+                    raise
         raise ConnectionRefusedByTsap(f"{ip}: every offered TSAP pair was refused")
 
-    def _open_enip(self, ip: str, port: int) -> Session | None:
-        return self._open(ip, port, enip.build_list_identity(), enip, _confirm_list_identity)
+    def _open_enip(self, ip: str, port: int, sock: socket.socket) -> Session:
+        return self._open(sock, enip.build_list_identity(), enip, _confirm_list_identity)
 
-    # -- phase 3: enumeration, on the probe's session, which the probe closes ---
+    # -- phase 3: enumeration, on the probe's session, closed by its connection's opener ---
 
     def enumerate_modbus(self, asset: Asset, session: Session) -> Asset:
         if "modbus" not in asset.protocols:
@@ -480,20 +487,12 @@ class Scanner:
     # -- whole pipeline --------------------------------------------------------
 
     def _identify(self, asset: Asset) -> Asset:
-        """Phases 2 and 3 on one host: the port scan, then each open port probed and enumerated in turn."""
+        """Phases 2 and 3 on one host: each port scanned, then probed and enumerated on its own connection."""
         try:
-            asset = self.scan_ports(asset)
+            return self.scan_ports(asset)
         except (IcsReconError, OSError) as exc:
             self._anomaly(f"service_identification failed for {asset.ip}: {exc}")
             return asset
-        for port in sorted(p.port for p in asset.open_ports):
-            if self._stop.is_set():
-                break
-            try:
-                asset = self.probe_protocol(asset, port)
-            except (IcsReconError, OSError) as exc:
-                self._anomaly(f"probe failed for {asset.ip}:{port}: {exc}")
-        return asset
 
     def run(self) -> ScanReport:
         started = time.monotonic()

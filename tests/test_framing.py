@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import socket
+import threading
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -58,3 +60,27 @@ def test_reader_matches_cutter_on_arbitrary_streams(codec, data):
     pieces = data.draw(st.lists(st.one_of(st.sampled_from(GOOD_FRAMES[codec]), st.binary(max_size=40)), max_size=6))
     stream = b"".join(pieces)
     assert read_frames(codec, stream) == EXTRACTORS[codec](stream)[0]
+
+
+def test_one_frame_gets_one_timeout_however_it_trickles_in():
+    # header after 0.35 s and the body 0.35 s later: each part alone is in
+    # time, but the frame as a whole is 0.2 s over its 0.5 s timeout
+    frame = modbus.build_report_slave_id_response(2, 1, slave_id=5)
+    left, right = socket.socketpair()
+
+    def trickle():
+        for piece in (frame[: modbus.HEADER_SIZE], frame[modbus.HEADER_SIZE :]):
+            time.sleep(0.35)
+            try:
+                left.sendall(piece)
+            except OSError:
+                return
+
+    sender = threading.Thread(target=trickle)
+    with left, right:
+        sender.start()
+        started = time.monotonic()
+        with pytest.raises(socket.timeout):
+            recv_frame(right, modbus, 0.5)
+        assert time.monotonic() - started < 0.65
+        sender.join()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import socket
 import threading
 from collections import Counter
@@ -12,7 +13,7 @@ from icsrecon.codecs import modbus
 from icsrecon.config import default_fixtures_path, load_fixtures
 from icsrecon.errors import ConfigError, IcsReconError, PrivilegeRequired
 from icsrecon.model import Asset, PortSpec, compute_depth
-from icsrecon.netbase import RealNetwork
+from icsrecon.netbase import ConnectResult, RealNetwork
 from icsrecon.scanner import ScanConfig, Scanner, expand_targets, run_scan
 from icsrecon.simulator import SimNetwork, start_station
 from icsrecon.taxonomy import classify_run
@@ -165,9 +166,18 @@ def test_scan_ports_iso_fixture(station):
 def test_scan_ports_modbus_fixture(station):
     scanner = Scanner(quick_config(targets=("192.168.90.13",)), network=SimNetwork(station))
     (asset,) = scanner.discover_hosts()
+    probed = []
+
+    def not_probing(asset, port, sock):
+        probed.append((port, int(compute_depth(asset))))
+        return asset
+
+    scanner.probe_protocol = not_probing
     asset = scanner.scan_ports(asset)
     assert asset.open_ports == frozenset({PortSpec(502)})
     assert compute_depth(asset) == 2
+    # the open port was merged before its probe was handed the connection
+    assert probed == [(502, 2)]
 
 
 def test_scan_ports_no_listeners_keeps_depth_one(station):
@@ -181,28 +191,73 @@ def test_scan_ports_no_listeners_keeps_depth_one(station):
     assert compute_depth(asset) == 1
 
 
+class CloseCountingSocket(socket.socket):
+    """A socket that counts the times it is closed; a plain socket ignores all but the first."""
+
+    closes = 0
+
+    def close(self):
+        self.closes += 1
+        super().close()
+
+    def __exit__(self, *args):
+        if self.fileno() == -1:
+            self.closes += 1  # socket.__exit__ skips close() on a closed socket
+        super().__exit__(*args)
+
+
+class CountingNetwork(SimNetwork):
+    """SimNetwork that counts connection attempts per (ip, port) and keeps every socket it opened."""
+
+    def __init__(self, station):
+        super().__init__(station)
+        self.connects: Counter = Counter()
+        self.sockets: list[CloseCountingSocket] = []
+        self._lock = threading.Lock()
+
+    def connect(self, ip, port, timeout):
+        result = super().connect(ip, port, timeout)
+        with self._lock:
+            self.connects[(ip, port)] += 1
+            if result.sock is None:
+                return result
+            sock = CloseCountingSocket(fileno=result.sock.detach())
+            sock.settimeout(timeout)
+            self.sockets.append(sock)
+        return ConnectResult(result.status, sock)
+
+    def closes(self) -> list[int]:
+        return [sock.closes for sock in self.sockets]
+
+
 # -- phase 2b / 3 --------------------------------------------------------------
 
 
-def scanned_asset(station, ip):
-    scanner = Scanner(quick_config(targets=(ip,)), network=SimNetwork(station))
+@contextlib.contextmanager
+def port_found_open(station, ip, port):
+    """A scanner, the asset with ``port`` merged open, and the connection that found it open."""
+    scanner = Scanner(quick_config(targets=(ip,)), network=CountingNetwork(station))
     (asset,) = scanner.discover_hosts()
-    return scanner, scanner.scan_ports(asset)
+    result = scanner.network.connect(ip, port, scanner.config.timeout)
+    assert result.status == "open"
+    with result.sock:  # the port scan's connection: its opener closes it, not the probe
+        yield scanner, scanner._merge(asset, open_ports=frozenset({PortSpec(port)})), result.sock
+        assert result.sock.fileno() != -1
 
 
 def test_probe_modbus_exception_still_confirms(station):
     # the RTU refuses identification reads, yet the exception reply is
     # well-formed Modbus and counts as protocol evidence
-    scanner, asset = scanned_asset(station, "192.168.90.13")
-    asset = scanner.probe_protocol(asset, 502)
+    with port_found_open(station, "192.168.90.13", 502) as (scanner, asset, sock):
+        asset = scanner.probe_protocol(asset, 502, sock)
     assert asset.protocols == frozenset({"modbus"})
 
 
 def test_probe_s7_and_enip(station):
-    scanner, asset = scanned_asset(station, "192.168.90.10")
-    assert scanner.probe_protocol(asset, 102).protocols == frozenset({"s7comm"})
-    scanner, asset = scanned_asset(station, "192.168.90.14")
-    assert scanner.probe_protocol(asset, 44818).protocols == frozenset({"enip"})
+    with port_found_open(station, "192.168.90.10", 102) as (scanner, asset, sock):
+        assert scanner.probe_protocol(asset, 102, sock).protocols == frozenset({"s7comm"})
+    with port_found_open(station, "192.168.90.14", 44818) as (scanner, asset, sock):
+        assert scanner.probe_protocol(asset, 44818, sock).protocols == frozenset({"enip"})
 
 
 def test_probe_refused_tsaps_makes_no_claim():
@@ -213,9 +268,12 @@ def test_probe_refused_tsaps_makes_no_claim():
     locked = dataclasses.replace(plc, accepted_tsaps=(0x0FFF,), fragile=False)
     handle = start_station([locked])
     try:
-        scanner, asset = scanned_asset(handle, "192.168.90.10")
-        asset = scanner.probe_protocol(asset, 102)
+        with port_found_open(handle, "192.168.90.10", 102) as (scanner, asset, sock):
+            asset = scanner.probe_protocol(asset, 102, sock)
         assert asset.protocols == frozenset()
+        # the first pair went out on the open connection, each later one on its own, closed once
+        assert scanner.network.connects[("192.168.90.10", 102)] == 3
+        assert scanner.network.closes() == [1, 1, 1]
         assert compute_depth(asset) == 2
     finally:
         handle.stop()
@@ -224,19 +282,22 @@ def test_probe_refused_tsaps_makes_no_claim():
 def test_probe_requires_open_port_evidence(station):
     scanner = Scanner(quick_config(targets=("192.168.90.13",)), network=SimNetwork(station))
     (asset,) = scanner.discover_hosts()
-    with pytest.raises(ValueError):
-        scanner.probe_protocol(asset, 502)
+    client, device = socket.socketpair()
+    with client, device:
+        with pytest.raises(ValueError):
+            scanner.probe_protocol(asset, 502, client)
+        device.setblocking(False)
+        with pytest.raises(BlockingIOError):
+            device.recv(1)  # not a byte of probe was sent
+    assert scanner.limiter.granted == 1  # discovery's echo only
 
 
 def test_enumerate_requires_protocol_evidence(station):
     # even handed an open Modbus session, enumeration refuses an unconfirmed protocol
-    scanner, asset = scanned_asset(station, "192.168.90.13")
-    session = scanner._open_modbus(asset.ip, 502)
-    try:
+    with port_found_open(station, "192.168.90.13", 502) as (scanner, asset, sock):
+        session = scanner._open_modbus(asset.ip, 502, sock)
         with pytest.raises(ValueError):
             scanner.enumerate_modbus(asset, session)
-    finally:
-        session[0].close()
 
 
 def test_identification_cut_short_keeps_objects_already_received():
@@ -305,17 +366,20 @@ def test_phase_monotonicity(station):
     scanner = Scanner(config, network=SimNetwork(station))
     (asset,) = scanner.discover_hosts()
     depths = [int(compute_depth(asset))]
-    asset = scanner.scan_ports(asset)
-    depths.append(int(compute_depth(asset)))
-    enumerate_s7 = scanner.enumerate_s7
+    probe_protocol, enumerate_s7 = scanner.probe_protocol, scanner.enumerate_s7
+
+    def probing(asset, port, sock):
+        # the port scan merged the open port before handing its connection on
+        depths.append(int(compute_depth(asset)))
+        return probe_protocol(asset, port, sock)
 
     def recording(asset, session):
         # the probe confirmed S7 and hands its open session straight on
         depths.append(int(compute_depth(asset)))
         return enumerate_s7(asset, session)
 
-    scanner.enumerate_s7 = recording
-    asset = scanner.probe_protocol(asset, 102)
+    scanner.probe_protocol, scanner.enumerate_s7 = probing, recording
+    asset = scanner.scan_ports(asset)
     depths.append(int(compute_depth(asset)))
     assert depths == [1, 2, 3, 5]
 
@@ -337,7 +401,7 @@ def test_failed_probe_keeps_earlier_confirmed_protocol():
     try:
         scanner = Scanner(quick_config(targets=(rtu.ip,)), network=SimNetwork(handle))
 
-        def broken_probe(ip, port):
+        def broken_probe(ip, port, sock):
             raise IcsReconError("enip probe broke")
 
         scanner._open_enip = broken_probe
@@ -348,20 +412,6 @@ def test_failed_probe_keeps_earlier_confirmed_protocol():
     assert asset.open_ports == frozenset({PortSpec(502), PortSpec(44818)})
     assert "modbus" in asset.protocols
     assert any("enip probe broke" in a for a in report.anomalies)
-
-
-class CountingNetwork(SimNetwork):
-    """SimNetwork that counts connection attempts per (ip, port)."""
-
-    def __init__(self, station):
-        super().__init__(station)
-        self.connects: Counter = Counter()
-        self._lock = threading.Lock()
-
-    def connect(self, ip, port, timeout):
-        with self._lock:
-            self.connects[(ip, port)] += 1
-        return super().connect(ip, port, timeout)
 
 
 def test_default_station_scan_cost(station):
@@ -381,20 +431,22 @@ def test_default_station_scan_cost(station):
         "192.168.90.13": 5,
         "192.168.90.14": 4,
     }
-    # discovery 5 ARP + 2x2 for the dead, port scan 15, probes 10,
-    # enumeration 10 (S7 3 x 3, Modbus report-slave-id 1, ENIP 0)
-    assert report.packets_sent == 44
+    # 9/15/5/10: discovery 5 ARP + 2x2 for the dead, port scan 15, probes 5
+    # (on the port scan's connections), enumeration 10 (S7 3 x 3, Modbus
+    # report-slave-id 1, ENIP 0)
+    assert report.packets_sent == 39
     open_ports = {(asset.ip, spec.port) for asset in report.inventory for spec in asset.open_ports}
     assert len(open_ports) == 5
-    # every port is connected once by the port scan; an open one once more, by its probe
+    # every port is connected once, by the port scan; an open one is probed on that connection
     scanned = {(ip, port) for ip in FIXTURE_IPS for port in config.ports}
-    assert network.connects == Counter({key: 2 if key in open_ports else 1 for key in scanned})
-    assert sum(network.connects.values()) == 20
+    assert network.connects == Counter({key: 1 for key in scanned})
+    assert sum(network.connects.values()) == 15
+    assert network.closes() == [1] * 5  # each open connection closed once
 
 
 def test_two_service_host_enumerates_each_port_before_probing_the_next():
-    # Modbus is enumerated and its socket closed before the EtherNet/IP
-    # port is probed; each service is enumerated on its own probe's socket
+    # Modbus is probed and enumerated on the port scan's connection, which is
+    # closed before the EtherNet/IP port is connected; one connect per port
     handle, rtu = start_two_service_host()
     try:
         network = CountingNetwork(handle)
@@ -407,14 +459,43 @@ def test_two_service_host_enumerates_each_port_before_probing_the_next():
     assert asset.static_info is not None  # ENIP identity; the RTU refuses device-ID reads
     assert report.per_asset_depth == {rtu.ip: 5}
     steps = [e["detail"] for e in report.probe_log if e["ip"] == rtu.ip and e["phase"] != "device_discovery"]
-    assert [d for d in steps if not d.startswith("connect:")] == [
+    assert steps == [
+        "connect:102",
+        "connect:502",
         "probe:502",
         "enumerate_modbus",
+        "connect:44818",
         "probe:44818",
         "enumerate_enip",
     ]
     assert report.anomalies == []
-    assert network.connects == Counter({(rtu.ip, 502): 2, (rtu.ip, 44818): 2, (rtu.ip, 102): 1})
+    assert network.connects == Counter({(rtu.ip, 502): 1, (rtu.ip, 44818): 1, (rtu.ip, 102): 1})
+    assert network.closes() == [1, 1]
+
+
+def test_tsap_retry_opens_one_new_connection_and_every_socket_is_closed_once():
+    # the PLC takes only the second default TSAP pair: the first COTP CR, sent
+    # on the port scan's connection, is refused; the retry gets its own connection
+    import dataclasses
+
+    config = load_fixtures(default_fixtures_path())
+    (plc,) = [c for c in config.devices if c.name == "et200s_like"]
+    second_pair = dataclasses.replace(plc, accepted_tsaps=(0x0200,), fragile=False)
+    handle = start_station([second_pair], scanner_ip=config.scanner_ip)
+    try:
+        network = CountingNetwork(handle)
+        report = run_scan(quick_config(targets=(plc.ip,)), network=network)
+    finally:
+        handle.stop()
+    asset = report.inventory.get(plc.ip)
+    assert asset.protocols == frozenset({"s7comm"})
+    assert asset.static_info is not None and asset.deployment_info is not None
+    assert report.per_asset_depth == {plc.ip: 5}
+    steps = [e["detail"] for e in report.probe_log if e["phase"] != "device_discovery"]
+    assert steps[:3] == ["connect:102", "probe:102", "enumerate_s7"]
+    assert network.connects[(plc.ip, 102)] == 2
+    # the port scan's connection and the retry's, each closed exactly once by its opener
+    assert network.closes() == [1, 1]
 
 
 def test_idle_timeout_does_not_cost_an_earlier_port_its_enumeration(monkeypatch):
@@ -566,9 +647,10 @@ def test_malformed_reply_recorded_as_anomaly_without_claim(port, reply):
     try:
         scanner = Scanner(quick_config(targets=("10.9.9.9",)), network=RogueNetwork())
         (asset,) = scanner.discover_hosts()
-        asset = scanner.scan_ports(asset)
-        asset = scanner.probe_protocol(asset, port)
+        asset = scanner.scan_ports(asset)  # probes the open port on the connection that found it
+        assert asset.open_ports == frozenset({PortSpec(port)})
         assert asset.protocols == frozenset()
+        assert any(e["detail"] == f"probe:{port}" for e in scanner.probe_log)
         assert any("malformed reply" in a for a in scanner.anomalies)
     finally:
         server.shutdown()
