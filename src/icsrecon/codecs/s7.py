@@ -51,7 +51,7 @@ SZL_COMPONENT_ID = 0x001C
 SUPPORTED_SZL_IDS = (SZL_MODULE_ID, SZL_COMPONENT_ID)
 
 # Default TSAP pairs offered when connecting, in order. These mirror
-# common rack/slot conventions and are caller-overridable.
+# common rack/slot conventions.
 DEFAULT_TSAP_PAIRS = ((0x0100, 0x0102), (0x0100, 0x0200), (0x0100, 0x0201))
 
 _MODULE_ID_INDEX_ORDER = 0x0001

@@ -63,7 +63,6 @@ class LiveInterface:
     """A live interface, read through an AF_PACKET socket by iterating it."""
 
     name: str
-    promiscuous: bool = True
     skipped: ClassVar[int] = 0  # the kernel hands over whole frames
 
     def __iter__(self) -> Iterator[tuple[float, bytes]]:

@@ -105,7 +105,6 @@ class ScanConfig:
     vuln_alias_path: str | None = None
     workers: int = 8
     modbus_unit: int = 1
-    s7_tsap_pairs: tuple[tuple[int, int], ...] = s7.DEFAULT_TSAP_PAIRS
     pcap_out: str | None = None
 
     def __post_init__(self):
@@ -323,16 +322,14 @@ class Scanner:
         return asset
 
     def _exchange(self, sock: socket.socket, payload: bytes, codec) -> bytes:
-        """Send one request and read one reply framed by ``codec``, one retry."""
-        for attempt in (0, 1):
-            self.limiter.acquire()
-            sock.sendall(payload)
-            try:
-                return recv_frame(sock, codec, self.config.timeout)
-            except socket.timeout:
-                if attempt == 1:
-                    raise
-        raise socket.timeout  # unreachable
+        """Send one request and read one reply framed by ``codec``.
+
+        Never resent: on a stream a second copy recovers nothing, as its
+        read would return the late first reply.
+        """
+        self.limiter.acquire()
+        sock.sendall(payload)
+        return recv_frame(sock, codec, self.config.timeout)
 
     def probe_protocol(self, asset: Asset, port: int, sock: socket.socket) -> Asset:
         """Payload-level protocol confirmation on the port scan's open ``sock``, then enumeration on that session."""
@@ -378,14 +375,14 @@ class Scanner:
 
     def _open_s7(self, ip: str, port: int, sock: socket.socket) -> Session | None:
         """Try the TSAP list in order: the first pair on ``sock``, each later one on a new connection."""
-        for index, (_src, dst) in enumerate(self.config.s7_tsap_pairs):
+        for index, (src, dst) in enumerate(s7.DEFAULT_TSAP_PAIRS):
             if index:
                 result = self._connect(ip, port)
                 if result.sock is None:
                     return None
                 sock = result.sock
             try:
-                return self._open(sock, s7.build_cotp_connect(0x0100, dst), s7, _confirm_cotp)
+                return self._open(sock, s7.build_cotp_connect(src, dst), s7, _confirm_cotp)
             except BaseException as exc:
                 if index:
                     sock.close()  # a failed retry's own connection; a confirmed one is the probe's to close

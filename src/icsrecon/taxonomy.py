@@ -13,26 +13,33 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import MISSING, asdict, dataclass, fields
 from datetime import date
 from importlib import resources
-from typing import Any, Iterable
+from typing import Any
 
 from .errors import FormatError, ValidationRequired
+from .model import Inventory
 
 DATASET_VERSION = 1
 
-RUN_VALUES = ("bundled", "standalone")
-LICENSE_VALUES = ("commercial", "open_source", "shareware", "freeware")
-SCOPE_VALUES = ("single_target", "wide_target")
-PROTOCOL_SUPPORT_VALUES = ("single", "multiple")
-METHOD_VALUES = ("passive", "active")
-USAGE_VALUES = ("manual", "automatic")
-EFFORT_VALUES = ("interactive", "point_and_click")
-NATURE_VALUES = ("offline", "real_time")
-ENUMERATION_VALUES = ("port_scanning", "icmp_scanning", "arp_scanning")
-SERVICE_ID_VALUES = ("banner_grabbing", "fingerprinting")
-EXPLOITATION_VALUES = ("automation_protocols", "internet_protocols")
+# The feature vocabulary, stated once. One row per feature: (matrix
+# class, profile section, field, allowed values, set-valued). Each
+# allowed value is one matrix leaf; validation, (de)serialization and
+# the matrix all read this table.
+FEATURES: tuple[tuple[str, str, str, tuple[str, ...], bool], ...] = (
+    ("specification", "spec", "run", ("bundled", "standalone"), False),
+    ("specification", "spec", "license", ("commercial", "open_source", "shareware", "freeware"), True),
+    ("specification", "spec", "scope", ("single_target", "wide_target"), True),
+    ("specification", "spec", "protocol_support", ("single", "multiple"), False),
+    ("execution", "exec", "method", ("passive", "active"), True),
+    ("execution", "exec", "usage", ("manual", "automatic"), False),
+    ("execution", "exec", "effort", ("interactive", "point_and_click"), False),
+    ("execution", "exec", "nature", ("offline", "real_time"), True),
+    ("execution", "exec", "enumeration", ("port_scanning", "icmp_scanning", "arp_scanning"), True),
+    ("execution", "exec", "service_id", ("banner_grabbing", "fingerprinting"), True),
+    ("execution", "exec", "exploitation", ("automation_protocols", "internet_protocols"), True),
+)
 
 PROTOCOL_TOKENS = (
     "enip", "profinet", "profibus", "modbus", "bacnet", "s7comm",
@@ -100,21 +107,21 @@ class Violation:
 def validate_profile(profile: ToolProfile) -> list[Violation]:
     """Structural rules; an empty list means the profile is coherent."""
     out: list[Violation] = []
-
-    def bad_values(field_name: str, values: Iterable[str], allowed: tuple[str, ...]) -> None:
-        extra = set(values) - set(allowed)
-        if extra:
-            out.append(Violation(field_name, "InvalidValue", f"unknown: {sorted(extra)}"))
-
     if not profile.name.strip():
         out.append(Violation("name", "NameEmpty"))
-    if profile.spec.run not in RUN_VALUES:
-        out.append(Violation("spec.run", "InvalidValue", f"{profile.spec.run!r} not in {RUN_VALUES}"))
-    bad_values("spec.license", profile.spec.license, LICENSE_VALUES)
-    bad_values("spec.scope", profile.spec.scope, SCOPE_VALUES)
-    if profile.spec.protocol_support not in PROTOCOL_SUPPORT_VALUES:
-        out.append(Violation("spec.protocol_support", "InvalidValue", repr(profile.spec.protocol_support)))
-    bad_values("spec.protocols", profile.spec.protocols, PROTOCOL_TOKENS)
+    checks = [
+        (f"{section}.{name}", getattr(getattr(profile, section), name), allowed, is_set)
+        for _, section, name, allowed, is_set in FEATURES
+    ]
+    checks.append(("spec.protocols", profile.spec.protocols, PROTOCOL_TOKENS, True))
+    for field_name, value, allowed, is_set in checks:
+        if is_set:
+            extra = set(value) - set(allowed)
+            if extra:
+                out.append(Violation(field_name, "InvalidValue", f"unknown: {sorted(extra)}"))
+        elif value not in allowed:
+            out.append(Violation(field_name, "InvalidValue", f"{value!r} not in {allowed}"))
+
     multi = len(profile.spec.protocols) > 1
     if (profile.spec.protocol_support == "multiple") != multi:
         out.append(
@@ -127,15 +134,6 @@ def validate_profile(profile: ToolProfile) -> list[Violation]:
 
     if not profile.exec.method:
         out.append(Violation("exec.method", "MethodEmpty"))
-    bad_values("exec.method", profile.exec.method, METHOD_VALUES)
-    if profile.exec.usage not in USAGE_VALUES:
-        out.append(Violation("exec.usage", "InvalidValue", repr(profile.exec.usage)))
-    if profile.exec.effort not in EFFORT_VALUES:
-        out.append(Violation("exec.effort", "InvalidValue", repr(profile.exec.effort)))
-    bad_values("exec.nature", profile.exec.nature, NATURE_VALUES)
-    bad_values("exec.enumeration", profile.exec.enumeration, ENUMERATION_VALUES)
-    bad_values("exec.service_id", profile.exec.service_id, SERVICE_ID_VALUES)
-    bad_values("exec.exploitation", profile.exec.exploitation, EXPLOITATION_VALUES)
     if "active" in profile.exec.method and "real_time" not in profile.exec.nature:
         out.append(Violation("exec.nature", "ActiveRequiresRealTime"))
 
@@ -150,54 +148,39 @@ def validate_profile(profile: ToolProfile) -> list[Violation]:
 
 
 def profile_to_dict(profile: ToolProfile) -> dict[str, Any]:
-    return {
-        "name": profile.name,
-        "version": profile.version,
-        "last_update": profile.last_update.isoformat(),
-        "spec": {
-            "run": profile.spec.run,
-            "license": sorted(profile.spec.license),
-            "scope": sorted(profile.spec.scope),
-            "protocol_support": profile.spec.protocol_support,
-            "protocols": sorted(profile.spec.protocols),
-        },
-        "exec": {
-            "method": sorted(profile.exec.method),
-            "usage": profile.exec.usage,
-            "effort": profile.exec.effort,
-            "nature": sorted(profile.exec.nature),
-            "enumeration": sorted(profile.exec.enumeration),
-            "service_id": sorted(profile.exec.service_id),
-            "exploitation": sorted(profile.exec.exploitation),
-        },
-        "output_levels": sorted(profile.output_levels),
-    }
+    def plain(value: Any) -> Any:
+        if isinstance(value, dict):
+            return {key: plain(item) for key, item in value.items()}
+        if isinstance(value, frozenset):
+            return sorted(value)
+        return value.isoformat() if isinstance(value, date) else value
+
+    return plain(asdict(profile))
+
+
+def _features_from_dict(cls: type, raw: dict[str, Any]) -> Any:
+    """A missing set-valued feature is empty; a missing scalar takes its default or is an error."""
+    set_valued = {name for *_, name, _, is_set in FEATURES if is_set}
+    present = {}
+    for feature in fields(cls):
+        if feature.name in raw:
+            present[feature.name] = raw[feature.name]
+        elif feature.name in set_valued:
+            present[feature.name] = ()
+        elif feature.default is MISSING:
+            raise KeyError(feature.name)
+    return cls(**present)
 
 
 def profile_from_dict(raw: dict[str, Any]) -> ToolProfile:
     try:
-        spec = raw["spec"]
-        execution = raw["exec"]
+        spec, execution = raw["spec"], raw["exec"]
         return ToolProfile(
             name=raw["name"],
             version=raw.get("version", ""),
             last_update=date.fromisoformat(raw["last_update"]),
-            spec=SpecificationFeatures(
-                run=spec["run"],
-                license=frozenset(spec.get("license", [])),
-                scope=frozenset(spec.get("scope", [])),
-                protocol_support=spec.get("protocol_support", "single"),
-                protocols=frozenset(spec.get("protocols", [])),
-            ),
-            exec=ExecutionFeatures(
-                method=frozenset(execution.get("method", [])),
-                usage=execution["usage"],
-                effort=execution["effort"],
-                nature=frozenset(execution.get("nature", [])),
-                enumeration=frozenset(execution.get("enumeration", [])),
-                service_id=frozenset(execution.get("service_id", [])),
-                exploitation=frozenset(execution.get("exploitation", [])),
-            ),
+            spec=_features_from_dict(SpecificationFeatures, spec),
+            exec=_features_from_dict(ExecutionFeatures, execution),
             output_levels=frozenset(raw.get("output_levels", [])),
         )
     except (KeyError, TypeError, ValueError) as exc:
@@ -215,80 +198,32 @@ def load_profiles(path: str | None = None) -> list[ToolProfile]:
                 raw = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise FormatError(f"dataset is not valid JSON: {exc.msg}", offset=exc.pos) from exc
-    if isinstance(raw, dict):
-        tools = raw.get("tools", [])
-    else:
-        tools = raw
+    tools = raw.get("tools", []) if isinstance(raw, dict) else raw
     return [profile_from_dict(entry) for entry in tools]
 
 
 # -- matrix rendering --------------------------------------------------------
 
+# Leaf names are the allowed values, except protocol support's two.
+_LEAF_NAMES = {"single": "single_protocol", "multiple": "multiple_protocols"}
+_LEAVES = {
+    _LEAF_NAMES.get(value, value): (class_name, section, name, value, is_set)
+    for class_name, section, name, values, is_set in FEATURES
+    for value in values
+}
+
 # Fixed row order (grouped by class) for deterministic rendering.
-MATRIX_ROWS: tuple[tuple[str, str], ...] = (
-    ("specification", "bundled"),
-    ("specification", "standalone"),
-    ("specification", "commercial"),
-    ("specification", "open_source"),
-    ("specification", "shareware"),
-    ("specification", "freeware"),
-    ("specification", "single_target"),
-    ("specification", "wide_target"),
-    ("specification", "single_protocol"),
-    ("specification", "multiple_protocols"),
-    ("execution", "passive"),
-    ("execution", "active"),
-    ("execution", "manual"),
-    ("execution", "automatic"),
-    ("execution", "interactive"),
-    ("execution", "point_and_click"),
-    ("execution", "offline"),
-    ("execution", "real_time"),
-    ("execution", "port_scanning"),
-    ("execution", "icmp_scanning"),
-    ("execution", "arp_scanning"),
-    ("execution", "banner_grabbing"),
-    ("execution", "fingerprinting"),
-    ("execution", "automation_protocols"),
-    ("execution", "internet_protocols"),
-    ("output", "level_1"),
-    ("output", "level_2"),
-    ("output", "level_3"),
-    ("output", "level_4"),
-    ("output", "level_5"),
-    ("output", "level_6"),
-)
+MATRIX_ROWS: tuple[tuple[str, str], ...] = tuple(
+    (class_name, leaf) for leaf, (class_name, *_) in _LEAVES.items()
+) + tuple(("output", f"level_{level}") for level in range(1, 7))
 
 
 def leaf_applies(profile: ToolProfile, leaf: str) -> bool:
-    spec, execution = profile.spec, profile.exec
-    if leaf in ("bundled", "standalone"):
-        return spec.run == leaf
-    if leaf in LICENSE_VALUES:
-        return leaf in spec.license
-    if leaf in SCOPE_VALUES:
-        return leaf in spec.scope
-    if leaf == "single_protocol":
-        return spec.protocol_support == "single"
-    if leaf == "multiple_protocols":
-        return spec.protocol_support == "multiple"
-    if leaf in METHOD_VALUES:
-        return leaf in execution.method
-    if leaf in USAGE_VALUES:
-        return execution.usage == leaf
-    if leaf in EFFORT_VALUES:
-        return execution.effort == leaf
-    if leaf in NATURE_VALUES:
-        return leaf in execution.nature
-    if leaf in ENUMERATION_VALUES:
-        return leaf in execution.enumeration
-    if leaf in SERVICE_ID_VALUES:
-        return leaf in execution.service_id
-    if leaf in EXPLOITATION_VALUES:
-        return leaf in execution.exploitation
     if leaf.startswith("level_"):
         return int(leaf.split("_")[1]) in profile.output_levels
-    raise KeyError(leaf)
+    _, section, name, value, is_set = _LEAVES[leaf]
+    held = getattr(getattr(profile, section), name)
+    return value in held if is_set else held == value
 
 
 def _require_valid(profiles: list[ToolProfile]) -> None:
@@ -318,12 +253,10 @@ def render_matrix(profiles: list[ToolProfile], format: str = "text_table") -> st
     if format == "text_table":
         name_width = max([len("feature")] + [len(leaf) for _, leaf in MATRIX_ROWS])
         col_widths = [max(len(p.name), 1) for p in profiles]
-        lines = []
         header = "feature".ljust(name_width) + "  " + "  ".join(
             p.name.rjust(w) for p, w in zip(profiles, col_widths)
         )
-        lines.append(header)
-        lines.append("-" * len(header))
+        lines = [header, "-" * len(header)]
         current_class = None
         for class_name, leaf in MATRIX_ROWS:
             if class_name != current_class:
@@ -386,28 +319,16 @@ def classify_run(report) -> ToolProfile:
     for asset in inventory.get("assets", []):
         protocols |= {p for p in asset.get("protocols", []) if p in PROTOCOL_TOKENS}
 
-    levels = set(document.get("levels_achieved", []))
-    if not levels:
-        depths = document.get("per_asset_depth", {})
-        for depth in depths.values():
-            levels |= set(range(1, int(depth) + 1))
-    levels.add(1)
+    levels = document.get("levels_achieved")
+    if levels is None:  # a report written before it recorded its levels: the one level rule, per asset
+        levels = Inventory.from_document(inventory).levels_achieved(document.get("vuln_db_consulted", False))
 
     if kind == "active":
-        method = frozenset({"active"})
-        nature = frozenset({"real_time"})
-        enumeration = {"port_scanning"}
-        for used in document.get("methods_used", []):
-            if used == "icmp":
-                enumeration.add("icmp_scanning")
-            elif used == "arp":
-                enumeration.add("arp_scanning")
-        service_id = frozenset({"fingerprinting"})
+        method, nature = {"active"}, {"real_time"}
+        discovery = {"icmp": "icmp_scanning", "arp": "arp_scanning"}
+        enumeration = {"port_scanning"} | {discovery[m] for m in document.get("methods_used", []) if m in discovery}
     else:
-        method = frozenset({"passive"})
-        nature = frozenset({document.get("nature", "offline")})
-        enumeration = set()
-        service_id = frozenset({"fingerprinting"})
+        method, nature, enumeration = {"passive"}, {document.get("nature", "offline")}, set()
 
     return ToolProfile(
         name="icsrecon",
@@ -415,19 +336,19 @@ def classify_run(report) -> ToolProfile:
         last_update=date.fromisoformat(document.get("generated_at", "2026-01-01T00:00:00Z")[:10]),
         spec=SpecificationFeatures(
             run="standalone",
-            license=frozenset({"open_source"}),
-            scope=frozenset({"wide_target"} if asset_count != 1 else {"single_target"}),
+            license={"open_source"},
+            scope={"wide_target"} if asset_count != 1 else {"single_target"},
             protocol_support="multiple" if len(protocols) > 1 else "single",
-            protocols=frozenset(protocols),
+            protocols=protocols,
         ),
         exec=ExecutionFeatures(
             method=method,
             usage="manual",
             effort="interactive",
             nature=nature,
-            enumeration=frozenset(enumeration),
-            service_id=service_id,
-            exploitation=frozenset({"automation_protocols"}),
+            enumeration=enumeration,
+            service_id={"fingerprinting"},
+            exploitation={"automation_protocols"},
         ),
-        output_levels=frozenset(levels),
+        output_levels=set(levels) | {1},
     )

@@ -315,6 +315,19 @@ def test_identification_cut_short_keeps_objects_already_received():
     assert asset.deployment_info is None
 
 
+def test_exchange_sends_each_request_once():
+    # a silent peer: a resent copy would only queue its own reply behind the late first one
+    scanner = Scanner(quick_config(targets=("192.168.90.13",), timeout_ms=100), network=RealNetwork())
+    request = modbus.build_device_id_request(unit=1)
+    client, device = socket.socketpair()
+    with client, device:
+        with pytest.raises(socket.timeout):
+            scanner._exchange(client, request, modbus)
+        device.setblocking(False)
+        assert device.recv(4096) == request  # exactly one frame
+    assert scanner.limiter.granted == 1
+
+
 # -- full pipeline ---------------------------------------------------------------
 
 

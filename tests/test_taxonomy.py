@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+import json
 from datetime import date
+from importlib import resources
 
 import pytest
 
 from icsrecon import taxonomy as tx
+from icsrecon.cli import main
 from icsrecon.codecs import modbus
 from icsrecon.config import default_fixtures_path, load_fixtures
-from icsrecon.errors import ValidationRequired
+from icsrecon.errors import FormatError, ValidationRequired
 from icsrecon.passive import PcapFile, analyze_capture
 from icsrecon.pcapio import PcapWriter, TrafficRecorder
 from icsrecon.scanner import ScanConfig, ScanReport, run_scan
@@ -82,6 +87,57 @@ def test_level_one_required():
     profile = make_profile(output_levels=frozenset({2, 3}))
     rules = {v.rule for v in tx.validate_profile(profile)}
     assert "MissingLevelOne" in rules
+
+
+@pytest.mark.parametrize(
+    "section,name", [(section, name) for _, section, name, _, _ in tx.FEATURES] + [("spec", "protocols")]
+)
+def test_one_unknown_value_is_one_violation(section, name):
+    profile = make_profile()
+    features = getattr(profile, section)
+    held = getattr(features, name)
+    if name == "protocols":
+        value = frozenset({"bogus"})  # replaced, not added, so the profile stays single-protocol
+    elif isinstance(held, frozenset):
+        value = held | {"bogus"}
+    else:
+        value = "bogus"
+    profile = dataclasses.replace(profile, **{section: dataclasses.replace(features, **{name: value})})
+    assert [(v.field, v.rule) for v in tx.validate_profile(profile)] == [(f"{section}.{name}", "InvalidValue")]
+
+
+def test_schema_enums_equal_the_feature_table():
+    with resources.files("icsrecon.data").joinpath("schemas/tool_profiles.schema.json").open() as fh:
+        profile = json.load(fh)["$defs"]["profile"]["properties"]
+    for _, section, name, values, is_set in tx.FEATURES:
+        prop = profile[section]["properties"][name]
+        assert (prop.get("type") == "array") == is_set, name
+        assert (prop["items"]["enum"] if is_set else prop["enum"]) == list(values), name
+    assert profile["spec"]["properties"]["protocols"]["items"]["enum"] == list(tx.PROTOCOL_TOKENS)
+    table_fields = {(section, name) for _, section, name, _, _ in tx.FEATURES} | {("spec", "protocols")}
+    assert {(s, n) for s in ("spec", "exec") for n in profile[s]["properties"]} == table_fields
+
+
+def test_profile_from_dict_defaults_and_required_keys():
+    minimal = {
+        "name": "t",
+        "last_update": "2021-01-01",
+        "spec": {"run": "standalone", "unknown": 1},
+        "exec": {"usage": "manual", "effort": "interactive", "unknown": 2},
+    }
+    assert tx.profile_from_dict(minimal) == tx.ToolProfile(
+        name="t",
+        version="",
+        last_update=date(2021, 1, 1),
+        spec=tx.SpecificationFeatures(run="standalone"),
+        exec=tx.ExecutionFeatures(method=frozenset(), usage="manual", effort="interactive"),
+    )
+    for section, key in (("spec", "run"), ("exec", "usage"), ("exec", "effort")):
+        broken = {**minimal, section: {k: v for k, v in minimal[section].items() if k != key}}
+        with pytest.raises(FormatError, match=key):
+            tx.profile_from_dict(broken)
+    with pytest.raises(FormatError):
+        tx.profile_from_dict({**minimal, "exec": ["manual"]})
 
 
 # -- shipped dataset -----------------------------------------------------------
@@ -210,6 +266,38 @@ def test_stats_survive_render_parse_round_trip():
     assert tx.dataset_stats(reparsed) == tx.dataset_stats(profiles)
 
 
+def test_matrix_rows_are_the_taxonomy_leaves_in_order():
+    specification = (
+        "bundled standalone commercial open_source shareware freeware"
+        " single_target wide_target single_protocol multiple_protocols"
+    )
+    execution = (
+        "passive active manual automatic interactive point_and_click offline real_time"
+        " port_scanning icmp_scanning arp_scanning banner_grabbing fingerprinting"
+        " automation_protocols internet_protocols"
+    )
+    assert tx.MATRIX_ROWS == tuple(
+        [("specification", leaf) for leaf in specification.split()]
+        + [("execution", leaf) for leaf in execution.split()]
+        + [("output", f"level_{level}") for level in range(1, 7)]
+    )
+
+
+# sha256 of each `icsrecon report` document on the shipped dataset
+REPORT_DIGESTS = {
+    "--format text_table": "d6eb4488d4153a414ce30cbf3f532ae143290a5d215e1558d00afc8d54d8f4e9",
+    "--format csv": "3518c9e56a702b90bf3de16d1014e7e6f26426cef7999b4f94e7d5b53a6a34f1",
+    "--format json": "673ab61b5983aaef2e5570cdfb7e2bb4ed5b42704ced9a86698c92a8218b98e9",
+    "--stats": "3f2bf92b5fc46954a5abb2908f5dbc6e515f26ccac85162838f8913ce44aed10",
+}
+
+
+@pytest.mark.parametrize("args", sorted(REPORT_DIGESTS))
+def test_report_documents_are_pinned(args, capsys):
+    assert main(["report", *args.split()]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == REPORT_DIGESTS[args]
+
+
 def test_text_table_renders_all_rows():
     document = tx.render_matrix(tx.load_profiles(), format="text_table")
     for _, leaf in tx.MATRIX_ROWS:
@@ -255,7 +343,7 @@ def test_classify_passive_run(fixture_run):
     assert tx.validate_profile(profile) == []
 
 
-def test_passive_levels_are_independent_as_in_active_runs(tmp_path):
+def rtu_capture_report(tmp_path):
     # an RTU that answers only Report Slave ID: deployment info without static info
     path = tmp_path / "rtu.pcap"
     writer = PcapWriter(str(path))
@@ -265,7 +353,11 @@ def test_passive_levels_are_independent_as_in_active_runs(tmp_path):
     flow.server_payload(modbus.build_report_slave_id_response(1, 1, slave_id=5))
     flow.close()
     writer.close()
-    passive = analyze_capture(PcapFile(str(path)))
+    return analyze_capture(PcapFile(str(path)))
+
+
+def test_passive_levels_are_independent_as_in_active_runs(tmp_path):
+    passive = rtu_capture_report(tmp_path)
     assert passive.per_asset_depth["192.168.90.13"] == 5
     assert passive.inventory.get("192.168.90.13").static_info is None
     active = ScanReport(
@@ -284,6 +376,13 @@ def test_passive_levels_are_independent_as_in_active_runs(tmp_path):
     assert passive.to_document()["levels_achieved"] == [1, 2, 3, 5]
     assert tx.classify_run(passive.to_document()).output_levels == frozenset({1, 2, 3, 5})
     assert tx.classify_run(active.to_document()).output_levels == frozenset({1, 2, 3, 5})
+
+
+def test_report_without_recorded_levels_classifies_by_its_inventory(tmp_path):
+    document = rtu_capture_report(tmp_path).to_document()
+    del document["levels_achieved"]  # as written before reports recorded their levels
+    assert document["per_asset_depth"]["192.168.90.13"] == 5
+    assert tx.classify_run(document).output_levels == frozenset({1, 2, 3, 5})
 
 
 def test_classified_run_renders_alongside_dataset(fixture_run):
