@@ -261,12 +261,15 @@ def identity_fields(replies: Iterable[bytes]) -> tuple[dict[str, str], dict[str,
     """Static and deployment fields from a server's reply frames; never raises.
 
     FC 0x2B objects merge across continuation rounds (later ones win),
-    FC 0x11 gives the slave id and the replying unit. Exception replies
-    and frames that do not decode or carry neither function are skipped.
+    FC 0x11 gives the slave id and the replying unit. Frames whose
+    function byte is neither (register polls, exception replies) are
+    skipped before decoding, and frames that do not decode are skipped.
     """
     objects: dict[int, str] = {}
     deployment: dict[str, str] = {}
     for wire in replies:
+        if len(wire) < 8 or wire[7] not in (FC_ENCAPSULATED, FC_REPORT_SLAVE_ID):
+            continue  # register polls, exceptions and runts carry no identity
         try:
             header, pdu = decode_modbus(wire)
             if pdu.function == FC_ENCAPSULATED:

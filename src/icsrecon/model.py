@@ -1,10 +1,12 @@
 """Canonical data model for discovered assets.
 
-Everything the scanner and the passive analyzer learn about a device is
-expressed as an :class:`Observation` and folded into an :class:`Asset`
-by :func:`merge_observation`. Assets are immutable; merging returns a
-new value. An :class:`Inventory` keys assets by IPv4 address and
-round-trips through a versioned JSON document.
+Everything the scanner learns about a device is expressed as an
+:class:`Observation` and folded into an :class:`Asset` by
+:func:`merge_observation`; the passive analyzer folds each address's
+flows by the same newest-wins rule and freezes one asset per address.
+Assets are immutable; merging returns a new value. An
+:class:`Inventory` keys assets by IPv4 address and round-trips through
+a versioned JSON document.
 
 Depth semantics: six independent evidence predicates (IP seen, open
 ports, confirmed protocols, static device info, deployment info,
@@ -389,6 +391,19 @@ class Asset:
         )
 
 
+def _newest_wins(
+    merged: dict, new: Iterable[tuple[str, str | None]], prefix: str, provenance: list, at: datetime, source: str
+) -> None:
+    """Fold ``new`` into ``merged`` key by key: a present value wins, and a different one it displaces is logged."""
+    for key, value in new:
+        if value is None:
+            continue
+        old = merged.get(key)
+        if old is not None and old != value:
+            provenance.append(ProvenanceEntry(prefix + key, old, value, at, source))
+        merged[key] = value
+
+
 def merge_observation(asset: Asset, obs: Observation) -> Asset:
     """Fold an observation into an asset, returning a new asset.
 
@@ -402,36 +417,15 @@ def merge_observation(asset: Asset, obs: Observation) -> Asset:
         raise AddressMismatch(f"observation for {obs.ip} applied to asset {asset.ip}")
 
     provenance = list(asset.provenance)
-
-    def pick(field_name: str, old: str | None, new: str | None) -> str | None:
-        if new is None:
-            return old
-        if old is not None and old != new:
-            provenance.append(ProvenanceEntry(field_name, old, new, obs.timestamp, obs.source))
-        return new
-
-    mac = pick("mac", asset.mac, obs.mac)
-    oui_vendor = pick("oui_vendor", asset.oui_vendor, obs.oui_vendor)
-
-    static = asset.static_info
-    if obs.static_info is not None:
-        if static is None:
-            static = obs.static_info
-        else:
-            merged = static.to_dict()
-            for key, new_val in obs.static_info.to_dict().items():
-                merged[key] = pick(f"static_info.{key}", merged[key], new_val)
-            static = StaticDeviceInfo(**merged)
-
-    deployment = asset.deployment_info
-    if obs.deployment_info is not None:
-        if deployment is None:
-            deployment = obs.deployment_info
-        else:
-            merged_entries = deployment.as_dict()
-            for key, new_val in obs.deployment_info.entries:
-                merged_entries[key] = pick(f"deployment_info.{key}", merged_entries.get(key), new_val)
-            deployment = DeploymentInfo(tuple(merged_entries.items()))
+    scalars = {"mac": asset.mac, "oui_vendor": asset.oui_vendor}
+    static = asset.static_info.to_dict() if asset.static_info else {}
+    deployment = asset.deployment_info.as_dict() if asset.deployment_info else {}
+    for prefix, merged, new in (
+        ("", scalars, (("mac", obs.mac), ("oui_vendor", obs.oui_vendor))),
+        ("static_info.", static, obs.static_info.to_dict().items() if obs.static_info else ()),
+        ("deployment_info.", deployment, obs.deployment_info.entries if obs.deployment_info else ()),
+    ):
+        _newest_wins(merged, new, prefix, provenance, obs.timestamp, obs.source)
 
     seen_ids = {v.cve_id for v in asset.vulnerabilities}
     vulns = list(asset.vulnerabilities)
@@ -439,12 +433,12 @@ def merge_observation(asset: Asset, obs: Observation) -> Asset:
 
     return Asset(
         ip=asset.ip,
-        mac=mac,
-        oui_vendor=oui_vendor,
+        mac=scalars["mac"],
+        oui_vendor=scalars["oui_vendor"],
         open_ports=asset.open_ports | obs.open_ports,
         protocols=asset.protocols | obs.protocols,
-        static_info=static,
-        deployment_info=deployment,
+        static_info=StaticDeviceInfo(**static) if obs.static_info else asset.static_info,
+        deployment_info=DeploymentInfo(tuple(deployment.items())) if obs.deployment_info else asset.deployment_info,
         vulnerabilities=tuple(vulns),
         last_seen=max(asset.last_seen, obs.timestamp),
         sources=asset.sources | {obs.source},
@@ -532,14 +526,6 @@ class Inventory:
                 merged = merge_observation(merged, Observation.from_asset(asset, source))
             self._assets[asset.ip] = merged
         return self._assets[asset.ip]
-
-    def apply(self, obs: Observation) -> Asset:
-        """Merge an observation, creating the asset on first sight."""
-        existing = self._assets.get(obs.ip)
-        if existing is None:
-            existing = Asset(ip=obs.ip, last_seen=obs.timestamp, sources=frozenset({obs.source}))
-        self._assets[obs.ip] = merge_observation(existing, obs)
-        return self._assets[obs.ip]
 
     def levels_achieved(self, vuln_db_consulted: bool = False) -> list[int]:
         """Every level some asset satisfies on its own evidence, ascending."""

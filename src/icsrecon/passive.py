@@ -5,10 +5,12 @@ capture records (offline pcap files, or a live interface behind the
 same reader seam). Each frame is dissected once, by offset; flows and
 senders are keyed by raw address, which becomes text once per asset.
 Protocol claims need payload evidence, never a port alone; identity
-replies are decoded by the shared codecs, and the report's
-``levels_achieved`` counts each level on its own evidence. Reassembly
-is in-order per direction, capped at 64 KiB; out-of-order segments are
-dropped and counted.
+replies are decoded by the shared codecs. Each address's evidence is
+folded flow by flow, by ``merge_observation``'s newest-wins rule, and
+frozen into one asset at the end; the report's ``levels_achieved``
+counts each level on its own evidence. Reassembly is in-order per
+direction, capped at 64 KiB; out-of-order segments are dropped and
+counted.
 """
 
 from __future__ import annotations
@@ -24,11 +26,13 @@ from typing import Any, ClassVar, Iterable, Iterator
 from .codecs import enip, modbus, s7
 from .errors import IcsReconError, PrivilegeRequired
 from .model import (
+    Asset,
     DeploymentInfo,
     Inventory,
-    Observation,
     PortSpec,
+    ProvenanceEntry,
     StaticDeviceInfo,
+    _newest_wins,
     compute_depth,
     format_timestamp,
 )
@@ -197,6 +201,49 @@ class _Flow:
         return protocol, server, replies
 
 
+class _Evidence:
+    """One address's passive evidence, folded flow by flow and frozen once."""
+
+    __slots__ = ("mac", "last_seen", "ports", "protocols", "static", "deployment", "provenance")
+
+    def __init__(self, mac: bytes, last_seen: float):
+        self.mac, self.last_seen = mac, last_seen
+        self.ports: set[int] = set()
+        self.protocols: set[str] = set()
+        self.static: dict[str, str] = {}
+        self.deployment: dict[str, str] = {}
+        self.provenance: list[ProvenanceEntry] = []
+
+    def add_flow(self, last_seen: float, port: int, protocol: str, static_fields: dict, deployment: dict) -> None:
+        """Fold one classified flow served from this address, as ``merge_observation`` folds an observation."""
+        self.last_seen = max(self.last_seen, last_seen)
+        self.ports.add(port)
+        self.protocols.add(protocol)
+        static = StaticDeviceInfo.from_fields(static_fields)
+        deploy = DeploymentInfo.from_dict(deployment)
+        if static or deploy:
+            at = datetime.fromtimestamp(last_seen, tz=timezone.utc)
+            if static:
+                _newest_wins(self.static, static.to_dict().items(), "static_info.", self.provenance, at, "passive")
+            if deploy:
+                _newest_wins(self.deployment, deploy.entries, "deployment_info.", self.provenance, at, "passive")
+
+    def freeze(self, ip: str) -> Asset:
+        mac = mac_text(self.mac)
+        return Asset(
+            ip=ip,
+            last_seen=datetime.fromtimestamp(self.last_seen, tz=timezone.utc),
+            mac=mac,
+            oui_vendor=vendor_for_mac(mac),
+            open_ports=frozenset(map(PortSpec, self.ports)),
+            protocols=frozenset(self.protocols),
+            static_info=StaticDeviceInfo(**self.static) if self.static else None,
+            deployment_info=DeploymentInfo(tuple(self.deployment.items())) if self.deployment else None,
+            sources=frozenset({"passive"}),
+            provenance=tuple(self.provenance),
+        )
+
+
 @dataclass
 class PassiveReport:
     """Outcome of one capture analysis run."""
@@ -291,21 +338,7 @@ def analyze_capture(source: CaptureSource) -> PassiveReport:
     reader = read_capture(source)
     senders, flows, frames_read, skipped = _dissect(reader)
 
-    inventory = Inventory()
-    names: dict[bytes, str] = {}
-    for raw_ip, (raw_mac, last) in senders.items():
-        names[raw_ip] = ip = ip_text(raw_ip)
-        mac = mac_text(raw_mac)
-        inventory.apply(
-            Observation(
-                ip=ip,
-                source="passive",
-                timestamp=datetime.fromtimestamp(last, tz=timezone.utc),
-                mac=mac,
-                oui_vendor=vendor_for_mac(mac),
-            )
-        )
-
+    evidence = {raw_ip: _Evidence(raw_mac, last) for raw_ip, (raw_mac, last) in senders.items()}
     classified = 0
     out_of_order = 0
     for flow in flows.values():
@@ -314,22 +347,12 @@ def analyze_capture(source: CaptureSource) -> PassiveReport:
         if protocol is None:
             continue
         classified += 1
-        server_ip = names.get(raw_server)
-        if server_ip is None:
+        server = evidence.get(raw_server)
+        if server is None:
             continue  # never transmitted; do not invent an asset
-        static_fields, deployment = _identity_fields(protocol, replies)
-        inventory.apply(
-            Observation(
-                ip=server_ip,
-                source="passive",
-                timestamp=datetime.fromtimestamp(flow.last_seen, tz=timezone.utc),
-                open_ports=frozenset({PortSpec(server_port)}),
-                protocols=frozenset({protocol}),
-                static_info=StaticDeviceInfo.from_fields(static_fields),
-                deployment_info=DeploymentInfo.from_dict(deployment),
-            )
-        )
+        server.add_flow(flow.last_seen, server_port, protocol, *_identity_fields(protocol, replies))
 
+    inventory = Inventory(server.freeze(ip_text(raw_ip)) for raw_ip, server in evidence.items())
     depths = {asset.ip: int(compute_depth(asset)) for asset in inventory}
     return PassiveReport(
         inventory=inventory,

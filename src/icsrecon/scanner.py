@@ -402,6 +402,7 @@ class Scanner:
         sock, reply = session
         replies = [reply]
         unit = self.config.modbus_unit
+        in_step = True  # after a timeout or reset, a late reply would answer the next request
         try:
             ident = modbus.parse_device_id_response(reply)
             for _round in range(3):  # continuation guard
@@ -410,14 +411,19 @@ class Scanner:
                 request = modbus.build_device_id_request(unit=unit, object_id=ident.next_object_id)
                 replies.append(self._exchange(sock, request, modbus))
                 ident = modbus.parse_device_id_response(replies[-1])
-        except (OSError, DecodeError, FormatError):
-            pass  # identification unsupported (exception reply) or cut short; deployment may still work
-        try:
-            replies.append(self._exchange(sock, modbus.build_report_slave_id_request(unit), modbus))
-        except (OSError, DecodeError, FormatError):
-            pass
+        except OSError:
+            in_step = False
+        except (DecodeError, FormatError):
+            pass  # identification unsupported (exception reply) or malformed; deployment may still work
+        if in_step:
+            try:
+                replies.append(self._exchange(sock, modbus.build_report_slave_id_request(unit), modbus))
+            except OSError:
+                in_step = False
+            except (DecodeError, FormatError):
+                pass
         static_fields, deployment = modbus.identity_fields(replies)
-        if self.config.unit_id_sweep and not self.config.safe_mode:
+        if in_step and self.config.unit_id_sweep and not self.config.safe_mode:
             responding = self._sweep_units(sock)
             if responding:
                 deployment["unit_ids"] = ",".join(str(u) for u in responding)
@@ -433,7 +439,9 @@ class Scanner:
                 reply = self._exchange(sock, modbus.build_report_slave_id_request(unit), modbus)
                 modbus.parse_report_slave_id_response(reply)
                 responding.append(unit)
-            except (OSError, DecodeError, FormatError):
+            except OSError:
+                break  # the stream is out of step from here on
+            except (DecodeError, FormatError):
                 continue
         return responding
 
@@ -451,8 +459,10 @@ class Scanner:
         for szl_id in (s7.SZL_MODULE_ID, s7.SZL_COMPONENT_ID):
             try:
                 replies.append(self._exchange(sock, s7.build_szl_read(szl_id, pdu_ref=2), s7))
-            except (OSError, DecodeError, FormatError):
-                continue  # no reply for this list; the other may still answer
+            except OSError:
+                break  # a late reply would answer the next read
+            except (DecodeError, FormatError):
+                continue  # a bad reply for this list; the other may still answer
         return self._apply_identity(asset, *s7.identity_fields(replies))
 
     def enumerate_enip(self, asset: Asset, session: Session) -> Asset:

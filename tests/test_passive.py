@@ -2,19 +2,34 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+import random
+from datetime import datetime, timezone
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from icsrecon.codecs import enip, modbus, s7
 from icsrecon.config import default_fixtures_path, load_fixtures
-from icsrecon.errors import FormatError
-from icsrecon.model import PortSpec
+from icsrecon.errors import DecodeError, FormatError
+from icsrecon.model import (
+    Asset,
+    DeploymentInfo,
+    Inventory,
+    Observation,
+    PortSpec,
+    StaticDeviceInfo,
+    merge_observation,
+)
+from icsrecon.ouidb import vendor_for_mac
 from icsrecon.passive import (
     LiveInterface,
     PcapFile,
     REASSEMBLY_CAP,
     _dissect,
     _Flow,
+    _identity_fields,
     analyze_capture,
     classify_flow,
     read_capture,
@@ -401,6 +416,315 @@ def test_dissection_matches_the_parse_chain(records, tmp_path_factory):
     report = analyze_capture(PcapFile(str(path)))
     assert (report.frames_read, report.frames_skipped) == (len(records), want_skipped)
     assert {asset.ip: asset.mac for asset in report.inventory} == {ip: mac for ip, (mac, _) in want_senders.items()}
+
+
+# -- per-address evidence folding --------------------------------------------------
+
+PORTS = {"modbus": 502, "s7comm": 102, "enip": 44818, None: 80}
+TEXTS = ("Schneider Electric", "Telemecanique", "  ", "WAGO")
+VERSIONS = ("1.0", "1.1", "2.0")
+
+
+def _request_reply(protocol, kind, text, version, number):
+    """One request and its reply: identity, deployment or other traffic of ``protocol``."""
+    if protocol == "modbus":
+        unit = number % 3 + 1
+        if kind == "identity":
+            objects = {modbus.OBJ_VENDOR_NAME: text, modbus.OBJ_PRODUCT_CODE: "RTU-1", modbus.OBJ_REVISION: version}
+            return modbus.build_device_id_request(unit), modbus.build_device_id_response(1, unit, objects)
+        if kind == "deployment":
+            return modbus.build_report_slave_id_request(unit), modbus.build_report_slave_id_response(1, unit, number)
+        reply = modbus.build_read_holding_response(1, unit, [number, 0]) if number % 2 else modbus.exception_frame(
+            1, unit, modbus.FC_READ_HOLDING, modbus.EXC_ILLEGAL_DATA_ADDRESS
+        )
+        return modbus.build_read_holding_request(unit, 0, 2), reply
+    if protocol == "s7comm":
+        if kind == "other":
+            connect = s7.CotpConnectionRequest(0x0100, 0x0102)
+            return s7.build_cotp_connect(0x0100, 0x0102), s7.build_cotp_confirm(connect)
+        if kind == "identity":
+            szl_id, entries = s7.SZL_MODULE_ID, s7.module_id_entries({"module_order_number": text, "firmware_version": version + ".0"})
+        else:
+            szl_id, entries = s7.SZL_COMPONENT_ID, s7.component_id_entries({"system_name": text, "serial": f"S C-{number}"})
+        return s7.build_szl_read(szl_id), s7.build_szl_response_frame(s7.S7SzlResponse(szl_id, 0, entries))
+    if protocol == "enip":
+        identity = enip.CipIdentity(
+            vendor_id=(1, 47, 9999)[number % 3], device_type=14, product_code=number,
+            revision=(1, number % 4), status=0x0060, serial=number, product_name=text,
+        )
+        return enip.build_list_identity(), enip.build_list_identity_response(identity)
+    return b"GET / HTTP/1.1\r\n\r\n", b"HTTP/1.1 200 OK\r\n\r\n"
+
+
+def record_flows(path, flows):
+    """A capture of one TCP flow per (client, server, protocol, kind, text, version, number, answered)."""
+    writer = PcapWriter(str(path))
+    recorder = TrafficRecorder(writer, clock=Clock())
+    recorder.register_mac("10.2.0.1", "00:80:f4:00:00:01")
+    for index, (client, server, protocol, kind, text, version, number, answered) in enumerate(flows):
+        flow = recorder.tcp_flow((f"10.1.0.{client + 1}", 40000 + index), (f"10.2.0.{server + 1}", PORTS[protocol]))
+        if not answered:
+            flow.unanswered()
+            continue
+        flow.handshake()
+        request, reply = _request_reply(protocol, kind, text, version, number)
+        flow.client_payload(request)
+        flow.server_payload(reply)
+        flow.close()
+    writer.close()
+
+
+def one_merge_per_observation(source):
+    """The reference fold: one ``merge_observation`` per sender, then per classified flow, in flow order."""
+    senders, flows, _read, _skipped = _dissect(read_capture(source))
+    assets = {}
+
+    def fold(obs):
+        asset = assets.get(obs.ip) or Asset(ip=obs.ip, last_seen=obs.timestamp, sources=frozenset({obs.source}))
+        assets[obs.ip] = merge_observation(asset, obs)
+
+    for raw_ip, (raw_mac, last) in senders.items():
+        mac = mac_text(raw_mac)
+        when = datetime.fromtimestamp(last, tz=timezone.utc)
+        fold(Observation(ip_text(raw_ip), "passive", when, mac=mac, oui_vendor=vendor_for_mac(mac)))
+    for flow in flows.values():
+        protocol, (raw_server, port), replies = flow.classify()
+        if protocol is None or raw_server not in senders:
+            continue
+        static_fields, deployment = _identity_fields(protocol, replies)
+        fold(
+            Observation(
+                ip_text(raw_server),
+                "passive",
+                datetime.fromtimestamp(flow.last_seen, tz=timezone.utc),
+                open_ports=frozenset({PortSpec(port)}),
+                protocols=frozenset({protocol}),
+                static_info=StaticDeviceInfo.from_fields(static_fields),
+                deployment_info=DeploymentInfo.from_dict(deployment),
+            )
+        )
+    return Inventory(assets.values())
+
+
+FLOW_SPECS = st.tuples(
+    st.integers(0, 1),
+    st.integers(0, 2),
+    st.sampled_from(["modbus", "modbus", "s7comm", "enip", None]),
+    st.sampled_from(["identity", "deployment", "other"]),
+    st.sampled_from(TEXTS),
+    st.sampled_from(VERSIONS),
+    st.integers(1, 6),
+    st.sampled_from([True, True, True, False]),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(flows=st.lists(FLOW_SPECS, max_size=12))
+def test_inventory_equals_one_merge_per_observation(flows, tmp_path_factory):
+    path = tmp_path_factory.getbasetemp() / "folded.pcap"
+    record_flows(path, flows)
+    inventory = analyze_capture(PcapFile(str(path))).inventory
+    reference = one_merge_per_observation(PcapFile(str(path)))
+    assert inventory == reference
+    assert inventory.to_document() == reference.to_document()
+
+
+def _report_document(path):
+    document = analyze_capture(PcapFile(str(path))).to_document()
+    del document["generated_at"]
+    return document
+
+
+def test_disagreeing_flows_keep_every_displaced_value(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    writer = PcapWriter("disagreeing.pcap")
+    recorder = TrafficRecorder(writer, clock=Clock())
+    recorder.register_mac("192.168.7.20", "00:80:f4:00:00:20")
+    rounds = [
+        ({0: "Schneider Electric", 1: "SCADAPack32", 2: "1.0"}, 5, 1),
+        ({0: "Schneider Electric", 1: "SCADAPack32", 2: "1.1"}, 5, 1),  # firmware
+        ({0: "Telemecanique", 1: "SCADAPack32", 2: "1.1"}, 6, 2),  # vendor text, slave id, unit id
+        ({0: "Telemecanique", 1: "SCADAPack334", 2: "2.0"}, 6, 2),  # model, firmware
+        ({0: "  "}, 7, 2),  # below the static-info bar: only the slave id counts
+    ]
+    for index, (objects, slave_id, unit) in enumerate(rounds):
+        flow = recorder.tcp_flow(("192.168.7.1", 50000 + index), ("192.168.7.20", 502))
+        flow.handshake()
+        flow.client_payload(modbus.build_device_id_request(unit))
+        flow.server_payload(modbus.build_device_id_response(1, unit, objects))
+        flow.client_payload(modbus.build_report_slave_id_request(unit, transaction_id=2))
+        flow.server_payload(modbus.build_report_slave_id_response(2, unit, slave_id))
+        flow.close()
+    writer.close()
+    assert _report_document("disagreeing.pcap") == DISAGREEING_DOCUMENT
+
+
+DISAGREEING_DOCUMENT = {
+    "version": 1,
+    "kind": "passive",
+    "nature": "offline",
+    "source": "disagreeing.pcap",
+    "frames_read": 40,
+    "frames_skipped": 0,
+    "out_of_order_segments": 0,
+    "classified_flows": 5,
+    "per_asset_depth": {"192.168.7.1": 1, "192.168.7.20": 5},
+    "levels_achieved": [1, 2, 3, 4, 5],
+    "anomalies": [],
+    "inventory": {
+        "version": 1,
+        "assets": [
+            {
+                "ip": "192.168.7.1",
+                "mac": "02:00:c0:a8:07:01",
+                "oui_vendor": None,
+                "open_ports": [],
+                "protocols": [],
+                "static_info": None,
+                "deployment_info": None,
+                "vulnerabilities": [],
+                "last_seen": "2023-11-14T22:13:20.039997Z",
+                "sources": ["passive"],
+                "provenance": [],
+            },
+            {
+                "ip": "192.168.7.20",
+                "mac": "00:80:f4:00:00:20",
+                "oui_vendor": "Schneider Electric",
+                "open_ports": ["502/tcp"],
+                "protocols": ["modbus"],
+                "static_info": {
+                    "manufacturer": "Telemecanique",
+                    "model": "SCADAPack334",
+                    "firmware_version": "2.0",
+                    "hardware_version": None,
+                    "serial": None,
+                },
+                "deployment_info": {"modbus_slave_id": "7", "unit_id": "2"},
+                "vulnerabilities": [],
+                "last_seen": "2023-11-14T22:13:20.039997Z",
+                "sources": ["passive"],
+                "provenance": [
+                    {
+                        "field": "static_info.firmware_version",
+                        "prior": "1.0",
+                        "current": "1.1",
+                        "at": "2023-11-14T22:13:20.015999Z",
+                        "source": "passive",
+                    },
+                    {
+                        "field": "static_info.manufacturer",
+                        "prior": "Schneider Electric",
+                        "current": "Telemecanique",
+                        "at": "2023-11-14T22:13:20.023998Z",
+                        "source": "passive",
+                    },
+                    {
+                        "field": "deployment_info.modbus_slave_id",
+                        "prior": "5",
+                        "current": "6",
+                        "at": "2023-11-14T22:13:20.023998Z",
+                        "source": "passive",
+                    },
+                    {
+                        "field": "deployment_info.unit_id",
+                        "prior": "1",
+                        "current": "2",
+                        "at": "2023-11-14T22:13:20.023998Z",
+                        "source": "passive",
+                    },
+                    {
+                        "field": "static_info.model",
+                        "prior": "SCADAPack32",
+                        "current": "SCADAPack334",
+                        "at": "2023-11-14T22:13:20.031998Z",
+                        "source": "passive",
+                    },
+                    {
+                        "field": "static_info.firmware_version",
+                        "prior": "1.1",
+                        "current": "2.0",
+                        "at": "2023-11-14T22:13:20.031998Z",
+                        "source": "passive",
+                    },
+                    {
+                        "field": "deployment_info.modbus_slave_id",
+                        "prior": "6",
+                        "current": "7",
+                        "at": "2023-11-14T22:13:20.039997Z",
+                        "source": "passive",
+                    },
+                ],
+            },
+        ],
+    },
+}
+
+
+# sha256 of the report document, without ``generated_at``, of a seeded capture
+SEEDED_REPORT_DIGEST = "e84efcfb9fb8e734282ecffccd9308e579e4cfd667a597887801450c1c462afb"
+
+
+def test_seeded_report_document_is_pinned(tmp_path, monkeypatch):
+    rng = random.Random(12)
+    flows = [
+        (
+            rng.randrange(3),
+            rng.randrange(6),
+            rng.choice(["modbus", "modbus", "s7comm", "enip", None]),
+            rng.choice(["identity", "identity", "deployment", "other"]),
+            rng.choice(TEXTS),
+            rng.choice(VERSIONS),
+            rng.randrange(1, 7),
+            rng.random() < 0.9,
+        )
+        for _ in range(60)
+    ]
+    monkeypatch.chdir(tmp_path)
+    record_flows("seeded.pcap", flows)
+    text = json.dumps(_report_document("seeded.pcap"), sort_keys=True)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == SEEDED_REPORT_DIGEST
+
+
+MODBUS_REPLIES = [
+    modbus.build_read_holding_response(1, 1, [1, 2, 3]),
+    modbus.exception_frame(2, 1, modbus.FC_READ_HOLDING, modbus.EXC_ILLEGAL_DATA_ADDRESS),
+    modbus.exception_frame(3, 1, modbus.FC_ENCAPSULATED, modbus.EXC_ILLEGAL_FUNCTION),
+    modbus.exception_frame(4, 1, modbus.FC_REPORT_SLAVE_ID, modbus.EXC_ILLEGAL_FUNCTION),
+    modbus.build_device_id_response(5, 1, {0: "Vendor", 1: "Model"}, more_follows=True, next_object_id=2),
+    modbus.build_device_id_response(6, 1, {2: "1.0"}),
+    modbus.build_report_slave_id_response(7, 3, slave_id=9),
+    modbus.build_device_id_request(unit=1),
+    modbus.build_report_slave_id_request(unit=1),
+]
+MODBUS_FRAMES = st.one_of(
+    st.sampled_from(MODBUS_REPLIES),
+    one_byte_changed(MODBUS_REPLIES),
+    st.sampled_from(MODBUS_REPLIES).flatmap(lambda f: st.integers(0, len(f) - 1).map(lambda n: f[:n])),
+    st.binary(max_size=12),
+)
+
+
+def _decode_every_frame(replies):
+    """``modbus.identity_fields`` without its pre-filter: every frame goes through ``decode_modbus``."""
+    objects, deployment = {}, {}
+    for wire in replies:
+        try:
+            header, pdu = modbus.decode_modbus(wire)
+            if pdu.function == modbus.FC_ENCAPSULATED:
+                objects.update(modbus.parse_device_id_response(wire).objects)
+            elif pdu.function == modbus.FC_REPORT_SLAVE_ID:
+                deployment["modbus_slave_id"] = str(modbus.parse_report_slave_id_response(wire).slave_id)
+                deployment["unit_id"] = str(header.unit_id)
+        except (DecodeError, FormatError):
+            continue
+    return modbus.device_id_to_fields(modbus.DeviceIdentification(objects)), deployment
+
+
+@settings(max_examples=300, deadline=None)
+@given(replies=st.lists(MODBUS_FRAMES, max_size=8))
+def test_modbus_identity_prefilter_changes_nothing(replies):
+    assert modbus.identity_fields(replies) == _decode_every_frame(replies)
 
 
 # -- against the simulator -------------------------------------------------------

@@ -5,11 +5,12 @@ from __future__ import annotations
 import contextlib
 import socket
 import threading
+import time
 from collections import Counter
 
 import pytest
 
-from icsrecon.codecs import modbus
+from icsrecon.codecs import modbus, s7
 from icsrecon.config import default_fixtures_path, load_fixtures
 from icsrecon.errors import ConfigError, IcsReconError, PrivilegeRequired
 from icsrecon.model import Asset, PortSpec, compute_depth
@@ -313,6 +314,82 @@ def test_identification_cut_short_keeps_objects_already_received():
     assert asset.static_info.manufacturer == "Vendor"
     assert asset.static_info.model == "Model"
     assert asset.deployment_info is None
+
+
+def test_late_continuation_reply_ends_the_session():
+    # the continuation is answered 0.45 s late against a 300 ms timeout: the late
+    # reply must not be read as the answer to a report-server-id request
+    first = modbus.build_device_id_response(1, 1, {0x00: "Vendor", 0x01: "Model"}, more_follows=True, next_object_id=2)
+    late = modbus.build_device_id_response(1, 1, {0x02: "9.9"})
+    client, device = socket.socketpair()
+    requests = []
+
+    def serve():
+        with contextlib.suppress(OSError):  # the scanner may hang up before the late reply
+            while request := device.recv(4096):
+                requests.append(request)
+                if request[7] == modbus.FC_ENCAPSULATED:
+                    time.sleep(0.45)
+                    device.sendall(late)
+                else:
+                    device.sendall(modbus.build_report_slave_id_response(2, 1, slave_id=5))
+
+    peer = threading.Thread(target=serve)
+    peer.start()
+    scanner = Scanner(quick_config(targets=("192.168.90.13",), timeout_ms=300), network=RealNetwork())
+    asset = Asset.discovered("192.168.90.13", scanner._now())
+    asset = scanner._merge(asset, open_ports=frozenset({PortSpec(502)}), protocols=frozenset({"modbus"}))
+    with device:
+        with client:
+            asset = scanner.enumerate_modbus(asset, (client, first))
+        peer.join()
+    assert (asset.static_info.manufacturer, asset.static_info.model) == ("Vendor", "Model")
+    assert asset.static_info.firmware_version is None  # nothing from the late reply
+    assert asset.deployment_info is None
+    assert [request[7] for request in requests] == [modbus.FC_ENCAPSULATED]  # no FC 0x11 sent
+    assert scanner.limiter.granted == 1
+
+
+def test_late_szl_reply_ends_the_session():
+    setup, module_read = s7.build_setup_communication(pdu_ref=1), s7.build_szl_read(s7.SZL_MODULE_ID, pdu_ref=2)
+    entries = s7.module_id_entries({"module_order_number": "6ES7 151-8AB01-0AB0", "firmware_version": "3.2.6"})
+    late = s7.build_szl_response_frame(s7.S7SzlResponse(s7.SZL_MODULE_ID, 0, entries, pdu_ref=2))
+    client, device = socket.socketpair()
+    received = bytearray()
+
+    def serve():
+        with contextlib.suppress(OSError):  # the scanner may hang up before the late reply
+            while request := device.recv(4096):
+                received.extend(request)
+                if request == setup:
+                    device.sendall(s7.build_setup_ack(1))
+                else:
+                    time.sleep(0.45)
+                    device.sendall(late)
+
+    peer = threading.Thread(target=serve)
+    peer.start()
+    scanner = Scanner(quick_config(targets=("192.168.90.10",), timeout_ms=300), network=RealNetwork())
+    asset = Asset.discovered("192.168.90.10", scanner._now())
+    asset = scanner._merge(asset, open_ports=frozenset({PortSpec(102)}), protocols=frozenset({"s7comm"}))
+    with device:
+        with client:
+            asset = scanner.enumerate_s7(asset, (client, b""))
+        peer.join()
+    assert asset.static_info is None
+    assert bytes(received) == setup + module_read  # the component list was never asked for
+    assert scanner.limiter.granted == 2
+
+
+def test_unit_sweep_stops_at_its_first_timeout():
+    config = quick_config(targets=("192.168.90.13",), timeout_ms=100, safe_mode=False, unit_id_sweep=True)
+    scanner = Scanner(config, network=RealNetwork())
+    client, device = socket.socketpair()
+    with client, device:
+        assert scanner._sweep_units(client) == []
+        device.setblocking(False)
+        assert device.recv(4096) == modbus.build_report_slave_id_request(1)
+    assert scanner.limiter.granted == 1
 
 
 def test_exchange_sends_each_request_once():
