@@ -11,7 +11,6 @@ from .model import (
     DeploymentInfo,
     DepthLevel,
     Inventory,
-    Observation,
     PortSpec,
     StaticDeviceInfo,
     compute_depth,
@@ -25,7 +24,6 @@ __all__ = [
     "DeploymentInfo",
     "DepthLevel",
     "Inventory",
-    "Observation",
     "PortSpec",
     "StaticDeviceInfo",
     "compute_depth",

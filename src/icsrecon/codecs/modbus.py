@@ -271,12 +271,11 @@ def identity_fields(replies: Iterable[bytes]) -> tuple[dict[str, str], dict[str,
         if len(wire) < 8 or wire[7] not in (FC_ENCAPSULATED, FC_REPORT_SLAVE_ID):
             continue  # register polls, exceptions and runts carry no identity
         try:
-            header, pdu = decode_modbus(wire)
-            if pdu.function == FC_ENCAPSULATED:
+            if wire[7] == FC_ENCAPSULATED:
                 objects.update(parse_device_id_response(wire).objects)
-            elif pdu.function == FC_REPORT_SLAVE_ID:
+            else:
                 deployment["modbus_slave_id"] = str(parse_report_slave_id_response(wire).slave_id)
-                deployment["unit_id"] = str(header.unit_id)
+                deployment["unit_id"] = str(wire[6])  # the MBAP unit id of the reply
         except (DecodeError, FormatError):
             continue
     return device_id_to_fields(DeviceIdentification(objects)), deployment

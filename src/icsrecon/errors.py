@@ -26,6 +26,10 @@ class FormatError(IcsReconError):
         super().__init__(message)
 
 
+class FramingError(FormatError):
+    """A stream's next bytes cannot start a frame, so the stream is out of step."""
+
+
 class DecodeError(IcsReconError):
     """Base for wire-decoding failures; decoders raise nothing else."""
 
@@ -73,7 +77,7 @@ class ConnectionRefusedByTsap(IcsReconError):
 
 
 class AddressMismatch(IcsReconError):
-    """Observation applied to an asset with a different IP."""
+    """Evidence folded into an asset with a different IP."""
 
 
 class PrivilegeRequired(IcsReconError):

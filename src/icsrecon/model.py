@@ -1,9 +1,11 @@
 """Canonical data model for discovered assets.
 
-Everything the scanner learns about a device is expressed as an
-:class:`Observation` and folded into an :class:`Asset` by
-:func:`merge_observation`; the passive analyzer folds each address's
-flows by the same newest-wins rule and freezes one asset per address.
+Everything the scanner learns about a device arrives as an evidence
+:class:`Asset` (usually built by :meth:`Asset.discovered`) and is folded
+into the device's asset by :func:`merge_observation`, which also folds
+an inventory's assets into one another; the passive analyzer folds each
+address's flows by the same newest-wins rule and freezes one asset per
+address.
 Assets are immutable; merging returns a new value. An
 :class:`Inventory` keys assets by IPv4 address and round-trips through
 a versioned JSON document.
@@ -280,48 +282,6 @@ def _check_mac(mac: str | None) -> str | None:
 
 
 @dataclass(frozen=True)
-class Observation:
-    """One batch of evidence about a single IP from one source."""
-
-    ip: str
-    source: str
-    timestamp: datetime
-    mac: str | None = None
-    oui_vendor: str | None = None
-    open_ports: frozenset[PortSpec] = frozenset()
-    protocols: frozenset[str] = frozenset()
-    static_info: StaticDeviceInfo | None = None
-    deployment_info: DeploymentInfo | None = None
-    vulnerabilities: tuple[CveRecord, ...] = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "ip", _check_ip(self.ip))
-        object.__setattr__(self, "mac", _check_mac(self.mac))
-        object.__setattr__(self, "oui_vendor", _clean(self.oui_vendor))
-        object.__setattr__(self, "open_ports", frozenset(self.open_ports))
-        object.__setattr__(self, "protocols", frozenset(normalize_protocol(p) for p in self.protocols))
-        if self.source not in SOURCES:
-            raise ValueError(f"unknown source {self.source!r}")
-
-    @classmethod
-    def from_asset(cls, asset: "Asset", source: str | None = None) -> "Observation":
-        """View an asset as an observation (used by inventory upsert)."""
-        src = source or (sorted(asset.sources)[0] if asset.sources else "active")
-        return cls(
-            ip=asset.ip,
-            source=src,
-            timestamp=asset.last_seen,
-            mac=asset.mac,
-            oui_vendor=asset.oui_vendor,
-            open_ports=frozenset(asset.open_ports),
-            protocols=frozenset(asset.protocols),
-            static_info=asset.static_info,
-            deployment_info=asset.deployment_info,
-            vulnerabilities=tuple(asset.vulnerabilities),
-        )
-
-
-@dataclass(frozen=True)
 class Asset:
     """One discovered device; immutable once constructed."""
 
@@ -404,44 +364,50 @@ def _newest_wins(
         merged[key] = value
 
 
-def merge_observation(asset: Asset, obs: Observation) -> Asset:
-    """Fold an observation into an asset, returning a new asset.
+def merge_observation(asset: Asset, evidence: Asset) -> Asset:
+    """Fold a batch of evidence about the same IP into an asset, returning a new asset.
 
     Set-valued fields are unioned. Optional scalars follow newest-wins
     (arrival order decides newness; each scan worker folds its asset's
-    observations in the order it made them) and the displaced value is
-    retained in the provenance log. Evidence is never removed, so the
-    computed depth never decreases.
+    evidence in the order it gathered it) and the displaced value is
+    logged, stamped with the evidence's ``last_seen`` and the first of
+    its sources. The evidence's own provenance entries follow, each one
+    not already in the log. Evidence is never removed, so the computed
+    depth never decreases.
     """
-    if obs.ip != asset.ip:
-        raise AddressMismatch(f"observation for {obs.ip} applied to asset {asset.ip}")
+    if evidence.ip != asset.ip:
+        raise AddressMismatch(f"evidence for {evidence.ip} applied to asset {asset.ip}")
 
+    sources = evidence.sources or frozenset({"active"})
     provenance = list(asset.provenance)
     scalars = {"mac": asset.mac, "oui_vendor": asset.oui_vendor}
     static = asset.static_info.to_dict() if asset.static_info else {}
     deployment = asset.deployment_info.as_dict() if asset.deployment_info else {}
     for prefix, merged, new in (
-        ("", scalars, (("mac", obs.mac), ("oui_vendor", obs.oui_vendor))),
-        ("static_info.", static, obs.static_info.to_dict().items() if obs.static_info else ()),
-        ("deployment_info.", deployment, obs.deployment_info.entries if obs.deployment_info else ()),
+        ("", scalars, (("mac", evidence.mac), ("oui_vendor", evidence.oui_vendor))),
+        ("static_info.", static, evidence.static_info.to_dict().items() if evidence.static_info else ()),
+        ("deployment_info.", deployment, evidence.deployment_info.entries if evidence.deployment_info else ()),
     ):
-        _newest_wins(merged, new, prefix, provenance, obs.timestamp, obs.source)
+        _newest_wins(merged, new, prefix, provenance, evidence.last_seen, min(sources))
+    if evidence.provenance:
+        logged = set(provenance)
+        provenance.extend(p for p in evidence.provenance if p not in logged)
 
     seen_ids = {v.cve_id for v in asset.vulnerabilities}
     vulns = list(asset.vulnerabilities)
-    vulns.extend(v for v in obs.vulnerabilities if v.cve_id not in seen_ids)
+    vulns.extend(v for v in evidence.vulnerabilities if v.cve_id not in seen_ids)
 
     return Asset(
         ip=asset.ip,
         mac=scalars["mac"],
         oui_vendor=scalars["oui_vendor"],
-        open_ports=asset.open_ports | obs.open_ports,
-        protocols=asset.protocols | obs.protocols,
-        static_info=StaticDeviceInfo(**static) if obs.static_info else asset.static_info,
-        deployment_info=DeploymentInfo(tuple(deployment.items())) if obs.deployment_info else asset.deployment_info,
+        open_ports=asset.open_ports | evidence.open_ports,
+        protocols=asset.protocols | evidence.protocols,
+        static_info=StaticDeviceInfo(**static) if evidence.static_info else asset.static_info,
+        deployment_info=DeploymentInfo(tuple(deployment.items())) if evidence.deployment_info else asset.deployment_info,
         vulnerabilities=tuple(vulns),
-        last_seen=max(asset.last_seen, obs.timestamp),
-        sources=asset.sources | {obs.source},
+        last_seen=max(asset.last_seen, evidence.last_seen),
+        sources=asset.sources | sources,
         provenance=tuple(provenance),
     )
 
@@ -516,15 +482,9 @@ class Inventory:
         return [self._assets[ip] for ip in sorted(self._assets, key=ipaddress.IPv4Address)]
 
     def upsert(self, asset: Asset) -> Asset:
-        """Insert or merge by IP; merging reuses the observation rules."""
+        """Insert, or fold into the asset already held for its IP."""
         existing = self._assets.get(asset.ip)
-        if existing is None:
-            self._assets[asset.ip] = asset
-        else:
-            merged = existing
-            for source in sorted(asset.sources) or ["active"]:
-                merged = merge_observation(merged, Observation.from_asset(asset, source))
-            self._assets[asset.ip] = merged
+        self._assets[asset.ip] = asset if existing is None else merge_observation(existing, asset)
         return self._assets[asset.ip]
 
     def levels_achieved(self, vuln_db_consulted: bool = False) -> list[int]:

@@ -15,7 +15,7 @@ import struct
 import time
 from dataclasses import dataclass
 
-from .errors import FormatError, PrivilegeRequired
+from .errors import FramingError, PrivilegeRequired
 from .pcapio import icmp_echo
 
 
@@ -127,10 +127,10 @@ def recv_exactly(sock: socket.socket, count: int, deadline: float) -> bytes:
 
 
 def recv_frame(sock: socket.socket, codec, timeout: float) -> bytes:
-    """Read one frame by the codec's frame rule within one ``timeout``; FormatError when the header cannot start one."""
+    """Read one frame by the codec's frame rule within one ``timeout``; FramingError when the header cannot start one."""
     deadline = time.monotonic() + timeout
     head = recv_exactly(sock, codec.HEADER_SIZE, deadline)
     size = codec.frame_size(head)
     if size is None:
-        raise FormatError(f"{codec.__name__}: {head.hex()} cannot start a frame")
+        raise FramingError(f"{codec.__name__}: {head.hex()} cannot start a frame")
     return head + recv_exactly(sock, size - len(head), deadline)

@@ -215,7 +215,7 @@ class _Evidence:
         self.provenance: list[ProvenanceEntry] = []
 
     def add_flow(self, last_seen: float, port: int, protocol: str, static_fields: dict, deployment: dict) -> None:
-        """Fold one classified flow served from this address, as ``merge_observation`` folds an observation."""
+        """Fold one classified flow served from this address, as ``merge_observation`` folds an evidence asset."""
         self.last_seen = max(self.last_seen, last_seen)
         self.ports.add(port)
         self.protocols.add(protocol)

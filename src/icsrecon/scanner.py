@@ -36,6 +36,7 @@ from .errors import (
     ConnectionRefusedByTsap,
     DecodeError,
     FormatError,
+    FramingError,
     IcsReconError,
     PrivilegeRequired,
 )
@@ -43,7 +44,6 @@ from .model import (
     Asset,
     DeploymentInfo,
     Inventory,
-    Observation,
     PortSpec,
     StaticDeviceInfo,
     compute_depth,
@@ -237,8 +237,7 @@ class Scanner:
 
     def _merge(self, asset: Asset, **evidence) -> Asset:
         """Fold one batch of this scan's evidence into the asset."""
-        obs = Observation(ip=asset.ip, source="active", timestamp=self._now(), **evidence)
-        return merge_observation(asset, obs)
+        return merge_observation(asset, Asset.discovered(asset.ip, self._now(), **evidence))
 
     def _connect(self, ip: str, port: int):
         self.limiter.acquire()
@@ -402,7 +401,7 @@ class Scanner:
         sock, reply = session
         replies = [reply]
         unit = self.config.modbus_unit
-        in_step = True  # after a timeout or reset, a late reply would answer the next request
+        in_step = True  # after a timeout, reset or unframeable reply, a late reply would answer the next request
         try:
             ident = modbus.parse_device_id_response(reply)
             for _round in range(3):  # continuation guard
@@ -411,14 +410,14 @@ class Scanner:
                 request = modbus.build_device_id_request(unit=unit, object_id=ident.next_object_id)
                 replies.append(self._exchange(sock, request, modbus))
                 ident = modbus.parse_device_id_response(replies[-1])
-        except OSError:
+        except (OSError, FramingError):
             in_step = False
         except (DecodeError, FormatError):
             pass  # identification unsupported (exception reply) or malformed; deployment may still work
         if in_step:
             try:
                 replies.append(self._exchange(sock, modbus.build_report_slave_id_request(unit), modbus))
-            except OSError:
+            except (OSError, FramingError):
                 in_step = False
             except (DecodeError, FormatError):
                 pass
@@ -439,7 +438,7 @@ class Scanner:
                 reply = self._exchange(sock, modbus.build_report_slave_id_request(unit), modbus)
                 modbus.parse_report_slave_id_response(reply)
                 responding.append(unit)
-            except OSError:
+            except (OSError, FramingError):
                 break  # the stream is out of step from here on
             except (DecodeError, FormatError):
                 continue
@@ -459,7 +458,7 @@ class Scanner:
         for szl_id in (s7.SZL_MODULE_ID, s7.SZL_COMPONENT_ID):
             try:
                 replies.append(self._exchange(sock, s7.build_szl_read(szl_id, pdu_ref=2), s7))
-            except OSError:
+            except (OSError, FramingError):
                 break  # a late reply would answer the next read
             except (DecodeError, FormatError):
                 continue  # a bad reply for this list; the other may still answer

@@ -27,7 +27,7 @@ from importlib import resources
 from typing import Callable, Iterable
 
 from .errors import FormatError
-from .model import Asset, CveRecord, Observation, StaticDeviceInfo, merge_observation
+from .model import Asset, CveRecord, StaticDeviceInfo, merge_observation
 
 logger = logging.getLogger(__name__)
 
@@ -278,8 +278,9 @@ def enrich(
 
     Assets with neither manufacturer nor model pass through untouched;
     ``on_lookup(asset)`` runs for every other one before it is matched.
-    The observation reuses the asset's own first source and its
-    ``last_seen``, so enriching never moves ``last_seen``.
+    The matches are folded in as evidence carrying the asset's own
+    static info, sources and ``last_seen``, so enriching never moves
+    ``last_seen``.
     """
     out: list[Asset] = []
     total = 0
@@ -290,11 +291,8 @@ def enrich(
                 on_lookup(asset)
             matches = match(info, db)
             if matches:
-                source = sorted(asset.sources)[0] if asset.sources else "active"
-                obs = Observation(
-                    ip=asset.ip, source=source, timestamp=asset.last_seen, vulnerabilities=tuple(matches)
-                )
-                asset = merge_observation(asset, obs)
+                found = Asset(asset.ip, asset.last_seen, static_info=info, vulnerabilities=matches, sources=asset.sources)
+                asset = merge_observation(asset, found)
                 total += len(matches)
         out.append(asset)
     return out, total

@@ -12,7 +12,6 @@ from icsrecon.model import (
     Asset,
     CveRecord,
     DeploymentInfo,
-    Observation,
     PortSpec,
     StaticDeviceInfo,
 )
@@ -99,12 +98,13 @@ def random_asset(rng: random.Random, ip: str | None = None) -> Asset:
     )
 
 
-def random_observation(rng: random.Random, ip: str) -> Observation:
+def random_observation(rng: random.Random, ip: str) -> Asset:
+    """One random batch of evidence about ``ip``, as an asset from one source."""
     static = random_static_info(rng)
-    return Observation(
-        ip=ip,
-        source=rng.choice(["active", "passive"]),
-        timestamp=ts(rng.randrange(10**6)),
+    return Asset.discovered(
+        ip,
+        ts(rng.randrange(10**6)),
+        rng.choice(["active", "passive"]),
         mac=None,
         oui_vendor=rng.choice(VENDORS) if rng.random() < 0.2 else None,
         open_ports=random_ports(rng),

@@ -8,7 +8,7 @@ import random
 import pytest
 
 from icsrecon.errors import FormatError
-from icsrecon.model import Asset, CveRecord, Inventory, PortSpec, StaticDeviceInfo
+from icsrecon.model import Asset, CveRecord, Inventory, PortSpec, ProvenanceEntry, StaticDeviceInfo
 
 from conftest import random_asset, ts
 
@@ -33,6 +33,36 @@ def test_upsert_is_idempotent():
     assert len(inv) == 1
     assert first.open_ports == second.open_ports
     assert first.static_info == second.static_info
+    # an asset carrying provenance: upserting it again logs nothing twice
+    revised = Asset.discovered(
+        "192.168.90.10",
+        ts(1),
+        static_info=StaticDeviceInfo(manufacturer="Siemens", firmware_version="3.2.6"),
+        provenance=(ProvenanceEntry("static_info.firmware_version", "3.2.5", "3.2.6", ts(1), "active"),),
+    )
+    inv = Inventory()
+    first = inv.upsert(revised)
+    second = inv.upsert(revised)
+    assert first == second == revised
+
+
+def test_upsert_keeps_the_incoming_assets_provenance():
+    ip = "192.168.90.13"
+    passive = Asset.discovered(
+        ip,
+        ts(2),
+        "passive",
+        static_info=StaticDeviceInfo(manufacturer="Schneider Electric", firmware_version="2"),
+        provenance=(ProvenanceEntry("static_info.firmware_version", "1", "2", ts(2), "passive"),),
+    )
+    inv = Inventory([Asset.discovered(ip, ts(), static_info=StaticDeviceInfo(manufacturer="Schneider"))])
+    merged = inv.upsert(passive)
+    assert [(p.field, p.prior, p.current, p.at, p.source) for p in merged.provenance] == [
+        ("static_info.manufacturer", "Schneider", "Schneider Electric", ts(2), "passive"),
+        ("static_info.firmware_version", "1", "2", ts(2), "passive"),
+    ]
+    assert merged.static_info.firmware_version == "2"
+    assert inv.upsert(passive) == merged  # nothing logged twice
 
 
 def test_save_load_round_trip(tmp_path, rng):

@@ -15,7 +15,6 @@ from icsrecon.model import (
     CveRecord,
     DeploymentInfo,
     DepthLevel,
-    Observation,
     PortSpec,
     StaticDeviceInfo,
     _check_ip,
@@ -102,8 +101,8 @@ def test_satisfied_levels_sparse_ladder():
     assert satisfied_levels(asset) == {1, 2, 3, 5}
 
 
-def naive_union(asset: Asset, obs: Observation) -> dict:
-    """Reference merge: plain field-wise union, observation wins scalars."""
+def naive_union(asset: Asset, obs: Asset) -> dict:
+    """Reference merge: plain field-wise union, the evidence wins scalars."""
     static = obs.static_info or asset.static_info
     if asset.static_info and obs.static_info:
         merged = asset.static_info.to_dict()
@@ -125,14 +124,14 @@ def naive_union(asset: Asset, obs: Observation) -> dict:
         "static_info": static,
         "deployment_info": deployment,
         "vuln_ids": vuln_ids,
-        "last_seen": max(asset.last_seen, obs.timestamp),
-        "sources": asset.sources | {obs.source},
+        "last_seen": max(asset.last_seen, obs.last_seen),
+        "sources": asset.sources | obs.sources,
     }
 
 
 def test_merge_union_with_empty_port_set():
     asset = Asset.discovered("192.168.90.13", ts())
-    obs = Observation("192.168.90.13", "active", ts(1), open_ports=frozenset({PortSpec(502)}))
+    obs = Asset.discovered("192.168.90.13", ts(1), open_ports=frozenset({PortSpec(502)}))
     merged = merge_observation(asset, obs)
     assert merged.open_ports == frozenset({PortSpec(502)})
     assert merged.ip == asset.ip
@@ -140,9 +139,7 @@ def test_merge_union_with_empty_port_set():
 
 def test_merge_gains_static_ports_unchanged():
     asset = Asset.discovered("192.168.90.10", ts(), open_ports=frozenset({PortSpec(102)}))
-    obs = Observation(
-        "192.168.90.10", "active", ts(1), static_info=StaticDeviceInfo(manufacturer="Siemens")
-    )
+    obs = Asset.discovered("192.168.90.10", ts(1), static_info=StaticDeviceInfo(manufacturer="Siemens"))
     merged = merge_observation(asset, obs)
     reference = naive_union(asset, obs)
     assert merged.static_info == reference["static_info"]
@@ -151,7 +148,7 @@ def test_merge_gains_static_ports_unchanged():
 
 def test_merge_ip_mismatch():
     asset = Asset.discovered("192.168.90.10", ts())
-    obs = Observation("192.168.90.11", "active", ts(1))
+    obs = Asset.discovered("192.168.90.11", ts(1))
     with pytest.raises(AddressMismatch):
         merge_observation(asset, obs)
 
@@ -180,10 +177,10 @@ def test_merge_newest_wins_keeps_provenance():
     asset = Asset.discovered(
         "192.168.90.10", ts(), static_info=StaticDeviceInfo(manufacturer="Siemens", firmware_version="3.2.5")
     )
-    obs = Observation(
+    obs = Asset.discovered(
         "192.168.90.10",
-        "passive",
         ts(5),
+        "passive",
         static_info=StaticDeviceInfo(manufacturer="Siemens", firmware_version="3.2.6"),
     )
     merged = merge_observation(asset, obs)

@@ -17,7 +17,6 @@ from icsrecon.model import (
     Asset,
     DeploymentInfo,
     Inventory,
-    Observation,
     PortSpec,
     StaticDeviceInfo,
     merge_observation,
@@ -479,24 +478,24 @@ def one_merge_per_observation(source):
     senders, flows, _read, _skipped = _dissect(read_capture(source))
     assets = {}
 
-    def fold(obs):
-        asset = assets.get(obs.ip) or Asset(ip=obs.ip, last_seen=obs.timestamp, sources=frozenset({obs.source}))
-        assets[obs.ip] = merge_observation(asset, obs)
+    def fold(evidence):
+        asset = assets.get(evidence.ip) or Asset(ip=evidence.ip, last_seen=evidence.last_seen, sources=evidence.sources)
+        assets[evidence.ip] = merge_observation(asset, evidence)
 
     for raw_ip, (raw_mac, last) in senders.items():
         mac = mac_text(raw_mac)
         when = datetime.fromtimestamp(last, tz=timezone.utc)
-        fold(Observation(ip_text(raw_ip), "passive", when, mac=mac, oui_vendor=vendor_for_mac(mac)))
+        fold(Asset.discovered(ip_text(raw_ip), when, "passive", mac=mac, oui_vendor=vendor_for_mac(mac)))
     for flow in flows.values():
         protocol, (raw_server, port), replies = flow.classify()
         if protocol is None or raw_server not in senders:
             continue
         static_fields, deployment = _identity_fields(protocol, replies)
         fold(
-            Observation(
+            Asset.discovered(
                 ip_text(raw_server),
-                "passive",
                 datetime.fromtimestamp(flow.last_seen, tz=timezone.utc),
+                "passive",
                 open_ports=frozenset({PortSpec(port)}),
                 protocols=frozenset({protocol}),
                 static_info=StaticDeviceInfo.from_fields(static_fields),

@@ -381,6 +381,67 @@ def test_late_szl_reply_ends_the_session():
     assert scanner.limiter.granted == 2
 
 
+def test_unframeable_continuation_reply_ends_the_session():
+    # the continuation reply's MBAP header names protocol id 1: the bytes behind it cannot be trusted
+    first = modbus.build_device_id_response(1, 1, {0x00: "Vendor", 0x01: "Model"}, more_follows=True, next_object_id=2)
+    bad = bytearray(modbus.build_device_id_response(1, 1, {0x02: "9.9"}))
+    bad[3] = 0x01
+    client, device = socket.socketpair()
+    requests = []
+
+    def serve():
+        with contextlib.suppress(OSError):
+            while request := device.recv(4096):
+                requests.append(request)
+                if request[7] == modbus.FC_ENCAPSULATED:
+                    device.sendall(bad)
+                else:
+                    device.sendall(modbus.build_report_slave_id_response(2, 1, slave_id=5))
+
+    peer = threading.Thread(target=serve)
+    peer.start()
+    scanner = Scanner(quick_config(targets=("192.168.90.13",)), network=RealNetwork())
+    asset = Asset.discovered("192.168.90.13", scanner._now())
+    asset = scanner._merge(asset, open_ports=frozenset({PortSpec(502)}), protocols=frozenset({"modbus"}))
+    with device:
+        with client:
+            asset = scanner.enumerate_modbus(asset, (client, first))
+        peer.join()
+    assert (asset.static_info.manufacturer, asset.static_info.model) == ("Vendor", "Model")
+    assert asset.static_info.firmware_version is None
+    assert asset.deployment_info is None
+    assert [request[7] for request in requests] == [modbus.FC_ENCAPSULATED]  # no FC 0x11 sent
+    assert scanner.limiter.granted == 1
+
+
+def test_unframeable_szl_reply_ends_the_session():
+    # the first SZL reply starts with TPKT version 9: the component list must not be asked for
+    setup, module_read = s7.build_setup_communication(pdu_ref=1), s7.build_szl_read(s7.SZL_MODULE_ID, pdu_ref=2)
+    entries = s7.module_id_entries({"module_order_number": "6ES7 151-8AB01-0AB0", "firmware_version": "3.2.6"})
+    bad = b"\x09" + s7.build_szl_response_frame(s7.S7SzlResponse(s7.SZL_MODULE_ID, 0, entries, pdu_ref=2))[1:]
+    client, device = socket.socketpair()
+    received = bytearray()
+
+    def serve():
+        with contextlib.suppress(OSError):
+            while request := device.recv(4096):
+                received.extend(request)
+                device.sendall(s7.build_setup_ack(1) if request == setup else bad)
+
+    peer = threading.Thread(target=serve)
+    peer.start()
+    scanner = Scanner(quick_config(targets=("192.168.90.10",)), network=RealNetwork())
+    asset = Asset.discovered("192.168.90.10", scanner._now())
+    asset = scanner._merge(asset, open_ports=frozenset({PortSpec(102)}), protocols=frozenset({"s7comm"}))
+    with device:
+        with client:
+            asset = scanner.enumerate_s7(asset, (client, b""))
+        peer.join()
+    assert asset.static_info is None
+    assert bytes(received) == setup + module_read  # no further request
+    assert scanner.limiter.granted == 2
+
+
 def test_unit_sweep_stops_at_its_first_timeout():
     config = quick_config(targets=("192.168.90.13",), timeout_ms=100, safe_mode=False, unit_id_sweep=True)
     scanner = Scanner(config, network=RealNetwork())
