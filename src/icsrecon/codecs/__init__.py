@@ -1,7 +1,9 @@
 """Bit-exact encoders/decoders for the three enumerated wire protocols.
 
 Shared by the active scanner, the passive analyzer and the device
-simulator, so both sides of every exchange speak from one table.
+simulator, so both sides of every exchange speak from one table:
+:data:`PROTOCOLS` maps each codec's ``NAME`` to the codec, which also
+states its well-known ``PORT``.
 Decoders raise only :class:`icsrecon.errors.DecodeError` /
 :class:`icsrecon.errors.FormatError` subclasses, never anything else,
 regardless of input. Each codec's ``identity_fields`` turns reply
@@ -33,4 +35,6 @@ def cut_frames(buffer: bytes, header_size: int, frame_size) -> tuple[list[bytes]
 
 from . import enip, modbus, s7  # noqa: E402  (the codecs import cut_frames from here)
 
-__all__ = ["cut_frames", "modbus", "s7", "enip"]
+PROTOCOLS = {codec.NAME: codec for codec in (modbus, s7, enip)}  # in classification order
+
+__all__ = ["PROTOCOLS", "cut_frames", "modbus", "s7", "enip"]

@@ -16,14 +16,16 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from . import cut_frames
 from ..errors import DecodeError, FormatError, LengthMismatch, Truncated, UnexpectedCommand
+from ..ouidb import load_enip_vendors
 
+NAME = "enip"
+PORT = 44818
 ENCAP_HEADER = struct.Struct("<HHII8sI")
 HEADER_SIZE = ENCAP_HEADER.size
-ENIP_PORT = 44818
 
 CMD_NOP = 0x0000
 CMD_LIST_SERVICES = 0x0004
@@ -102,7 +104,7 @@ def build_list_identity() -> bytes:
     return encode_header(CMD_LIST_IDENTITY, b"")
 
 
-def encode_identity_item(identity: CipIdentity, ip: str = "0.0.0.0", port: int = ENIP_PORT) -> bytes:
+def encode_identity_item(identity: CipIdentity, ip: str = "0.0.0.0", port: int = PORT) -> bytes:
     name = identity.product_name.encode("ascii", errors="replace")
     if len(name) > 0xFF:
         raise ValueError("product name too long")
@@ -122,7 +124,7 @@ def encode_identity_item(identity: CipIdentity, ip: str = "0.0.0.0", port: int =
     return struct.pack("<HHH", 1, ITEM_IDENTITY, len(item)) + item
 
 
-def build_list_identity_response(identity: CipIdentity, ip: str = "0.0.0.0", port: int = ENIP_PORT) -> bytes:
+def build_list_identity_response(identity: CipIdentity, ip: str = "0.0.0.0", port: int = PORT) -> bytes:
     return encode_header(CMD_LIST_IDENTITY, encode_identity_item(identity, ip, port))
 
 
@@ -162,12 +164,12 @@ def parse_list_identity(data: bytes) -> CipIdentity:
     )
 
 
-def identity_fields(replies: Iterable[bytes], vendors: Mapping[int, str]) -> tuple[dict[str, str], dict[str, str]]:
+def identity_fields(replies: Iterable[bytes]) -> tuple[dict[str, str], dict[str, str]]:
     """Static fields from a server's ListIdentity replies; never raises.
 
-    Other commands and frames that do not decode are skipped. The
-    identity object carries nothing operator-set, so the deployment
-    fields are always empty.
+    Vendor ids are named by the shipped table; other commands and frames
+    that do not decode are skipped. The identity object carries nothing
+    operator-set, so the deployment fields are always empty.
     """
     static: dict[str, str] = {}
     for wire in replies:
@@ -175,7 +177,7 @@ def identity_fields(replies: Iterable[bytes], vendors: Mapping[int, str]) -> tup
             identity = parse_list_identity(wire)
         except (DecodeError, FormatError):
             continue
-        static.update(identity_to_fields(identity, vendors.get(identity.vendor_id)))
+        static.update(identity_to_fields(identity, load_enip_vendors().get(identity.vendor_id)))
     return static, {}
 
 

@@ -28,6 +28,8 @@ from ..errors import (
     Truncated,
 )
 
+NAME = "modbus"
+PORT = 502
 MBAP = struct.Struct(">HHHB")
 HEADER_SIZE = MBAP.size
 
@@ -41,6 +43,7 @@ DEVICE_ID_BASIC = 0x01
 OBJ_VENDOR_NAME = 0x00
 OBJ_PRODUCT_CODE = 0x01
 OBJ_REVISION = 0x02
+OBJECT_FIELDS = {OBJ_VENDOR_NAME: "manufacturer", OBJ_PRODUCT_CODE: "model", OBJ_REVISION: "firmware_version"}
 
 EXC_ILLEGAL_FUNCTION = 0x01
 EXC_ILLEGAL_DATA_ADDRESS = 0x02
@@ -77,9 +80,6 @@ class DeviceIdentification:
     conformity: int = 0x01
     more_follows: bool = False
     next_object_id: int = 0
-
-    def field(self, object_id: int) -> str | None:
-        return self.objects.get(object_id)
 
 
 @dataclass(frozen=True)
@@ -260,34 +260,24 @@ def build_read_holding_response(transaction_id: int, unit: int, registers: list[
 def identity_fields(replies: Iterable[bytes]) -> tuple[dict[str, str], dict[str, str]]:
     """Static and deployment fields from a server's reply frames; never raises.
 
-    FC 0x2B objects merge across continuation rounds (later ones win),
-    FC 0x11 gives the slave id and the replying unit. Frames whose
-    function byte is neither (register polls, exception replies) are
-    skipped before decoding, and frames that do not decode are skipped.
+    FC 0x2B objects map through ``OBJECT_FIELDS`` and merge across
+    continuation rounds (later ones win), FC 0x11 gives the slave id and
+    the replying unit. Frames whose function byte is neither (register
+    polls, exception replies) are skipped before decoding, and frames
+    that do not decode are skipped.
     """
-    objects: dict[int, str] = {}
+    static: dict[str, str] = {}
     deployment: dict[str, str] = {}
     for wire in replies:
         if len(wire) < 8 or wire[7] not in (FC_ENCAPSULATED, FC_REPORT_SLAVE_ID):
             continue  # register polls, exceptions and runts carry no identity
         try:
             if wire[7] == FC_ENCAPSULATED:
-                objects.update(parse_device_id_response(wire).objects)
+                objects = parse_device_id_response(wire).objects
+                static.update((OBJECT_FIELDS[k], v) for k, v in objects.items() if k in OBJECT_FIELDS)
             else:
                 deployment["modbus_slave_id"] = str(parse_report_slave_id_response(wire).slave_id)
                 deployment["unit_id"] = str(wire[6])  # the MBAP unit id of the reply
         except (DecodeError, FormatError):
             continue
-    return device_id_to_fields(DeviceIdentification(objects)), deployment
-
-
-def device_id_to_fields(ident: DeviceIdentification) -> dict[str, str]:
-    """Map standard identification objects onto static-info fields."""
-    fields: dict[str, str] = {}
-    if OBJ_VENDOR_NAME in ident.objects:
-        fields["manufacturer"] = ident.objects[OBJ_VENDOR_NAME]
-    if OBJ_PRODUCT_CODE in ident.objects:
-        fields["model"] = ident.objects[OBJ_PRODUCT_CODE]
-    if OBJ_REVISION in ident.objects:
-        fields["firmware_version"] = ident.objects[OBJ_REVISION]
-    return fields
+    return static, deployment

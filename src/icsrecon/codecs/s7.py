@@ -29,6 +29,8 @@ from typing import Iterable
 from . import cut_frames
 from ..errors import DecodeError, FormatError, LengthMismatch, Truncated
 
+NAME = "s7comm"
+PORT = 102
 TPKT_VERSION = 3
 HEADER_SIZE = 4  # TPKT
 
@@ -58,11 +60,14 @@ _MODULE_ID_INDEX_ORDER = 0x0001
 _MODULE_ID_INDEX_HARDWARE = 0x0006
 _MODULE_ID_INDEX_FIRMWARE = 0x0007
 
-_COMPONENT_INDEX_SYSTEM_NAME = 0x0001
-_COMPONENT_INDEX_MODULE_NAME = 0x0002
-_COMPONENT_INDEX_PLANT_ID = 0x0003
-_COMPONENT_INDEX_COPYRIGHT = 0x0004
-_COMPONENT_INDEX_SERIAL = 0x0005
+# list 0x001C entry index -> identity key, for building and decoding alike
+COMPONENT_KEYS = {
+    0x0001: "system_name",
+    0x0002: "module_name",
+    0x0003: "plant_id",
+    0x0004: "copyright",
+    0x0005: "serial",
+}
 
 
 @dataclass(frozen=True)
@@ -143,9 +148,6 @@ class S7SzlResponse:
 
 
 S7Message = S7SetupCommunication | S7SzlRequest | S7SzlResponse
-
-# A friendly view of one status-list read: canonical field -> text.
-SzlRecord = dict[str, str]
 
 
 def _need(data: bytes, count: int, what: str) -> None:
@@ -449,15 +451,8 @@ def module_id_entries(identity: dict[str, str]) -> tuple[SzlEntry, ...]:
 
 def component_id_entries(identity: dict[str, str]) -> tuple[SzlEntry, ...]:
     """Identity fields -> list 0x001C entries."""
-    mapping = (
-        (_COMPONENT_INDEX_SYSTEM_NAME, "system_name"),
-        (_COMPONENT_INDEX_MODULE_NAME, "module_name"),
-        (_COMPONENT_INDEX_PLANT_ID, "plant_id"),
-        (_COMPONENT_INDEX_COPYRIGHT, "copyright"),
-        (_COMPONENT_INDEX_SERIAL, "serial"),
-    )
     return tuple(
-        SzlEntry(index=index, text=identity[key]) for index, key in mapping if identity.get(key)
+        SzlEntry(index=index, text=identity[key]) for index, key in COMPONENT_KEYS.items() if identity.get(key)
     )
 
 
@@ -481,12 +476,14 @@ def _unpack_version(word: int) -> str:
     return f"{word >> 8}.{word & 0xFF}"
 
 
-def parse_szl_response(data: bytes) -> list[SzlRecord]:
-    """Parse a status-list reply frame into canonical field maps.
+def parse_szl_response(data: bytes) -> tuple[dict[str, str], dict[str, str]]:
+    """Parse a status-list reply frame into static and deployment fields.
 
-    Returns one merged record per reply. Refusals surface as a
-    FormatError carrying the device's error code; unknown list ids are
-    also a FormatError (only 0x0011 / 0x001C belong to this subset).
+    Order number -> model, the module list's maker and the component
+    list's copyright -> manufacturer, serial -> serial; station naming
+    goes to deployment entries. Refusals surface as a FormatError
+    carrying the device's error code; unknown list ids are also a
+    FormatError (only 0x0011 / 0x001C belong to this subset).
     """
     envelope = decode_envelope(data)
     if not isinstance(envelope.cotp, CotpData):
@@ -501,70 +498,47 @@ def parse_szl_response(data: bytes) -> list[SzlRecord]:
     if not message.entries:
         raise FormatError("status list response with no records")
 
-    record: SzlRecord = {}
+    static: dict[str, str] = {}
+    deployment: dict[str, str] = {}
     if message.szl_id == SZL_MODULE_ID:
-        record["vendor"] = "Siemens"  # status lists are a Siemens-family service
+        static["manufacturer"] = "Siemens"  # status lists are a Siemens-family service
         for entry in message.entries:
             if entry.index == _MODULE_ID_INDEX_ORDER and entry.text:
-                record["module_order_number"] = entry.text
+                static["model"] = entry.text
             elif entry.index == _MODULE_ID_INDEX_HARDWARE:
-                record["hardware_version"] = _unpack_version(entry.words[1])
+                static["hardware_version"] = _unpack_version(entry.words[1])
             elif entry.index == _MODULE_ID_INDEX_FIRMWARE:
-                record["firmware_version"] = f"{_unpack_version(entry.words[1])}.{entry.words[2]}"
+                static["firmware_version"] = f"{_unpack_version(entry.words[1])}.{entry.words[2]}"
     else:
         for entry in message.entries:
-            if not entry.text:
-                continue
-            if entry.index == _COMPONENT_INDEX_SYSTEM_NAME:
-                record["system_name"] = entry.text
-            elif entry.index == _COMPONENT_INDEX_MODULE_NAME:
-                record["module_name"] = entry.text
-            elif entry.index == _COMPONENT_INDEX_PLANT_ID:
-                record["plant_id"] = entry.text
-            elif entry.index == _COMPONENT_INDEX_COPYRIGHT:
-                record["vendor"] = "Siemens" if "siemens" in entry.text.lower() else entry.text
-            elif entry.index == _COMPONENT_INDEX_SERIAL:
-                record["serial"] = entry.text
-    if not record:
+            key = COMPONENT_KEYS.get(entry.index) if entry.text else None
+            if key == "copyright":
+                static["manufacturer"] = "Siemens" if "siemens" in entry.text.lower() else entry.text
+            elif key == "serial":
+                static[key] = entry.text
+            elif key:
+                deployment[key] = entry.text
+    if not static and not deployment:
         raise FormatError("status list response with no usable fields")
-    return [record]
+    return static, deployment
 
 
 def identity_fields(replies: Iterable[bytes]) -> tuple[dict[str, str], dict[str, str]]:
     """Static and deployment fields from a server's reply frames; never raises.
 
     Only status-list replies count: COTP confirms, setup acks, refusals
-    and frames that do not decode are skipped.
-    """
-    records: list[SzlRecord] = []
-    for wire in replies:
-        try:
-            records.extend(parse_szl_response(wire))
-        except (DecodeError, FormatError):
-            continue
-    return szl_records_to_fields(records)
-
-
-def szl_records_to_fields(records: list[SzlRecord]) -> tuple[dict[str, str], dict[str, str]]:
-    """Map status-list records onto static / deployment fields.
-
-    order number -> model, vendor -> manufacturer; station naming goes
-    to deployment entries.
+    and frames that do not decode are skipped. The first list to name a
+    manufacturer keeps it; later lists win every other field.
     """
     static: dict[str, str] = {}
     deployment: dict[str, str] = {}
-    for record in records:
-        if "module_order_number" in record:
-            static["model"] = record["module_order_number"]
-        if "firmware_version" in record:
-            static["firmware_version"] = record["firmware_version"]
-        if "hardware_version" in record:
-            static["hardware_version"] = record["hardware_version"]
-        if "vendor" in record:
-            static.setdefault("manufacturer", record["vendor"])
-        if "serial" in record:
-            static["serial"] = record["serial"]
-        for key in ("system_name", "module_name", "plant_id"):
-            if key in record:
-                deployment[key] = record[key]
+    for wire in replies:
+        try:
+            reply_static, reply_deployment = parse_szl_response(wire)
+        except (DecodeError, FormatError):
+            continue
+        if "manufacturer" in static:
+            reply_static.pop("manufacturer", None)
+        static.update(reply_static)
+        deployment.update(reply_deployment)
     return static, deployment

@@ -71,11 +71,12 @@ def normalize_protocol(token: str) -> str:
 
 
 def _clean(text: str | None) -> str | None:
-    """Normalize empty / whitespace-only strings to absent."""
+    """Normalize empty / whitespace-only strings to absent; non-text is a ValueError."""
     if text is None:
         return None
-    text = text.strip()
-    return text or None
+    if not isinstance(text, str):
+        raise ValueError(f"expected text, got {text!r}")
+    return text.strip() or None
 
 
 @dataclass(frozen=True, order=True)
@@ -99,16 +100,28 @@ class PortSpec:
         try:
             port, transport = text.split("/", 1)
             return cls(int(port), transport)
-        except (ValueError, TypeError) as exc:
+        except (ValueError, TypeError, AttributeError) as exc:  # AttributeError: not text
             raise ValueError(f"bad port spec {text!r}") from exc
+
+
+STATIC_FIELDS = ("manufacturer", "model", "firmware_version", "hardware_version", "serial")
+
+
+def clean_static(fields: dict[str, str | None]) -> dict[str, str] | None:
+    """The present static-info fields of a loose dict, cleaned, in ``STATIC_FIELDS`` order.
+
+    None when below the bar: at least one of manufacturer, model or
+    firmware_version must be present.
+    """
+    cleaned = {name: text for name in STATIC_FIELDS if (text := _clean(fields.get(name)))}
+    return cleaned if cleaned.keys() & {"manufacturer", "model", "firmware_version"} else None
 
 
 @dataclass(frozen=True)
 class StaticDeviceInfo:
     """Factory-set device properties; absent rather than empty.
 
-    At least one of manufacturer / model / firmware_version must be
-    present, otherwise the whole value must be omitted.
+    Below the ``clean_static`` bar the whole value must be omitted.
     """
 
     manufacturer: str | None = None
@@ -118,31 +131,20 @@ class StaticDeviceInfo:
     serial: str | None = None
 
     def __post_init__(self):
-        for name in ("manufacturer", "model", "firmware_version", "hardware_version", "serial"):
-            object.__setattr__(self, name, _clean(getattr(self, name)))
-        if not (self.manufacturer or self.model or self.firmware_version):
+        cleaned = clean_static(self.to_dict())
+        if cleaned is None:
             raise ValueError("static info needs manufacturer, model or firmware_version")
+        for name in STATIC_FIELDS:
+            object.__setattr__(self, name, cleaned.get(name))
 
     @classmethod
     def from_fields(cls, fields: dict[str, str | None]) -> "StaticDeviceInfo | None":
         """Build from a loose field dict; None when below the bar."""
-        known = {
-            k: _clean(v)
-            for k, v in fields.items()
-            if k in ("manufacturer", "model", "firmware_version", "hardware_version", "serial")
-        }
-        if not (known.get("manufacturer") or known.get("model") or known.get("firmware_version")):
-            return None
-        return cls(**known)
+        cleaned = clean_static(fields)
+        return cls(**cleaned) if cleaned else None
 
     def to_dict(self) -> dict[str, str | None]:
-        return {
-            "manufacturer": self.manufacturer,
-            "model": self.model,
-            "firmware_version": self.firmware_version,
-            "hardware_version": self.hardware_version,
-            "serial": self.serial,
-        }
+        return {name: getattr(self, name) for name in STATIC_FIELDS}
 
 
 @dataclass(frozen=True)
@@ -259,11 +261,15 @@ def format_timestamp(ts: datetime) -> str:
 
 
 def parse_timestamp(text: str) -> datetime:
+    if not isinstance(text, str):
+        raise ValueError(f"not a timestamp: {text!r}")
     return datetime.fromisoformat(text.replace("Z", "+00:00"))
 
 
 def _check_ip(ip: str) -> str:
-    if isinstance(ip, str) and _DOTTED_QUAD_RE.fullmatch(ip):
+    if not isinstance(ip, str):
+        raise ValueError(f"not an IPv4 address: {ip!r}")
+    if _DOTTED_QUAD_RE.fullmatch(ip):
         return ip  # already the canonical text ipaddress would give back
     try:
         return str(ipaddress.IPv4Address(ip))
@@ -340,9 +346,7 @@ class Asset:
             oui_vendor=raw.get("oui_vendor"),
             open_ports=frozenset(PortSpec.parse(p) for p in raw.get("open_ports", [])),
             protocols=frozenset(raw.get("protocols", [])),
-            static_info=StaticDeviceInfo(**static) if static and any(
-                static.get(k) for k in ("manufacturer", "model", "firmware_version")
-            ) else None,
+            static_info=StaticDeviceInfo(**static) if static and clean_static(static) else None,
             deployment_info=DeploymentInfo.from_dict(deployment) if deployment else None,
             vulnerabilities=tuple(CveRecord.from_dict(v) for v in raw.get("vulnerabilities", [])),
             last_seen=parse_timestamp(raw["last_seen"]),

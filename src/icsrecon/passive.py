@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import Any, ClassVar, Iterable, Iterator
 
-from .codecs import enip, modbus, s7
+from .codecs import PROTOCOLS, cut_frames, enip, s7
 from .errors import IcsReconError, PrivilegeRequired
 from .model import (
     Asset,
@@ -33,10 +33,11 @@ from .model import (
     ProvenanceEntry,
     StaticDeviceInfo,
     _newest_wins,
+    clean_static,
     compute_depth,
     format_timestamp,
 )
-from .ouidb import load_enip_vendors, vendor_for_mac
+from .ouidb import vendor_for_mac
 from .pcapio import (
     ARP_LENGTH,
     CaptureReader,
@@ -54,7 +55,7 @@ from .pcapio import (
 )
 
 REASSEMBLY_CAP = 64 * 1024
-WELL_KNOWN_SERVER_PORTS = (102, 502, 44818, 20000)
+WELL_KNOWN_SERVER_PORTS = frozenset({*(codec.PORT for codec in PROTOCOLS.values()), 20000})  # 20000: DNP3
 
 
 @dataclass(frozen=True)
@@ -100,14 +101,9 @@ def read_capture(source: CaptureSource) -> CaptureReader | LiveInterface:
 
 
 def _frames(protocol: str | None, data: bytes) -> list[bytes]:
-    """Complete frames cut off the front of ``data`` by the protocol's extractor."""
-    if protocol == "modbus":
-        return modbus.extract_frames(data)[0]
-    if protocol == "s7comm":
-        return s7.extract_tpkt_frames(data)[0]
-    if protocol == "enip":
-        return enip.extract_frames(data)[0]
-    return []
+    """Complete frames cut off the front of ``data`` by the protocol's frame rule."""
+    codec = PROTOCOLS.get(protocol)
+    return cut_frames(data, codec.HEADER_SIZE, codec.frame_size)[0] if codec else []
 
 
 def classify_flow(data: bytes) -> tuple[str | None, list[bytes]]:
@@ -118,26 +114,16 @@ def classify_flow(data: bytes) -> tuple[str | None, list[bytes]]:
     first one; returns (None, []) when nothing matches (ports are
     deliberately ignored). DNP3 is recognised by its start bytes and not cut.
     """
-    for protocol in ("modbus", "s7comm", "enip"):
+    for protocol, codec in PROTOCOLS.items():
         frames = _frames(protocol, data)
         try:
-            if frames and (protocol != "s7comm" or s7.decode_envelope(frames[0])) and (
-                protocol != "enip" or enip.decode_header(frames[0])[0].command in enip.KNOWN_COMMANDS
+            if frames and (codec is not s7 or s7.decode_envelope(frames[0])) and (
+                codec is not enip or enip.decode_header(frames[0])[0].command in enip.KNOWN_COMMANDS
             ):
                 return protocol, frames
         except IcsReconError:
             continue  # TPKT-shaped bytes that do not carry COTP
     return ("dnp3" if data[:2] == b"\x05\x64" else None), []
-
-
-def _identity_fields(protocol: str, replies: list[bytes]) -> tuple[dict[str, str], dict[str, str]]:
-    if protocol == "modbus":
-        return modbus.identity_fields(replies)
-    if protocol == "s7comm":
-        return s7.identity_fields(replies)
-    if protocol == "enip":
-        return enip.identity_fields(replies, load_enip_vendors())
-    return {}, {}
 
 
 class _Direction:
@@ -219,12 +205,12 @@ class _Evidence:
         self.last_seen = max(self.last_seen, last_seen)
         self.ports.add(port)
         self.protocols.add(protocol)
-        static = StaticDeviceInfo.from_fields(static_fields)
+        static = clean_static(static_fields)
         deploy = DeploymentInfo.from_dict(deployment)
         if static or deploy:
             at = datetime.fromtimestamp(last_seen, tz=timezone.utc)
             if static:
-                _newest_wins(self.static, static.to_dict().items(), "static_info.", self.provenance, at, "passive")
+                _newest_wins(self.static, static.items(), "static_info.", self.provenance, at, "passive")
             if deploy:
                 _newest_wins(self.deployment, deploy.entries, "deployment_info.", self.provenance, at, "passive")
 
@@ -350,7 +336,9 @@ def analyze_capture(source: CaptureSource) -> PassiveReport:
         server = evidence.get(raw_server)
         if server is None:
             continue  # never transmitted; do not invent an asset
-        server.add_flow(flow.last_seen, server_port, protocol, *_identity_fields(protocol, replies))
+        codec = PROTOCOLS.get(protocol)  # None for DNP3: recognised, never decoded
+        identity = codec.identity_fields(replies) if codec else ({}, {})
+        server.add_flow(flow.last_seen, server_port, protocol, *identity)
 
     inventory = Inventory(server.freeze(ip_text(raw_ip)) for raw_ip, server in evidence.items())
     depths = {asset.ip: int(compute_depth(asset)) for asset in inventory}

@@ -30,7 +30,7 @@ from datetime import datetime, timezone
 from enum import Enum
 from typing import Any
 
-from .codecs import enip, modbus, s7
+from .codecs import PROTOCOLS, enip, modbus, s7
 from .errors import (
     ConfigError,
     ConnectionRefusedByTsap,
@@ -51,15 +51,15 @@ from .model import (
     merge_observation,
 )
 from .netbase import Network, RealNetwork, recv_frame
-from .ouidb import load_enip_vendors, vendor_for_mac
+from .ouidb import vendor_for_mac
 from .ratelimit import TokenBucket
 
 logger = logging.getLogger(__name__)
 
 REPORT_VERSION = 1
 
-DEFAULT_PORTS = frozenset({102, 502, 44818})
-PROTOCOL_PORTS = {102: "s7comm", 502: "modbus", 44818: "enip"}
+PROTOCOL_PORTS = {codec.PORT: name for name, codec in PROTOCOLS.items()}
+DEFAULT_PORTS = frozenset(PROTOCOL_PORTS)
 METHOD_ORDER = ("arp", "icmp", "tcp_connect")
 
 SAFE_MODE_MAX_PPS = 50
@@ -131,6 +131,8 @@ class ScanConfig:
             raise ConfigError("unit id sweeps are disabled in safe mode")
         if self.workers < 1:
             raise ConfigError("workers must be positive")
+        if not 0 <= self.modbus_unit <= 0xFF:
+            raise ConfigError(f"modbus_unit must be within 0..255, got {self.modbus_unit}")
 
     @property
     def timeout(self) -> float:
@@ -469,7 +471,7 @@ class Scanner:
             raise ValueError(f"{asset.ip}: enip not confirmed at protocol level")
         self._note(ScanPhase.ENUMERATION, asset.ip, "enumerate_enip")
         # the ListIdentity reply that confirmed EtherNet/IP is all there is to read
-        return self._apply_identity(asset, *enip.identity_fields([session[1]], load_enip_vendors()))
+        return self._apply_identity(asset, *enip.identity_fields([session[1]]))
 
     def _apply_identity(self, asset: Asset, static_fields: dict[str, str], deployment: dict[str, str]) -> Asset:
         static = StaticDeviceInfo.from_fields(static_fields)

@@ -28,7 +28,7 @@ import time
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .codecs import enip, modbus, s7
+from .codecs import PROTOCOLS, enip, modbus, s7
 from .errors import ConfigError, DecodeError, FormatError, IcsReconError, PortUnavailable
 from .netbase import ConnectResult, Network, recv_frame
 from .pcapio import PcapWriter, TrafficRecorder
@@ -323,7 +323,7 @@ class _DeviceHandler(socketserver.BaseRequestHandler):
             (device.config.ip, device.config.listen_port),
         )
         flow.handshake()
-        codec = {"modbus": modbus, "s7comm": s7, "enip": enip}[device.config.protocol]
+        codec = PROTOCOLS[device.config.protocol]
         session = _S7Session(device) if device.config.protocol == "s7comm" else None
         reset = False
         try:

@@ -5,12 +5,14 @@ from __future__ import annotations
 import json
 import threading
 import time
+from datetime import datetime, timezone
 from importlib import resources
 
 import pytest
 
 from icsrecon.cli import build_parser, main
 from icsrecon.config import default_fixtures_path, load_fixtures
+from icsrecon.model import Asset, DeploymentInfo, PortSpec, ProvenanceEntry, StaticDeviceInfo
 from icsrecon.simulator import ControlClient, ControlledStation, StationHandle
 
 FIXTURE_DIR = resources.files("icsrecon.data").joinpath("fixtures")
@@ -113,6 +115,53 @@ def test_vulnmatch_non_object_db_entry_is_format_error(tmp_path, capsys, entry):
     db.write_text(json.dumps([entry]))
     assert main(["vulnmatch", "--inventory", str(inventory), "--db", str(db)]) == 1
     assert "error[FormatError]: bad CVE record at index 0" in capsys.readouterr().err
+
+
+def inventory_document() -> dict:
+    when = datetime(2024, 1, 1, tzinfo=timezone.utc)
+    asset = Asset(
+        ip="192.168.90.10",
+        last_seen=when,
+        mac="00:1b:1b:aa:10:01",
+        oui_vendor="Siemens AG",
+        open_ports=frozenset({PortSpec(102)}),
+        protocols=frozenset({"s7comm"}),
+        static_info=StaticDeviceInfo(manufacturer="Siemens", model="6ES7 151-8AB01-0AB0"),
+        deployment_info=DeploymentInfo((("plant_id", "PLANT-01"),)),
+        sources=frozenset({"active"}),
+        provenance=(ProvenanceEntry("static_info.model", "CPU 1", "6ES7 151-8AB01-0AB0", when, "active"),),
+    )
+    return {"version": 1, "assets": [asset.to_dict()]}
+
+
+@pytest.mark.parametrize(
+    "path",
+    [
+        ("deployment_info", "plant_id"),
+        ("static_info", "model"),
+        ("mac",),
+        ("oui_vendor",),
+        ("open_ports", 0),
+        ("last_seen",),
+        ("provenance", 0, "at"),
+        ("ip",),
+    ],
+    ids=lambda path: ".".join(map(str, path)),
+)
+def test_depth_rejects_non_text_inventory_field(tmp_path, capsys, path):
+    inventory = tmp_path / "inventory.json"
+    document = inventory_document()
+    inventory.write_text(json.dumps(document))
+    assert main(["depth", "--inventory", str(inventory)]) == 0
+    capsys.readouterr()
+    *parents, last = path
+    field = document["assets"][0]
+    for key in parents:
+        field = field[key]
+    field[last] = 5
+    inventory.write_text(json.dumps(document))
+    assert main(["depth", "--inventory", str(inventory)]) == 1
+    assert "error[FormatError]: bad asset record" in capsys.readouterr().err
 
 
 # -- end-to-end against the simulator ------------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -115,11 +116,12 @@ def test_identity_fields_reads_list_identity_and_skips_the_rest():
         reply[:-1],
         b"GET / HTTP/1.1\r\n",
     ]
-    assert enip.identity_fields(skipped, {1: "Rockwell"}) == ({}, {})
-    static, deployment = enip.identity_fields([*skipped, reply], {1: "Rockwell"})
-    assert static == enip.identity_to_fields(CONTROLLOGIX, "Rockwell")
+    assert enip.identity_fields(skipped) == ({}, {})
+    static, deployment = enip.identity_fields([*skipped, reply])
+    assert static == enip.identity_to_fields(CONTROLLOGIX, "Rockwell Automation/Allen-Bradley")  # the shipped table
     assert deployment == {}
-    assert "manufacturer" not in enip.identity_fields([reply], {})[0]
+    unlisted = enip.build_list_identity_response(dataclasses.replace(CONTROLLOGIX, vendor_id=9999))
+    assert "manufacturer" not in enip.identity_fields([unlisted])[0]
 
 
 @given(
@@ -128,5 +130,5 @@ def test_identity_fields_reads_list_identity_and_skips_the_rest():
     )
 )
 def test_identity_fields_never_raises(replies):
-    static, deployment = enip.identity_fields(replies, {1: "Rockwell"})
+    static, deployment = enip.identity_fields(replies)
     assert isinstance(static, dict) and deployment == {}

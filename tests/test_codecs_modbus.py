@@ -89,11 +89,10 @@ def test_device_id_response_round_trip():
     ident = modbus.parse_device_id_response(wire)
     assert ident.objects == objects
     assert not ident.more_follows
-    assert modbus.device_id_to_fields(ident) == {
-        "manufacturer": "Schneider Electric",
-        "model": "SCADAPack32",
-        "firmware_version": "1.0",
-    }
+    assert modbus.identity_fields([wire]) == (
+        {"manufacturer": "Schneider Electric", "model": "SCADAPack32", "firmware_version": "1.0"},
+        {},
+    )
 
 
 def test_device_id_response_more_follows_surfaced():

@@ -96,15 +96,15 @@ def test_parse_szl_module_identification():
         szl_index=0,
         entries=s7.module_id_entries(ET200S_IDENTITY),
     )
-    records = s7.parse_szl_response(s7.build_szl_response_frame(response))
-    assert records == [
+    assert s7.parse_szl_response(s7.build_szl_response_frame(response)) == (
         {
-            "vendor": "Siemens",
-            "module_order_number": "6ES7 151-8AB01-0AB0",
+            "manufacturer": "Siemens",
+            "model": "6ES7 151-8AB01-0AB0",
             "hardware_version": "2.0",
             "firmware_version": "3.2.6",
-        }
-    ]
+        },
+        {},
+    )
 
 
 def test_parse_szl_component_identification():
@@ -118,23 +118,23 @@ def test_parse_szl_component_identification():
     response = s7.S7SzlResponse(
         szl_id=s7.SZL_COMPONENT_ID, szl_index=0, entries=s7.component_id_entries(identity)
     )
-    records = s7.parse_szl_response(s7.build_szl_response_frame(response))
-    assert records == [
-        {
-            "system_name": "ET200S Station",
-            "module_name": "IM151-8 PN/DP CPU",
-            "plant_id": "PLANT-01",
-            "vendor": "Siemens",
-            "serial": "S C-A1B2C3",
-        }
-    ]
+    assert s7.parse_szl_response(s7.build_szl_response_frame(response)) == (
+        {"manufacturer": "Siemens", "serial": "S C-A1B2C3"},
+        {"system_name": "ET200S Station", "module_name": "IM151-8 PN/DP CPU", "plant_id": "PLANT-01"},
+    )
+
+
+def szl_reply(szl_id: int, entries) -> bytes:
+    return s7.build_szl_response_frame(s7.S7SzlResponse(szl_id=szl_id, szl_index=0, entries=entries))
 
 
 def test_szl_fields_mapping():
-    static, deployment = s7.szl_records_to_fields(
+    module = {"module_order_number": "6ES7 215-1AG40-0XB0", "firmware_version": "4.4.0"}
+    component = {"system_name": "S7 Station", "plant_id": "PLANT-02", "serial": "SN1"}
+    static, deployment = s7.identity_fields(
         [
-            {"module_order_number": "6ES7 215-1AG40-0XB0", "firmware_version": "4.4.0", "vendor": "Siemens"},
-            {"system_name": "S7 Station", "plant_id": "PLANT-02", "serial": "SN1"},
+            szl_reply(s7.SZL_MODULE_ID, s7.module_id_entries(module)),
+            szl_reply(s7.SZL_COMPONENT_ID, s7.component_id_entries(component)),
         ]
     )
     assert static == {
@@ -144,6 +144,21 @@ def test_szl_fields_mapping():
         "serial": "SN1",
     }
     assert deployment == {"system_name": "S7 Station", "plant_id": "PLANT-02"}
+
+
+def test_first_list_to_name_a_manufacturer_keeps_it():
+    acme = {"copyright": "Acme", "serial": "SN1", "system_name": "First"}
+    later = {"serial": "SN2", "system_name": "Second"}
+    static, deployment = s7.identity_fields(
+        [
+            szl_reply(s7.SZL_COMPONENT_ID, s7.component_id_entries(acme)),
+            szl_reply(s7.SZL_MODULE_ID, s7.module_id_entries(ET200S_IDENTITY)),  # names Siemens
+            szl_reply(s7.SZL_COMPONENT_ID, s7.component_id_entries(later)),
+        ]
+    )
+    assert static["manufacturer"] == "Acme"
+    assert (static["model"], static["serial"]) == ("6ES7 151-8AB01-0AB0", "SN2")  # later lists win the rest
+    assert deployment == {"system_name": "Second"}
 
 
 def test_szl_refusal_is_format_error():

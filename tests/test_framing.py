@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import socket
 import threading
 import time
@@ -9,11 +10,14 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from icsrecon.codecs import enip, modbus, s7
+from icsrecon.codecs import PROTOCOLS, cut_frames, enip, modbus, s7
 from icsrecon.errors import FormatError
 from icsrecon.netbase import recv_frame
 
-EXTRACTORS = {modbus: modbus.extract_frames, s7: s7.extract_tpkt_frames, enip: enip.extract_frames}
+EXTRACTORS = {
+    codec: functools.partial(cut_frames, header_size=codec.HEADER_SIZE, frame_size=codec.frame_size)
+    for codec in PROTOCOLS.values()
+}
 
 
 def read_frames(codec, data: bytes) -> list[bytes]:

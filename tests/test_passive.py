@@ -10,7 +10,7 @@ from datetime import datetime, timezone
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from icsrecon.codecs import enip, modbus, s7
+from icsrecon.codecs import PROTOCOLS, enip, modbus, s7
 from icsrecon.config import default_fixtures_path, load_fixtures
 from icsrecon.errors import DecodeError, FormatError
 from icsrecon.model import (
@@ -28,7 +28,6 @@ from icsrecon.passive import (
     REASSEMBLY_CAP,
     _dissect,
     _Flow,
-    _identity_fields,
     analyze_capture,
     classify_flow,
     read_capture,
@@ -490,7 +489,8 @@ def one_merge_per_observation(source):
         protocol, (raw_server, port), replies = flow.classify()
         if protocol is None or raw_server not in senders:
             continue
-        static_fields, deployment = _identity_fields(protocol, replies)
+        codec = PROTOCOLS.get(protocol)
+        static_fields, deployment = codec.identity_fields(replies) if codec else ({}, {})
         fold(
             Asset.discovered(
                 ip_text(raw_server),
@@ -704,6 +704,9 @@ MODBUS_FRAMES = st.one_of(
 )
 
 
+OBJECT_FIELDS = {0x00: "manufacturer", 0x01: "model", 0x02: "firmware_version"}  # the basic category's objects
+
+
 def _decode_every_frame(replies):
     """``modbus.identity_fields`` without its pre-filter: every frame goes through ``decode_modbus``."""
     objects, deployment = {}, {}
@@ -717,7 +720,7 @@ def _decode_every_frame(replies):
                 deployment["unit_id"] = str(header.unit_id)
         except (DecodeError, FormatError):
             continue
-    return modbus.device_id_to_fields(modbus.DeviceIdentification(objects)), deployment
+    return {OBJECT_FIELDS[k]: v for k, v in objects.items() if k in OBJECT_FIELDS}, deployment
 
 
 @settings(max_examples=300, deadline=None)

@@ -10,12 +10,12 @@ from collections import Counter
 
 import pytest
 
-from icsrecon.codecs import modbus, s7
-from icsrecon.config import default_fixtures_path, load_fixtures
+from icsrecon.codecs import PROTOCOLS, enip, modbus, s7
+from icsrecon.config import default_fixtures_path, load_fixtures, load_scan_config
 from icsrecon.errors import ConfigError, IcsReconError, PrivilegeRequired
 from icsrecon.model import Asset, PortSpec, compute_depth
 from icsrecon.netbase import ConnectResult, RealNetwork
-from icsrecon.scanner import ScanConfig, Scanner, expand_targets, run_scan
+from icsrecon.scanner import DEFAULT_PORTS, PROTOCOL_PORTS, ScanConfig, Scanner, expand_targets, run_scan
 from icsrecon.simulator import SimNetwork, start_station
 from icsrecon.taxonomy import classify_run
 
@@ -73,6 +73,21 @@ def test_bad_cidr_is_config_error():
 def test_expand_targets_cidr_and_dedup():
     hosts = expand_targets(("192.168.90.0/30", "192.168.90.1"))
     assert hosts == ["192.168.90.1", "192.168.90.2"]
+
+
+def test_modbus_unit_outside_a_byte_is_config_error(tmp_path):
+    path = tmp_path / "scan.conf"
+    path.write_text("[scan]\ntargets = 192.168.90.13\nmodbus_unit = 300\n")
+    with pytest.raises(ConfigError, match="modbus_unit"):
+        load_scan_config(path)  # rejected before any packet: no scanner, no network
+    assert quick_config(modbus_unit=0).modbus_unit == 0 and quick_config(modbus_unit=255).modbus_unit == 255
+
+
+def test_protocol_table_and_the_ports_derived_from_it():
+    assert list(PROTOCOLS.items()) == [("modbus", modbus), ("s7comm", s7), ("enip", enip)]  # classification order
+    assert [codec.PORT for codec in PROTOCOLS.values()] == [502, 102, 44818]
+    assert DEFAULT_PORTS == frozenset({102, 502, 44818})
+    assert PROTOCOL_PORTS == {102: "s7comm", 502: "modbus", 44818: "enip"}
 
 
 # -- phase 1 -----------------------------------------------------------------
