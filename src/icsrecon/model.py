@@ -250,6 +250,9 @@ class ProvenanceEntry:
 
     @classmethod
     def from_dict(cls, raw: dict[str, str]) -> "ProvenanceEntry":
+        for key in ("field", "prior", "current", "source"):
+            if not isinstance(raw[key], str):
+                raise ValueError(f"provenance {key} must be text, got {raw[key]!r}")
         return cls(raw["field"], raw["prior"], raw["current"], parse_timestamp(raw["at"]), raw["source"])
 
 
@@ -264,6 +267,22 @@ def parse_timestamp(text: str) -> datetime:
     if not isinstance(text, str):
         raise ValueError(f"not a timestamp: {text!r}")
     return datetime.fromisoformat(text.replace("Z", "+00:00"))
+
+
+def _array(raw: dict[str, Any], key: str) -> list:
+    """A record's JSON array field; absent is empty."""
+    value = raw.get(key, [])
+    if not isinstance(value, list):
+        raise ValueError(f"{key} must be an array, got {value!r}")
+    return value
+
+
+def _object(raw: dict[str, Any], key: str) -> dict | None:
+    """A record's JSON object field; absent or null is None."""
+    value = raw.get(key)
+    if value is not None and not isinstance(value, dict):
+        raise ValueError(f"{key} must be an object, got {value!r}")
+    return value
 
 
 def _check_ip(ip: str) -> str:
@@ -338,20 +357,20 @@ class Asset:
 
     @classmethod
     def from_dict(cls, raw: dict[str, Any]) -> "Asset":
-        static = raw.get("static_info")
-        deployment = raw.get("deployment_info")
+        static = _object(raw, "static_info")
+        deployment = _object(raw, "deployment_info")
         return cls(
             ip=raw["ip"],
             mac=raw.get("mac"),
             oui_vendor=raw.get("oui_vendor"),
-            open_ports=frozenset(PortSpec.parse(p) for p in raw.get("open_ports", [])),
-            protocols=frozenset(raw.get("protocols", [])),
+            open_ports=frozenset(PortSpec.parse(p) for p in _array(raw, "open_ports")),
+            protocols=frozenset(_array(raw, "protocols")),
             static_info=StaticDeviceInfo(**static) if static and clean_static(static) else None,
             deployment_info=DeploymentInfo.from_dict(deployment) if deployment else None,
-            vulnerabilities=tuple(CveRecord.from_dict(v) for v in raw.get("vulnerabilities", [])),
+            vulnerabilities=tuple(CveRecord.from_dict(v) for v in _array(raw, "vulnerabilities")),
             last_seen=parse_timestamp(raw["last_seen"]),
-            sources=frozenset(raw.get("sources", [])),
-            provenance=tuple(ProvenanceEntry.from_dict(p) for p in raw.get("provenance", [])),
+            sources=frozenset(_array(raw, "sources")),
+            provenance=tuple(ProvenanceEntry.from_dict(p) for p in _array(raw, "provenance")),
         )
 
 

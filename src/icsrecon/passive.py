@@ -2,14 +2,18 @@
 
 The analyzer never opens a sending socket: everything comes from
 capture records (offline pcap files, or a live interface behind the
-same reader seam). Each frame is dissected once, by offset; flows and
-senders are keyed by raw address, which becomes text once per asset.
-Protocol claims need payload evidence, never a port alone; identity
-replies are decoded by the shared codecs. Each address's evidence is
-folded flow by flow, by ``merge_observation``'s newest-wins rule, and
+same reader seam). Each frame is dissected once, by offset: a TCP
+frame costs one IPv4 and one TCP header unpack and one lookup of its
+raw source and destination addresses and ports, which finds its flow,
+its direction and its sender at once. Addresses stay raw bytes until
+they become text once per asset. Protocol claims need payload
+evidence, never a port alone; identity replies are decoded by the
+shared codecs. Each address's evidence is folded flow by flow, in
+first-frame order, by ``merge_observation``'s newest-wins rule, and
 frozen into one asset at the end; the report's ``levels_achieved``
 counts each level on its own evidence. Reassembly is in-order per
-direction, capped at 64 KiB; out-of-order segments are dropped and
+direction, capped at 64 KiB; past the cap an in-order segment only
+advances the sequence number. Out-of-order segments are dropped and
 counted.
 """
 
@@ -49,9 +53,7 @@ from .pcapio import (
     TCP_FIN,
     TCP_SYN,
     ip_text,
-    ipv4_span,
     mac_text,
-    tcp_data_start,
 )
 
 REASSEMBLY_CAP = 64 * 1024
@@ -159,17 +161,25 @@ def _seq_after(a: int, b: int) -> bool:
 
 
 class _Flow:
-    def __init__(self, low: tuple[bytes, int], high: tuple[bytes, int]):
-        self.endpoints = (low, high)
-        self.dirs = {low: _Direction(), high: _Direction()}
+    """One TCP connection: its endpoints, in first-frame order, and the direction each one sends."""
+
+    __slots__ = ("endpoints", "forward", "reverse", "client", "out_of_order", "last_seen")
+
+    def __init__(self, first: tuple[bytes, int], second: tuple[bytes, int]):
+        self.endpoints = (first, second)
+        self.forward = _Direction()  # sent by ``first``
+        self.reverse = _Direction()  # sent by ``second``
         self.client: tuple[bytes, int] | None = None
         self.out_of_order = 0
         self.last_seen = 0.0
 
+    def direction(self, sender: tuple[bytes, int]) -> _Direction:
+        return self.forward if sender == self.endpoints[0] else self.reverse
+
     def server(self) -> tuple[bytes, int]:
         if self.client is not None:
-            low, high = self.endpoints
-            return high if self.client == low else low
+            first, second = self.endpoints
+            return second if self.client == first else first
         # without a SYN, ties go to the address that sorts first as text:
         # 10.0.0.10 before 10.0.0.9, unlike their raw bytes
         ordered = sorted(self.endpoints, key=lambda e: (ip_text(e[0]), e[1]))
@@ -178,12 +188,12 @@ class _Flow:
 
     def classify(self) -> tuple[str | None, tuple[bytes, int], list[bytes]]:
         """The flow's protocol, its server and the server's frames, each direction cut once."""
-        low, high = self.endpoints
         server = self.server()
-        protocol, replies = classify_flow(self.dirs[server].buffer)
+        sent = self.direction(server)
+        protocol, replies = classify_flow(sent.buffer)
         if protocol is None:
-            protocol, _requests = classify_flow(self.dirs[high if server == low else low].buffer)
-            replies = _frames(protocol, self.dirs[server].buffer)
+            protocol, _requests = classify_flow((self.reverse if sent is self.forward else self.forward).buffer)
+            replies = _frames(protocol, sent.buffer)
         return protocol, server, replies
 
 
@@ -263,59 +273,98 @@ class PassiveReport:
         }
 
 
-def _dissect(records: Iterable[tuple[float, bytes]]) -> tuple[dict[bytes, list], dict[tuple, _Flow], int, int]:
-    """Senders (raw IPv4 -> [raw MAC, last seen]), flows, frames read and frames skipped, in one pass by offset."""
+_IPV4_FIELDS = struct.Struct(">BxH5xB")  # version/IHL, total length, protocol
+_TCP_FIELDS = struct.Struct(">4xI4xBB")  # sequence number, data offset, flags
+_NO_ADDRESS = b"\x00\x00\x00\x00"
+
+
+def _saw(senders: dict[bytes, list], sender: bytes, mac: bytes, when: float) -> list | None:
+    """Note a frame from ``sender``; its [raw MAC, last seen] entry, None for the unnumbered address."""
+    entry = senders.get(sender)
+    if entry is None:
+        if sender != _NO_ADDRESS:
+            entry = senders[sender] = [mac, when]
+    elif when > entry[1]:
+        entry[1] = when
+    return entry
+
+
+def _open_direction(table: dict, flows: list[_Flow], key: bytes, seen: list | None) -> tuple:
+    """Register the direction a raw key names: the reverse of a known flow's first direction, or a new flow."""
+    known = table.get(key[4:8] + key[:4] + key[10:12] + key[8:10])
+    if known is None:
+        src_port, dst_port = struct.unpack_from(">HH", key, 8)
+        flow = _Flow((key[:4], src_port), (key[4:8], dst_port))
+        flows.append(flow)
+        direction = flow.forward
+    else:
+        flow = known[0]
+        direction = flow.reverse
+    entry = table[key] = (flow, direction, seen)
+    return entry
+
+
+def _dissect(records: Iterable[tuple[float, bytes]]) -> tuple[dict[bytes, list], list[_Flow], int, int]:
+    """Senders (raw IPv4 -> [raw MAC, last seen]), flows in first-frame order, frames read and frames skipped.
+
+    One pass by offset, under ``pcapio.ipv4_span``'s and ``pcapio.tcp_data_start``'s rules.
+    """
     senders: dict[bytes, list] = {}
-    flows: dict[tuple, _Flow] = {}
+    # raw source and destination IPv4, source and destination port -> flow, direction, sender entry
+    table: dict[bytes, tuple[_Flow, _Direction, list | None]] = {}
+    flows: list[_Flow] = []
     frames_read = skipped = 0
+    ipv4_fields, tcp_fields = _IPV4_FIELDS.unpack_from, _TCP_FIELDS.unpack_from
     for when, frame in records:
         frames_read += 1
-        if len(frame) < ETHERNET_HEADER:
+        size = len(frame)
+        if size < ETHERNET_HEADER:
             skipped += 1
             continue
         ethertype = frame[12] << 8 | frame[13]
         if ethertype == ETHERTYPE_ARP:
-            if len(frame) < ETHERNET_HEADER + ARP_LENGTH:
-                continue
-            sender, mac, span = frame[28:32], frame[22:28], None  # ARP sender IPv4 and MAC
-        elif ethertype == ETHERTYPE_IPV4:
-            span = ipv4_span(frame, ETHERNET_HEADER)
-            if span is None:
-                skipped += 1
-                continue
-            sender, mac = frame[26:30], frame[6:12]  # IPv4 and Ethernet sources
-        else:
+            if size >= ETHERNET_HEADER + ARP_LENGTH:
+                _saw(senders, frame[28:32], frame[22:28], when)  # ARP sender IPv4 and MAC
             continue
-        if sender != b"\x00\x00\x00\x00":
-            entry = senders.get(sender)
-            if entry is None:
-                senders[sender] = [mac, when]
-            elif when > entry[1]:
-                entry[1] = when
-        if span is None or frame[23] != PROTO_TCP:  # the IPv4 protocol byte
+        if ethertype != ETHERTYPE_IPV4:
             continue
-        start, end = span
-        data = tcp_data_start(frame, start, end)
-        if data is None:
+        if size < ETHERNET_HEADER + 20:
             skipped += 1
             continue
-        src_port, dst_port, seq = struct.unpack_from(">HHI", frame, start)
-        flags = frame[start + 13]
-        src = (sender, src_port)
-        dst = (frame[30:34], dst_port)  # IPv4 destination
-        key = (src, dst) if src < dst else (dst, src)
-        flow = flows.get(key) or flows.setdefault(key, _Flow(*key))
-        if when > flow.last_seen:
-            flow.last_seen = when
-        direction = flow.dirs[src]
-        if flags & TCP_SYN:
-            if flow.client is None and not (flags & TCP_ACK):
-                flow.client = src
-            direction.bump(seq, 1)
-        if data < end:
-            direction.add(seq, frame[data:end], flow)
-        if flags & TCP_FIN:
-            direction.bump(seq + end - data, 1)
+        version_ihl, total, protocol = ipv4_fields(frame, ETHERNET_HEADER)
+        ihl = (version_ihl & 0x0F) * 4
+        if version_ihl >> 4 != 4 or ihl < 20 or size < ETHERNET_HEADER + ihl or total < ihl:
+            skipped += 1
+            continue
+        if protocol == PROTO_TCP:
+            start = ETHERNET_HEADER + ihl
+            end = min(ETHERNET_HEADER + total, size)
+            if end - start >= 20:
+                seq, data_offset, flags = tcp_fields(frame, start)
+                data = start + (data_offset >> 4) * 4
+                if start + 20 <= data <= end:
+                    key = frame[26:38] if ihl == 20 else frame[26:34] + frame[start : start + 4]
+                    flow, direction, seen = table.get(key) or _open_direction(
+                        table, flows, key, _saw(senders, frame[26:30], frame[6:12], when)
+                    )
+                    if seen is not None and when > seen[1]:
+                        seen[1] = when
+                    if when > flow.last_seen:
+                        flow.last_seen = when
+                    if flags & TCP_SYN:
+                        if flow.client is None and not (flags & TCP_ACK):
+                            flow.client = flow.endpoints[direction is flow.reverse]
+                        direction.bump(seq, 1)
+                    if data < end:
+                        if direction.capped and seq == direction.next_seq:
+                            direction.next_seq = (seq + end - data) & 0xFFFFFFFF  # nothing more is kept
+                        else:
+                            direction.add(seq, frame[data:end], flow)
+                    if flags & TCP_FIN:
+                        direction.bump(seq + end - data, 1)
+                    continue
+            skipped += 1  # a malformed TCP header; its sender still counts
+        _saw(senders, frame[26:30], frame[6:12], when)  # IPv4 and Ethernet sources
     return senders, flows, frames_read, skipped
 
 
@@ -327,7 +376,7 @@ def analyze_capture(source: CaptureSource) -> PassiveReport:
     evidence = {raw_ip: _Evidence(raw_mac, last) for raw_ip, (raw_mac, last) in senders.items()}
     classified = 0
     out_of_order = 0
-    for flow in flows.values():
+    for flow in flows:
         out_of_order += flow.out_of_order
         protocol, (raw_server, server_port), replies = flow.classify()
         if protocol is None:

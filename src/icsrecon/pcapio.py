@@ -276,22 +276,24 @@ class CaptureReader:
 
     def __iter__(self) -> Iterator[tuple[float, bytes]]:
         divisor = 1e9 if self._nanos else 1e6
+        record_header = struct.Struct(self._endian + "IIII").unpack  # seconds, fraction, captured, original
         with open(self.path, "rb") as fh:
             fh.seek(24)
+            read = fh.read
             while True:
-                record = fh.read(16)
+                record = read(16)
                 if not record:
                     return
                 if len(record) < 16:
                     self.skipped += 1
                     return
-                sec, frac, incl, orig = struct.unpack(self._endian + "IIII", record)
+                sec, frac, incl, _orig = record_header(record)
                 if incl > SNAPLEN * 4:
                     # implausible length: count it and stop, the stream
                     # offset can no longer be trusted
                     self.skipped += 1
                     return
-                frame = fh.read(incl)
+                frame = read(incl)
                 if len(frame) < incl:
                     self.skipped += 1
                     return

@@ -144,24 +144,51 @@ def inventory_document() -> dict:
         ("open_ports", 0),
         ("last_seen",),
         ("provenance", 0, "at"),
+        ("provenance", 0, "field"),
+        ("provenance", 0, "prior"),
+        ("provenance", 0, "current"),
+        ("provenance", 0, "source"),
         ("ip",),
     ],
     ids=lambda path: ".".join(map(str, path)),
 )
 def test_depth_rejects_non_text_inventory_field(tmp_path, capsys, path):
+    *parents, last = path
+    assert_depth_rejects(tmp_path, capsys, parents, last, 5)
+
+
+def assert_depth_rejects(tmp_path, capsys, parents, last, value):
+    """``icsrecon depth`` loads the sample inventory, and fails with a FormatError once ``last`` is set to ``value``."""
     inventory = tmp_path / "inventory.json"
     document = inventory_document()
     inventory.write_text(json.dumps(document))
     assert main(["depth", "--inventory", str(inventory)]) == 0
     capsys.readouterr()
-    *parents, last = path
     field = document["assets"][0]
     for key in parents:
         field = field[key]
-    field[last] = 5
+    field[last] = value
     inventory.write_text(json.dumps(document))
     assert main(["depth", "--inventory", str(inventory)]) == 1
     assert "error[FormatError]: bad asset record" in capsys.readouterr().err
+
+
+# values of the wrong JSON type: each would crash the loader or load as something else,
+# "modbus" as six one-letter protocols and an object as its keys
+WRONG_JSON_TYPES = {
+    "static_info": "Siemens",
+    "deployment_info": ["plant"],
+    "open_ports": {"102/tcp": True},
+    "protocols": "modbus",
+    "sources": {"active": True},
+    "vulnerabilities": {},
+    "provenance": {},
+}
+
+
+@pytest.mark.parametrize("field", WRONG_JSON_TYPES)
+def test_depth_rejects_inventory_field_of_the_wrong_json_type(tmp_path, capsys, field):
+    assert_depth_rejects(tmp_path, capsys, [], field, WRONG_JSON_TYPES[field])
 
 
 # -- end-to-end against the simulator ------------------------------------------

@@ -266,7 +266,7 @@ def test_flow_without_syn_gives_the_port_to_the_first_address_in_text_order(tmp_
 
 def test_reassembly_cap_is_enforced():
     flow = _Flow(("a", 1), ("b", 2))
-    direction = flow.dirs[("a", 1)]
+    direction = flow.direction(("a", 1))
     direction.add(0, b"x" * (REASSEMBLY_CAP + 500), flow)
     assert len(direction.buffer) == REASSEMBLY_CAP
     assert direction.capped
@@ -304,6 +304,15 @@ def _poke(frame: bytes, at: int, value: int) -> bytes:
     return frame[:at] + bytes([value]) + frame[at + 1 :]
 
 
+def _with_options(frame: bytes, ip_options: bytes = b"", tcp_options: bytes = b"") -> bytes:
+    """An Ethernet/IPv4/TCP frame with option words added to its IPv4 and TCP headers (IHL 5 and data offset 5 before)."""
+    ip, tcp, payload = frame[14:34], frame[34:54], frame[54:]
+    total = len(frame) - 14 + len(ip_options) + len(tcp_options)
+    ip = bytes([0x40 | (20 + len(ip_options)) // 4, ip[1]]) + total.to_bytes(2, "big") + ip[4:]
+    tcp = tcp[:12] + bytes([(20 + len(tcp_options)) // 4 << 4]) + tcp[13:]
+    return frame[:14] + ip + ip_options + tcp + tcp_options + payload
+
+
 VALID_FRAMES = [
     arp_frame(1, MAC_A, HOST_A, BROADCAST_MAC, HOST_B),
     arp_frame(2, MAC_B, HOST_B, MAC_A, HOST_A),
@@ -317,6 +326,8 @@ VALID_FRAMES = [
     _tcp_frame(HOST_A, HOST_B, 40000, 502, 1007, TCP_FIN | TCP_ACK),
     _tcp_frame(HOST_B, HOST_A, 502, 502, 1, TCP_PSH, b"no syn"),
     _tcp_frame("0.0.0.0", HOST_B, 68, 502, 7, TCP_PSH, b"unnumbered"),
+    _with_options(_tcp_frame(HOST_A, HOST_B, 40000, 502, 1007, TCP_PSH | TCP_ACK, b"options"), ip_options=b"\x01" * 4),
+    _with_options(_tcp_frame(HOST_B, HOST_A, 502, 40000, 5005, TCP_PSH | TCP_ACK, b"more"), tcp_options=b"\x02\x04\x05\xb4"),
 ]
 _DATA = VALID_FRAMES[7]
 MALFORMED_FRAMES = [
@@ -372,7 +383,7 @@ def _chain_dissect(records):
         key = (src, dst) if src < dst else (dst, src)
         flow = flows.setdefault(key, _Flow(*key))
         flow.last_seen = max(flow.last_seen, when)
-        direction = flow.dirs[src]
+        direction = flow.direction(src)
         if segment.flags & TCP_SYN:
             if flow.client is None and not segment.flags & TCP_ACK:
                 flow.client = src
@@ -387,12 +398,12 @@ def _chain_dissect(records):
 def _flow_views(flows, name):
     return {
         frozenset(map(name, flow.endpoints)): (
-            {name(e): (bytes(d.buffer), d.next_seq, d.capped) for e, d in flow.dirs.items()},
+            {name(e): (bytes(d.buffer), d.next_seq, d.capped) for e in flow.endpoints for d in [flow.direction(e)]},
             flow.client and name(flow.client),
             flow.out_of_order,
             flow.last_seen,
         )
-        for flow in flows.values()
+        for flow in flows
     }
 
 
@@ -404,7 +415,7 @@ def test_dissection_matches_the_parse_chain(records, tmp_path_factory):
     assert (frames_read, skipped) == (len(records), want_skipped)
     assert {ip_text(ip): [mac_text(mac), last] for ip, (mac, last) in senders.items()} == want_senders
     raw_views = _flow_views(flows, lambda endpoint: (ip_text(endpoint[0]), endpoint[1]))
-    assert raw_views == _flow_views(want_flows, lambda endpoint: endpoint)
+    assert raw_views == _flow_views(want_flows.values(), lambda endpoint: endpoint)
 
     path = tmp_path_factory.getbasetemp() / "dissect.pcap"
     writer = PcapWriter(str(path))
@@ -414,6 +425,78 @@ def test_dissection_matches_the_parse_chain(records, tmp_path_factory):
     report = analyze_capture(PcapFile(str(path)))
     assert (report.frames_read, report.frames_skipped) == (len(records), want_skipped)
     assert {asset.ip: asset.mac for asset in report.inventory} == {ip: mac for ip, (mac, _) in want_senders.items()}
+
+
+def _text_endpoint(endpoint):
+    return ip_text(endpoint[0]), endpoint[1]
+
+
+def test_header_options_dissect_like_the_parse_chain():
+    # IHL 6 puts the ports 4 bytes later, past the addresses; a TCP data offset of 6 moves the payload
+    frames = [
+        _tcp_frame(HOST_A, HOST_B, 40000, 502, 999, TCP_SYN),
+        _with_options(_tcp_frame(HOST_A, HOST_B, 40000, 502, 1000, TCP_PSH | TCP_ACK, b"req"), ip_options=b"\x01" * 4),
+        _with_options(_tcp_frame(HOST_A, HOST_B, 40000, 502, 1003, TCP_PSH | TCP_ACK, b"uest"), tcp_options=b"\x01" * 8),
+        _with_options(
+            _tcp_frame(HOST_B, HOST_A, 502, 40000, 5000, TCP_PSH | TCP_ACK, b"reply"),
+            ip_options=b"\x01" * 8,
+            tcp_options=b"\x02\x04\x05\xb4",
+        ),
+        _tcp_frame(HOST_A, HOST_B, 40000, 502, 1007, TCP_PSH | TCP_ACK, b"!"),
+    ]
+    records = [(float(when), frame) for when, frame in enumerate(frames)]
+    want_senders, want_flows, want_skipped = _chain_dissect(records)
+    senders, flows, frames_read, skipped = _dissect(records)
+    assert (frames_read, skipped, want_skipped) == (5, 0, 0)
+    assert {ip_text(ip): [mac_text(mac), last] for ip, (mac, last) in senders.items()} == want_senders
+    assert _flow_views(flows, _text_endpoint) == _flow_views(want_flows.values(), lambda e: e)
+    [flow] = flows
+    assert bytes(flow.direction(flow.client).buffer) == b"request!"
+    assert bytes(flow.direction(flow.server()).buffer) == b"reply"
+
+
+def test_flow_first_seen_from_the_server_is_one_flow_with_the_right_server():
+    # the mirror starts mid-handshake: the server's SYN/ACK comes before the client's SYN (retransmitted),
+    # and the ports alone would name the client (1024 < 60000) as the server
+    client, server = (HOST_A, 1024), (HOST_B, 60000)
+    records = [
+        (1.0, _tcp_frame(HOST_B, HOST_A, 60000, 1024, 4999, TCP_SYN | TCP_ACK)),
+        (2.0, _tcp_frame(HOST_A, HOST_B, 1024, 60000, 999, TCP_SYN)),
+        (3.0, _tcp_frame(HOST_A, HOST_B, 1024, 60000, 1000, TCP_PSH | TCP_ACK, b"request")),
+        (4.0, _tcp_frame(HOST_B, HOST_A, 60000, 1024, 5000, TCP_PSH | TCP_ACK, b"reply")),
+    ]
+    senders, flows, _read, _skipped = _dissect(records)
+    [flow] = flows
+    assert [_text_endpoint(e) for e in flow.endpoints] == [server, client]
+    assert (_text_endpoint(flow.client), _text_endpoint(flow.server())) == (client, server)
+    assert bytes(flow.direction(flow.server()).buffer) == b"reply"
+    assert bytes(flow.direction(flow.client).buffer) == b"request"
+    assert flow.last_seen == 4.0
+    assert {ip_text(ip): last for ip, (_mac, last) in senders.items()} == {HOST_B: 4.0, HOST_A: 3.0}
+
+
+def test_capped_direction_keeps_its_sequence_and_counts_out_of_order():
+    chunk = 1400
+    count = REASSEMBLY_CAP // chunk + 3  # the cap falls inside a segment, two more follow it
+    payloads = [bytes([n]) * chunk for n in range(count)]
+    records = [
+        (float(n), _tcp_frame(HOST_A, HOST_B, 40000, 502, 1000 + n * chunk, TCP_PSH | TCP_ACK, payload))
+        for n, payload in enumerate(payloads)
+    ]
+    after = 1000 + count * chunk
+    records += [
+        (50.0, _tcp_frame(HOST_A, HOST_B, 40000, 502, after + 10, TCP_PSH | TCP_ACK, b"gap")),  # out of order
+        (51.0, _tcp_frame(HOST_A, HOST_B, 40000, 502, 1000, TCP_PSH | TCP_ACK, payloads[0])),  # retransmission
+        (52.0, _tcp_frame(HOST_A, HOST_B, 40000, 502, after, TCP_FIN | TCP_ACK, b"end")),
+    ]
+    _senders, [flow], _read, _skipped = _dissect(records)
+    _chain_senders, want_flows, _chain_skipped = _chain_dissect(records)
+    assert _flow_views([flow], _text_endpoint) == _flow_views(want_flows.values(), lambda e: e)
+    direction = flow.forward
+    assert direction.capped
+    assert bytes(direction.buffer) == b"".join(payloads)[:REASSEMBLY_CAP]
+    assert direction.next_seq == after + len(b"end") + 1  # the FIN takes one number
+    assert flow.out_of_order == 1
 
 
 # -- per-address evidence folding --------------------------------------------------
@@ -485,7 +568,7 @@ def one_merge_per_observation(source):
         mac = mac_text(raw_mac)
         when = datetime.fromtimestamp(last, tz=timezone.utc)
         fold(Asset.discovered(ip_text(raw_ip), when, "passive", mac=mac, oui_vendor=vendor_for_mac(mac)))
-    for flow in flows.values():
+    for flow in flows:
         protocol, (raw_server, port), replies = flow.classify()
         if protocol is None or raw_server not in senders:
             continue
