@@ -13,6 +13,14 @@ Each codec states its frame rule once, as ``HEADER_SIZE`` plus
 ``frame_size(buf, at)``: the length of the frame whose header starts at
 ``at``, or None when it cannot start one. ``netbase.recv_frame`` and
 ``cut_frames`` below both read it.
+
+The rest of each protocol is stated under names every codec shares, so
+no caller switches on a protocol's name: ``decode_frame`` (the outer
+decoder), ``claims(frame)`` (the passive rule for a stream's first
+complete frame; never raises), the scanner's probe ``opening_requests(unit)``,
+tried in order until ``confirm(reply)`` returns (it raises
+``ConnectionRefusedByTsap`` to move on to the next), and ``EXCHANGES``
+(the simulator's feature flags, answered by ``simulator.REPLIES``).
 """
 
 

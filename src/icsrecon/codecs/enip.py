@@ -26,6 +26,7 @@ NAME = "enip"
 PORT = 44818
 ENCAP_HEADER = struct.Struct("<HHII8sI")
 HEADER_SIZE = ENCAP_HEADER.size
+EXCHANGES = frozenset({"list_identity"})
 
 CMD_NOP = 0x0000
 CMD_LIST_SERVICES = 0x0004
@@ -85,6 +86,9 @@ def decode_header(data: bytes) -> tuple[EnipMessage, bytes]:
     return EnipMessage(command=command, length=length, session=session, status=status, options=options), bytes(payload)
 
 
+decode_frame = decode_header
+
+
 def frame_size(buf: bytes, at: int = 0) -> int | None:
     """Total length of the encapsulation frame starting at ``at``: payload of at most 8192 bytes.
 
@@ -102,6 +106,25 @@ def extract_frames(buffer: bytes) -> tuple[list[bytes], bytes]:
 def build_list_identity() -> bytes:
     """The 24-byte ListIdentity request: command 0x0063, length 0."""
     return encode_header(CMD_LIST_IDENTITY, b"")
+
+
+def claims(frame: bytes) -> bool:
+    """A frame with a known command is EtherNet/IP."""
+    try:
+        return decode_header(frame)[0].command in KNOWN_COMMANDS
+    except (DecodeError, FormatError):
+        return False
+
+
+def opening_requests(unit: int) -> tuple[bytes, ...]:
+    return (build_list_identity(),)
+
+
+def confirm(reply: bytes) -> None:
+    """Only a ListIdentity reply confirms EtherNet/IP."""
+    message, _ = decode_header(reply)
+    if message.command != CMD_LIST_IDENTITY:
+        raise FormatError(f"probe got command 0x{message.command:04x}")
 
 
 def encode_identity_item(identity: CipIdentity, ip: str = "0.0.0.0", port: int = PORT) -> bytes:

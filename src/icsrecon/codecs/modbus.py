@@ -32,6 +32,7 @@ NAME = "modbus"
 PORT = 502
 MBAP = struct.Struct(">HHHB")
 HEADER_SIZE = MBAP.size
+EXCHANGES = frozenset({"device_id_fc2b", "report_slave_id_fc11"})
 
 FC_READ_HOLDING = 0x03
 FC_REPORT_SLAVE_ID = 0x11
@@ -39,6 +40,7 @@ FC_ENCAPSULATED = 0x2B
 MEI_DEVICE_ID = 0x0E
 
 DEVICE_ID_BASIC = 0x01
+MAX_CONTINUATIONS = 3  # FC 0x2B rounds read after the first, whatever more-follows says
 
 OBJ_VENDOR_NAME = 0x00
 OBJ_PRODUCT_CODE = 0x01
@@ -132,6 +134,9 @@ def decode_modbus(data: bytes) -> tuple[MbapHeader, ModbusPdu]:
     return MbapHeader(tx, unit, length), ModbusPdu(function, payload)
 
 
+decode_frame = confirm = decode_modbus  # any well-formed reply, exceptions included, confirms Modbus
+
+
 def frame_size(buf: bytes, at: int = 0) -> int | None:
     """Total length of the MBAP frame starting at ``at``: protocol id 0, length 2..254."""
     proto, length = struct.unpack_from(">HH", buf, at + 2)
@@ -145,6 +150,14 @@ def extract_frames(buffer: bytes) -> tuple[list[bytes], bytes]:
     cannot be a Modbus/TCP frame.
     """
     return cut_frames(buffer, HEADER_SIZE, frame_size)
+
+
+def claims(frame: bytes) -> bool:
+    return True  # any complete MBAP frame is Modbus
+
+
+def opening_requests(unit: int) -> tuple[bytes, ...]:
+    return (build_device_id_request(unit=unit),)
 
 
 def exception_frame(transaction_id: int, unit_id: int, function: int, code: int) -> bytes:

@@ -27,12 +27,13 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from . import cut_frames
-from ..errors import DecodeError, FormatError, LengthMismatch, Truncated
+from ..errors import ConnectionRefusedByTsap, DecodeError, FormatError, LengthMismatch, Truncated
 
 NAME = "s7comm"
 PORT = 102
 TPKT_VERSION = 3
 HEADER_SIZE = 4  # TPKT
+EXCHANGES = frozenset({"szl_0011", "szl_001c"})
 
 COTP_CR = 0xE0
 COTP_CC = 0xD0
@@ -263,6 +264,30 @@ def encode_envelope(cotp: Cotp) -> bytes:
 def decode_envelope(data: bytes) -> TpktCotpEnvelope:
     cotp = decode_cotp(decode_tpkt(data))
     return TpktCotpEnvelope(cotp=cotp, tpkt_version=data[0], tpkt_length=len(data))
+
+
+decode_frame = decode_envelope
+
+
+def claims(frame: bytes) -> bool:
+    """A frame that carries a COTP envelope is S7."""
+    try:
+        return bool(decode_envelope(frame))
+    except (DecodeError, FormatError):
+        return False
+
+
+def opening_requests(unit: int) -> tuple[bytes, ...]:
+    return tuple(build_cotp_connect(src, dst) for src, dst in DEFAULT_TSAP_PAIRS)  # one CR per pair, in order
+
+
+def confirm(reply: bytes) -> None:
+    """A CC confirms S7; a DR refuses the TSAP pair."""
+    cotp = decode_envelope(reply).cotp
+    if isinstance(cotp, CotpDisconnectRequest):
+        raise ConnectionRefusedByTsap("TSAP pair refused")
+    if not isinstance(cotp, CotpConnectionConfirm):
+        raise FormatError(f"unexpected COTP answer {type(cotp).__name__}")
 
 
 def build_cotp_connect(src_tsap: int, dst_tsap: int) -> bytes:

@@ -26,7 +26,10 @@ def _split(raw: str) -> list[str]:
 
 def _parser(path: str | Path) -> configparser.ConfigParser:
     parser = configparser.ConfigParser()
-    read = parser.read(str(path))
+    try:
+        read = parser.read(str(path))
+    except configparser.Error as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
     if not read:
         raise ConfigError(f"config file not found: {path}")
     return parser
@@ -43,25 +46,25 @@ def load_scan_config(path: str | Path, overrides: dict | None = None) -> tuple[S
     if not parser.has_section("scan"):
         raise ConfigError(f"{path}: missing [scan] section")
     section = parser["scan"]
-    values = {
-        "targets": tuple(_split(section.get("targets", ""))),
-        "ports": frozenset(int(p) for p in _split(section.get("ports", ""))) or DEFAULT_PORTS,
-        "methods": frozenset(_split(section.get("methods", "icmp"))),
-        "rate_limit_pps": section.getint("rate_limit_pps", 20),
-        "safe_mode": section.getboolean("safe_mode", True),
-        "unit_id_sweep": section.getboolean("unit_id_sweep", False),
-        "timeout_ms": section.getint("timeout_ms", 800),
-        "vuln_db_path": section.get("vuln_db", None),
-        "vuln_alias_path": section.get("vuln_aliases", None),
-        "workers": section.getint("workers", 8),
-        "modbus_unit": section.getint("modbus_unit", 1),
-    }
-    for key, value in (overrides or {}).items():
-        if value is not None:
-            values[key] = value
-    if not values["targets"]:
-        raise ConfigError(f"{path}: no scan targets configured")
     try:
+        values = {
+            "targets": tuple(_split(section.get("targets", ""))),
+            "ports": frozenset(int(p) for p in _split(section.get("ports", ""))) or DEFAULT_PORTS,
+            "methods": frozenset(_split(section.get("methods", "icmp"))),
+            "rate_limit_pps": section.getint("rate_limit_pps", 20),
+            "safe_mode": section.getboolean("safe_mode", True),
+            "unit_id_sweep": section.getboolean("unit_id_sweep", False),
+            "timeout_ms": section.getint("timeout_ms", 800),
+            "vuln_db_path": section.get("vuln_db", None),
+            "vuln_alias_path": section.get("vuln_aliases", None),
+            "workers": section.getint("workers", 8),
+            "modbus_unit": section.getint("modbus_unit", 1),
+        }
+        for key, value in (overrides or {}).items():
+            if value is not None:
+                values[key] = value
+        if not values["targets"]:
+            raise ConfigError(f"{path}: no scan targets configured")
         config = ScanConfig(**values)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import Any, ClassVar, Iterable, Iterator
 
-from .codecs import PROTOCOLS, cut_frames, enip, s7
-from .errors import IcsReconError, PrivilegeRequired
+from .codecs import PROTOCOLS, cut_frames
+from .errors import PrivilegeRequired
 from .model import (
     Asset,
     DeploymentInfo,
@@ -111,20 +111,14 @@ def _frames(protocol: str | None, data: bytes) -> list[bytes]:
 def classify_flow(data: bytes) -> tuple[str | None, list[bytes]]:
     """Payload-level protocol classification of one direction, and its frames.
 
-    Requires at least one complete frame of the protocol in question,
-    and for S7 a COTP envelope and for EtherNet/IP a known command in the
-    first one; returns (None, []) when nothing matches (ports are
-    deliberately ignored). DNP3 is recognised by its start bytes and not cut.
+    The first codec to claim the first of at least one complete frame wins;
+    (None, []) when none does (ports are deliberately ignored). DNP3 is
+    recognised by its start bytes and not cut.
     """
     for protocol, codec in PROTOCOLS.items():
         frames = _frames(protocol, data)
-        try:
-            if frames and (codec is not s7 or s7.decode_envelope(frames[0])) and (
-                codec is not enip or enip.decode_header(frames[0])[0].command in enip.KNOWN_COMMANDS
-            ):
-                return protocol, frames
-        except IcsReconError:
-            continue  # TPKT-shaped bytes that do not carry COTP
+        if frames and codec.claims(frames[0]):
+            return protocol, frames
     return ("dnp3" if data[:2] == b"\x05\x64" else None), []
 
 

@@ -67,20 +67,6 @@ SAFE_MODE_MAX_PPS = 50
 Session = tuple[socket.socket, bytes]  # an open socket and the reply to its opening exchange
 
 
-def _confirm_cotp(reply: bytes) -> None:
-    cotp = s7.decode_envelope(reply).cotp
-    if isinstance(cotp, s7.CotpDisconnectRequest):
-        raise ConnectionRefusedByTsap("TSAP pair refused")
-    if not isinstance(cotp, s7.CotpConnectionConfirm):
-        raise FormatError(f"unexpected COTP answer {type(cotp).__name__}")
-
-
-def _confirm_list_identity(reply: bytes) -> None:
-    message, _ = enip.decode_header(reply)
-    if message.command != enip.CMD_LIST_IDENTITY:
-        raise FormatError(f"probe got command 0x{message.command:04x}")
-
-
 class ScanPhase(str, Enum):
     """Pipeline stages; later phases only visit survivors of earlier ones."""
 
@@ -337,14 +323,10 @@ class Scanner:
         if PortSpec(port) not in asset.open_ports:
             raise ValueError(f"port {port} is not known open on {asset.ip}")
         protocol = PROTOCOL_PORTS[port]
-        opener, enumerate_ = {
-            "modbus": (self._open_modbus, self.enumerate_modbus),
-            "s7comm": (self._open_s7, self.enumerate_s7),
-            "enip": (self._open_enip, self.enumerate_enip),
-        }[protocol]
+        enumerate_ = {"modbus": self.enumerate_modbus, "s7comm": self.enumerate_s7, "enip": self.enumerate_enip}
         session = None
         try:
-            session = opener(asset.ip, port, sock)
+            session = self._open(asset.ip, port, sock, PROTOCOLS[protocol])
         except (DecodeError, FormatError) as exc:
             self._anomaly(f"{asset.ip}:{port} malformed reply during probe: {exc}")
         except (ConnectionRefusedByTsap, OSError):
@@ -352,47 +334,38 @@ class Scanner:
         self._note(ScanPhase.SERVICE_IDENTIFICATION, asset.ip, f"probe:{port}")
         if session is None:
             return asset
-        # an S7 retry's connection was opened by this probe, so it closes here; ``sock`` is the caller's
+        # a retry's connection was opened by this probe, so it closes here; ``sock`` is the caller's
         with session[0] if session[0] is not sock else contextlib.nullcontext():
             asset = self._merge(asset, protocols=frozenset({protocol}))
             if self._stop.is_set():
                 return asset
             try:
-                return enumerate_(asset, session)
+                return enumerate_[protocol](asset, session)
             except (IcsReconError, OSError) as exc:
                 self._anomaly(f"enumeration failed for {asset.ip}/{protocol}: {exc}")
                 return asset
 
-    def _open(self, sock: socket.socket, request: bytes, codec, confirm) -> Session:
-        """Make the opening exchange on a connected socket; a session if ``confirm`` accepts the reply."""
-        reply = self._exchange(sock, request, codec)
-        confirm(reply)
-        return sock, reply
+    def _open(self, ip: str, port: int, sock: socket.socket, codec) -> Session | None:
+        """The codec's opening requests in order until one is confirmed; None if a retry cannot connect.
 
-    def _open_modbus(self, ip: str, port: int, sock: socket.socket) -> Session:
-        # any well-formed reply, exceptions included, confirms Modbus
-        request = modbus.build_device_id_request(unit=self.config.modbus_unit)
-        return self._open(sock, request, modbus, modbus.decode_modbus)
-
-    def _open_s7(self, ip: str, port: int, sock: socket.socket) -> Session | None:
-        """Try the TSAP list in order: the first pair on ``sock``, each later one on a new connection."""
-        for index, (src, dst) in enumerate(s7.DEFAULT_TSAP_PAIRS):
+        The first goes on the port scan's ``sock``, each later one on a new connection.
+        """
+        for index, request in enumerate(codec.opening_requests(self.config.modbus_unit)):
             if index:
                 result = self._connect(ip, port)
                 if result.sock is None:
                     return None
                 sock = result.sock
             try:
-                return self._open(sock, s7.build_cotp_connect(src, dst), s7, _confirm_cotp)
+                reply = self._exchange(sock, request, codec)
+                codec.confirm(reply)
+                return sock, reply
             except BaseException as exc:
                 if index:
                     sock.close()  # a failed retry's own connection; a confirmed one is the probe's to close
                 if not isinstance(exc, ConnectionRefusedByTsap):
                     raise
-        raise ConnectionRefusedByTsap(f"{ip}: every offered TSAP pair was refused")
-
-    def _open_enip(self, ip: str, port: int, sock: socket.socket) -> Session:
-        return self._open(sock, enip.build_list_identity(), enip, _confirm_list_identity)
+        raise ConnectionRefusedByTsap(f"{ip}:{port}: every opening request was refused")
 
     # -- phase 3: enumeration, on the probe's session, closed by its connection's opener ---
 
@@ -406,7 +379,7 @@ class Scanner:
         in_step = True  # after a timeout, reset or unframeable reply, a late reply would answer the next request
         try:
             ident = modbus.parse_device_id_response(reply)
-            for _round in range(3):  # continuation guard
+            for _round in range(modbus.MAX_CONTINUATIONS):
                 if not ident.more_follows:
                     break
                 request = modbus.build_device_id_request(unit=unit, object_id=ident.next_object_id)

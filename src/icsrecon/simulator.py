@@ -35,16 +35,6 @@ from .pcapio import PcapWriter, TrafficRecorder
 
 logger = logging.getLogger(__name__)
 
-MODBUS_FLAGS = {"device_id_fc2b", "report_slave_id_fc11"}
-S7_FLAGS = {"szl_0011", "szl_001c"}
-ENIP_FLAGS = {"list_identity"}
-
-FLAGS_BY_PROTOCOL = {
-    "modbus": MODBUS_FLAGS,
-    "s7comm": S7_FLAGS,
-    "enip": ENIP_FLAGS,
-}
-
 CONNECTION_IDLE_TIMEOUT = 5.0
 
 
@@ -81,10 +71,9 @@ class SimDeviceConfig:
     unit_id: int = 1
 
     def __post_init__(self):
-        if self.protocol not in FLAGS_BY_PROTOCOL:
+        if self.protocol not in PROTOCOLS:
             raise ConfigError(f"{self.name}: unsupported protocol {self.protocol!r}")
-        allowed = FLAGS_BY_PROTOCOL[self.protocol]
-        extra = frozenset(self.feature_flags) - allowed
+        extra = frozenset(self.feature_flags) - PROTOCOLS[self.protocol].EXCHANGES
         if extra:
             raise ConfigError(f"{self.name}: flags {sorted(extra)} not valid for {self.protocol}")
         if self.max_pps < 1:
@@ -109,12 +98,7 @@ class SimDevice:
     def validates(self, packet: bytes) -> bool:
         """Does the frame decode under this device's protocol?"""
         try:
-            if self.config.protocol == "modbus":
-                modbus.decode_modbus(packet)
-            elif self.config.protocol == "s7comm":
-                s7.decode_envelope(packet)
-            else:
-                enip.decode_header(packet)
+            PROTOCOLS[self.config.protocol].decode_frame(packet)
             return True
         except IcsReconError:
             return False
@@ -183,85 +167,69 @@ def fragility_tick(device: SimDevice, packet: bytes | None, now: float | None = 
 # -- protocol handlers ----------------------------------------------------
 
 
-def _modbus_reply(device: SimDevice, request: bytes) -> bytes | None:
+@dataclass
+class _Connection:
+    """One client connection's state, handed with each request to its device's reply function."""
+
+    device: SimDevice
+    connected: bool = False  # a COTP connection was confirmed
+    disconnect: bool = False  # the device hangs up once this reply is sent
+
+
+def _modbus_reply(connection: _Connection, request: bytes) -> bytes | None:
+    """Answers FC 0x2B, FC 0x11 and register reads; an exception for anything else, or for a flag not set."""
     header, pdu = modbus.decode_modbus(request)
-    config = device.config
-    if header.unit_id not in (config.unit_id, 0x00, 0xFF):
-        # gateway-style answer for units that are not present
-        return modbus.exception_frame(header.transaction_id, header.unit_id, pdu.function, 0x0B)
-    if pdu.function == modbus.FC_ENCAPSULATED and pdu.payload[:1] == bytes([modbus.MEI_DEVICE_ID]):
-        if "device_id_fc2b" not in config.feature_flags:
-            return modbus.exception_frame(
-                header.transaction_id, header.unit_id, pdu.function, modbus.EXC_ILLEGAL_FUNCTION
-            )
+    config = connection.device.config
+    tx, unit = header.transaction_id, header.unit_id
+    if unit not in (config.unit_id, 0x00, 0xFF):
+        return modbus.exception_frame(tx, unit, pdu.function, 0x0B)  # gateway-style: the unit is not present
+    device_id = pdu.function == modbus.FC_ENCAPSULATED and pdu.payload[:1] == bytes([modbus.MEI_DEVICE_ID])
+    if device_id and "device_id_fc2b" in config.feature_flags:
         objects = {
             modbus.OBJ_VENDOR_NAME: config.identity.get("manufacturer", ""),
             modbus.OBJ_PRODUCT_CODE: config.identity.get("product_code", ""),
             modbus.OBJ_REVISION: config.identity.get("firmware_version", ""),
         }
-        objects = {k: v for k, v in objects.items() if v}
-        return modbus.build_device_id_response(header.transaction_id, header.unit_id, objects)
-    if pdu.function == modbus.FC_REPORT_SLAVE_ID:
-        if "report_slave_id_fc11" not in config.feature_flags:
-            return modbus.exception_frame(
-                header.transaction_id, header.unit_id, pdu.function, modbus.EXC_ILLEGAL_FUNCTION
-            )
+        return modbus.build_device_id_response(tx, unit, {k: v for k, v in objects.items() if v})
+    if pdu.function == modbus.FC_REPORT_SLAVE_ID and "report_slave_id_fc11" in config.feature_flags:
         slave_id = int(config.identity.get("slave_id", config.unit_id))
         extra = config.identity.get("product_code", "").encode("ascii", errors="replace")
-        return modbus.build_report_slave_id_response(
-            header.transaction_id, header.unit_id, slave_id, running=True, additional=extra
-        )
+        return modbus.build_report_slave_id_response(tx, unit, slave_id, running=True, additional=extra)
     if pdu.function == modbus.FC_READ_HOLDING and len(pdu.payload) == 4:
         count = struct.unpack(">H", pdu.payload[2:4])[0]
         if 1 <= count <= 125:
-            return modbus.build_read_holding_response(header.transaction_id, header.unit_id, [0] * count)
-    return modbus.exception_frame(
-        header.transaction_id, header.unit_id, pdu.function, modbus.EXC_ILLEGAL_FUNCTION
-    )
+            return modbus.build_read_holding_response(tx, unit, [0] * count)
+    return modbus.exception_frame(tx, unit, pdu.function, modbus.EXC_ILLEGAL_FUNCTION)
 
 
-class _S7Session:
-    """Per-connection COTP/S7 state: connect, setup, then reads."""
-
-    def __init__(self, device: SimDevice):
-        self.device = device
-        self.connected = False
-        self.disconnect = False
-
-    def reply(self, request: bytes) -> bytes | None:
-        cotp = s7.decode_envelope(request).cotp
-        config = self.device.config
-        if isinstance(cotp, s7.CotpConnectionRequest):
-            accepted = config.accepted_tsaps is None or cotp.dst_tsap in config.accepted_tsaps
-            if not accepted:
-                self.disconnect = True
-                return s7.build_cotp_disconnect(reason=0x83)
-            self.connected = True
-            return s7.build_cotp_confirm(cotp)
-        if not self.connected or not isinstance(cotp, s7.CotpData):
-            self.disconnect = True
-            return None
-        message = s7.decode_s7(cotp.payload)
-        if isinstance(message, s7.S7SetupCommunication) and message.is_request:
-            return s7.build_setup_ack(message.pdu_ref)
-        if isinstance(message, s7.S7SzlRequest):
-            flag = {s7.SZL_MODULE_ID: "szl_0011", s7.SZL_COMPONENT_ID: "szl_001c"}.get(message.szl_id)
-            if flag is None or flag not in config.feature_flags:
-                refusal = s7.S7SzlResponse(
-                    szl_id=message.szl_id, szl_index=message.szl_index, entries=(),
-                    pdu_ref=message.pdu_ref, sequence=message.sequence, error_code=0x8104,
-                )
-                return s7.build_szl_response_frame(refusal)
-            if message.szl_id == s7.SZL_MODULE_ID:
-                entries = s7.module_id_entries(config.identity)
-            else:
-                entries = s7.component_id_entries(config.identity)
-            response = s7.S7SzlResponse(
-                szl_id=message.szl_id, szl_index=message.szl_index, entries=entries,
-                pdu_ref=message.pdu_ref, sequence=message.sequence,
-            )
-            return s7.build_szl_response_frame(response)
-        raise FormatError("unsupported S7 request")
+def _s7_reply(connection: _Connection, request: bytes) -> bytes | None:
+    """COTP connect, then S7 setup, then status-list reads; a list whose flag is not set is refused."""
+    cotp = s7.decode_envelope(request).cotp
+    config = connection.device.config
+    if isinstance(cotp, s7.CotpConnectionRequest):
+        if config.accepted_tsaps is not None and cotp.dst_tsap not in config.accepted_tsaps:
+            connection.disconnect = True
+            return s7.build_cotp_disconnect(reason=0x83)
+        connection.connected = True
+        return s7.build_cotp_confirm(cotp)
+    if not connection.connected or not isinstance(cotp, s7.CotpData):
+        connection.disconnect = True
+        return None
+    message = s7.decode_s7(cotp.payload)
+    if isinstance(message, s7.S7SetupCommunication) and message.is_request:
+        return s7.build_setup_ack(message.pdu_ref)
+    if isinstance(message, s7.S7SzlRequest):
+        flag = {s7.SZL_MODULE_ID: "szl_0011", s7.SZL_COMPONENT_ID: "szl_001c"}.get(message.szl_id)
+        entries, error = (), 0x8104  # refused: a list this device does not serve
+        if flag in config.feature_flags:
+            build = s7.module_id_entries if message.szl_id == s7.SZL_MODULE_ID else s7.component_id_entries
+            entries, error = build(config.identity), 0
+        response = s7.S7SzlResponse(
+            szl_id=message.szl_id, szl_index=message.szl_index, entries=entries,
+            pdu_ref=message.pdu_ref, sequence=message.sequence, error_code=error,
+        )
+        return s7.build_szl_response_frame(response)
+    raise FormatError("unsupported S7 request")
 
 
 def _enip_identity(config: SimDeviceConfig) -> enip.CipIdentity:
@@ -281,15 +249,15 @@ def _enip_identity(config: SimDeviceConfig) -> enip.CipIdentity:
     )
 
 
-def _enip_reply(device: SimDevice, request: bytes) -> bytes | None:
+def _enip_reply(connection: _Connection, request: bytes) -> bytes | None:
     message, _payload = enip.decode_header(request)
-    if message.command == enip.CMD_LIST_IDENTITY:
-        if "list_identity" not in device.config.feature_flags:
-            return enip.encode_header(enip.CMD_LIST_IDENTITY, b"", status=0x0001)
-        return enip.build_list_identity_response(
-            _enip_identity(device.config), ip=device.config.ip, port=device.config.listen_port
-        )
+    config = connection.device.config
+    if message.command == enip.CMD_LIST_IDENTITY and "list_identity" in config.feature_flags:
+        return enip.build_list_identity_response(_enip_identity(config), ip=config.ip, port=config.listen_port)
     return enip.encode_header(message.command, b"", status=0x0001)
+
+
+REPLIES = {modbus.NAME: _modbus_reply, s7.NAME: _s7_reply, enip.NAME: _enip_reply}  # codec NAME -> reply function
 
 
 class _DeviceServer(socketserver.ThreadingTCPServer):
@@ -324,7 +292,7 @@ class _DeviceHandler(socketserver.BaseRequestHandler):
         )
         flow.handshake()
         codec = PROTOCOLS[device.config.protocol]
-        session = _S7Session(device) if device.config.protocol == "s7comm" else None
+        reply_to, connection = REPLIES[device.config.protocol], _Connection(device)
         reset = False
         try:
             while True:
@@ -346,7 +314,7 @@ class _DeviceHandler(socketserver.BaseRequestHandler):
                 if device.state is SimState.FAULT:
                     continue  # accepts traffic, never replies
                 try:
-                    reply = self._reply(device, session, request)
+                    reply = reply_to(connection, request)
                 except (DecodeError, FormatError):
                     device.note_malformed()
                     fragility_tick(device, b"\xff" + request)
@@ -356,18 +324,10 @@ class _DeviceHandler(socketserver.BaseRequestHandler):
                     self.request.sendall(reply)
                     device.note_sent()
                     flow.server_payload(reply)
-                if session is not None and session.disconnect:
+                if connection.disconnect:
                     return
         finally:
             flow.close(reset=reset)
-
-    @staticmethod
-    def _reply(device: SimDevice, session: _S7Session | None, request: bytes) -> bytes | None:
-        if device.config.protocol == "modbus":
-            return _modbus_reply(device, request)
-        if device.config.protocol == "s7comm":
-            return session.reply(request)
-        return _enip_reply(device, request)
 
 
 class StationHandle:

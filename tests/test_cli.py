@@ -107,6 +107,24 @@ def test_missing_config_is_operational_error(capsys):
     assert "ConfigError" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[scan]\ntargets = 192.168.90.13\nports = 502, 5o2\n",
+        "[scan]\ntargets = 192.168.90.13\nrate_limit_pps = fast\n",
+        "[scan]\ntargets = 192.168.90.13\nsafe_mode = maybe\n",
+        "targets = 192.168.90.13\n",  # no section header
+    ],
+    ids=["ports", "rate_limit_pps", "safe_mode", "no_section_header"],
+)
+def test_bad_scan_config_value_is_operational_error(tmp_path, capsys, text):
+    path = tmp_path / "scan.conf"
+    path.write_text(text)
+    code = main(["scan", "--config", str(path)])
+    assert code == 1
+    assert "error[ConfigError]" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("entry", [[1], "x", None])
 def test_vulnmatch_non_object_db_entry_is_format_error(tmp_path, capsys, entry):
     inventory = tmp_path / "inventory.json"

@@ -1,4 +1,8 @@
-"""One frame rule per protocol: the socket reader and the stream cutter agree."""
+"""One frame rule per protocol: the socket reader and the stream cutter agree.
+
+Also the rest of each codec's shared interface, against the per-protocol
+rules it replaced in the passive classifier, the scanner and the simulator.
+"""
 
 from __future__ import annotations
 
@@ -11,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from icsrecon.codecs import PROTOCOLS, cut_frames, enip, modbus, s7
-from icsrecon.errors import FormatError
+from icsrecon.errors import ConnectionRefusedByTsap, DecodeError, FormatError, IcsReconError
 from icsrecon.netbase import recv_frame
 
 EXTRACTORS = {
@@ -88,3 +92,112 @@ def test_one_frame_gets_one_timeout_however_it_trickles_in():
             recv_frame(right, modbus, 0.5)
         assert time.monotonic() - started < 0.65
         sender.join()
+
+
+# -- the codec interface against the rules it replaced -------------------------
+
+
+def inline_claims(codec, frame: bytes) -> bool:
+    """The passive classifier's rule for a first complete frame, as it was written in ``classify_flow``."""
+    try:
+        return bool(
+            (codec is not s7 or s7.decode_envelope(frame))
+            and (codec is not enip or enip.decode_header(frame)[0].command in enip.KNOWN_COMMANDS)
+        )
+    except IcsReconError:
+        return False
+
+
+def inline_validates(codec, frame: bytes) -> bool:
+    """The simulator's malformed-frame test, as it was written in ``SimDevice.validates``."""
+    try:
+        if codec is modbus:
+            modbus.decode_modbus(frame)
+        elif codec is s7:
+            s7.decode_envelope(frame)
+        else:
+            enip.decode_header(frame)
+        return True
+    except IcsReconError:
+        return False
+
+
+def inline_confirm(codec, reply: bytes) -> None:
+    """The scanner's probe confirmations, as they were written in the scanner."""
+    if codec is modbus:
+        modbus.decode_modbus(reply)  # any well-formed reply, exceptions included
+    elif codec is s7:
+        cotp = s7.decode_envelope(reply).cotp
+        if isinstance(cotp, s7.CotpDisconnectRequest):
+            raise ConnectionRefusedByTsap("TSAP pair refused")
+        if not isinstance(cotp, s7.CotpConnectionConfirm):
+            raise FormatError(f"unexpected COTP answer {type(cotp).__name__}")
+    else:
+        message, _ = enip.decode_header(reply)
+        if message.command != enip.CMD_LIST_IDENTITY:
+            raise FormatError(f"probe got command 0x{message.command:04x}")
+
+
+def confirm_outcome(confirm, reply: bytes) -> str:
+    """What the scanner makes of a reply: a session, the next request, or an anomaly."""
+    try:
+        confirm(reply)
+    except ConnectionRefusedByTsap:
+        return "refused"
+    except (DecodeError, FormatError):
+        return "malformed"
+    return "confirmed"
+
+
+BUILT_FRAMES = [
+    modbus.build_device_id_request(unit=1),
+    modbus.build_report_slave_id_response(2, 1, slave_id=5),
+    modbus.exception_frame(1, 1, modbus.FC_ENCAPSULATED, modbus.EXC_ILLEGAL_FUNCTION),
+    modbus.MBAP.pack(1, 0, 5, 1) + bytes([0x83, 1, 2, 3]),  # an exception frame with 3 payload bytes
+    s7.build_cotp_connect(0x0100, 0x0102),
+    s7.build_cotp_confirm(s7.CotpConnectionRequest(0x0100, 0x0102)),
+    s7.build_cotp_disconnect(reason=0x83),
+    s7.build_setup_communication(pdu_ref=1),  # a COTP DT
+    enip.build_list_identity(),
+    enip.build_list_identity_response(enip.CipIdentity(1, 14, 54, (20, 11), 0x0060, 0x1234, "1756-L61")),
+    enip.encode_header(0x0999, b""),  # an unknown command
+]
+
+
+@st.composite
+def frames(draw) -> bytes:
+    """Random bytes, a built frame, or a built frame with one byte changed."""
+    frame = draw(st.one_of(st.binary(max_size=64), st.sampled_from(BUILT_FRAMES)))
+    if frame and draw(st.booleans()):
+        at = draw(st.integers(0, len(frame) - 1))
+        frame = frame[:at] + bytes([draw(st.integers(0, 255))]) + frame[at + 1 :]
+    return frame
+
+
+def matches_the_inline_rules(codec, frame: bytes) -> tuple[bool, str]:
+    """Assert that ``codec`` accepts and rejects ``frame`` as the inline rules did; its claim and confirm outcome."""
+    claimed, outcome = codec.claims(frame), confirm_outcome(codec.confirm, frame)
+    assert claimed == inline_claims(codec, frame)
+    assert (confirm_outcome(codec.decode_frame, frame) == "confirmed") == inline_validates(codec, frame)
+    assert outcome == confirm_outcome(functools.partial(inline_confirm, codec), frame)
+    return claimed, outcome
+
+
+def test_codec_interface_matches_the_inline_rules_on_built_frames():
+    seen = {(codec, *matches_the_inline_rules(codec, frame)) for codec in PROTOCOLS.values() for frame in BUILT_FRAMES}
+    # every rule is seen both to accept and to reject
+    assert {claimed for _, claimed, _ in seen} == {True, False}
+    assert {(codec, outcome) for codec, _, outcome in seen} == {
+        (modbus, "confirmed"), (modbus, "malformed"),
+        (s7, "confirmed"), (s7, "refused"), (s7, "malformed"),
+        (enip, "confirmed"), (enip, "malformed"),
+    }
+
+
+@pytest.mark.parametrize("codec", [modbus, s7, enip], ids=["modbus", "s7", "enip"])
+@settings(max_examples=300, deadline=None)
+@given(frame=frames())
+def test_codec_interface_matches_the_inline_rules(codec, frame):
+    matches_the_inline_rules(codec, frame)
+    for cut in EXTRACTORS[codec](frame)[0][:1]:  # the passive rule sees a stream's first complete frame
+        matches_the_inline_rules(codec, cut)

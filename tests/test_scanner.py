@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import contextlib
+import hashlib
+import json
 import socket
 import threading
 import time
@@ -16,7 +18,7 @@ from icsrecon.errors import ConfigError, IcsReconError, PrivilegeRequired
 from icsrecon.model import Asset, PortSpec, compute_depth
 from icsrecon.netbase import ConnectResult, RealNetwork
 from icsrecon.scanner import DEFAULT_PORTS, PROTOCOL_PORTS, ScanConfig, Scanner, expand_targets, run_scan
-from icsrecon.simulator import SimNetwork, start_station
+from icsrecon.simulator import REPLIES, SimNetwork, start_station
 from icsrecon.taxonomy import classify_run
 
 FIXTURE_IPS = ("192.168.90.10", "192.168.90.11", "192.168.90.12", "192.168.90.13", "192.168.90.14")
@@ -88,6 +90,12 @@ def test_protocol_table_and_the_ports_derived_from_it():
     assert [codec.PORT for codec in PROTOCOLS.values()] == [502, 102, 44818]
     assert DEFAULT_PORTS == frozenset({102, 502, 44818})
     assert PROTOCOL_PORTS == {102: "s7comm", 502: "modbus", 44818: "enip"}
+    # every codec states the shared interface, and the simulator answers each one
+    functions = ("frame_size", "identity_fields", "decode_frame", "claims", "opening_requests", "confirm")
+    for codec in PROTOCOLS.values():
+        assert isinstance(codec.HEADER_SIZE, int) and codec.EXCHANGES and isinstance(codec.EXCHANGES, frozenset)
+        assert all(callable(getattr(codec, name, None)) for name in functions), codec.NAME
+    assert list(REPLIES) == list(PROTOCOLS)
 
 
 # -- phase 1 -----------------------------------------------------------------
@@ -311,7 +319,7 @@ def test_probe_requires_open_port_evidence(station):
 def test_enumerate_requires_protocol_evidence(station):
     # even handed an open Modbus session, enumeration refuses an unconfirmed protocol
     with port_found_open(station, "192.168.90.13", 502) as (scanner, asset, sock):
-        session = scanner._open_modbus(asset.ip, 502, sock)
+        session = scanner._open(asset.ip, 502, sock, modbus)
         with pytest.raises(ValueError):
             scanner.enumerate_modbus(asset, session)
 
@@ -561,16 +569,15 @@ def start_two_service_host():
     return start_station([rtu, enip_side], scanner_ip=config.scanner_ip), rtu
 
 
-def test_failed_probe_keeps_earlier_confirmed_protocol():
+def test_failed_probe_keeps_earlier_confirmed_protocol(monkeypatch):
     # the second port's probe raises after the first protocol was confirmed
+    def broken_confirm(reply):
+        raise IcsReconError("enip probe broke")
+
+    monkeypatch.setattr(enip, "confirm", broken_confirm)
     handle, rtu = start_two_service_host()
     try:
         scanner = Scanner(quick_config(targets=(rtu.ip,)), network=SimNetwork(handle))
-
-        def broken_probe(ip, port, sock):
-            raise IcsReconError("enip probe broke")
-
-        scanner._open_enip = broken_probe
         report = scanner.run()
     finally:
         handle.stop()
@@ -608,6 +615,14 @@ def test_default_station_scan_cost(station):
     assert network.connects == Counter({key: 1 for key in scanned})
     assert sum(network.connects.values()) == 15
     assert network.closes() == [1] * 5  # each open connection closed once
+    # the inventory itself, less the times it was taken at
+    document = report.inventory.to_document()
+    for asset in document["assets"]:
+        del asset["last_seen"]
+        for entry in asset["provenance"]:
+            del entry["at"]
+    digest = hashlib.sha256(json.dumps(document, sort_keys=True).encode()).hexdigest()
+    assert digest == "eb6715090bbd91393c71d17b29ef351941a8cf769be2c8e900e71db6b8410bf6"
 
 
 def test_two_service_host_enumerates_each_port_before_probing_the_next():
@@ -662,6 +677,32 @@ def test_tsap_retry_opens_one_new_connection_and_every_socket_is_closed_once():
     assert network.connects[(plc.ip, 102)] == 2
     # the port scan's connection and the retry's, each closed exactly once by its opener
     assert network.closes() == [1, 1]
+
+
+def test_tsap_retry_that_cannot_connect_makes_no_claim():
+    # the PLC takes only the second default TSAP pair, but the retry's connect times out
+    import dataclasses
+
+    class RetryTimesOut(CountingNetwork):
+        def connect(self, ip, port, timeout):
+            if not self.connects[(ip, port)]:
+                return super().connect(ip, port, timeout)
+            self.connects[(ip, port)] += 1
+            return ConnectResult("timeout")
+
+    config = load_fixtures(default_fixtures_path())
+    (plc,) = [c for c in config.devices if c.name == "et200s_like"]
+    second_pair = dataclasses.replace(plc, accepted_tsaps=(0x0200,), fragile=False)
+    handle = start_station([second_pair], scanner_ip=config.scanner_ip)
+    try:
+        network = RetryTimesOut(handle)
+        report = run_scan(quick_config(targets=(plc.ip,)), network=network)
+    finally:
+        handle.stop()
+    assert report.inventory.get(plc.ip).protocols == frozenset()
+    assert report.anomalies == []
+    assert network.connects[(plc.ip, 102)] == 2
+    assert network.closes() == [1]  # the port scan's connection, closed once by its opener
 
 
 def test_idle_timeout_does_not_cost_an_earlier_port_its_enumeration(monkeypatch):
