@@ -65,6 +65,9 @@ class RecordingNetwork(Network):
     def require(self, method: str) -> None:
         self.inner.require(method)
 
+    def on_link(self, ip: str) -> bool:
+        return self.inner.on_link(ip)
+
     def ping(self, ip: str, timeout: float) -> bool:
         answered = self.inner.ping(ip, timeout)
         self.recorder.icmp_echo_exchange(self.source_ip, ip, answered=answered)

@@ -3,17 +3,21 @@ enumeration, then optional vulnerability lookup.
 
 Later phases only visit hosts that survived earlier ones, and
 protocol enumeration is never attempted without a confirmed protocol
-(the probe log makes that auditable). Discovery stops at the first
-method that answers for a host. Each host is then handled in one pass
-over its ports, in order: a port with a known protocol is probed on the
-connection that found it open and, once its protocol is confirmed,
-enumerated at once on that same connection, reusing the first reply.
-Only an open port without a known protocol is closed immediately. No
-session outlives its port, so a device's idle timeout never runs while
-another port is probed. A single token bucket gates every emitted
-packet across all workers; TCP connect scanning (full handshake) is
-used instead of half-open scanning because it needs no privilege and
-is gentler on fragile stacks.
+(the probe log makes that auditable). Discovery spends one packet per
+address where it can: an on-link target gets ARP alone, and an ARP
+request that was sent and went unanswered is final there; an off-link
+target, which ARP cannot reach, or one whose ARP request could not be
+sent, gets ICMP and then TCP connect, stopping at the first that
+answers. Each host is then handled in one pass over its ports, in
+order: a port with a known protocol is probed on the connection that
+found it open and, once its protocol is confirmed, enumerated at once
+on that same connection, reusing the first reply. Only an open port
+without a known protocol is closed immediately. No session outlives its
+port, so a device's idle timeout never runs while another port is
+probed. A single token bucket gates every emitted packet across all
+workers; TCP connect scanning (full handshake) is used instead of
+half-open scanning because it needs no privilege and is gentler on
+fragile stacks.
 """
 
 from __future__ import annotations
@@ -249,33 +253,43 @@ class Scanner:
         return usable
 
     def _discover_one(self, ip: str, methods: list[str]) -> Asset | None:
+        """One packet per address where it can: ARP alone on the link, else ICMP, then TCP connect."""
         if self._stop.is_set():
             return None
-        alive, mac = False, None
-        for method in methods:
-            if alive:
-                break  # ARP runs first, so its MAC is already kept
-            if method == "arp":
-                self.limiter.acquire()
+        routed = [method for method in methods if method != "arp"]
+        if "arp" in methods and self.network.on_link(ip):
+            self.limiter.acquire()
+            try:
                 mac = self.network.arp(ip, self.config.timeout)
-                alive = mac is not None
+            except OSError as exc:  # no request went out, so no answer is final: the routed methods decide
+                self._anomaly(f"arp request failed: {exc}")
+            else:
                 self._note(ScanPhase.DEVICE_DISCOVERY, ip, "arp")
-            elif method == "icmp":
-                self.limiter.acquire()
-                alive = self.network.ping(ip, self.config.timeout)
-                self._note(ScanPhase.DEVICE_DISCOVERY, ip, "icmp")
-            elif method == "tcp_connect":
-                for port in sorted(self.config.ports):
-                    result = self._connect(ip, port)
-                    self._note(ScanPhase.DEVICE_DISCOVERY, ip, f"tcp_connect:{port}")
-                    if result.sock is not None:
-                        result.sock.close()
-                    if result.status in ("open", "refused"):
-                        alive = True
-                        break
-        if not alive:
+                if mac is None:
+                    return None  # final: no IP-level probe reaches an on-link address that does not answer ARP
+                return Asset.discovered(ip, self._now(), mac=mac, oui_vendor=vendor_for_mac(mac))
+        elif not routed:
+            self._anomaly(f"arp cannot reach off-link {ip}")
             return None
-        return Asset.discovered(ip, self._now(), mac=mac, oui_vendor=vendor_for_mac(mac))
+        if any(self._answers(ip, method) for method in routed):  # stops at the first that answers
+            return Asset.discovered(ip, self._now())
+        return None
+
+    def _answers(self, ip: str, method: str) -> bool:
+        """Does ``ip`` answer an ICMP echo, or a TCP connect on any scanned port?"""
+        if method == "icmp":
+            self.limiter.acquire()
+            alive = self.network.ping(ip, self.config.timeout)
+            self._note(ScanPhase.DEVICE_DISCOVERY, ip, "icmp")
+            return alive
+        for port in sorted(self.config.ports):
+            result = self._connect(ip, port)
+            self._note(ScanPhase.DEVICE_DISCOVERY, ip, f"tcp_connect:{port}")
+            if result.sock is not None:
+                result.sock.close()
+            if result.status in ("open", "refused"):
+                return True
+        return False
 
     def discover_hosts(self, pool: ThreadPoolExecutor | None = None) -> list[Asset]:
         """Phase 1: one asset per responding target address."""

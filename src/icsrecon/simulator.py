@@ -17,6 +17,7 @@ undisclosed; this model is a deliberately generic stand-in.
 from __future__ import annotations
 
 import collections
+import ipaddress
 import json
 import logging
 import select
@@ -36,6 +37,7 @@ from .pcapio import PcapWriter, TrafficRecorder
 logger = logging.getLogger(__name__)
 
 CONNECTION_IDLE_TIMEOUT = 5.0
+SEGMENT_PREFIX = 24  # the station's link: the /24 around its scanner address; ARP reaches nothing else
 
 
 class SimState(Enum):
@@ -78,6 +80,9 @@ class SimDeviceConfig:
             raise ConfigError(f"{self.name}: flags {sorted(extra)} not valid for {self.protocol}")
         if self.max_pps < 1:
             raise ConfigError(f"{self.name}: max_pps must be >= 1")
+        port = self.listen_port
+        if isinstance(port, bool) or not isinstance(port, int) or not 1 <= port <= 65535:
+            raise ConfigError(f"{self.name}: listen_port must be an integer within 1..65535, got {port!r}")
         object.__setattr__(self, "feature_flags", frozenset(self.feature_flags))
 
 
@@ -508,6 +513,10 @@ class SimNetwork(Network):
     def __init__(self, station: StationHandle | RemoteStation):
         self.station = station
         self.source_ip = station.scanner_ip
+        self._segment = ipaddress.IPv4Network(f"{station.scanner_ip}/{SEGMENT_PREFIX}", strict=False)
+
+    def on_link(self, ip: str) -> bool:
+        return ipaddress.IPv4Address(ip) in self._segment
 
     def ping(self, ip: str, timeout: float) -> bool:
         return self.station.ping(ip)
@@ -643,9 +652,13 @@ class RemoteStation:
     """SimNetwork's station for a simulator in another process: map file plus control socket."""
 
     def __init__(self, map_document: dict, timeout: float = 5.0):
-        self.scanner_ip = map_document["scanner_ip"]
-        self._hosts = map_document["hosts"]
-        self._client = ControlClient(map_document["control_port"], timeout=timeout)
+        try:
+            self.scanner_ip = map_document["scanner_ip"]
+            self._hosts = map_document["hosts"]
+            control_port = map_document["control_port"]
+        except KeyError as exc:
+            raise FormatError(f"station map lacks {exc}; simulate --map-out writes a complete one") from exc
+        self._client = ControlClient(control_port, timeout=timeout)
 
     def lookup(self, ip: str, port: int) -> int | None:
         host = self._hosts.get(ip)

@@ -2,9 +2,21 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 from icsrecon.config import default_fixtures_path, load_fixtures
 from icsrecon.passive import PcapFile, analyze_capture, read_capture
-from icsrecon.pcapio import PROTO_TCP, TCP_ACK, TCP_SYN, parse_ethernet, parse_ipv4, parse_tcp
+from icsrecon.pcapio import (
+    ETHERTYPE_ARP,
+    PROTO_ICMP,
+    PROTO_TCP,
+    TCP_ACK,
+    TCP_SYN,
+    parse_arp,
+    parse_ethernet,
+    parse_ipv4,
+    parse_tcp,
+)
 from icsrecon.scanner import ScanConfig, run_scan
 from icsrecon.simulator import SimNetwork, start_station
 
@@ -38,6 +50,38 @@ def test_audit_capture_mirrors_probe_traffic(tmp_path):
     client_ports = syn_client_ports(audit_path)
     assert len(client_ports) >= len(fixtures.devices) * len(config.ports)
     assert len(set(client_ports)) == len(client_ports)
+
+
+def test_audit_capture_holds_one_arp_request_per_dead_address(tmp_path):
+    fixtures = load_fixtures(default_fixtures_path())
+    station = start_station(list(fixtures.devices), scanner_ip=fixtures.scanner_ip)
+    audit_path = tmp_path / "audit.pcap"
+    dead = ("192.168.90.20", "192.168.90.21")
+    try:
+        config = ScanConfig(
+            targets=tuple(d.ip for d in fixtures.devices) + dead,
+            methods=frozenset({"icmp", "arp"}),
+            rate_limit_pps=50,
+            timeout_ms=500,
+            pcap_out=str(audit_path),
+        )
+        report = run_scan(config, network=SimNetwork(station))
+    finally:
+        station.stop()
+    assert report.packets_sent == 37
+    arp_requests, echoes = Counter(), Counter()
+    for _, frame in read_capture(PcapFile(str(audit_path))):
+        eth = parse_ethernet(frame)
+        if eth.ethertype == ETHERTYPE_ARP:
+            message = parse_arp(eth.payload)
+            if message.op == 1:
+                arp_requests[message.target_ip] += 1
+        elif eth.ethertype == 0x0800:
+            packet = parse_ipv4(eth.payload)
+            if packet.proto == PROTO_ICMP and packet.payload[0] == 8:
+                echoes[packet.dst_ip] += 1
+    assert arp_requests == Counter({ip: 1 for ip in config.targets})
+    assert echoes == Counter()  # a failed ARP on the link is final, so no echo follows it
 
 
 def syn_client_ports(pcap_path) -> list[int]:

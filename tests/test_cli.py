@@ -334,6 +334,25 @@ def test_report_classifies_scan_reports(sim, tmp_path, capsys):
 # -- simulate command ----------------------------------------------------------------
 
 
+def test_simulate_device_without_listen_port_is_config_error(tmp_path, capsys):
+    fixtures = tmp_path / "station.conf"
+    fixtures.write_text("[device:a]\nprotocol = modbus\nip = 10.0.0.1\n")
+    map_path = tmp_path / "map.json"
+    code = main(["simulate", "--fixtures", str(fixtures), "--map-out", str(map_path), "--max-seconds", "5"])
+    assert code == 1
+    assert "error[ConfigError]" in capsys.readouterr().err
+    assert not map_path.exists()  # rejected before any device started
+
+
+def test_scan_with_a_map_file_without_control_port_is_format_error(tmp_path, capsys):
+    map_path = tmp_path / "map.json"
+    map_path.write_text(json.dumps({"scanner_ip": "192.168.90.1", "hosts": {}}))
+    config = tmp_path / "scan.conf"
+    config.write_text("[scan]\ntargets = 192.168.90.10\n")
+    assert main(["scan", "--config", str(config), "--map-file", str(map_path)]) == 1
+    assert "error[FormatError]: station map lacks 'control_port'" in capsys.readouterr().err
+
+
 def test_simulate_command_runs_and_shuts_down(tmp_path, capsys):
     map_path = tmp_path / "map.json"
     result = {}

@@ -18,7 +18,7 @@ from icsrecon.errors import ConfigError, IcsReconError, PrivilegeRequired
 from icsrecon.model import Asset, PortSpec, compute_depth
 from icsrecon.netbase import ConnectResult, RealNetwork
 from icsrecon.scanner import DEFAULT_PORTS, PROTOCOL_PORTS, ScanConfig, Scanner, expand_targets, run_scan
-from icsrecon.simulator import REPLIES, SimNetwork, start_station
+from icsrecon.simulator import REPLIES, SimDeviceConfig, SimNetwork, start_station
 from icsrecon.taxonomy import classify_run
 
 FIXTURE_IPS = ("192.168.90.10", "192.168.90.11", "192.168.90.12", "192.168.90.13", "192.168.90.14")
@@ -131,9 +131,59 @@ def test_discovery_stops_at_first_answering_method(station):
     assert tried["192.168.90.10"] == ["arp"]
     assert asset.mac == "00:1b:1b:aa:10:01"
     assert asset.oui_vendor == "Siemens AG"
-    # a silent address still gets every method and never becomes an asset
-    assert tried["192.168.90.99"] == ["arp", "icmp"]
+    # on the link a failed ARP is final: a silent address gets no ICMP echo and never becomes an asset
+    assert tried["192.168.90.99"] == ["arp"]
     assert asset.ip == "192.168.90.10"
+
+
+def test_subnet_sweep_spends_one_token_per_address(station):
+    fragile = station.device("et200s_like")
+    before = fragile.get_counters().packets_received
+    config = quick_config(
+        targets=("192.168.90.0/24",),
+        methods=frozenset({"arp", "icmp"}),
+        safe_mode=False,
+        rate_limit_pps=20000,
+        workers=8,
+    )
+    scanner = Scanner(config, network=SimNetwork(station))
+    assets = scanner.discover_hosts()
+    assert scanner.limiter.granted == 254  # one ARP request per host address, none followed by an echo
+    assert {asset.ip: asset.mac for asset in assets} == {
+        device.config.ip: device.config.mac for device in station.devices
+    }
+    assert fragile.get_counters().packets_received - before == 1
+
+
+@pytest.fixture(scope="module")
+def routed_station():
+    """One Modbus RTU behind a router: outside the /24 of the scanner at 192.168.90.1."""
+    handle = start_station(
+        [SimDeviceConfig(name="remote_rtu", protocol="modbus", ip="10.1.0.5", listen_port=502)],
+        scanner_ip="192.168.90.1",
+    )
+    yield handle
+    handle.stop()
+
+
+def test_off_link_target_skips_arp(routed_station):
+    network = SimNetwork(routed_station)
+    assert not network.on_link("10.1.0.5") and network.on_link("192.168.90.254")
+    config = quick_config(targets=("10.1.0.5", "10.1.0.6"), methods=frozenset({"arp", "icmp"}))
+    scanner = Scanner(config, network=network)
+    (asset,) = scanner.discover_hosts()
+    assert asset.ip == "10.1.0.5" and asset.mac is None and asset.oui_vendor is None
+    tried = {ip: [e["detail"] for e in scanner.probe_log if e["ip"] == ip] for ip in config.targets}
+    assert tried == {"10.1.0.5": ["icmp"], "10.1.0.6": ["icmp"]}
+    assert scanner.limiter.granted == 2 and scanner.anomalies == []
+
+
+def test_arp_alone_cannot_reach_an_off_link_target(routed_station):
+    config = quick_config(targets=("10.1.0.5",), methods=frozenset({"arp"}))
+    scanner = Scanner(config, network=SimNetwork(routed_station))
+    assert scanner.discover_hosts() == []
+    assert scanner.anomalies == ["arp cannot reach off-link 10.1.0.5"]
+    assert scanner.probe_log == [] and scanner.limiter.granted == 0
 
 
 def test_icmp_in_methods_used_is_still_classified(station):
@@ -604,10 +654,10 @@ def test_default_station_scan_cost(station):
         "192.168.90.13": 5,
         "192.168.90.14": 4,
     }
-    # 9/15/5/10: discovery 5 ARP + 2x2 for the dead, port scan 15, probes 5
-    # (on the port scan's connections), enumeration 10 (S7 3 x 3, Modbus
-    # report-slave-id 1, ENIP 0)
-    assert report.packets_sent == 39
+    # 7/15/5/10: discovery 5 ARP + 1 ARP for each dead address (a failed
+    # ARP is final on the link), port scan 15, probes 5 (on the port scan's
+    # connections), enumeration 10 (S7 3 x 3, Modbus report-slave-id 1, ENIP 0)
+    assert report.packets_sent == 37
     open_ports = {(asset.ip, spec.port) for asset in report.inventory for spec in asset.open_ports}
     assert len(open_ports) == 5
     # every port is connected once, by the port scan; an open one is probed on that connection

@@ -19,6 +19,7 @@ from icsrecon.simulator import (
     ControlClient,
     ControlledStation,
     Counters,
+    RemoteStation,
     SimDevice,
     SimDeviceConfig,
     SimNetwork,
@@ -73,6 +74,13 @@ def test_max_pps_positive():
 def test_unknown_protocol():
     with pytest.raises(ConfigError):
         modbus_config(protocol="profinet")
+
+
+@pytest.mark.parametrize("port", [None, 0, 65536, -1, "502", True, 502.0])
+def test_listen_port_must_be_a_port_number(port):
+    with pytest.raises(ConfigError, match="listen_port"):
+        modbus_config(listen_port=port)
+    assert modbus_config(listen_port=1).listen_port == 1 and modbus_config(listen_port=65535).listen_port == 65535
 
 
 # -- fragility model ------------------------------------------------------
@@ -303,6 +311,19 @@ def test_ping_and_arp_through_mapping_layer(station):
     assert not net.ping("192.168.90.200", 1.0)
     assert net.arp("192.168.90.13", 1.0) == "02:00:00:00:00:01"
     assert net.arp("192.168.90.200", 1.0) is None
+
+
+def test_segment_is_the_scanner_address_slash_24_locally_and_through_the_map(station):
+    assert "segment" not in station.address_map()  # worked out from scanner_ip on both sides
+    controlled = ControlledStation(StationHandle([], scanner_ip="10.20.30.40").start())
+    try:
+        remote = RemoteStation(controlled.map_document())
+        for net in (SimNetwork(controlled.station), SimNetwork(remote)):
+            assert net.on_link("10.20.30.1") and net.on_link("10.20.30.254")
+            assert not net.on_link("10.20.31.1") and not net.on_link("192.168.90.13")
+        remote.close()
+    finally:
+        controlled.stop()
 
 
 def test_unmapped_port_refused_vs_dead_timeout(station):
