@@ -3,6 +3,12 @@
 Batch-oriented by design: every command is non-interactive after
 launch. Exit codes: 0 success, 1 operational error, 2 usage error.
 Verbosity comes from the ICSRECON_LOG environment variable.
+
+Each command imports only the modules it runs: this module imports at
+its top only what ``depth`` and ``vulnmatch`` need, and every other
+handler imports its own modules (scanner, simulator, passive analyzer,
+taxonomy, config) inside its body, so a command never pays to compile
+the code of another.
 """
 
 from __future__ import annotations
@@ -16,14 +22,9 @@ import sys
 import threading
 from pathlib import Path
 
-from . import taxonomy, vulnmatch
-from .config import default_fixtures_path, load_fixtures, load_scan_config
-from .errors import ConfigError, IcsReconError
+from . import vulnmatch
+from .errors import ConfigError, FormatError, IcsReconError
 from .model import Inventory, compute_depth
-from .netbase import RealNetwork
-from .passive import LiveInterface, PcapFile, analyze_capture
-from .scanner import Scanner
-from .simulator import ControlledStation, RemoteStation, SimNetwork, StationHandle
 
 logger = logging.getLogger("icsrecon")
 
@@ -103,17 +104,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_json_object(path: str, what: str) -> dict:
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    try:
+        document = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"{what} {path} is not valid JSON: {exc.msg}", offset=exc.pos) from exc
+    if not isinstance(document, dict):
+        raise FormatError(f"{what} {path} must be a JSON object", offset=0)
+    return document
+
+
 def _network_for(settings, override_map: str | None):
     if settings.mode == "sim" or override_map:
+        from .simulator import RemoteStation, SimNetwork
+
         map_path = override_map or settings.map_file
         if not map_path:
             raise ConfigError("simulator mode needs a map file (simulate --map-out writes one)")
-        with open(map_path, "r", encoding="utf-8") as fh:
-            return SimNetwork(RemoteStation(json.load(fh)))
+        return SimNetwork(RemoteStation(_read_json_object(map_path, "station map")))
+    from .netbase import RealNetwork
+
     return RealNetwork()
 
 
 def cmd_scan(args) -> int:
+    from .config import load_scan_config
+    from .scanner import Scanner
+
     overrides = {
         "targets": tuple(args.targets) if args.targets else None,
         "ports": frozenset(args.ports) if args.ports else None,
@@ -160,6 +179,8 @@ def cmd_scan(args) -> int:
 
 
 def cmd_sniff(args) -> int:
+    from .passive import LiveInterface, PcapFile, analyze_capture
+
     source = PcapFile(args.pcap) if args.pcap else LiveInterface(args.interface)
     report = analyze_capture(source)
     report.inventory.save(args.out)
@@ -179,6 +200,9 @@ def cmd_sniff(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .config import default_fixtures_path, load_fixtures
+    from .simulator import ControlledStation, StationHandle
+
     fixtures_path = args.fixtures or default_fixtures_path()
     station_config = load_fixtures(fixtures_path)
     if not station_config.devices:
@@ -212,11 +236,10 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_report(args) -> int:
+    from . import taxonomy
+
     if args.scan_report:
-        profiles = []
-        for path in args.scan_report:
-            with open(path, "r", encoding="utf-8") as fh:
-                profiles.append(taxonomy.classify_run(json.load(fh)))
+        profiles = [taxonomy.classify_run(_read_json_object(path, "scan report")) for path in args.scan_report]
     else:
         profiles = taxonomy.load_profiles(args.dataset)
     if args.stats:

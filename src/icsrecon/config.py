@@ -4,6 +4,9 @@ Both file kinds use the same INI dialect: a ``[scan]`` (plus optional
 ``[network]``) section for scan runs, and ``[station]`` plus one
 ``[device:<name>]`` section per simulated device for fixtures. Device
 identity fields are ``identity.<field> = value`` keys.
+
+Each loader imports the module it builds for: ``load_scan_config`` the
+scanner, ``load_fixtures`` the simulator, so neither loads the other.
 """
 
 from __future__ import annotations
@@ -12,10 +15,13 @@ import configparser
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .errors import ConfigError
-from .scanner import DEFAULT_PORTS, ScanConfig
-from .simulator import SimDeviceConfig
+
+if TYPE_CHECKING:
+    from .scanner import ScanConfig
+    from .simulator import SimDeviceConfig
 
 DEFAULT_FIXTURES = "station_default.conf"
 
@@ -42,6 +48,8 @@ class NetworkSettings:
 
 
 def load_scan_config(path: str | Path, overrides: dict | None = None) -> tuple[ScanConfig, NetworkSettings]:
+    from .scanner import DEFAULT_PORTS, ScanConfig
+
     parser = _parser(path)
     if not parser.has_section("scan"):
         raise ConfigError(f"{path}: missing [scan] section")
@@ -86,6 +94,8 @@ class StationConfig:
 
 
 def _device_from_section(name: str, section: configparser.SectionProxy) -> SimDeviceConfig:
+    from .simulator import SimDeviceConfig
+
     identity = {
         key.split(".", 1)[1]: value
         for key, value in section.items()

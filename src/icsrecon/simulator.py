@@ -658,6 +658,8 @@ class RemoteStation:
             control_port = map_document["control_port"]
         except KeyError as exc:
             raise FormatError(f"station map lacks {exc}; simulate --map-out writes a complete one") from exc
+        if not isinstance(self._hosts, dict):
+            raise FormatError("station map hosts must be a JSON object of address -> host")
         self._client = ControlClient(control_port, timeout=timeout)
 
     def lookup(self, ip: str, port: int) -> int | None:

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import threading
 import time
 from datetime import datetime, timezone
@@ -10,9 +13,11 @@ from importlib import resources
 
 import pytest
 
+import icsrecon
 from icsrecon.cli import build_parser, main
 from icsrecon.config import default_fixtures_path, load_fixtures
 from icsrecon.model import Asset, DeploymentInfo, PortSpec, ProvenanceEntry, StaticDeviceInfo
+from icsrecon.pcapio import PcapWriter, arp_frame
 from icsrecon.simulator import ControlClient, ControlledStation, StationHandle
 
 FIXTURE_DIR = resources.files("icsrecon.data").joinpath("fixtures")
@@ -351,6 +356,94 @@ def test_scan_with_a_map_file_without_control_port_is_format_error(tmp_path, cap
     config.write_text("[scan]\ntargets = 192.168.90.10\n")
     assert main(["scan", "--config", str(config), "--map-file", str(map_path)]) == 1
     assert "error[FormatError]: station map lacks 'control_port'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("not json", "is not valid JSON"),
+        ("[]", "must be a JSON object"),
+        (json.dumps({"scanner_ip": "192.168.90.1", "hosts": [], "control_port": 1}), "hosts must be a JSON object"),
+    ],
+    ids=["not-json", "array", "hosts-array"],
+)
+def test_scan_with_a_malformed_map_file_is_format_error(tmp_path, capsys, text, message):
+    map_path = tmp_path / "map.json"
+    map_path.write_text(text)
+    config = tmp_path / "scan.conf"
+    config.write_text("[scan]\ntargets = 192.168.90.10\n")
+    assert main(["scan", "--config", str(config), "--map-file", str(map_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error[FormatError]: ") and message in err
+
+
+@pytest.mark.parametrize(
+    "text, message", [("not json", "is not valid JSON"), ('"x"', "must be a JSON object")], ids=["not-json", "string"]
+)
+def test_report_with_a_malformed_scan_report_is_format_error(tmp_path, capsys, text, message):
+    path = tmp_path / "scan_report.json"
+    path.write_text(text)
+    assert main(["report", "--scan-report", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error[FormatError]: ") and message in err
+
+
+# -- each command loads only the modules it runs -------------------------------
+
+CLI_CORE = {"icsrecon", "icsrecon.cli", "icsrecon.errors", "icsrecon.model", "icsrecon.vulnmatch"}
+SCANNER_AND_SIMULATOR = {"icsrecon.scanner", "icsrecon.simulator", "icsrecon.netbase"}
+ACTIVE_AND_PASSIVE = SCANNER_AND_SIMULATOR | {"icsrecon.passive", "icsrecon.pcapio", "icsrecon.codecs"}
+
+
+def _modules_loaded(code: str) -> set[str]:
+    """The icsrecon modules a fresh interpreter holds after running ``code``."""
+    src = os.path.dirname(os.path.dirname(icsrecon.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    script = (
+        "import contextlib, io, json, sys\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        f"    {code}\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'icsrecon')))\n"
+    )
+    result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    return set(json.loads(result.stdout))
+
+
+def test_each_command_loads_only_the_modules_it_runs(tmp_path):
+    inventory = tmp_path / "inventory.json"
+    inventory.write_text(json.dumps({"version": 1, "assets": []}))
+    pcap = tmp_path / "arp.pcap"
+    writer = PcapWriter(str(pcap))
+    writer.write(1.0, arp_frame(2, "00:1b:1b:00:00:10", "192.168.90.10", "02:00:00:00:00:01", "192.168.90.1"))
+    writer.close()
+    scan_config = tmp_path / "scan.conf"
+    scan_config.write_text("[scan]\ntargets = 192.168.90.10\n")
+
+    def run(*argv) -> set[str]:
+        return _modules_loaded(f"from icsrecon.cli import main; assert main({list(map(str, argv))!r}) == 0")
+
+    assert _modules_loaded("import icsrecon.cli") == CLI_CORE
+    assert run("depth", "--inventory", inventory) == CLI_CORE
+    # icsrecon.data is the package of the shipped alias table the matcher reads
+    vuln = run("vulnmatch", "--inventory", inventory, "--db", CVE_DB, "--out", tmp_path / "out.json")
+    assert vuln == CLI_CORE | {"icsrecon.data"}
+
+    report = run("report", "--stats")
+    assert "icsrecon.taxonomy" in report and not report & ACTIVE_AND_PASSIVE  # a codec loads icsrecon.codecs
+
+    sniff = run("sniff", "--pcap", pcap, "--out", tmp_path / "sniffed.json")
+    assert "icsrecon.passive" in sniff
+    assert not sniff & (SCANNER_AND_SIMULATOR | {"icsrecon.taxonomy", "icsrecon.config"})
+
+    scan_settings = _modules_loaded(
+        f"from icsrecon.config import load_scan_config; load_scan_config({str(scan_config)!r})"
+    )
+    assert "icsrecon.scanner" in scan_settings and "icsrecon.simulator" not in scan_settings
+    fixtures = _modules_loaded(
+        "from icsrecon.config import default_fixtures_path, load_fixtures; load_fixtures(default_fixtures_path())"
+    )
+    assert "icsrecon.simulator" in fixtures and "icsrecon.scanner" not in fixtures
 
 
 def test_simulate_command_runs_and_shuts_down(tmp_path, capsys):
