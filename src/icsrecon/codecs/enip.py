@@ -15,8 +15,7 @@ name, state u8.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from . import cut_frames
 from ..errors import DecodeError, FormatError, LengthMismatch, Truncated, UnexpectedCommand
@@ -49,8 +48,7 @@ KNOWN_COMMANDS = {
 ITEM_IDENTITY = 0x000C
 
 
-@dataclass(frozen=True)
-class CipIdentity:
+class CipIdentity(NamedTuple):
     vendor_id: int
     device_type: int
     product_code: int
@@ -61,8 +59,7 @@ class CipIdentity:
     state: int = 0
 
 
-@dataclass(frozen=True)
-class EnipMessage:
+class EnipMessage(NamedTuple):
     command: int
     length: int
     session: int = 0

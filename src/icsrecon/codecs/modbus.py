@@ -15,8 +15,7 @@ function|0x80 and exactly one exception-code byte.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from . import cut_frames
 from ..errors import (
@@ -52,16 +51,14 @@ EXC_ILLEGAL_DATA_ADDRESS = 0x02
 EXC_ILLEGAL_DATA_VALUE = 0x03
 
 
-@dataclass(frozen=True)
-class MbapHeader:
+class MbapHeader(NamedTuple):
     transaction_id: int
     unit_id: int
     length: int
     protocol_id: int = 0
 
 
-@dataclass(frozen=True)
-class ModbusPdu:
+class ModbusPdu(NamedTuple):
     function: int
     payload: bytes = b""
 
@@ -74,8 +71,7 @@ class ModbusPdu:
         return self.payload[0]
 
 
-@dataclass(frozen=True)
-class DeviceIdentification:
+class DeviceIdentification(NamedTuple):
     """Parsed FC 0x2B / MEI 0x0E reply."""
 
     objects: dict[int, str]
@@ -84,8 +80,7 @@ class DeviceIdentification:
     next_object_id: int = 0
 
 
-@dataclass(frozen=True)
-class SlaveId:
+class SlaveId(NamedTuple):
     """Parsed FC 0x11 reply."""
 
     slave_id: int

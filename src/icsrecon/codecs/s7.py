@@ -23,8 +23,7 @@ Anything beyond that subset is out of scope here.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from . import cut_frames
 from ..errors import ConnectionRefusedByTsap, DecodeError, FormatError, LengthMismatch, Truncated
@@ -71,8 +70,7 @@ COMPONENT_KEYS = {
 }
 
 
-@dataclass(frozen=True)
-class CotpConnectionRequest:
+class CotpConnectionRequest(NamedTuple):
     src_tsap: int
     dst_tsap: int
     dst_ref: int = 0
@@ -80,8 +78,7 @@ class CotpConnectionRequest:
     tpdu_size: int = 0x0A
 
 
-@dataclass(frozen=True)
-class CotpConnectionConfirm:
+class CotpConnectionConfirm(NamedTuple):
     src_tsap: int
     dst_tsap: int
     dst_ref: int = 1
@@ -89,15 +86,13 @@ class CotpConnectionConfirm:
     tpdu_size: int = 0x0A
 
 
-@dataclass(frozen=True)
-class CotpDisconnectRequest:
+class CotpDisconnectRequest(NamedTuple):
     reason: int = 0
     dst_ref: int = 0
     src_ref: int = 0
 
 
-@dataclass(frozen=True)
-class CotpData:
+class CotpData(NamedTuple):
     payload: bytes
     last: bool = True
 
@@ -105,15 +100,13 @@ class CotpData:
 Cotp = CotpConnectionRequest | CotpConnectionConfirm | CotpDisconnectRequest | CotpData
 
 
-@dataclass(frozen=True)
-class TpktCotpEnvelope:
+class TpktCotpEnvelope(NamedTuple):
     cotp: Cotp
     tpkt_version: int = TPKT_VERSION
     tpkt_length: int = 0
 
 
-@dataclass(frozen=True)
-class S7SetupCommunication:
+class S7SetupCommunication(NamedTuple):
     is_request: bool
     pdu_ref: int = 0
     max_amq_caller: int = 1
@@ -121,8 +114,7 @@ class S7SetupCommunication:
     pdu_length: int = 480
 
 
-@dataclass(frozen=True)
-class SzlEntry:
+class SzlEntry(NamedTuple):
     """One raw partlist entry; ``words`` only used by list 0x0011."""
 
     index: int
@@ -130,16 +122,14 @@ class SzlEntry:
     words: tuple[int, int, int] = (0, 0, 0)
 
 
-@dataclass(frozen=True)
-class S7SzlRequest:
+class S7SzlRequest(NamedTuple):
     szl_id: int
     szl_index: int = 0
     pdu_ref: int = 0
     sequence: int = 0
 
 
-@dataclass(frozen=True)
-class S7SzlResponse:
+class S7SzlResponse(NamedTuple):
     szl_id: int
     szl_index: int
     entries: tuple[SzlEntry, ...]

@@ -12,10 +12,9 @@ scanner, ``load_fixtures`` the simulator, so neither loads the other.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import ConfigError
 
@@ -41,8 +40,7 @@ def _parser(path: str | Path) -> configparser.ConfigParser:
     return parser
 
 
-@dataclass(frozen=True)
-class NetworkSettings:
+class NetworkSettings(NamedTuple):
     mode: str = "real"  # real | sim
     map_file: str | None = None
 
@@ -87,8 +85,7 @@ def load_scan_config(path: str | Path, overrides: dict | None = None) -> tuple[S
     return config, network
 
 
-@dataclass(frozen=True)
-class StationConfig:
+class StationConfig(NamedTuple):
     scanner_ip: str
     devices: tuple[SimDeviceConfig, ...]
 

@@ -25,7 +25,7 @@ import re
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import IntEnum
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable, Iterator, NamedTuple
 
 from .errors import AddressMismatch, FormatError
 
@@ -229,8 +229,7 @@ class CveRecord:
         )
 
 
-@dataclass(frozen=True)
-class ProvenanceEntry:
+class ProvenanceEntry(NamedTuple):
     """Record of a scalar field being overwritten during a merge."""
 
     field: str

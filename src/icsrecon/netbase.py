@@ -15,7 +15,7 @@ import socket
 import struct
 import threading
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import FramingError, PrivilegeRequired
 from .pcapio import BROADCAST_MAC, ETHERTYPE_ARP, arp_frame, icmp_echo, mac_text, parse_arp, parse_ethernet
@@ -24,8 +24,7 @@ RTF_UP = 0x0001
 ARPHRD_ETHER = 1  # hardware type of an Ethernet interface, the only kind ARP runs on here
 
 
-@dataclass(frozen=True)
-class ConnectResult:
+class ConnectResult(NamedTuple):
     status: str  # "open" | "refused" | "timeout"
     sock: socket.socket | None = None
 

@@ -20,12 +20,11 @@ counted.
 from __future__ import annotations
 
 import os
-import socket
 import struct
 import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from typing import Any, ClassVar, Iterable, Iterator
+from typing import Any, ClassVar, Iterable, Iterator, NamedTuple
 
 from .codecs import PROTOCOLS, cut_frames
 from .errors import PrivilegeRequired
@@ -60,8 +59,7 @@ REASSEMBLY_CAP = 64 * 1024
 WELL_KNOWN_SERVER_PORTS = frozenset({*(codec.PORT for codec in PROTOCOLS.values()), 20000})  # 20000: DNP3
 
 
-@dataclass(frozen=True)
-class PcapFile:
+class PcapFile(NamedTuple):
     path: str
 
 
@@ -73,6 +71,8 @@ class LiveInterface:
     skipped: ClassVar[int] = 0  # the kernel hands over whole frames
 
     def __iter__(self) -> Iterator[tuple[float, bytes]]:
+        import socket  # here, so that reading a pcap file never loads it
+
         if os.geteuid() != 0:
             raise PrivilegeRequired("live_capture")
         sock = socket.socket(socket.AF_PACKET, socket.SOCK_RAW, socket.htons(0x0003))

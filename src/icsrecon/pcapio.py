@@ -15,8 +15,7 @@ from __future__ import annotations
 import struct
 import threading
 import time
-from dataclasses import dataclass
-from typing import BinaryIO, Callable, Iterator
+from typing import BinaryIO, Callable, Iterator, NamedTuple
 
 from .errors import FormatError
 
@@ -117,32 +116,28 @@ def tcp_segment(
     return header + payload
 
 
-@dataclass(frozen=True)
-class EthernetFrame:
+class EthernetFrame(NamedTuple):
     dst_mac: str
     src_mac: str
     ethertype: int
     payload: bytes
 
 
-@dataclass(frozen=True)
-class ArpMessage:
+class ArpMessage(NamedTuple):
     op: int
     sender_mac: str
     sender_ip: str
     target_ip: str
 
 
-@dataclass(frozen=True)
-class Ipv4Packet:
+class Ipv4Packet(NamedTuple):
     src_ip: str
     dst_ip: str
     proto: int
     payload: bytes
 
 
-@dataclass(frozen=True)
-class TcpSegment:
+class TcpSegment(NamedTuple):
     src_port: int
     dst_port: int
     seq: int

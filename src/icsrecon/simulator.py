@@ -660,6 +660,10 @@ class RemoteStation:
             raise FormatError(f"station map lacks {exc}; simulate --map-out writes a complete one") from exc
         if not isinstance(self._hosts, dict):
             raise FormatError("station map hosts must be a JSON object of address -> host")
+        for ip, host in self._hosts.items():
+            ports = host.get("ports") if isinstance(host, dict) else None
+            if not isinstance(ports, dict) or not all(isinstance(port, int) for port in ports.values()):
+                raise FormatError(f"station map host {ip} must be an object holding a ports object of port -> port")
         self._client = ControlClient(control_port, timeout=timeout)
 
     def lookup(self, ip: str, port: int) -> int | None:

@@ -16,7 +16,7 @@ import json
 from dataclasses import MISSING, asdict, dataclass, fields
 from datetime import date
 from importlib import resources
-from typing import Any
+from typing import Any, NamedTuple
 
 from .errors import FormatError, ValidationRequired
 from .model import Inventory
@@ -91,8 +91,7 @@ class ToolProfile:
         object.__setattr__(self, "output_levels", frozenset(self.output_levels))
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """One failed validation rule; data, not an exception."""
 
     field: str
@@ -304,40 +303,56 @@ def dataset_stats(profiles: list[ToolProfile]) -> dict[str, Any]:
     }
 
 
+def _report_field(raw: dict, key: str, default, kind: type, item: type = object):
+    """``raw[key]``, or ``default`` when absent; FormatError unless it is a
+    ``kind`` whose items are ``item``s."""
+    value = raw.get(key, default)
+    if value is not default and not (isinstance(value, kind) and all(isinstance(v, item) for v in value)):
+        raise FormatError(f"scan report {key} has the wrong JSON type: {value!r}")
+    return value
+
+
 def classify_run(report) -> ToolProfile:
     """Self-classification: this artifact's own matrix column for a run.
 
     Accepts an active ScanReport, a PassiveReport, or either one's
-    JSON document.
+    JSON document; a document whose fields have the wrong JSON types
+    raises FormatError.
     """
     document = report.to_document() if hasattr(report, "to_document") else dict(report)
-    kind = document.get("kind", "active")
-    inventory = document.get("inventory", {})
-    asset_count = len(inventory.get("assets", []))
+    kind = _report_field(document, "kind", "active", str)
+    inventory = _report_field(document, "inventory", {}, dict)
+    assets = _report_field(inventory, "assets", [], list, dict)
 
     protocols: set[str] = set()
-    for asset in inventory.get("assets", []):
-        protocols |= {p for p in asset.get("protocols", []) if p in PROTOCOL_TOKENS}
+    for asset in assets:
+        protocols |= {p for p in _report_field(asset, "protocols", [], list, str) if p in PROTOCOL_TOKENS}
 
-    levels = document.get("levels_achieved")
+    levels = _report_field(document, "levels_achieved", None, list, int)
     if levels is None:  # a report written before it recorded its levels: the one level rule, per asset
         levels = Inventory.from_document(inventory).levels_achieved(document.get("vuln_db_consulted", False))
+    generated_at = _report_field(document, "generated_at", "2026-01-01T00:00:00Z", str)
+    try:
+        last_update = date.fromisoformat(generated_at[:10])
+    except ValueError as exc:
+        raise FormatError(f"scan report generated_at is not a timestamp: {generated_at!r}") from exc
 
     if kind == "active":
         method, nature = {"active"}, {"real_time"}
         discovery = {"icmp": "icmp_scanning", "arp": "arp_scanning"}
-        enumeration = {"port_scanning"} | {discovery[m] for m in document.get("methods_used", []) if m in discovery}
+        methods = _report_field(document, "methods_used", [], list, str)
+        enumeration = {"port_scanning"} | {discovery[m] for m in methods if m in discovery}
     else:
-        method, nature, enumeration = {"passive"}, {document.get("nature", "offline")}, set()
+        method, nature, enumeration = {"passive"}, {_report_field(document, "nature", "offline", str)}, set()
 
     return ToolProfile(
         name="icsrecon",
         version="0.1.0",
-        last_update=date.fromisoformat(document.get("generated_at", "2026-01-01T00:00:00Z")[:10]),
+        last_update=last_update,
         spec=SpecificationFeatures(
             run="standalone",
             license={"open_source"},
-            scope={"wide_target"} if asset_count != 1 else {"single_target"},
+            scope={"wide_target"} if len(assets) != 1 else {"single_target"},
             protocol_support="multiple" if len(protocols) > 1 else "single",
             protocols=protocols,
         ),

@@ -25,6 +25,20 @@ def ts(seconds: float = 0.0) -> datetime:
     return datetime.fromtimestamp(1_700_000_000 + seconds, tz=timezone.utc)
 
 
+def same_record(got, want) -> bool:
+    """Equal values of the same types, down through nested tuples.
+
+    Records are NamedTuples, and those compare as plain tuples: a
+    ``CotpConnectionRequest(1, 2)`` equals a ``CotpConnectionConfirm(1, 2)``.
+    A decode test must also see the type it expects.
+    """
+    if type(got) is not type(want):
+        return False
+    if isinstance(got, tuple):
+        return len(got) == len(want) and all(map(same_record, got, want))
+    return got == want
+
+
 def one_byte_changed(frames: list[bytes]):
     """Valid frames with one byte overwritten, so decoding gets past the header."""
     return st.sampled_from(frames).flatmap(

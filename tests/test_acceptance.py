@@ -30,7 +30,7 @@ from icsrecon.simulator import SimNetwork, SimState, start_station
 from icsrecon import taxonomy as tx
 from icsrecon import vulnmatch
 
-from conftest import random_observation, ts
+from conftest import random_observation, same_record, ts
 from test_vulnmatch import naive_match_oracle, random_db, random_info
 
 DEVICE_IPS = ("192.168.90.10", "192.168.90.11", "192.168.90.12", "192.168.90.13", "192.168.90.14")
@@ -227,11 +227,11 @@ def test_criterion_5_codec_properties():
                     for _ in range(rng.randrange(1, 4))
                 )
                 message = s7.S7SzlResponse(szl_id=s7.SZL_MODULE_ID, szl_index=0, entries=entries)
-                assert s7.decode_s7(s7.encode_s7(message)) == message
+                assert same_record(s7.decode_s7(s7.encode_s7(message)), message)
                 continue
             wire = s7.encode_envelope(cotp)
             envelope = s7.decode_envelope(wire)
-            assert envelope.cotp == cotp
+            assert same_record(envelope.cotp, cotp)
             assert envelope.tpkt_length == len(wire)  # length honesty
 
         # EtherNet/IP round trips
@@ -247,7 +247,7 @@ def test_criterion_5_codec_properties():
                 state=rng.randrange(256),
             )
             wire = enip.build_list_identity_response(ident)
-            assert enip.parse_list_identity(wire) == ident
+            assert same_record(enip.parse_list_identity(wire), ident)
             message, payload = enip.decode_header(wire)
             assert message.length == len(payload)  # length honesty
 

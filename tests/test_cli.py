@@ -364,8 +364,12 @@ def test_scan_with_a_map_file_without_control_port_is_format_error(tmp_path, cap
         ("not json", "is not valid JSON"),
         ("[]", "must be a JSON object"),
         (json.dumps({"scanner_ip": "192.168.90.1", "hosts": [], "control_port": 1}), "hosts must be a JSON object"),
+        (
+            json.dumps({"scanner_ip": "192.168.90.1", "hosts": {"192.168.90.10": 5}, "control_port": 1}),
+            "host 192.168.90.10 must be an object holding a ports object",
+        ),
     ],
-    ids=["not-json", "array", "hosts-array"],
+    ids=["not-json", "array", "hosts-array", "host-not-object"],
 )
 def test_scan_with_a_malformed_map_file_is_format_error(tmp_path, capsys, text, message):
     map_path = tmp_path / "map.json"
@@ -378,7 +382,23 @@ def test_scan_with_a_malformed_map_file_is_format_error(tmp_path, capsys, text, 
 
 
 @pytest.mark.parametrize(
-    "text, message", [("not json", "is not valid JSON"), ('"x"', "must be a JSON object")], ids=["not-json", "string"]
+    "text, message",
+    [
+        ("not json", "is not valid JSON"),
+        ('"x"', "must be a JSON object"),
+        (json.dumps({"inventory": []}), "inventory has the wrong JSON type"),
+        (json.dumps({"kind": "active", "levels_achieved": {}}), "levels_achieved has the wrong JSON type"),
+        (json.dumps({"kind": "active", "levels_achieved": [], "methods_used": 5}), "methods_used has the wrong JSON type"),
+        (json.dumps({"kind": 5}), "kind has the wrong JSON type"),
+        (json.dumps({"kind": "passive", "levels_achieved": [], "nature": 5}), "nature has the wrong JSON type"),
+        (json.dumps({"inventory": {"assets": [5]}}), "assets has the wrong JSON type"),
+        (json.dumps({"inventory": {"assets": [{"protocols": 5}]}}), "protocols has the wrong JSON type"),
+        (json.dumps({"levels_achieved": [], "generated_at": "x"}), "generated_at is not a timestamp"),
+    ],
+    ids=[
+        "not-json", "string", "inventory-array", "levels-object", "methods-int", "kind-int", "nature-int",
+        "asset-int", "protocols-int", "generated-at-not-date",
+    ],
 )
 def test_report_with_a_malformed_scan_report_is_format_error(tmp_path, capsys, text, message):
     path = tmp_path / "scan_report.json"
@@ -395,15 +415,15 @@ SCANNER_AND_SIMULATOR = {"icsrecon.scanner", "icsrecon.simulator", "icsrecon.net
 ACTIVE_AND_PASSIVE = SCANNER_AND_SIMULATOR | {"icsrecon.passive", "icsrecon.pcapio", "icsrecon.codecs"}
 
 
-def _modules_loaded(code: str) -> set[str]:
-    """The icsrecon modules a fresh interpreter holds after running ``code``."""
+def _modules_loaded(code: str, roots: tuple[str, ...] = ("icsrecon",)) -> set[str]:
+    """The modules under ``roots`` a fresh interpreter holds after running ``code``."""
     src = os.path.dirname(os.path.dirname(icsrecon.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     script = (
         "import contextlib, io, json, sys\n"
         "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
         f"    {code}\n"
-        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'icsrecon')))\n"
+        f"print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] in {roots!r})))\n"
     )
     result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
@@ -420,8 +440,8 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
     scan_config = tmp_path / "scan.conf"
     scan_config.write_text("[scan]\ntargets = 192.168.90.10\n")
 
-    def run(*argv) -> set[str]:
-        return _modules_loaded(f"from icsrecon.cli import main; assert main({list(map(str, argv))!r}) == 0")
+    def run(*argv, roots=("icsrecon",)) -> set[str]:
+        return _modules_loaded(f"from icsrecon.cli import main; assert main({list(map(str, argv))!r}) == 0", roots)
 
     assert _modules_loaded("import icsrecon.cli") == CLI_CORE
     assert run("depth", "--inventory", inventory) == CLI_CORE
@@ -432,8 +452,9 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
     report = run("report", "--stats")
     assert "icsrecon.taxonomy" in report and not report & ACTIVE_AND_PASSIVE  # a codec loads icsrecon.codecs
 
-    sniff = run("sniff", "--pcap", pcap, "--out", tmp_path / "sniffed.json")
+    sniff = run("sniff", "--pcap", pcap, "--out", tmp_path / "sniffed.json", roots=("icsrecon", "socket"))
     assert "icsrecon.passive" in sniff
+    assert "socket" not in sniff  # only live capture opens one
     assert not sniff & (SCANNER_AND_SIMULATOR | {"icsrecon.taxonomy", "icsrecon.config"})
 
     scan_settings = _modules_loaded(

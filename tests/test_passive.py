@@ -60,7 +60,7 @@ from icsrecon.scanner import ScanConfig, run_scan
 from icsrecon.simulator import SimNetwork, start_station
 from icsrecon.taxonomy import classify_run
 
-from conftest import one_byte_changed
+from conftest import one_byte_changed, same_record
 
 
 class Clock:
@@ -608,6 +608,7 @@ def test_inventory_equals_one_merge_per_observation(flows, tmp_path_factory):
     inventory = analyze_capture(PcapFile(str(path))).inventory
     reference = one_merge_per_observation(PcapFile(str(path)))
     assert inventory == reference
+    assert all(same_record(asset.provenance, reference.get(asset.ip).provenance) for asset in inventory)
     assert inventory.to_document() == reference.to_document()
 
 
