@@ -17,6 +17,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import ConfigError
+from .model import _check_ip
 
 if TYPE_CHECKING:
     from .scanner import ScanConfig
@@ -123,6 +124,10 @@ def load_fixtures(path: str | Path) -> StationConfig:
     scanner_ip = "192.168.90.1"
     if parser.has_section("station"):
         scanner_ip = parser["station"].get("scanner_ip", scanner_ip)
+        try:
+            scanner_ip = _check_ip(scanner_ip)
+        except ValueError as exc:
+            raise ConfigError(f"{path}: scanner_ip: {exc}") from exc
     devices = []
     for section_name in parser.sections():
         if not section_name.startswith("device:"):

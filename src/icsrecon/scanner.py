@@ -223,8 +223,9 @@ class Scanner:
 
     def _anomaly(self, text: str) -> None:
         with self._log_lock:
-            if text not in self.anomalies:
-                self.anomalies.append(text)
+            if text in self.anomalies:
+                return  # logged when first seen
+            self.anomalies.append(text)
         logger.warning("%s", text)
 
     def _merge(self, asset: Asset, **evidence) -> Asset:

@@ -31,6 +31,7 @@ from enum import Enum
 
 from .codecs import PROTOCOLS, enip, modbus, s7
 from .errors import ConfigError, DecodeError, FormatError, IcsReconError, PortUnavailable
+from .model import _check_ip, _check_mac
 from .netbase import ConnectResult, Network, recv_frame
 from .pcapio import PcapWriter, TrafficRecorder
 
@@ -83,6 +84,14 @@ class SimDeviceConfig:
         port = self.listen_port
         if isinstance(port, bool) or not isinstance(port, int) or not 1 <= port <= 65535:
             raise ConfigError(f"{self.name}: listen_port must be an integer within 1..65535, got {port!r}")
+        try:
+            ip, mac = _check_ip(self.ip), _check_mac(self.mac)
+        except ValueError as exc:
+            raise ConfigError(f"{self.name}: {exc}") from exc
+        if mac is None:
+            raise ConfigError(f"{self.name}: mac must be a 48-bit hardware address")
+        object.__setattr__(self, "ip", ip)
+        object.__setattr__(self, "mac", mac)
         object.__setattr__(self, "feature_flags", frozenset(self.feature_flags))
 
 
@@ -98,37 +107,36 @@ class SimDevice:
         self._lock = threading.Lock()
         self.bound_port: int | None = None
 
-    # -- state & counters -------------------------------------------------
+    # -- state & counters: one note_received per arriving packet -----------
 
-    def validates(self, packet: bytes) -> bool:
-        """Does the frame decode under this device's protocol?"""
-        try:
-            PROTOCOLS[self.config.protocol].decode_frame(packet)
-            return True
-        except IcsReconError:
-            return False
-
-    def note_received(self, now: float | None = None) -> None:
-        """Count one received packet; ``now`` is unused, the station keeps counts, not times."""
+    def note_received(self, now: float | None = None) -> SimState:
+        """Count one packet; a fragile device faults past max_pps in one sliding second of ``now`` (default: station clock)."""
         with self._lock:
             self.counters.packets_received += 1
-        self.station.note_packet()
+            if self.config.fragile and self.state is SimState.RUNNING:
+                now = self.station.clock() if now is None else now
+                self._window.append(now)
+                while self._window[0] < now - 1.0:
+                    self._window.popleft()
+                if len(self._window) > self.config.max_pps:
+                    self._fault("rate")
+            return self.state
+
+    def note_malformed(self) -> SimState:
+        """Count one packet the device could not take; one is enough to fault a fault_on_malformed device."""
+        with self._lock:
+            self.counters.malformed_seen += 1
+            if self.config.fault_on_malformed and self.state is SimState.RUNNING:
+                self._fault("malformed frame")
+            return self.state
+
+    def _fault(self, cause: str) -> None:  # with self._lock held
+        self.state = SimState.FAULT
+        logger.warning("device %s entered fault state (%s)", self.config.name, cause)
 
     def note_sent(self) -> None:
         with self._lock:
             self.counters.packets_sent += 1
-
-    def note_malformed(self) -> None:
-        with self._lock:
-            self.counters.malformed_seen += 1
-
-    def _rate_exceeded(self, now: float) -> bool:
-        window = self._window
-        window.append(now)
-        cutoff = now - 1.0
-        while window and window[0] < cutoff:
-            window.popleft()
-        return len(window) > self.config.max_pps
 
     def reset(self) -> SimState:
         with self._lock:
@@ -142,31 +150,6 @@ class SimDevice:
     def get_counters(self) -> Counters:
         with self._lock:
             return self.counters.snapshot()
-
-
-def fragility_tick(device: SimDevice, packet: bytes | None, now: float | None = None) -> SimState:
-    """Apply one incoming packet to the fragility model.
-
-    Rate pressure: fragile devices fault when more than max_pps packets
-    land inside any sliding one-second window. Malformed pressure: with
-    fault_on_malformed set, one undecodable frame is enough. Faults
-    latch until an explicit reset.
-    """
-    now = device.station.clock() if now is None else now
-    with device._lock:
-        if device.config.fragile and device._rate_exceeded(now) and device.state is SimState.RUNNING:
-            device.state = SimState.FAULT
-            logger.warning("device %s entered fault state (rate)", device.config.name)
-    if (
-        packet is not None
-        and device.config.fault_on_malformed
-        and device.state is SimState.RUNNING
-        and not device.validates(packet)
-    ):
-        with device._lock:
-            device.state = SimState.FAULT
-        logger.warning("device %s entered fault state (malformed frame)", device.config.name)
-    return device.state
 
 
 # -- protocol handlers ----------------------------------------------------
@@ -290,7 +273,6 @@ class _DeviceHandler(socketserver.BaseRequestHandler):
         device: SimDevice = self.server.device
         station = device.station
         device.note_received()  # the connection attempt itself
-        fragility_tick(device, None)
         flow = station.recorder.tcp_flow(
             (station.scanner_ip, self.client_address[1]),
             (device.config.ip, device.config.listen_port),
@@ -306,23 +288,19 @@ class _DeviceHandler(socketserver.BaseRequestHandler):
                 except socket.timeout:
                     return
                 except (FormatError, OSError):
-                    # unframeable input: treat whatever is pending as one
-                    # malformed packet
-                    device.note_received()
+                    request = None  # unframeable input: whatever is pending is one malformed packet
+                state = device.note_received()
+                if request is None:
                     device.note_malformed()
-                    fragility_tick(device, b"\xff")
                     reset = True
                     return
-                device.note_received()
-                fragility_tick(device, request)
                 flow.client_payload(request)
-                if device.state is SimState.FAULT:
+                if state is SimState.FAULT:
                     continue  # accepts traffic, never replies
                 try:
                     reply = reply_to(connection, request)
                 except (DecodeError, FormatError):
                     device.note_malformed()
-                    fragility_tick(device, b"\xff" + request)
                     reset = True
                     return
                 if reply is not None:
@@ -354,8 +332,6 @@ class StationHandle:
         self._servers: list[socketserver.BaseServer] = []
         self._by_endpoint: dict[tuple[str, int], SimDevice] = {}
         self._by_ip: dict[str, SimDevice] = {}
-        self._packet_lock = threading.Lock()
-        self._packets_received = 0
         self._idle = threading.Condition()
         self._in_flight = 0
         seen = set()
@@ -417,13 +393,8 @@ class StationHandle:
 
     # -- address mapping ---------------------------------------------------
 
-    def note_packet(self) -> None:
-        with self._packet_lock:
-            self._packets_received += 1
-
     def total_packets_received(self) -> int:
-        with self._packet_lock:
-            return self._packets_received
+        return sum(device.get_counters().packets_received for device in self.devices)
 
     def device(self, name: str) -> SimDevice:
         for device in self.devices:
@@ -442,9 +413,7 @@ class StationHandle:
         if device is None:
             self.recorder.icmp_echo_exchange(self.scanner_ip, ip, answered=False)
             return False
-        device.note_received()
-        fragility_tick(device, None)
-        answered = device.state is SimState.RUNNING
+        answered = device.note_received() is SimState.RUNNING
         self.recorder.icmp_echo_exchange(self.scanner_ip, ip, answered=answered)
         return answered
 
@@ -453,9 +422,7 @@ class StationHandle:
         if device is None:
             self.recorder.arp_exchange(self.scanner_ip, ip, answered=False)
             return None
-        # link-layer resolution keeps working even for faulted devices
-        device.note_received()
-        fragility_tick(device, None)
+        device.note_received()  # link-layer resolution keeps working even for faulted devices
         self.recorder.arp_exchange(self.scanner_ip, ip, answered=True)
         return device.config.mac
 
@@ -465,9 +432,7 @@ class StationHandle:
         if device is None:
             flow.unanswered()
             return "timeout"
-        device.note_received()
-        fragility_tick(device, None)
-        if device.state is SimState.RUNNING:
+        if device.note_received() is SimState.RUNNING:
             flow.refused()
             return "refused"
         flow.unanswered()
@@ -653,11 +618,13 @@ class RemoteStation:
 
     def __init__(self, map_document: dict, timeout: float = 5.0):
         try:
-            self.scanner_ip = map_document["scanner_ip"]
+            self.scanner_ip = _check_ip(map_document["scanner_ip"])
             self._hosts = map_document["hosts"]
             control_port = map_document["control_port"]
         except KeyError as exc:
             raise FormatError(f"station map lacks {exc}; simulate --map-out writes a complete one") from exc
+        except ValueError as exc:
+            raise FormatError(f"station map scanner_ip: {exc}") from exc
         if not isinstance(self._hosts, dict):
             raise FormatError("station map hosts must be a JSON object of address -> host")
         for ip, host in self._hosts.items():

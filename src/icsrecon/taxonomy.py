@@ -173,6 +173,8 @@ def _features_from_dict(cls: type, raw: dict[str, Any]) -> Any:
 
 def profile_from_dict(raw: dict[str, Any]) -> ToolProfile:
     try:
+        if not isinstance(raw["name"], str) or not isinstance(raw.get("version", ""), str):
+            raise TypeError("name and version must be text")
         spec, execution = raw["spec"], raw["exec"]
         return ToolProfile(
             name=raw["name"],
@@ -197,7 +199,14 @@ def load_profiles(path: str | None = None) -> list[ToolProfile]:
                 raw = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise FormatError(f"dataset is not valid JSON: {exc.msg}", offset=exc.pos) from exc
+    return _profiles_from_document(raw, "dataset")
+
+
+def _profiles_from_document(raw: Any, what: str) -> list[ToolProfile]:
+    """The profiles of an array of tool objects, or of an object holding one under ``tools``."""
     tools = raw.get("tools", []) if isinstance(raw, dict) else raw
+    if not isinstance(tools, list) or not all(isinstance(entry, dict) for entry in tools):
+        raise FormatError(f"{what} must be an array of tool objects, or an object holding one under tools")
     return [profile_from_dict(entry) for entry in tools]
 
 
@@ -276,7 +285,7 @@ def parse_matrix_json(document: str) -> list[ToolProfile]:
         raw = json.loads(document)
     except json.JSONDecodeError as exc:
         raise FormatError(f"matrix document is not valid JSON: {exc.msg}", offset=exc.pos) from exc
-    return [profile_from_dict(entry) for entry in raw.get("tools", [])]
+    return _profiles_from_document(raw, "matrix document")
 
 
 def dataset_stats(profiles: list[ToolProfile]) -> dict[str, Any]:

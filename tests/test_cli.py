@@ -336,6 +336,29 @@ def test_report_classifies_scan_reports(sim, tmp_path, capsys):
     assert "icsrecon" in out.splitlines()[0]
 
 
+TOOL = {"name": "t", "last_update": "2021-01-01", "spec": {"run": "standalone"},
+        "exec": {"usage": "manual", "effort": "interactive"}}
+
+
+@pytest.mark.parametrize(
+    "document, message",
+    [
+        ([5], "dataset must be an array of tool objects"),
+        ({"tools": "x"}, "dataset must be an array of tool objects"),
+        ("x", "dataset must be an array of tool objects"),
+        ([{**TOOL, "name": 5}], "name and version must be text"),
+        ({"tools": [{**TOOL, "version": 1.0}]}, "name and version must be text"),
+    ],
+    ids=["array-of-int", "tools-string", "string", "name-int", "version-number"],
+)
+def test_report_with_a_malformed_dataset_is_format_error(tmp_path, capsys, document, message):
+    path = tmp_path / "dataset.json"
+    path.write_text(json.dumps(document))
+    assert main(["report", "--dataset", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error[FormatError]: ") and message in err
+
+
 # -- simulate command ----------------------------------------------------------------
 
 
@@ -368,8 +391,12 @@ def test_scan_with_a_map_file_without_control_port_is_format_error(tmp_path, cap
             json.dumps({"scanner_ip": "192.168.90.1", "hosts": {"192.168.90.10": 5}, "control_port": 1}),
             "host 192.168.90.10 must be an object holding a ports object",
         ),
+        (
+            json.dumps({"scanner_ip": "not-an-ip", "hosts": {}, "control_port": 1}),
+            "scanner_ip: not an IPv4 address",
+        ),
     ],
-    ids=["not-json", "array", "hosts-array", "host-not-object"],
+    ids=["not-json", "array", "hosts-array", "host-not-object", "scanner-ip-not-ipv4"],
 )
 def test_scan_with_a_malformed_map_file_is_format_error(tmp_path, capsys, text, message):
     map_path = tmp_path / "map.json"

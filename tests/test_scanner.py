@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import json
+import logging
 import socket
 import threading
 import time
@@ -212,19 +213,32 @@ def test_arp_without_privilege_raises(monkeypatch):
     assert err.value.method == "arp"
 
 
-def test_partial_privilege_keeps_tcp_connect(station, monkeypatch):
-    class GatedNetwork(SimNetwork):
-        def require(self, method):
-            if method in ("icmp", "arp"):
-                raise PrivilegeRequired(method)
+class UnprivilegedNetwork(SimNetwork):
+    def require(self, method):
+        if method in ("icmp", "arp"):
+            raise PrivilegeRequired(method)
 
+
+def test_partial_privilege_keeps_tcp_connect(station, monkeypatch):
     scanner = Scanner(
         quick_config(targets=("192.168.90.13",), methods=frozenset({"icmp", "tcp_connect"})),
-        network=GatedNetwork(station),
+        network=UnprivilegedNetwork(station),
     )
     assets = scanner.discover_hosts()
     assert [a.ip for a in assets] == ["192.168.90.13"]
     assert any("icmp" in a for a in scanner.anomalies)
+
+
+def test_each_anomaly_is_logged_once(station, caplog):
+    scanner = Scanner(
+        quick_config(targets=("192.168.90.13",), methods=frozenset({"icmp", "tcp_connect"})),
+        network=UnprivilegedNetwork(station),
+    )
+    with caplog.at_level(logging.WARNING, logger="icsrecon.scanner"):
+        report = scanner.run()  # run() checks the methods, then discover_hosts() checks them again
+    logged = [record.getMessage() for record in caplog.records if record.name == "icsrecon.scanner"]
+    assert len([text for text in logged if text.startswith("discovery method unavailable")]) == 1
+    assert logged == report.anomalies
 
 
 # -- phase 2 -----------------------------------------------------------------

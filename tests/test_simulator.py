@@ -25,7 +25,6 @@ from icsrecon.simulator import (
     SimNetwork,
     SimState,
     StationHandle,
-    fragility_tick,
     start_station,
 )
 
@@ -83,6 +82,22 @@ def test_listen_port_must_be_a_port_number(port):
     assert modbus_config(listen_port=1).listen_port == 1 and modbus_config(listen_port=65535).listen_port == 65535
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[station]\nscanner_ip = not-an-ip\n", "scanner_ip: not an IPv4 address"),
+        ("[device:a]\nprotocol = modbus\nip = 192.168.90.999\nlisten_port = 502\n", "not an IPv4 address"),
+        ("[device:a]\nprotocol = modbus\nip = 192.168.90.10\nlisten_port = 502\nmac = zz\n", "not a 48-bit"),
+    ],
+    ids=["scanner-ip", "device-ip", "device-mac"],
+)
+def test_fixture_addresses_are_checked_when_loaded(tmp_path, text, message):
+    path = tmp_path / "station.conf"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=message):
+        load_fixtures(path)
+
+
 # -- fragility model ------------------------------------------------------
 
 
@@ -99,7 +114,7 @@ def test_burst_over_budget_faults_within_one_second():
     first_fault = None
     for i in range(200):
         now = 100.0 + i / 200.0
-        state = fragility_tick(device, None, now=now)
+        state = device.note_received(now=now)
         if state is SimState.FAULT and first_fault is None:
             first_fault = i
     assert state is SimState.FAULT
@@ -110,34 +125,76 @@ def test_burst_over_budget_faults_within_one_second():
 def test_slow_rate_keeps_running():
     device = make_device(fragile=True, max_pps=50)
     for i in range(200):
-        assert fragility_tick(device, None, now=100.0 + i / 20.0) is SimState.RUNNING
+        assert device.note_received(now=100.0 + i / 20.0) is SimState.RUNNING
 
 
 def test_non_fragile_survives_any_rate():
     device = make_device(fragile=False, max_pps=1)
     for i in range(500):
-        assert fragility_tick(device, None, now=100.0 + i / 1000.0) is SimState.RUNNING
+        assert device.note_received(now=100.0 + i / 1000.0) is SimState.RUNNING
 
 
 def test_single_malformed_frame_faults_when_configured():
     device = make_device(fault_on_malformed=True)
-    assert fragility_tick(device, b"\xde\xad\xbe\xef", now=1.0) is SimState.FAULT
+    assert device.note_received(now=1.0) is SimState.RUNNING
+    assert device.note_malformed() is SimState.FAULT
 
 
 def test_malformed_tolerated_without_flag():
     device = make_device(fault_on_malformed=False)
-    assert fragility_tick(device, b"\xde\xad\xbe\xef", now=1.0) is SimState.RUNNING
+    assert device.note_received(now=1.0) is SimState.RUNNING
+    assert device.note_malformed() is SimState.RUNNING
 
 
 def test_fault_latches_until_reset():
     device = make_device(fragile=True, max_pps=1)
     for i in range(10):
-        fragility_tick(device, None, now=50.0 + i / 100.0)
+        device.note_received(now=50.0 + i / 100.0)
     assert device.get_state() is SimState.FAULT
     # still faulted even after quiet time
-    assert fragility_tick(device, None, now=500.0) is SimState.FAULT
+    assert device.note_received(now=500.0) is SimState.FAULT
     assert device.reset() is SimState.RUNNING
     assert device.get_state() is SimState.RUNNING
+
+
+MALFORMED_S7 = bytes.fromhex("03000007025500")  # TPKT frames it; COTP type 0x55 does not decode
+
+
+def s7_station(**kw) -> StationHandle:
+    return start_station([SimDeviceConfig(name="plc", protocol=s7.NAME, ip="192.168.90.10", listen_port=102, **kw)])
+
+
+def send_malformed_s7(station: StationHandle) -> None:
+    """One connection, one malformed request; the device must hang up, not leave the read to time out."""
+    with socket.create_connection(("127.0.0.1", station.lookup("192.168.90.10", 102)), timeout=2) as sock:
+        sock.sendall(MALFORMED_S7)
+        try:
+            assert sock.recv(64) == b""
+        except ConnectionResetError:
+            pass
+
+
+def test_malformed_request_takes_one_place_in_the_rate_window():
+    station = s7_station(fragile=True, max_pps=2)
+    try:
+        send_malformed_s7(station)
+        device = station.device("plc")
+        assert device.get_counters().packets_received == 2
+        assert device.get_state() is SimState.RUNNING  # 2 packets, within a budget of 2 per second
+    finally:
+        station.stop()
+
+
+@pytest.mark.parametrize("fault_on_malformed", [False, True])
+def test_malformed_request_is_counted_once_and_closes_the_connection(fault_on_malformed):
+    station = s7_station(fault_on_malformed=fault_on_malformed)
+    try:
+        send_malformed_s7(station)
+        device = station.device("plc")
+        assert device.get_counters() == Counters(packets_received=2, packets_sent=0, malformed_seen=1)
+        assert device.get_state() is (SimState.FAULT if fault_on_malformed else SimState.RUNNING)
+    finally:
+        station.stop()
 
 
 def test_counters_preserved_across_reset():
@@ -341,6 +398,24 @@ def test_faulted_device_times_out_unmapped_ports(station):
 def test_packets_sent_zero_without_requests(station):
     counters = station.device("rtu").get_counters()
     assert counters.packets_sent == 0
+
+
+def test_control_ops_counters_reset_and_info(station):
+    controlled = ControlledStation(station)
+    client = ControlClient(controlled.control_port)
+    request = modbus.build_report_slave_id_request(unit=1)
+    try:
+        exchange(station, 502, "192.168.90.13", request, modbus)
+        assert station.wait_idle(timeout=5.0)
+        counters = client.call("counters", name="rtu")["counters"]
+        assert (counters["packets_received"], counters["packets_sent"]) == (2, 1)
+        station.device("rtu").state = SimState.FAULT
+        assert client.call("reset", name="rtu")["state"] == "running"
+        assert modbus.parse_report_slave_id_response(exchange(station, 502, "192.168.90.13", request, modbus)).slave_id == 5
+        assert client.call("info")["map"] == station.address_map()
+    finally:
+        client.close()
+        controlled.stop()
 
 
 def test_control_client_shared_by_concurrent_callers():

@@ -252,6 +252,12 @@ def test_render_json_round_trip():
     assert tx.parse_matrix_json(document) == profiles
 
 
+@pytest.mark.parametrize("document", ["[5]", '{"tools": "x"}', '"x"', '{"tools": [{"name": 5}]}'])
+def test_parse_matrix_json_rejects_a_document_of_the_wrong_shape(document):
+    with pytest.raises(FormatError):
+        tx.parse_matrix_json(document)
+
+
 def test_render_refuses_invalid_profiles():
     broken = make_profile(output_levels=frozenset({2}))
     with pytest.raises(ValidationRequired):
