@@ -213,21 +213,18 @@ def cmd_simulate(args) -> int:
         pcap_path=args.pcap_out,
     ).start()
     controlled = ControlledStation(station)
-    with open(args.map_out, "w", encoding="utf-8") as fh:
-        json.dump(controlled.map_document(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    _summary(
-        command="simulate",
-        devices=len(station.devices),
-        control_port=controlled.control_port,
-        map=args.map_out,
-        pcap=args.pcap_out or "-",
-    )
     try:
-        if args.max_seconds is not None:
-            controlled.control.shutdown_event.wait(args.max_seconds)
-        else:
-            controlled.wait()
+        with open(args.map_out, "w", encoding="utf-8") as fh:
+            json.dump(controlled.map_document(), fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        _summary(
+            command="simulate",
+            devices=len(station.devices),
+            control_port=controlled.control_port,
+            map=args.map_out,
+            pcap=args.pcap_out or "-",
+        )
+        controlled.wait(args.max_seconds)
     except KeyboardInterrupt:
         pass
     finally:

@@ -15,12 +15,12 @@ Each codec states its frame rule once, as ``HEADER_SIZE`` plus
 ``cut_frames`` below both read it.
 
 The rest of each protocol is stated under names every codec shares, so
-no caller switches on a protocol's name: ``decode_frame`` (the outer
-decoder), ``claims(frame)`` (the passive rule for a stream's first
-complete frame; never raises), the scanner's probe ``opening_requests(unit)``,
-tried in order until ``confirm(reply)`` returns (it raises
-``ConnectionRefusedByTsap`` to move on to the next), and ``EXCHANGES``
-(the simulator's feature flags, answered by ``simulator.REPLIES``).
+no caller switches on a protocol's name: ``claims(frame)`` (the passive
+rule for a stream's first complete frame; never raises), the scanner's
+probe ``opening_requests(unit)``, tried in order until ``confirm(reply)``
+returns (it raises ``ConnectionRefusedByTsap`` to move on to the next),
+and ``EXCHANGES`` (the simulator's feature flags, answered by
+``simulator.REPLIES``).
 """
 
 

@@ -83,9 +83,6 @@ def decode_header(data: bytes) -> tuple[EnipMessage, bytes]:
     return EnipMessage(command=command, length=length, session=session, status=status, options=options), bytes(payload)
 
 
-decode_frame = decode_header
-
-
 def frame_size(buf: bytes, at: int = 0) -> int | None:
     """Total length of the encapsulation frame starting at ``at``: payload of at most 8192 bytes.
 

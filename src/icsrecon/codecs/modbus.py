@@ -129,7 +129,7 @@ def decode_modbus(data: bytes) -> tuple[MbapHeader, ModbusPdu]:
     return MbapHeader(tx, unit, length), ModbusPdu(function, payload)
 
 
-decode_frame = confirm = decode_modbus  # any well-formed reply, exceptions included, confirms Modbus
+confirm = decode_modbus  # any well-formed reply, exceptions included, confirms Modbus
 
 
 def frame_size(buf: bytes, at: int = 0) -> int | None:

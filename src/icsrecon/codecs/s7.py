@@ -256,9 +256,6 @@ def decode_envelope(data: bytes) -> TpktCotpEnvelope:
     return TpktCotpEnvelope(cotp=cotp, tpkt_version=data[0], tpkt_length=len(data))
 
 
-decode_frame = decode_envelope
-
-
 def claims(frame: bytes) -> bool:
     """A frame that carries a COTP envelope is S7."""
     try:

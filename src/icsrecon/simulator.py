@@ -1,6 +1,7 @@
 """Protocol-faithful stand-ins for small ICS field stations.
 
-Each simulated device is a real TCP server on a loopback port; an
+Each simulated device listens on a loopback TCP port, served with the
+control socket by one accept loop and a thread per connection; an
 address-mapping layer presents the set to the scanner as distinct
 logical hosts on one subnet (CI cannot create interface aliases
 portably). All framing goes through the shared codecs, so every reply
@@ -17,12 +18,14 @@ undisclosed; this model is a deliberately generic stand-in.
 from __future__ import annotations
 
 import collections
+import contextlib
+import functools
 import ipaddress
 import json
 import logging
 import select
+import selectors
 import socket
-import socketserver
 import struct
 import threading
 import time
@@ -248,69 +251,45 @@ def _enip_reply(connection: _Connection, request: bytes) -> bytes | None:
 REPLIES = {modbus.NAME: _modbus_reply, s7.NAME: _s7_reply, enip.NAME: _enip_reply}  # codec NAME -> reply function
 
 
-class _DeviceServer(socketserver.ThreadingTCPServer):
-    daemon_threads = True
-    allow_reuse_address = True
-
-    def __init__(self, device: SimDevice):
-        self.device = device
-        super().__init__(("127.0.0.1", 0), _DeviceHandler)
-
-    def process_request(self, request, client_address):
-        # counted on the accepting thread, so wait_idle() cannot miss a connection accepted before it
-        self.device.station._serving(+1)
-        super().process_request(request, client_address)
-
-    def process_request_thread(self, request, client_address):
-        try:
-            super().process_request_thread(request, client_address)
-        finally:
-            self.device.station._serving(-1)
-
-
-class _DeviceHandler(socketserver.BaseRequestHandler):
-    def handle(self):
-        device: SimDevice = self.server.device
-        station = device.station
-        device.note_received()  # the connection attempt itself
-        flow = station.recorder.tcp_flow(
-            (station.scanner_ip, self.client_address[1]),
-            (device.config.ip, device.config.listen_port),
-        )
-        flow.handshake()
-        codec = PROTOCOLS[device.config.protocol]
-        reply_to, connection = REPLIES[device.config.protocol], _Connection(device)
-        reset = False
-        try:
-            while True:
-                try:
-                    request = recv_frame(self.request, codec, CONNECTION_IDLE_TIMEOUT)
-                except socket.timeout:
-                    return
-                except (FormatError, OSError):
-                    request = None  # unframeable input: whatever is pending is one malformed packet
-                state = device.note_received()
-                if request is None:
-                    device.note_malformed()
-                    reset = True
-                    return
-                flow.client_payload(request)
-                if state is SimState.FAULT:
-                    continue  # accepts traffic, never replies
-                try:
-                    reply = reply_to(connection, request)
-                except (DecodeError, FormatError):
-                    device.note_malformed()
-                    reset = True
-                    return
-                if reply is not None:
-                    self.request.sendall(reply)
-                    device.note_sent()
-                    flow.server_payload(reply)
-                if connection.disconnect:
-                    return
-        finally:
-            flow.close(reset=reset)
+def _serve_device(device: SimDevice, sock: socket.socket, address: tuple[str, int]) -> None:
+    """One connection to a device: frames in, replies out, until the client goes, idles or sends junk."""
+    station = device.station
+    device.note_received()  # the connection attempt itself
+    flow = station.recorder.tcp_flow((station.scanner_ip, address[1]), (device.config.ip, device.config.listen_port))
+    flow.handshake()
+    codec = PROTOCOLS[device.config.protocol]
+    reply_to, connection = REPLIES[device.config.protocol], _Connection(device)
+    reset = False
+    try:
+        while True:
+            try:
+                request = recv_frame(sock, codec, CONNECTION_IDLE_TIMEOUT)
+            except socket.timeout:
+                return
+            except (FormatError, OSError):
+                request = None  # unframeable input: whatever is pending is one malformed packet
+            state = device.note_received()
+            if request is None:
+                device.note_malformed()
+                reset = True
+                return
+            flow.client_payload(request)
+            if state is SimState.FAULT:
+                continue  # accepts traffic, never replies
+            try:
+                reply = reply_to(connection, request)
+            except (DecodeError, FormatError):
+                device.note_malformed()
+                reset = True
+                return
+            if reply is not None:
+                sock.sendall(reply)
+                device.note_sent()
+                flow.server_payload(reply)
+            if connection.disconnect:
+                return
+    finally:
+        flow.close(reset=reset)
 
 
 class StationHandle:
@@ -329,7 +308,9 @@ class StationHandle:
         self.recorder = TrafficRecorder(self._pcap_writer, clock=clock)
         self.recorder.register_mac(scanner_ip, "02:00:5e:00:00:01")
         self.devices: list[SimDevice] = []
-        self._servers: list[socketserver.BaseServer] = []
+        self._selector: selectors.BaseSelector | None = None
+        self._loop: threading.Thread | None = None
+        self._listeners: list[socket.socket] = []  # the devices' listeners, the ones wait_idle() checks
         self._by_endpoint: dict[tuple[str, int], SimDevice] = {}
         self._by_ip: dict[str, SimDevice] = {}
         self._idle = threading.Condition()
@@ -349,21 +330,74 @@ class StationHandle:
     # -- lifecycle ---------------------------------------------------------
 
     def start(self) -> "StationHandle":
+        self._selector = selectors.DefaultSelector()
+        self._wake, self._waker = socket.socketpair()
+        self._selector.register(self._wake, selectors.EVENT_READ)
+        self._loop = threading.Thread(target=self._accept_loop, daemon=True, name="sim-accept")
+        self._loop.start()
         for device in self.devices:
             try:
-                server = _DeviceServer(device)
+                device.bound_port = self.listen(functools.partial(_serve_device, device))
             except OSError as exc:
                 self.stop()
                 raise PortUnavailable(f"{device.config.name}: {exc}") from exc
-            self._servers.append(server)
-            device.bound_port = server.server_address[1]
-            thread = threading.Thread(target=server.serve_forever, daemon=True, name=f"sim-{device.config.name}")
-            thread.start()
         return self
 
+    def listen(self, serve, counted: bool = True) -> int:
+        """Bind a loopback port; each connection runs ``serve(sock, address)`` on a thread of its own.
+
+        A ``counted`` connection holds wait_idle(), and so stop(), until it is served.
+        """
+        listener = socket.create_server(("127.0.0.1", 0))
+        listener.setblocking(False)
+        self._selector.register(listener, selectors.EVENT_READ, (serve, counted))
+        if counted:
+            self._listeners.append(listener)
+        self._waker.send(b"\0")  # a loop already in select() takes the new listener on
+        return listener.getsockname()[1]
+
+    def _accept_loop(self) -> None:
+        while True:
+            for key, _ in self._selector.select():
+                if key.data is None:  # the wake socket: a byte for a new listener, end of file from stop()
+                    if not self._wake.recv(4096):
+                        return
+                    continue
+                serve, counted = key.data
+                if counted:
+                    self._serving(+1)  # before accept(), so wait_idle() never sees the connection in neither place
+                try:
+                    sock, address = key.fileobj.accept()
+                except OSError:  # the client went away while queued
+                    if counted:
+                        self._serving(-1)
+                    continue
+                sock.setblocking(True)  # some systems hand on the listener's non-blocking mode
+                threading.Thread(target=self._serve, args=(serve, counted, sock, address), daemon=True).start()
+
+    def _serve(self, serve, counted: bool, sock: socket.socket, address: tuple[str, int]) -> None:
+        try:
+            serve(sock, address)
+        except OSError:  # the client went away mid-reply
+            pass
+        finally:
+            with contextlib.suppress(OSError):
+                sock.shutdown(socket.SHUT_WR)  # an orderly end of stream before the close
+            sock.close()
+            if counted:
+                self._serving(-1)
+
     def stop(self) -> None:
-        servers, self._servers = self._servers, []
-        _shutdown_servers(servers)
+        """Close every listener at once; wait for the connections being served (up to their idle timeout)."""
+        with self._idle:
+            self._listeners = []  # wait_idle() selects on the list under this lock: it never sees a closed socket
+        if self._loop is not None:
+            self._waker.close()
+            self._loop.join()
+            for key in list(self._selector.get_map().values()):
+                key.fileobj.close()
+            self._selector.close()
+            self._selector = self._loop = None
         self.wait_idle()  # teardown frames of the last connections belong in the pcap
         if self._pcap_writer is not None:
             self._pcap_writer.close()
@@ -380,7 +414,7 @@ class StationHandle:
         means a connection was still pending or open when ``timeout`` ran out.
         """
         def idle() -> bool:  # a readable listening socket holds a connection not yet accepted
-            return self._in_flight == 0 and not select.select([s.socket for s in self._servers], [], [], 0)[0]
+            return self._in_flight == 0 and not select.select(self._listeners, [], [], 0)[0]
 
         with self._idle:
             return self._idle.wait_for(idle, timeout)
@@ -404,9 +438,7 @@ class StationHandle:
 
     def lookup(self, ip: str, port: int) -> int | None:
         device = self._by_endpoint.get((ip, port))
-        if device is None or device.bound_port is None:
-            return None
-        return device.bound_port
+        return None if device is None else device.bound_port
 
     def ping(self, ip: str) -> bool:
         device = self._by_ip.get(ip)
@@ -450,17 +482,6 @@ class StationHandle:
                 for device in self.devices
             },
         }
-
-
-def _shutdown_servers(servers: list[socketserver.BaseServer]) -> None:
-    """Stop serve_forever loops side by side; each shutdown() waits out a poll tick."""
-    waiters = [threading.Thread(target=server.shutdown) for server in servers]
-    for waiter in waiters:
-        waiter.start()
-    for waiter in waiters:
-        waiter.join()
-    for server in servers:
-        server.server_close()
 
 
 def start_station(
@@ -511,51 +532,16 @@ class SimNetwork(Network):
 # -- remote control (separate-process simulator) ---------------------------
 
 
-class _ControlServer(socketserver.ThreadingTCPServer):
-    daemon_threads = True
-    allow_reuse_address = True
-
-    def __init__(self, station: StationHandle):
-        self.station = station
-        self.shutdown_event = threading.Event()
-        super().__init__(("127.0.0.1", 0), _ControlHandler)
-
-
-class _ControlHandler(socketserver.StreamRequestHandler):
-    def handle(self):
-        station: StationHandle = self.server.station
-        for line in self.rfile:
-            request: dict = {}
-            try:
-                request = json.loads(line.decode("utf-8"))
-                response = self._dispatch(station, request)
-            except Exception as exc:  # never kill the control channel
-                response = {"ok": False, "error": str(exc)}
-            self.wfile.write((json.dumps(response) + "\n").encode("utf-8"))
-            if isinstance(request, dict) and request.get("op") == "shutdown":
-                self.server.shutdown_event.set()
-                return
-
-    def _dispatch(self, station: StationHandle, request: dict) -> dict:
-        op = request.get("op")
-        if op == "ping":
-            return {"ok": True, "alive": station.ping(request["ip"])}
-        if op == "arp":
-            return {"ok": True, "mac": station.arp(request["ip"])}
-        if op == "unmapped_syn":
-            return {"ok": True, "status": station.unmapped_syn(request["ip"], request["port"])}
-        if op == "state":
-            return {"ok": True, "state": station.device(request["name"]).get_state().value}
-        if op == "counters":
-            counters = station.device(request["name"]).get_counters()
-            return {"ok": True, "counters": vars(counters)}
-        if op == "reset":
-            return {"ok": True, "state": station.device(request["name"]).reset().value}
-        if op == "info":
-            return {"ok": True, "map": station.address_map()}
-        if op == "shutdown":
-            return {"ok": True}
-        return {"ok": False, "error": f"unknown op {op!r}"}
+CONTROL_OPS = {  # op -> the fields its response adds to "ok": true
+    "ping": lambda station, request: {"alive": station.ping(request["ip"])},
+    "arp": lambda station, request: {"mac": station.arp(request["ip"])},
+    "unmapped_syn": lambda station, request: {"status": station.unmapped_syn(request["ip"], request["port"])},
+    "state": lambda station, request: {"state": station.device(request["name"]).get_state().value},
+    "counters": lambda station, request: {"counters": vars(station.device(request["name"]).get_counters())},
+    "reset": lambda station, request: {"state": station.device(request["name"]).reset().value},
+    "info": lambda station, request: {"map": station.address_map()},
+    "shutdown": lambda station, request: {},
+}
 
 
 class ControlledStation:
@@ -563,23 +549,37 @@ class ControlledStation:
 
     def __init__(self, station: StationHandle):
         self.station = station
-        self.control = _ControlServer(station)
-        self.control_port = self.control.server_address[1]
-        self._thread = threading.Thread(target=self.control.serve_forever, daemon=True, name="sim-control")
-        self._thread.start()
+        self._shutdown = threading.Event()
+        self.control_port = station.listen(self._serve, counted=False)  # stop() never waits for a control client
+
+    def _serve(self, sock: socket.socket, address: tuple[str, int]) -> None:
+        """JSON-lines requests, one response each, until the client closes or asks for shutdown."""
+        with sock.makefile("rb") as rfile:
+            for line in rfile:
+                request: dict = {}
+                try:
+                    request = json.loads(line.decode("utf-8"))
+                    op = CONTROL_OPS.get(request.get("op"))
+                    if op is None:
+                        raise FormatError(f"unknown op {request.get('op')!r}")
+                    response = {"ok": True, **op(self.station, request)}
+                except Exception as exc:  # never kill the control channel
+                    response = {"ok": False, "error": str(exc)}
+                sock.sendall((json.dumps(response) + "\n").encode("utf-8"))
+                if isinstance(request, dict) and request.get("op") == "shutdown":
+                    self._shutdown.set()
+                    return
 
     def map_document(self) -> dict:
         doc = self.station.address_map()
         doc["control_port"] = self.control_port
         return doc
 
-    def wait(self, poll: float = 0.2) -> None:
-        while not self.control.shutdown_event.wait(poll):
-            pass
+    def wait(self, timeout: float | None = None) -> bool:
+        """Block until a control client asks for shutdown (True) or ``timeout`` seconds pass (False)."""
+        return self._shutdown.wait(timeout)
 
     def stop(self) -> None:
-        servers, self.station._servers = [self.control, *self.station._servers], []
-        _shutdown_servers(servers)
         self.station.stop()
 
 
@@ -606,11 +606,9 @@ class ControlClient:
         return response
 
     def close(self) -> None:
-        try:
+        with contextlib.suppress(OSError):
             self._fh.close()
             self._sock.close()
-        except OSError:
-            pass
 
 
 class RemoteStation:

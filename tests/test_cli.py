@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import signal
 import subprocess
 import sys
 import threading
@@ -517,3 +518,21 @@ def test_simulate_command_runs_and_shuts_down(tmp_path, capsys):
     thread.join(timeout=10)
     assert not thread.is_alive()
     assert result["code"] == 0
+
+
+def test_simulate_ends_with_code_0_on_ctrl_c(tmp_path):
+    src = os.path.dirname(os.path.dirname(icsrecon.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    command = [sys.executable, "-u", "-c", "import sys; from icsrecon.cli import main; sys.exit(main(sys.argv[1:]))",
+               "simulate", "--map-out", str(tmp_path / "map.json")]
+    process = subprocess.Popen(command, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    try:
+        assert process.stdout.readline().startswith("summary command=simulate")  # the station is up
+        process.send_signal(signal.SIGINT)
+        assert process.wait(timeout=10) == 0, process.stderr.read()
+    finally:
+        if process.poll() is None:
+            process.kill()
+            process.wait()
+        process.stdout.close()
+        process.stderr.close()

@@ -174,11 +174,14 @@ def frames(draw) -> bytes:
     return frame
 
 
+OUTER_DECODERS = {modbus: modbus.decode_modbus, s7: s7.decode_envelope, enip: enip.decode_header}
+
+
 def matches_the_inline_rules(codec, frame: bytes) -> tuple[bool, str]:
     """Assert that ``codec`` accepts and rejects ``frame`` as the inline rules did; its claim and confirm outcome."""
     claimed, outcome = codec.claims(frame), confirm_outcome(codec.confirm, frame)
     assert claimed == inline_claims(codec, frame)
-    assert (confirm_outcome(codec.decode_frame, frame) == "confirmed") == inline_validates(codec, frame)
+    assert (confirm_outcome(OUTER_DECODERS[codec], frame) == "confirmed") == inline_validates(codec, frame)
     assert outcome == confirm_outcome(functools.partial(inline_confirm, codec), frame)
     return claimed, outcome
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import socket
 import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -479,3 +480,93 @@ def test_wait_idle_counts_a_connection_not_yet_accepted(station):
         # nothing is sent or read: the connection may still sit in the accept queue
         with socket.create_connection(("127.0.0.1", port), timeout=2):
             assert not station.wait_idle(timeout=0.2)
+
+
+# -- accept loop: one thread for every listener, a stop that waits for nothing idle --------
+
+
+def fifty_devices() -> list[SimDeviceConfig]:
+    return [modbus_config(name=f"rtu{i}", ip=f"192.168.90.{100 + i}") for i in range(50)]
+
+
+def timed_stop(stoppable) -> float:
+    started = time.perf_counter()
+    stoppable.stop()
+    return time.perf_counter() - started
+
+
+def test_a_station_of_fifty_devices_starts_one_thread():
+    station = StationHandle(fifty_devices())
+    before = threading.active_count()
+    station.start()
+    try:
+        assert threading.active_count() <= before + 1
+        assert exchange(station, 502, "192.168.90.149", modbus.build_report_slave_id_request(unit=1), modbus)
+    finally:
+        station.stop()
+
+
+def test_concurrent_connections_to_every_device_are_each_served_once():
+    station = start_station(fifty_devices()[:5])
+    request = modbus.build_report_slave_id_request(unit=1)
+
+    def slave_ids(worker: int) -> list[int]:
+        ips = [f"192.168.90.{100 + (worker + i) % 5}" for i in range(10)]
+        return [modbus.parse_report_slave_id_response(exchange(station, 502, ip, request, modbus)).slave_id for ip in ips]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            assert list(pool.map(slave_ids, range(8))) == [[5] * 10] * 8
+        assert station.wait_idle(timeout=5.0)
+        assert station.total_packets_received() == 2 * 8 * 10  # each connection, then its one request
+    finally:
+        sys.setswitchinterval(interval)
+        station.stop()
+
+
+def test_an_idle_station_of_fifty_devices_stops_at_once():
+    station = start_station(fifty_devices())
+    assert timed_stop(station) < 0.1
+
+
+def test_a_second_stop_is_harmless(tmp_path):
+    station = start_station([modbus_config()], pcap_path=str(tmp_path / "mirror.pcap"))
+    controlled = ControlledStation(station)
+    controlled.stop()
+    controlled.stop()
+    station.stop()
+    assert station.wait_idle(timeout=0.1)
+
+
+def test_after_stop_no_device_port_nor_the_control_port_accepts():
+    config = load_fixtures(default_fixtures_path())
+    controlled = ControlledStation(start_station(list(config.devices), scanner_ip=config.scanner_ip))
+    ports = [device.bound_port for device in controlled.station.devices] + [controlled.control_port]
+    controlled.stop()
+    for port in ports:
+        with pytest.raises(ConnectionRefusedError):
+            socket.create_connection(("127.0.0.1", port), timeout=2).close()
+
+
+def test_an_open_control_client_does_not_delay_stop():
+    controlled = ControlledStation(start_station([modbus_config()]))
+    client = ControlClient(controlled.control_port)
+    try:
+        assert client.call("state", name="rtu")["state"] == "running"
+        assert timed_stop(controlled) < 0.1
+    finally:
+        client.close()
+
+
+def test_wait_is_false_on_timeout_and_true_once_a_shutdown_arrives():
+    controlled = ControlledStation(start_station([]))
+    try:
+        assert controlled.wait(0.01) is False
+        client = ControlClient(controlled.control_port)
+        client.call("shutdown")
+        client.close()
+        assert controlled.wait(5.0) is True
+    finally:
+        controlled.stop()
