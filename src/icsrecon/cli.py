@@ -157,18 +157,14 @@ def cmd_scan(args) -> int:
         if hasattr(network, "close"):
             network.close()
 
-    report.inventory.save(args.out)
-    if args.report_out:
-        with open(args.report_out, "w", encoding="utf-8") as fh:
-            json.dump(report.to_document(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+    report.save(args.out, args.report_out)
     depths = report.per_asset_depth
     _summary(
         command="scan",
         assets=len(depths),
         max_depth=max(depths.values(), default=0),
         packets=report.packets_sent,
-        duration=f"{report.duration:.2f}s",
+        duration=f"{report.duration_seconds:.2f}s",
         anomalies=len(report.anomalies),
         inventory=args.out,
     )
@@ -183,11 +179,7 @@ def cmd_sniff(args) -> int:
 
     source = PcapFile(args.pcap) if args.pcap else LiveInterface(args.interface)
     report = analyze_capture(source)
-    report.inventory.save(args.out)
-    if args.report_out:
-        with open(args.report_out, "w", encoding="utf-8") as fh:
-            json.dump(report.to_document(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+    report.save(args.out, args.report_out)
     _summary(
         command="sniff",
         assets=len(report.inventory),

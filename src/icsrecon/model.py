@@ -8,7 +8,8 @@ address's flows by the same newest-wins rule and freezes one asset per
 address.
 Assets are immutable; merging returns a new value. An
 :class:`Inventory` keys assets by IPv4 address and round-trips through
-a versioned JSON document.
+a versioned JSON document; a :class:`RunReport` is one scan or sniff
+run's inventory with the counters of its kind.
 
 Depth semantics: six independent evidence predicates (IP seen, open
 ports, confirmed protocols, static device info, deployment info,
@@ -30,6 +31,7 @@ from typing import Any, Iterable, Iterator, NamedTuple
 from .errors import AddressMismatch, FormatError
 
 INVENTORY_VERSION = 1
+REPORT_VERSION = 1
 
 SOURCES = {"active", "passive"}
 
@@ -434,39 +436,17 @@ def merge_observation(asset: Asset, evidence: Asset) -> Asset:
     )
 
 
-def _satisfied(evidence: tuple[bool, ...], vuln_db_consulted: bool) -> set[int]:
-    """Levels 1-6 held by (ports, protocols, static, deployment, vulns) bits."""
-    ports, protocols, static, deployment, vulns = evidence
-    held = (True, ports, protocols, static, deployment, vulns and vuln_db_consulted)
-    return {level for level, holds in enumerate(held, start=1) if holds}
-
-
-def evidence_depth(
-    has_ports: bool,
-    has_protocols: bool,
-    has_static: bool,
-    has_deployment: bool,
-    has_vulns: bool,
-    vuln_db_consulted: bool,
-) -> DepthLevel:
-    """Highest level whose evidence predicate holds; level 1 is implied.
-
-    Predicates are evaluated independently, not as a ladder.
-    """
-    evidence = (has_ports, has_protocols, has_static, has_deployment, has_vulns)
-    return DepthLevel(max(_satisfied(evidence, vuln_db_consulted)))
-
-
 def satisfied_levels(asset: Asset, vuln_db_consulted: bool = False) -> set[int]:
     """The set of individually satisfied levels (1 always holds)."""
-    evidence = (
+    held = (
+        True,
         bool(asset.open_ports),
         bool(asset.protocols),
         asset.static_info is not None,
         asset.deployment_info is not None,
-        bool(asset.vulnerabilities),
+        bool(asset.vulnerabilities) and vuln_db_consulted,
     )
-    return _satisfied(evidence, vuln_db_consulted)
+    return {level for level, holds in enumerate(held, start=1) if holds}
 
 
 def compute_depth(asset: Asset, vuln_db_consulted: bool = False) -> DepthLevel:
@@ -569,3 +549,56 @@ class Inventory:
         except json.JSONDecodeError as exc:
             raise FormatError(f"inventory is not valid JSON: {exc.msg}", offset=exc.pos) from exc
         return cls.from_document(doc)
+
+
+class RunReport:
+    """One scan or sniff run: its inventory, the depths that inventory reaches, and the counters of its kind.
+
+    The counters are the document's own top-level fields, each also an
+    attribute: an active run's ``duration_seconds``, ``packets_sent``,
+    ``rate_limit_pps``, ``safe_mode``, ``methods_used``,
+    ``unit_id_sweep_used`` and ``vuln_db_consulted``; a passive run's
+    ``nature``, ``source``, ``frames_read``, ``frames_skipped``,
+    ``out_of_order_segments`` and ``classified_flows``.
+    """
+
+    vuln_db_consulted = False  # a passive run never consults one
+
+    def __init__(
+        self,
+        kind: str,
+        inventory: Inventory,
+        anomalies: Iterable[str] = (),
+        generated_at: datetime | None = None,
+        **counters,
+    ):
+        self.kind = kind
+        self.inventory = inventory
+        self.anomalies = list(anomalies)
+        self.generated_at = generated_at or datetime.now(timezone.utc)
+        self.counters = counters
+        vars(self).update(counters)
+
+    @property
+    def per_asset_depth(self) -> dict[str, int]:
+        return {asset.ip: int(compute_depth(asset, self.vuln_db_consulted)) for asset in self.inventory}
+
+    def to_document(self) -> dict[str, Any]:
+        return {
+            "version": REPORT_VERSION,
+            "kind": self.kind,
+            "generated_at": format_timestamp(self.generated_at),
+            **self.counters,
+            "per_asset_depth": self.per_asset_depth,
+            "levels_achieved": self.inventory.levels_achieved(self.vuln_db_consulted),
+            "anomalies": list(self.anomalies),
+            "inventory": self.inventory.to_document(),
+        }
+
+    def save(self, inventory_path, report_path=None) -> None:
+        """Write the inventory, and the report document when ``report_path`` is given."""
+        self.inventory.save(inventory_path)
+        if report_path:
+            with open(report_path, "w", encoding="utf-8") as fh:
+                json.dump(self.to_document(), fh, indent=2, sort_keys=True)
+                fh.write("\n")

@@ -24,7 +24,7 @@ import struct
 import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from typing import Any, ClassVar, Iterable, Iterator, NamedTuple
+from typing import ClassVar, Iterable, Iterator, NamedTuple
 
 from .codecs import PROTOCOLS, cut_frames
 from .errors import PrivilegeRequired
@@ -34,11 +34,10 @@ from .model import (
     Inventory,
     PortSpec,
     ProvenanceEntry,
+    RunReport,
     StaticDeviceInfo,
     _newest_wins,
     clean_static,
-    compute_depth,
-    format_timestamp,
 )
 from .ouidb import vendor_for_mac
 from .pcapio import (
@@ -234,39 +233,6 @@ class _Evidence:
         )
 
 
-@dataclass
-class PassiveReport:
-    """Outcome of one capture analysis run."""
-
-    inventory: Inventory
-    per_asset_depth: dict[str, int]
-    frames_read: int
-    frames_skipped: int
-    out_of_order_segments: int
-    classified_flows: int
-    source: str
-    generated_at: datetime
-    kind: str = "passive"
-    nature: str = "offline"
-
-    def to_document(self) -> dict[str, Any]:
-        return {
-            "version": 1,
-            "kind": self.kind,
-            "nature": self.nature,
-            "source": self.source,
-            "generated_at": format_timestamp(self.generated_at),
-            "frames_read": self.frames_read,
-            "frames_skipped": self.frames_skipped,
-            "out_of_order_segments": self.out_of_order_segments,
-            "classified_flows": self.classified_flows,
-            "per_asset_depth": dict(sorted(self.per_asset_depth.items())),
-            "levels_achieved": self.inventory.levels_achieved(),
-            "anomalies": [],
-            "inventory": self.inventory.to_document(),
-        }
-
-
 _IPV4_FIELDS = struct.Struct(">BxH5xB")  # version/IHL, total length, protocol
 _TCP_FIELDS = struct.Struct(">4xI4xBB")  # sequence number, data offset, flags
 _NO_ADDRESS = b"\x00\x00\x00\x00"
@@ -362,7 +328,7 @@ def _dissect(records: Iterable[tuple[float, bytes]]) -> tuple[dict[bytes, list],
     return senders, flows, frames_read, skipped
 
 
-def analyze_capture(source: CaptureSource) -> PassiveReport:
+def analyze_capture(source: CaptureSource) -> RunReport:
     """Single pass over the capture; builds the passive inventory."""
     reader = read_capture(source)
     senders, flows, frames_read, skipped = _dissect(reader)
@@ -383,16 +349,13 @@ def analyze_capture(source: CaptureSource) -> PassiveReport:
         identity = codec.identity_fields(replies) if codec else ({}, {})
         server.add_flow(flow.last_seen, server_port, protocol, *identity)
 
-    inventory = Inventory(server.freeze(ip_text(raw_ip)) for raw_ip, server in evidence.items())
-    depths = {asset.ip: int(compute_depth(asset)) for asset in inventory}
-    return PassiveReport(
-        inventory=inventory,
-        per_asset_depth=depths,
+    return RunReport(
+        "passive",
+        Inventory(server.freeze(ip_text(raw_ip)) for raw_ip, server in evidence.items()),
+        nature="real_time" if isinstance(source, LiveInterface) else "offline",
+        source=source.path if isinstance(source, PcapFile) else source.name,
         frames_read=frames_read,
         frames_skipped=skipped + reader.skipped,
         out_of_order_segments=out_of_order,
         classified_flows=classified,
-        source=source.path if isinstance(source, PcapFile) else source.name,
-        generated_at=datetime.now(timezone.utc),
-        nature="real_time" if isinstance(source, LiveInterface) else "offline",
     )

@@ -29,10 +29,9 @@ import socket
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
-from typing import Any
 
 from .codecs import PROTOCOLS, enip, modbus, s7
 from .errors import (
@@ -49,9 +48,8 @@ from .model import (
     DeploymentInfo,
     Inventory,
     PortSpec,
+    RunReport,
     StaticDeviceInfo,
-    compute_depth,
-    format_timestamp,
     merge_observation,
 )
 from .netbase import Network, RealNetwork, recv_frame
@@ -59,8 +57,6 @@ from .ouidb import vendor_for_mac
 from .ratelimit import TokenBucket
 
 logger = logging.getLogger(__name__)
-
-REPORT_VERSION = 1
 
 PROTOCOL_PORTS = {codec.PORT: name for name, codec in PROTOCOLS.items()}
 DEFAULT_PORTS = frozenset(PROTOCOL_PORTS)
@@ -150,43 +146,6 @@ def expand_targets(targets: tuple[str, ...]) -> list[str]:
                 seen.add(host)
                 out.append(host)
     return out
-
-
-@dataclass
-class ScanReport:
-    """Everything one scan run produced, JSON-serializable."""
-
-    inventory: Inventory
-    per_asset_depth: dict[str, int]
-    packets_sent: int
-    duration: float
-    anomalies: list[str]
-    methods_used: list[str]
-    unit_id_sweep_used: bool
-    vuln_db_consulted: bool
-    rate_limit_pps: int
-    safe_mode: bool
-    generated_at: datetime
-    probe_log: list[dict[str, str]] = field(default_factory=list)
-    kind: str = "active"
-
-    def to_document(self) -> dict[str, Any]:
-        return {
-            "version": REPORT_VERSION,
-            "kind": self.kind,
-            "generated_at": format_timestamp(self.generated_at),
-            "duration_seconds": round(self.duration, 6),
-            "packets_sent": self.packets_sent,
-            "rate_limit_pps": self.rate_limit_pps,
-            "safe_mode": self.safe_mode,
-            "methods_used": sorted(self.methods_used),
-            "unit_id_sweep_used": self.unit_id_sweep_used,
-            "vuln_db_consulted": self.vuln_db_consulted,
-            "per_asset_depth": dict(sorted(self.per_asset_depth.items())),
-            "levels_achieved": self.inventory.levels_achieved(self.vuln_db_consulted),
-            "anomalies": list(self.anomalies),
-            "inventory": self.inventory.to_document(),
-        }
 
 
 class Scanner:
@@ -490,10 +449,11 @@ class Scanner:
             self._anomaly(f"service_identification failed for {asset.ip}: {exc}")
             return asset
 
-    def run(self) -> ScanReport:
+    def run(self) -> RunReport:
         started = time.monotonic()
         methods_used: list[str] = []
         assets: list[Asset] = []
+        consulted = False
         try:
             with ThreadPoolExecutor(max_workers=self.config.workers) as pool:
                 methods_used = self._usable_methods()
@@ -501,28 +461,23 @@ class Scanner:
                 assets = list(pool.map(self._identify, assets))
             if self.config.vuln_db_path and not self._stop.is_set():
                 assets = self._match_vulnerabilities(assets)
+                consulted = True
         finally:
             if self._stop.is_set():
                 self._anomaly("scan cancelled; emitting partial results")
             if self._recorder is not None:
                 self._recorder.close()
-        duration = time.monotonic() - started
-        consulted = self.config.vuln_db_path is not None
-        inventory = Inventory(assets)
-        depths = {asset.ip: int(compute_depth(asset, consulted)) for asset in inventory}
-        return ScanReport(
-            inventory=inventory,
-            per_asset_depth=depths,
+        return RunReport(
+            "active",
+            Inventory(assets),
+            anomalies=self.anomalies,
+            duration_seconds=round(time.monotonic() - started, 6),
             packets_sent=self.limiter.granted,
-            duration=duration,
-            anomalies=list(self.anomalies),
-            methods_used=methods_used,
-            unit_id_sweep_used=self._sweep_used,
-            vuln_db_consulted=consulted,
             rate_limit_pps=self.config.rate_limit_pps,
             safe_mode=self.config.safe_mode,
-            generated_at=self._now(),
-            probe_log=list(self.probe_log),
+            methods_used=sorted(methods_used),
+            unit_id_sweep_used=self._sweep_used,
+            vuln_db_consulted=consulted,
         )
 
 
@@ -530,6 +485,6 @@ def run_scan(
     config: ScanConfig,
     network: Network | None = None,
     stop_event: threading.Event | None = None,
-) -> ScanReport:
+) -> RunReport:
     """Execute the full phase pipeline for one configuration."""
     return Scanner(config, network=network, stop_event=stop_event).run()

@@ -390,7 +390,7 @@ class StationHandle:
     def stop(self) -> None:
         """Close every listener at once; wait for the connections being served (up to their idle timeout)."""
         with self._idle:
-            self._listeners = []  # wait_idle() selects on the list under this lock: it never sees a closed socket
+            self._listeners = []  # wait_idle() polls the list under this lock: it never sees a closed socket
         if self._loop is not None:
             self._waker.close()
             self._loop.join()
@@ -414,7 +414,12 @@ class StationHandle:
         means a connection was still pending or open when ``timeout`` ran out.
         """
         def idle() -> bool:  # a readable listening socket holds a connection not yet accepted
-            return self._in_flight == 0 and not select.select(self._listeners, [], [], 0)[0]
+            if self._in_flight:
+                return False
+            queued = select.poll()  # poll, unlike select(), takes descriptors of 1024 and up
+            for listener in self._listeners:
+                queued.register(listener, select.POLLIN)
+            return not queued.poll(0)
 
         with self._idle:
             return self._idle.wait_for(idle, timeout)

@@ -324,9 +324,8 @@ def _report_field(raw: dict, key: str, default, kind: type, item: type = object)
 def classify_run(report) -> ToolProfile:
     """Self-classification: this artifact's own matrix column for a run.
 
-    Accepts an active ScanReport, a PassiveReport, or either one's
-    JSON document; a document whose fields have the wrong JSON types
-    raises FormatError.
+    Accepts a ``model.RunReport`` or its JSON document; a document whose
+    fields have the wrong JSON types raises FormatError.
     """
     document = report.to_document() if hasattr(report, "to_document") else dict(report)
     kind = _report_field(document, "kind", "active", str)

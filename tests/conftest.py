@@ -25,6 +25,19 @@ def ts(seconds: float = 0.0) -> datetime:
     return datetime.fromtimestamp(1_700_000_000 + seconds, tz=timezone.utc)
 
 
+def asset_holding(ports: bool, protocols: bool, static: bool, deployment: bool, vulns: bool) -> Asset:
+    """An asset holding exactly the evidence each flag names; Asset refuses vulns without static info."""
+    return Asset.discovered(
+        "192.168.90.10",
+        ts(),
+        open_ports=frozenset({PortSpec(102)}) if ports else frozenset(),
+        protocols=frozenset({"s7comm"}) if protocols else frozenset(),
+        static_info=StaticDeviceInfo(manufacturer="Siemens") if static else None,
+        deployment_info=DeploymentInfo.from_dict({"system_name": "x"}) if deployment else None,
+        vulnerabilities=(CveRecord("CVE-2020-12345", "siemens", "et200s"),) if vulns else (),
+    )
+
+
 def same_record(got, want) -> bool:
     """Equal values of the same types, down through nested tuples.
 

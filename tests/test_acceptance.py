@@ -21,7 +21,6 @@ from icsrecon.errors import IcsReconError
 from icsrecon.model import (
     Asset,
     compute_depth,
-    evidence_depth,
     merge_observation,
 )
 from icsrecon.passive import PcapFile, analyze_capture
@@ -30,7 +29,7 @@ from icsrecon.simulator import SimNetwork, SimState, start_station
 from icsrecon import taxonomy as tx
 from icsrecon import vulnmatch
 
-from conftest import random_observation, same_record, ts
+from conftest import asset_holding, random_observation, same_record, ts
 from test_vulnmatch import naive_match_oracle, random_db, random_info
 
 DEVICE_IPS = ("192.168.90.10", "192.168.90.11", "192.168.90.12", "192.168.90.13", "192.168.90.14")
@@ -146,7 +145,7 @@ def test_criterion_3_fragility_reproduction():
                 timeout_ms=300,
             )
             report = run_scan(flood, network=SimNetwork(station))
-            assert report.duration < 5.0
+            assert report.duration_seconds < 5.0
             assert fragile.get_state() is SimState.FAULT
 
             # latched: further contact changes nothing until reset
@@ -299,9 +298,17 @@ def test_criterion_6_depth_oracle():
             satisfied = {1: True, 2: ports, 3: protocols, 4: static, 5: deployment, 6: vulns and consulted}
             return max(level for level, ok in satisfied.items() if ok)
 
-        for bits in itertools.product([False, True], repeat=5):
-            for consulted in (False, True):
-                assert evidence_depth(*bits, consulted) == table_oracle(*bits, consulted)
+        checked = refused = 0
+        for *bits, consulted in itertools.product([False, True], repeat=6):
+            try:
+                asset = asset_holding(*bits)
+            except ValueError:
+                assert bits[4] and not bits[2]  # vulnerabilities without static info cannot exist
+                refused += 1
+                continue
+            assert compute_depth(asset, consulted) == table_oracle(*bits, consulted)
+            checked += 1
+        assert (checked, refused) == (48, 16)
 
         rng = random.Random(0xDE9)
         sequences = 0
@@ -332,7 +339,7 @@ def test_criterion_7_rate_limit_honesty():
                 report = run_scan(config, network=SimNetwork(station))
                 received = station.total_packets_received()
                 assert received >= 11  # enough samples for the tolerance to be meaningful
-                measured = received / report.duration
+                measured = received / report.duration_seconds
                 assert measured <= limit * 1.1, (limit, measured)
             finally:
                 station.stop()

@@ -255,6 +255,24 @@ def test_sniff_command_deterministic(sim, tmp_path, capsys):
     validate_json(json.loads(out_a.read_text()), "inventory.schema.json")
 
 
+def test_sniff_report_validates_and_classifies_as_a_passive_offline_run(sim, tmp_path, capsys):
+    config = scan_config_file(tmp_path, sim["map"])
+    scan_report, sniff_report = tmp_path / "report.json", tmp_path / "passive_report.json"
+    assert main(["scan", "--config", config, "--out", str(tmp_path / "a.json"), "--report-out", str(scan_report)]) == 0
+    assert sim["station"].wait_idle()  # the last teardown frames are in the mirror pcap
+    sniff = ["sniff", "--pcap", sim["pcap"], "--out", str(tmp_path / "p.json"), "--report-out", str(sniff_report)]
+    assert main(sniff) == 0
+    document = json.loads(sniff_report.read_text())
+    validate_json(document, "scan_report.schema.json")
+    assert document["kind"] == "passive" and document["nature"] == "offline"
+    capsys.readouterr()
+    assert main(["report", "--scan-report", str(scan_report), str(sniff_report), "--format", "csv"]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    # one column per run, in the order given: the scan, then the sniff
+    for row in ("execution,active,1,0", "execution,passive,0,1", "execution,offline,0,1"):
+        assert row in rows, row
+
+
 def test_depth_command_prints_ladder(sim, tmp_path, capsys):
     config = scan_config_file(tmp_path, sim["map"])
     inventory_path = tmp_path / "inventory.json"

@@ -19,12 +19,11 @@ from icsrecon.model import (
     StaticDeviceInfo,
     _check_ip,
     compute_depth,
-    evidence_depth,
     merge_observation,
     satisfied_levels,
 )
 
-from conftest import random_observation, ts
+from conftest import asset_holding, random_observation, ts
 
 
 def oracle_depth(ports, protocols, static, deployment, vulns, consulted) -> int:
@@ -41,10 +40,17 @@ def oracle_depth(ports, protocols, static, deployment, vulns, consulted) -> int:
 
 
 def test_depth_agrees_with_predicate_table_on_all_64_cases():
-    for bits in itertools.product([False, True], repeat=5):
-        for consulted in (False, True):
-            expected = oracle_depth(*bits, consulted)
-            assert evidence_depth(*bits, consulted) == expected
+    checked = refused = 0
+    for *bits, consulted in itertools.product([False, True], repeat=6):
+        try:
+            asset = asset_holding(*bits)
+        except ValueError:
+            assert bits[4] and not bits[2]  # only vulnerabilities without static info cannot exist
+            refused += 1
+            continue
+        assert compute_depth(asset, consulted) == oracle_depth(*bits, consulted)
+        checked += 1
+    assert (checked, refused) == (48, 16)
 
 
 def test_depth_ip_only_is_level_1():

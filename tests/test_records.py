@@ -21,7 +21,7 @@ DATACLASSES = {
     "scanner.ScanConfig", "simulator.SimDeviceConfig", "vulnmatch.CveDatabase",
     "taxonomy.SpecificationFeatures", "taxonomy.ExecutionFeatures", "taxonomy.ToolProfile",
     "passive.LiveInterface",
-    "passive.PassiveReport", "scanner.ScanReport", "simulator.Counters", "simulator._Connection",
+    "simulator.Counters", "simulator._Connection",
 }
 
 NAMED_TUPLES = {

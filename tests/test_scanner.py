@@ -189,9 +189,10 @@ def test_arp_alone_cannot_reach_an_off_link_target(routed_station):
 
 def test_icmp_in_methods_used_is_still_classified(station):
     config = quick_config(targets=("192.168.90.14",), methods=frozenset({"arp", "icmp"}))
-    report = run_scan(config, network=SimNetwork(station))
+    scanner = Scanner(config, network=SimNetwork(station))
+    report = scanner.run()
     assert sorted(report.methods_used) == ["arp", "icmp"]
-    assert not any(e["detail"] == "icmp" for e in report.probe_log)
+    assert not any(e["detail"] == "icmp" for e in scanner.probe_log)
     enumeration = classify_run(report).exec.enumeration
     assert {"icmp_scanning", "arp_scanning"} <= set(enumeration)
 
@@ -581,21 +582,22 @@ def test_run_scan_zero_reachable_targets(station):
 
 
 def test_no_probe_without_evidence(station):
-    report = run_scan(quick_config(), network=SimNetwork(station))
+    scanner = Scanner(quick_config(), network=SimNetwork(station))
+    report = scanner.run()
     confirmed = {
         (asset.ip, protocol) for asset in report.inventory for protocol in asset.protocols
     }
     protocol_of = {"enumerate_modbus": "modbus", "enumerate_s7": "s7comm", "enumerate_enip": "enip"}
     port_of = {"enumerate_modbus": 502, "enumerate_s7": 102, "enumerate_enip": 44818}
     enumerated = 0
-    for index, entry in enumerate(report.probe_log):
+    for index, entry in enumerate(scanner.probe_log):
         if entry["phase"] != "enumeration":
             continue
         enumerated += 1
         assert (entry["ip"], protocol_of[entry["detail"]]) in confirmed, entry
         # the protocol was confirmed on this host before enumeration began
         probe = {"phase": "service_identification", "ip": entry["ip"], "detail": f"probe:{port_of[entry['detail']]}"}
-        assert probe in report.probe_log[:index], entry
+        assert probe in scanner.probe_log[:index], entry
     assert enumerated == 5
 
 
@@ -695,7 +697,8 @@ def test_two_service_host_enumerates_each_port_before_probing_the_next():
     handle, rtu = start_two_service_host()
     try:
         network = CountingNetwork(handle)
-        report = run_scan(quick_config(targets=(rtu.ip,)), network=network)
+        scanner = Scanner(quick_config(targets=(rtu.ip,)), network=network)
+        report = scanner.run()
     finally:
         handle.stop()
     asset = report.inventory.get(rtu.ip)
@@ -703,7 +706,7 @@ def test_two_service_host_enumerates_each_port_before_probing_the_next():
     assert asset.deployment_info.get("modbus_slave_id") == "5"  # Modbus enumeration
     assert asset.static_info is not None  # ENIP identity; the RTU refuses device-ID reads
     assert report.per_asset_depth == {rtu.ip: 5}
-    steps = [e["detail"] for e in report.probe_log if e["ip"] == rtu.ip and e["phase"] != "device_discovery"]
+    steps = [e["detail"] for e in scanner.probe_log if e["ip"] == rtu.ip and e["phase"] != "device_discovery"]
     assert steps == [
         "connect:102",
         "connect:502",
@@ -729,14 +732,15 @@ def test_tsap_retry_opens_one_new_connection_and_every_socket_is_closed_once():
     handle = start_station([second_pair], scanner_ip=config.scanner_ip)
     try:
         network = CountingNetwork(handle)
-        report = run_scan(quick_config(targets=(plc.ip,)), network=network)
+        scanner = Scanner(quick_config(targets=(plc.ip,)), network=network)
+        report = scanner.run()
     finally:
         handle.stop()
     asset = report.inventory.get(plc.ip)
     assert asset.protocols == frozenset({"s7comm"})
     assert asset.static_info is not None and asset.deployment_info is not None
     assert report.per_asset_depth == {plc.ip: 5}
-    steps = [e["detail"] for e in report.probe_log if e["phase"] != "device_discovery"]
+    steps = [e["detail"] for e in scanner.probe_log if e["phase"] != "device_discovery"]
     assert steps[:3] == ["connect:102", "probe:102", "enumerate_s7"]
     assert network.connects[(plc.ip, 102)] == 2
     # the port scan's connection and the retry's, each closed exactly once by its opener
@@ -793,6 +797,16 @@ def test_cancellation_emits_partial_report(station):
     stop.set()
     report = run_scan(quick_config(), network=SimNetwork(station), stop_event=stop)
     assert any("cancelled" in a for a in report.anomalies)
+
+
+def test_cancelled_scan_reports_the_cve_database_unconsulted(station):
+    # the lookup is skipped once the scan is cancelled, so no level 6 can be claimed
+    stop = threading.Event()
+    stop.set()
+    db_path = str(default_fixtures_path().parent / "cve_demo.json")
+    report = run_scan(quick_config(vuln_db_path=db_path), network=SimNetwork(station), stop_event=stop)
+    assert report.vuln_db_consulted is False
+    assert report.to_document()["vuln_db_consulted"] is False
 
 
 def test_report_document_shape(station):

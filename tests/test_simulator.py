@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+import resource
 import socket
 import sys
 import threading
@@ -480,6 +482,28 @@ def test_wait_idle_counts_a_connection_not_yet_accepted(station):
         # nothing is sent or read: the connection may still sit in the accept queue
         with socket.create_connection(("127.0.0.1", port), timeout=2):
             assert not station.wait_idle(timeout=0.2)
+
+
+def test_wait_idle_takes_listeners_on_descriptors_of_1024_and_up():
+    # select() refuses a descriptor of 1024 or more, which a site-scale station reaches
+    if resource.getrlimit(resource.RLIMIT_NOFILE)[0] < 1100:
+        pytest.skip("this process may not open 1100 files")
+    held = []
+    try:
+        while not held or held[-1] < 1030:  # the lowest free descriptor first, so every one below is taken
+            held.append(os.open(os.devnull, os.O_RDONLY))
+        station = start_station([modbus_config()])
+        try:
+            assert min(listener.fileno() for listener in station._listeners) > 1030
+            assert station.wait_idle(timeout=1.0)
+            with socket.create_connection(("127.0.0.1", station.lookup("192.168.90.13", 502)), timeout=2):
+                assert not station.wait_idle(timeout=0.2)
+            assert station.wait_idle(timeout=5.0)
+        finally:
+            station.stop()
+    finally:
+        for fd in held:
+            os.close(fd)
 
 
 # -- accept loop: one thread for every listener, a stop that waits for nothing idle --------

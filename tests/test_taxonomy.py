@@ -17,7 +17,8 @@ from icsrecon.config import default_fixtures_path, load_fixtures
 from icsrecon.errors import FormatError, ValidationRequired
 from icsrecon.passive import PcapFile, analyze_capture
 from icsrecon.pcapio import PcapWriter, TrafficRecorder
-from icsrecon.scanner import ScanConfig, ScanReport, run_scan
+from icsrecon.model import RunReport
+from icsrecon.scanner import ScanConfig, run_scan
 from icsrecon.simulator import SimNetwork, start_station
 
 
@@ -366,19 +367,19 @@ def test_passive_levels_are_independent_as_in_active_runs(tmp_path):
     passive = rtu_capture_report(tmp_path)
     assert passive.per_asset_depth["192.168.90.13"] == 5
     assert passive.inventory.get("192.168.90.13").static_info is None
-    active = ScanReport(
-        inventory=passive.inventory,
-        per_asset_depth=passive.per_asset_depth,
+    active = RunReport(
+        "active",
+        passive.inventory,
+        generated_at=passive.generated_at,
+        duration_seconds=0.0,
         packets_sent=0,
-        duration=0.0,
-        anomalies=[],
+        rate_limit_pps=50,
+        safe_mode=True,
         methods_used=["icmp"],
         unit_id_sweep_used=False,
         vuln_db_consulted=False,
-        rate_limit_pps=50,
-        safe_mode=True,
-        generated_at=passive.generated_at,
     )
+    assert active.per_asset_depth == passive.per_asset_depth
     assert passive.to_document()["levels_achieved"] == [1, 2, 3, 5]
     assert tx.classify_run(passive.to_document()).output_levels == frozenset({1, 2, 3, 5})
     assert tx.classify_run(active.to_document()).output_levels == frozenset({1, 2, 3, 5})
