@@ -35,7 +35,7 @@ REPORT_VERSION = 1
 
 SOURCES = {"active", "passive"}
 
-_CVE_ID_RE = re.compile(r"^CVE-\d{4}-\d{4,}$")
+_CVE_ID_RE = re.compile(r"CVE-[0-9]{4}-[0-9]{4,}")  # fullmatch, ASCII digits, as the schema's pattern
 _PROTOCOL_TOKEN_RE = re.compile(r"^[a-z0-9_]+$")
 _OCTET = r"(?:25[0-5]|2[0-4][0-9]|1[0-9][0-9]|[1-9]?[0-9])"
 _DOTTED_QUAD_RE = re.compile(rf"{_OCTET}\.{_OCTET}\.{_OCTET}\.{_OCTET}")
@@ -182,9 +182,20 @@ class DeploymentInfo:
         return self.as_dict().get(key)
 
 
-@dataclass(frozen=True, slots=True)
-class CveRecord:
-    """One vulnerability database entry (version bounds: [min, max))."""
+# the JSON type inventory.schema.json gives each CveRecord field, and its name in an error;
+# _CVE_TYPES_IN_FIELD_ORDER, below CveRecord, puts the types in field order for from_dict's one-call check
+_TEXT, _TEXT_OR_NULL = ((str,), "text"), ((str, type(None)), "text or null")
+_CVE_FIELD_TYPES = {
+    "cve_id": _TEXT, "vendor": _TEXT, "product": _TEXT, "summary": _TEXT, "version_min": _TEXT_OR_NULL,
+    "version_max": _TEXT_OR_NULL, "severity": ((int, float, type(None)), "a number or null"), "note": _TEXT_OR_NULL,
+}
+
+
+class CveRecord(NamedTuple):
+    """One vulnerability database entry (version bounds: [min, max)).
+
+    A record read from a file is built by ``from_dict``, which checks it.
+    """
 
     cve_id: str
     vendor: str
@@ -195,40 +206,31 @@ class CveRecord:
     severity: float | None = None
     note: str | None = None
 
-    def __post_init__(self):
-        if not _CVE_ID_RE.match(self.cve_id):
-            raise ValueError(f"bad CVE id {self.cve_id!r}")
-        if not isinstance(self.summary, str):
-            raise ValueError(f"summary must be text, got {self.summary!r}")
-        if self.severity is not None and (
-            isinstance(self.severity, bool) or not isinstance(self.severity, (int, float)) or not 0 <= self.severity <= 10
-        ):
-            raise ValueError(f"severity must be a number in 0-10, got {self.severity!r}")
-
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "cve_id": self.cve_id,
-            "vendor": self.vendor,
-            "product": self.product,
-            "summary": self.summary,
-            "version_min": self.version_min,
-            "version_max": self.version_max,
-            "severity": self.severity,
-            "note": self.note,
-        }
+        return self._asdict()
 
     @classmethod
     def from_dict(cls, raw: dict[str, Any]) -> "CveRecord":
-        return cls(
-            cve_id=raw["cve_id"],
-            vendor=raw.get("vendor", ""),
-            product=raw.get("product", ""),
-            summary=raw.get("summary", ""),
-            version_min=raw.get("version_min"),
-            version_max=raw.get("version_max"),
-            severity=raw.get("severity"),
-            note=raw.get("note"),
+        """The record ``raw`` holds, each field of the JSON type the inventory schema gives it, severity in 0-10."""
+        get = raw.get
+        record = cls(
+            raw["cve_id"], get("vendor", ""), get("product", ""), get("summary", ""),
+            get("version_min"), get("version_max"), get("severity"), get("note"),
         )
+        cve_id, severity = record.cve_id, record.severity
+        if not (isinstance(cve_id, str) and _CVE_ID_RE.fullmatch(cve_id)):
+            raise ValueError(f"bad CVE id {cve_id!r}")
+        if not all(map(isinstance, record, _CVE_TYPES_IN_FIELD_ORDER)):
+            for name, value in zip(cls._fields, record):
+                types, described = _CVE_FIELD_TYPES[name]
+                if not isinstance(value, types):
+                    raise ValueError(f"{cve_id}: {name} must be {described}, got {value!r}")
+        if severity is not None and (isinstance(severity, bool) or not 0 <= severity <= 10):
+            raise ValueError(f"{cve_id}: severity must be a number in 0-10, got {severity!r}")
+        return record
+
+
+_CVE_TYPES_IN_FIELD_ORDER = tuple(_CVE_FIELD_TYPES[name][0] for name in CveRecord._fields)
 
 
 class ProvenanceEntry(NamedTuple):

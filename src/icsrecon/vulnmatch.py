@@ -10,7 +10,9 @@ supply at least a manufacturer or a model).
 
 The database is indexed once, when it is built, by canonical vendor and
 then by normalized product, so a lookup only examines the records whose
-vendor and product clauses can hold.
+vendor and product clauses can hold. A load parses each distinct bound
+text once; lookups parse versions through a bounded cache, so a
+firmware or bound text is parsed once while the cache holds it.
 
 The database is a local JSON file; there is no network fetch, so scans
 stay air-gap friendly.
@@ -36,6 +38,18 @@ CONFIDENCE_NOTE = "cpe-style match - verify manually"
 _NON_ALNUM = re.compile(r"[^a-z0-9]+")
 
 
+class _Memo(dict):
+    """text -> ``function(text)``, each distinct text computed once while this dict lives, however many there are."""
+
+    def __init__(self, function):
+        super().__init__()
+        self.function = function
+
+    def __missing__(self, text: str):
+        value = self[text] = self.function(text)  # a text the function refuses raises and is not kept
+        return value
+
+
 @dataclass(frozen=True)
 class CveDatabase:
     """CVE records plus the alias table, indexed for ``match``.
@@ -51,12 +65,10 @@ class CveDatabase:
     def __post_init__(self):
         index: dict[str, dict[str, list[CveRecord]]] = {}
         groups: dict[str, dict[str, list[CveRecord]]] = {}
-        products: dict[str, str] = {}
+        products = _Memo(normalize_product)
         for record in self.records:
             if record.vendor not in groups:
                 groups[record.vendor] = index.setdefault(_canonical_vendor(record.vendor, self.aliases), {})
-            if record.product not in products:
-                products[record.product] = normalize_product(record.product)
             groups[record.vendor].setdefault(products[record.product], []).append(record)
         object.__setattr__(self, "index", index)
 
@@ -105,41 +117,30 @@ def load_db(path: str, alias_path: str | None = None) -> CveDatabase:
         raise FormatError("CVE database must be a JSON array of records")
     records = []
     seen: set[str] = set()
-    keys: dict[str, tuple[tuple[int, str], ...]] = {}  # bound text -> parsed key, for this load only
+    vendors, keys = _Memo(normalize_vendor), _Memo(parse_version)  # for this load only
     for position, entry in enumerate(raw):
         try:
             if not isinstance(entry, dict):
                 raise TypeError(f"expected a JSON object, got {type(entry).__name__}")
-            vendor, product = entry.get("vendor", ""), entry.get("product", "")
-            if not isinstance(vendor, str) or not isinstance(product, str):
-                raise TypeError("vendor and product must be strings")
-            record = CveRecord(
-                cve_id=entry["cve_id"],
-                vendor=normalize_vendor(vendor),
-                product=product,
-                summary=entry.get("summary", ""),
-                version_min=entry.get("version_min"),
-                version_max=entry.get("version_max"),
-                severity=entry.get("severity"),
-            )
+            vendor = entry.get("vendor", "")
+            if isinstance(vendor, str):  # from_dict refuses any other value
+                entry["vendor"] = vendors[vendor]  # entry is this load's own, thrown away once read
+            entry["note"] = None  # a database's notes are not kept
+            record = CveRecord.from_dict(entry)
         except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"bad CVE record at index {position}: {exc}") from exc
         if record.cve_id in seen:
             raise FormatError(f"duplicate CVE id {record.cve_id} at index {position}")
-        bounds = []
-        for name in ("version_min", "version_max"):
-            value = getattr(record, name)
-            if value is None or value == "":
-                continue  # no bound; any other non-text value, falsy or not, is an error
-            if not isinstance(value, str):
-                raise FormatError(f"{record.cve_id}: {name} must be a string, got {value!r}")
-            if value not in keys:
-                try:
-                    keys[value] = parse_version(value)
-                except ValueError as exc:
-                    raise FormatError(f"{record.cve_id}: {name}: {exc}") from exc
-            bounds.append(keys[value])
-        if len(bounds) == 2 and _compare_keys(*bounds) > 0:
+        # null and "" are no bound; from_dict refused every other value that is not text
+        low, high = record.version_min, record.version_max
+        try:
+            name = "version_min"
+            low = low and keys[low]
+            name = "version_max"
+            high = high and keys[high]
+        except ValueError as exc:
+            raise FormatError(f"{record.cve_id}: {name}: {exc}") from exc
+        if low and high and _compare_keys(low, high) > 0:
             raise FormatError(
                 f"{record.cve_id}: version_min {record.version_min} above version_max {record.version_max}"
             )
@@ -151,12 +152,18 @@ def load_db(path: str, alias_path: str | None = None) -> CveDatabase:
 _SEGMENT = re.compile(r"^(\d*)(.*)$", re.DOTALL)
 
 
+@lru_cache(maxsize=1024)
 def parse_version(text: str) -> tuple[tuple[int, str], ...]:
     """Dotted version -> comparable key.
 
     Each dot-separated segment becomes (numeric prefix, remaining
     suffix); missing segments compare as (0, ""). A version with no
     digits anywhere does not parse.
+
+    The last 1024 keys are kept, process-wide, so the firmware and the
+    bounds that each lookup compares are parsed once while the cache
+    holds them; a text that does not parse is not kept and raises again
+    every time.
     """
     segments = text.split(".")
     if all(map(str.isdecimal, segments)):  # plain "4.2.1": the pattern below would give the same key
@@ -180,9 +187,10 @@ def compare_versions(a: str, b: str) -> int:
 
 
 def _compare_keys(ka: tuple[tuple[int, str], ...], kb: tuple[tuple[int, str], ...]) -> int:
-    width = max(len(ka), len(kb))
-    ka += ((0, ""),) * (width - len(ka))
-    kb += ((0, ""),) * (width - len(kb))
+    if len(ka) != len(kb):
+        width = max(len(ka), len(kb))
+        ka += ((0, ""),) * (width - len(ka))
+        kb += ((0, ""),) * (width - len(kb))
     if ka < kb:
         return -1
     if ka > kb:
@@ -254,19 +262,7 @@ def match(info: StaticDeviceInfo, db: CveDatabase) -> list[CveRecord]:
                     skipped,
                 )
     hits.sort(key=lambda r: (-(r.severity if r.severity is not None else -1.0), r.cve_id))
-    return [
-        CveRecord(
-            cve_id=r.cve_id,
-            vendor=r.vendor,
-            product=r.product,
-            summary=r.summary,
-            version_min=r.version_min,
-            version_max=r.version_max,
-            severity=r.severity,
-            note=CONFIDENCE_NOTE,
-        )
-        for r in hits
-    ]
+    return [r._replace(note=CONFIDENCE_NOTE) for r in hits]
 
 
 def enrich(

@@ -215,6 +215,28 @@ def test_depth_rejects_inventory_field_of_the_wrong_json_type(tmp_path, capsys, 
     assert_depth_rejects(tmp_path, capsys, [], field, WRONG_JSON_TYPES[field])
 
 
+# vulnerability fields the inventory schema types as text, or text or null, each given another JSON type
+NON_TEXT_VULNERABILITY_FIELDS = {"vendor": 5, "product": ["x"], "note": 7, "version_min": 3, "version_max": 3}
+
+
+@pytest.mark.parametrize("field", NON_TEXT_VULNERABILITY_FIELDS)
+def test_depth_and_vulnmatch_reject_non_text_vulnerability_field(tmp_path, capsys, field):
+    inventory = tmp_path / "inventory.json"
+    document = inventory_document()
+    vulnerability = {"cve_id": "CVE-2019-99001", "vendor": "siemens", "product": "6ES7 151-8AB01",
+                     "version_min": None, "version_max": "4.0", "note": "cpe-style match - verify manually"}
+    document["assets"][0]["vulnerabilities"] = [vulnerability]
+    inventory.write_text(json.dumps(document))
+    assert main(["depth", "--inventory", str(inventory)]) == 0
+    vulnerability[field] = NON_TEXT_VULNERABILITY_FIELDS[field]
+    inventory.write_text(json.dumps(document))
+    for command in (["depth"], ["vulnmatch", "--db", CVE_DB, "--out", str(tmp_path / "enriched.json")]):
+        capsys.readouterr()
+        assert main([*command, "--inventory", str(inventory)]) == 1
+        assert "error[FormatError]: bad asset record" in capsys.readouterr().err
+    assert not (tmp_path / "enriched.json").exists()
+
+
 # -- end-to-end against the simulator ------------------------------------------
 
 

@@ -10,7 +10,7 @@ import pytest
 from icsrecon.errors import FormatError
 from icsrecon.model import Asset, CveRecord, Inventory, PortSpec, ProvenanceEntry, StaticDeviceInfo
 
-from conftest import random_asset, ts
+from conftest import random_asset, same_record, ts
 
 
 def test_upsert_same_ip_merges_into_one(tmp_path):
@@ -87,6 +87,9 @@ def test_save_load_round_trip_1000_random_assets(tmp_path):
     inv.save(path)
     loaded = Inventory.load(path)
     assert loaded == inv
+    # records compare as plain tuples, so their types are compared as well
+    assert sum(bool(a.vulnerabilities) for a in assets) > 50
+    assert all(same_record(loaded.get(a.ip).vulnerabilities, a.vulnerabilities) for a in assets)
     # and the rendering itself is stable
     loaded.save(tmp_path / "big2.json")
     assert (tmp_path / "big.json").read_bytes() == (tmp_path / "big2.json").read_bytes()
@@ -128,7 +131,11 @@ def test_load_bad_asset_record(tmp_path):
         Inventory.load(path)
 
 
-@pytest.mark.parametrize("fields", [{"severity": True}, {"severity": "9.8"}, {"summary": ["x"]}, {"summary": None}])
+@pytest.mark.parametrize(
+    "fields",
+    [{"severity": True}, {"severity": "9.8"}, {"summary": ["x"]}, {"summary": None}, {"severity": 10.5},
+     {"cve_id": "CVE-20-1"}, {"cve_id": "CVE-2020-12345\n"}, {"cve_id": "CVE-\u0662\u0660\u0662\u0660-12345"}],
+)
 def test_load_rejects_non_numeric_severity_and_non_text_summary(tmp_path, fields):
     asset = Asset(
         "10.0.0.1", ts(), static_info=StaticDeviceInfo(manufacturer="Siemens"),

@@ -17,7 +17,7 @@ import icsrecon
 # __post_init__ checks or field() defaults; LiveInterface's ClassVar and
 # __iter__ would clash with tuple's; the rest are mutable
 DATACLASSES = {
-    "model.PortSpec", "model.StaticDeviceInfo", "model.DeploymentInfo", "model.CveRecord", "model.Asset",
+    "model.PortSpec", "model.StaticDeviceInfo", "model.DeploymentInfo", "model.Asset",
     "scanner.ScanConfig", "simulator.SimDeviceConfig", "vulnmatch.CveDatabase",
     "taxonomy.SpecificationFeatures", "taxonomy.ExecutionFeatures", "taxonomy.ToolProfile",
     "passive.LiveInterface",
@@ -32,7 +32,7 @@ NAMED_TUPLES = {
     "codecs.s7.S7SzlRequest", "codecs.s7.S7SzlResponse",
     "codecs.enip.CipIdentity", "codecs.enip.EnipMessage",
     "pcapio.EthernetFrame", "pcapio.ArpMessage", "pcapio.Ipv4Packet", "pcapio.TcpSegment",
-    "model.ProvenanceEntry", "passive.PcapFile", "netbase.ConnectResult", "taxonomy.Violation",
+    "model.CveRecord", "model.ProvenanceEntry", "passive.PcapFile", "netbase.ConnectResult", "taxonomy.Violation",
     "config.NetworkSettings", "config.StationConfig",
 }
 

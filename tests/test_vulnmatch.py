@@ -26,6 +26,8 @@ from icsrecon.vulnmatch import (
 
 from importlib import resources
 
+from conftest import same_record
+
 FIXTURE_DB = str(resources.files("icsrecon.data").joinpath("fixtures").joinpath("cve_demo.json"))
 
 
@@ -305,7 +307,8 @@ def test_load_db_rejects_non_text_vendor_or_product(tmp_path, entry):
 @pytest.mark.parametrize(
     "fields",
     [{"severity": True}, {"severity": "9.8"}, {"severity": 10.5}, {"severity": -1}, {"summary": ["x"]},
-     {"summary": None}, {"severity": True, "summary": ["x"]}],
+     {"summary": None}, {"severity": True, "summary": ["x"]}, {"cve_id": "CVE-20-1"},
+     {"cve_id": "CVE-2020-22222\n"}, {"cve_id": "CVE-\u0662\u0660\u0662\u0660-22222"}],
 )
 def test_load_db_rejects_non_numeric_severity_and_non_text_summary(tmp_path, fields):
     good = {"cve_id": "CVE-2020-11111", "vendor": "a", "product": "b", "severity": 0, "summary": "ok"}
@@ -379,7 +382,7 @@ def test_load_db_equals_a_record_by_record_construction(tmp_path):
     generated.write_text(json.dumps(rows))
     for path in (FIXTURE_DB, str(generated)):
         loaded, expected = load_db(path), reference_db(path)
-        assert loaded.records == expected.records
+        assert same_record(loaded.records, expected.records)
         assert loaded.aliases == expected.aliases
         assert [(v, list(p.items())) for v, p in loaded.index.items()] == reference_index(expected)
 
@@ -406,6 +409,35 @@ def test_reused_bound_texts_still_checked_per_record(tmp_path):
     path.write_text(json.dumps(rows))
     with pytest.raises(FormatError, match="CVE-2020-33333"):
         load_db(str(path))
+
+
+def test_more_bound_texts_than_the_parse_cache_holds_are_each_checked(tmp_path):
+    count = parse_version.cache_info().maxsize
+    base = {"vendor": "a", "product": "b"}
+    rows = [{**base, "cve_id": f"CVE-2020-{10000 + i}", "version_min": f"1.{i}", "version_max": f"2.{i}"}
+            for i in range(count)]
+    # both bounds seen before: "2.0" evicted from the cache by now, "1.{count - 1}" still in it
+    rows.append({**base, "cve_id": "CVE-2020-99999", "version_min": "2.0", "version_max": f"1.{count - 1}"})
+    path = tmp_path / "many.json"
+    path.write_text(json.dumps(rows))
+    with pytest.raises(FormatError, match="CVE-2020-99999: version_min"):
+        load_db(str(path))
+    assert parse_version.cache_info().currsize <= count
+
+    path.write_text(json.dumps(rows[:-1]))
+    db = load_db(str(path))
+    for firmware, expected in (("1.5", 6), ("2.0", count - 1), ("2.0.1", count - 1), ("0.9", 0)):
+        info = StaticDeviceInfo(manufacturer="a", model="b", firmware_version=firmware)
+        assert len(match(info, db)) == expected, firmware
+
+
+def test_unparseable_firmware_warns_on_every_lookup(caplog):
+    db = db_from([record(cve_id="CVE-2020-11111", vmax="4.0"), record(cve_id="CVE-2020-22222")])
+    info = StaticDeviceInfo(manufacturer="Siemens", model="ET200S", firmware_version="fw-unknown")
+    with caplog.at_level(logging.WARNING, logger="icsrecon.vulnmatch"):
+        for lookup in range(1, 4):
+            assert [h.cve_id for h in match(info, db)] == ["CVE-2020-22222"]
+            assert sum("VersionUnparseable" in message for message in caplog.messages) == lookup
 
 
 def test_mixed_case_alias_table_is_folded_on_every_path(tmp_path, monkeypatch):
