@@ -22,10 +22,12 @@ from __future__ import annotations
 
 import ipaddress
 import json
+import os
 import re
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import IntEnum
+from itertools import repeat
 from typing import Any, Iterable, Iterator, NamedTuple
 
 from .errors import AddressMismatch, FormatError
@@ -183,7 +185,7 @@ class DeploymentInfo:
 
 
 # the JSON type inventory.schema.json gives each CveRecord field, and its name in an error;
-# _CVE_TYPES_IN_FIELD_ORDER, below CveRecord, puts the types in field order for from_dict's one-call check
+# _CVE_TYPES_IN_FIELD_ORDER, below CveRecord, puts the types in field order for from_dict's and columns' checks
 _TEXT, _TEXT_OR_NULL = ((str,), "text"), ((str, type(None)), "text or null")
 _CVE_FIELD_TYPES = {
     "cve_id": _TEXT, "vendor": _TEXT, "product": _TEXT, "summary": _TEXT, "version_min": _TEXT_OR_NULL,
@@ -228,6 +230,33 @@ class CveRecord(NamedTuple):
         if severity is not None and (isinstance(severity, bool) or not 0 <= severity <= 10):
             raise ValueError(f"{cve_id}: severity must be a number in 0-10, got {severity!r}")
         return record
+
+    @classmethod
+    def columns(cls, entries: list) -> list[list]:
+        """One list per field of ``entries`` but the note, in field order, each entry checked as by ``from_dict``.
+
+        Each check is one pass over one field. Only when one fails are the
+        entries walked through ``from_dict``, note ignored, to name the
+        first that it refuses.
+        """
+        try:
+            columns = [list(map(dict.get, entries, repeat(name), repeat(None if type(None) in types else "")))
+                       for name, (types, _) in _CVE_FIELD_TYPES.items() if name != "note"]
+            severities = list(filter(None, columns[6]))  # 0 and -0.0, the falsy numbers, are in range
+            held = (all(set(map(type, column)).issubset(types)
+                        for column, types in zip(columns, _CVE_TYPES_IN_FIELD_ORDER))
+                    and all(map(_CVE_ID_RE.fullmatch, columns[0]))
+                    and all(map(0.0.__le__, severities)) and all(map(10.0.__ge__, severities)))  # NaN fails both
+        except TypeError:  # an entry that is not a JSON object
+            held = False
+        for position, entry in enumerate(() if held else entries):
+            try:
+                if not isinstance(entry, dict):
+                    raise TypeError(f"expected a JSON object, got {type(entry).__name__}")
+                cls.from_dict({**entry, "note": None})  # a database's notes are not kept
+            except (KeyError, TypeError, ValueError) as exc:
+                raise FormatError(f"bad CVE record at index {position}: {exc}") from exc
+        return columns
 
 
 _CVE_TYPES_IN_FIELD_ORDER = tuple(_CVE_FIELD_TYPES[name][0] for name in CveRecord._fields)
@@ -539,8 +568,7 @@ class Inventory:
         return inv
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_json())
+        _write_whole(path, self.to_json())
 
     @classmethod
     def load(cls, path) -> "Inventory":
@@ -601,6 +629,16 @@ class RunReport:
         """Write the inventory, and the report document when ``report_path`` is given."""
         self.inventory.save(inventory_path)
         if report_path:
-            with open(report_path, "w", encoding="utf-8") as fh:
-                json.dump(self.to_document(), fh, indent=2, sort_keys=True)
-                fh.write("\n")
+            _write_whole(report_path, json.dumps(self.to_document(), indent=2, sort_keys=True) + "\n")
+
+
+def _write_whole(path, text: str) -> None:
+    """Write ``text`` over ``path`` through a file beside it, so a failed or cut-short write leaves ``path`` as it was."""
+    partial = f"{os.fspath(path)}.{os.getpid()}.part"
+    try:
+        with open(partial, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(partial, path)
+    finally:
+        if os.path.exists(partial):
+            os.remove(partial)

@@ -10,9 +10,11 @@ supply at least a manufacturer or a model).
 
 The database is indexed once, when it is built, by canonical vendor and
 then by normalized product, so a lookup only examines the records whose
-vendor and product clauses can hold. A load parses each distinct bound
-text once; lookups parse versions through a bounded cache, so a
-firmware or bound text is parsed once while the cache holds it.
+vendor and product clauses can hold. A load checks the records one
+field at a time (``CveRecord.columns``), parses each distinct bound text
+once and compares each distinct range once; lookups parse versions
+through a bounded cache, so a firmware or bound text is parsed once
+while the cache holds it.
 
 The database is a local JSON file; there is no network fetch, so scans
 stay air-gap friendly.
@@ -26,6 +28,7 @@ import re
 from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
+from itertools import chain
 from typing import Callable, Iterable
 
 from .errors import FormatError
@@ -36,18 +39,6 @@ logger = logging.getLogger(__name__)
 CONFIDENCE_NOTE = "cpe-style match - verify manually"
 
 _NON_ALNUM = re.compile(r"[^a-z0-9]+")
-
-
-class _Memo(dict):
-    """text -> ``function(text)``, each distinct text computed once while this dict lives, however many there are."""
-
-    def __init__(self, function):
-        super().__init__()
-        self.function = function
-
-    def __missing__(self, text: str):
-        value = self[text] = self.function(text)  # a text the function refuses raises and is not kept
-        return value
 
 
 @dataclass(frozen=True)
@@ -65,7 +56,7 @@ class CveDatabase:
     def __post_init__(self):
         index: dict[str, dict[str, list[CveRecord]]] = {}
         groups: dict[str, dict[str, list[CveRecord]]] = {}
-        products = _Memo(normalize_product)
+        products = {product: normalize_product(product) for product in {record.product for record in self.records}}
         for record in self.records:
             if record.vendor not in groups:
                 groups[record.vendor] = index.setdefault(_canonical_vendor(record.vendor, self.aliases), {})
@@ -106,7 +97,12 @@ def load_aliases(path: str | None) -> dict[str, str]:
 
 
 def load_db(path: str, alias_path: str | None = None) -> CveDatabase:
-    """Load and validate a JSON array of CVE records."""
+    """Load and validate a JSON array of CVE records.
+
+    Every check is one pass over one field of all the records. Of several
+    faults the first named is a field fault, then a duplicate id, then an
+    unparseable bound text, then an inverted range, each at its lowest index.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     try:
@@ -115,38 +111,28 @@ def load_db(path: str, alias_path: str | None = None) -> CveDatabase:
         raise FormatError(f"CVE database is not valid JSON: {exc.msg} (line {exc.lineno})", offset=exc.pos) from exc
     if not isinstance(raw, list):
         raise FormatError("CVE database must be a JSON array of records")
-    records = []
-    seen: set[str] = set()
-    vendors, keys = _Memo(normalize_vendor), _Memo(parse_version)  # for this load only
-    for position, entry in enumerate(raw):
+    ids, vendors, products, summaries, lows, highs, severities = CveRecord.columns(raw)
+    if len(set(ids)) != len(ids):
+        seen: set[str] = set()
+        position = next(i for i, cve_id in enumerate(ids) if cve_id in seen or seen.add(cve_id))
+        raise FormatError(f"duplicate CVE id {ids[position]} at index {position}")
+    bounds = list(zip(lows, highs))
+    keys = {}  # bound text -> its key, for this load only; null and "" are no bound
+    for text in dict.fromkeys(chain.from_iterable(bounds)):  # each distinct text once, in order of first appearance
         try:
-            if not isinstance(entry, dict):
-                raise TypeError(f"expected a JSON object, got {type(entry).__name__}")
-            vendor = entry.get("vendor", "")
-            if isinstance(vendor, str):  # from_dict refuses any other value
-                entry["vendor"] = vendors[vendor]  # entry is this load's own, thrown away once read
-            entry["note"] = None  # a database's notes are not kept
-            record = CveRecord.from_dict(entry)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise FormatError(f"bad CVE record at index {position}: {exc}") from exc
-        if record.cve_id in seen:
-            raise FormatError(f"duplicate CVE id {record.cve_id} at index {position}")
-        # null and "" are no bound; from_dict refused every other value that is not text
-        low, high = record.version_min, record.version_max
-        try:
-            name = "version_min"
-            low = low and keys[low]
-            name = "version_max"
-            high = high and keys[high]
+            keys[text] = text and parse_version(text)
         except ValueError as exc:
-            raise FormatError(f"{record.cve_id}: {name}: {exc}") from exc
-        if low and high and _compare_keys(low, high) > 0:
-            raise FormatError(
-                f"{record.cve_id}: version_min {record.version_min} above version_max {record.version_max}"
-            )
-        seen.add(record.cve_id)
-        records.append(record)
-    return CveDatabase(records=tuple(records), aliases=load_aliases(alias_path))
+            position = next(i for i, pair in enumerate(bounds) if text in pair)
+            name = "version_min" if lows[position] == text else "version_max"
+            raise FormatError(f"{ids[position]}: {name}: {exc}") from exc
+    for low, high in dict.fromkeys(bounds):  # each distinct range once, in order of first appearance
+        if low and high and _compare_keys(keys[low], keys[high]) > 0:
+            position = bounds.index((low, high))
+            raise FormatError(f"{ids[position]}: version_min {low} above version_max {high}")
+    normalized = {vendor: normalize_vendor(vendor) for vendor in set(vendors)}
+    vendors = map(normalized.__getitem__, vendors)
+    records = tuple(map(CveRecord, ids, vendors, products, summaries, lows, highs, severities))
+    return CveDatabase(records=records, aliases=load_aliases(alias_path))
 
 
 _SEGMENT = re.compile(r"^(\d*)(.*)$", re.DOTALL)

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import json
+import os
 import random
 
 import pytest
 
 from icsrecon.errors import FormatError
-from icsrecon.model import Asset, CveRecord, Inventory, PortSpec, ProvenanceEntry, StaticDeviceInfo
+from icsrecon.model import Asset, CveRecord, Inventory, PortSpec, ProvenanceEntry, RunReport, StaticDeviceInfo
 
 from conftest import random_asset, same_record, ts
 
@@ -93,6 +94,33 @@ def test_save_load_round_trip_1000_random_assets(tmp_path):
     # and the rendering itself is stable
     loaded.save(tmp_path / "big2.json")
     assert (tmp_path / "big.json").read_bytes() == (tmp_path / "big2.json").read_bytes()
+
+
+def test_a_failed_save_leaves_the_saved_files_as_they_were(tmp_path, rng, monkeypatch):
+    inventory_path, report_path = tmp_path / "inventory.json", tmp_path / "report.json"
+    report = RunReport("passive", Inventory([random_asset(rng, ip="10.0.0.7")]), source="capture.pcap")
+    report.save(inventory_path, report_path)
+    saved = {path: path.read_bytes() for path in (inventory_path, report_path)}
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Asset, "to_dict", lambda asset: {"unencodable": object()})
+        with pytest.raises(TypeError):
+            report.save(inventory_path, report_path)  # the inventory's encode fails
+    assert {path: path.read_bytes() for path in saved} == saved
+    with monkeypatch.context() as patch:
+        patch.setattr(RunReport, "to_document", lambda report: {"unencodable": object()})
+        with pytest.raises(TypeError):
+            report.save(inventory_path, report_path)  # the report's encode fails
+    assert {path: path.read_bytes() for path in saved} == saved
+
+    def cut_short(source, target):
+        raise OSError("cut short")
+
+    monkeypatch.setattr(os, "replace", cut_short)
+    with pytest.raises(OSError):
+        Inventory([random_asset(rng, ip="10.0.0.8")]).save(inventory_path)
+    assert inventory_path.read_bytes() == saved[inventory_path]
+    assert sorted(tmp_path.iterdir()) == sorted(saved)  # no partial file left beside them
 
 
 def test_document_shape(tmp_path, rng):

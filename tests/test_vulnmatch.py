@@ -431,6 +431,177 @@ def test_more_bound_texts_than_the_parse_cache_holds_are_each_checked(tmp_path):
         assert len(match(info, db)) == expected, firmware
 
 
+def reference_load(raw: list) -> list[CveRecord]:
+    """``load_db``'s records as it built them entry by entry, each entry checked whole before the next."""
+    records = []
+    seen: set[str] = set()
+    for position, entry in enumerate(raw):
+        try:
+            if not isinstance(entry, dict):
+                raise TypeError(f"expected a JSON object, got {type(entry).__name__}")
+            vendor = entry.get("vendor", "")
+            if isinstance(vendor, str):
+                entry["vendor"] = normalize_vendor(vendor)
+            entry["note"] = None
+            record = CveRecord.from_dict(entry)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise FormatError(f"bad CVE record at index {position}: {exc}") from exc
+        if record.cve_id in seen:
+            raise FormatError(f"duplicate CVE id {record.cve_id} at index {position}")
+        low, high = record.version_min, record.version_max
+        try:
+            name = "version_min"
+            low = low and parse_version(low)
+            name = "version_max"
+            high = high and parse_version(high)
+        except ValueError as exc:
+            raise FormatError(f"{record.cve_id}: {name}: {exc}") from exc
+        if low and high and vulnmatch._compare_keys(low, high) > 0:
+            raise FormatError(
+                f"{record.cve_id}: version_min {record.version_min} above version_max {record.version_max}"
+            )
+        seen.add(record.cve_id)
+        records.append(record)
+    return records
+
+
+def render(entries: list) -> str:
+    """A JSON array of ``entries``: each a JSON text, or a dict of key -> JSON text (None leaves the key out)."""
+    return "[" + ", ".join(
+        entry if isinstance(entry, str)
+        else "{" + ", ".join(f"{json.dumps(key)}: {value}" for key, value in entry.items() if value is not None) + "}"
+        for entry in entries
+    ) + "]"
+
+
+def both_loads(text: str, path) -> tuple:
+    """(records or error text) from ``load_db`` and from the reference, for the database ``text``."""
+    path.write_text(text, encoding="utf-8")
+    outcomes = []
+    for load in (lambda: load_db(str(path)).records, lambda: tuple(reference_load(json.loads(text)))):
+        try:
+            outcomes.append(load())
+        except FormatError as exc:
+            outcomes.append(str(exc))
+    return tuple(outcomes)
+
+
+# JSON texts for each field: ones the loader accepts, and ones it refuses
+ORDERED_BOUNDS = ['"1.0"', '"2.0"', '"v2.0.1"', '"3.2.6"', '"10.1"']
+NO_BOUND = [None, "null", '""']
+GOOD_FIELDS = {
+    "vendor": ['"Siemens"', '" Schneider  Electric "', '""', None],
+    "product": ['"et200s"', '"6ES7 151"', '""', None],
+    "summary": ['"a summary"', '""', None],
+    "severity": ["0", "-0.0", "10", "9.8", "4", "1e-5", "null", None],
+    "note": ['"a note"', "5", "[1]", "{}", "null", None],  # a database's notes are not kept, so never refused
+    "cpe": ['"cpe:2.3:h:siemens"', None],  # keys outside the schema are ignored
+}
+BAD_FIELDS = {
+    "cve_id": [None, "null", "5", '"CVE-20-1"', '"CVE-2020-12345\\n"', '"CVE-\\u0662\\u0660\\u0662\\u0660-12345"',
+               '" CVE-2020-12345"'],
+    "vendor": ["5", "null", '["Siemens"]'],
+    "product": ["7", "null"],
+    "summary": ['["x"]', "null", "0"],
+    "severity": ["true", "false", "NaN", "Infinity", "-Infinity", "1e400", "-1", "10.5", '"9.8"', "[]"],
+    "version_min": ['"n/a"', "4.0", "0", "false", "[]"],
+    "version_max": ['"n/a"', '"fw"', "4.0", "0", "true"],
+}
+NON_OBJECTS = ["[1]", '"x"', "null", "3"]
+
+
+@st.composite
+def good_entries(draw, count=st.integers(1, 6)):
+    """Entries ``load_db`` accepts: distinct ids, bounds in order, repeated across min and max."""
+    entries = []
+    for i in range(draw(count)):
+        entry = {"cve_id": f'"CVE-2021-{10000 + i}"'}
+        entry.update({name: draw(st.sampled_from(texts)) for name, texts in GOOD_FIELDS.items()})
+        low, high = sorted(draw(st.lists(st.integers(0, len(ORDERED_BOUNDS) - 1), min_size=2, max_size=2)))
+        entry["version_min"] = draw(st.sampled_from([ORDERED_BOUNDS[low], *NO_BOUND]))
+        entry["version_max"] = draw(st.sampled_from([ORDERED_BOUNDS[high], *NO_BOUND]))
+        entries.append(entry)
+    return entries
+
+
+SINGLE_FAULTS = [
+    ("none", None),
+    *((name, text) for name, texts in BAD_FIELDS.items() for text in texts),
+    *(("entry", text) for text in NON_OBJECTS),
+    ("duplicate", None),
+    *(("inverted", text) for text in ORDERED_BOUNDS[:3]),  # each below version_min 5.0
+]
+
+
+@pytest.mark.parametrize("fault, text", SINGLE_FAULTS)
+@settings(max_examples=10, deadline=None)
+@given(entries=good_entries(), data=st.data())
+def test_column_check_names_a_single_fault_as_the_record_loop_did(fault, text, entries, data, tmp_path_factory):
+    position = data.draw(st.integers(0, len(entries) - 1))
+    if fault == "entry":
+        entries[position] = text
+    elif fault == "duplicate":
+        entries.append({**entries[position], "cve_id": entries[position]["cve_id"]})
+        entries.insert(data.draw(st.integers(0, len(entries) - 1)), entries.pop())
+    elif fault == "inverted":
+        entries[position].update(version_min='"5.0"', version_max=text)
+    elif fault != "none":
+        entries[position][fault] = text
+    got, want = both_loads(render(entries), tmp_path_factory.getbasetemp() / "single_fault.json")
+    assert type(got) is type(want)
+    assert got == want if isinstance(want, str) else same_record(got, want)
+    assert isinstance(want, str) == (fault != "none")
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_column_check_accepts_exactly_what_the_record_loop_accepted(data, tmp_path_factory):
+    pools = {name: GOOD_FIELDS.get(name, []) + BAD_FIELDS.get(name, []) for name in {*GOOD_FIELDS, *BAD_FIELDS}}
+    pools["cve_id"] += ['"CVE-2021-10000"', '"CVE-2021-10001"', '"CVE-2021-10002"']  # repeated, so duplicates
+    pools["version_min"] += ORDERED_BOUNDS + NO_BOUND
+    pools["version_max"] += ORDERED_BOUNDS + NO_BOUND
+    entry = st.fixed_dictionaries({name: st.sampled_from(texts) for name, texts in sorted(pools.items())})
+    entries = data.draw(st.lists(st.one_of(entry, entry, entry, st.sampled_from(NON_OBJECTS)), max_size=6))
+    got, want = both_loads(render(entries), tmp_path_factory.getbasetemp() / "any_faults.json")
+    assert isinstance(got, str) == isinstance(want, str), (got, want)
+    if not isinstance(want, str):
+        assert same_record(got, want)
+
+
+def test_faults_are_named_field_then_duplicate_then_bound_then_range(tmp_path):
+    # each kind of fault twice, the lower index of each after every fault of the kinds named before it
+    base = {"vendor": "a", "product": "b"}
+    rows = [
+        {**base, "cve_id": "CVE-2020-10000", "version_min": "5.0", "version_max": "1.0"},
+        {**base, "cve_id": "CVE-2020-10001", "version_min": "5.0", "version_max": "2.0"},
+        {**base, "cve_id": "CVE-2020-10002", "version_max": "n/a"},
+        {**base, "cve_id": "CVE-2020-10003", "version_min": "fw"},
+        {**base, "cve_id": "CVE-2020-10000"},
+        {**base, "cve_id": "CVE-2020-10001"},
+        {**base, "cve_id": "CVE-2020-10006", "severity": True},
+        {**base, "cve_id": "CVE-2020-10007", "summary": None},
+    ]
+    path = tmp_path / "faults.json"
+    # the record loop named the first faulty record, whatever its fault
+    with pytest.raises(FormatError, match="^CVE-2020-10000: version_min 5.0 above version_max 1.0$"):
+        reference_load(json.loads(json.dumps(rows)))
+    named = []
+    for fixed in ([], [6, 7], [4, 5], [2, 3], [0, 1]):
+        for position in fixed:
+            rows[position] = {**base, "cve_id": f"CVE-2020-2000{position}"}
+        path.write_text(json.dumps(rows))
+        try:
+            load_db(str(path))
+        except FormatError as exc:
+            named.append(str(exc))
+    assert named == [
+        "bad CVE record at index 6: CVE-2020-10006: severity must be a number in 0-10, got True",
+        "duplicate CVE id CVE-2020-10000 at index 4",
+        "CVE-2020-10002: version_max: unparseable version 'n/a'",
+        "CVE-2020-10000: version_min 5.0 above version_max 1.0",
+    ]
+
+
 def test_unparseable_firmware_warns_on_every_lookup(caplog):
     db = db_from([record(cve_id="CVE-2020-11111", vmax="4.0"), record(cve_id="CVE-2020-22222")])
     info = StaticDeviceInfo(manufacturer="Siemens", model="ET200S", firmware_version="fw-unknown")
