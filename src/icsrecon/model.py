@@ -24,7 +24,6 @@ import ipaddress
 import json
 import os
 import re
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import IntEnum
 from itertools import repeat
@@ -83,18 +82,24 @@ def _clean(text: str | None) -> str | None:
     return text.strip() or None
 
 
-@dataclass(frozen=True, order=True)
-class PortSpec:
+# A checked record is the NamedTuple of its fields plus a subclass whose __new__ checks and normalizes them, then
+# builds the tuple once. _make and _replace skip those checks, so the program never calls them on a checked record.
+class _PortSpecFields(NamedTuple):
+    port: int
+    transport: str
+
+
+class PortSpec(_PortSpecFields):
     """One open transport endpoint, rendered as e.g. ``502/tcp``."""
 
-    port: int
-    transport: str = "tcp"
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 1 <= self.port <= 65535:
-            raise ValueError(f"port out of range: {self.port}")
-        if self.transport not in ("tcp", "udp"):
-            raise ValueError(f"unknown transport: {self.transport!r}")
+    def __new__(cls, port: int, transport: str = "tcp") -> "PortSpec":
+        if not 1 <= port <= 65535:
+            raise ValueError(f"port out of range: {port}")
+        if transport not in ("tcp", "udp"):
+            raise ValueError(f"unknown transport: {transport!r}")
+        return tuple.__new__(cls, (port, transport))
 
     def __str__(self) -> str:
         return f"{self.port}/{self.transport}"
@@ -121,25 +126,28 @@ def clean_static(fields: dict[str, str | None]) -> dict[str, str] | None:
     return cleaned if cleaned.keys() & {"manufacturer", "model", "firmware_version"} else None
 
 
-@dataclass(frozen=True)
-class StaticDeviceInfo:
+class _StaticDeviceInfoFields(NamedTuple):
+    manufacturer: str | None
+    model: str | None
+    firmware_version: str | None
+    hardware_version: str | None
+    serial: str | None
+
+
+class StaticDeviceInfo(_StaticDeviceInfoFields):
     """Factory-set device properties; absent rather than empty.
 
     Below the ``clean_static`` bar the whole value must be omitted.
     """
 
-    manufacturer: str | None = None
-    model: str | None = None
-    firmware_version: str | None = None
-    hardware_version: str | None = None
-    serial: str | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        cleaned = clean_static(self.to_dict())
+    def __new__(cls, manufacturer=None, model=None, firmware_version=None, hardware_version=None, serial=None):
+        fields = (manufacturer, model, firmware_version, hardware_version, serial)
+        cleaned = clean_static(dict(zip(STATIC_FIELDS, fields)))
         if cleaned is None:
             raise ValueError("static info needs manufacturer, model or firmware_version")
-        for name in STATIC_FIELDS:
-            object.__setattr__(self, name, cleaned.get(name))
+        return tuple.__new__(cls, map(cleaned.get, STATIC_FIELDS))
 
     @classmethod
     def from_fields(cls, fields: dict[str, str | None]) -> "StaticDeviceInfo | None":
@@ -148,27 +156,30 @@ class StaticDeviceInfo:
         return cls(**cleaned) if cleaned else None
 
     def to_dict(self) -> dict[str, str | None]:
-        return {name: getattr(self, name) for name in STATIC_FIELDS}
+        return self._asdict()
 
 
-@dataclass(frozen=True)
-class DeploymentInfo:
+class _DeploymentInfoFields(NamedTuple):
+    entries: tuple[tuple[str, str], ...]
+
+
+class DeploymentInfo(_DeploymentInfoFields):
     """Operator-set properties such as slave IDs and station names.
 
     Entries are held in canonical key order; later duplicates win.
     """
 
-    entries: tuple[tuple[str, str], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, entries: Iterable[tuple[str, str]]) -> "DeploymentInfo":
         cleaned: dict[str, str] = {}
-        for key, value in self.entries:
+        for key, value in entries:
             key, value = _clean(key), _clean(value)
             if key and value:
                 cleaned[key] = value
         if not cleaned:
             raise ValueError("deployment info needs at least one nonempty entry")
-        object.__setattr__(self, "entries", tuple(sorted(cleaned.items())))
+        return tuple.__new__(cls, (tuple(sorted(cleaned.items())),))
 
     @classmethod
     def from_dict(cls, entries: dict[str, str]) -> "DeploymentInfo | None":
@@ -338,34 +349,36 @@ def _check_mac(mac: str | None) -> str | None:
     return mac
 
 
-@dataclass(frozen=True)
-class Asset:
-    """One discovered device; immutable once constructed."""
-
+class _AssetFields(NamedTuple):
     ip: str
     last_seen: datetime
-    mac: str | None = None
-    oui_vendor: str | None = None
-    open_ports: frozenset[PortSpec] = frozenset()
-    protocols: frozenset[str] = frozenset()
-    static_info: StaticDeviceInfo | None = None
-    deployment_info: DeploymentInfo | None = None
-    vulnerabilities: tuple[CveRecord, ...] = ()
-    sources: frozenset[str] = frozenset()
-    provenance: tuple[ProvenanceEntry, ...] = ()
+    mac: str | None
+    oui_vendor: str | None
+    open_ports: frozenset[PortSpec]
+    protocols: frozenset[str]
+    static_info: StaticDeviceInfo | None
+    deployment_info: DeploymentInfo | None
+    vulnerabilities: tuple[CveRecord, ...]
+    sources: frozenset[str]
+    provenance: tuple[ProvenanceEntry, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "ip", _check_ip(self.ip))
-        object.__setattr__(self, "mac", _check_mac(self.mac))
-        object.__setattr__(self, "oui_vendor", _clean(self.oui_vendor))
-        object.__setattr__(self, "open_ports", frozenset(self.open_ports))
-        object.__setattr__(self, "protocols", frozenset(normalize_protocol(p) for p in self.protocols))
-        object.__setattr__(self, "vulnerabilities", tuple(self.vulnerabilities))
-        object.__setattr__(self, "sources", frozenset(self.sources))
-        if not self.sources <= SOURCES:
-            raise ValueError(f"unknown sources: {self.sources - SOURCES}")
-        if self.vulnerabilities and self.static_info is None:
+
+class Asset(_AssetFields):
+    """One discovered device; immutable once constructed."""
+
+    __slots__ = ()
+
+    def __new__(cls, ip, last_seen, mac=None, oui_vendor=None, open_ports=frozenset(), protocols=frozenset(),
+                static_info=None, deployment_info=None, vulnerabilities=(), sources=frozenset(), provenance=()):
+        ip, mac, oui_vendor, open_ports = _check_ip(ip), _check_mac(mac), _clean(oui_vendor), frozenset(open_ports)
+        protocols, vulnerabilities = frozenset(map(normalize_protocol, protocols)), tuple(vulnerabilities)
+        sources = frozenset(sources)
+        if not sources <= SOURCES:
+            raise ValueError(f"unknown sources: {sources - SOURCES}")
+        if vulnerabilities and static_info is None:
             raise ValueError("vulnerability evidence requires static device info")
+        return tuple.__new__(cls, (ip, last_seen, mac, oui_vendor, open_ports, protocols, static_info, deployment_info,
+                                   vulnerabilities, sources, provenance))
 
     @classmethod
     def discovered(cls, ip: str, when: datetime | None = None, source: str = "active", **extra) -> "Asset":

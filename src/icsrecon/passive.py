@@ -22,9 +22,8 @@ from __future__ import annotations
 import os
 import struct
 import time
-from dataclasses import dataclass
 from datetime import datetime, timezone
-from typing import ClassVar, Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .codecs import PROTOCOLS, cut_frames
 from .errors import PrivilegeRequired
@@ -62,12 +61,14 @@ class PcapFile(NamedTuple):
     path: str
 
 
-@dataclass(frozen=True)
 class LiveInterface:
     """A live interface, read through an AF_PACKET socket by iterating it."""
 
-    name: str
-    skipped: ClassVar[int] = 0  # the kernel hands over whole frames
+    __slots__ = ("name",)
+    skipped = 0  # the kernel hands over whole frames
+
+    def __init__(self, name: str):
+        self.name = name
 
     def __iter__(self) -> Iterator[tuple[float, bytes]]:
         import socket  # here, so that reading a pcap file never loads it

@@ -47,7 +47,7 @@ def mac_bytes(mac: str) -> bytes:
 
 
 def mac_text(raw: bytes) -> str:
-    return ":".join(f"{b:02x}" for b in raw)
+    return raw.hex(":")
 
 
 def ip_bytes(ip: str) -> bytes:
@@ -55,7 +55,7 @@ def ip_bytes(ip: str) -> bytes:
 
 
 def ip_text(raw: bytes) -> str:
-    return ".".join(str(b) for b in raw)
+    return ".".join(map(str, raw))
 
 
 def inet_checksum(data: bytes) -> int:

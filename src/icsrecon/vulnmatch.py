@@ -25,7 +25,6 @@ from __future__ import annotations
 import json
 import logging
 import re
-from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
 from itertools import chain
@@ -41,7 +40,6 @@ CONFIDENCE_NOTE = "cpe-style match - verify manually"
 _NON_ALNUM = re.compile(r"[^a-z0-9]+")
 
 
-@dataclass(frozen=True)
 class CveDatabase:
     """CVE records plus the alias table, indexed for ``match``.
 
@@ -49,19 +47,17 @@ class CveDatabase:
     is derived from ``records`` and ``aliases`` at construction.
     """
 
-    records: tuple[CveRecord, ...]
-    aliases: dict[str, str]
-    index: dict[str, dict[str, list[CveRecord]]] = field(init=False, repr=False, compare=False)
+    __slots__ = ("records", "aliases", "index")
 
-    def __post_init__(self):
-        index: dict[str, dict[str, list[CveRecord]]] = {}
+    def __init__(self, records: tuple[CveRecord, ...], aliases: dict[str, str]):
+        self.records, self.aliases = records, aliases
+        self.index: dict[str, dict[str, list[CveRecord]]] = {}
         groups: dict[str, dict[str, list[CveRecord]]] = {}
-        products = {product: normalize_product(product) for product in {record.product for record in self.records}}
-        for record in self.records:
+        products = {product: normalize_product(product) for product in {record.product for record in records}}
+        for record in records:
             if record.vendor not in groups:
-                groups[record.vendor] = index.setdefault(_canonical_vendor(record.vendor, self.aliases), {})
+                groups[record.vendor] = self.index.setdefault(_canonical_vendor(record.vendor, aliases), {})
             groups[record.vendor].setdefault(products[record.product], []).append(record)
-        object.__setattr__(self, "index", index)
 
     def __len__(self) -> int:
         return len(self.records)

@@ -511,18 +511,24 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
     def run(*argv, roots=("icsrecon",)) -> set[str]:
         return _modules_loaded(f"from icsrecon.cli import main; assert main({list(map(str, argv))!r}) == 0", roots)
 
+    # dataclasses imports inspect, ast, dis and tokenize: about 10 ms of start-up none of these commands needs
+    record_machinery = ("dataclasses", "inspect")
     assert _modules_loaded("import icsrecon.cli") == CLI_CORE
-    assert run("depth", "--inventory", inventory) == CLI_CORE
+    assert run("depth", "--inventory", inventory, roots=("icsrecon", *record_machinery)) == CLI_CORE
     # icsrecon.data is the package of the shipped alias table the matcher reads
-    vuln = run("vulnmatch", "--inventory", inventory, "--db", CVE_DB, "--out", tmp_path / "out.json")
+    vuln = run("vulnmatch", "--inventory", inventory, "--db", CVE_DB, "--out", tmp_path / "out.json",
+               roots=("icsrecon", *record_machinery))
     assert vuln == CLI_CORE | {"icsrecon.data"}
 
     report = run("report", "--stats")
     assert "icsrecon.taxonomy" in report and not report & ACTIVE_AND_PASSIVE  # a codec loads icsrecon.codecs
 
-    sniff = run("sniff", "--pcap", pcap, "--out", tmp_path / "sniffed.json", roots=("icsrecon", "socket"))
+    sniff = run(
+        "sniff", "--pcap", pcap, "--out", tmp_path / "sniffed.json", roots=("icsrecon", "socket", *record_machinery)
+    )
     assert "icsrecon.passive" in sniff
     assert "socket" not in sniff  # only live capture opens one
+    assert not sniff & set(record_machinery)
     assert not sniff & (SCANNER_AND_SIMULATOR | {"icsrecon.taxonomy", "icsrecon.config"})
 
     scan_settings = _modules_loaded(

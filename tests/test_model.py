@@ -229,12 +229,19 @@ def test_static_info_normalizes_empty_to_absent():
     with pytest.raises(ValueError):
         StaticDeviceInfo(manufacturer="", model=" ", firmware_version=None)
     assert StaticDeviceInfo.from_fields({"serial": "only-serial"}) is None
+    with pytest.raises(ValueError, match="expected text"):
+        StaticDeviceInfo(manufacturer="Siemens", model=1200)
+    assert StaticDeviceInfo(" Siemens ", "S7") == StaticDeviceInfo(model="S7", manufacturer="Siemens")
+    assert tuple(StaticDeviceInfo(" Siemens ", "S7")) == ("Siemens", "S7", None, None, None)
 
 
 def test_deployment_info_rejects_empty():
     with pytest.raises(ValueError):
         DeploymentInfo(entries=(("", ""),))
     assert DeploymentInfo.from_dict({"": "x", "unit_id": ""}) is None
+    info = DeploymentInfo(((" unit_id ", "1"), ("plant", "a"), ("unit_id", "2")))
+    assert info == DeploymentInfo(entries=[("plant", "a"), ("unit_id", "2")])
+    assert info.entries == (("plant", "a"), ("unit_id", "2"))
 
 
 def test_vulnerabilities_require_static_info():
@@ -242,6 +249,32 @@ def test_vulnerabilities_require_static_info():
         Asset.discovered(
             "10.0.0.1", ts(), vulnerabilities=(CveRecord("CVE-2020-12345", "v", "p"),)
         )
+    with pytest.raises(ValueError, match="unknown sources"):
+        Asset("10.0.0.1", ts(), sources={"active", "rumour"})
+    for token in ("Modbus", "s7-comm", ""):
+        with pytest.raises(ValueError, match="invalid protocol token"):
+            Asset("10.0.0.1", ts(), protocols={"modbus", token})
+
+
+def test_asset_normalizes_its_fields_by_position_or_keyword():
+    static = StaticDeviceInfo(manufacturer="Siemens")
+    by_position = Asset(
+        "10.0.0.1", ts(), "00-1B-1B-0A-0B-0C", " Siemens ", [PortSpec(102)], ["s7comm"], static, None,
+        [CveRecord("CVE-2020-12345", "siemens", "et200s")], ["passive"],
+    )
+    by_keyword = Asset(
+        sources=["passive"], vulnerabilities=[CveRecord("CVE-2020-12345", "siemens", "et200s")], static_info=static,
+        protocols=["s7comm"], open_ports=[PortSpec(102)], oui_vendor=" Siemens ", mac="00:1b:1b:0A:0B:0C",
+        last_seen=ts(), ip="10.0.0.1",
+    )
+    assert by_position == by_keyword
+    assert by_position.mac == "00:1b:1b:0a:0b:0c"
+    assert by_position.oui_vendor == "Siemens"
+    assert by_position.open_ports == frozenset({PortSpec(102)}) and by_position.protocols == frozenset({"s7comm"})
+    assert by_position.vulnerabilities == (CveRecord("CVE-2020-12345", "siemens", "et200s"),)
+    assert by_position.sources == frozenset({"passive"}) and by_position.provenance == ()
+    with pytest.raises(ValueError, match="48-bit"):
+        Asset("10.0.0.1", ts(), mac="00:1b:1b:0a:0b")
 
 
 def test_port_spec_parse_and_render():
@@ -251,6 +284,13 @@ def test_port_spec_parse_and_render():
         PortSpec.parse("0/tcp")
     with pytest.raises(ValueError):
         PortSpec.parse("not-a-port")
+    with pytest.raises(ValueError, match="unknown transport"):
+        PortSpec(502, "sctp")
+    with pytest.raises(ValueError):
+        PortSpec.parse("502/TCP")
+    assert PortSpec(port=502, transport="udp") == PortSpec(502, "udp") != PortSpec(502)
+    ports = [PortSpec(102), PortSpec(502), PortSpec(502, "udp")]
+    assert sorted(reversed(ports)) == ports
 
 
 # -- address validation ---------------------------------------------------------

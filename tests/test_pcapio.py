@@ -16,7 +16,9 @@ from icsrecon.pcapio import (
     ethernet,
     icmp_echo,
     inet_checksum,
+    ip_text,
     ipv4,
+    mac_text,
     parse_arp,
     parse_ethernet,
     parse_ipv4,
@@ -107,6 +109,14 @@ def test_ethernet_round_trip():
     assert parsed.src_mac == "02:00:5e:00:00:01"
     assert parsed.ethertype == 0x0800
     assert parsed.payload == b"payload"
+
+
+def test_address_text_matches_per_byte_formatting(rng):
+    for _ in range(2000):
+        raw = rng.randbytes(rng.choice((4, 6)))
+        for view in (raw, memoryview(raw)):
+            assert mac_text(view) == ":".join(f"{b:02x}" for b in raw)
+            assert ip_text(view) == ".".join(str(b) for b in raw)
 
 
 def test_arp_round_trip():

@@ -1,8 +1,11 @@
-"""Which records are dataclasses: only those that check their fields or change.
+"""Which records are dataclasses: only those that change, or that only scan, simulate or report load.
 
 A frozen dataclass builds its methods when its module is imported, about
-1 ms each, on every start of every command. A record with no checks of its
-own is a NamedTuple instead, which builds in a tenth of that.
+1 ms each, on every start of every command, and the ``dataclasses`` module
+itself pulls in ``inspect``. A plain record is a NamedTuple instead, which
+builds in a tenth of that. A checked record is a subclass of the NamedTuple
+of its fields that checks and normalizes them in ``__new__``, then builds
+the tuple once.
 """
 
 from __future__ import annotations
@@ -14,15 +17,14 @@ import pkgutil
 
 import icsrecon
 
-# __post_init__ checks or field() defaults; LiveInterface's ClassVar and
-# __iter__ would clash with tuple's; the rest are mutable
+# only the scan, simulate and report paths load these; the last two are mutable
 DATACLASSES = {
-    "model.PortSpec", "model.StaticDeviceInfo", "model.DeploymentInfo", "model.Asset",
-    "scanner.ScanConfig", "simulator.SimDeviceConfig", "vulnmatch.CveDatabase",
+    "scanner.ScanConfig", "simulator.SimDeviceConfig",
     "taxonomy.SpecificationFeatures", "taxonomy.ExecutionFeatures", "taxonomy.ToolProfile",
-    "passive.LiveInterface",
     "simulator.Counters", "simulator._Connection",
 }
+
+CHECKED_RECORDS = {"model.PortSpec", "model.StaticDeviceInfo", "model.DeploymentInfo", "model.Asset"}
 
 NAMED_TUPLES = {
     "codecs.modbus.MbapHeader", "codecs.modbus.ModbusPdu", "codecs.modbus.DeviceIdentification",
@@ -34,6 +36,8 @@ NAMED_TUPLES = {
     "pcapio.EthernetFrame", "pcapio.ArpMessage", "pcapio.Ipv4Packet", "pcapio.TcpSegment",
     "model.CveRecord", "model.ProvenanceEntry", "passive.PcapFile", "netbase.ConnectResult", "taxonomy.Violation",
     "config.NetworkSettings", "config.StationConfig",
+    "model._PortSpecFields", "model._StaticDeviceInfoFields", "model._DeploymentInfoFields", "model._AssetFields",
+    *CHECKED_RECORDS,
 }
 
 
@@ -59,3 +63,12 @@ def test_plain_records_are_named_tuples():
     assert {name for name, cls in classes.items() if issubclass(cls, tuple)} == NAMED_TUPLES
     for name in NAMED_TUPLES:
         assert classes[name]._fields, name  # a NamedTuple, not a bare tuple subclass
+
+
+def test_checked_records_check_in_new_and_add_no_fields():
+    classes = _package_classes()
+    for name in CHECKED_RECORDS:
+        cls = classes[name]
+        (fields,) = cls.__bases__
+        assert f"{cls.__module__.removeprefix('icsrecon.')}.{fields.__name__}" in NAMED_TUPLES, name
+        assert "__new__" in vars(cls) and vars(cls)["__slots__"] == (), name  # no __dict__, no fields of its own
