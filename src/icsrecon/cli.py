@@ -24,7 +24,7 @@ from pathlib import Path
 
 from . import vulnmatch
 from .errors import ConfigError, FormatError, IcsReconError
-from .model import Inventory, compute_depth
+from .model import Inventory, compute_depth, read_json
 
 logger = logging.getLogger("icsrecon")
 
@@ -105,12 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _read_json_object(path: str, what: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        document = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{what} {path} is not valid JSON: {exc.msg}", offset=exc.pos) from exc
+    document = read_json(path, f"{what} {path}")
     if not isinstance(document, dict):
         raise FormatError(f"{what} {path} must be a JSON object", offset=0)
     return document

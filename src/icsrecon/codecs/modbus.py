@@ -47,8 +47,6 @@ OBJ_REVISION = 0x02
 OBJECT_FIELDS = {OBJ_VENDOR_NAME: "manufacturer", OBJ_PRODUCT_CODE: "model", OBJ_REVISION: "firmware_version"}
 
 EXC_ILLEGAL_FUNCTION = 0x01
-EXC_ILLEGAL_DATA_ADDRESS = 0x02
-EXC_ILLEGAL_DATA_VALUE = 0x03
 
 
 class MbapHeader(NamedTuple):

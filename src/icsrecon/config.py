@@ -47,7 +47,7 @@ class NetworkSettings(NamedTuple):
 
 
 def load_scan_config(path: str | Path, overrides: dict | None = None) -> tuple[ScanConfig, NetworkSettings]:
-    from .scanner import DEFAULT_PORTS, ScanConfig
+    from .scanner import ScanConfig  # an absent key keeps the field's default, read off the class
 
     parser = _parser(path)
     if not parser.has_section("scan"):
@@ -56,16 +56,16 @@ def load_scan_config(path: str | Path, overrides: dict | None = None) -> tuple[S
     try:
         values = {
             "targets": tuple(_split(section.get("targets", ""))),
-            "ports": frozenset(int(p) for p in _split(section.get("ports", ""))) or DEFAULT_PORTS,
-            "methods": frozenset(_split(section.get("methods", "icmp"))),
-            "rate_limit_pps": section.getint("rate_limit_pps", 20),
-            "safe_mode": section.getboolean("safe_mode", True),
-            "unit_id_sweep": section.getboolean("unit_id_sweep", False),
-            "timeout_ms": section.getint("timeout_ms", 800),
-            "vuln_db_path": section.get("vuln_db", None),
-            "vuln_alias_path": section.get("vuln_aliases", None),
-            "workers": section.getint("workers", 8),
-            "modbus_unit": section.getint("modbus_unit", 1),
+            "ports": frozenset(int(p) for p in _split(section.get("ports", ""))) or ScanConfig.ports,
+            "methods": frozenset(_split(section["methods"])) if "methods" in section else ScanConfig.methods,
+            "rate_limit_pps": section.getint("rate_limit_pps", ScanConfig.rate_limit_pps),
+            "safe_mode": section.getboolean("safe_mode", ScanConfig.safe_mode),
+            "unit_id_sweep": section.getboolean("unit_id_sweep", ScanConfig.unit_id_sweep),
+            "timeout_ms": section.getint("timeout_ms", ScanConfig.timeout_ms),
+            "vuln_db_path": section.get("vuln_db", ScanConfig.vuln_db_path),
+            "vuln_alias_path": section.get("vuln_aliases", ScanConfig.vuln_alias_path),
+            "workers": section.getint("workers", ScanConfig.workers),
+            "modbus_unit": section.getint("modbus_unit", ScanConfig.modbus_unit),
         }
         for key, value in (overrides or {}).items():
             if value is not None:
@@ -92,7 +92,7 @@ class StationConfig(NamedTuple):
 
 
 def _device_from_section(name: str, section: configparser.SectionProxy) -> SimDeviceConfig:
-    from .simulator import SimDeviceConfig
+    from .simulator import SimDeviceConfig  # an absent key keeps the field's default, read off the class
 
     identity = {
         key.split(".", 1)[1]: value
@@ -106,22 +106,24 @@ def _device_from_section(name: str, section: configparser.SectionProxy) -> SimDe
             protocol=section.get("protocol", ""),
             ip=section.get("ip", ""),
             listen_port=section.getint("listen_port"),
-            mac=section.get("mac", "02:00:00:00:00:01"),
+            mac=section.get("mac", SimDeviceConfig.mac),
             identity=identity,
             feature_flags=frozenset(_split(section.get("features", ""))),
-            fragile=section.getboolean("fragile", False),
-            max_pps=section.getint("max_pps", 50),
-            fault_on_malformed=section.getboolean("fault_on_malformed", False),
+            fragile=section.getboolean("fragile", SimDeviceConfig.fragile),
+            max_pps=section.getint("max_pps", SimDeviceConfig.max_pps),
+            fault_on_malformed=section.getboolean("fault_on_malformed", SimDeviceConfig.fault_on_malformed),
             accepted_tsaps=tuple(int(t, 0) for t in _split(tsaps)) or None,
-            unit_id=section.getint("unit_id", 1),
+            unit_id=section.getint("unit_id", SimDeviceConfig.unit_id),
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"device {name!r}: {exc}") from exc
 
 
 def load_fixtures(path: str | Path) -> StationConfig:
+    from .simulator import SCANNER_IP
+
     parser = _parser(path)
-    scanner_ip = "192.168.90.1"
+    scanner_ip = SCANNER_IP
     if parser.has_section("station"):
         scanner_ip = parser["station"].get("scanner_ip", scanner_ip)
         try:

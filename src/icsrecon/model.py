@@ -144,19 +144,29 @@ class StaticDeviceInfo(_StaticDeviceInfoFields):
 
     def __new__(cls, manufacturer=None, model=None, firmware_version=None, hardware_version=None, serial=None):
         fields = (manufacturer, model, firmware_version, hardware_version, serial)
-        cleaned = clean_static(dict(zip(STATIC_FIELDS, fields)))
-        if cleaned is None:
+        info = cls.from_fields(dict(zip(STATIC_FIELDS, fields)))
+        if info is None:
             raise ValueError("static info needs manufacturer, model or firmware_version")
-        return tuple.__new__(cls, map(cleaned.get, STATIC_FIELDS))
+        return info
 
     @classmethod
     def from_fields(cls, fields: dict[str, str | None]) -> "StaticDeviceInfo | None":
-        """Build from a loose field dict; None when below the bar."""
+        """Build from a loose field dict, each field cleaned once; None when below the bar."""
         cleaned = clean_static(fields)
-        return cls(**cleaned) if cleaned else None
+        return None if cleaned is None else cls._of_clean(cleaned)
+
+    @classmethod
+    def _of_clean(cls, cleaned: dict[str, str | None]) -> "StaticDeviceInfo":  # fields as clean_static gives them
+        return tuple.__new__(cls, map(cleaned.get, STATIC_FIELDS))
 
     def to_dict(self) -> dict[str, str | None]:
         return self._asdict()
+
+
+def clean_deployment(entries: Iterable[tuple[str, str]]) -> dict[str, str]:
+    """The nonempty entries of loose key/value pairs, each cleaned; a later duplicate wins."""
+    pairs = ((_clean(key), _clean(value)) for key, value in entries)
+    return {key: value for key, value in pairs if key and value}
 
 
 class _DeploymentInfoFields(NamedTuple):
@@ -172,27 +182,23 @@ class DeploymentInfo(_DeploymentInfoFields):
     __slots__ = ()
 
     def __new__(cls, entries: Iterable[tuple[str, str]]) -> "DeploymentInfo":
-        cleaned: dict[str, str] = {}
-        for key, value in entries:
-            key, value = _clean(key), _clean(value)
-            if key and value:
-                cleaned[key] = value
+        cleaned = clean_deployment(entries)
         if not cleaned:
             raise ValueError("deployment info needs at least one nonempty entry")
-        return tuple.__new__(cls, (tuple(sorted(cleaned.items())),))
+        return cls._of_clean(cleaned)
 
     @classmethod
     def from_dict(cls, entries: dict[str, str]) -> "DeploymentInfo | None":
-        pairs = [(k, v) for k, v in entries.items() if _clean(k) and _clean(v)]
-        if not pairs:
-            return None
-        return cls(tuple(pairs))
+        """Build from a loose dict, each key and value cleaned once; None when no entry is left."""
+        cleaned = clean_deployment(entries.items())
+        return cls._of_clean(cleaned) if cleaned else None
+
+    @classmethod
+    def _of_clean(cls, cleaned: dict[str, str]) -> "DeploymentInfo":  # entries as clean_deployment gives them
+        return tuple.__new__(cls, (tuple(sorted(cleaned.items())),))
 
     def as_dict(self) -> dict[str, str]:
         return dict(self.entries)
-
-    def get(self, key: str) -> str | None:
-        return self.as_dict().get(key)
 
 
 # the JSON type inventory.schema.json gives each CveRecord field, and its name in an error;
@@ -402,7 +408,9 @@ class Asset(_AssetFields):
 
     @classmethod
     def from_dict(cls, raw: dict[str, Any]) -> "Asset":
-        static = _object(raw, "static_info")
+        static = _object(raw, "static_info") or {}
+        if static.keys() - STATIC_FIELDS:
+            raise ValueError(f"unknown static_info fields: {sorted(static.keys() - STATIC_FIELDS)}")
         deployment = _object(raw, "deployment_info")
         return cls(
             ip=raw["ip"],
@@ -410,7 +418,7 @@ class Asset(_AssetFields):
             oui_vendor=raw.get("oui_vendor"),
             open_ports=frozenset(PortSpec.parse(p) for p in _array(raw, "open_ports")),
             protocols=frozenset(_array(raw, "protocols")),
-            static_info=StaticDeviceInfo(**static) if static and clean_static(static) else None,
+            static_info=StaticDeviceInfo.from_fields(static),
             deployment_info=DeploymentInfo.from_dict(deployment) if deployment else None,
             vulnerabilities=tuple(CveRecord.from_dict(v) for v in _array(raw, "vulnerabilities")),
             last_seen=parse_timestamp(raw["last_seen"]),
@@ -471,8 +479,8 @@ def merge_observation(asset: Asset, evidence: Asset) -> Asset:
         oui_vendor=scalars["oui_vendor"],
         open_ports=asset.open_ports | evidence.open_ports,
         protocols=asset.protocols | evidence.protocols,
-        static_info=StaticDeviceInfo(**static) if evidence.static_info else asset.static_info,
-        deployment_info=DeploymentInfo(tuple(deployment.items())) if evidence.deployment_info else asset.deployment_info,
+        static_info=StaticDeviceInfo._of_clean(static) if evidence.static_info else asset.static_info,
+        deployment_info=DeploymentInfo._of_clean(deployment) if evidence.deployment_info else asset.deployment_info,
         vulnerabilities=tuple(vulns),
         last_seen=max(asset.last_seen, evidence.last_seen),
         sources=asset.sources | sources,
@@ -537,29 +545,6 @@ class Inventory:
         """Every level some asset satisfies on its own evidence, ascending."""
         return sorted(set().union(*(satisfied_levels(a, vuln_db_consulted) for a in self._assets.values())))
 
-    def query(
-        self,
-        protocol: str | None = None,
-        min_depth: int | None = None,
-        subnet: str | None = None,
-        has_vulnerabilities: bool | None = None,
-        vuln_db_consulted: bool = False,
-    ) -> list[Asset]:
-        """Filter assets; all given conditions must hold."""
-        net = ipaddress.IPv4Network(subnet) if subnet else None
-        out = []
-        for asset in self.assets():
-            if protocol is not None and protocol not in asset.protocols:
-                continue
-            if min_depth is not None and compute_depth(asset, vuln_db_consulted) < min_depth:
-                continue
-            if net is not None and ipaddress.IPv4Address(asset.ip) not in net:
-                continue
-            if has_vulnerabilities is not None and bool(asset.vulnerabilities) != has_vulnerabilities:
-                continue
-            out.append(asset)
-        return out
-
     def to_document(self) -> dict[str, Any]:
         return {"version": INVENTORY_VERSION, "assets": [a.to_dict() for a in self.assets()]}
 
@@ -574,9 +559,11 @@ class Inventory:
             raise FormatError(f"unsupported inventory version {doc.get('version')!r}", offset=0)
         inv = cls()
         try:
-            for raw in doc.get("assets", []):
-                inv._assets[raw["ip"]] = Asset.from_dict(raw)
-        except (KeyError, TypeError, ValueError) as exc:
+            for position, asset in enumerate(map(Asset.from_dict, _array(doc, "assets"))):
+                if asset.ip in inv._assets:
+                    raise FormatError(f"duplicate asset {asset.ip} at index {position}", offset=0)
+                inv._assets[asset.ip] = asset
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:  # AttributeError: an asset not an object
             raise FormatError(f"bad asset record: {exc}", offset=0) from exc
         return inv
 
@@ -585,13 +572,7 @@ class Inventory:
 
     @classmethod
     def load(cls, path) -> "Inventory":
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"inventory is not valid JSON: {exc.msg}", offset=exc.pos) from exc
-        return cls.from_document(doc)
+        return cls.from_document(read_json(path, "inventory"))
 
 
 class RunReport:
@@ -643,6 +624,16 @@ class RunReport:
         self.inventory.save(inventory_path)
         if report_path:
             _write_whole(report_path, json.dumps(self.to_document(), indent=2, sort_keys=True) + "\n")
+
+
+def read_json(path, what: str) -> Any:
+    """The JSON value in the file at ``path``; a FormatError naming ``what`` and the place when it is not JSON."""
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"{what} is not valid JSON: {exc.msg} (line {exc.lineno})", offset=exc.pos) from exc
 
 
 def _write_whole(path, text: str) -> None:

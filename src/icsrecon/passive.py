@@ -36,6 +36,7 @@ from .model import (
     RunReport,
     StaticDeviceInfo,
     _newest_wins,
+    clean_deployment,
     clean_static,
 )
 from .ouidb import vendor_for_mac
@@ -210,13 +211,13 @@ class _Evidence:
         self.ports.add(port)
         self.protocols.add(protocol)
         static = clean_static(static_fields)
-        deploy = DeploymentInfo.from_dict(deployment)
+        deploy = sorted(clean_deployment(deployment.items()).items())
         if static or deploy:
             at = datetime.fromtimestamp(last_seen, tz=timezone.utc)
             if static:
                 _newest_wins(self.static, static.items(), "static_info.", self.provenance, at, "passive")
             if deploy:
-                _newest_wins(self.deployment, deploy.entries, "deployment_info.", self.provenance, at, "passive")
+                _newest_wins(self.deployment, deploy, "deployment_info.", self.provenance, at, "passive")
 
     def freeze(self, ip: str) -> Asset:
         mac = mac_text(self.mac)
@@ -227,8 +228,8 @@ class _Evidence:
             oui_vendor=vendor_for_mac(mac),
             open_ports=frozenset(map(PortSpec, self.ports)),
             protocols=frozenset(self.protocols),
-            static_info=StaticDeviceInfo(**self.static) if self.static else None,
-            deployment_info=DeploymentInfo(tuple(self.deployment.items())) if self.deployment else None,
+            static_info=StaticDeviceInfo._of_clean(self.static) if self.static else None,
+            deployment_info=DeploymentInfo._of_clean(self.deployment) if self.deployment else None,
             sources=frozenset({"passive"}),
             provenance=tuple(self.provenance),
         )

@@ -356,10 +356,6 @@ class TrafficRecorder:
         self._icmp_ident = 0
         self._ip_ident = 0
 
-    @property
-    def active(self) -> bool:
-        return self._writer is not None
-
     def register_mac(self, ip: str, mac: str) -> None:
         self._macs[ip] = mac
 

@@ -479,12 +479,3 @@ class Scanner:
             unit_id_sweep_used=self._sweep_used,
             vuln_db_consulted=consulted,
         )
-
-
-def run_scan(
-    config: ScanConfig,
-    network: Network | None = None,
-    stop_event: threading.Event | None = None,
-) -> RunReport:
-    """Execute the full phase pipeline for one configuration."""
-    return Scanner(config, network=network, stop_event=stop_event).run()

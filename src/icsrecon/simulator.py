@@ -41,6 +41,7 @@ from .pcapio import PcapWriter, TrafficRecorder
 logger = logging.getLogger(__name__)
 
 CONNECTION_IDLE_TIMEOUT = 5.0
+SCANNER_IP = "192.168.90.1"  # the scanner's address on a station whose fixtures name none
 SEGMENT_PREFIX = 24  # the station's link: the /24 around its scanner address; ARP reaches nothing else
 
 
@@ -298,7 +299,7 @@ class StationHandle:
     def __init__(
         self,
         configs: list[SimDeviceConfig],
-        scanner_ip: str = "192.168.90.1",
+        scanner_ip: str = SCANNER_IP,
         pcap_path: str | None = None,
         clock=time.time,
     ):
@@ -432,9 +433,6 @@ class StationHandle:
 
     # -- address mapping ---------------------------------------------------
 
-    def total_packets_received(self) -> int:
-        return sum(device.get_counters().packets_received for device in self.devices)
-
     def device(self, name: str) -> SimDevice:
         for device in self.devices:
             if device.config.name == name:
@@ -487,15 +485,6 @@ class StationHandle:
                 for device in self.devices
             },
         }
-
-
-def start_station(
-    configs: list[SimDeviceConfig],
-    scanner_ip: str = "192.168.90.1",
-    pcap_path: str | None = None,
-) -> StationHandle:
-    """Bind and start every configured device; see StationHandle."""
-    return StationHandle(configs, scanner_ip=scanner_ip, pcap_path=pcap_path).start()
 
 
 class SimNetwork(Network):

@@ -3,8 +3,9 @@
 Three feature classes: what a tool is (specification), how it runs
 (execution), and how deep its output goes (the 1..6 ladder). Profiles
 validate against structural rules; a validated set renders as a
-feature matrix (text, CSV, or JSON, the JSON form round-trips back to
-profiles). The shipped dataset encodes 28 surveyed free-to-use tools
+feature matrix (text, CSV, or JSON). The JSON matrix is itself a
+dataset, so it round-trips through ``load_profiles`` and ``report
+--dataset``. The shipped dataset encodes 28 surveyed free-to-use tools
 and is data, not code: corrections belong in the JSON file.
 """
 
@@ -19,7 +20,7 @@ from importlib import resources
 from typing import Any, NamedTuple
 
 from .errors import FormatError, ValidationRequired
-from .model import Inventory
+from .model import Inventory, read_json
 
 DATASET_VERSION = 1
 
@@ -189,24 +190,19 @@ def profile_from_dict(raw: dict[str, Any]) -> ToolProfile:
 
 
 def load_profiles(path: str | None = None) -> list[ToolProfile]:
-    """Load a profile dataset; defaults to the shipped 28-tool file."""
+    """Load a profile dataset, the shipped 28-tool file by default.
+
+    A dataset is an array of tool objects, or an object holding one under
+    ``tools``, as the JSON matrix does: a rendered matrix loads back here.
+    """
     if path is None:
         with resources.files("icsrecon.data").joinpath("tools_dataset.json").open("r", encoding="utf-8") as fh:
             raw = json.load(fh)
     else:
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                raw = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise FormatError(f"dataset is not valid JSON: {exc.msg}", offset=exc.pos) from exc
-    return _profiles_from_document(raw, "dataset")
-
-
-def _profiles_from_document(raw: Any, what: str) -> list[ToolProfile]:
-    """The profiles of an array of tool objects, or of an object holding one under ``tools``."""
+        raw = read_json(path, "dataset")
     tools = raw.get("tools", []) if isinstance(raw, dict) else raw
     if not isinstance(tools, list) or not all(isinstance(entry, dict) for entry in tools):
-        raise FormatError(f"{what} must be an array of tool objects, or an object holding one under tools")
+        raise FormatError("dataset must be an array of tool objects, or an object holding one under tools")
     return [profile_from_dict(entry) for entry in tools]
 
 
@@ -278,14 +274,6 @@ def render_matrix(profiles: list[ToolProfile], format: str = "text_table") -> st
         lines.append("legend: x applicable, . not applicable")
         return "\n".join(lines) + "\n"
     raise ValueError(f"unknown matrix format {format!r}")
-
-
-def parse_matrix_json(document: str) -> list[ToolProfile]:
-    try:
-        raw = json.loads(document)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"matrix document is not valid JSON: {exc.msg}", offset=exc.pos) from exc
-    return _profiles_from_document(raw, "matrix document")
 
 
 def dataset_stats(profiles: list[ToolProfile]) -> dict[str, Any]:

@@ -27,11 +27,11 @@ import logging
 import re
 from functools import lru_cache
 from importlib import resources
-from itertools import chain
+from itertools import chain, repeat
 from typing import Callable, Iterable
 
 from .errors import FormatError
-from .model import Asset, CveRecord, StaticDeviceInfo, merge_observation
+from .model import Asset, CveRecord, StaticDeviceInfo, merge_observation, read_json
 
 logger = logging.getLogger(__name__)
 
@@ -79,14 +79,7 @@ def default_aliases() -> dict[str, str]:
 
 def load_aliases(path: str | None) -> dict[str, str]:
     """The alias table at ``path`` (shipped table if None), case- and space-folded."""
-    if path is None:
-        raw = default_aliases()
-    else:
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                raw = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise FormatError(f"alias table is not valid JSON: {exc.msg}", offset=exc.pos) from exc
+    raw = default_aliases() if path is None else read_json(path, "alias table")
     if not isinstance(raw, dict) or not all(isinstance(v, str) for v in raw.values()):
         raise FormatError("alias table must map vendor alias -> canonical name")
     return {normalize_vendor(k): normalize_vendor(v) for k, v in raw.items()}
@@ -99,12 +92,7 @@ def load_db(path: str, alias_path: str | None = None) -> CveDatabase:
     faults the first named is a field fault, then a duplicate id, then an
     unparseable bound text, then an inverted range, each at its lowest index.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"CVE database is not valid JSON: {exc.msg} (line {exc.lineno})", offset=exc.pos) from exc
+    raw = read_json(path, "CVE database")
     if not isinstance(raw, list):
         raise FormatError("CVE database must be a JSON array of records")
     ids, vendors, products, summaries, lows, highs, severities = CveRecord.columns(raw)
@@ -127,7 +115,8 @@ def load_db(path: str, alias_path: str | None = None) -> CveDatabase:
             raise FormatError(f"{ids[position]}: version_min {low} above version_max {high}")
     normalized = {vendor: normalize_vendor(vendor) for vendor in set(vendors)}
     vendors = map(normalized.__getitem__, vendors)
-    records = tuple(map(CveRecord, ids, vendors, products, summaries, lows, highs, severities))
+    rows = zip(ids, vendors, products, summaries, lows, highs, severities, repeat(None))  # a database's notes are not kept
+    records = tuple(map(tuple.__new__, repeat(CveRecord), rows))  # the columns are checked: no call per record
     return CveDatabase(records=records, aliases=load_aliases(alias_path))
 
 

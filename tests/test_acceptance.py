@@ -24,8 +24,8 @@ from icsrecon.model import (
     merge_observation,
 )
 from icsrecon.passive import PcapFile, analyze_capture
-from icsrecon.scanner import ScanConfig, run_scan
-from icsrecon.simulator import SimNetwork, SimState, start_station
+from icsrecon.scanner import ScanConfig, Scanner
+from icsrecon.simulator import SimNetwork, SimState, StationHandle
 from icsrecon import taxonomy as tx
 from icsrecon import vulnmatch
 
@@ -57,9 +57,9 @@ def fixture_scan(tmp_path_factory):
     """One full safe-mode scan of the default station, capture recorded."""
     fixtures = load_fixtures(default_fixtures_path())
     pcap = tmp_path_factory.mktemp("acceptance") / "mirror.pcap"
-    station = start_station(
+    station = StationHandle(
         list(fixtures.devices), scanner_ip=fixtures.scanner_ip, pcap_path=str(pcap)
-    )
+    ).start()
     try:
         config = ScanConfig(
             targets=DEVICE_IPS + ("192.168.90.20", "192.168.90.21"),
@@ -68,7 +68,7 @@ def fixture_scan(tmp_path_factory):
             safe_mode=True,
         )
         started = time.monotonic()
-        report = run_scan(config, network=SimNetwork(station))
+        report = Scanner(config, network=SimNetwork(station)).run()
         wall = time.monotonic() - started
     finally:
         station.stop()
@@ -126,14 +126,14 @@ def test_criterion_2_passive_parity(fixture_scan, tmp_path):
 def test_criterion_3_fragility_reproduction():
     with criterion(3, "safe scan leaves fragile device running; 200 pps flood faults it until reset"):
         fixtures = load_fixtures(default_fixtures_path())
-        station = start_station(list(fixtures.devices), scanner_ip=fixtures.scanner_ip)
+        station = StationHandle(list(fixtures.devices), scanner_ip=fixtures.scanner_ip).start()
         fragile = station.device("et200s_like")
         assert fragile.config.fragile and fragile.config.max_pps == 50
         try:
             safe = ScanConfig(
                 targets=DEVICE_IPS, methods=frozenset({"icmp"}), rate_limit_pps=20, safe_mode=True
             )
-            run_scan(safe, network=SimNetwork(station))
+            Scanner(safe, network=SimNetwork(station)).run()
             assert fragile.get_state() is SimState.RUNNING
 
             flood = ScanConfig(
@@ -144,7 +144,7 @@ def test_criterion_3_fragility_reproduction():
                 safe_mode=False,
                 timeout_ms=300,
             )
-            report = run_scan(flood, network=SimNetwork(station))
+            report = Scanner(flood, network=SimNetwork(station)).run()
             assert report.duration_seconds < 5.0
             assert fragile.get_state() is SimState.FAULT
 
@@ -326,7 +326,7 @@ def test_criterion_7_rate_limit_honesty():
     with criterion(7, "measured pps <= configured limit x 1.1 for limits 5, 20, 50"):
         fixtures = load_fixtures(default_fixtures_path())
         for limit in (5, 20, 50):
-            station = start_station(list(fixtures.devices), scanner_ip=fixtures.scanner_ip)
+            station = StationHandle(list(fixtures.devices), scanner_ip=fixtures.scanner_ip).start()
             try:
                 # three hosts on the default ports: 19 packets, so the
                 # one-token burst stays within the tolerance at 50 pps
@@ -336,8 +336,8 @@ def test_criterion_7_rate_limit_honesty():
                     rate_limit_pps=limit,
                     timeout_ms=500,
                 )
-                report = run_scan(config, network=SimNetwork(station))
-                received = station.total_packets_received()
+                report = Scanner(config, network=SimNetwork(station)).run()
+                received = sum(device.get_counters().packets_received for device in station.devices)
                 assert received >= 11  # enough samples for the tolerance to be meaningful
                 measured = received / report.duration_seconds
                 assert measured <= limit * 1.1, (limit, measured)
@@ -359,7 +359,7 @@ def test_criterion_8_vuln_matcher_oracle():
             databases += 1
 
         fixtures = load_fixtures(default_fixtures_path())
-        station = start_station(list(fixtures.devices), scanner_ip=fixtures.scanner_ip)
+        station = StationHandle(list(fixtures.devices), scanner_ip=fixtures.scanner_ip).start()
         try:
             from importlib import resources
 
@@ -370,7 +370,7 @@ def test_criterion_8_vuln_matcher_oracle():
                 rate_limit_pps=50,
                 vuln_db_path=db_path,
             )
-            report = run_scan(config, network=SimNetwork(station))
+            report = Scanner(config, network=SimNetwork(station)).run()
         finally:
             station.stop()
         et200s = report.inventory.get("192.168.90.10")

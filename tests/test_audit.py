@@ -17,13 +17,13 @@ from icsrecon.pcapio import (
     parse_ipv4,
     parse_tcp,
 )
-from icsrecon.scanner import ScanConfig, run_scan
-from icsrecon.simulator import SimNetwork, start_station
+from icsrecon.scanner import ScanConfig, Scanner
+from icsrecon.simulator import SimNetwork, StationHandle
 
 
 def test_audit_capture_mirrors_probe_traffic(tmp_path):
     fixtures = load_fixtures(default_fixtures_path())
-    station = start_station(list(fixtures.devices), scanner_ip=fixtures.scanner_ip)
+    station = StationHandle(list(fixtures.devices), scanner_ip=fixtures.scanner_ip).start()
     audit_path = tmp_path / "audit.pcap"
     try:
         config = ScanConfig(
@@ -33,7 +33,7 @@ def test_audit_capture_mirrors_probe_traffic(tmp_path):
             timeout_ms=500,
             pcap_out=str(audit_path),
         )
-        report = run_scan(config, network=SimNetwork(station))
+        report = Scanner(config, network=SimNetwork(station)).run()
     finally:
         station.stop()
 
@@ -54,7 +54,7 @@ def test_audit_capture_mirrors_probe_traffic(tmp_path):
 
 def test_audit_capture_holds_one_arp_request_per_dead_address(tmp_path):
     fixtures = load_fixtures(default_fixtures_path())
-    station = start_station(list(fixtures.devices), scanner_ip=fixtures.scanner_ip)
+    station = StationHandle(list(fixtures.devices), scanner_ip=fixtures.scanner_ip).start()
     audit_path = tmp_path / "audit.pcap"
     dead = ("192.168.90.20", "192.168.90.21")
     try:
@@ -65,7 +65,7 @@ def test_audit_capture_holds_one_arp_request_per_dead_address(tmp_path):
             timeout_ms=500,
             pcap_out=str(audit_path),
         )
-        report = run_scan(config, network=SimNetwork(station))
+        report = Scanner(config, network=SimNetwork(station)).run()
     finally:
         station.stop()
     assert report.packets_sent == 37

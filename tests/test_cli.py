@@ -382,6 +382,27 @@ TOOL = {"name": "t", "last_update": "2021-01-01", "spec": {"run": "standalone"},
 
 
 @pytest.mark.parametrize(
+    "command, what",
+    [
+        (["depth", "--inventory", "{bad}"], "inventory"),
+        (["vulnmatch", "--inventory", "{inventory}", "--db", "{bad}"], "CVE database"),
+        (["vulnmatch", "--inventory", "{inventory}", "--db", "{db}", "--aliases", "{bad}"], "alias table"),
+        (["report", "--dataset", "{bad}"], "dataset"),
+        (["report", "--scan-report", "{bad}"], "scan report {bad}"),
+    ],
+    ids=["inventory", "cve-database", "alias-table", "dataset", "scan-report"],
+)
+def test_each_json_input_that_is_not_json_is_named_with_its_place(tmp_path, capsys, command, what):
+    files = {"bad": tmp_path / "bad.json", "inventory": tmp_path / "inventory.json", "db": tmp_path / "db.json"}
+    files["bad"].write_text('{\n  "version": 1,\n  oops\n}\n')
+    files["inventory"].write_text(json.dumps({"version": 1, "assets": []}))
+    files["db"].write_text("[]")
+    assert main([arg.format(**files) for arg in command]) == 1
+    message = f"{what.format(**files)} is not valid JSON: Expecting property name enclosed in double quotes (line 3)"
+    assert capsys.readouterr().err == f"error[FormatError]: {message} (at byte 20)\n"
+
+
+@pytest.mark.parametrize(
     "document, message",
     [
         ([5], "dataset must be an array of tool objects"),

@@ -159,6 +159,24 @@ def test_load_bad_asset_record(tmp_path):
         Inventory.load(path)
 
 
+def test_load_refuses_a_duplicated_address(tmp_path):
+    # each record holds evidence the other lacks: keeping only one would lose it
+    first = {"ip": "10.0.0.1", "last_seen": "2026-01-01T00:00:00Z", "open_ports": ["502/tcp"]}
+    second = {"ip": "10.0.0.1", "last_seen": "2026-01-01T00:00:01Z", "protocols": ["modbus"]}
+    path = tmp_path / "inv.json"
+    path.write_text(json.dumps({"version": 1, "assets": [first, {**first, "ip": "10.0.0.2"}, second]}))
+    with pytest.raises(FormatError, match=r"duplicate asset 10\.0\.0\.1 at index 2"):
+        Inventory.load(path)
+
+
+@pytest.mark.parametrize("assets", [["x"], [5], [[]], "x", {"ip": "10.0.0.1"}, None])
+def test_load_refuses_assets_that_are_not_an_array_of_objects(tmp_path, assets):
+    path = tmp_path / "inv.json"
+    path.write_text(json.dumps({"version": 1, "assets": assets}))
+    with pytest.raises(FormatError, match="bad asset record"):
+        Inventory.load(path)
+
+
 @pytest.mark.parametrize(
     "fields",
     [{"severity": True}, {"severity": "9.8"}, {"summary": ["x"]}, {"summary": None}, {"severity": 10.5},
@@ -177,16 +195,6 @@ def test_load_rejects_non_numeric_severity_and_non_text_summary(tmp_path, fields
     path.write_text(json.dumps(doc))
     with pytest.raises(FormatError, match="bad asset record"):
         Inventory.load(path)
-
-
-def test_query_filters(rng):
-    a = Asset.discovered("10.0.0.1", ts(), open_ports=frozenset({PortSpec(502)}), protocols=frozenset({"modbus"}))
-    b = Asset.discovered("10.0.1.2", ts())
-    inv = Inventory([a, b])
-    assert [x.ip for x in inv.query(protocol="modbus")] == ["10.0.0.1"]
-    assert [x.ip for x in inv.query(min_depth=2)] == ["10.0.0.1"]
-    assert [x.ip for x in inv.query(subnet="10.0.1.0/24")] == ["10.0.1.2"]
-    assert len(inv.query()) == 2
 
 
 def test_assets_sorted_by_ip():

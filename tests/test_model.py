@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import ipaddress
 import itertools
 import random
@@ -9,12 +10,14 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from icsrecon.errors import AddressMismatch
+from icsrecon import model
+from icsrecon.errors import AddressMismatch, FormatError
 from icsrecon.model import (
     Asset,
     CveRecord,
     DeploymentInfo,
     DepthLevel,
+    Inventory,
     PortSpec,
     StaticDeviceInfo,
     _check_ip,
@@ -233,6 +236,54 @@ def test_static_info_normalizes_empty_to_absent():
         StaticDeviceInfo(manufacturer="Siemens", model=1200)
     assert StaticDeviceInfo(" Siemens ", "S7") == StaticDeviceInfo(model="S7", manufacturer="Siemens")
     assert tuple(StaticDeviceInfo(" Siemens ", "S7")) == ("Siemens", "S7", None, None, None)
+
+
+def test_each_static_and_deployment_field_is_cleaned_once(monkeypatch):
+    from icsrecon.passive import _Evidence
+
+    static = {"manufacturer": " Siemens ", "model": "S7-1200", "serial": "  "}
+    deployment = {" plant ": "north", "unit_id": "7"}
+    texts = [*static.values(), *deployment.keys(), *deployment.values()]
+    calls = collections.Counter()
+    clean = model._clean
+
+    def counting_clean(text):
+        calls[text] += 1
+        return clean(text)
+
+    monkeypatch.setattr(model, "_clean", counting_clean)
+    raw = {"ip": "10.0.0.1", "last_seen": "2026-01-01T00:00:00Z", "static_info": static, "deployment_info": deployment}
+    evidence = _Evidence(b"\x02\x00\x00\x00\x00\x01", 0.0)
+    for build in (
+        lambda: Asset.from_dict(raw),
+        lambda: (StaticDeviceInfo.from_fields(static), DeploymentInfo.from_dict(deployment)),
+        lambda: (evidence.add_flow(1.0, 502, "modbus", static, deployment), evidence.freeze("10.0.0.1")),
+    ):
+        calls.clear()
+        build()
+        assert {text: calls[text] for text in texts} == dict.fromkeys(texts, 1)
+    monkeypatch.undo()
+    asset = Asset.from_dict(raw)
+    assert asset.static_info == StaticDeviceInfo("Siemens", "S7-1200")
+    assert asset.deployment_info == DeploymentInfo({"plant": "north", "unit_id": "7"}.items())
+    assert evidence.freeze("10.0.0.1")[6:8] == asset[6:8]  # static and deployment info
+
+
+@pytest.mark.parametrize(
+    "static", [{"manufacturer": "Siemens", "vendor": "x"}, {"serial": "1", "colour": "red"}, {"model": 5}, {"serial": 5}]
+)
+def test_inventory_refuses_static_info_with_an_unknown_key_or_a_non_text_value(static):
+    asset = {"ip": "10.0.0.1", "last_seen": "2026-01-01T00:00:00Z", "static_info": static}
+    document = {"version": 1, "assets": [asset]}
+    with pytest.raises(FormatError, match="bad asset record"):
+        Inventory.from_document(document)
+
+
+def test_static_info_below_the_bar_loads_as_none_and_is_refused_by_keyword():
+    raw = {"ip": "10.0.0.1", "last_seen": "2026-01-01T00:00:00Z", "static_info": {"serial": "1", "model": " "}}
+    assert Asset.from_dict(raw).static_info is None
+    with pytest.raises(ValueError, match="needs manufacturer, model or firmware_version"):
+        StaticDeviceInfo(serial="1", model=" ")
 
 
 def test_deployment_info_rejects_empty():

@@ -56,8 +56,8 @@ from icsrecon.pcapio import (
     parse_tcp,
     tcp_segment,
 )
-from icsrecon.scanner import ScanConfig, run_scan
-from icsrecon.simulator import SimNetwork, start_station
+from icsrecon.scanner import ScanConfig, Scanner
+from icsrecon.simulator import SimNetwork, StationHandle
 from icsrecon.taxonomy import classify_run
 
 from conftest import one_byte_changed, same_record
@@ -217,8 +217,8 @@ def test_identity_payloads_reach_level_five(tmp_path):
     assert report.per_asset_depth["192.168.90.13"] == 5
     rtu = report.inventory.get("192.168.90.13")
     assert rtu.static_info.manufacturer == "Schneider Electric"
-    assert rtu.deployment_info.get("modbus_slave_id") == "5"
-    assert rtu.deployment_info.get("unit_id") == "1"
+    assert rtu.deployment_info.as_dict().get("modbus_slave_id") == "5"
+    assert rtu.deployment_info.as_dict().get("unit_id") == "1"
 
 
 def test_live_interface_run_is_real_time(tmp_path, monkeypatch):
@@ -516,7 +516,7 @@ def _request_reply(protocol, kind, text, version, number):
         if kind == "deployment":
             return modbus.build_report_slave_id_request(unit), modbus.build_report_slave_id_response(1, unit, number)
         reply = modbus.build_read_holding_response(1, unit, [number, 0]) if number % 2 else modbus.exception_frame(
-            1, unit, modbus.FC_READ_HOLDING, modbus.EXC_ILLEGAL_DATA_ADDRESS
+            1, unit, modbus.FC_READ_HOLDING, 0x02  # IllegalDataAddress
         )
         return modbus.build_read_holding_request(unit, 0, 2), reply
     if protocol == "s7comm":
@@ -771,7 +771,7 @@ def test_seeded_report_document_is_pinned(tmp_path, monkeypatch):
 
 MODBUS_REPLIES = [
     modbus.build_read_holding_response(1, 1, [1, 2, 3]),
-    modbus.exception_frame(2, 1, modbus.FC_READ_HOLDING, modbus.EXC_ILLEGAL_DATA_ADDRESS),
+    modbus.exception_frame(2, 1, modbus.FC_READ_HOLDING, 0x02),  # IllegalDataAddress
     modbus.exception_frame(3, 1, modbus.FC_ENCAPSULATED, modbus.EXC_ILLEGAL_FUNCTION),
     modbus.exception_frame(4, 1, modbus.FC_REPORT_SLAVE_ID, modbus.EXC_ILLEGAL_FUNCTION),
     modbus.build_device_id_response(5, 1, {0: "Vendor", 1: "Model"}, more_follows=True, next_object_id=2),
@@ -819,17 +819,20 @@ def test_modbus_identity_prefilter_changes_nothing(replies):
 def test_passive_parity_with_active_scan(tmp_path):
     fixtures = load_fixtures(default_fixtures_path())
     pcap_path = tmp_path / "mirror.pcap"
-    station = start_station(list(fixtures.devices), scanner_ip=fixtures.scanner_ip, pcap_path=str(pcap_path))
+    station = StationHandle(list(fixtures.devices), scanner_ip=fixtures.scanner_ip, pcap_path=str(pcap_path)).start()
     try:
         config = ScanConfig(targets=tuple(d.ip for d in fixtures.devices), methods=frozenset({"icmp", "arp"}), rate_limit_pps=50, timeout_ms=500)
-        active = run_scan(config, network=SimNetwork(station))
+        active = Scanner(config, network=SimNetwork(station)).run()
     finally:
         station.stop()
 
-    before = station.total_packets_received()
+    def packets_received() -> int:
+        return sum(device.get_counters().packets_received for device in station.devices)
+
+    before = packets_received()
     passive = analyze_capture(PcapFile(str(pcap_path)))
     # zero-emission: analyzing the capture sent nothing to the station
-    assert station.total_packets_received() == before
+    assert packets_received() == before
 
     for ip, depth in active.per_asset_depth.items():
         assert passive.per_asset_depth[ip] == depth

@@ -183,5 +183,4 @@ def test_recorder_flow_sequencing(tmp_path):
 
 def test_recorder_inactive_without_writer():
     recorder = TrafficRecorder(None)
-    assert not recorder.active
     recorder.arp_exchange("10.0.0.1", "10.0.0.2", answered=True)  # no-op, no error

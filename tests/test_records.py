@@ -6,13 +6,19 @@ itself pulls in ``inspect``. A plain record is a NamedTuple instead, which
 builds in a tenth of that. A checked record is a subclass of the NamedTuple
 of its fields that checks and normalizes them in ``__new__``, then builds
 the tuple once.
+
+Every function, class and method in the package has a caller in the
+program or in its benchmark; code that only tests reach is not kept.
 """
 
 from __future__ import annotations
 
+import ast
+import collections
 import dataclasses
 import importlib
 import inspect
+import pathlib
 import pkgutil
 
 import icsrecon
@@ -72,3 +78,31 @@ def test_checked_records_check_in_new_and_add_no_fields():
         (fields,) = cls.__bases__
         assert f"{cls.__module__.removeprefix('icsrecon.')}.{fields.__name__}" in NAMED_TUPLES, name
         assert "__new__" in vars(cls) and vars(cls)["__slots__"] == (), name  # no __dict__, no fields of its own
+
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def test_every_function_class_and_method_is_loaded_by_name_in_src_or_bench():
+    """A top-level function or class, or a method but a dunder, that ``src/`` and ``bench/`` never load is dead."""
+    definitions, loads = [], collections.defaultdict(list)  # (path, first line, last line, name); name -> (path, line)
+    for path in sorted((ROOT / "src" / "icsrecon").rglob("*.py")) + sorted((ROOT / "bench").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+                loads[node.id if isinstance(node, ast.Name) else node.attr].append((path, node.lineno))
+        if path.parent.name == "bench":
+            continue
+        for node in tree.body:
+            members = [m for m in node.body if isinstance(m, ast.FunctionDef)] if isinstance(node, ast.ClassDef) else []
+            for defined in [node, *members]:
+                named = isinstance(defined, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                if named and not (defined.name.startswith("__") and defined.name.endswith("__")):
+                    definitions.append((path, defined.lineno, defined.end_lineno, defined.name))
+    assert len(definitions) > 300 and loads  # the walk found the package
+    unused = [
+        f"{path.relative_to(ROOT)}:{first} {name}"
+        for path, first, last, name in definitions
+        if not any(where != path or not first <= line <= last for where, line in loads[name])
+    ]
+    assert unused == []

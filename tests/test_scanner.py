@@ -18,8 +18,8 @@ from icsrecon.config import default_fixtures_path, load_fixtures, load_scan_conf
 from icsrecon.errors import ConfigError, IcsReconError, PrivilegeRequired
 from icsrecon.model import Asset, PortSpec, compute_depth
 from icsrecon.netbase import ConnectResult, RealNetwork
-from icsrecon.scanner import DEFAULT_PORTS, PROTOCOL_PORTS, ScanConfig, Scanner, expand_targets, run_scan
-from icsrecon.simulator import REPLIES, SimDeviceConfig, SimNetwork, start_station
+from icsrecon.scanner import DEFAULT_PORTS, PROTOCOL_PORTS, ScanConfig, Scanner, expand_targets
+from icsrecon.simulator import REPLIES, SimDeviceConfig, SimNetwork, StationHandle
 from icsrecon.taxonomy import classify_run
 
 FIXTURE_IPS = ("192.168.90.10", "192.168.90.11", "192.168.90.12", "192.168.90.13", "192.168.90.14")
@@ -28,7 +28,7 @@ FIXTURE_IPS = ("192.168.90.10", "192.168.90.11", "192.168.90.12", "192.168.90.13
 @pytest.fixture(scope="module")
 def station():
     config = load_fixtures(default_fixtures_path())
-    handle = start_station(list(config.devices), scanner_ip=config.scanner_ip)
+    handle = StationHandle(list(config.devices), scanner_ip=config.scanner_ip).start()
     yield handle
     handle.stop()
 
@@ -84,6 +84,34 @@ def test_modbus_unit_outside_a_byte_is_config_error(tmp_path):
     with pytest.raises(ConfigError, match="modbus_unit"):
         load_scan_config(path)  # rejected before any packet: no scanner, no network
     assert quick_config(modbus_unit=0).modbus_unit == 0 and quick_config(modbus_unit=255).modbus_unit == 255
+
+
+def test_scan_config_keys_set_empty_or_absent(tmp_path):
+    path = tmp_path / "scan.conf"
+    path.write_text("[scan]\ntargets = 192.168.90.13\n")
+    config, network = load_scan_config(path)
+    assert config == ScanConfig(targets=("192.168.90.13",))  # every absent key keeps ScanConfig's default
+    assert (config.methods, config.rate_limit_pps, config.safe_mode, config.timeout_ms) == ({"icmp"}, 20, True, 800)
+    assert (config.unit_id_sweep, config.workers, config.modbus_unit, config.vuln_db_path) == (False, 8, 1, None)
+    assert network == ("real", None)
+    path.write_text("[scan]\ntargets = 192.168.90.13\nports =\nworkers = 2\nvuln_db =\n")
+    config, _ = load_scan_config(path)
+    assert (config.ports, config.workers, config.vuln_db_path) == (DEFAULT_PORTS, 2, "")
+    path.write_text("[scan]\ntargets = 192.168.90.13\nmethods =\n")
+    with pytest.raises(ConfigError, match="at least one discovery method"):
+        load_scan_config(path)
+
+
+def test_fixture_device_keys_absent_keep_the_defaults(tmp_path):
+    path = tmp_path / "station.conf"
+    path.write_text("[device:rtu]\nprotocol = modbus\nip = 10.0.0.1\nlisten_port = 502\n")
+    station = load_fixtures(path)
+    assert station.scanner_ip == "192.168.90.1"
+    assert station.devices == (SimDeviceConfig(name="rtu", protocol="modbus", ip="10.0.0.1", listen_port=502),)
+    device = station.devices[0]
+    assert (device.mac, device.fragile, device.max_pps) == ("02:00:00:00:00:01", False, 50)
+    assert (device.fault_on_malformed, device.unit_id) == (False, 1)
+    assert (device.accepted_tsaps, device.feature_flags, device.identity) == (None, frozenset(), {})
 
 
 def test_protocol_table_and_the_ports_derived_from_it():
@@ -159,10 +187,10 @@ def test_subnet_sweep_spends_one_token_per_address(station):
 @pytest.fixture(scope="module")
 def routed_station():
     """One Modbus RTU behind a router: outside the /24 of the scanner at 192.168.90.1."""
-    handle = start_station(
+    handle = StationHandle(
         [SimDeviceConfig(name="remote_rtu", protocol="modbus", ip="10.1.0.5", listen_port=502)],
         scanner_ip="192.168.90.1",
-    )
+    ).start()
     yield handle
     handle.stop()
 
@@ -355,7 +383,7 @@ def test_probe_refused_tsaps_makes_no_claim():
     config = load_fixtures(default_fixtures_path())
     (plc,) = [c for c in config.devices if c.name == "et200s_like"]
     locked = dataclasses.replace(plc, accepted_tsaps=(0x0FFF,), fragile=False)
-    handle = start_station([locked])
+    handle = StationHandle([locked]).start()
     try:
         with port_found_open(handle, "192.168.90.10", 102) as (scanner, asset, sock):
             asset = scanner.probe_protocol(asset, 102, sock)
@@ -558,7 +586,7 @@ def test_exchange_sends_each_request_once():
 
 
 def test_run_scan_fixture_depths(station):
-    report = run_scan(quick_config(), network=SimNetwork(station))
+    report = Scanner(quick_config(), network=SimNetwork(station)).run()
     assert report.per_asset_depth == {
         "192.168.90.10": 5,
         "192.168.90.11": 5,
@@ -568,15 +596,15 @@ def test_run_scan_fixture_depths(station):
     }
     scadapack = report.inventory.get("192.168.90.13")
     assert scadapack.static_info is None
-    assert scadapack.deployment_info.get("modbus_slave_id") == "5"
+    assert scadapack.deployment_info.as_dict().get("modbus_slave_id") == "5"
     et200s = report.inventory.get("192.168.90.10")
-    assert et200s.deployment_info.get("system_name") == "SIMATIC ET200S Station"
+    assert et200s.deployment_info.as_dict().get("system_name") == "SIMATIC ET200S Station"
     assert report.packets_sent > 0
     assert not report.unit_id_sweep_used
 
 
 def test_run_scan_zero_reachable_targets(station):
-    report = run_scan(quick_config(targets=("192.168.90.200", "192.168.90.201")), network=SimNetwork(station))
+    report = Scanner(quick_config(targets=("192.168.90.200", "192.168.90.201")), network=SimNetwork(station)).run()
     assert len(report.inventory) == 0
     assert report.per_asset_depth == {}
 
@@ -632,7 +660,7 @@ def start_two_service_host():
     devices = {c.name: c for c in config.devices}
     rtu = devices["scadapack32_like"]
     enip_side = dataclasses.replace(devices["controllogix_like"], ip=rtu.ip)
-    return start_station([rtu, enip_side], scanner_ip=config.scanner_ip), rtu
+    return StationHandle([rtu, enip_side], scanner_ip=config.scanner_ip).start(), rtu
 
 
 def test_failed_probe_keeps_earlier_confirmed_protocol(monkeypatch):
@@ -662,7 +690,7 @@ def test_default_station_scan_cost(station):
         timeout_ms=800,
         workers=8,
     )
-    report = run_scan(config, network=network)
+    report = Scanner(config, network=network).run()
     assert report.per_asset_depth == {
         "192.168.90.10": 5,
         "192.168.90.11": 5,
@@ -703,7 +731,7 @@ def test_two_service_host_enumerates_each_port_before_probing_the_next():
         handle.stop()
     asset = report.inventory.get(rtu.ip)
     assert asset.protocols == frozenset({"modbus", "enip"})
-    assert asset.deployment_info.get("modbus_slave_id") == "5"  # Modbus enumeration
+    assert asset.deployment_info.as_dict().get("modbus_slave_id") == "5"  # Modbus enumeration
     assert asset.static_info is not None  # ENIP identity; the RTU refuses device-ID reads
     assert report.per_asset_depth == {rtu.ip: 5}
     steps = [e["detail"] for e in scanner.probe_log if e["ip"] == rtu.ip and e["phase"] != "device_discovery"]
@@ -729,7 +757,7 @@ def test_tsap_retry_opens_one_new_connection_and_every_socket_is_closed_once():
     config = load_fixtures(default_fixtures_path())
     (plc,) = [c for c in config.devices if c.name == "et200s_like"]
     second_pair = dataclasses.replace(plc, accepted_tsaps=(0x0200,), fragile=False)
-    handle = start_station([second_pair], scanner_ip=config.scanner_ip)
+    handle = StationHandle([second_pair], scanner_ip=config.scanner_ip).start()
     try:
         network = CountingNetwork(handle)
         scanner = Scanner(quick_config(targets=(plc.ip,)), network=network)
@@ -761,10 +789,10 @@ def test_tsap_retry_that_cannot_connect_makes_no_claim():
     config = load_fixtures(default_fixtures_path())
     (plc,) = [c for c in config.devices if c.name == "et200s_like"]
     second_pair = dataclasses.replace(plc, accepted_tsaps=(0x0200,), fragile=False)
-    handle = start_station([second_pair], scanner_ip=config.scanner_ip)
+    handle = StationHandle([second_pair], scanner_ip=config.scanner_ip).start()
     try:
         network = RetryTimesOut(handle)
-        report = run_scan(quick_config(targets=(plc.ip,)), network=network)
+        report = Scanner(quick_config(targets=(plc.ip,)), network=network).run()
     finally:
         handle.stop()
     assert report.inventory.get(plc.ip).protocols == frozenset()
@@ -783,19 +811,19 @@ def test_idle_timeout_does_not_cost_an_earlier_port_its_enumeration(monkeypatch)
     handle, rtu = start_two_service_host()
     try:
         handle.device("controllogix_like").state = SimState.FAULT
-        report = run_scan(quick_config(targets=(rtu.ip,)), network=SimNetwork(handle))
+        report = Scanner(quick_config(targets=(rtu.ip,)), network=SimNetwork(handle)).run()
     finally:
         handle.stop()
     asset = report.inventory.get(rtu.ip)
     assert asset.protocols == frozenset({"modbus"})
-    assert asset.deployment_info.get("modbus_slave_id") == "5"
+    assert asset.deployment_info.as_dict().get("modbus_slave_id") == "5"
     assert report.per_asset_depth == {rtu.ip: 5}
 
 
 def test_cancellation_emits_partial_report(station):
     stop = threading.Event()
     stop.set()
-    report = run_scan(quick_config(), network=SimNetwork(station), stop_event=stop)
+    report = Scanner(quick_config(), network=SimNetwork(station), stop_event=stop).run()
     assert any("cancelled" in a for a in report.anomalies)
 
 
@@ -804,13 +832,13 @@ def test_cancelled_scan_reports_the_cve_database_unconsulted(station):
     stop = threading.Event()
     stop.set()
     db_path = str(default_fixtures_path().parent / "cve_demo.json")
-    report = run_scan(quick_config(vuln_db_path=db_path), network=SimNetwork(station), stop_event=stop)
+    report = Scanner(quick_config(vuln_db_path=db_path), network=SimNetwork(station), stop_event=stop).run()
     assert report.vuln_db_consulted is False
     assert report.to_document()["vuln_db_consulted"] is False
 
 
 def test_report_document_shape(station):
-    report = run_scan(quick_config(targets=("192.168.90.14",)), network=SimNetwork(station))
+    report = Scanner(quick_config(targets=("192.168.90.14",)), network=SimNetwork(station)).run()
     doc = report.to_document()
     assert doc["version"] == 1
     assert doc["kind"] == "active"
@@ -849,9 +877,9 @@ def modbus_requests_in_capture(pcap_path):
 def test_safe_mode_scan_capture_has_no_sweep_packets(tmp_path):
     fixtures = load_fixtures(default_fixtures_path())
     pcap = tmp_path / "safe.pcap"
-    handle = start_station(list(fixtures.devices), scanner_ip=fixtures.scanner_ip, pcap_path=str(pcap))
+    handle = StationHandle(list(fixtures.devices), scanner_ip=fixtures.scanner_ip, pcap_path=str(pcap)).start()
     try:
-        report = run_scan(quick_config(targets=("192.168.90.13",)), network=SimNetwork(handle))
+        report = Scanner(quick_config(targets=("192.168.90.13",)), network=SimNetwork(handle)).run()
     finally:
         handle.stop()
     assert not report.unit_id_sweep_used
@@ -866,7 +894,7 @@ def test_safe_mode_scan_capture_has_no_sweep_packets(tmp_path):
 def test_unsafe_unit_sweep_reaches_capture_and_report(tmp_path):
     fixtures = load_fixtures(default_fixtures_path())
     pcap = tmp_path / "sweep.pcap"
-    handle = start_station(list(fixtures.devices), scanner_ip=fixtures.scanner_ip, pcap_path=str(pcap))
+    handle = StationHandle(list(fixtures.devices), scanner_ip=fixtures.scanner_ip, pcap_path=str(pcap)).start()
     try:
         config = quick_config(
             targets=("192.168.90.13",),
@@ -875,12 +903,12 @@ def test_unsafe_unit_sweep_reaches_capture_and_report(tmp_path):
             rate_limit_pps=400,
             timeout_ms=300,
         )
-        report = run_scan(config, network=SimNetwork(handle))
+        report = Scanner(config, network=SimNetwork(handle)).run()
     finally:
         handle.stop()
     assert report.unit_id_sweep_used
     asset = report.inventory.get("192.168.90.13")
-    assert asset.deployment_info.get("unit_ids") == "1"  # only the real unit answers
+    assert asset.deployment_info.as_dict().get("unit_ids") == "1"  # only the real unit answers
     swept_units = {unit for unit, function in modbus_requests_in_capture(pcap) if function == 0x11}
     assert len(swept_units) == 247
 

@@ -28,7 +28,6 @@ from icsrecon.simulator import (
     SimNetwork,
     SimState,
     StationHandle,
-    start_station,
 )
 
 
@@ -48,7 +47,7 @@ def modbus_config(**kw) -> SimDeviceConfig:
 
 @pytest.fixture
 def station():
-    handle = start_station([modbus_config()])
+    handle = StationHandle([modbus_config()]).start()
     yield handle
     handle.stop()
 
@@ -164,7 +163,8 @@ MALFORMED_S7 = bytes.fromhex("03000007025500")  # TPKT frames it; COTP type 0x55
 
 
 def s7_station(**kw) -> StationHandle:
-    return start_station([SimDeviceConfig(name="plc", protocol=s7.NAME, ip="192.168.90.10", listen_port=102, **kw)])
+    config = SimDeviceConfig(name="plc", protocol=s7.NAME, ip="192.168.90.10", listen_port=102, **kw)
+    return StationHandle([config]).start()
 
 
 def send_malformed_s7(station: StationHandle) -> None:
@@ -230,13 +230,13 @@ def test_duplicate_endpoint_rejected():
 
 
 def test_empty_station_is_valid():
-    handle = start_station([])
+    handle = StationHandle([]).start()
     assert handle.devices == []
     handle.stop()
 
 
 def test_distinct_ips_may_share_port_number():
-    handle = start_station([modbus_config(), modbus_config(name="rtu2", ip="192.168.90.99")])
+    handle = StationHandle([modbus_config(), modbus_config(name="rtu2", ip="192.168.90.99")]).start()
     try:
         assert handle.lookup("192.168.90.13", 502) != handle.lookup("192.168.90.99", 502)
     finally:
@@ -246,7 +246,7 @@ def test_distinct_ips_may_share_port_number():
 def test_default_fixture_station_starts_and_answers(station=None):
     config = load_fixtures(default_fixtures_path())
     assert len(config.devices) == 5
-    handle = start_station(list(config.devices), scanner_ip=config.scanner_ip)
+    handle = StationHandle(list(config.devices), scanner_ip=config.scanner_ip).start()
     try:
         reply = exchange(handle, 102, "192.168.90.10", s7.build_cotp_connect(0x0100, 0x0102), s7)
         assert isinstance(s7.decode_envelope(reply).cotp, s7.CotpConnectionConfirm)
@@ -277,7 +277,7 @@ def test_modbus_wrong_unit_gets_gateway_exception(station):
 
 def test_modbus_unsupported_function_is_wellformed_exception():
     config = modbus_config(feature_flags=frozenset({"report_slave_id_fc11"}))
-    handle = start_station([config])
+    handle = StationHandle([config]).start()
     try:
         reply = exchange(handle, 502, "192.168.90.13", modbus.build_device_id_request(unit=1), modbus)
         _, pdu = modbus.decode_modbus(reply)
@@ -297,7 +297,7 @@ def test_s7_wrong_tsap_refused():
         feature_flags=frozenset({"szl_0011"}),
         accepted_tsaps=(0x0102,),
     )
-    handle = start_station([config])
+    handle = StationHandle([config]).start()
     try:
         reply = exchange(handle, 102, "192.168.90.10", s7.build_cotp_connect(0x0100, 0x0999), s7)
         assert isinstance(s7.decode_envelope(reply).cotp, s7.CotpDisconnectRequest)
@@ -309,7 +309,7 @@ def test_s7_wrong_tsap_refused():
 
 def test_s7_szl_refused_without_feature():
     config = load_fixtures(default_fixtures_path())
-    handle = start_station(list(config.devices))
+    handle = StationHandle(list(config.devices)).start()
     try:
         real_port = handle.lookup("192.168.90.12", 102)  # the HMI-like panel
         with socket.create_connection(("127.0.0.1", real_port), timeout=2) as sock:
@@ -328,7 +328,7 @@ def test_s7_szl_refused_without_feature():
 
 def test_enip_identity_reply_matches_fixture():
     config = load_fixtures(default_fixtures_path())
-    handle = start_station(list(config.devices))
+    handle = StationHandle(list(config.devices)).start()
     try:
         reply = exchange(handle, 44818, "192.168.90.14", enip.build_list_identity(), enip)
         identity = enip.parse_list_identity(reply)
@@ -341,7 +341,7 @@ def test_enip_identity_reply_matches_fixture():
 
 def test_unknown_enip_command_gets_status_one():
     config = load_fixtures(default_fixtures_path())
-    handle = start_station(list(config.devices))
+    handle = StationHandle(list(config.devices)).start()
     try:
         reply = exchange(handle, 44818, "192.168.90.14", enip.encode_header(0x0999, b""), enip)
         message, payload = enip.decode_header(reply)
@@ -425,7 +425,7 @@ def test_control_client_shared_by_concurrent_callers():
     # scan workers share one control connection to a separate simulator
     # process; every answer must reach the thread that asked for it
     config = load_fixtures(default_fixtures_path())
-    controlled = ControlledStation(start_station(list(config.devices), scanner_ip=config.scanner_ip))
+    controlled = ControlledStation(StationHandle(list(config.devices), scanner_ip=config.scanner_ip).start())
     client = ControlClient(controlled.control_port)
     expected = {device.ip: device.mac for device in config.devices}
     expected["192.168.90.200"] = None
@@ -451,7 +451,7 @@ def test_control_client_shared_by_concurrent_callers():
 
 def test_wait_idle_returns_after_the_last_teardown_frame(tmp_path):
     pcap = tmp_path / "mirror.pcap"
-    station = start_station([modbus_config()], pcap_path=str(pcap))
+    station = StationHandle([modbus_config()], pcap_path=str(pcap)).start()
     try:
         sock = socket.create_connection(("127.0.0.1", station.lookup("192.168.90.13", 502)), timeout=2)
         sock.sendall(modbus.build_report_slave_id_request(unit=1))
@@ -492,7 +492,7 @@ def test_wait_idle_takes_listeners_on_descriptors_of_1024_and_up():
     try:
         while not held or held[-1] < 1030:  # the lowest free descriptor first, so every one below is taken
             held.append(os.open(os.devnull, os.O_RDONLY))
-        station = start_station([modbus_config()])
+        station = StationHandle([modbus_config()]).start()
         try:
             assert min(listener.fileno() for listener in station._listeners) > 1030
             assert station.wait_idle(timeout=1.0)
@@ -531,7 +531,7 @@ def test_a_station_of_fifty_devices_starts_one_thread():
 
 
 def test_concurrent_connections_to_every_device_are_each_served_once():
-    station = start_station(fifty_devices()[:5])
+    station = StationHandle(fifty_devices()[:5]).start()
     request = modbus.build_report_slave_id_request(unit=1)
 
     def slave_ids(worker: int) -> list[int]:
@@ -544,19 +544,20 @@ def test_concurrent_connections_to_every_device_are_each_served_once():
         with ThreadPoolExecutor(max_workers=8) as pool:
             assert list(pool.map(slave_ids, range(8))) == [[5] * 10] * 8
         assert station.wait_idle(timeout=5.0)
-        assert station.total_packets_received() == 2 * 8 * 10  # each connection, then its one request
+        received = sum(device.get_counters().packets_received for device in station.devices)
+        assert received == 2 * 8 * 10  # each connection, then its one request
     finally:
         sys.setswitchinterval(interval)
         station.stop()
 
 
 def test_an_idle_station_of_fifty_devices_stops_at_once():
-    station = start_station(fifty_devices())
+    station = StationHandle(fifty_devices()).start()
     assert timed_stop(station) < 0.1
 
 
 def test_a_second_stop_is_harmless(tmp_path):
-    station = start_station([modbus_config()], pcap_path=str(tmp_path / "mirror.pcap"))
+    station = StationHandle([modbus_config()], pcap_path=str(tmp_path / "mirror.pcap")).start()
     controlled = ControlledStation(station)
     controlled.stop()
     controlled.stop()
@@ -566,7 +567,7 @@ def test_a_second_stop_is_harmless(tmp_path):
 
 def test_after_stop_no_device_port_nor_the_control_port_accepts():
     config = load_fixtures(default_fixtures_path())
-    controlled = ControlledStation(start_station(list(config.devices), scanner_ip=config.scanner_ip))
+    controlled = ControlledStation(StationHandle(list(config.devices), scanner_ip=config.scanner_ip).start())
     ports = [device.bound_port for device in controlled.station.devices] + [controlled.control_port]
     controlled.stop()
     for port in ports:
@@ -575,7 +576,7 @@ def test_after_stop_no_device_port_nor_the_control_port_accepts():
 
 
 def test_an_open_control_client_does_not_delay_stop():
-    controlled = ControlledStation(start_station([modbus_config()]))
+    controlled = ControlledStation(StationHandle([modbus_config()]).start())
     client = ControlClient(controlled.control_port)
     try:
         assert client.call("state", name="rtu")["state"] == "running"
@@ -585,7 +586,7 @@ def test_an_open_control_client_does_not_delay_stop():
 
 
 def test_wait_is_false_on_timeout_and_true_once_a_shutdown_arrives():
-    controlled = ControlledStation(start_station([]))
+    controlled = ControlledStation(StationHandle([]).start())
     try:
         assert controlled.wait(0.01) is False
         client = ControlClient(controlled.control_port)
