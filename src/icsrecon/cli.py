@@ -14,17 +14,15 @@ the code of another.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
 import signal
 import sys
 import threading
-from pathlib import Path
 
 from . import vulnmatch
 from .errors import ConfigError, FormatError, IcsReconError
-from .model import Inventory, compute_depth, read_json
+from .model import Inventory, compute_depth, json_text, read_json, write_whole
 
 logger = logging.getLogger("icsrecon")
 
@@ -201,9 +199,7 @@ def cmd_simulate(args) -> int:
     ).start()
     controlled = ControlledStation(station)
     try:
-        with open(args.map_out, "w", encoding="utf-8") as fh:
-            json.dump(controlled.map_document(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_whole(args.map_out, json_text(controlled.map_document()))
         _summary(
             command="simulate",
             devices=len(station.devices),
@@ -228,13 +224,12 @@ def cmd_report(args) -> int:
         profiles = taxonomy.load_profiles(args.dataset)
     if args.stats:
         stats = taxonomy.dataset_stats(profiles)
-        document = json.dumps(stats, indent=2, sort_keys=True) + "\n"
-        document += f"manual tools: {stats['counts']['execution/manual']}/{stats['tool_count']}"
-        document += f" ({stats['fraction_manual']:.0%})\n"
+        manual = f"{stats['counts']['execution/manual']}/{stats['tool_count']} ({stats['fraction_manual']:.0%})"
+        document = json_text(stats) + f"manual tools: {manual}\n"
     else:
         document = taxonomy.render_matrix(profiles, args.format)
     if args.out:
-        Path(args.out).write_text(document, encoding="utf-8")
+        write_whole(args.out, document)
     else:
         sys.stdout.write(document)
     return 0

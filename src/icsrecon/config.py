@@ -47,32 +47,30 @@ class NetworkSettings(NamedTuple):
 
 
 def load_scan_config(path: str | Path, overrides: dict | None = None) -> tuple[ScanConfig, NetworkSettings]:
-    from .scanner import ScanConfig  # an absent key keeps the field's default, read off the class
+    from .scanner import ScanConfig
 
     parser = _parser(path)
     if not parser.has_section("scan"):
         raise ConfigError(f"{path}: missing [scan] section")
     section = parser["scan"]
     try:
-        values = {
+        values = {  # None: the key is absent (or, for ports, empty), so ScanConfig's own default applies
             "targets": tuple(_split(section.get("targets", ""))),
-            "ports": frozenset(int(p) for p in _split(section.get("ports", ""))) or ScanConfig.ports,
-            "methods": frozenset(_split(section["methods"])) if "methods" in section else ScanConfig.methods,
-            "rate_limit_pps": section.getint("rate_limit_pps", ScanConfig.rate_limit_pps),
-            "safe_mode": section.getboolean("safe_mode", ScanConfig.safe_mode),
-            "unit_id_sweep": section.getboolean("unit_id_sweep", ScanConfig.unit_id_sweep),
-            "timeout_ms": section.getint("timeout_ms", ScanConfig.timeout_ms),
-            "vuln_db_path": section.get("vuln_db", ScanConfig.vuln_db_path),
-            "vuln_alias_path": section.get("vuln_aliases", ScanConfig.vuln_alias_path),
-            "workers": section.getint("workers", ScanConfig.workers),
-            "modbus_unit": section.getint("modbus_unit", ScanConfig.modbus_unit),
+            "ports": frozenset(int(p) for p in _split(section.get("ports", ""))) or None,
+            "methods": frozenset(_split(section["methods"])) if "methods" in section else None,
+            "rate_limit_pps": section.getint("rate_limit_pps"),
+            "safe_mode": section.getboolean("safe_mode"),
+            "unit_id_sweep": section.getboolean("unit_id_sweep"),
+            "timeout_ms": section.getint("timeout_ms"),
+            "vuln_db_path": section.get("vuln_db"),
+            "vuln_alias_path": section.get("vuln_aliases"),
+            "workers": section.getint("workers"),
+            "modbus_unit": section.getint("modbus_unit"),
         }
-        for key, value in (overrides or {}).items():
-            if value is not None:
-                values[key] = value
+        values.update({key: value for key, value in (overrides or {}).items() if value is not None})
         if not values["targets"]:
             raise ConfigError(f"{path}: no scan targets configured")
-        config = ScanConfig(**values)
+        config = ScanConfig(**{key: value for key, value in values.items() if value is not None})
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
@@ -92,7 +90,7 @@ class StationConfig(NamedTuple):
 
 
 def _device_from_section(name: str, section: configparser.SectionProxy) -> SimDeviceConfig:
-    from .simulator import SimDeviceConfig  # an absent key keeps the field's default, read off the class
+    from .simulator import SimDeviceConfig
 
     identity = {
         key.split(".", 1)[1]: value
@@ -101,19 +99,22 @@ def _device_from_section(name: str, section: configparser.SectionProxy) -> SimDe
     }
     tsaps = section.get("accepted_tsaps", "").strip()
     try:
+        optional = {  # None: the key is absent, so SimDeviceConfig's own default applies
+            "mac": section.get("mac"),
+            "fragile": section.getboolean("fragile"),
+            "max_pps": section.getint("max_pps"),
+            "fault_on_malformed": section.getboolean("fault_on_malformed"),
+            "unit_id": section.getint("unit_id"),
+        }
         return SimDeviceConfig(
             name=name,
             protocol=section.get("protocol", ""),
             ip=section.get("ip", ""),
             listen_port=section.getint("listen_port"),
-            mac=section.get("mac", SimDeviceConfig.mac),
             identity=identity,
             feature_flags=frozenset(_split(section.get("features", ""))),
-            fragile=section.getboolean("fragile", SimDeviceConfig.fragile),
-            max_pps=section.getint("max_pps", SimDeviceConfig.max_pps),
-            fault_on_malformed=section.getboolean("fault_on_malformed", SimDeviceConfig.fault_on_malformed),
             accepted_tsaps=tuple(int(t, 0) for t in _split(tsaps)) or None,
-            unit_id=section.getint("unit_id", SimDeviceConfig.unit_id),
+            **{key: value for key, value in optional.items() if value is not None},
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"device {name!r}: {exc}") from exc

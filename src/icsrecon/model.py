@@ -289,13 +289,7 @@ class ProvenanceEntry(NamedTuple):
     source: str
 
     def to_dict(self) -> dict[str, str]:
-        return {
-            "field": self.field,
-            "prior": self.prior,
-            "current": self.current,
-            "at": format_timestamp(self.at),
-            "source": self.source,
-        }
+        return {**self._asdict(), "at": format_timestamp(self.at)}
 
     @classmethod
     def from_dict(cls, raw: dict[str, str]) -> "ProvenanceEntry":
@@ -548,9 +542,6 @@ class Inventory:
     def to_document(self) -> dict[str, Any]:
         return {"version": INVENTORY_VERSION, "assets": [a.to_dict() for a in self.assets()]}
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_document(), indent=2, sort_keys=True) + "\n"
-
     @classmethod
     def from_document(cls, doc: dict[str, Any]) -> "Inventory":
         if not isinstance(doc, dict):
@@ -568,7 +559,7 @@ class Inventory:
         return inv
 
     def save(self, path) -> None:
-        _write_whole(path, self.to_json())
+        write_whole(path, json_text(self.to_document()))
 
     @classmethod
     def load(cls, path) -> "Inventory":
@@ -623,7 +614,7 @@ class RunReport:
         """Write the inventory, and the report document when ``report_path`` is given."""
         self.inventory.save(inventory_path)
         if report_path:
-            _write_whole(report_path, json.dumps(self.to_document(), indent=2, sort_keys=True) + "\n")
+            write_whole(report_path, json_text(self.to_document()))
 
 
 def read_json(path, what: str) -> Any:
@@ -636,7 +627,12 @@ def read_json(path, what: str) -> Any:
         raise FormatError(f"{what} is not valid JSON: {exc.msg} (line {exc.lineno})", offset=exc.pos) from exc
 
 
-def _write_whole(path, text: str) -> None:
+def json_text(document: Any) -> str:
+    """The layout of every JSON document the program writes: two-space indent, sorted keys, a final newline."""
+    return json.dumps(document, indent=2, sort_keys=True) + "\n"
+
+
+def write_whole(path, text: str) -> None:
     """Write ``text`` over ``path`` through a file beside it, so a failed or cut-short write leaves ``path`` as it was."""
     partial = f"{os.fspath(path)}.{os.getpid()}.part"
     try:

@@ -29,9 +29,9 @@ import socket
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
+from typing import NamedTuple
 
 from .codecs import PROTOCOLS, enip, modbus, s7
 from .errors import (
@@ -76,49 +76,52 @@ class ScanPhase(str, Enum):
     VULNERABILITY_IDENTIFICATION = "vulnerability_identification"
 
 
-@dataclass(frozen=True)
-class ScanConfig:
+class _ScanConfigFields(NamedTuple):
+    targets: tuple[str, ...]
+    ports: frozenset[int]
+    methods: frozenset[str]
+    rate_limit_pps: int
+    safe_mode: bool
+    unit_id_sweep: bool
+    timeout_ms: int
+    vuln_db_path: str | None
+    vuln_alias_path: str | None
+    workers: int
+    modbus_unit: int
+    pcap_out: str | None
+
+
+class ScanConfig(_ScanConfigFields):
     """Scan parameters; safe mode caps the rate and bans unit sweeps."""
 
-    targets: tuple[str, ...]
-    ports: frozenset[int] = DEFAULT_PORTS
-    methods: frozenset[str] = frozenset({"icmp"})
-    rate_limit_pps: int = 20
-    safe_mode: bool = True
-    unit_id_sweep: bool = False
-    timeout_ms: int = 800
-    vuln_db_path: str | None = None
-    vuln_alias_path: str | None = None
-    workers: int = 8
-    modbus_unit: int = 1
-    pcap_out: str | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "targets", tuple(self.targets))
-        object.__setattr__(self, "ports", frozenset(self.ports))
-        object.__setattr__(self, "methods", frozenset(self.methods))
-        if not self.methods:
+    def __new__(cls, targets, ports=DEFAULT_PORTS, methods=frozenset({"icmp"}), rate_limit_pps=20, safe_mode=True,
+                unit_id_sweep=False, timeout_ms=800, vuln_db_path=None, vuln_alias_path=None, workers=8, modbus_unit=1,
+                pcap_out=None):
+        ports, methods = frozenset(ports), frozenset(methods)
+        if not methods:
             raise ConfigError("at least one discovery method is required")
-        unknown = self.methods - set(METHOD_ORDER)
+        unknown = methods - set(METHOD_ORDER)
         if unknown:
             raise ConfigError(f"unknown discovery methods: {sorted(unknown)}")
-        if self.rate_limit_pps < 1:
+        if rate_limit_pps < 1:
             raise ConfigError("rate_limit_pps must be positive")
-        if self.timeout_ms < 1:
+        if timeout_ms < 1:
             raise ConfigError("timeout_ms must be positive")
-        if any(not 1 <= p <= 65535 for p in self.ports):
+        if any(not 1 <= p <= 65535 for p in ports):
             raise ConfigError("ports must be within 1..65535")
-        if self.safe_mode and self.rate_limit_pps > SAFE_MODE_MAX_PPS:
-            raise ConfigError(
-                f"safe mode caps the rate at {SAFE_MODE_MAX_PPS} pps "
-                f"(asked for {self.rate_limit_pps}); disable safe mode explicitly to go faster"
-            )
-        if self.safe_mode and self.unit_id_sweep:
+        if safe_mode and rate_limit_pps > SAFE_MODE_MAX_PPS:
+            raise ConfigError(f"safe mode caps the rate at {SAFE_MODE_MAX_PPS} pps (asked for {rate_limit_pps}); "
+                              "disable safe mode explicitly to go faster")
+        if safe_mode and unit_id_sweep:
             raise ConfigError("unit id sweeps are disabled in safe mode")
-        if self.workers < 1:
+        if workers < 1:
             raise ConfigError("workers must be positive")
-        if not 0 <= self.modbus_unit <= 0xFF:
-            raise ConfigError(f"modbus_unit must be within 0..255, got {self.modbus_unit}")
+        if not 0 <= modbus_unit <= 0xFF:
+            raise ConfigError(f"modbus_unit must be within 0..255, got {modbus_unit}")
+        return tuple.__new__(cls, (tuple(targets), ports, methods, rate_limit_pps, safe_mode, unit_id_sweep, timeout_ms,
+                                   vuln_db_path, vuln_alias_path, workers, modbus_unit, pcap_out))
 
     @property
     def timeout(self) -> float:

@@ -29,8 +29,8 @@ import socket
 import struct
 import threading
 import time
-from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 from .codecs import PROTOCOLS, enip, modbus, s7
 from .errors import ConfigError, DecodeError, FormatError, IcsReconError, PortUnavailable
@@ -50,53 +50,60 @@ class SimState(Enum):
     FAULT = "fault"
 
 
-@dataclass
-class Counters:
+class Counters(NamedTuple):
     packets_received: int = 0
     packets_sent: int = 0
     malformed_seen: int = 0
 
-    def snapshot(self) -> "Counters":
-        return Counters(self.packets_received, self.packets_sent, self.malformed_seen)
 
-
-@dataclass(frozen=True)
-class SimDeviceConfig:
-    """Identity plus fragility parameters for one simulated device."""
-
+class _SimDeviceConfigFields(NamedTuple):
     name: str
     protocol: str
     ip: str
     listen_port: int
-    mac: str = "02:00:00:00:00:01"
-    identity: dict[str, str] = field(default_factory=dict)
-    feature_flags: frozenset[str] = frozenset()
-    fragile: bool = False
-    max_pps: int = 50
-    fault_on_malformed: bool = False
-    accepted_tsaps: tuple[int, ...] | None = None
-    unit_id: int = 1
+    mac: str
+    identity: dict[str, str]
+    feature_flags: frozenset[str]
+    fragile: bool
+    max_pps: int
+    fault_on_malformed: bool
+    accepted_tsaps: tuple[int, ...] | None
+    unit_id: int
 
-    def __post_init__(self):
-        if self.protocol not in PROTOCOLS:
-            raise ConfigError(f"{self.name}: unsupported protocol {self.protocol!r}")
-        extra = frozenset(self.feature_flags) - PROTOCOLS[self.protocol].EXCHANGES
+
+class SimDeviceConfig(_SimDeviceConfigFields):
+    """Identity plus fragility parameters for one simulated device."""
+
+    __slots__ = ()
+
+    def __new__(cls, name, protocol, ip, listen_port, mac="02:00:00:00:00:01", identity=None, feature_flags=frozenset(),
+                fragile=False, max_pps=50, fault_on_malformed=False, accepted_tsaps=None, unit_id=1):
+        if protocol not in PROTOCOLS:
+            raise ConfigError(f"{name}: unsupported protocol {protocol!r}")
+        feature_flags = frozenset(feature_flags)
+        extra = feature_flags - PROTOCOLS[protocol].EXCHANGES
         if extra:
-            raise ConfigError(f"{self.name}: flags {sorted(extra)} not valid for {self.protocol}")
-        if self.max_pps < 1:
-            raise ConfigError(f"{self.name}: max_pps must be >= 1")
-        port = self.listen_port
-        if isinstance(port, bool) or not isinstance(port, int) or not 1 <= port <= 65535:
-            raise ConfigError(f"{self.name}: listen_port must be an integer within 1..65535, got {port!r}")
+            raise ConfigError(f"{name}: flags {sorted(extra)} not valid for {protocol}")
+        if max_pps < 1:
+            raise ConfigError(f"{name}: max_pps must be >= 1")
+        if isinstance(listen_port, bool) or not isinstance(listen_port, int) or not 1 <= listen_port <= 65535:
+            raise ConfigError(f"{name}: listen_port must be an integer within 1..65535, got {listen_port!r}")
+        if not 0 <= unit_id <= 0xFF:
+            raise ConfigError(f"{name}: unit_id must be within 0..255, got {unit_id}")
         try:
-            ip, mac = _check_ip(self.ip), _check_mac(self.mac)
+            ip, mac = _check_ip(ip), _check_mac(mac)
         except ValueError as exc:
-            raise ConfigError(f"{self.name}: {exc}") from exc
+            raise ConfigError(f"{name}: {exc}") from exc
         if mac is None:
-            raise ConfigError(f"{self.name}: mac must be a 48-bit hardware address")
-        object.__setattr__(self, "ip", ip)
-        object.__setattr__(self, "mac", mac)
-        object.__setattr__(self, "feature_flags", frozenset(self.feature_flags))
+            raise ConfigError(f"{name}: mac must be a 48-bit hardware address")
+        config = tuple.__new__(cls, (name, protocol, ip, listen_port, mac, dict(identity or {}), feature_flags, fragile,
+                                     max_pps, fault_on_malformed, accepted_tsaps, unit_id))
+        for flag in sorted(feature_flags):  # each reply the device serves is built once, before any device starts
+            try:
+                IDENTITY_REPLIES[flag](config)
+            except (ValueError, struct.error) as exc:
+                raise ConfigError(f"{name}: identity for {flag} cannot be encoded: {exc}") from exc
+        return config
 
 
 class SimDevice:
@@ -106,7 +113,7 @@ class SimDevice:
         self.config = config
         self.station = station
         self.state = SimState.RUNNING
-        self.counters = Counters()
+        self.packets_received = self.packets_sent = self.malformed_seen = 0
         self._window: collections.deque[float] = collections.deque()
         self._lock = threading.Lock()
         self.bound_port: int | None = None
@@ -116,7 +123,7 @@ class SimDevice:
     def note_received(self, now: float | None = None) -> SimState:
         """Count one packet; a fragile device faults past max_pps in one sliding second of ``now`` (default: station clock)."""
         with self._lock:
-            self.counters.packets_received += 1
+            self.packets_received += 1
             if self.config.fragile and self.state is SimState.RUNNING:
                 now = self.station.clock() if now is None else now
                 self._window.append(now)
@@ -129,7 +136,7 @@ class SimDevice:
     def note_malformed(self) -> SimState:
         """Count one packet the device could not take; one is enough to fault a fault_on_malformed device."""
         with self._lock:
-            self.counters.malformed_seen += 1
+            self.malformed_seen += 1
             if self.config.fault_on_malformed and self.state is SimState.RUNNING:
                 self._fault("malformed frame")
             return self.state
@@ -140,7 +147,7 @@ class SimDevice:
 
     def note_sent(self) -> None:
         with self._lock:
-            self.counters.packets_sent += 1
+            self.packets_sent += 1
 
     def reset(self) -> SimState:
         with self._lock:
@@ -153,19 +160,37 @@ class SimDevice:
 
     def get_counters(self) -> Counters:
         with self._lock:
-            return self.counters.snapshot()
+            return Counters(self.packets_received, self.packets_sent, self.malformed_seen)
 
 
 # -- protocol handlers ----------------------------------------------------
 
 
-@dataclass
 class _Connection:
     """One client connection's state, handed with each request to its device's reply function."""
 
-    device: SimDevice
-    connected: bool = False  # a COTP connection was confirmed
-    disconnect: bool = False  # the device hangs up once this reply is sent
+    __slots__ = ("device", "connected", "disconnect")
+
+    def __init__(self, device: SimDevice):
+        self.device = device
+        self.connected = False  # a COTP connection was confirmed
+        self.disconnect = False  # the device hangs up once this reply is sent
+
+
+def _modbus_device_id(config: SimDeviceConfig, tx: int = 0, unit: int = 0) -> bytes:
+    identity = config.identity
+    objects = {
+        modbus.OBJ_VENDOR_NAME: identity.get("manufacturer", ""),
+        modbus.OBJ_PRODUCT_CODE: identity.get("product_code", ""),
+        modbus.OBJ_REVISION: identity.get("firmware_version", ""),
+    }
+    return modbus.build_device_id_response(tx, unit, {k: v for k, v in objects.items() if v})
+
+
+def _modbus_slave_id(config: SimDeviceConfig, tx: int = 0, unit: int = 0) -> bytes:
+    slave_id = int(config.identity.get("slave_id", config.unit_id))
+    extra = config.identity.get("product_code", "").encode("ascii", errors="replace")
+    return modbus.build_report_slave_id_response(tx, unit, slave_id, running=True, additional=extra)
 
 
 def _modbus_reply(connection: _Connection, request: bytes) -> bytes | None:
@@ -177,16 +202,9 @@ def _modbus_reply(connection: _Connection, request: bytes) -> bytes | None:
         return modbus.exception_frame(tx, unit, pdu.function, 0x0B)  # gateway-style: the unit is not present
     device_id = pdu.function == modbus.FC_ENCAPSULATED and pdu.payload[:1] == bytes([modbus.MEI_DEVICE_ID])
     if device_id and "device_id_fc2b" in config.feature_flags:
-        objects = {
-            modbus.OBJ_VENDOR_NAME: config.identity.get("manufacturer", ""),
-            modbus.OBJ_PRODUCT_CODE: config.identity.get("product_code", ""),
-            modbus.OBJ_REVISION: config.identity.get("firmware_version", ""),
-        }
-        return modbus.build_device_id_response(tx, unit, {k: v for k, v in objects.items() if v})
+        return _modbus_device_id(config, tx, unit)
     if pdu.function == modbus.FC_REPORT_SLAVE_ID and "report_slave_id_fc11" in config.feature_flags:
-        slave_id = int(config.identity.get("slave_id", config.unit_id))
-        extra = config.identity.get("product_code", "").encode("ascii", errors="replace")
-        return modbus.build_report_slave_id_response(tx, unit, slave_id, running=True, additional=extra)
+        return _modbus_slave_id(config, tx, unit)
     if pdu.function == modbus.FC_READ_HOLDING and len(pdu.payload) == 4:
         count = struct.unpack(">H", pdu.payload[2:4])[0]
         if 1 <= count <= 125:
@@ -214,8 +232,7 @@ def _s7_reply(connection: _Connection, request: bytes) -> bytes | None:
         flag = {s7.SZL_MODULE_ID: "szl_0011", s7.SZL_COMPONENT_ID: "szl_001c"}.get(message.szl_id)
         entries, error = (), 0x8104  # refused: a list this device does not serve
         if flag in config.feature_flags:
-            build = s7.module_id_entries if message.szl_id == s7.SZL_MODULE_ID else s7.component_id_entries
-            entries, error = build(config.identity), 0
+            entries, error = IDENTITY_REPLIES[flag](config), 0
         response = s7.S7SzlResponse(
             szl_id=message.szl_id, szl_index=message.szl_index, entries=entries,
             pdu_ref=message.pdu_ref, sequence=message.sequence, error_code=error,
@@ -224,12 +241,12 @@ def _s7_reply(connection: _Connection, request: bytes) -> bytes | None:
     raise FormatError("unsupported S7 request")
 
 
-def _enip_identity(config: SimDeviceConfig) -> enip.CipIdentity:
+def _enip_list_identity(config: SimDeviceConfig) -> bytes:
     identity = config.identity
     revision = identity.get("firmware_version", "1.0").split(".")
     major = int(revision[0]) if revision[0].isdigit() else 1
     minor = int(revision[1]) if len(revision) > 1 and revision[1].isdigit() else 0
-    return enip.CipIdentity(
+    cip = enip.CipIdentity(
         vendor_id=int(identity.get("vendor_id", "1")),
         device_type=int(identity.get("device_type", "14")),
         product_code=int(identity.get("product_code_number", "0") or 0),
@@ -239,16 +256,24 @@ def _enip_identity(config: SimDeviceConfig) -> enip.CipIdentity:
         product_name=identity.get("product_name", config.name),
         state=3,
     )
+    return enip.build_list_identity_response(cip, ip=config.ip, port=config.listen_port)
 
 
 def _enip_reply(connection: _Connection, request: bytes) -> bytes | None:
     message, _payload = enip.decode_header(request)
     config = connection.device.config
     if message.command == enip.CMD_LIST_IDENTITY and "list_identity" in config.feature_flags:
-        return enip.build_list_identity_response(_enip_identity(config), ip=config.ip, port=config.listen_port)
+        return _enip_list_identity(config)
     return enip.encode_header(message.command, b"", status=0x0001)
 
 
+# identity flag -> its reply's identity part, built from the config alone (a whole Modbus or EtherNet/IP reply, or S7
+# list entries); SimDeviceConfig builds each one a device serves once, so an identity it cannot encode fails at load
+IDENTITY_REPLIES = {
+    "device_id_fc2b": _modbus_device_id, "report_slave_id_fc11": _modbus_slave_id, "list_identity": _enip_list_identity,
+    "szl_0011": lambda config: s7.module_id_entries(config.identity),
+    "szl_001c": lambda config: s7.component_id_entries(config.identity),
+}
 REPLIES = {modbus.NAME: _modbus_reply, s7.NAME: _s7_reply, enip.NAME: _enip_reply}  # codec NAME -> reply function
 
 
@@ -531,7 +556,7 @@ CONTROL_OPS = {  # op -> the fields its response adds to "ok": true
     "arp": lambda station, request: {"mac": station.arp(request["ip"])},
     "unmapped_syn": lambda station, request: {"status": station.unmapped_syn(request["ip"], request["port"])},
     "state": lambda station, request: {"state": station.device(request["name"]).get_state().value},
-    "counters": lambda station, request: {"counters": vars(station.device(request["name"]).get_counters())},
+    "counters": lambda station, request: {"counters": station.device(request["name"]).get_counters()._asdict()},
     "reset": lambda station, request: {"state": station.device(request["name"]).reset().value},
     "info": lambda station, request: {"map": station.address_map()},
     "shutdown": lambda station, request: {},

@@ -14,13 +14,12 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import MISSING, asdict, dataclass, fields
 from datetime import date
 from importlib import resources
 from typing import Any, NamedTuple
 
 from .errors import FormatError, ValidationRequired
-from .model import Inventory, read_json
+from .model import Inventory, json_text, read_json
 
 DATASET_VERSION = 1
 
@@ -48,22 +47,15 @@ PROTOCOL_TOKENS = (
 )
 
 
-@dataclass(frozen=True)
-class SpecificationFeatures:
+class SpecificationFeatures(NamedTuple):
     run: str
     license: frozenset[str] = frozenset()
     scope: frozenset[str] = frozenset()
     protocol_support: str = "single"
     protocols: frozenset[str] = frozenset()
 
-    def __post_init__(self):
-        object.__setattr__(self, "license", frozenset(self.license))
-        object.__setattr__(self, "scope", frozenset(self.scope))
-        object.__setattr__(self, "protocols", frozenset(self.protocols))
 
-
-@dataclass(frozen=True)
-class ExecutionFeatures:
+class ExecutionFeatures(NamedTuple):
     method: frozenset[str]
     usage: str
     effort: str
@@ -72,13 +64,8 @@ class ExecutionFeatures:
     service_id: frozenset[str] = frozenset()
     exploitation: frozenset[str] = frozenset()
 
-    def __post_init__(self):
-        for name in ("method", "nature", "enumeration", "service_id", "exploitation"):
-            object.__setattr__(self, name, frozenset(getattr(self, name)))
 
-
-@dataclass(frozen=True)
-class ToolProfile:
+class ToolProfile(NamedTuple):
     """One column of the feature matrix."""
 
     name: str
@@ -88,8 +75,17 @@ class ToolProfile:
     exec: ExecutionFeatures
     output_levels: frozenset[int] = frozenset()
 
-    def __post_init__(self):
-        object.__setattr__(self, "output_levels", frozenset(self.output_levels))
+
+_SET_VALUED = frozenset({name for *_, name, _, is_set in FEATURES if is_set} | {"protocols"})  # spec/exec set fields
+
+
+def _features(cls: type, raw: dict[str, Any]) -> Any:
+    """The ``cls`` section that ``raw`` holds, each set-valued feature frozen.
+
+    A missing set-valued feature is empty; a missing scalar takes its default or is a KeyError.
+    """
+    values = {**cls._field_defaults, **raw}
+    return cls(*(frozenset(values.get(name, ())) if name in _SET_VALUED else values[name] for name in cls._fields))
 
 
 class Violation(NamedTuple):
@@ -148,28 +144,11 @@ def validate_profile(profile: ToolProfile) -> list[Violation]:
 
 
 def profile_to_dict(profile: ToolProfile) -> dict[str, Any]:
-    def plain(value: Any) -> Any:
-        if isinstance(value, dict):
-            return {key: plain(item) for key, item in value.items()}
-        if isinstance(value, frozenset):
-            return sorted(value)
-        return value.isoformat() if isinstance(value, date) else value
+    def plain(record: NamedTuple) -> dict[str, Any]:
+        return {name: sorted(v) if isinstance(v, frozenset) else v for name, v in record._asdict().items()}
 
-    return plain(asdict(profile))
-
-
-def _features_from_dict(cls: type, raw: dict[str, Any]) -> Any:
-    """A missing set-valued feature is empty; a missing scalar takes its default or is an error."""
-    set_valued = {name for *_, name, _, is_set in FEATURES if is_set}
-    present = {}
-    for feature in fields(cls):
-        if feature.name in raw:
-            present[feature.name] = raw[feature.name]
-        elif feature.name in set_valued:
-            present[feature.name] = ()
-        elif feature.default is MISSING:
-            raise KeyError(feature.name)
-    return cls(**present)
+    return {**plain(profile), "last_update": profile.last_update.isoformat(),
+            "spec": plain(profile.spec), "exec": plain(profile.exec)}
 
 
 def profile_from_dict(raw: dict[str, Any]) -> ToolProfile:
@@ -181,8 +160,8 @@ def profile_from_dict(raw: dict[str, Any]) -> ToolProfile:
             name=raw["name"],
             version=raw.get("version", ""),
             last_update=date.fromisoformat(raw["last_update"]),
-            spec=_features_from_dict(SpecificationFeatures, spec),
-            exec=_features_from_dict(ExecutionFeatures, execution),
+            spec=_features(SpecificationFeatures, spec),
+            exec=_features(ExecutionFeatures, execution),
             output_levels=frozenset(raw.get("output_levels", [])),
         )
     except (KeyError, TypeError, ValueError) as exc:
@@ -244,7 +223,7 @@ def render_matrix(profiles: list[ToolProfile], format: str = "text_table") -> st
     _require_valid(profiles)
     if format == "json":
         document = {"version": DATASET_VERSION, "tools": [profile_to_dict(p) for p in profiles]}
-        return json.dumps(document, indent=2, sort_keys=True) + "\n"
+        return json_text(document)
     if format == "csv":
         buffer = io.StringIO()
         writer = csv.writer(buffer)
@@ -345,14 +324,14 @@ def classify_run(report) -> ToolProfile:
         name="icsrecon",
         version="0.1.0",
         last_update=last_update,
-        spec=SpecificationFeatures(
+        spec=_features(SpecificationFeatures, dict(
             run="standalone",
             license={"open_source"},
             scope={"wide_target"} if len(assets) != 1 else {"single_target"},
             protocol_support="multiple" if len(protocols) > 1 else "single",
             protocols=protocols,
-        ),
-        exec=ExecutionFeatures(
+        )),
+        exec=_features(ExecutionFeatures, dict(
             method=method,
             usage="manual",
             effort="interactive",
@@ -360,6 +339,6 @@ def classify_run(report) -> ToolProfile:
             enumeration=enumeration,
             service_id={"fingerprinting"},
             exploitation={"automation_protocols"},
-        ),
-        output_levels=set(levels) | {1},
+        )),
+        output_levels=frozenset(levels) | {1},
     )

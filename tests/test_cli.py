@@ -434,6 +434,46 @@ def test_simulate_device_without_listen_port_is_config_error(tmp_path, capsys):
     assert not map_path.exists()  # rejected before any device started
 
 
+@pytest.mark.parametrize(
+    "protocol,lines",
+    [
+        ("modbus", "features = report_slave_id_fc11\nunit_id = 300"),  # no unit byte holds 300
+        ("modbus", "features = report_slave_id_fc11\nidentity.slave_id = 256"),
+        ("enip", "features = list_identity\nidentity.vendor_id = x"),
+        ("modbus", "features = device_id_fc2b\nidentity.manufacturer = " + "M" * 256),  # over an object's 255 bytes
+        ("s7comm", "features = szl_0011\nidentity.firmware_version = v3"),  # not dotted-numeric
+    ],
+    ids=["unit_id", "slave_id", "enip_number", "long_text", "s7_version"],
+)
+def test_simulate_refuses_a_device_whose_identity_replies_cannot_be_built(tmp_path, capsys, protocol, lines):
+    fixtures = tmp_path / "station.conf"
+    fixtures.write_text(f"[device:broken]\nprotocol = {protocol}\nip = 10.0.0.1\nlisten_port = 1000\n{lines}\n")
+    map_path = tmp_path / "map.json"
+    code = main(["simulate", "--fixtures", str(fixtures), "--map-out", str(map_path), "--max-seconds", "0"])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error[ConfigError]: broken: ")
+    assert not map_path.exists()  # rejected before any device started
+
+
+@pytest.mark.parametrize(
+    "command, name",
+    [(["simulate", "--max-seconds", "0", "--map-out"], "map.json"), (["report", "--out"], "matrix.txt")],
+)
+def test_a_write_that_fails_part_way_leaves_the_old_file(tmp_path, command, name):
+    """Files may grow to 200 bytes only, less than the map or the matrix: the write fails after its first 200."""
+    path = tmp_path / name
+    path.write_text("old\n")
+    script = (  # Python ignores SIGXFSZ, so the write past the limit raises OSError
+        "import resource; resource.setrlimit(resource.RLIMIT_FSIZE, (200, 200))\n"
+        f"from icsrecon.cli import main; raise SystemExit(main({[*command, str(path)]!r}))\n"
+    )
+    env = {**_child_env(), "PYTHONDONTWRITEBYTECODE": "1"}
+    result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+    assert result.returncode == 1 and "error[OSError]" in result.stderr, result.stderr
+    assert path.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == [name]  # no partial file left behind
+
+
 def test_scan_with_a_map_file_without_control_port_is_format_error(tmp_path, capsys):
     map_path = tmp_path / "map.json"
     map_path.write_text(json.dumps({"scanner_ip": "192.168.90.1", "hosts": {}}))
@@ -504,16 +544,21 @@ SCANNER_AND_SIMULATOR = {"icsrecon.scanner", "icsrecon.simulator", "icsrecon.net
 ACTIVE_AND_PASSIVE = SCANNER_AND_SIMULATOR | {"icsrecon.passive", "icsrecon.pcapio", "icsrecon.codecs"}
 
 
+def _child_env() -> dict[str, str]:
+    """This environment, with the tested package's source directory first on PYTHONPATH."""
+    src = os.path.dirname(os.path.dirname(icsrecon.__file__))
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+
+
 def _modules_loaded(code: str, roots: tuple[str, ...] = ("icsrecon",)) -> set[str]:
     """The modules under ``roots`` a fresh interpreter holds after running ``code``."""
-    src = os.path.dirname(os.path.dirname(icsrecon.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     script = (
         "import contextlib, io, json, sys\n"
         "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
         f"    {code}\n"
         f"print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] in {roots!r})))\n"
     )
+    env = _child_env()
     result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
     return set(json.loads(result.stdout))
@@ -541,8 +586,9 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
                roots=("icsrecon", *record_machinery))
     assert vuln == CLI_CORE | {"icsrecon.data"}
 
-    report = run("report", "--stats")
+    report = run("report", "--stats", roots=("icsrecon", *record_machinery))
     assert "icsrecon.taxonomy" in report and not report & ACTIVE_AND_PASSIVE  # a codec loads icsrecon.codecs
+    assert not report & set(record_machinery)
 
     sniff = run(
         "sniff", "--pcap", pcap, "--out", tmp_path / "sniffed.json", roots=("icsrecon", "socket", *record_machinery)
@@ -553,13 +599,17 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
     assert not sniff & (SCANNER_AND_SIMULATOR | {"icsrecon.taxonomy", "icsrecon.config"})
 
     scan_settings = _modules_loaded(
-        f"from icsrecon.config import load_scan_config; load_scan_config({str(scan_config)!r})"
+        f"from icsrecon.config import load_scan_config; load_scan_config({str(scan_config)!r})",
+        roots=("icsrecon", *record_machinery),
     )
     assert "icsrecon.scanner" in scan_settings and "icsrecon.simulator" not in scan_settings
+    assert not scan_settings & set(record_machinery)
     fixtures = _modules_loaded(
-        "from icsrecon.config import default_fixtures_path, load_fixtures; load_fixtures(default_fixtures_path())"
+        "from icsrecon.config import default_fixtures_path, load_fixtures; load_fixtures(default_fixtures_path())",
+        roots=("icsrecon", *record_machinery),
     )
     assert "icsrecon.simulator" in fixtures and "icsrecon.scanner" not in fixtures
+    assert not fixtures & set(record_machinery)
 
 
 def test_simulate_command_runs_and_shuts_down(tmp_path, capsys):
@@ -588,11 +638,9 @@ def test_simulate_command_runs_and_shuts_down(tmp_path, capsys):
 
 
 def test_simulate_ends_with_code_0_on_ctrl_c(tmp_path):
-    src = os.path.dirname(os.path.dirname(icsrecon.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     command = [sys.executable, "-u", "-c", "import sys; from icsrecon.cli import main; sys.exit(main(sys.argv[1:]))",
                "simulate", "--map-out", str(tmp_path / "map.json")]
-    process = subprocess.Popen(command, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    process = subprocess.Popen(command, env=_child_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
     try:
         assert process.stdout.readline().startswith("summary command=simulate")  # the station is up
         process.send_signal(signal.SIGINT)

@@ -19,6 +19,7 @@ from icsrecon.model import (
     Inventory,
     PortSpec,
     StaticDeviceInfo,
+    json_text,
     merge_observation,
 )
 from icsrecon.ouidb import vendor_for_mac
@@ -282,8 +283,8 @@ def test_determinism_same_pcap_same_json(tmp_path, station_pcap=None):
     flow.server_payload(s7.build_cotp_confirm(s7.CotpConnectionRequest(0x0100, 0x0102)))
     flow.close()
     writer.close()
-    first = analyze_capture(PcapFile(str(path))).inventory.to_json()
-    second = analyze_capture(PcapFile(str(path))).inventory.to_json()
+    first = json_text(analyze_capture(PcapFile(str(path))).inventory.to_document())
+    second = json_text(analyze_capture(PcapFile(str(path))).inventory.to_document())
     assert first == second
 
 

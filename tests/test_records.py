@@ -1,11 +1,11 @@
-"""Which records are dataclasses: only those that change, or that only scan, simulate or report load.
+"""One way to write a record: a NamedTuple, never a dataclass.
 
-A frozen dataclass builds its methods when its module is imported, about
-1 ms each, on every start of every command, and the ``dataclasses`` module
-itself pulls in ``inspect``. A plain record is a NamedTuple instead, which
-builds in a tenth of that. A checked record is a subclass of the NamedTuple
-of its fields that checks and normalizes them in ``__new__``, then builds
-the tuple once.
+A plain record is a NamedTuple. A checked record is a subclass of the
+NamedTuple of its fields whose ``__new__`` checks and normalizes them, then
+builds the tuple once. A frozen dataclass would build its methods when its
+module is imported, about 1 ms each on every start of every command, and the
+``dataclasses`` module itself pulls in ``inspect``; so no class in the
+package is one.
 
 Every function, class and method in the package has a caller in the
 program or in its benchmark; code that only tests reach is not kept.
@@ -23,14 +23,10 @@ import pkgutil
 
 import icsrecon
 
-# only the scan, simulate and report paths load these; the last two are mutable
-DATACLASSES = {
+CHECKED_RECORDS = {
+    "model.PortSpec", "model.StaticDeviceInfo", "model.DeploymentInfo", "model.Asset",
     "scanner.ScanConfig", "simulator.SimDeviceConfig",
-    "taxonomy.SpecificationFeatures", "taxonomy.ExecutionFeatures", "taxonomy.ToolProfile",
-    "simulator.Counters", "simulator._Connection",
 }
-
-CHECKED_RECORDS = {"model.PortSpec", "model.StaticDeviceInfo", "model.DeploymentInfo", "model.Asset"}
 
 NAMED_TUPLES = {
     "codecs.modbus.MbapHeader", "codecs.modbus.ModbusPdu", "codecs.modbus.DeviceIdentification",
@@ -41,8 +37,10 @@ NAMED_TUPLES = {
     "codecs.enip.CipIdentity", "codecs.enip.EnipMessage",
     "pcapio.EthernetFrame", "pcapio.ArpMessage", "pcapio.Ipv4Packet", "pcapio.TcpSegment",
     "model.CveRecord", "model.ProvenanceEntry", "passive.PcapFile", "netbase.ConnectResult", "taxonomy.Violation",
-    "config.NetworkSettings", "config.StationConfig",
+    "taxonomy.SpecificationFeatures", "taxonomy.ExecutionFeatures", "taxonomy.ToolProfile",
+    "config.NetworkSettings", "config.StationConfig", "simulator.Counters",
     "model._PortSpecFields", "model._StaticDeviceInfoFields", "model._DeploymentInfoFields", "model._AssetFields",
+    "scanner._ScanConfigFields", "simulator._SimDeviceConfigFields",
     *CHECKED_RECORDS,
 }
 
@@ -58,10 +56,10 @@ def _package_classes() -> dict[str, type]:
     return classes
 
 
-def test_only_checked_or_mutable_records_are_dataclasses():
+def test_no_class_is_a_dataclass():
     classes = _package_classes()
-    assert {"scanner.Scanner", "passive.PcapFile", "simulator.RemoteStation"} <= classes.keys()
-    assert {name for name, cls in classes.items() if dataclasses.is_dataclass(cls)} == DATACLASSES
+    assert {"scanner.Scanner", "passive.PcapFile", "simulator.RemoteStation", "simulator._Connection"} <= classes.keys()
+    assert [name for name, cls in classes.items() if dataclasses.is_dataclass(cls)] == []
 
 
 def test_plain_records_are_named_tuples():

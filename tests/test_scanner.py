@@ -378,11 +378,9 @@ def test_probe_s7_and_enip(station):
 
 
 def test_probe_refused_tsaps_makes_no_claim():
-    import dataclasses
-
     config = load_fixtures(default_fixtures_path())
     (plc,) = [c for c in config.devices if c.name == "et200s_like"]
-    locked = dataclasses.replace(plc, accepted_tsaps=(0x0FFF,), fragile=False)
+    locked = SimDeviceConfig(**{**plc._asdict(), "accepted_tsaps": (0x0FFF,), "fragile": False})
     handle = StationHandle([locked]).start()
     try:
         with port_found_open(handle, "192.168.90.10", 102) as (scanner, asset, sock):
@@ -654,12 +652,10 @@ def test_phase_monotonicity(station):
 
 def start_two_service_host():
     """One host with Modbus (the RTU) and EtherNet/IP (the ControlLogix) open."""
-    import dataclasses
-
     config = load_fixtures(default_fixtures_path())
     devices = {c.name: c for c in config.devices}
     rtu = devices["scadapack32_like"]
-    enip_side = dataclasses.replace(devices["controllogix_like"], ip=rtu.ip)
+    enip_side = SimDeviceConfig(**{**devices["controllogix_like"]._asdict(), "ip": rtu.ip})
     return StationHandle([rtu, enip_side], scanner_ip=config.scanner_ip).start(), rtu
 
 
@@ -752,11 +748,9 @@ def test_two_service_host_enumerates_each_port_before_probing_the_next():
 def test_tsap_retry_opens_one_new_connection_and_every_socket_is_closed_once():
     # the PLC takes only the second default TSAP pair: the first COTP CR, sent
     # on the port scan's connection, is refused; the retry gets its own connection
-    import dataclasses
-
     config = load_fixtures(default_fixtures_path())
     (plc,) = [c for c in config.devices if c.name == "et200s_like"]
-    second_pair = dataclasses.replace(plc, accepted_tsaps=(0x0200,), fragile=False)
+    second_pair = SimDeviceConfig(**{**plc._asdict(), "accepted_tsaps": (0x0200,), "fragile": False})
     handle = StationHandle([second_pair], scanner_ip=config.scanner_ip).start()
     try:
         network = CountingNetwork(handle)
@@ -777,8 +771,6 @@ def test_tsap_retry_opens_one_new_connection_and_every_socket_is_closed_once():
 
 def test_tsap_retry_that_cannot_connect_makes_no_claim():
     # the PLC takes only the second default TSAP pair, but the retry's connect times out
-    import dataclasses
-
     class RetryTimesOut(CountingNetwork):
         def connect(self, ip, port, timeout):
             if not self.connects[(ip, port)]:
@@ -788,7 +780,7 @@ def test_tsap_retry_that_cannot_connect_makes_no_claim():
 
     config = load_fixtures(default_fixtures_path())
     (plc,) = [c for c in config.devices if c.name == "et200s_like"]
-    second_pair = dataclasses.replace(plc, accepted_tsaps=(0x0200,), fragile=False)
+    second_pair = SimDeviceConfig(**{**plc._asdict(), "accepted_tsaps": (0x0200,), "fragile": False})
     handle = StationHandle([second_pair], scanner_ip=config.scanner_ip).start()
     try:
         network = RetryTimesOut(handle)

@@ -346,7 +346,7 @@ def test_unknown_enip_command_gets_status_one():
         reply = exchange(handle, 44818, "192.168.90.14", enip.encode_header(0x0999, b""), enip)
         message, payload = enip.decode_header(reply)
         assert (message.command, message.status, payload) == (0x0999, 0x0001, b"")
-        assert handle.device("controllogix_like").counters.malformed_seen == 0
+        assert handle.device("controllogix_like").get_counters().malformed_seen == 0
     finally:
         handle.stop()
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 from datetime import date
@@ -103,7 +102,7 @@ def test_one_unknown_value_is_one_violation(section, name):
         value = held | {"bogus"}
     else:
         value = "bogus"
-    profile = dataclasses.replace(profile, **{section: dataclasses.replace(features, **{name: value})})
+    profile = profile._replace(**{section: features._replace(**{name: value})})
     assert [(v.field, v.rule) for v in tx.validate_profile(profile)] == [(f"{section}.{name}", "InvalidValue")]
 
 
