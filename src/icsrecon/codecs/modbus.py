@@ -93,6 +93,8 @@ def encode_modbus(header: MbapHeader, pdu: ModbusPdu) -> bytes:
         raise ValueError(f"protocol_id must be 0, got {header.protocol_id}")
     if header.length != expected:
         raise ValueError(f"length must be {expected}, got {header.length}")
+    if expected > 254:  # the most frame_size accepts: a Modbus/TCP frame is at most 260 bytes
+        raise ValueError(f"length {expected} is over 254")
     if not 0 <= header.unit_id <= 0xFF or not 0 <= header.transaction_id <= 0xFFFF:
         raise ValueError("unit_id / transaction_id out of range")
     if not 0 <= pdu.function <= 0xFF:

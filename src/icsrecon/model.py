@@ -27,7 +27,8 @@ import re
 from datetime import datetime, timezone
 from enum import IntEnum
 from itertools import repeat
-from typing import Any, Iterable, Iterator, NamedTuple
+from json.encoder import encode_basestring_ascii
+from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
 from .errors import AddressMismatch, FormatError
 
@@ -628,8 +629,56 @@ def read_json(path, what: str) -> Any:
 
 
 def json_text(document: Any) -> str:
-    """The layout of every JSON document the program writes: two-space indent, sorted keys, a final newline."""
-    return json.dumps(document, indent=2, sort_keys=True) + "\n"
+    """The layout of every JSON document the program writes: two-space indent, sorted keys, a final newline.
+
+    The same text as ``json.dumps(document, indent=2, sort_keys=True) + "\\n"``, whose ``indent`` runs the
+    standard library's pure-Python encoder.
+    """
+    parts: list[str] = []
+    _write_json(document, "\n", parts.append)
+    parts.append("\n")
+    return "".join(parts)
+
+
+def _write_json(value: Any, newline: str, put: Callable[[str], None]) -> None:
+    if isinstance(value, str):
+        put(encode_basestring_ascii(value))
+    elif isinstance(value, (list, tuple)):
+        inner = newline + "  "
+        lead = "[" + inner
+        for item in value:
+            put(lead)
+            _write_json(item, inner, put)
+            lead = "," + inner
+        put(newline + "]" if value else "[]")
+    elif isinstance(value, dict):
+        inner = newline + "  "
+        lead = "{" + inner
+        for key in sorted(value):  # by the key's own value, then written as text, as json does
+            put(lead + (encode_basestring_ascii(key) if isinstance(key, str) else _json_key(key)) + ": ")
+            _write_json(value[key], inner, put)
+            lead = "," + inner
+        put(newline + "}" if value else "{}")
+    else:
+        put(_json_scalar(value))
+
+
+def _json_scalar(value: Any) -> str:
+    if value is None:
+        return "null"
+    if value is True or value is False:
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)  # an IntEnum is written as its number
+    if isinstance(value, float) and value - value == 0.0:  # finite
+        return float.__repr__(value)
+    return json.dumps(value)  # NaN and Infinity as json writes them; anything else json refuses, as it always did
+
+
+def _json_key(key: Any) -> str:
+    if key is None or isinstance(key, (int, float)):  # bool is an int
+        return f'"{_json_scalar(key)}"'
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
 def write_whole(path, text: str) -> None:

@@ -12,9 +12,12 @@ The database is indexed once, when it is built, by canonical vendor and
 then by normalized product, so a lookup only examines the records whose
 vendor and product clauses can hold. A load checks the records one
 field at a time (``CveRecord.columns``), parses each distinct bound text
-once and compares each distinct range once; lookups parse versions
-through a bounded cache, so a firmware or bound text is parsed once
-while the cache holds it.
+once and compares each distinct range once. ``record_applies`` checks
+each candidate on its own, and three bounded caches of 1024 texts each
+keep it from redoing the work that candidates share: the vendor and
+product normalizations and the parsed versions. A vendor, product,
+firmware or bound text is normalized or parsed once while its cache
+holds it.
 
 The database is a local JSON file; there is no network fetch, so scans
 stay air-gap friendly.
@@ -63,11 +66,15 @@ class CveDatabase:
         return len(self.records)
 
 
+@lru_cache(maxsize=1024)
 def normalize_vendor(text: str) -> str:
+    """Case- and space-folded vendor name; the last 1024 are kept, process-wide."""
     return " ".join(text.lower().split())
 
 
+@lru_cache(maxsize=1024)
 def normalize_product(text: str) -> str:
+    """Lower-case product name without its non-alphanumerics; the last 1024 are kept, process-wide."""
     return _NON_ALNUM.sub("", text.lower())
 
 

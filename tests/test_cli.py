@@ -441,9 +441,12 @@ def test_simulate_device_without_listen_port_is_config_error(tmp_path, capsys):
         ("modbus", "features = report_slave_id_fc11\nidentity.slave_id = 256"),
         ("enip", "features = list_identity\nidentity.vendor_id = x"),
         ("modbus", "features = device_id_fc2b\nidentity.manufacturer = " + "M" * 256),  # over an object's 255 bytes
+        # each object fits, the reply of 424 bytes is over the 260 of a Modbus/TCP frame
+        ("modbus", "features = device_id_fc2b\nidentity.manufacturer = " + "M" * 200 + "\nidentity.product_code = "
+         + "P" * 200),
         ("s7comm", "features = szl_0011\nidentity.firmware_version = v3"),  # not dotted-numeric
     ],
-    ids=["unit_id", "slave_id", "enip_number", "long_text", "s7_version"],
+    ids=["unit_id", "slave_id", "enip_number", "long_text", "long_reply", "s7_version"],
 )
 def test_simulate_refuses_a_device_whose_identity_replies_cannot_be_built(tmp_path, capsys, protocol, lines):
     fixtures = tmp_path / "station.conf"

@@ -64,6 +64,16 @@ def test_round_trip_property(tx, unit, function, payload):
     assert len(wire) == 6 + header.length
 
 
+@given(tx=st.integers(0, 0xFFFF), unit=st.integers(0, 0xFF), function=st.integers(0, 0xFF), size=st.integers(0, 300))
+def test_every_encoded_frame_is_one_frame_size_accepts(tx, unit, function, size):
+    header = modbus.MbapHeader(tx, unit, 2 + size)
+    try:
+        wire = modbus.encode_modbus(header, modbus.ModbusPdu(function, bytes(size)))
+    except ValueError:  # a length over 254, or an exception PDU of other than one byte
+        return
+    assert modbus.frame_size(wire) == len(wire)
+
+
 def test_truncated_input():
     with pytest.raises(Truncated):
         modbus.decode_modbus(bytes.fromhex("00010000"))

@@ -7,11 +7,25 @@ import os
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
+from icsrecon import taxonomy
+from icsrecon.config import default_fixtures_path, load_fixtures
 from icsrecon.errors import FormatError
-from icsrecon.model import Asset, CveRecord, Inventory, PortSpec, ProvenanceEntry, RunReport, StaticDeviceInfo
+from icsrecon.model import (
+    Asset,
+    CveRecord,
+    DepthLevel,
+    Inventory,
+    PortSpec,
+    ProvenanceEntry,
+    RunReport,
+    StaticDeviceInfo,
+    json_text,
+)
+from icsrecon.simulator import ControlledStation, StationHandle
 
-from conftest import random_asset, same_record, ts
+from conftest import random_asset, random_observation, same_record, ts
 
 
 def test_upsert_same_ip_merges_into_one(tmp_path):
@@ -202,3 +216,80 @@ def test_assets_sorted_by_ip():
         [Asset.discovered(ip, ts()) for ip in ["10.0.0.10", "10.0.0.2", "10.0.0.1"]]
     )
     assert [a.ip for a in inv.assets()] == ["10.0.0.1", "10.0.0.2", "10.0.0.10"]
+
+
+# -- the JSON writer ------------------------------------------------------------------
+
+
+def dumped(document) -> str:
+    return json.dumps(document, indent=2, sort_keys=True) + "\n"
+
+
+TRICKY_TEXT = st.text(st.characters() | st.sampled_from('"\\/\x00\x1f\x7f\n\t\u00e9\u2028\U0001f600'))
+JSON_SCALARS = (
+    TRICKY_TEXT | st.none() | st.booleans() | st.sampled_from([0, 1, -0.0, 1e16, float("nan"), float("inf"),
+                                                                float("-inf"), DepthLevel.VULNERABILITY])
+    | st.integers() | st.integers(-(10**40), 10**40) | st.floats()
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda children: (
+        st.lists(children, max_size=4)
+        | st.lists(children, max_size=4).map(tuple)
+        | st.dictionaries(TRICKY_TEXT, children, max_size=4)
+        | st.dictionaries(st.integers() | st.floats() | st.booleans(), children, max_size=4)  # mutually comparable
+        | st.dictionaries(st.none(), children, max_size=1)
+    ),
+    max_leaves=20,
+)
+
+
+@given(JSON_VALUES)
+def test_json_text_writes_what_json_dumps_writes(value):
+    assert json_text(value) == dumped(value)
+
+
+def test_json_text_refuses_what_json_dumps_refuses():
+    for document in ({"x": object()}, {(1, 2): 0}, {"a": 1, 2: 0}):
+        with pytest.raises(TypeError):
+            dumped(document)
+        with pytest.raises(TypeError):
+            json_text(document)
+
+
+def program_documents() -> dict:
+    """One document of each kind the program writes."""
+    rng = random.Random(0x15ED)
+    inventory = Inventory()
+    for _ in range(60):
+        inventory.upsert(random_observation(rng, f"10.0.0.{rng.randrange(1, 6)}"))
+    assert any(asset.provenance for asset in inventory) and any(asset.vulnerabilities for asset in inventory)
+    active = RunReport(
+        "active", inventory, anomalies=["10.0.0.3: reply cut short"], duration_seconds=1.25, packets_sent=37,
+        rate_limit_pps=50.0, safe_mode=True, methods_used=["icmp", "arp"], unit_id_sweep_used=False,
+        vuln_db_consulted=True,
+    )
+    passive = RunReport(
+        "passive", inventory, nature="offline", source="./capture.pcap", frames_read=990, frames_skipped=3,
+        out_of_order_segments=0, classified_flows=12,
+    )
+    profiles = taxonomy.load_profiles()
+    fixtures = load_fixtures(default_fixtures_path())
+    controlled = ControlledStation(StationHandle(list(fixtures.devices), scanner_ip=fixtures.scanner_ip).start())
+    try:
+        station_map = controlled.map_document()
+    finally:
+        controlled.stop()
+    return {
+        "inventory": inventory.to_document(),
+        "active report": active.to_document(),
+        "passive report": passive.to_document(),
+        "report --stats": taxonomy.dataset_stats(profiles),  # int keys under fraction_reaching_level
+        "json matrix": {"version": taxonomy.DATASET_VERSION, "tools": list(map(taxonomy.profile_to_dict, profiles))},
+        "station map": station_map,
+    }
+
+
+def test_json_text_writes_each_program_document_as_json_dumps_does():
+    for kind, document in program_documents().items():
+        assert json_text(document) == dumped(document), kind

@@ -750,3 +750,44 @@ def test_no_match_without_version_satisfaction():
                 assert compare_versions(info.firmware_version, full.version_min) >= 0
             if full.version_max is not None:
                 assert compare_versions(info.firmware_version, full.version_max) < 0
+
+
+def test_match_is_unchanged_when_every_cache_is_filled_past_its_size():
+    """More vendor spellings, product texts and version texts than each 1024-entry cache holds."""
+    caches = (normalize_vendor, normalize_product, parse_version)
+    size = max(cache.cache_info().maxsize for cache in caches)
+    rng = random.Random(0xCACE)
+
+    def spelling(name: str) -> str:  # one of many case and spacing variants of the same name
+        return "".join(c.upper() if rng.random() < 0.5 else c for c in name).replace(" ", " " * rng.randint(1, 3))
+
+    vendors = ["siemens ag", "siemens", "schneider electric", "rockwell automation"]
+    records = [
+        record(
+            cve_id=f"CVE-2021-{10000 + i}", vendor=spelling(rng.choice(vendors)),
+            product=spelling(f"et 200s {i % 40} cpu"), vmin=rng.choice([None, f"1.{i}"]),
+            vmax=rng.choice([None, f"1.{i + rng.randrange(1, 400)}"]), severity=rng.choice([None, 5.0, 9.8]),
+        )
+        for i in range(3 * size // 2)
+    ]
+    for texts in ({r.vendor for r in records}, {r.product for r in records},
+                  {v for r in records for v in (r.version_min, r.version_max) if v}):
+        assert len(texts) > size
+    db = db_from(records, {"siemens ag": "siemens"})
+    infos = []
+    for j in range(80):
+        manufacturer, model = rng.choice([(spelling(rng.choice(vendors)), None), (None, f"6ES7 ET200S{j % 40} CPU"),
+                                          (spelling(rng.choice(vendors)), f"ET-200S-{j % 40}-CPU")])
+        firmware = rng.choice([None, f"1.{rng.randrange(2000)}", "fw-x"])
+        infos.append(StaticDeviceInfo(manufacturer=manufacturer, model=model, firmware_version=firmware))
+
+    for cache in caches:
+        cache.cache_clear()
+    shared = [[h.cve_id for h in match(info, db)] for info in infos]
+    assert all(cache.cache_info().misses > size for cache in caches)  # each cache evicted along the way
+    for info, got in zip(infos, shared):
+        for cache in caches:
+            cache.cache_clear()
+        assert got == [h.cve_id for h in match(info, db)]
+        assert set(got) == naive_match_oracle(info, db)
+    assert sum(map(len, shared)) > 100
