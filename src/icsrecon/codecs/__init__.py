@@ -28,17 +28,19 @@ def cut_frames(buffer: bytes, header_size: int, frame_size) -> tuple[list[bytes]
     """Cut complete frames off the front of a stream by one codec's frame rule.
 
     Stops, returning the rest untouched, at a header the rule rejects or
-    at a frame that is not complete yet.
+    at a frame that is not complete yet. A ``bytearray`` is copied once,
+    and each frame is sliced from that copy.
     """
+    buffer = bytes(buffer)
     frames: list[bytes] = []
     start = 0
     while len(buffer) - start >= header_size:
         size = frame_size(buffer, start)
         if size is None or len(buffer) - start < size:
             break
-        frames.append(bytes(buffer[start : start + size]))
+        frames.append(buffer[start : start + size])
         start += size
-    return frames, bytes(buffer[start:])
+    return frames, buffer[start:]
 
 
 from . import enip, modbus, s7  # noqa: E402  (the codecs import cut_frames from here)

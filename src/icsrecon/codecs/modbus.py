@@ -118,8 +118,8 @@ def decode_modbus(data: bytes) -> tuple[MbapHeader, ModbusPdu]:
     tx, proto, length, unit = MBAP.unpack_from(data)
     if proto != 0:
         raise NotModbus(f"protocol_id 0x{proto:04x} is not Modbus/TCP")
-    if length < 2:
-        raise LengthMismatch(f"declared length {length} below minimum 2")
+    if not 2 <= length <= 254:  # frame_size's range: a Modbus/TCP frame is at most 260 bytes
+        raise LengthMismatch(f"declared length {length} outside 2..254")
     if len(data) != 6 + length:
         raise LengthMismatch(f"declared {6 + length} bytes, got {len(data)}")
     function = data[7]

@@ -12,9 +12,10 @@ shared codecs. Each address's evidence is folded flow by flow, in
 first-frame order, by ``merge_observation``'s newest-wins rule, and
 frozen into one asset at the end; the report's ``levels_achieved``
 counts each level on its own evidence. Reassembly is in-order per
-direction, capped at 64 KiB; past the cap an in-order segment only
-advances the sequence number. Out-of-order segments are dropped and
-counted.
+direction, capped at 64 KiB, and done in the dissect loop itself: an
+in-order segment is sliced straight into its direction's buffer, and
+past the cap it only advances the sequence number. Out-of-order
+segments are dropped and counted; retransmissions are ignored.
 """
 
 from __future__ import annotations
@@ -130,20 +131,6 @@ class _Direction:
         self.next_seq: int | None = None
         self.buffer = bytearray()
         self.capped = False
-
-    def add(self, seq: int, payload: bytes, flow: "_Flow") -> None:
-        if self.next_seq is None:
-            self.next_seq = seq
-        if seq == self.next_seq:
-            if not self.capped:
-                room = REASSEMBLY_CAP - len(self.buffer)
-                self.buffer += payload[:room]
-                if room < len(payload):
-                    self.capped = True
-            self.next_seq = (self.next_seq + len(payload)) & 0xFFFFFFFF
-        elif _seq_after(seq, self.next_seq):
-            flow.out_of_order += 1  # dropped, by design
-        # else: retransmission of already-consumed data; ignore
 
     def bump(self, seq: int, amount: int) -> None:
         # SYN/FIN consume one sequence number without carrying data
@@ -300,7 +287,9 @@ def _dissect(records: Iterable[tuple[float, bytes]]) -> tuple[dict[bytes, list],
             continue
         if protocol == PROTO_TCP:
             start = ETHERNET_HEADER + ihl
-            end = min(ETHERNET_HEADER + total, size)
+            end = ETHERNET_HEADER + total
+            if end > size:
+                end = size
             if end - start >= 20:
                 seq, data_offset, flags = tcp_fields(frame, start)
                 data = start + (data_offset >> 4) * 4
@@ -318,10 +307,20 @@ def _dissect(records: Iterable[tuple[float, bytes]]) -> tuple[dict[bytes, list],
                             flow.client = flow.endpoints[direction is flow.reverse]
                         direction.bump(seq, 1)
                     if data < end:
-                        if direction.capped and seq == direction.next_seq:
-                            direction.next_seq = (seq + end - data) & 0xFFFFFFFF  # nothing more is kept
-                        else:
-                            direction.add(seq, frame[data:end], flow)
+                        next_seq = direction.next_seq
+                        if next_seq is None or seq == next_seq:  # in order: keep what fits under the cap
+                            if not direction.capped:
+                                buffer = direction.buffer
+                                room = REASSEMBLY_CAP - len(buffer)
+                                if end - data > room:
+                                    buffer += frame[data : data + room]
+                                    direction.capped = True
+                                else:
+                                    buffer += frame[data:end]
+                            direction.next_seq = (seq + end - data) & 0xFFFFFFFF
+                        elif _seq_after(seq, next_seq):
+                            flow.out_of_order += 1  # dropped, by design
+                        # else: a retransmission of data already consumed; ignored
                     if flags & TCP_FIN:
                         direction.bump(seq + end - data, 1)
                     continue

@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 
 from icsrecon.codecs import modbus
 from icsrecon.errors import (
+    DecodeError,
     FormatError,
     LengthMismatch,
     ModbusExceptionResponse,
@@ -91,6 +92,34 @@ def test_length_mismatch():
     bad[5] = 9
     with pytest.raises(LengthMismatch):
         modbus.decode_modbus(bytes(bad))
+
+
+def test_length_over_254_is_refused_as_frame_size_refuses_it():
+    wire = modbus.MBAP.pack(1, 0, 300, 1) + bytes([3]) + bytes(298)
+    assert len(wire) == 306 and modbus.frame_size(wire) is None
+    with pytest.raises(LengthMismatch):
+        modbus.decode_modbus(wire)
+
+
+DECODABLE = st.one_of(
+    st.binary(max_size=300),
+    st.builds(
+        lambda length, unit, body: modbus.MBAP.pack(1, 0, length, unit) + body,
+        st.integers(0, 0xFFFF),
+        st.integers(0, 0xFF),
+        st.binary(max_size=300),
+    ),
+    st.integers(1, 0xFFFF).map(lambda length: modbus.MBAP.pack(1, 0, length, 1) + bytes(length - 1)),
+)
+
+
+@given(DECODABLE)
+def test_every_decoded_frame_is_one_frame_size_accepts(wire):
+    try:
+        modbus.decode_modbus(wire)
+    except (DecodeError, FormatError):
+        return
+    assert modbus.frame_size(wire) == len(wire)
 
 
 def test_device_id_response_round_trip():

@@ -8,11 +8,12 @@ import random
 from datetime import datetime, timezone
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from icsrecon import passive
 from icsrecon.codecs import PROTOCOLS, enip, modbus, s7
 from icsrecon.config import default_fixtures_path, load_fixtures
-from icsrecon.errors import DecodeError, FormatError
+from icsrecon.errors import DecodeError, FormatError, IcsReconError
 from icsrecon.model import (
     Asset,
     DeploymentInfo,
@@ -265,11 +266,12 @@ def test_flow_without_syn_gives_the_port_to_the_first_address_in_text_order(tmp_
     assert inventory.get("10.0.0.9").open_ports == frozenset()
 
 
-def test_reassembly_cap_is_enforced():
-    flow = _Flow(("a", 1), ("b", 2))
-    direction = flow.direction(("a", 1))
-    direction.add(0, b"x" * (REASSEMBLY_CAP + 500), flow)
-    assert len(direction.buffer) == REASSEMBLY_CAP
+def test_reassembly_cap_is_enforced(low_cap):
+    # one IPv4 packet cannot carry 64 KiB of payload, so the cap is lowered to 16 bytes
+    records = [(1.0, _tcp_frame(HOST_A, HOST_B, 40000, 502, 0, TCP_PSH | TCP_ACK, b"x" * (low_cap + 500)))]
+    _senders, [flow], _read, _skipped = _dissect(records)
+    direction = flow.forward
+    assert len(direction.buffer) == low_cap
     assert direction.capped
 
 
@@ -329,6 +331,8 @@ VALID_FRAMES = [
     _tcp_frame("0.0.0.0", HOST_B, 68, 502, 7, TCP_PSH, b"unnumbered"),
     _with_options(_tcp_frame(HOST_A, HOST_B, 40000, 502, 1007, TCP_PSH | TCP_ACK, b"options"), ip_options=b"\x01" * 4),
     _with_options(_tcp_frame(HOST_B, HOST_A, 502, 40000, 5005, TCP_PSH | TCP_ACK, b"more"), tcp_options=b"\x02\x04\x05\xb4"),
+    _tcp_frame(HOST_A, HOST_B, 40000, 502, 1014, TCP_PSH | TCP_ACK, b"sixteen"),  # "request", "options", this: 21 bytes
+    _tcp_frame(HOST_B, HOST_A, 502, 40000, 5009, TCP_PSH | TCP_ACK, b"a reply of over sixteen bytes"),
 ]
 _DATA = VALID_FRAMES[7]
 MALFORMED_FRAMES = [
@@ -346,6 +350,33 @@ FRAMES = st.one_of(
     one_byte_changed(VALID_FRAMES),
     st.sampled_from(VALID_FRAMES).flatmap(lambda f: st.integers(0, len(f) - 1).map(lambda n: f[:n])),
 )
+
+
+CHAIN_CAP = REASSEMBLY_CAP
+
+
+def _chain_add(direction, seq, payload, flow):
+    """The reassembly step, as one method call per data segment."""
+    if direction.next_seq is None:
+        direction.next_seq = seq
+    if seq == direction.next_seq:
+        if not direction.capped:
+            room = CHAIN_CAP - len(direction.buffer)
+            direction.buffer += payload[:room]
+            if room < len(payload):
+                direction.capped = True
+        direction.next_seq = (direction.next_seq + len(payload)) & 0xFFFFFFFF
+    elif ((seq - direction.next_seq) & 0xFFFFFFFF) < 0x80000000:
+        flow.out_of_order += 1  # dropped, by design
+    # else: retransmission of already-consumed data; ignore
+
+
+@pytest.fixture
+def low_cap(monkeypatch):
+    """A 16-byte reassembly cap, for the analyzer and for the parse chain."""
+    monkeypatch.setattr(passive, "REASSEMBLY_CAP", 16)
+    monkeypatch.setitem(globals(), "CHAIN_CAP", 16)
+    return 16
 
 
 def _chain_dissect(records):
@@ -390,7 +421,7 @@ def _chain_dissect(records):
                 flow.client = src
             direction.bump(segment.seq, 1)
         if segment.payload:
-            direction.add(segment.seq, segment.payload, flow)
+            _chain_add(direction, segment.seq, segment.payload, flow)
         if segment.flags & TCP_FIN:
             direction.bump(segment.seq + len(segment.payload), 1)
     return senders, flows, skipped
@@ -408,9 +439,22 @@ def _flow_views(flows, name):
     }
 
 
+RECORDS = st.lists(st.tuples(st.integers(0, 40).map(float), FRAMES), max_size=24)
+
+
 @settings(max_examples=300, deadline=None)
-@given(records=st.lists(st.tuples(st.integers(0, 40).map(float), FRAMES), max_size=24))
+@given(records=RECORDS)
 def test_dissection_matches_the_parse_chain(records, tmp_path_factory):
+    _check_dissection(records, tmp_path_factory)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(records=RECORDS)
+def test_dissection_matches_the_parse_chain_across_a_16_byte_cap(records, tmp_path_factory, low_cap):
+    _check_dissection(records, tmp_path_factory)
+
+
+def _check_dissection(records, tmp_path_factory):
     want_senders, want_flows, want_skipped = _chain_dissect(records)
     senders, flows, frames_read, skipped = _dissect(records)
     assert (frames_read, skipped) == (len(records), want_skipped)
@@ -498,6 +542,47 @@ def test_capped_direction_keeps_its_sequence_and_counts_out_of_order():
     assert bytes(direction.buffer) == b"".join(payloads)[:REASSEMBLY_CAP]
     assert direction.next_seq == after + len(b"end") + 1  # the FIN takes one number
     assert flow.out_of_order == 1
+
+
+def _one_flow_like_the_chain(frames):
+    """The one flow ``_dissect`` builds from ``frames``, checked against the parse chain's."""
+    records = [(float(when), frame) for when, frame in enumerate(frames)]
+    _senders, [flow], _read, _skipped = _dissect(records)
+    _chain_senders, want_flows, _chain_skipped = _chain_dissect(records)
+    assert _flow_views([flow], _text_endpoint) == _flow_views(want_flows.values(), lambda e: e)
+    return flow
+
+
+def _client_data(seq, payload=b"", flags=TCP_PSH | TCP_ACK):
+    return _tcp_frame(HOST_A, HOST_B, 40000, 502, seq, flags, payload)
+
+
+def test_segment_ending_at_the_cap_does_not_cap_and_the_next_keeps_nothing(low_cap):
+    flow = _one_flow_like_the_chain([_client_data(100, b"a" * 6), _client_data(106, b"b" * 10)])
+    assert (bytes(flow.forward.buffer), flow.forward.capped) == (b"a" * 6 + b"b" * 10, False)
+    flow = _one_flow_like_the_chain([_client_data(100, b"a" * 16), _client_data(116, b"c")])
+    assert (bytes(flow.forward.buffer), flow.forward.capped, flow.forward.next_seq) == (b"a" * 16, True, 117)
+
+
+def test_data_before_any_syn_starts_the_sequence(low_cap):
+    flow = _one_flow_like_the_chain(
+        [_client_data(500, b"early"), _client_data(499, flags=TCP_SYN), _client_data(505, b"later")]
+    )
+    assert (bytes(flow.forward.buffer), flow.forward.next_seq, flow.client) == (b"earlylater", 510, flow.endpoints[0])
+
+
+def test_fin_after_the_cap_takes_one_number(low_cap):
+    flow = _one_flow_like_the_chain([_client_data(0, b"x" * 20), _client_data(20, b"tail", TCP_FIN | TCP_ACK)])
+    assert (len(flow.forward.buffer), flow.forward.capped, flow.forward.next_seq) == (16, True, 25)
+    flow = _one_flow_like_the_chain([_client_data(0, b"x" * 20), _client_data(20, flags=TCP_FIN | TCP_ACK)])
+    assert flow.forward.next_seq == 21
+
+
+def test_capped_direction_ignores_a_retransmission_and_counts_a_future_segment(low_cap):
+    flow = _one_flow_like_the_chain(
+        [_client_data(0, b"x" * 20), _client_data(0, b"y" * 20), _client_data(30, b"future"), _client_data(20, b"z")]
+    )
+    assert (bytes(flow.forward.buffer), flow.forward.next_seq, flow.out_of_order) == (b"x" * 16, 21, 1)
 
 
 # -- per-address evidence folding --------------------------------------------------
@@ -848,3 +933,39 @@ def test_passive_parity_with_active_scan(tmp_path):
         assert passive_asset.protocols == active_asset.protocols
         assert passive_asset.open_ports == active_asset.open_ports
         assert passive_asset.sources == frozenset({"passive"})
+
+
+@pytest.fixture(scope="module")
+def station_mirror(tmp_path_factory):
+    """The records of one mirror capture of the default station under an active scan."""
+    fixtures = load_fixtures(default_fixtures_path())
+    path = tmp_path_factory.mktemp("mirror") / "station.pcap"
+    station = StationHandle(list(fixtures.devices), scanner_ip=fixtures.scanner_ip, pcap_path=str(path)).start()
+    try:
+        config = ScanConfig(targets=tuple(d.ip for d in fixtures.devices), methods=frozenset({"icmp", "arp"}), rate_limit_pps=50, timeout_ms=500)
+        Scanner(config, network=SimNetwork(station)).run()
+    finally:
+        station.stop()
+    return list(read_capture(PcapFile(str(path))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), changes=st.integers(1, 16))
+def test_damaged_station_capture_raises_only_package_errors(station_mirror, tmp_path_factory, seed, changes):
+    rng = random.Random(seed)
+    frames = [bytearray(frame) for _when, frame in station_mirror]
+    for _ in range(changes):
+        frame = rng.choice(frames)
+        frame[rng.randrange(len(frame))] = rng.randrange(256)
+    for index in rng.sample(range(len(frames)), len(frames) // 5):
+        del frames[index][rng.randrange(len(frames[index])) :]
+    path = tmp_path_factory.getbasetemp() / "damaged.pcap"
+    writer = PcapWriter(str(path))
+    for (when, _frame), frame in zip(station_mirror, frames):
+        writer.write(when, bytes(frame))
+    writer.close()
+    try:
+        report = analyze_capture(PcapFile(str(path)))
+    except IcsReconError:
+        return
+    assert report.frames_read == len(frames)
