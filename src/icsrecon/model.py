@@ -423,14 +423,24 @@ class Asset(_AssetFields):
 
 
 def _newest_wins(
-    merged: dict, new: Iterable[tuple[str, str | None]], prefix: str, provenance: list, at: datetime, source: str
+    merged: dict,
+    new: Iterable[tuple[str, str | None]],
+    prefix: str,
+    provenance: list,
+    at: datetime | float,
+    source: str,
 ) -> None:
-    """Fold ``new`` into ``merged`` key by key: a present value wins, and a different one it displaces is logged."""
+    """Fold ``new`` into ``merged`` key by key: a present value wins, and a different one it displaces is logged.
+
+    ``at`` may be a POSIX time, made a UTC datetime only when a displaced value is logged.
+    """
     for key, value in new:
         if value is None:
             continue
         old = merged.get(key)
         if old is not None and old != value:
+            if not isinstance(at, datetime):
+                at = datetime.fromtimestamp(at, tz=timezone.utc)
             provenance.append(ProvenanceEntry(prefix + key, old, value, at, source))
         merged[key] = value
 

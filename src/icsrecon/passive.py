@@ -2,19 +2,26 @@
 
 The analyzer never opens a sending socket: everything comes from
 capture records (offline pcap files, or a live interface behind the
-same reader seam). Each frame is dissected once, by offset: a TCP
-frame costs one IPv4 and one TCP header unpack and one lookup of its
-raw source and destination addresses and ports, which finds its flow,
-its direction and its sender at once. Addresses stay raw bytes until
-they become text once per asset. Protocol claims need payload
+same reader seam). Each frame is dissected once, by offset: one read at
+offset 12 gives the ethertype and the IPv4 version/IHL, total length,
+flags/fragment word and protocol, so a TCP frame costs that read, one
+TCP header unpack and one lookup of its raw source and destination
+addresses and ports, which finds its flow, its direction and its sender
+at once. An IPv4 fragment with a nonzero offset carries no TCP header:
+it counts its sender and opens no flow. A segment from or to port 0 is
+malformed: it is counted as skipped and its sender still counts, and
+this is checked only where a direction is opened. Addresses stay raw
+bytes until they become text once per asset. Protocol claims need payload
 evidence, never a port alone; identity replies are decoded by the
 shared codecs. Each address's evidence is folded flow by flow, in
 first-frame order, by ``merge_observation``'s newest-wins rule, and
 frozen into one asset at the end; the report's ``levels_achieved``
-counts each level on its own evidence. Reassembly is in-order per
-direction, capped at 64 KiB, and done in the dissect loop itself: an
-in-order segment is sliced straight into its direction's buffer, and
-past the cap it only advances the sequence number. Out-of-order
+counts each level on its own evidence; a flow's displaced values are
+stamped with a datetime only when one is logged. Reassembly is
+in-order per direction, capped at 64 KiB, and done in the dissect loop
+itself: an in-order segment is sliced straight into its direction's
+buffer, and past the cap it only advances the sequence number; a SYN
+or a FIN takes one sequence number there too. Out-of-order
 segments are dropped and counted; retransmissions are ignored.
 """
 
@@ -132,11 +139,6 @@ class _Direction:
         self.buffer = bytearray()
         self.capped = False
 
-    def bump(self, seq: int, amount: int) -> None:
-        # SYN/FIN consume one sequence number without carrying data
-        if self.next_seq is None or seq == self.next_seq:
-            self.next_seq = ((seq if self.next_seq is None else self.next_seq) + amount) & 0xFFFFFFFF
-
 
 def _seq_after(a: int, b: int) -> bool:
     return ((a - b) & 0xFFFFFFFF) < 0x80000000 and a != b
@@ -194,17 +196,14 @@ class _Evidence:
 
     def add_flow(self, last_seen: float, port: int, protocol: str, static_fields: dict, deployment: dict) -> None:
         """Fold one classified flow served from this address, as ``merge_observation`` folds an evidence asset."""
-        self.last_seen = max(self.last_seen, last_seen)
+        if last_seen > self.last_seen:
+            self.last_seen = last_seen
         self.ports.add(port)
         self.protocols.add(protocol)
-        static = clean_static(static_fields)
-        deploy = sorted(clean_deployment(deployment.items()).items())
-        if static or deploy:
-            at = datetime.fromtimestamp(last_seen, tz=timezone.utc)
-            if static:
-                _newest_wins(self.static, static.items(), "static_info.", self.provenance, at, "passive")
-            if deploy:
-                _newest_wins(self.deployment, deploy, "deployment_info.", self.provenance, at, "passive")
+        if static_fields and (static := clean_static(static_fields)):
+            _newest_wins(self.static, static.items(), "static_info.", self.provenance, last_seen, "passive")
+        if deployment and (deploy := sorted(clean_deployment(deployment.items()).items())):
+            _newest_wins(self.deployment, deploy, "deployment_info.", self.provenance, last_seen, "passive")
 
     def freeze(self, ip: str) -> Asset:
         mac = mac_text(self.mac)
@@ -222,8 +221,9 @@ class _Evidence:
         )
 
 
-_IPV4_FIELDS = struct.Struct(">BxH5xB")  # version/IHL, total length, protocol
+_HEADERS = struct.Struct(">HBxH2xHxB")  # ethertype; IPv4 version/IHL, total length, flags/fragment word, protocol
 _TCP_FIELDS = struct.Struct(">4xI4xBB")  # sequence number, data offset, flags
+_IPV4_TYPE = ETHERTYPE_IPV4.to_bytes(2, "big")
 _NO_ADDRESS = b"\x00\x00\x00\x00"
 
 
@@ -238,11 +238,16 @@ def _saw(senders: dict[bytes, list], sender: bytes, mac: bytes, when: float) -> 
     return entry
 
 
-def _open_direction(table: dict, flows: list[_Flow], key: bytes, seen: list | None) -> tuple:
-    """Register the direction a raw key names: the reverse of a known flow's first direction, or a new flow."""
+def _open_direction(table: dict, flows: list[_Flow], key: bytes, seen: list | None) -> tuple | None:
+    """Register the direction a raw key names: the reverse of a known flow's first direction, or a new flow.
+
+    None for a segment from or to port 0, which no connection uses: it is malformed.
+    """
     known = table.get(key[4:8] + key[:4] + key[10:12] + key[8:10])
     if known is None:
         src_port, dst_port = struct.unpack_from(">HH", key, 8)
+        if not (src_port and dst_port):
+            return None
         flow = _Flow((key[:4], src_port), (key[4:8], dst_port))
         flows.append(flow)
         direction = flow.forward
@@ -256,36 +261,32 @@ def _open_direction(table: dict, flows: list[_Flow], key: bytes, seen: list | No
 def _dissect(records: Iterable[tuple[float, bytes]]) -> tuple[dict[bytes, list], list[_Flow], int, int]:
     """Senders (raw IPv4 -> [raw MAC, last seen]), flows in first-frame order, frames read and frames skipped.
 
-    One pass by offset, under ``pcapio.ipv4_span``'s and ``pcapio.tcp_data_start``'s rules.
+    One pass by offset, under ``pcapio.ipv4_span``'s and ``pcapio.tcp_data_start``'s rules; an IPv4
+    fragment with a nonzero offset is not read as TCP.
     """
     senders: dict[bytes, list] = {}
     # raw source and destination IPv4, source and destination port -> flow, direction, sender entry
     table: dict[bytes, tuple[_Flow, _Direction, list | None]] = {}
     flows: list[_Flow] = []
     frames_read = skipped = 0
-    ipv4_fields, tcp_fields = _IPV4_FIELDS.unpack_from, _TCP_FIELDS.unpack_from
+    headers, tcp_fields = _HEADERS.unpack_from, _TCP_FIELDS.unpack_from
     for when, frame in records:
         frames_read += 1
         size = len(frame)
-        if size < ETHERNET_HEADER:
-            skipped += 1
+        if size < ETHERNET_HEADER + 20:  # too short for an IPv4 header, and for an ARP message
+            if size < ETHERNET_HEADER or frame[12:14] == _IPV4_TYPE:
+                skipped += 1
             continue
-        ethertype = frame[12] << 8 | frame[13]
-        if ethertype == ETHERTYPE_ARP:
-            if size >= ETHERNET_HEADER + ARP_LENGTH:
+        ethertype, version_ihl, total, fragment, protocol = headers(frame, 12)
+        if ethertype != ETHERTYPE_IPV4:
+            if ethertype == ETHERTYPE_ARP and size >= ETHERNET_HEADER + ARP_LENGTH:
                 _saw(senders, frame[28:32], frame[22:28], when)  # ARP sender IPv4 and MAC
             continue
-        if ethertype != ETHERTYPE_IPV4:
-            continue
-        if size < ETHERNET_HEADER + 20:
-            skipped += 1
-            continue
-        version_ihl, total, protocol = ipv4_fields(frame, ETHERNET_HEADER)
         ihl = (version_ihl & 0x0F) * 4
-        if version_ihl >> 4 != 4 or ihl < 20 or size < ETHERNET_HEADER + ihl or total < ihl:
+        if not 0x45 <= version_ihl <= 0x4F or size < ETHERNET_HEADER + ihl or total < ihl:  # version 4, IHL >= 5
             skipped += 1
             continue
-        if protocol == PROTO_TCP:
+        if protocol == PROTO_TCP and not fragment & 0x1FFF:  # a later fragment carries no TCP header
             start = ETHERNET_HEADER + ihl
             end = ETHERNET_HEADER + total
             if end > size:
@@ -295,17 +296,24 @@ def _dissect(records: Iterable[tuple[float, bytes]]) -> tuple[dict[bytes, list],
                 data = start + (data_offset >> 4) * 4
                 if start + 20 <= data <= end:
                     key = frame[26:38] if ihl == 20 else frame[26:34] + frame[start : start + 4]
-                    flow, direction, seen = table.get(key) or _open_direction(
-                        table, flows, key, _saw(senders, frame[26:30], frame[6:12], when)
-                    )
+                    entry = table.get(key)
+                    if entry is None:
+                        entry = _open_direction(table, flows, key, _saw(senders, frame[26:30], frame[6:12], when))
+                        if entry is None:
+                            skipped += 1  # a port 0; its sender counted
+                            continue
+                    flow, direction, seen = entry
                     if seen is not None and when > seen[1]:
                         seen[1] = when
                     if when > flow.last_seen:
                         flow.last_seen = when
+                    # the SYN and the FIN each take one sequence number, in order or to start the direction
                     if flags & TCP_SYN:
                         if flow.client is None and not (flags & TCP_ACK):
                             flow.client = flow.endpoints[direction is flow.reverse]
-                        direction.bump(seq, 1)
+                        next_seq = direction.next_seq
+                        if next_seq is None or seq == next_seq:
+                            direction.next_seq = (seq + 1) & 0xFFFFFFFF
                     if data < end:
                         next_seq = direction.next_seq
                         if next_seq is None or seq == next_seq:  # in order: keep what fits under the cap
@@ -322,7 +330,10 @@ def _dissect(records: Iterable[tuple[float, bytes]]) -> tuple[dict[bytes, list],
                             flow.out_of_order += 1  # dropped, by design
                         # else: a retransmission of data already consumed; ignored
                     if flags & TCP_FIN:
-                        direction.bump(seq + end - data, 1)
+                        fin = (seq + end - data) & 0xFFFFFFFF
+                        next_seq = direction.next_seq
+                        if next_seq is None or fin == next_seq:
+                            direction.next_seq = (fin + 1) & 0xFFFFFFFF
                     continue
             skipped += 1  # a malformed TCP header; its sender still counts
         _saw(senders, frame[26:30], frame[6:12], when)  # IPv4 and Ethernet sources

@@ -180,8 +180,11 @@ def ipv4_span(buf: bytes, at: int) -> tuple[int, int] | None:
 
 
 def tcp_data_start(buf: bytes, at: int, end: int) -> int | None:
-    """Payload offset of the TCP segment in ``buf[at:end]``; None if its header is malformed."""
-    if end - at < 20:
+    """Payload offset of the TCP segment in ``buf[at:end]``; None if its header is malformed.
+
+    A segment from or to port 0 is malformed: no connection uses that port.
+    """
+    if end - at < 20 or 0 in struct.unpack_from(">HH", buf, at):
         return None
     offset = (buf[at + 12] >> 4) * 4
     if offset < 20 or end - at < offset:

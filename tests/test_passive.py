@@ -11,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from icsrecon import passive
+from icsrecon.cli import main as cli_main
 from icsrecon.codecs import PROTOCOLS, enip, modbus, s7
 from icsrecon.config import default_fixtures_path, load_fixtures
 from icsrecon.errors import DecodeError, FormatError, IcsReconError
@@ -307,6 +308,11 @@ def _poke(frame: bytes, at: int, value: int) -> bytes:
     return frame[:at] + bytes([value]) + frame[at + 1 :]
 
 
+def _fragment(frame: bytes, word: int) -> bytes:
+    """An Ethernet/IPv4 frame with its IPv4 flags/fragment-offset word set to ``word``."""
+    return frame[:20] + word.to_bytes(2, "big") + frame[22:]
+
+
 def _with_options(frame: bytes, ip_options: bytes = b"", tcp_options: bytes = b"") -> bytes:
     """An Ethernet/IPv4/TCP frame with option words added to its IPv4 and TCP headers (IHL 5 and data offset 5 before)."""
     ip, tcp, payload = frame[14:34], frame[34:54], frame[54:]
@@ -333,6 +339,8 @@ VALID_FRAMES = [
     _with_options(_tcp_frame(HOST_B, HOST_A, 502, 40000, 5005, TCP_PSH | TCP_ACK, b"more"), tcp_options=b"\x02\x04\x05\xb4"),
     _tcp_frame(HOST_A, HOST_B, 40000, 502, 1014, TCP_PSH | TCP_ACK, b"sixteen"),  # "request", "options", this: 21 bytes
     _tcp_frame(HOST_B, HOST_A, 502, 40000, 5009, TCP_PSH | TCP_ACK, b"a reply of over sixteen bytes"),
+    _fragment(_tcp_frame(HOST_A, HOST_B, 40000, 502, 1021, TCP_PSH | TCP_ACK, b"not a header"), 185),  # offset 1480
+    _fragment(_tcp_frame(HOST_B, HOST_A, 502, 40000, 5038, TCP_PSH | TCP_ACK, b"first part"), 0x2000),  # MF set
 ]
 _DATA = VALID_FRAMES[7]
 MALFORMED_FRAMES = [
@@ -344,6 +352,8 @@ MALFORMED_FRAMES = [
     _DATA[:16] + b"\x00\x0a" + _DATA[18:],  # total length below the IHL
     _poke(_DATA, 34 + 12, 0x40),  # TCP data offset below 5
     _poke(_DATA, 34 + 12, 0xF0),  # TCP data offset past the end
+    _tcp_frame(HOST_A, HOST_B, 0, 502, 999, TCP_SYN),  # from port 0
+    _tcp_frame(HOST_B, HOST_A, 502, 0, 5000, TCP_PSH | TCP_ACK, b"to port 0"),
 ]
 FRAMES = st.one_of(
     st.sampled_from(VALID_FRAMES + MALFORMED_FRAMES),
@@ -353,6 +363,12 @@ FRAMES = st.one_of(
 
 
 CHAIN_CAP = REASSEMBLY_CAP
+
+
+def _chain_bump(direction, seq):
+    """The SYN or FIN step: one sequence number, taken in order or to start the direction."""
+    if direction.next_seq is None or seq == direction.next_seq:
+        direction.next_seq = (seq + 1) & 0xFFFFFFFF
 
 
 def _chain_add(direction, seq, payload, flow):
@@ -405,7 +421,8 @@ def _chain_dissect(records):
             skipped += 1
             continue
         saw(packet.src_ip, eth.src_mac, when)
-        if packet.proto != PROTO_TCP:
+        fragment_offset = int.from_bytes(eth.payload[6:8], "big") & 0x1FFF
+        if packet.proto != PROTO_TCP or fragment_offset:  # a later fragment carries no TCP header
             continue
         segment = parse_tcp(packet.payload)
         if segment is None:
@@ -419,11 +436,11 @@ def _chain_dissect(records):
         if segment.flags & TCP_SYN:
             if flow.client is None and not segment.flags & TCP_ACK:
                 flow.client = src
-            direction.bump(segment.seq, 1)
+            _chain_bump(direction, segment.seq)
         if segment.payload:
             _chain_add(direction, segment.seq, segment.payload, flow)
         if segment.flags & TCP_FIN:
-            direction.bump(segment.seq + len(segment.payload), 1)
+            _chain_bump(direction, (segment.seq + len(segment.payload)) & 0xFFFFFFFF)
     return senders, flows, skipped
 
 
@@ -583,6 +600,82 @@ def test_capped_direction_ignores_a_retransmission_and_counts_a_future_segment(l
         [_client_data(0, b"x" * 20), _client_data(0, b"y" * 20), _client_data(30, b"future"), _client_data(20, b"z")]
     )
     assert (bytes(flow.forward.buffer), flow.forward.next_seq, flow.out_of_order) == (b"x" * 16, 21, 1)
+
+
+def test_fin_with_data_across_the_sequence_wrap_takes_one_number():
+    flow = _one_flow_like_the_chain([_client_data(0xFFFFFFFC, b"last", TCP_FIN | TCP_ACK)])
+    assert (bytes(flow.forward.buffer), flow.forward.next_seq) == (b"last", 1)
+
+
+def _write_capture(path, frames):
+    writer = PcapWriter(str(path))
+    for when, frame in enumerate(frames):
+        writer.write(float(when), frame)
+    writer.close()
+    return path
+
+
+def test_later_fragment_is_not_read_as_tcp(tmp_path):
+    # fragment offset 185 (1480 bytes), MF clear: its first bytes look like a TCP header and a ListIdentity
+    segment = _tcp_frame("10.0.0.1", "10.0.0.2", 1234, 44818, 1, TCP_PSH | TCP_ACK, enip.build_list_identity())
+    fragment = _fragment(segment, 185)
+    path = _write_capture(tmp_path / "fragment.pcap", [arp_frame(2, MAC_B, "10.0.0.2", MAC_A, "10.0.0.1"), fragment])
+    report = analyze_capture(PcapFile(str(path)))
+    assert (report.frames_read, report.frames_skipped, report.classified_flows) == (2, 0, 0)
+    assert report.per_asset_depth == {"10.0.0.1": 1, "10.0.0.2": 1}
+    server = report.inventory.get("10.0.0.2")
+    assert (server.open_ports, server.protocols) == (frozenset(), frozenset())
+
+
+def test_segments_of_port_0_are_skipped_and_sniff_writes_the_inventory(tmp_path):
+    reply = modbus.build_report_slave_id_response(1, 1, 9)  # FC 0x11
+    frames = [
+        _tcp_frame("10.0.0.1", "10.0.0.2", 40000, 0, 999, TCP_SYN),
+        _tcp_frame("10.0.0.2", "10.0.0.1", 0, 40000, 4999, TCP_SYN | TCP_ACK),
+        _tcp_frame("10.0.0.2", "10.0.0.1", 0, 40000, 5000, TCP_PSH | TCP_ACK, reply),
+    ]
+    path = _write_capture(tmp_path / "port0.pcap", frames)
+    report = analyze_capture(PcapFile(str(path)))
+    assert (report.frames_read, report.frames_skipped, report.classified_flows) == (3, 3, 0)
+    assert report.per_asset_depth == {"10.0.0.1": 1, "10.0.0.2": 1}
+    out = tmp_path / "port0.json"
+    assert cli_main(["sniff", "--pcap", str(path), "--out", str(out)]) == 0
+    assert {asset.ip: asset.open_ports for asset in Inventory.load(str(out))} == {
+        "10.0.0.1": frozenset(),
+        "10.0.0.2": frozenset(),
+    }
+
+
+PORT_NUMBERS = st.one_of(st.sampled_from([0, 102, 502, 44818, 40000]), st.integers(0, 0xFFFF))
+SEGMENT_PAYLOADS = [b"", modbus.build_report_slave_id_response(1, 1, 9), enip.build_list_identity()]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    segments=st.lists(
+        st.tuples(
+            st.booleans(),
+            PORT_NUMBERS,
+            PORT_NUMBERS,
+            st.integers(0, 0xFFFF),
+            st.integers(0, 0xFF),
+            st.sampled_from(SEGMENT_PAYLOADS),
+        ),
+        max_size=6,
+    )
+)
+def test_tcp_frames_with_any_ports_and_fragment_word_raise_only_package_errors(segments, tmp_path_factory):
+    # both hosts announce themselves, so a claimed server becomes an asset
+    frames = [arp_frame(2, MAC_A, HOST_A, MAC_B, HOST_B), arp_frame(2, MAC_B, HOST_B, MAC_A, HOST_A)]
+    for forward, sport, dport, word, flags, payload in segments:
+        src, dst = (HOST_A, HOST_B) if forward else (HOST_B, HOST_A)
+        frames.append(_fragment(_tcp_frame(src, dst, sport, dport, 1000, flags, payload), word))
+    path = _write_capture(tmp_path_factory.getbasetemp() / "ports.pcap", frames)
+    try:
+        report = analyze_capture(PcapFile(str(path)))
+    except IcsReconError:
+        return
+    assert report.frames_read == len(frames)
 
 
 # -- per-address evidence folding --------------------------------------------------
