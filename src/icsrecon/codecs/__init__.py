@@ -12,7 +12,10 @@ frames into static / deployment fields for scanner and analyzer alike.
 Each codec states its frame rule once, as ``HEADER_SIZE`` plus
 ``frame_size(buf, at)``: the length of the frame whose header starts at
 ``at``, or None when it cannot start one. ``netbase.recv_frame`` and
-``cut_frames`` below both read it.
+``cut_frames`` below both read it, and so do the codec's outer encoder and
+decoder: they build and accept only a frame it returns whole, so its
+bounds are written nowhere else. A header or record that is both built
+and read is one ``struct.Struct``, used by its encoder and its decoder.
 
 The rest of each protocol is stated under names every codec shares, so
 no caller switches on a protocol's name: ``claims(frame)`` (the passive

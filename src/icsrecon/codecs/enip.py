@@ -2,8 +2,8 @@
 
 Encapsulation header is exactly 24 bytes, little-endian:
 
-    command u16 | length u16 (payload bytes) | session u32 | status u32 |
-    sender context (8 bytes) | options u32
+    command u16 | length u16 (payload bytes, at most 8192) | session u32 |
+    status u32 | sender context (8 bytes) | options u32
 
 A ListIdentity reply carries one CPF item of type 0x000C: protocol
 version u16, a 16-byte socket address (big-endian inside), then the
@@ -46,6 +46,10 @@ KNOWN_COMMANDS = {
 }
 
 ITEM_IDENTITY = 0x000C
+CPF_ITEM = struct.Struct("<HHH")  # item count, then the first item's type id and length
+SOCKET_ADDRESS = struct.Struct(">HH4s8s")  # family, port, IPv4 address, zero
+# protocol version, socket address, vendor, device type, product code, revision (major, minor), status, serial
+IDENTITY_FIXED = struct.Struct(f"<H{SOCKET_ADDRESS.size}sHHHBBHI")
 
 
 class CipIdentity(NamedTuple):
@@ -69,18 +73,22 @@ class EnipMessage(NamedTuple):
 
 
 def encode_header(command: int, payload: bytes, session: int = 0, status: int = 0, options: int = 0) -> bytes:
-    return ENCAP_HEADER.pack(command, len(payload), session, status, b"\x00" * 8, options) + payload
+    """Prefix the encapsulation header; raises ValueError for a frame ``frame_size`` would not return whole."""
+    # a length over 16 bits wraps to one that cannot equal the payload's, so frame_size refuses it below
+    wire = ENCAP_HEADER.pack(command, len(payload) & 0xFFFF, session, status, bytes(8), options) + payload
+    if frame_size(wire) != len(wire):
+        raise ValueError(f"a payload of {len(payload)} bytes is not one frame_size accepts")
+    return wire
 
 
 def decode_header(data: bytes) -> tuple[EnipMessage, bytes]:
-    """Decode the 24-byte header; validates the declared length."""
-    if len(data) < ENCAP_HEADER.size:
-        raise Truncated(f"encapsulation header needs 24 bytes, got {len(data)}")
+    """Decode the header of a frame ``frame_size`` returns whole."""
+    if len(data) < HEADER_SIZE:
+        raise Truncated(f"encapsulation header needs {HEADER_SIZE} bytes, got {len(data)}")
     command, length, session, status, _context, options = ENCAP_HEADER.unpack_from(data)
-    payload = data[ENCAP_HEADER.size :]
-    if len(payload) != length:
-        raise LengthMismatch(f"header declares {length} payload bytes, got {len(payload)}")
-    return EnipMessage(command=command, length=length, session=session, status=status, options=options), bytes(payload)
+    if frame_size(data) != len(data):
+        raise LengthMismatch(f"header declares {length} payload bytes, got {len(data) - HEADER_SIZE}")
+    return EnipMessage(command, length, session, status, options), bytes(data[HEADER_SIZE:])
 
 
 def frame_size(buf: bytes, at: int = 0) -> int | None:
@@ -88,7 +96,7 @@ def frame_size(buf: bytes, at: int = 0) -> int | None:
 
     Any command frames; whether it is a known one is up to the caller.
     """
-    length = struct.unpack_from("<H", buf, at + 2)[0]
+    length = ENCAP_HEADER.unpack_from(buf, at)[1]
     return HEADER_SIZE + length if length <= 8192 else None
 
 
@@ -125,20 +133,13 @@ def encode_identity_item(identity: CipIdentity, ip: str = "0.0.0.0", port: int =
     name = identity.product_name.encode("ascii", errors="replace")
     if len(name) > 0xFF:
         raise ValueError("product name too long")
-    addr = struct.pack(">HH4s8s", 2, port, bytes(int(o) for o in ip.split(".")), b"\x00" * 8)
-    item = struct.pack("<H", 1) + addr
-    item += struct.pack(
-        "<HHHBBHI",
-        identity.vendor_id,
-        identity.device_type,
-        identity.product_code,
-        identity.revision[0],
-        identity.revision[1],
-        identity.status,
-        identity.serial,
+    address = SOCKET_ADDRESS.pack(2, port, bytes(int(o) for o in ip.split(".")), bytes(8))
+    item = IDENTITY_FIXED.pack(
+        1, address, identity.vendor_id, identity.device_type, identity.product_code, *identity.revision,
+        identity.status, identity.serial,
     )
     item += bytes([len(name)]) + name + bytes([identity.state])
-    return struct.pack("<HHH", 1, ITEM_IDENTITY, len(item)) + item
+    return CPF_ITEM.pack(1, ITEM_IDENTITY, len(item)) + item
 
 
 def build_list_identity_response(identity: CipIdentity, ip: str = "0.0.0.0", port: int = PORT) -> bytes:
@@ -150,25 +151,25 @@ def parse_list_identity(data: bytes) -> CipIdentity:
     message, payload = decode_header(data)
     if message.command != CMD_LIST_IDENTITY:
         raise UnexpectedCommand(f"expected ListIdentity reply, got command 0x{message.command:04x}")
-    if len(payload) < 6:
+    if len(payload) < CPF_ITEM.size:
         raise Truncated("reply carries no identity item")
-    item_count, item_type, item_length = struct.unpack_from("<HHH", payload)
+    item_count, item_type, item_length = CPF_ITEM.unpack_from(payload)
     if item_count < 1 or item_type != ITEM_IDENTITY:
         raise FormatError(f"expected identity item, got type 0x{item_type:04x} (count {item_count})")
-    item = payload[6 : 6 + item_length]
+    item = payload[CPF_ITEM.size : CPF_ITEM.size + item_length]
     if len(item) < item_length:
         raise Truncated("identity item beyond frame end")
-    # protocol version (2) + socket address (16) + fixed identity (14) + name length (1)
-    if len(item) < 33:
-        raise Truncated(f"identity item needs >= 33 bytes, got {len(item)}")
-    vendor_id, device_type, product_code, rev_major, rev_minor, status, serial = struct.unpack_from(
-        "<HHHBBHI", item, 18
+    name_at = IDENTITY_FIXED.size + 1  # after the fixed part and the name's length byte
+    if len(item) < name_at:
+        raise Truncated(f"identity item needs >= {name_at} bytes, got {len(item)}")
+    _version, _address, vendor_id, device_type, product_code, rev_major, rev_minor, status, serial = (
+        IDENTITY_FIXED.unpack_from(item)
     )
-    name_len = item[32]
-    if len(item) < 33 + name_len:
+    name_end = name_at + item[IDENTITY_FIXED.size]
+    if len(item) < name_end:
         raise Truncated("product name beyond item end")
-    name = item[33 : 33 + name_len].decode("ascii", errors="replace")
-    state = item[33 + name_len] if len(item) > 33 + name_len else 0
+    name = item[name_at:name_end].decode("ascii", errors="replace")
+    state = item[name_end] if len(item) > name_end else 0
     return CipIdentity(
         vendor_id=vendor_id,
         device_type=device_type,

@@ -30,6 +30,7 @@ from ..errors import (
 NAME = "modbus"
 PORT = 502
 MBAP = struct.Struct(">HHHB")
+READ_HOLDING = struct.Struct(">HH")  # FC 0x03 request: first register, register count
 HEADER_SIZE = MBAP.size
 EXCHANGES = frozenset({"device_id_fc2b", "report_slave_id_fc11"})
 
@@ -87,22 +88,17 @@ class SlaveId(NamedTuple):
 
 
 def encode_modbus(header: MbapHeader, pdu: ModbusPdu) -> bytes:
-    """Encode a frame; header invariants must hold."""
-    expected = 2 + len(pdu.payload)
-    if header.protocol_id != 0:
-        raise ValueError(f"protocol_id must be 0, got {header.protocol_id}")
-    if header.length != expected:
-        raise ValueError(f"length must be {expected}, got {header.length}")
-    if expected > 254:  # the most frame_size accepts: a Modbus/TCP frame is at most 260 bytes
-        raise ValueError(f"length {expected} is over 254")
-    if not 0 <= header.unit_id <= 0xFF or not 0 <= header.transaction_id <= 0xFFFF:
-        raise ValueError("unit_id / transaction_id out of range")
-    if not 0 <= pdu.function <= 0xFF:
-        raise ValueError(f"function out of range: {pdu.function}")
+    """Encode a frame; raises ValueError for one that ``frame_size`` would not return whole."""
     if pdu.is_exception and len(pdu.payload) != 1:
         raise ValueError("exception PDU must carry exactly one code byte")
-    head = MBAP.pack(header.transaction_id, header.protocol_id, header.length, header.unit_id)
-    return head + bytes([pdu.function]) + pdu.payload
+    try:
+        head = MBAP.pack(header.transaction_id, header.protocol_id, header.length, header.unit_id)
+    except struct.error as exc:
+        raise ValueError(f"MBAP field out of range: {exc}") from exc
+    wire = head + bytes([pdu.function]) + pdu.payload
+    if frame_size(wire) != len(wire):
+        raise ValueError(f"protocol_id {header.protocol_id} and length {header.length} do not frame {len(wire)} bytes")
+    return wire
 
 
 def frame(transaction_id: int, unit_id: int, function: int, payload: bytes = b"") -> bytes:
@@ -112,16 +108,14 @@ def frame(transaction_id: int, unit_id: int, function: int, payload: bytes = b""
 
 
 def decode_modbus(data: bytes) -> tuple[MbapHeader, ModbusPdu]:
-    """Decode one full frame; raises a DecodeError subclass on bad input."""
-    if len(data) < 8:
-        raise Truncated(f"modbus frame needs >= 8 bytes, got {len(data)}")
+    """Decode one full frame, one ``frame_size`` returns whole; raises a DecodeError subclass on bad input."""
+    if len(data) <= HEADER_SIZE:
+        raise Truncated(f"modbus frame needs a function byte after its header, got {len(data)} bytes")
     tx, proto, length, unit = MBAP.unpack_from(data)
-    if proto != 0:
-        raise NotModbus(f"protocol_id 0x{proto:04x} is not Modbus/TCP")
-    if not 2 <= length <= 254:  # frame_size's range: a Modbus/TCP frame is at most 260 bytes
-        raise LengthMismatch(f"declared length {length} outside 2..254")
-    if len(data) != 6 + length:
-        raise LengthMismatch(f"declared {6 + length} bytes, got {len(data)}")
+    if frame_size(data) != len(data):
+        if proto != 0:
+            raise NotModbus(f"protocol_id 0x{proto:04x} is not Modbus/TCP")
+        raise LengthMismatch(f"declared length {length} does not frame {len(data)} bytes")
     function = data[7]
     payload = bytes(data[8:])
     if function & 0x80 and len(payload) != 1:
@@ -134,7 +128,7 @@ confirm = decode_modbus  # any well-formed reply, exceptions included, confirms 
 
 def frame_size(buf: bytes, at: int = 0) -> int | None:
     """Total length of the MBAP frame starting at ``at``: protocol id 0, length 2..254."""
-    proto, length = struct.unpack_from(">HH", buf, at + 2)
+    _tx, proto, length, _unit = MBAP.unpack_from(buf, at)
     return 6 + length if proto == 0 and 2 <= length <= 254 else None
 
 
@@ -257,7 +251,7 @@ def parse_report_slave_id_response(data: bytes) -> SlaveId:
 
 
 def build_read_holding_request(unit: int, start: int, count: int, transaction_id: int = 1) -> bytes:
-    return frame(transaction_id, unit, FC_READ_HOLDING, struct.pack(">HH", start, count))
+    return frame(transaction_id, unit, FC_READ_HOLDING, READ_HOLDING.pack(start, count))
 
 
 def build_read_holding_response(transaction_id: int, unit: int, registers: list[int]) -> bytes:

@@ -2,8 +2,8 @@
 
 Framing, outermost first (all big-endian):
 
-    TPKT (4 bytes): version u8 (=3) | reserved u8 | length u16
-        (total frame length including this header)
+    TPKT (4 bytes): version u8 (=3) | reserved u8 (=0) | length u16
+        (total frame length including this header, 5..8192)
     COTP class 0: length-indicator u8 | pdu type | type-specific body
         CR 0xE0 / CC 0xD0: dst_ref u16, src_ref u16, class u8, then
             parameters (code, len, value): 0xC0 tpdu-size, 0xC1 calling
@@ -14,10 +14,10 @@ Framing, outermost first (all big-endian):
         param_len u16 | data_len u16 [| error u16 for acks]
 
 Status-list reads travel as userdata (rosctr 7). Two lists are
-implemented: 0x0011 module identification (28-byte entries: index,
-20-char order number, type word, two version words) and 0x001C
-component identification (34-byte entries: index, 32-char text).
-Anything beyond that subset is out of scope here.
+implemented, as :data:`SZL_LISTS` states them: 0x0011 module
+identification (28-byte records: index, 20-char order number, type word,
+two version words) and 0x001C component identification (34-byte records:
+index, 32-char text). Anything beyond that subset is out of scope here.
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ from ..errors import ConnectionRefusedByTsap, DecodeError, FormatError, LengthMi
 NAME = "s7comm"
 PORT = 102
 TPKT_VERSION = 3
-HEADER_SIZE = 4  # TPKT
-EXCHANGES = frozenset({"szl_0011", "szl_001c"})
+TPKT = struct.Struct(">BBH")  # version, reserved, length of the whole frame
+HEADER_SIZE = TPKT.size
 
 COTP_CR = 0xE0
 COTP_CC = 0xD0
@@ -43,14 +43,26 @@ PARAM_TPDU_SIZE = 0xC0
 PARAM_SRC_TSAP = 0xC1
 PARAM_DST_TSAP = 0xC2
 
+COTP_FIXED = struct.Struct(">BBHHB")  # length indicator, PDU type, dst_ref, src_ref, then class (CR/CC) or reason (DR)
+
 S7_PROTOCOL_ID = 0x32
 ROSCTR_JOB = 0x01
 ROSCTR_ACK_DATA = 0x03
 ROSCTR_USERDATA = 0x07
+S7_HEADER = struct.Struct(">BBHHHH")  # protocol id, rosctr, redundancy, pdu_ref, param_len, data_len
+S7_ACK_HEADER = struct.Struct(">BBHHHHH")  # the same, then an ack's error word
+
+SETUP_PARAMS = struct.Struct(">BBHHH")  # function 0xF0, reserved, max AmQ caller, max AmQ callee, PDU length
+
+USERDATA_HEAD = b"\x00\x01\x12"
+USERDATA_PARAMS = struct.Struct(">3sBBBBB")  # head, length of what follows, method, group, subfunction, sequence
+USERDATA_REPLY_PARAMS = struct.Struct(">3sBBBBBBBH")  # the same, then data unit ref, last unit, error code
+
+SZL_READ = struct.Struct(">BBHHH")  # return code, transport size, length of what follows it, list id, list index
+SZL_REPLY = struct.Struct(">BBHHHHH")  # the same, then record length and record count
 
 SZL_MODULE_ID = 0x0011
 SZL_COMPONENT_ID = 0x001C
-SUPPORTED_SZL_IDS = (SZL_MODULE_ID, SZL_COMPONENT_ID)
 
 # Default TSAP pairs offered when connecting, in order. These mirror
 # common rack/slot conventions.
@@ -68,6 +80,22 @@ COMPONENT_KEYS = {
     0x0004: "copyright",
     0x0005: "serial",
 }
+
+
+class SzlList(NamedTuple):
+    """One status list of the subset: its record and the simulator's feature flag for serving it."""
+
+    record: struct.Struct  # index u16, text, then ``words`` u16 words
+    width: int  # of the record's text, padded with spaces
+    words: int
+    flag: str
+
+
+SZL_LISTS = {
+    szl_id: SzlList(struct.Struct(f">H{width}s{words}H"), width, words, flag)
+    for szl_id, width, words, flag in ((SZL_MODULE_ID, 20, 3, "szl_0011"), (SZL_COMPONENT_ID, 32, 0, "szl_001c"))
+}
+EXCHANGES = frozenset(szl.flag for szl in SZL_LISTS.values())
 
 
 class CotpConnectionRequest(NamedTuple):
@@ -147,28 +175,29 @@ def _need(data: bytes, count: int, what: str) -> None:
 
 
 def encode_tpkt(payload: bytes) -> bytes:
-    total = 4 + len(payload)
-    if total > 0xFFFF:
-        raise ValueError("payload too large for TPKT")
-    return struct.pack(">BBH", TPKT_VERSION, 0, total) + payload
+    """Prefix the TPKT header; raises ValueError for a frame ``frame_size`` would not return whole."""
+    # a length over 16 bits wraps to one that cannot equal the frame's, so frame_size refuses it below
+    wire = TPKT.pack(TPKT_VERSION, 0, (HEADER_SIZE + len(payload)) & 0xFFFF) + payload
+    if frame_size(wire) != len(wire):
+        raise ValueError(f"a TPKT frame of {len(wire)} bytes is not one frame_size accepts")
+    return wire
 
 
 def decode_tpkt(data: bytes) -> bytes:
-    """Strip and validate the TPKT header, returning the COTP bytes."""
-    _need(data, 4, "TPKT header")
-    version, _reserved, length = struct.unpack_from(">BBH", data)
-    if version != TPKT_VERSION:
-        raise FormatError(f"TPKT version {version}, expected 3")
-    if length != len(data):
-        raise LengthMismatch(f"TPKT declares {length} bytes, got {len(data)}")
-    if length < 5:
-        raise Truncated("TPKT too short to carry COTP")
-    return bytes(data[4:])
+    """Strip the TPKT header of a frame ``frame_size`` returns whole, returning the COTP bytes."""
+    if len(data) < HEADER_SIZE:
+        raise Truncated(f"TPKT header: need {HEADER_SIZE} bytes, got {len(data)}")
+    size = frame_size(data)
+    if size != len(data):
+        if size is None:
+            raise FormatError(f"TPKT header {bytes(data[:HEADER_SIZE]).hex()} cannot start a frame")
+        raise LengthMismatch(f"TPKT declares {size} bytes, got {len(data)}")
+    return bytes(data[HEADER_SIZE:])
 
 
 def frame_size(buf: bytes, at: int = 0) -> int | None:
     """Total length of the TPKT frame starting at ``at``: version 3, reserved 0, length 5..8192."""
-    version, reserved, length = struct.unpack_from(">BBH", buf, at)
+    version, reserved, length = TPKT.unpack_from(buf, at)
     return length if version == TPKT_VERSION and reserved == 0 and 5 <= length <= 8192 else None
 
 
@@ -177,24 +206,17 @@ def extract_tpkt_frames(buffer: bytes) -> tuple[list[bytes], bytes]:
     return cut_frames(buffer, HEADER_SIZE, frame_size)
 
 
-def _encode_cr_cc(cotp: CotpConnectionRequest | CotpConnectionConfirm, pdu_type: int) -> bytes:
-    params = struct.pack(">BBB", PARAM_TPDU_SIZE, 1, cotp.tpdu_size)
-    params += struct.pack(">BBH", PARAM_SRC_TSAP, 2, cotp.src_tsap)
-    params += struct.pack(">BBH", PARAM_DST_TSAP, 2, cotp.dst_tsap)
-    body = struct.pack(">HHB", cotp.dst_ref, cotp.src_ref, 0x00) + params
-    return bytes([1 + len(body), pdu_type]) + body
-
-
 def encode_cotp(cotp: Cotp) -> bytes:
-    if isinstance(cotp, CotpConnectionRequest):
-        return _encode_cr_cc(cotp, COTP_CR)
-    if isinstance(cotp, CotpConnectionConfirm):
-        return _encode_cr_cc(cotp, COTP_CC)
-    if isinstance(cotp, CotpDisconnectRequest):
-        body = struct.pack(">HHB", cotp.dst_ref, cotp.src_ref, cotp.reason)
-        return bytes([1 + len(body), COTP_DR]) + body
     if isinstance(cotp, CotpData):
         return bytes([2, COTP_DT, 0x80 if cotp.last else 0x00]) + cotp.payload
+    if isinstance(cotp, CotpDisconnectRequest):
+        return COTP_FIXED.pack(COTP_FIXED.size - 1, COTP_DR, cotp.dst_ref, cotp.src_ref, cotp.reason)
+    if isinstance(cotp, (CotpConnectionRequest, CotpConnectionConfirm)):
+        params = struct.pack(">BBB", PARAM_TPDU_SIZE, 1, cotp.tpdu_size)
+        params += struct.pack(">BBH", PARAM_SRC_TSAP, 2, cotp.src_tsap)
+        params += struct.pack(">BBH", PARAM_DST_TSAP, 2, cotp.dst_tsap)
+        pdu_type = COTP_CR if isinstance(cotp, CotpConnectionRequest) else COTP_CC
+        return COTP_FIXED.pack(COTP_FIXED.size - 1 + len(params), pdu_type, cotp.dst_ref, cotp.src_ref, 0x00) + params
     raise TypeError(f"not a COTP value: {cotp!r}")
 
 
@@ -211,20 +233,6 @@ def _decode_params(raw: bytes) -> dict[int, bytes]:
     return params
 
 
-def _decode_cr_cc(header: bytes, params_raw: bytes, confirm: bool) -> Cotp:
-    dst_ref, src_ref, _cls = struct.unpack(">HHB", header)
-    params = _decode_params(params_raw)
-    try:
-        src_tsap = struct.unpack(">H", params[PARAM_SRC_TSAP])[0]
-        dst_tsap = struct.unpack(">H", params[PARAM_DST_TSAP])[0]
-    except (KeyError, struct.error) as exc:
-        raise FormatError("connect PDU missing TSAP parameters") from exc
-    size = params.get(PARAM_TPDU_SIZE, b"\x0a")
-    tpdu_size = size[0] if size else 0x0A
-    cls = CotpConnectionConfirm if confirm else CotpConnectionRequest
-    return cls(src_tsap=src_tsap, dst_tsap=dst_tsap, dst_ref=dst_ref, src_ref=src_ref, tpdu_size=tpdu_size)
-
-
 def decode_cotp(data: bytes) -> Cotp:
     _need(data, 2, "COTP header")
     li, pdu_type = data[0], data[1]
@@ -235,16 +243,23 @@ def decode_cotp(data: bytes) -> Cotp:
         return CotpData(payload=bytes(data[3:]), last=bool(data[2] & 0x80))
     header_end = 1 + li
     _need(data, header_end, "COTP fixed part")
-    if pdu_type in (COTP_CR, COTP_CC):
-        if li < 6:
-            raise FormatError(f"connect PDU length indicator {li} too small")
-        return _decode_cr_cc(data[2:7], data[7:header_end], confirm=pdu_type == COTP_CC)
+    if pdu_type not in (COTP_CR, COTP_CC, COTP_DR):
+        raise FormatError(f"unsupported COTP PDU type 0x{pdu_type:02x}")
+    if header_end < COTP_FIXED.size:
+        raise FormatError(f"COTP length indicator {li} too small")
+    _, _, dst_ref, src_ref, last = COTP_FIXED.unpack_from(data)
     if pdu_type == COTP_DR:
-        if li < 6:
-            raise FormatError(f"DR length indicator {li} too small")
-        dst_ref, src_ref, reason = struct.unpack_from(">HHB", data, 2)
-        return CotpDisconnectRequest(reason=reason, dst_ref=dst_ref, src_ref=src_ref)
-    raise FormatError(f"unsupported COTP PDU type 0x{pdu_type:02x}")
+        return CotpDisconnectRequest(reason=last, dst_ref=dst_ref, src_ref=src_ref)
+    params = _decode_params(data[COTP_FIXED.size : header_end])
+    try:
+        src_tsap = struct.unpack(">H", params[PARAM_SRC_TSAP])[0]
+        dst_tsap = struct.unpack(">H", params[PARAM_DST_TSAP])[0]
+    except (KeyError, struct.error) as exc:
+        raise FormatError("connect PDU missing TSAP parameters") from exc
+    size = params.get(PARAM_TPDU_SIZE, b"\x0a")
+    tpdu_size = size[0] if size else 0x0A
+    cls = CotpConnectionConfirm if pdu_type == COTP_CC else CotpConnectionRequest
+    return cls(src_tsap=src_tsap, dst_tsap=dst_tsap, dst_ref=dst_ref, src_ref=src_ref, tpdu_size=tpdu_size)
 
 
 def encode_envelope(cotp: Cotp) -> bytes:
@@ -299,119 +314,99 @@ def build_cotp_disconnect(reason: int = 0) -> bytes:
 
 def encode_s7(message: S7Message) -> bytes:
     if isinstance(message, S7SetupCommunication):
-        params = struct.pack(
-            ">BBHHH", 0xF0, 0x00, message.max_amq_caller, message.max_amq_callee, message.pdu_length
+        params = SETUP_PARAMS.pack(
+            0xF0, 0x00, message.max_amq_caller, message.max_amq_callee, message.pdu_length
         )
         if message.is_request:
-            head = struct.pack(">BBHHHH", S7_PROTOCOL_ID, ROSCTR_JOB, 0, message.pdu_ref, len(params), 0)
+            head = S7_HEADER.pack(S7_PROTOCOL_ID, ROSCTR_JOB, 0, message.pdu_ref, len(params), 0)
         else:
-            head = struct.pack(
-                ">BBHHHHH", S7_PROTOCOL_ID, ROSCTR_ACK_DATA, 0, message.pdu_ref, len(params), 0, 0
-            )
+            head = S7_ACK_HEADER.pack(S7_PROTOCOL_ID, ROSCTR_ACK_DATA, 0, message.pdu_ref, len(params), 0, 0)
         return head + params
 
     if isinstance(message, S7SzlRequest):
-        params = bytes([0x00, 0x01, 0x12, 0x04, 0x11, 0x44, 0x01, message.sequence & 0xFF])
-        data = struct.pack(">BBHHH", 0xFF, 0x09, 4, message.szl_id, message.szl_index)
-        head = struct.pack(
-            ">BBHHHH", S7_PROTOCOL_ID, ROSCTR_USERDATA, 0, message.pdu_ref, len(params), len(data)
+        params = USERDATA_PARAMS.pack(
+            USERDATA_HEAD, USERDATA_PARAMS.size - 4, 0x11, 0x44, 0x01, message.sequence & 0xFF
         )
-        return head + params + data
-
-    if isinstance(message, S7SzlResponse):
-        params = bytes([0x00, 0x01, 0x12, 0x08, 0x12, 0x84, 0x01, message.sequence & 0xFF, 0x00, 0x00])
-        params += struct.pack(">H", message.error_code)
+        data = SZL_READ.pack(0xFF, 0x09, SZL_READ.size - 4, message.szl_id, message.szl_index)
+    elif isinstance(message, S7SzlResponse):
+        params = USERDATA_REPLY_PARAMS.pack(
+            USERDATA_HEAD, USERDATA_REPLY_PARAMS.size - 4, 0x12, 0x84, 0x01, message.sequence & 0xFF,
+            0x00, 0x00, message.error_code,
+        )
         if message.error_code:
-            data = struct.pack(">BBH", 0x0A, 0x00, 0)
+            data = bytes([0x0A, 0x00, 0x00, 0x00])  # return code 0x0A and no list
         else:
-            record_len = 28 if message.szl_id == SZL_MODULE_ID else 34
-            body = b"".join(_encode_szl_entry(message.szl_id, e) for e in message.entries)
-            data = struct.pack(
-                ">BBHHHHH",
-                0xFF,
-                0x09,
-                8 + len(body),
-                message.szl_id,
-                message.szl_index,
-                record_len,
+            record_len, records = _encode_szl_records(message.szl_id, message.entries)
+            data = SZL_REPLY.pack(
+                0xFF, 0x09, SZL_REPLY.size - 4 + len(records), message.szl_id, message.szl_index, record_len,
                 len(message.entries),
-            ) + body
-        head = struct.pack(
-            ">BBHHHH", S7_PROTOCOL_ID, ROSCTR_USERDATA, 0, message.pdu_ref, len(params), len(data)
-        )
-        return head + params + data
-
-    raise TypeError(f"not an S7 message: {message!r}")
+            ) + records
+    else:
+        raise TypeError(f"not an S7 message: {message!r}")
+    return S7_HEADER.pack(S7_PROTOCOL_ID, ROSCTR_USERDATA, 0, message.pdu_ref, len(params), len(data)) + params + data
 
 
-def _encode_szl_entry(szl_id: int, entry: SzlEntry) -> bytes:
-    if szl_id == SZL_MODULE_ID:
-        text = entry.text.encode("ascii", errors="replace")[:20].ljust(20)
-        return struct.pack(">H", entry.index) + text + struct.pack(">HHH", *entry.words)
-    text = entry.text.encode("ascii", errors="replace")[:32].ljust(32)
-    return struct.pack(">H", entry.index) + text
+def _encode_szl_records(szl_id: int, entries: Iterable[SzlEntry]) -> tuple[int, bytes]:
+    """A list's record length and records; ValueError for a record it cannot carry (any, outside SZL_LISTS)."""
+    szl = SZL_LISTS.get(szl_id)
+    records = []
+    for entry in entries:
+        text = entry.text.encode("ascii", errors="replace")
+        if szl is None or len(text) > szl.width:
+            raise ValueError(f"list 0x{szl_id:04x} cannot carry the text {entry.text!r}")
+        try:
+            records.append(szl.record.pack(entry.index, text.ljust(szl.width), *entry.words[: szl.words]))
+        except struct.error as exc:
+            raise ValueError(f"list 0x{szl_id:04x} cannot carry the record {entry!r}: {exc}") from exc
+    return (szl.record.size if szl else 0), b"".join(records)
 
 
 def _decode_szl_entries(szl_id: int, count: int, record_len: int, raw: bytes) -> tuple[SzlEntry, ...]:
-    expected_len = 28 if szl_id == SZL_MODULE_ID else 34
-    if record_len != expected_len:
-        raise FormatError(f"list 0x{szl_id:04x} record length {record_len}, expected {expected_len}")
+    szl = SZL_LISTS.get(szl_id)
+    if szl is None:
+        raise FormatError(f"unknown status list id 0x{szl_id:04x}")
+    if record_len != szl.record.size:
+        raise FormatError(f"list 0x{szl_id:04x} record length {record_len}, expected {szl.record.size}")
     _need(raw, count * record_len, "status list records")
-    entries = []
-    for i in range(count):
-        chunk = raw[i * record_len : (i + 1) * record_len]
-        index = struct.unpack_from(">H", chunk)[0]
-        if szl_id == SZL_MODULE_ID:
-            text = chunk[2:22].decode("ascii", errors="replace").rstrip()
-            words = struct.unpack_from(">HHH", chunk, 22)
-        else:
-            text = chunk[2:34].decode("ascii", errors="replace").rstrip()
-            words = (0, 0, 0)
-        entries.append(SzlEntry(index=index, text=text, words=words))
-    return tuple(entries)
+    return tuple([
+        SzlEntry(index, text.decode("ascii", errors="replace").rstrip(), tuple(words) or (0, 0, 0))
+        for index, text, *words in szl.record.iter_unpack(raw[: count * record_len])
+    ])
 
 
 def decode_s7(data: bytes) -> S7Message:
     """Decode S7 bytes carried in a COTP data TPDU."""
-    _need(data, 10, "S7 header")
-    if data[0] != S7_PROTOCOL_ID:
-        raise FormatError(f"S7 protocol id 0x{data[0]:02x}, expected 0x32")
-    rosctr = data[1]
-    _red, pdu_ref, param_len, data_len = struct.unpack_from(">HHHH", data, 2)
-    offset = 10
+    _need(data, S7_HEADER.size, "S7 header")
+    protocol_id, rosctr, _redundancy, pdu_ref, param_len, data_len = S7_HEADER.unpack_from(data)
+    if protocol_id != S7_PROTOCOL_ID:
+        raise FormatError(f"S7 protocol id 0x{protocol_id:02x}, expected 0x32")
+    offset = S7_HEADER.size
     if rosctr in (0x02, ROSCTR_ACK_DATA):
-        _need(data, 12, "S7 ack error field")
-        offset = 12
+        offset = S7_ACK_HEADER.size
+        _need(data, offset, "S7 ack error field")
     _need(data, offset + param_len + data_len, "S7 body")
     params = data[offset : offset + param_len]
     body = data[offset + param_len : offset + param_len + data_len]
 
     if rosctr in (ROSCTR_JOB, ROSCTR_ACK_DATA):
-        if param_len >= 8 and params[0] == 0xF0:
-            caller, callee, pdu_length = struct.unpack_from(">HHH", params, 2)
-            return S7SetupCommunication(
-                is_request=rosctr == ROSCTR_JOB,
-                pdu_ref=pdu_ref,
-                max_amq_caller=caller,
-                max_amq_callee=callee,
-                pdu_length=pdu_length,
-            )
+        if param_len >= SETUP_PARAMS.size and params[0] == 0xF0:
+            _function, _reserved, caller, callee, pdu_length = SETUP_PARAMS.unpack_from(params)
+            return S7SetupCommunication(rosctr == ROSCTR_JOB, pdu_ref, caller, callee, pdu_length)
         raise FormatError(f"unsupported S7 job function (rosctr {rosctr})")
 
     if rosctr != ROSCTR_USERDATA:
         raise FormatError(f"unsupported rosctr 0x{rosctr:02x}")
-    if param_len < 8 or params[:3] != b"\x00\x01\x12":
+    if param_len < USERDATA_PARAMS.size or params[:3] != USERDATA_HEAD:
         raise FormatError("bad userdata parameter block")
-    method = params[4]
-    sequence = params[7]
+    _head, _length, method, _group, _subfunction, sequence = USERDATA_PARAMS.unpack_from(params)
     if method == 0x11:  # request
-        _need(body, 8, "status list request data")
-        szl_id, szl_index = struct.unpack_from(">HH", body, 4)
+        _need(body, SZL_READ.size, "status list request data")
+        _code, _size, _length, szl_id, szl_index = SZL_READ.unpack_from(body)
         return S7SzlRequest(szl_id=szl_id, szl_index=szl_index, pdu_ref=pdu_ref, sequence=sequence)
     if method == 0x12:  # response
-        if param_len < 12:
+        if param_len < USERDATA_REPLY_PARAMS.size:
             raise FormatError("userdata response parameters too short")
-        error_code = struct.unpack_from(">H", params, 10)[0]
+        error_code = USERDATA_REPLY_PARAMS.unpack_from(params)[-1]
         _need(body, 4, "status list response data")
         return_code = body[0]
         if error_code or return_code != 0xFF:
@@ -419,9 +414,9 @@ def decode_s7(data: bytes) -> S7Message:
                 szl_id=0, szl_index=0, entries=(), pdu_ref=pdu_ref, sequence=sequence,
                 error_code=error_code or return_code,
             )
-        _need(body, 12, "status list response header")
-        szl_id, szl_index, record_len, count = struct.unpack_from(">HHHH", body, 4)
-        entries = _decode_szl_entries(szl_id, count, record_len, body[12:])
+        _need(body, SZL_REPLY.size, "status list response header")
+        _code, _size, _length, szl_id, szl_index, record_len, count = SZL_REPLY.unpack_from(body)
+        entries = _decode_szl_entries(szl_id, count, record_len, body[SZL_REPLY.size :])
         return S7SzlResponse(
             szl_id=szl_id, szl_index=szl_index, entries=entries, pdu_ref=pdu_ref, sequence=sequence
         )
@@ -447,7 +442,7 @@ def build_szl_response_frame(response: S7SzlResponse) -> bytes:
 
 
 def module_id_entries(identity: dict[str, str]) -> tuple[SzlEntry, ...]:
-    """Identity fields -> list 0x0011 entries (order nr, hw, fw)."""
+    """Identity fields -> list 0x0011 entries (order nr, hw, fw); raises ValueError for one the list cannot carry."""
     entries = []
     order = identity.get("module_order_number", "")
     entries.append(SzlEntry(index=_MODULE_ID_INDEX_ORDER, text=order))
@@ -458,14 +453,17 @@ def module_id_entries(identity: dict[str, str]) -> tuple[SzlEntry, ...]:
     if firmware:
         major_minor, patch = _pack_firmware(firmware)
         entries.append(SzlEntry(index=_MODULE_ID_INDEX_FIRMWARE, text=order, words=(0, major_minor, patch)))
+    _encode_szl_records(SZL_MODULE_ID, entries)
     return tuple(entries)
 
 
 def component_id_entries(identity: dict[str, str]) -> tuple[SzlEntry, ...]:
-    """Identity fields -> list 0x001C entries."""
-    return tuple(
+    """Identity fields -> list 0x001C entries; raises ValueError for one the list cannot carry."""
+    entries = tuple(
         SzlEntry(index=index, text=identity[key]) for index, key in COMPONENT_KEYS.items() if identity.get(key)
     )
+    _encode_szl_records(SZL_COMPONENT_ID, entries)
+    return entries
 
 
 def _pack_version(text: str) -> int:
@@ -475,13 +473,14 @@ def _pack_version(text: str) -> int:
         minor = int(parts[1]) if len(parts) > 1 else 0
     except ValueError as exc:
         raise ValueError(f"version {text!r} is not dotted-numeric") from exc
-    return ((major & 0xFF) << 8) | (minor & 0xFF)
+    if not (0 <= major <= 0xFF and 0 <= minor <= 0xFF):
+        raise ValueError(f"version {text!r} does not fit a version word, a byte each")
+    return (major << 8) | minor
 
 
 def _pack_firmware(text: str) -> tuple[int, int]:
     parts = text.split(".")
-    patch = int(parts[2]) if len(parts) > 2 else 0
-    return _pack_version(text), patch & 0xFFFF
+    return _pack_version(text), int(parts[2]) if len(parts) > 2 else 0  # the record refuses a patch over 16 bits
 
 
 def _unpack_version(word: int) -> str:
@@ -494,8 +493,8 @@ def parse_szl_response(data: bytes) -> tuple[dict[str, str], dict[str, str]]:
     Order number -> model, the module list's maker and the component
     list's copyright -> manufacturer, serial -> serial; station naming
     goes to deployment entries. Refusals surface as a FormatError
-    carrying the device's error code; unknown list ids are also a
-    FormatError (only 0x0011 / 0x001C belong to this subset).
+    carrying the device's error code; ``decode_s7`` refuses list ids
+    outside :data:`SZL_LISTS` with a FormatError too.
     """
     envelope = decode_envelope(data)
     if not isinstance(envelope.cotp, CotpData):
@@ -505,8 +504,6 @@ def parse_szl_response(data: bytes) -> tuple[dict[str, str], dict[str, str]]:
         raise FormatError(f"expected status list response, got {type(message).__name__}")
     if message.error_code:
         raise FormatError(f"status list read refused (code 0x{message.error_code:04x})")
-    if message.szl_id not in SUPPORTED_SZL_IDS:
-        raise FormatError(f"unknown status list id 0x{message.szl_id:04x}")
     if not message.entries:
         raise FormatError("status list response with no records")
 

@@ -407,7 +407,7 @@ class Scanner:
                 return asset
         except (OSError, DecodeError, FormatError):
             return asset
-        for szl_id in (s7.SZL_MODULE_ID, s7.SZL_COMPONENT_ID):
+        for szl_id in s7.SZL_LISTS:
             try:
                 replies.append(self._exchange(sock, s7.build_szl_read(szl_id, pdu_ref=2), s7))
             except (OSError, FramingError):

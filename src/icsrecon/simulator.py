@@ -205,8 +205,8 @@ def _modbus_reply(connection: _Connection, request: bytes) -> bytes | None:
         return _modbus_device_id(config, tx, unit)
     if pdu.function == modbus.FC_REPORT_SLAVE_ID and "report_slave_id_fc11" in config.feature_flags:
         return _modbus_slave_id(config, tx, unit)
-    if pdu.function == modbus.FC_READ_HOLDING and len(pdu.payload) == 4:
-        count = struct.unpack(">H", pdu.payload[2:4])[0]
+    if pdu.function == modbus.FC_READ_HOLDING and len(pdu.payload) == modbus.READ_HOLDING.size:
+        _start, count = modbus.READ_HOLDING.unpack(pdu.payload)
         if 1 <= count <= 125:
             return modbus.build_read_holding_response(tx, unit, [0] * count)
     return modbus.exception_frame(tx, unit, pdu.function, modbus.EXC_ILLEGAL_FUNCTION)
@@ -229,10 +229,10 @@ def _s7_reply(connection: _Connection, request: bytes) -> bytes | None:
     if isinstance(message, s7.S7SetupCommunication) and message.is_request:
         return s7.build_setup_ack(message.pdu_ref)
     if isinstance(message, s7.S7SzlRequest):
-        flag = {s7.SZL_MODULE_ID: "szl_0011", s7.SZL_COMPONENT_ID: "szl_001c"}.get(message.szl_id)
+        szl = s7.SZL_LISTS.get(message.szl_id)
         entries, error = (), 0x8104  # refused: a list this device does not serve
-        if flag in config.feature_flags:
-            entries, error = IDENTITY_REPLIES[flag](config), 0
+        if szl and szl.flag in config.feature_flags:
+            entries, error = IDENTITY_REPLIES[szl.flag](config), 0
         response = s7.S7SzlResponse(
             szl_id=message.szl_id, szl_index=message.szl_index, entries=entries,
             pdu_ref=message.pdu_ref, sequence=message.sequence, error_code=error,

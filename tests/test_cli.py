@@ -445,8 +445,15 @@ def test_simulate_device_without_listen_port_is_config_error(tmp_path, capsys):
         ("modbus", "features = device_id_fc2b\nidentity.manufacturer = " + "M" * 200 + "\nidentity.product_code = "
          + "P" * 200),
         ("s7comm", "features = szl_0011\nidentity.firmware_version = v3"),  # not dotted-numeric
+        # a version word holds a byte each for major and minor, then a 16-bit patch word
+        ("s7comm", "features = szl_0011\nidentity.hardware_version = 300.1"),
+        ("s7comm", "features = szl_0011\nidentity.firmware_version = 4.300.70000"),
+        ("s7comm", "features = szl_0011\nidentity.firmware_version = 4.4.70000"),
+        ("s7comm", "features = szl_0011\nidentity.module_order_number = " + "6" * 21),  # over a record's 20 characters
+        ("s7comm", "features = szl_001c\nidentity.system_name = " + "S" * 33),  # over a record's 32 characters
     ],
-    ids=["unit_id", "slave_id", "enip_number", "long_text", "long_reply", "s7_version"],
+    ids=["unit_id", "slave_id", "enip_number", "long_text", "long_reply", "s7_version", "s7_hardware_300",
+         "s7_firmware_300", "s7_patch_70000", "s7_order_number_21", "s7_component_text_33"],
 )
 def test_simulate_refuses_a_device_whose_identity_replies_cannot_be_built(tmp_path, capsys, protocol, lines):
     fixtures = tmp_path / "station.conf"

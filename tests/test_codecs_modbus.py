@@ -9,7 +9,6 @@ from hypothesis import given, strategies as st
 
 from icsrecon.codecs import modbus
 from icsrecon.errors import (
-    DecodeError,
     FormatError,
     LengthMismatch,
     ModbusExceptionResponse,
@@ -65,16 +64,6 @@ def test_round_trip_property(tx, unit, function, payload):
     assert len(wire) == 6 + header.length
 
 
-@given(tx=st.integers(0, 0xFFFF), unit=st.integers(0, 0xFF), function=st.integers(0, 0xFF), size=st.integers(0, 300))
-def test_every_encoded_frame_is_one_frame_size_accepts(tx, unit, function, size):
-    header = modbus.MbapHeader(tx, unit, 2 + size)
-    try:
-        wire = modbus.encode_modbus(header, modbus.ModbusPdu(function, bytes(size)))
-    except ValueError:  # a length over 254, or an exception PDU of other than one byte
-        return
-    assert modbus.frame_size(wire) == len(wire)
-
-
 def test_truncated_input():
     with pytest.raises(Truncated):
         modbus.decode_modbus(bytes.fromhex("00010000"))
@@ -99,27 +88,6 @@ def test_length_over_254_is_refused_as_frame_size_refuses_it():
     assert len(wire) == 306 and modbus.frame_size(wire) is None
     with pytest.raises(LengthMismatch):
         modbus.decode_modbus(wire)
-
-
-DECODABLE = st.one_of(
-    st.binary(max_size=300),
-    st.builds(
-        lambda length, unit, body: modbus.MBAP.pack(1, 0, length, unit) + body,
-        st.integers(0, 0xFFFF),
-        st.integers(0, 0xFF),
-        st.binary(max_size=300),
-    ),
-    st.integers(1, 0xFFFF).map(lambda length: modbus.MBAP.pack(1, 0, length, 1) + bytes(length - 1)),
-)
-
-
-@given(DECODABLE)
-def test_every_decoded_frame_is_one_frame_size_accepts(wire):
-    try:
-        modbus.decode_modbus(wire)
-    except (DecodeError, FormatError):
-        return
-    assert modbus.frame_size(wire) == len(wire)
 
 
 def test_device_id_response_round_trip():

@@ -1,4 +1,4 @@
-"""One frame rule per protocol: the socket reader and the stream cutter agree.
+"""One frame rule per protocol: the socket reader, the stream cutter and the codec's outer encoder and decoder agree.
 
 Also the rest of each codec's shared interface, against the per-protocol
 rules it replaced in the passive classifier, the scanner and the simulator.
@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import functools
 import socket
+import struct
 import threading
 import time
 
@@ -15,8 +16,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from icsrecon.codecs import PROTOCOLS, cut_frames, enip, modbus, s7
-from icsrecon.errors import ConnectionRefusedByTsap, DecodeError, FormatError, IcsReconError
+from icsrecon.errors import ConnectionRefusedByTsap, DecodeError, FormatError, IcsReconError, LengthMismatch
 from icsrecon.netbase import recv_frame
+
+from conftest import same_record
 
 EXTRACTORS = {
     codec: functools.partial(cut_frames, header_size=codec.HEADER_SIZE, frame_size=codec.frame_size)
@@ -41,11 +44,14 @@ def read_frames(codec, data: bytes) -> list[bytes]:
 @pytest.mark.parametrize(
     "codec, data, accepted",
     [
-        pytest.param(s7, s7.encode_tpkt(b"\x02\xf0\x80" + bytes(8993)), False, id="tpkt_9000_bytes"),
+        # the two frames over the bounds are built with struct, as their encoders refuse them
+        pytest.param(s7, struct.pack(">BBH", 3, 0, 9000) + b"\x02\xf0\x80" + bytes(8993), False, id="tpkt_9000_bytes"),
         pytest.param(s7, bytes([3, 1, 0, 7]) + b"\x02\xf0\x80", False, id="tpkt_reserved_1"),
         pytest.param(modbus, bytes.fromhex("000199990003012b00"), False, id="mbap_protocol_id_9999"),
         pytest.param(enip, enip.encode_header(0x0999, b""), True, id="enip_unknown_command"),
-        pytest.param(enip, enip.encode_header(enip.CMD_LIST_IDENTITY, bytes(9000)), False, id="enip_9000_payload"),
+        pytest.param(
+            enip, struct.pack("<HHII8sI", 0x63, 9000, 0, 0, bytes(8), 0) + bytes(9000), False, id="enip_9000_payload"
+        ),
     ],
 )
 def test_socket_reader_and_stream_cutter_agree(codec, data, accepted):
@@ -204,3 +210,123 @@ def test_codec_interface_matches_the_inline_rules(codec, frame):
     matches_the_inline_rules(codec, frame)
     for cut in EXTRACTORS[codec](frame)[0][:1]:  # the passive rule sees a stream's first complete frame
         matches_the_inline_rules(codec, cut)
+
+
+# -- each codec's outer encoder and decoder read its frame rule ----------------
+
+CODECS = pytest.mark.parametrize("codec", PROTOCOLS.values(), ids=PROTOCOLS.keys())
+BYTE, WORD, DWORD = st.integers(0, 0xFF), st.integers(0, 0xFFFF), st.integers(0, 0xFFFFFFFF)
+FRAME_SIZES = st.one_of(st.integers(0, 300), st.integers(8180, 9000))  # each side of each frame bound
+SIZES = FRAME_SIZES | st.integers(0xFFF0, 0x10010)  # and of a 16-bit length field
+
+
+@st.composite
+def encodings(draw, codec):
+    """One call of ``codec``'s outer encoder: the call, its outer decoder, and what that decoder gives back."""
+    size = draw(SIZES)
+    if codec is modbus:
+        header = modbus.MbapHeader(draw(WORD), draw(BYTE), 2 + size)
+        pdu = modbus.ModbusPdu(draw(BYTE), bytes(size))
+        return functools.partial(modbus.encode_modbus, header, pdu), modbus.decode_modbus, (header, pdu)
+    if codec is s7:
+        return functools.partial(s7.encode_tpkt, bytes(size)), s7.decode_tpkt, bytes(size)
+    message = enip.EnipMessage(draw(WORD), size, draw(DWORD), draw(DWORD), draw(DWORD))
+    call = functools.partial(enip.encode_header, message.command, bytes(size), *message[2:5])
+    return call, enip.decode_header, (message, bytes(size))
+
+
+@CODECS
+@settings(deadline=None)
+@given(data=st.data())
+def test_every_encoded_frame_is_one_frame_size_accepts(codec, data):
+    encode, _, _ = data.draw(encodings(codec))
+    try:
+        wire = encode()
+    except ValueError:  # Modbus also refuses an exception PDU of other than one byte
+        return
+    assert codec.frame_size(wire) == len(wire)
+
+
+@CODECS
+@settings(deadline=None)
+@given(data=st.data())
+def test_the_outer_header_round_trips(codec, data):
+    encode, decode, decoded = data.draw(encodings(codec))
+    try:
+        wire = encode()
+    except ValueError:
+        return
+    assert same_record(decode(wire), decoded)
+
+
+def tpkt_frame(version: int, reserved: int, length: int | None, size: int) -> bytes:
+    """A TPKT header with any fields in front of a COTP DT of ``size`` data bytes; ``length`` None for the honest one."""
+    body = b"\x02\xf0\x80" + bytes(size)
+    return struct.pack(">BBH", version, reserved, 4 + len(body) if length is None else length) + body
+
+
+def enip_frame(command: int, length: int | None, size: int) -> bytes:
+    """An encapsulation header with any command in front of ``size`` bytes; ``length`` None for the honest one."""
+    return struct.pack("<HHII8sI", command, size if length is None else length, 0, 0, bytes(8), 0) + bytes(size)
+
+
+DECODABLE = {
+    modbus: st.one_of(
+        st.binary(max_size=300),
+        st.builds(
+            lambda length, unit, body: modbus.MBAP.pack(1, 0, length, unit) + body,
+            st.integers(0, 0xFFFF),
+            st.integers(0, 0xFF),
+            st.binary(max_size=300),
+        ),
+        st.integers(1, 0xFFFF).map(lambda length: modbus.MBAP.pack(1, 0, length, 1) + bytes(length - 1)),
+    ),
+    s7: st.one_of(
+        st.binary(max_size=64),
+        st.builds(tpkt_frame, st.just(3) | BYTE, st.just(0) | BYTE, st.none() | WORD, FRAME_SIZES),
+    ),
+    enip: st.one_of(
+        st.binary(max_size=64),
+        st.builds(enip_frame, st.sampled_from(sorted(enip.KNOWN_COMMANDS)) | WORD, st.none() | WORD, FRAME_SIZES),
+    ),
+}
+
+
+@CODECS
+@settings(deadline=None)
+@given(data=st.data())
+def test_every_decoded_frame_is_one_frame_size_accepts(codec, data):
+    wire = data.draw(DECODABLE[codec])
+    try:
+        OUTER_DECODERS[codec](wire)
+    except (DecodeError, FormatError):
+        return
+    assert codec.frame_size(wire) == len(wire)
+
+
+def test_an_s7_frame_over_8192_bytes_is_neither_built_nor_decoded():
+    with pytest.raises(ValueError):
+        s7.encode_envelope(s7.CotpData(b"x" * 9000))
+    wire = tpkt_frame(3, 0, None, 9000)
+    assert len(wire) == 9007 and s7.frame_size(wire) is None
+    with pytest.raises(FormatError):
+        s7.decode_envelope(wire)
+    assert not s7.claims(wire)
+
+
+def test_a_tpkt_with_reserved_1_is_neither_decoded_nor_claimed():
+    wire = tpkt_frame(3, 1, None, 0)
+    assert s7.frame_size(wire) is None
+    with pytest.raises(FormatError):
+        s7.decode_envelope(wire)
+    assert not s7.claims(wire)
+
+
+def test_an_enip_payload_over_8192_bytes_is_neither_built_nor_decoded():
+    with pytest.raises(ValueError):
+        enip.encode_header(enip.CMD_LIST_IDENTITY, bytes(9000))
+    wire = enip_frame(enip.CMD_LIST_IDENTITY, None, 9000)
+    assert len(wire) == 9024 and enip.frame_size(wire) is None
+    with pytest.raises(LengthMismatch):
+        enip.decode_header(wire)
+    assert not enip.claims(wire)

@@ -33,7 +33,7 @@ NAMED_TUPLES = {
     "codecs.modbus.SlaveId",
     "codecs.s7.CotpConnectionRequest", "codecs.s7.CotpConnectionConfirm", "codecs.s7.CotpDisconnectRequest",
     "codecs.s7.CotpData", "codecs.s7.TpktCotpEnvelope", "codecs.s7.S7SetupCommunication", "codecs.s7.SzlEntry",
-    "codecs.s7.S7SzlRequest", "codecs.s7.S7SzlResponse",
+    "codecs.s7.S7SzlRequest", "codecs.s7.S7SzlResponse", "codecs.s7.SzlList",
     "codecs.enip.CipIdentity", "codecs.enip.EnipMessage",
     "pcapio.EthernetFrame", "pcapio.ArpMessage", "pcapio.Ipv4Packet", "pcapio.TcpSegment",
     "model.CveRecord", "model.ProvenanceEntry", "passive.PcapFile", "netbase.ConnectResult", "taxonomy.Violation",
