@@ -7,7 +7,11 @@ states its well-known ``PORT``.
 Decoders raise only :class:`icsrecon.errors.DecodeError` /
 :class:`icsrecon.errors.FormatError` subclasses, never anything else,
 regardless of input. Each codec's ``identity_fields`` turns reply
-frames into static / deployment fields for scanner and analyzer alike.
+frames into static / deployment fields for scanner and analyzer alike,
+and its ``identity_key(frame)`` gives the bytes of a reply that
+``identity_fields`` reads, less the per-exchange identifiers, or None
+for a frame it skips: the analyzer decodes each distinct set of keys
+once per capture.
 
 Each codec states its frame rule once, as ``HEADER_SIZE`` plus
 ``frame_size(buf, at)``: the length of the frame whose header starts at

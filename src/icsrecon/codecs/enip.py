@@ -9,7 +9,8 @@ A ListIdentity reply carries one CPF item of type 0x000C: protocol
 version u16, a 16-byte socket address (big-endian inside), then the
 identity object: vendor u16, device type u16, product code u16,
 revision (u8, u8), status u16, serial u32, length-prefixed product
-name, state u8.
+name, state u8. The product name is ASCII: the encoder refuses any other
+text.
 """
 
 from __future__ import annotations
@@ -44,6 +45,8 @@ KNOWN_COMMANDS = {
     CMD_UNREGISTER_SESSION,
     CMD_SEND_RR_DATA,
 }
+
+_LIST_IDENTITY = CMD_LIST_IDENTITY.to_bytes(2, "little")
 
 ITEM_IDENTITY = 0x000C
 CPF_ITEM = struct.Struct("<HHH")  # item count, then the first item's type id and length
@@ -130,9 +133,9 @@ def confirm(reply: bytes) -> None:
 
 
 def encode_identity_item(identity: CipIdentity, ip: str = "0.0.0.0", port: int = PORT) -> bytes:
-    name = identity.product_name.encode("ascii", errors="replace")
-    if len(name) > 0xFF:
-        raise ValueError("product name too long")
+    if not identity.product_name.isascii() or len(identity.product_name) > 0xFF:
+        raise ValueError(f"product name {identity.product_name!r} is not ASCII text of at most 255 bytes")
+    name = identity.product_name.encode("ascii")
     address = SOCKET_ADDRESS.pack(2, port, bytes(int(o) for o in ip.split(".")), bytes(8))
     item = IDENTITY_FIXED.pack(
         1, address, identity.vendor_id, identity.device_type, identity.product_code, *identity.revision,
@@ -180,6 +183,16 @@ def parse_list_identity(data: bytes) -> CipIdentity:
         product_name=name,
         state=state,
     )
+
+
+def identity_key(wire: bytes) -> bytes | None:
+    """The bytes of a reply that ``identity_fields`` reads, all but the session handle and sender context.
+
+    None for a frame of another command, which it skips.
+    """
+    if len(wire) < HEADER_SIZE or wire[:2] != _LIST_IDENTITY:
+        return None
+    return wire[:4] + wire[8:12] + wire[20:]
 
 
 def identity_fields(replies: Iterable[bytes]) -> tuple[dict[str, str], dict[str, str]]:

@@ -9,7 +9,8 @@ Wire layout (big-endian):
 
 Supported functions: 0x2B/0x0E Read Device Identification, 0x11 Report
 Server ID, 0x03 Read Holding Registers. Exception replies carry
-function|0x80 and exactly one exception-code byte.
+function|0x80 and exactly one exception-code byte. Only FC 0x2B and FC
+0x11 replies carry identity, as ``identity_key`` states.
 """
 
 from __future__ import annotations
@@ -49,6 +50,8 @@ OBJECT_FIELDS = {OBJ_VENDOR_NAME: "manufacturer", OBJ_PRODUCT_CODE: "model", OBJ
 
 EXC_ILLEGAL_FUNCTION = 0x01
 
+_IDENTITY_FUNCTIONS = frozenset({FC_ENCAPSULATED, FC_REPORT_SLAVE_ID})
+
 
 class MbapHeader(NamedTuple):
     transaction_id: int
@@ -87,10 +90,15 @@ class SlaveId(NamedTuple):
     additional: bytes = b""
 
 
+def _exception_is_whole(function: int, payload: bytes) -> bool:
+    """False only for an exception PDU (function | 0x80) that does not carry exactly one code byte."""
+    return not function & 0x80 or len(payload) == 1
+
+
 def encode_modbus(header: MbapHeader, pdu: ModbusPdu) -> bytes:
     """Encode a frame; raises ValueError for one that ``frame_size`` would not return whole."""
-    if pdu.is_exception and len(pdu.payload) != 1:
-        raise ValueError("exception PDU must carry exactly one code byte")
+    if not _exception_is_whole(pdu.function, pdu.payload):
+        raise ValueError(f"exception PDU with {len(pdu.payload)} payload bytes, not one code byte")
     try:
         head = MBAP.pack(header.transaction_id, header.protocol_id, header.length, header.unit_id)
     except struct.error as exc:
@@ -118,8 +126,8 @@ def decode_modbus(data: bytes) -> tuple[MbapHeader, ModbusPdu]:
         raise LengthMismatch(f"declared length {length} does not frame {len(data)} bytes")
     function = data[7]
     payload = bytes(data[8:])
-    if function & 0x80 and len(payload) != 1:
-        raise FormatError(f"exception frame with {len(payload)} payload bytes")
+    if not _exception_is_whole(function, payload):
+        raise FormatError(f"exception frame with {len(payload)} payload bytes, not one code byte")
     return MbapHeader(tx, unit, length), ModbusPdu(function, payload)
 
 
@@ -174,10 +182,10 @@ def build_device_id_response(
 ) -> bytes:
     body = bytearray([MEI_DEVICE_ID, read_code, conformity, 0xFF if more_follows else 0x00, next_object_id, len(objects)])
     for object_id in sorted(objects):
-        value = objects[object_id].encode("ascii", errors="replace")
-        if len(value) > 0xFF:
-            raise ValueError(f"object 0x{object_id:02x} value too long")
-        body += bytes([object_id, len(value)]) + value
+        text = objects[object_id]
+        if not text.isascii() or len(text) > 0xFF:
+            raise ValueError(f"object 0x{object_id:02x} value {text!r} is not ASCII text of at most 255 bytes")
+        body += bytes([object_id, len(text)]) + text.encode("ascii")
     return frame(transaction_id, unit, FC_ENCAPSULATED, bytes(body))
 
 
@@ -259,20 +267,29 @@ def build_read_holding_response(transaction_id: int, unit: int, registers: list[
     return frame(transaction_id, unit, FC_READ_HOLDING, body)
 
 
+def identity_key(wire: bytes) -> bytes | None:
+    """The bytes of a reply that ``identity_fields`` reads, all but the transaction id; None for one it skips.
+
+    Only FC 0x2B and FC 0x11 replies carry identity: not register polls, exception replies or runts.
+    """
+    if len(wire) < 8 or wire[7] not in _IDENTITY_FUNCTIONS:
+        return None
+    return wire[2:]
+
+
 def identity_fields(replies: Iterable[bytes]) -> tuple[dict[str, str], dict[str, str]]:
     """Static and deployment fields from a server's reply frames; never raises.
 
     FC 0x2B objects map through ``OBJECT_FIELDS`` and merge across
     continuation rounds (later ones win), FC 0x11 gives the slave id and
-    the replying unit. Frames whose function byte is neither (register
-    polls, exception replies) are skipped before decoding, and frames
-    that do not decode are skipped.
+    the replying unit. Frames without an ``identity_key`` are skipped
+    before decoding, and frames that do not decode are skipped.
     """
     static: dict[str, str] = {}
     deployment: dict[str, str] = {}
     for wire in replies:
-        if len(wire) < 8 or wire[7] not in (FC_ENCAPSULATED, FC_REPORT_SLAVE_ID):
-            continue  # register polls, exceptions and runts carry no identity
+        if identity_key(wire) is None:
+            continue
         try:
             if wire[7] == FC_ENCAPSULATED:
                 objects = parse_device_id_response(wire).objects

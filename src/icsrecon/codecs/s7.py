@@ -18,6 +18,8 @@ implemented, as :data:`SZL_LISTS` states them: 0x0011 module
 identification (28-byte records: index, 20-char order number, type word,
 two version words) and 0x001C component identification (34-byte records:
 index, 32-char text). Anything beyond that subset is out of scope here.
+Record texts are ASCII, and a userdata sequence number is one byte: the
+encoders refuse anything else.
 """
 
 from __future__ import annotations
@@ -63,6 +65,12 @@ SZL_REPLY = struct.Struct(">BBHHHHH")  # the same, then record length and record
 
 SZL_MODULE_ID = 0x0011
 SZL_COMPONENT_ID = 0x001C
+
+# a status-list reply in a standard COTP DT: DT header (length indicator 2, type), S7 id and rosctr, userdata method
+_STANDARD_DT = bytes([2, COTP_DT])
+_USERDATA = bytes([S7_PROTOCOL_ID, ROSCTR_USERDATA])
+_METHOD_AT = HEADER_SIZE + 3 + S7_HEADER.size + 4  # after the TPKT, DT and S7 headers, userdata head and length
+_PDU_REF_AT = HEADER_SIZE + 3 + 4  # after the TPKT and DT headers, protocol id, rosctr and redundancy
 
 # Default TSAP pairs offered when connecting, in order. These mirror
 # common rack/slot conventions.
@@ -323,14 +331,14 @@ def encode_s7(message: S7Message) -> bytes:
             head = S7_ACK_HEADER.pack(S7_PROTOCOL_ID, ROSCTR_ACK_DATA, 0, message.pdu_ref, len(params), 0, 0)
         return head + params
 
+    if isinstance(message, (S7SzlRequest, S7SzlResponse)) and not 0 <= message.sequence <= 0xFF:
+        raise ValueError(f"userdata sequence number {message.sequence} does not fit its byte")
     if isinstance(message, S7SzlRequest):
-        params = USERDATA_PARAMS.pack(
-            USERDATA_HEAD, USERDATA_PARAMS.size - 4, 0x11, 0x44, 0x01, message.sequence & 0xFF
-        )
+        params = USERDATA_PARAMS.pack(USERDATA_HEAD, USERDATA_PARAMS.size - 4, 0x11, 0x44, 0x01, message.sequence)
         data = SZL_READ.pack(0xFF, 0x09, SZL_READ.size - 4, message.szl_id, message.szl_index)
     elif isinstance(message, S7SzlResponse):
         params = USERDATA_REPLY_PARAMS.pack(
-            USERDATA_HEAD, USERDATA_REPLY_PARAMS.size - 4, 0x12, 0x84, 0x01, message.sequence & 0xFF,
+            USERDATA_HEAD, USERDATA_REPLY_PARAMS.size - 4, 0x12, 0x84, 0x01, message.sequence,
             0x00, 0x00, message.error_code,
         )
         if message.error_code:
@@ -351,11 +359,11 @@ def _encode_szl_records(szl_id: int, entries: Iterable[SzlEntry]) -> tuple[int, 
     szl = SZL_LISTS.get(szl_id)
     records = []
     for entry in entries:
-        text = entry.text.encode("ascii", errors="replace")
-        if szl is None or len(text) > szl.width:
+        if szl is None or not entry.text.isascii() or len(entry.text) > szl.width:
             raise ValueError(f"list 0x{szl_id:04x} cannot carry the text {entry.text!r}")
+        text = entry.text.encode("ascii").ljust(szl.width)
         try:
-            records.append(szl.record.pack(entry.index, text.ljust(szl.width), *entry.words[: szl.words]))
+            records.append(szl.record.pack(entry.index, text, *entry.words[: szl.words]))
         except struct.error as exc:
             raise ValueError(f"list 0x{szl_id:04x} cannot carry the record {entry!r}: {exc}") from exc
     return (szl.record.size if szl else 0), b"".join(records)
@@ -530,6 +538,16 @@ def parse_szl_response(data: bytes) -> tuple[dict[str, str], dict[str, str]]:
     if not static and not deployment:
         raise FormatError("status list response with no usable fields")
     return static, deployment
+
+
+def identity_key(wire: bytes) -> bytes | None:
+    """The bytes of a reply that ``identity_fields`` reads, all but the PDU reference; None for one it skips.
+
+    Only a status-list reply in a standard COTP DT (length indicator 2) can carry identity.
+    """
+    if len(wire) <= _METHOD_AT or wire[4:6] != _STANDARD_DT or wire[7:9] != _USERDATA or wire[_METHOD_AT] != 0x12:
+        return None
+    return wire[:_PDU_REF_AT] + wire[_PDU_REF_AT + 2 :]
 
 
 def identity_fields(replies: Iterable[bytes]) -> tuple[dict[str, str], dict[str, str]]:

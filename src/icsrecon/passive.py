@@ -13,11 +13,16 @@ malformed: it is counted as skipped and its sender still counts, and
 this is checked only where a direction is opened. Addresses stay raw
 bytes until they become text once per asset. Protocol claims need payload
 evidence, never a port alone; identity replies are decoded by the
-shared codecs. Each address's evidence is folded flow by flow, in
-first-frame order, by ``merge_observation``'s newest-wins rule, and
-frozen into one asset at the end; the report's ``levels_achieved``
-counts each level on its own evidence; a flow's displaced values are
-stamped with a datetime only when one is logged. Reassembly is
+shared codecs, once per distinct reply set in a capture: a flow's
+identity frames are named by their codec's ``identity_key``, which
+leaves out per-exchange identifiers such as a Modbus transaction id,
+and a set of keys seen before in the same capture reuses the fields it
+decoded and cleaned then. Each address's evidence is folded flow by
+flow, in first-frame order, by ``merge_observation``'s newest-wins rule,
+memo hits included, and frozen into one asset at the end; the report's
+``levels_achieved`` counts each level on its own evidence; a flow's
+displaced values are stamped with a datetime only when one is logged,
+each with its own flow's time. Reassembly is
 in-order per direction, capped at 64 KiB, and done in the dissect loop
 itself: an in-order segment is sliced straight into its direction's
 buffer, and past the cap it only advances the sequence number; a SYN
@@ -194,16 +199,19 @@ class _Evidence:
         self.deployment: dict[str, str] = {}
         self.provenance: list[ProvenanceEntry] = []
 
-    def add_flow(self, last_seen: float, port: int, protocol: str, static_fields: dict, deployment: dict) -> None:
-        """Fold one classified flow served from this address, as ``merge_observation`` folds an evidence asset."""
+    def add_flow(self, last_seen: float, port: int, protocol: str, static: tuple, deployment: tuple) -> None:
+        """Fold one classified flow served from this address, as ``merge_observation`` folds an evidence asset.
+
+        ``static`` and ``deployment`` are the flow's items, already cleaned, as ``_identity_items`` gives them.
+        """
         if last_seen > self.last_seen:
             self.last_seen = last_seen
         self.ports.add(port)
         self.protocols.add(protocol)
-        if static_fields and (static := clean_static(static_fields)):
-            _newest_wins(self.static, static.items(), "static_info.", self.provenance, last_seen, "passive")
-        if deployment and (deploy := sorted(clean_deployment(deployment.items()).items())):
-            _newest_wins(self.deployment, deploy, "deployment_info.", self.provenance, last_seen, "passive")
+        if static:
+            _newest_wins(self.static, static, "static_info.", self.provenance, last_seen, "passive")
+        if deployment:
+            _newest_wins(self.deployment, deployment, "deployment_info.", self.provenance, last_seen, "passive")
 
     def freeze(self, ip: str) -> Asset:
         mac = mac_text(self.mac)
@@ -219,6 +227,36 @@ class _Evidence:
             sources=frozenset({"passive"}),
             provenance=tuple(self.provenance),
         )
+
+
+_NO_IDENTITY: tuple[tuple, tuple] = ((), ())
+
+
+def _identity_items(memo: dict, codec, replies: list[bytes]) -> tuple[tuple, tuple]:
+    """A flow's cleaned static items and its cleaned deployment items sorted by key, as ``add_flow`` folds them.
+
+    ``memo`` holds one capture's items by the codec and the ``identity_key`` of each identity frame, in order:
+    a set of keys not seen before is decoded, from its identity frames alone, and cleaned, once.
+    """
+    identity_key = codec.identity_key
+    keys, frames = [], []
+    for wire in replies:  # the one walk over the flow's frames
+        key = identity_key(wire)
+        if key is not None:
+            keys.append(key)
+            frames.append(wire)
+    if not keys:
+        return _NO_IDENTITY
+    memo_key = (codec, *keys)
+    items = memo.get(memo_key)
+    if items is None:
+        static, deployment = codec.identity_fields(frames)
+        static = clean_static(static) if static else None
+        items = memo[memo_key] = (
+            tuple(static.items()) if static else (),
+            tuple(sorted(clean_deployment(deployment.items()).items())) if deployment else (),
+        )
+    return items
 
 
 _HEADERS = struct.Struct(">HBxH2xHxB")  # ethertype; IPv4 version/IHL, total length, flags/fragment word, protocol
@@ -348,6 +386,7 @@ def analyze_capture(source: CaptureSource) -> RunReport:
     evidence = {raw_ip: _Evidence(raw_mac, last) for raw_ip, (raw_mac, last) in senders.items()}
     classified = 0
     out_of_order = 0
+    memo: dict[tuple, tuple[tuple, tuple]] = {}  # this capture's identity replies, each distinct set decoded once
     for flow in flows:
         out_of_order += flow.out_of_order
         protocol, (raw_server, server_port), replies = flow.classify()
@@ -358,7 +397,7 @@ def analyze_capture(source: CaptureSource) -> RunReport:
         if server is None:
             continue  # never transmitted; do not invent an asset
         codec = PROTOCOLS.get(protocol)  # None for DNP3: recognised, never decoded
-        identity = codec.identity_fields(replies) if codec else ({}, {})
+        identity = _identity_items(memo, codec, replies) if codec else _NO_IDENTITY
         server.add_flow(flow.last_seen, server_port, protocol, *identity)
 
     return RunReport(

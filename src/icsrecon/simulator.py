@@ -189,7 +189,7 @@ def _modbus_device_id(config: SimDeviceConfig, tx: int = 0, unit: int = 0) -> by
 
 def _modbus_slave_id(config: SimDeviceConfig, tx: int = 0, unit: int = 0) -> bytes:
     slave_id = int(config.identity.get("slave_id", config.unit_id))
-    extra = config.identity.get("product_code", "").encode("ascii", errors="replace")
+    extra = config.identity.get("product_code", "").encode("ascii")  # UnicodeEncodeError, a ValueError, at load
     return modbus.build_report_slave_id_response(tx, unit, slave_id, running=True, additional=extra)
 
 

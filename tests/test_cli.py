@@ -451,9 +451,15 @@ def test_simulate_device_without_listen_port_is_config_error(tmp_path, capsys):
         ("s7comm", "features = szl_0011\nidentity.firmware_version = 4.4.70000"),
         ("s7comm", "features = szl_0011\nidentity.module_order_number = " + "6" * 21),  # over a record's 20 characters
         ("s7comm", "features = szl_001c\nidentity.system_name = " + "S" * 33),  # over a record's 32 characters
+        # identity text is ASCII: no encoder writes "?" for a character it cannot carry
+        ("modbus", "features = device_id_fc2b\nidentity.manufacturer = Schnéider"),
+        ("modbus", "features = report_slave_id_fc11\nidentity.product_code = Pompé"),
+        ("s7comm", "features = szl_001c\nidentity.system_name = Sté"),
+        ("enip", "features = list_identity\nidentity.product_name = Réacteur"),
     ],
     ids=["unit_id", "slave_id", "enip_number", "long_text", "long_reply", "s7_version", "s7_hardware_300",
-         "s7_firmware_300", "s7_patch_70000", "s7_order_number_21", "s7_component_text_33"],
+         "s7_firmware_300", "s7_patch_70000", "s7_order_number_21", "s7_component_text_33", "modbus_object_not_ascii",
+         "modbus_slave_id_extra_not_ascii", "s7_component_text_not_ascii", "enip_product_name_not_ascii"],
 )
 def test_simulate_refuses_a_device_whose_identity_replies_cannot_be_built(tmp_path, capsys, protocol, lines):
     fixtures = tmp_path / "station.conf"

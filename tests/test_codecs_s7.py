@@ -81,6 +81,17 @@ def test_szl_response_round_trip():
     assert same_record(s7.decode_s7(s7.encode_s7(message)), message)
 
 
+@pytest.mark.parametrize("sequence", [256, -1])
+def test_userdata_sequence_number_outside_its_byte_is_refused(sequence):
+    entries = (s7.SzlEntry(index=1, text="6ES7 151-8AB01-0AB0"),)
+    for message in (
+        s7.S7SzlRequest(szl_id=0x0011, sequence=sequence),
+        s7.S7SzlResponse(szl_id=0x0011, szl_index=0, entries=entries, sequence=sequence),
+    ):
+        with pytest.raises(ValueError, match="sequence number"):
+            s7.encode_s7(message)
+
+
 # Fixture-shaped identity: the parsed record must echo the configured
 # values (the simulator uses exactly these builders).
 ET200S_IDENTITY = {

@@ -239,7 +239,7 @@ def test_static_info_normalizes_empty_to_absent():
 
 
 def test_each_static_and_deployment_field_is_cleaned_once(monkeypatch):
-    from icsrecon.passive import _Evidence
+    from icsrecon.passive import _Evidence, _identity_items
 
     static = {"manufacturer": " Siemens ", "model": "S7-1200", "serial": "  "}
     deployment = {" plant ": "north", "unit_id": "7"}
@@ -251,17 +251,29 @@ def test_each_static_and_deployment_field_is_cleaned_once(monkeypatch):
         calls[text] += 1
         return clean(text)
 
+    class Codec:  # one identity frame, whose fields are the loose dicts above
+        identity_key = staticmethod(lambda wire: wire)
+        identity_fields = staticmethod(lambda frames: (dict(static), dict(deployment)))
+
     monkeypatch.setattr(model, "_clean", counting_clean)
     raw = {"ip": "10.0.0.1", "last_seen": "2026-01-01T00:00:00Z", "static_info": static, "deployment_info": deployment}
     evidence = _Evidence(b"\x02\x00\x00\x00\x00\x01", 0.0)
+    memo = {}
+
+    def passive_flow(when):  # as analyze_capture folds a flow: its items through the capture's memo
+        evidence.add_flow(when, 502, "modbus", *_identity_items(memo, Codec, [b"reply"]))
+
     for build in (
         lambda: Asset.from_dict(raw),
         lambda: (StaticDeviceInfo.from_fields(static), DeploymentInfo.from_dict(deployment)),
-        lambda: (evidence.add_flow(1.0, 502, "modbus", static, deployment), evidence.freeze("10.0.0.1")),
+        lambda: (passive_flow(1.0), evidence.freeze("10.0.0.1")),
     ):
         calls.clear()
         build()
         assert {text: calls[text] for text in texts} == dict.fromkeys(texts, 1)
+    calls.clear()
+    passive_flow(2.0)  # the same reply again: a memo hit cleans nothing
+    assert not calls and len(memo) == 1
     monkeypatch.undo()
     asset = Asset.from_dict(raw)
     assert asset.static_info == StaticDeviceInfo("Siemens", "S7-1200")

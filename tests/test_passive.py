@@ -685,19 +685,24 @@ TEXTS = ("Schneider Electric", "Telemecanique", "  ", "WAGO")
 VERSIONS = ("1.0", "1.1", "2.0")
 
 
-def _request_reply(protocol, kind, text, version, number):
-    """One request and its reply: identity, deployment or other traffic of ``protocol``."""
+def _request_reply(protocol, kind, text, version, number, exchange=None):
+    """One request and its reply: identity, deployment or other traffic of ``protocol``.
+
+    ``exchange`` is the flow's Modbus transaction id, S7 PDU reference and EtherNet/IP session, which
+    ``identity_key`` leaves out; None gives each builder's own default.
+    """
     if protocol == "modbus":
-        unit = number % 3 + 1
+        unit, tx = number % 3 + 1, 1 if exchange is None else exchange
         if kind == "identity":
             objects = {modbus.OBJ_VENDOR_NAME: text, modbus.OBJ_PRODUCT_CODE: "RTU-1", modbus.OBJ_REVISION: version}
-            return modbus.build_device_id_request(unit), modbus.build_device_id_response(1, unit, objects)
+            return modbus.build_device_id_request(unit, tx), modbus.build_device_id_response(tx, unit, objects)
         if kind == "deployment":
-            return modbus.build_report_slave_id_request(unit), modbus.build_report_slave_id_response(1, unit, number)
-        reply = modbus.build_read_holding_response(1, unit, [number, 0]) if number % 2 else modbus.exception_frame(
-            1, unit, modbus.FC_READ_HOLDING, 0x02  # IllegalDataAddress
+            reply = modbus.build_report_slave_id_response(tx, unit, number)
+            return modbus.build_report_slave_id_request(unit, tx), reply
+        reply = modbus.build_read_holding_response(tx, unit, [number, 0]) if number % 2 else modbus.exception_frame(
+            tx, unit, modbus.FC_READ_HOLDING, 0x02  # IllegalDataAddress
         )
-        return modbus.build_read_holding_request(unit, 0, 2), reply
+        return modbus.build_read_holding_request(unit, 0, 2, tx), reply
     if protocol == "s7comm":
         if kind == "other":
             connect = s7.CotpConnectionRequest(0x0100, 0x0102)
@@ -706,28 +711,32 @@ def _request_reply(protocol, kind, text, version, number):
             szl_id, entries = s7.SZL_MODULE_ID, s7.module_id_entries({"module_order_number": text, "firmware_version": version + ".0"})
         else:
             szl_id, entries = s7.SZL_COMPONENT_ID, s7.component_id_entries({"system_name": text, "serial": f"S C-{number}"})
-        return s7.build_szl_read(szl_id), s7.build_szl_response_frame(s7.S7SzlResponse(szl_id, 0, entries))
+        request = s7.build_szl_read(szl_id) if exchange is None else s7.build_szl_read(szl_id, pdu_ref=exchange)
+        reply = s7.S7SzlResponse(szl_id, 0, entries, pdu_ref=exchange or 0)
+        return request, s7.build_szl_response_frame(reply)
     if protocol == "enip":
         identity = enip.CipIdentity(
             vendor_id=(1, 47, 9999)[number % 3], device_type=14, product_code=number,
             revision=(1, number % 4), status=0x0060, serial=number, product_name=text,
         )
-        return enip.build_list_identity(), enip.build_list_identity_response(identity)
+        session = exchange or 0
+        request = enip.encode_header(enip.CMD_LIST_IDENTITY, b"", session=session)
+        return request, enip.encode_header(enip.CMD_LIST_IDENTITY, enip.encode_identity_item(identity), session=session)
     return b"GET / HTTP/1.1\r\n\r\n", b"HTTP/1.1 200 OK\r\n\r\n"
 
 
 def record_flows(path, flows):
-    """A capture of one TCP flow per (client, server, protocol, kind, text, version, number, answered)."""
+    """A capture of one TCP flow per (client, server, protocol, kind, text, version, number, answered, exchange)."""
     writer = PcapWriter(str(path))
     recorder = TrafficRecorder(writer, clock=Clock())
     recorder.register_mac("10.2.0.1", "00:80:f4:00:00:01")
-    for index, (client, server, protocol, kind, text, version, number, answered) in enumerate(flows):
+    for index, (client, server, protocol, kind, text, version, number, answered, exchange) in enumerate(flows):
         flow = recorder.tcp_flow((f"10.1.0.{client + 1}", 40000 + index), (f"10.2.0.{server + 1}", PORTS[protocol]))
         if not answered:
             flow.unanswered()
             continue
         flow.handshake()
-        request, reply = _request_reply(protocol, kind, text, version, number)
+        request, reply = _request_reply(protocol, kind, text, version, number, exchange)
         flow.client_payload(request)
         flow.server_payload(reply)
         flow.close()
@@ -776,6 +785,7 @@ FLOW_SPECS = st.tuples(
     st.sampled_from(VERSIONS),
     st.integers(1, 6),
     st.sampled_from([True, True, True, False]),
+    st.integers(0, 0xFFFF),  # a flow's own transaction id, PDU reference or session: a repeated reply hits the memo
 )
 
 
@@ -939,6 +949,7 @@ def test_seeded_report_document_is_pinned(tmp_path, monkeypatch):
             rng.choice(VERSIONS),
             rng.randrange(1, 7),
             rng.random() < 0.9,
+            None,  # each builder's default transaction id, PDU reference and session
         )
         for _ in range(60)
     ]
@@ -990,6 +1001,103 @@ def _decode_every_frame(replies):
 @given(replies=st.lists(MODBUS_FRAMES, max_size=8))
 def test_modbus_identity_prefilter_changes_nothing(replies):
     assert modbus.identity_fields(replies) == _decode_every_frame(replies)
+
+
+# -- one decode per distinct identity reply set --------------------------------------
+
+S7_REPLIES = [
+    s7.build_szl_response_frame(s7.S7SzlResponse(s7.SZL_MODULE_ID, 0, s7.module_id_entries(
+        {"module_order_number": "6ES7 151-8AB01-0AB0", "hardware_version": "2.0", "firmware_version": "3.2.6"}))),
+    s7.build_szl_response_frame(s7.S7SzlResponse(s7.SZL_COMPONENT_ID, 0, s7.component_id_entries(
+        {"system_name": "LINE-1", "copyright": "Original Siemens Equipment", "serial": "S C-1"}))),
+    s7.build_szl_response_frame(s7.S7SzlResponse(s7.SZL_COMPONENT_ID, 0, (), error_code=0x8104)),  # refused
+    s7.build_cotp_confirm(s7.CotpConnectionRequest(0x0100, 0x0102)),
+    s7.build_setup_ack(1),
+    s7.build_szl_read(s7.SZL_MODULE_ID),
+]
+ENIP_REPLIES = [
+    enip.build_list_identity_response(enip.CipIdentity(1, 14, 54, (20, 11), 0x0060, 0x00C0FFEE, "1756-L61")),
+    enip.build_list_identity_response(enip.CipIdentity(9999, 12, 7, (1, 0), 0, 1, "Unknown maker")),
+    enip.build_list_identity(),  # no identity item
+    enip.encode_header(enip.CMD_LIST_SERVICES, b""),
+]
+# each codec's per-exchange identifiers, which its identity_key leaves out: (start, end) in the frame
+PER_EXCHANGE = {
+    "modbus": ((0, 2),),  # MBAP transaction id
+    "s7comm": ((11, 13),),  # PDU reference, after the TPKT, the 3-byte COTP DT header and 4 bytes of the S7 header
+    "enip": ((4, 8), (12, 20)),  # session handle, sender context
+}
+
+
+def _reply_and_its_twin(protocol, valid):
+    """A valid, mutated or random frame of ``protocol``, and the same frame with fresh per-exchange identifiers.
+
+    Half the twins get one more byte changed, among the first 32 where every codec's header lies.
+    """
+
+    def twin(wire, fresh, change):
+        for start, end in PER_EXCHANGE[protocol]:
+            span = len(wire[start:end])
+            wire, fresh = wire[:start] + fresh[:span] + wire[start + span :], fresh[span:]
+        if change and wire:
+            at = change[0] % len(wire)
+            wire = wire[:at] + bytes([change[1]]) + wire[at + 1 :]
+        return wire
+
+    frames = st.one_of(st.sampled_from(valid), one_byte_changed(valid), st.binary(max_size=40))
+    fresh = st.binary(min_size=12, max_size=12)
+    change = st.one_of(st.none(), st.tuples(st.integers(0, 31), st.integers(0, 255)))
+    return st.tuples(frames, fresh, change).map(lambda drawn: (drawn[0], twin(*drawn), drawn[2] is None))
+
+
+@pytest.mark.parametrize(
+    "protocol, valid", [("modbus", MODBUS_REPLIES), ("s7comm", S7_REPLIES), ("enip", ENIP_REPLIES)], ids=list(PROTOCOLS)
+)
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_equal_identity_keys_give_equal_identity_fields(protocol, valid, data):
+    codec = PROTOCOLS[protocol]
+    drawn = data.draw(st.lists(_reply_and_its_twin(protocol, valid), max_size=5))
+    replies, twins = [wire for wire, _, _ in drawn], [wire for _, wire, _ in drawn]
+    keys, twin_keys = list(map(codec.identity_key, replies)), list(map(codec.identity_key, twins))
+    for (_reply, _twin, only_ids), key, twin_key in zip(drawn, keys, twin_keys):
+        assert key == twin_key or not only_ids  # only per-exchange identifiers changed: the keys are equal
+    fields = codec.identity_fields(replies)
+    if keys == twin_keys:
+        assert codec.identity_fields(twins) == fields
+    # frames without a key add no field, so the memo decodes a flow's identity frames alone
+    assert codec.identity_fields([wire for wire, key in zip(replies, keys) if key is not None]) == fields
+
+
+def test_only_frames_identity_fields_may_read_have_a_key():
+    # polls, exceptions, COTP confirms, setup acks and other commands have none; FC 0x2B and 0x11 requests and
+    # S7 refusals have one, and decode to nothing
+    assert [modbus.identity_key(wire) is not None for wire in MODBUS_REPLIES] == [0, 0, 0, 0, 1, 1, 1, 1, 1]
+    assert [s7.identity_key(wire) is not None for wire in S7_REPLIES] == [1, 1, 1, 0, 0, 0]
+    assert [enip.identity_key(wire) is not None for wire in ENIP_REPLIES] == [1, 1, 1, 0]
+
+
+def test_identity_seen_again_after_another_logs_both_displacements(tmp_path, monkeypatch):
+    path, writer, recorder = make_recorder(tmp_path)
+    for index, vendor in enumerate(("Schneider Electric", "Telemecanique", "Schneider Electric")):
+        flow = recorder.tcp_flow(("10.0.0.1", 40000 + index), ("10.0.0.2", 502))
+        flow.handshake()
+        flow.client_payload(modbus.build_device_id_request(1, transaction_id=index + 1))
+        flow.server_payload(modbus.build_device_id_response(index + 1, 1, {0: vendor, 1: "M340"}))
+        flow.close()
+    writer.close()
+    decoded = []
+    identity_fields = modbus.identity_fields
+    monkeypatch.setattr(modbus, "identity_fields", lambda frames: decoded.append(frames) or identity_fields(frames))
+    _senders, flows, _read, _skipped = _dissect(read_capture(PcapFile(str(path))))
+    times = [datetime.fromtimestamp(flow.last_seen, tz=timezone.utc) for flow in flows]
+    asset = analyze_capture(PcapFile(str(path))).inventory.get("10.0.0.2")
+    assert len(decoded) == 2  # the third flow's reply differs from the first's only in its transaction id
+    assert [entry[:4] for entry in asset.provenance] == [
+        ("static_info.manufacturer", "Schneider Electric", "Telemecanique", times[1]),
+        ("static_info.manufacturer", "Telemecanique", "Schneider Electric", times[2]),
+    ]
+    assert asset.static_info == StaticDeviceInfo("Schneider Electric", "M340")
 
 
 # -- against the simulator -------------------------------------------------------

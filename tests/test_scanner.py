@@ -120,7 +120,7 @@ def test_protocol_table_and_the_ports_derived_from_it():
     assert DEFAULT_PORTS == frozenset({102, 502, 44818})
     assert PROTOCOL_PORTS == {102: "s7comm", 502: "modbus", 44818: "enip"}
     # every codec states the shared interface, and the simulator answers each one
-    functions = ("frame_size", "identity_fields", "claims", "opening_requests", "confirm")
+    functions = ("frame_size", "identity_fields", "identity_key", "claims", "opening_requests", "confirm")
     for codec in PROTOCOLS.values():
         assert isinstance(codec.HEADER_SIZE, int) and codec.EXCHANGES and isinstance(codec.EXCHANGES, frozenset)
         assert all(callable(getattr(codec, name, None)) for name in functions), codec.NAME
