@@ -20,6 +20,7 @@ Each codec states its frame rule once, as ``HEADER_SIZE`` plus
 decoder: they build and accept only a frame it returns whole, so its
 bounds are written nowhere else. A header or record that is both built
 and read is one ``struct.Struct``, used by its encoder and its decoder.
+Every encoder raises ValueError for a field its wire format cannot carry.
 
 The rest of each protocol is stated under names every codec shares, so
 no caller switches on a protocol's name: ``claims(frame)`` (the passive
@@ -29,6 +30,20 @@ returns (it raises ``ConnectionRefusedByTsap`` to move on to the next),
 and ``EXCHANGES`` (the simulator's feature flags, answered by
 ``simulator.REPLIES``).
 """
+
+import functools
+import struct
+
+
+def encoder(encode):
+    """``encode`` raising ValueError, not ``struct.error``, for a field its wire format cannot carry."""
+    @functools.wraps(encode)
+    def checked(*args, **kwargs):
+        try:
+            return encode(*args, **kwargs)
+        except struct.error as exc:
+            raise ValueError(f"{encode.__name__}: a field out of range: {exc}") from exc
+    return checked
 
 
 def cut_frames(buffer: bytes, header_size: int, frame_size) -> tuple[list[bytes], bytes]:
@@ -50,8 +65,8 @@ def cut_frames(buffer: bytes, header_size: int, frame_size) -> tuple[list[bytes]
     return frames, buffer[start:]
 
 
-from . import enip, modbus, s7  # noqa: E402  (the codecs import cut_frames from here)
+from . import enip, modbus, s7  # noqa: E402  (the codecs import cut_frames and encoder from here)
 
 PROTOCOLS = {codec.NAME: codec for codec in (modbus, s7, enip)}  # in classification order
 
-__all__ = ["PROTOCOLS", "cut_frames", "modbus", "s7", "enip"]
+__all__ = ["PROTOCOLS", "cut_frames", "encoder", "modbus", "s7", "enip"]

@@ -15,10 +15,11 @@ text.
 
 from __future__ import annotations
 
+import ipaddress
 import struct
 from typing import Iterable, NamedTuple
 
-from . import cut_frames
+from . import cut_frames, encoder
 from ..errors import DecodeError, FormatError, LengthMismatch, Truncated, UnexpectedCommand
 from ..ouidb import load_enip_vendors
 
@@ -75,10 +76,10 @@ class EnipMessage(NamedTuple):
     identity: CipIdentity | None = None
 
 
+@encoder
 def encode_header(command: int, payload: bytes, session: int = 0, status: int = 0, options: int = 0) -> bytes:
     """Prefix the encapsulation header; raises ValueError for a frame ``frame_size`` would not return whole."""
-    # a length over 16 bits wraps to one that cannot equal the payload's, so frame_size refuses it below
-    wire = ENCAP_HEADER.pack(command, len(payload) & 0xFFFF, session, status, bytes(8), options) + payload
+    wire = ENCAP_HEADER.pack(command, len(payload), session, status, bytes(8), options) + payload
     if frame_size(wire) != len(wire):
         raise ValueError(f"a payload of {len(payload)} bytes is not one frame_size accepts")
     return wire
@@ -132,11 +133,12 @@ def confirm(reply: bytes) -> None:
         raise FormatError(f"probe got command 0x{message.command:04x}")
 
 
+@encoder
 def encode_identity_item(identity: CipIdentity, ip: str = "0.0.0.0", port: int = PORT) -> bytes:
     if not identity.product_name.isascii() or len(identity.product_name) > 0xFF:
         raise ValueError(f"product name {identity.product_name!r} is not ASCII text of at most 255 bytes")
     name = identity.product_name.encode("ascii")
-    address = SOCKET_ADDRESS.pack(2, port, bytes(int(o) for o in ip.split(".")), bytes(8))
+    address = SOCKET_ADDRESS.pack(2, port, ipaddress.IPv4Address(ip).packed, bytes(8))  # a dotted quad, or ValueError
     item = IDENTITY_FIXED.pack(
         1, address, identity.vendor_id, identity.device_type, identity.product_code, *identity.revision,
         identity.status, identity.serial,

@@ -18,7 +18,7 @@ from __future__ import annotations
 import struct
 from typing import Iterable, NamedTuple
 
-from . import cut_frames
+from . import cut_frames, encoder
 from ..errors import (
     DecodeError,
     FormatError,
@@ -95,14 +95,12 @@ def _exception_is_whole(function: int, payload: bytes) -> bool:
     return not function & 0x80 or len(payload) == 1
 
 
+@encoder
 def encode_modbus(header: MbapHeader, pdu: ModbusPdu) -> bytes:
     """Encode a frame; raises ValueError for one that ``frame_size`` would not return whole."""
     if not _exception_is_whole(pdu.function, pdu.payload):
         raise ValueError(f"exception PDU with {len(pdu.payload)} payload bytes, not one code byte")
-    try:
-        head = MBAP.pack(header.transaction_id, header.protocol_id, header.length, header.unit_id)
-    except struct.error as exc:
-        raise ValueError(f"MBAP field out of range: {exc}") from exc
+    head = MBAP.pack(header.transaction_id, header.protocol_id, header.length, header.unit_id)
     wire = head + bytes([pdu.function]) + pdu.payload
     if frame_size(wire) != len(wire):
         raise ValueError(f"protocol_id {header.protocol_id} and length {header.length} do not frame {len(wire)} bytes")
@@ -258,10 +256,12 @@ def parse_report_slave_id_response(data: bytes) -> SlaveId:
     return SlaveId(slave_id=payload[1], running=payload[2] == 0xFF, additional=bytes(payload[3:]))
 
 
+@encoder
 def build_read_holding_request(unit: int, start: int, count: int, transaction_id: int = 1) -> bytes:
     return frame(transaction_id, unit, FC_READ_HOLDING, READ_HOLDING.pack(start, count))
 
 
+@encoder
 def build_read_holding_response(transaction_id: int, unit: int, registers: list[int]) -> bytes:
     body = bytes([2 * len(registers)]) + b"".join(struct.pack(">H", r) for r in registers)
     return frame(transaction_id, unit, FC_READ_HOLDING, body)

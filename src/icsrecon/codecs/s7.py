@@ -27,7 +27,7 @@ from __future__ import annotations
 import struct
 from typing import Iterable, NamedTuple
 
-from . import cut_frames
+from . import cut_frames, encoder
 from ..errors import ConnectionRefusedByTsap, DecodeError, FormatError, LengthMismatch, Truncated
 
 NAME = "s7comm"
@@ -214,6 +214,7 @@ def extract_tpkt_frames(buffer: bytes) -> tuple[list[bytes], bytes]:
     return cut_frames(buffer, HEADER_SIZE, frame_size)
 
 
+@encoder
 def encode_cotp(cotp: Cotp) -> bytes:
     if isinstance(cotp, CotpData):
         return bytes([2, COTP_DT, 0x80 if cotp.last else 0x00]) + cotp.payload
@@ -320,6 +321,7 @@ def build_cotp_disconnect(reason: int = 0) -> bytes:
     return encode_envelope(CotpDisconnectRequest(reason=reason))
 
 
+@encoder
 def encode_s7(message: S7Message) -> bytes:
     if isinstance(message, S7SetupCommunication):
         params = SETUP_PARAMS.pack(
@@ -354,6 +356,7 @@ def encode_s7(message: S7Message) -> bytes:
     return S7_HEADER.pack(S7_PROTOCOL_ID, ROSCTR_USERDATA, 0, message.pdu_ref, len(params), len(data)) + params + data
 
 
+@encoder
 def _encode_szl_records(szl_id: int, entries: Iterable[SzlEntry]) -> tuple[int, bytes]:
     """A list's record length and records; ValueError for a record it cannot carry (any, outside SZL_LISTS)."""
     szl = SZL_LISTS.get(szl_id)
@@ -362,10 +365,7 @@ def _encode_szl_records(szl_id: int, entries: Iterable[SzlEntry]) -> tuple[int, 
         if szl is None or not entry.text.isascii() or len(entry.text) > szl.width:
             raise ValueError(f"list 0x{szl_id:04x} cannot carry the text {entry.text!r}")
         text = entry.text.encode("ascii").ljust(szl.width)
-        try:
-            records.append(szl.record.pack(entry.index, text, *entry.words[: szl.words]))
-        except struct.error as exc:
-            raise ValueError(f"list 0x{szl_id:04x} cannot carry the record {entry!r}: {exc}") from exc
+        records.append(szl.record.pack(entry.index, text, *entry.words[: szl.words]))
     return (szl.record.size if szl else 0), b"".join(records)
 
 

@@ -3,7 +3,8 @@
 Both file kinds use the same INI dialect: a ``[scan]`` (plus optional
 ``[network]``) section for scan runs, and ``[station]`` plus one
 ``[device:<name>]`` section per simulated device for fixtures. Device
-identity fields are ``identity.<field> = value`` keys.
+identity fields are ``identity.<field> = value`` keys. A section or a
+key that its loader does not read is refused.
 
 Each loader imports the module it builds for: ``load_scan_config`` the
 scanner, ``load_fixtures`` the simulator, so neither loads the other.
@@ -30,7 +31,22 @@ def _split(raw: str) -> list[str]:
     return [token for token in raw.replace(",", " ").split() if token]
 
 
-def _parser(path: str | Path) -> configparser.ConfigParser:
+# each section a file kind reads, and the keys its loader reads there; "device:" stands for every
+# [device:<name>] section and "identity." for every identity.<field> key
+_SCAN_SECTIONS = {
+    "scan": {"targets", "ports", "methods", "rate_limit_pps", "safe_mode", "unit_id_sweep", "timeout_ms", "vuln_db",
+             "vuln_aliases", "workers", "modbus_unit"},
+    "network": {"mode", "map_file"},
+}
+_FIXTURE_SECTIONS = {
+    "station": {"scanner_ip"},
+    "device:": {"protocol", "ip", "listen_port", "mac", "features", "accepted_tsaps", "fragile", "max_pps",
+                "fault_on_malformed", "unit_id", "identity."},
+}
+
+
+def _parser(path: str | Path, sections: dict[str, set[str]]) -> configparser.ConfigParser:
+    """The file parsed; a ConfigError for a section or a key that ``sections`` does not list, so no typo is ignored."""
     parser = configparser.ConfigParser()
     try:
         read = parser.read(str(path))
@@ -38,6 +54,13 @@ def _parser(path: str | Path) -> configparser.ConfigParser:
         raise ConfigError(f"{path}: {exc}") from exc
     if not read:
         raise ConfigError(f"config file not found: {path}")
+    for name in parser.sections():
+        keys = sections.get("".join(name.partition(":")[:2]))
+        if keys is None:
+            raise ConfigError(f"{path}: [{name}] is not a section this file reads")
+        for key in parser[name]:
+            if key not in keys and "".join(key.partition(".")[:2]) not in keys:
+                raise ConfigError(f"{path}: [{name}] {key} is not a key this section reads")
     return parser
 
 
@@ -49,7 +72,7 @@ class NetworkSettings(NamedTuple):
 def load_scan_config(path: str | Path, overrides: dict | None = None) -> tuple[ScanConfig, NetworkSettings]:
     from .scanner import ScanConfig
 
-    parser = _parser(path)
+    parser = _parser(path, _SCAN_SECTIONS)
     if not parser.has_section("scan"):
         raise ConfigError(f"{path}: missing [scan] section")
     section = parser["scan"]
@@ -123,7 +146,7 @@ def _device_from_section(name: str, section: configparser.SectionProxy) -> SimDe
 def load_fixtures(path: str | Path) -> StationConfig:
     from .simulator import SCANNER_IP
 
-    parser = _parser(path)
+    parser = _parser(path, _FIXTURE_SECTIONS)
     scanner_ip = SCANNER_IP
     if parser.has_section("station"):
         scanner_ip = parser["station"].get("scanner_ip", scanner_ip)
@@ -133,10 +156,8 @@ def load_fixtures(path: str | Path) -> StationConfig:
             raise ConfigError(f"{path}: scanner_ip: {exc}") from exc
     devices = []
     for section_name in parser.sections():
-        if not section_name.startswith("device:"):
-            continue
-        device_name = section_name.split(":", 1)[1]
-        devices.append(_device_from_section(device_name, parser[section_name]))
+        if section_name != "station":
+            devices.append(_device_from_section(section_name.split(":", 1)[1], parser[section_name]))
     return StationConfig(scanner_ip=scanner_ip, devices=tuple(devices))
 
 

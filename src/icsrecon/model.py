@@ -1,11 +1,11 @@
 """Canonical data model for discovered assets.
 
+One :class:`Fold` states how evidence about an address is folded.
 Everything the scanner learns about a device arrives as an evidence
 :class:`Asset` (usually built by :meth:`Asset.discovered`) and is folded
-into the device's asset by :func:`merge_observation`, which also folds
-an inventory's assets into one another; the passive analyzer folds each
-address's flows by the same newest-wins rule and freezes one asset per
-address.
+into the device's asset by :func:`merge_observation`, a fold seeded with
+that asset, which also folds an inventory's assets into one another; the
+passive analyzer folds each address's flows into a fold of its own.
 Assets are immutable; merging returns a new value. An
 :class:`Inventory` keys assets by IPv4 address and round-trips through
 a versioned JSON document; a :class:`RunReport` is one scan or sniff
@@ -422,75 +422,85 @@ class Asset(_AssetFields):
         )
 
 
-def _newest_wins(
-    merged: dict,
-    new: Iterable[tuple[str, str | None]],
-    prefix: str,
-    provenance: list,
-    at: datetime | float,
-    source: str,
-) -> None:
-    """Fold ``new`` into ``merged`` key by key: a present value wins, and a different one it displaces is logged.
+class Fold:
+    """One address's evidence, folded batch by batch and frozen once into its asset.
 
-    ``at`` may be a POSIX time, made a UTC datetime only when a displaced value is logged.
+    Sets are unioned; a present static or deployment value wins over the
+    one folded before it, and a different value it displaces is logged
+    with its batch's time and source. A POSIX time becomes a datetime only
+    when logged or frozen. Nothing is removed, so depth never decreases.
     """
-    for key, value in new:
-        if value is None:
-            continue
-        old = merged.get(key)
-        if old is not None and old != value:
-            if not isinstance(at, datetime):
-                at = datetime.fromtimestamp(at, tz=timezone.utc)
-            provenance.append(ProvenanceEntry(prefix + key, old, value, at, source))
-        merged[key] = value
+
+    __slots__ = ("ip", "last_seen", "mac", "oui_vendor", "sources", "ports", "protocols", "static", "deployment",
+                 "provenance", "vulnerabilities")
+
+    def __init__(self, ip: str, last_seen: datetime | float, mac: str | None, oui_vendor: str | None,
+                 sources: frozenset[str], provenance: Iterable[ProvenanceEntry] = (), vulnerabilities=()):
+        self.ip, self.last_seen, self.mac, self.oui_vendor, self.sources = ip, last_seen, mac, oui_vendor, sources
+        self.ports, self.protocols, self.static, self.deployment = set(), set(), {}, {}
+        self.provenance, self.vulnerabilities = list(provenance), vulnerabilities
+
+    def add(self, at: datetime | float, source: str, ports: Iterable[PortSpec], protocols: Iterable[str],
+            static: Iterable[tuple[str, str | None]], deployment: Iterable[tuple[str, str | None]]) -> None:
+        """Fold one batch of evidence seen at ``at`` from ``source``; its static and deployment items are cleaned."""
+        if at > self.last_seen:
+            self.last_seen = at
+        self.ports.update(ports)
+        self.protocols.update(protocols)
+        self._newest(self.static, static, "static_info.", at, source)
+        self._newest(self.deployment, deployment, "deployment_info.", at, source)
+
+    def _newest(self, merged: dict, new: Iterable[tuple[str, str | None]], prefix: str, at: datetime | float,
+                source: str) -> None:
+        """Fold ``new`` into ``merged`` key by key: a present value wins, and a different one it displaces is logged."""
+        for key, value in new:
+            if value is None:
+                continue
+            old = merged.get(key)
+            if old is not None and old != value:
+                if not isinstance(at, datetime):
+                    at = datetime.fromtimestamp(at, tz=timezone.utc)
+                self.provenance.append(ProvenanceEntry(prefix + key, old, value, at, source))
+            merged[key] = value
+
+    def freeze(self) -> Asset:
+        at, static, deployment = self.last_seen, self.static, self.deployment
+        return Asset(  # in field order
+            self.ip, at if isinstance(at, datetime) else datetime.fromtimestamp(at, tz=timezone.utc), self.mac,
+            self.oui_vendor, frozenset(self.ports), frozenset(self.protocols),
+            StaticDeviceInfo._of_clean(static) if static else None,
+            DeploymentInfo._of_clean(deployment) if deployment else None,
+            self.vulnerabilities, self.sources, tuple(self.provenance),
+        )
 
 
 def merge_observation(asset: Asset, evidence: Asset) -> Asset:
     """Fold a batch of evidence about the same IP into an asset, returning a new asset.
 
-    Set-valued fields are unioned. Optional scalars follow newest-wins
-    (arrival order decides newness; each scan worker folds its asset's
-    evidence in the order it gathered it) and the displaced value is
-    logged, stamped with the evidence's ``last_seen`` and the first of
-    its sources. The evidence's own provenance entries follow, each one
-    not already in the log. Evidence is never removed, so the computed
-    depth never decreases.
+    A :class:`Fold` seeded with ``asset`` takes the evidence, stamped with
+    its ``last_seen`` and its first source, active when it names none; its
+    MAC and vendor go first. Its own provenance entries follow, each not
+    yet logged, then its CVEs whose ids the asset lacks.
     """
     if evidence.ip != asset.ip:
         raise AddressMismatch(f"evidence for {evidence.ip} applied to asset {asset.ip}")
 
     sources = evidence.sources or frozenset({"active"})
-    provenance = list(asset.provenance)
-    scalars = {"mac": asset.mac, "oui_vendor": asset.oui_vendor}
-    static = asset.static_info.to_dict() if asset.static_info else {}
-    deployment = asset.deployment_info.as_dict() if asset.deployment_info else {}
-    for prefix, merged, new in (
-        ("", scalars, (("mac", evidence.mac), ("oui_vendor", evidence.oui_vendor))),
-        ("static_info.", static, evidence.static_info.to_dict().items() if evidence.static_info else ()),
-        ("deployment_info.", deployment, evidence.deployment_info.entries if evidence.deployment_info else ()),
-    ):
-        _newest_wins(merged, new, prefix, provenance, evidence.last_seen, min(sources))
-    if evidence.provenance:
-        logged = set(provenance)
-        provenance.extend(p for p in evidence.provenance if p not in logged)
-
+    at, source = evidence.last_seen, min(sources)
     seen_ids = {v.cve_id for v in asset.vulnerabilities}
-    vulns = list(asset.vulnerabilities)
-    vulns.extend(v for v in evidence.vulnerabilities if v.cve_id not in seen_ids)
-
-    return Asset(
-        ip=asset.ip,
-        mac=scalars["mac"],
-        oui_vendor=scalars["oui_vendor"],
-        open_ports=asset.open_ports | evidence.open_ports,
-        protocols=asset.protocols | evidence.protocols,
-        static_info=StaticDeviceInfo._of_clean(static) if evidence.static_info else asset.static_info,
-        deployment_info=DeploymentInfo._of_clean(deployment) if evidence.deployment_info else asset.deployment_info,
-        vulnerabilities=tuple(vulns),
-        last_seen=max(asset.last_seen, evidence.last_seen),
-        sources=asset.sources | sources,
-        provenance=tuple(provenance),
-    )
+    vulns = (*asset.vulnerabilities, *(v for v in evidence.vulnerabilities if v.cve_id not in seen_ids))
+    fold = Fold(asset.ip, asset.last_seen, None, None, asset.sources | sources, asset.provenance, vulns)
+    scalars = {"mac": asset.mac, "oui_vendor": asset.oui_vendor}
+    fold._newest(scalars, (("mac", evidence.mac), ("oui_vendor", evidence.oui_vendor)), "", at, source)
+    fold.mac, fold.oui_vendor = scalars["mac"], scalars["oui_vendor"]
+    for part in (asset, evidence):  # the asset's own part displaces nothing, so the log's order is kept
+        static = part.static_info.to_dict().items() if part.static_info else ()
+        fold.add(part.last_seen, source, part.open_ports, part.protocols, static,
+                 part.deployment_info.entries if part.deployment_info else ())
+    if evidence.provenance:
+        logged = set(fold.provenance)
+        fold.provenance.extend(p for p in evidence.provenance if p not in logged)
+    return fold.freeze()
 
 
 def satisfied_levels(asset: Asset, vuln_db_consulted: bool = False) -> set[int]:

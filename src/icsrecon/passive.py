@@ -18,11 +18,11 @@ identity frames are named by their codec's ``identity_key``, which
 leaves out per-exchange identifiers such as a Modbus transaction id,
 and a set of keys seen before in the same capture reuses the fields it
 decoded and cleaned then. Each address's evidence is folded flow by
-flow, in first-frame order, by ``merge_observation``'s newest-wins rule,
-memo hits included, and frozen into one asset at the end; the report's
-``levels_achieved`` counts each level on its own evidence; a flow's
-displaced values are stamped with a datetime only when one is logged,
-each with its own flow's time. Reassembly is
+flow, in first-frame order, memo hits included, into one ``model.Fold``,
+the fold ``merge_observation`` runs, and frozen into one asset at the
+end; a flow's displaced values are stamped with its own time, and
+a flow is dropped once folded, so its buffers go. The report's
+``levels_achieved`` counts each level on its own evidence. Reassembly is
 in-order per direction, capped at 64 KiB, and done in the dissect loop
 itself: an in-order segment is sliced straight into its direction's
 buffer, and past the cap it only advances the sequence number; a SYN
@@ -35,23 +35,11 @@ from __future__ import annotations
 import os
 import struct
 import time
-from datetime import datetime, timezone
 from typing import Iterable, Iterator, NamedTuple
 
 from .codecs import PROTOCOLS, cut_frames
 from .errors import PrivilegeRequired
-from .model import (
-    Asset,
-    DeploymentInfo,
-    Inventory,
-    PortSpec,
-    ProvenanceEntry,
-    RunReport,
-    StaticDeviceInfo,
-    _newest_wins,
-    clean_deployment,
-    clean_static,
-)
+from .model import Fold, Inventory, PortSpec, RunReport, clean_deployment, clean_static
 from .ouidb import vendor_for_mac
 from .pcapio import (
     ARP_LENGTH,
@@ -186,54 +174,12 @@ class _Flow:
         return protocol, server, replies
 
 
-class _Evidence:
-    """One address's passive evidence, folded flow by flow and frozen once."""
-
-    __slots__ = ("mac", "last_seen", "ports", "protocols", "static", "deployment", "provenance")
-
-    def __init__(self, mac: bytes, last_seen: float):
-        self.mac, self.last_seen = mac, last_seen
-        self.ports: set[int] = set()
-        self.protocols: set[str] = set()
-        self.static: dict[str, str] = {}
-        self.deployment: dict[str, str] = {}
-        self.provenance: list[ProvenanceEntry] = []
-
-    def add_flow(self, last_seen: float, port: int, protocol: str, static: tuple, deployment: tuple) -> None:
-        """Fold one classified flow served from this address, as ``merge_observation`` folds an evidence asset.
-
-        ``static`` and ``deployment`` are the flow's items, already cleaned, as ``_identity_items`` gives them.
-        """
-        if last_seen > self.last_seen:
-            self.last_seen = last_seen
-        self.ports.add(port)
-        self.protocols.add(protocol)
-        if static:
-            _newest_wins(self.static, static, "static_info.", self.provenance, last_seen, "passive")
-        if deployment:
-            _newest_wins(self.deployment, deployment, "deployment_info.", self.provenance, last_seen, "passive")
-
-    def freeze(self, ip: str) -> Asset:
-        mac = mac_text(self.mac)
-        return Asset(
-            ip=ip,
-            last_seen=datetime.fromtimestamp(self.last_seen, tz=timezone.utc),
-            mac=mac,
-            oui_vendor=vendor_for_mac(mac),
-            open_ports=frozenset(map(PortSpec, self.ports)),
-            protocols=frozenset(self.protocols),
-            static_info=StaticDeviceInfo._of_clean(self.static) if self.static else None,
-            deployment_info=DeploymentInfo._of_clean(self.deployment) if self.deployment else None,
-            sources=frozenset({"passive"}),
-            provenance=tuple(self.provenance),
-        )
-
-
 _NO_IDENTITY: tuple[tuple, tuple] = ((), ())
+_PASSIVE = frozenset({"passive"})
 
 
 def _identity_items(memo: dict, codec, replies: list[bytes]) -> tuple[tuple, tuple]:
-    """A flow's cleaned static items and its cleaned deployment items sorted by key, as ``add_flow`` folds them.
+    """A flow's cleaned static items and its cleaned deployment items sorted by key, as ``Fold.add`` takes them.
 
     ``memo`` holds one capture's items by the codec and the ``identity_key`` of each identity frame, in order:
     a set of keys not seen before is decoded, from its identity frames alone, and cleaned, once.
@@ -383,26 +329,30 @@ def analyze_capture(source: CaptureSource) -> RunReport:
     reader = read_capture(source)
     senders, flows, frames_read, skipped = _dissect(reader)
 
-    evidence = {raw_ip: _Evidence(raw_mac, last) for raw_ip, (raw_mac, last) in senders.items()}
+    folds = {raw_ip: Fold(ip_text(raw_ip), last, mac := mac_text(raw_mac), vendor_for_mac(mac), _PASSIVE)
+             for raw_ip, (raw_mac, last) in senders.items()}
     classified = 0
     out_of_order = 0
     memo: dict[tuple, tuple[tuple, tuple]] = {}  # this capture's identity replies, each distinct set decoded once
-    for flow in flows:
+    port_specs: dict[int, tuple[PortSpec]] = {}  # one PortSpec per server port in the capture
+    for position, flow in enumerate(flows):
+        flows[position] = None  # the last reference: its buffers go before the next flow's frames are cut
         out_of_order += flow.out_of_order
         protocol, (raw_server, server_port), replies = flow.classify()
         if protocol is None:
             continue
         classified += 1
-        server = evidence.get(raw_server)
+        server = folds.get(raw_server)
         if server is None:
             continue  # never transmitted; do not invent an asset
         codec = PROTOCOLS.get(protocol)  # None for DNP3: recognised, never decoded
         identity = _identity_items(memo, codec, replies) if codec else _NO_IDENTITY
-        server.add_flow(flow.last_seen, server_port, protocol, *identity)
+        port = port_specs.get(server_port) or port_specs.setdefault(server_port, (PortSpec(server_port),))
+        server.add(flow.last_seen, "passive", port, (protocol,), *identity)
 
     return RunReport(
         "passive",
-        Inventory(server.freeze(ip_text(raw_ip)) for raw_ip, server in evidence.items()),
+        Inventory(fold.freeze() for fold in folds.values()),
         nature="real_time" if isinstance(source, LiveInterface) else "offline",
         source=source.path if isinstance(source, PcapFile) else source.name,
         frames_read=frames_read,

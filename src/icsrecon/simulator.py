@@ -26,7 +26,6 @@ import logging
 import select
 import selectors
 import socket
-import struct
 import threading
 import time
 from enum import Enum
@@ -101,7 +100,7 @@ class SimDeviceConfig(_SimDeviceConfigFields):
         for flag in sorted(feature_flags):  # each reply the device serves is built once, before any device starts
             try:
                 IDENTITY_REPLIES[flag](config)
-            except (ValueError, struct.error) as exc:
+            except ValueError as exc:
                 raise ConfigError(f"{name}: identity for {flag} cannot be encoded: {exc}") from exc
         return config
 

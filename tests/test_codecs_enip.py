@@ -54,6 +54,16 @@ def test_identity_round_trip_random():
         assert same_record(enip.parse_list_identity(wire), ident)
 
 
+@pytest.mark.parametrize(
+    "field, ip",
+    [({"vendor_id": 70000}, "10.0.0.1"), ({"serial": 2**33}, "10.0.0.1"), ({}, "10.0.1"), ({}, "10.0.1.2.3")],
+    ids=["vendor_id", "serial", "three_octets", "five_octets"],
+)
+def test_identity_item_refuses_a_field_or_an_address_it_cannot_carry(field, ip):
+    with pytest.raises(ValueError):
+        enip.encode_identity_item(CONTROLLOGIX._replace(**field), ip)
+
+
 def test_header_length_honesty():
     message, payload = enip.decode_header(enip.build_list_identity())
     assert message.command == enip.CMD_LIST_IDENTITY

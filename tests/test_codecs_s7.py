@@ -92,6 +92,18 @@ def test_userdata_sequence_number_outside_its_byte_is_refused(sequence):
             s7.encode_s7(message)
 
 
+@pytest.mark.parametrize(
+    "message",
+    [s7.S7SzlRequest(0x0011, pdu_ref=70000), s7.S7SzlRequest(0x0011, szl_index=70000), s7.S7SzlRequest(-1),
+     s7.CotpConnectionConfirm(src_tsap=0x0100, dst_tsap=0x0102, src_ref=0x10000)],
+    ids=["pdu_ref", "szl_index", "szl_id", "cotp_src_ref"],
+)
+def test_a_field_the_wire_cannot_carry_is_a_value_error(message):
+    encode = s7.encode_cotp if isinstance(message, s7.CotpConnectionConfirm) else s7.encode_s7
+    with pytest.raises(ValueError, match="out of range"):
+        encode(message)
+
+
 # Fixture-shaped identity: the parsed record must echo the configured
 # values (the simulator uses exactly these builders).
 ET200S_IDENTITY = {

@@ -6,6 +6,7 @@ import collections
 import ipaddress
 import itertools
 import random
+from datetime import datetime, timezone
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,12 +14,15 @@ from hypothesis import given, settings, strategies as st
 from icsrecon import model
 from icsrecon.errors import AddressMismatch, FormatError
 from icsrecon.model import (
+    SOURCES,
+    STATIC_FIELDS,
     Asset,
     CveRecord,
     DeploymentInfo,
     DepthLevel,
     Inventory,
     PortSpec,
+    ProvenanceEntry,
     StaticDeviceInfo,
     _check_ip,
     compute_depth,
@@ -26,7 +30,7 @@ from icsrecon.model import (
     satisfied_levels,
 )
 
-from conftest import asset_holding, random_observation, ts
+from conftest import asset_holding, random_observation, same_record, ts
 
 
 def oracle_depth(ports, protocols, static, deployment, vulns, consulted) -> int:
@@ -201,6 +205,97 @@ def test_merge_newest_wins_keeps_provenance():
     assert entries[0].source == "passive"
 
 
+def reference_newest_wins(merged, new, prefix, provenance, at, source):
+    """The newest-wins rule as it stood before ``model.Fold`` held it, kept as the reference."""
+    for key, value in new:
+        if value is None:
+            continue
+        old = merged.get(key)
+        if old is not None and old != value:
+            if not isinstance(at, datetime):
+                at = datetime.fromtimestamp(at, tz=timezone.utc)
+            provenance.append(ProvenanceEntry(prefix + key, old, value, at, source))
+        merged[key] = value
+
+
+def reference_merge(asset: Asset, evidence: Asset) -> Asset:
+    """``merge_observation`` as it stood before ``model.Fold`` held the rule, kept as the reference."""
+    if evidence.ip != asset.ip:
+        raise AddressMismatch(f"evidence for {evidence.ip} applied to asset {asset.ip}")
+
+    sources = evidence.sources or frozenset({"active"})
+    provenance = list(asset.provenance)
+    scalars = {"mac": asset.mac, "oui_vendor": asset.oui_vendor}
+    static = asset.static_info.to_dict() if asset.static_info else {}
+    deployment = asset.deployment_info.as_dict() if asset.deployment_info else {}
+    for prefix, merged, new in (
+        ("", scalars, (("mac", evidence.mac), ("oui_vendor", evidence.oui_vendor))),
+        ("static_info.", static, evidence.static_info.to_dict().items() if evidence.static_info else ()),
+        ("deployment_info.", deployment, evidence.deployment_info.entries if evidence.deployment_info else ()),
+    ):
+        reference_newest_wins(merged, new, prefix, provenance, evidence.last_seen, min(sources))
+    if evidence.provenance:
+        logged = set(provenance)
+        provenance.extend(p for p in evidence.provenance if p not in logged)
+
+    seen_ids = {v.cve_id for v in asset.vulnerabilities}
+    vulns = list(asset.vulnerabilities)
+    vulns.extend(v for v in evidence.vulnerabilities if v.cve_id not in seen_ids)
+
+    return Asset(
+        ip=asset.ip,
+        mac=scalars["mac"],
+        oui_vendor=scalars["oui_vendor"],
+        open_ports=asset.open_ports | evidence.open_ports,
+        protocols=asset.protocols | evidence.protocols,
+        static_info=StaticDeviceInfo._of_clean(static) if evidence.static_info else asset.static_info,
+        deployment_info=DeploymentInfo._of_clean(deployment) if evidence.deployment_info else asset.deployment_info,
+        vulnerabilities=tuple(vulns),
+        last_seen=max(asset.last_seen, evidence.last_seen),
+        sources=asset.sources | sources,
+        provenance=tuple(provenance),
+    )
+
+
+_TEXTS = st.sampled_from([None, "alpha", "beta", " "])
+_MACS = st.sampled_from([None, "02:00:00:00:00:01", "02:00:00:00:00:02"])
+_SOURCE_SETS = st.sampled_from([frozenset(), frozenset({"active"}), frozenset({"passive"}), frozenset(SOURCES)])
+_CVES = [CveRecord("CVE-2020-0001", "a", "x"), CveRecord("CVE-2020-0001", "b", "y"), CveRecord("CVE-2021-0002", "a", "x")]
+# a small pool, so an evidence asset repeats entries, and repeats ones the asset logged or the merge logs
+_PROVENANCE = st.builds(
+    ProvenanceEntry, st.sampled_from(["mac", "oui_vendor", "static_info.model", "deployment_info.unit_id"]),
+    st.sampled_from(["alpha", "beta", "02:00:00:00:00:01"]), st.sampled_from(["beta", "02:00:00:00:00:02"]),
+    st.integers(0, 2).map(ts), st.sampled_from(sorted(SOURCES)),
+)
+
+
+@st.composite
+def _folded_asset(draw) -> Asset:
+    """An asset as an inventory or a scan may hold one: a MAC, any sources, logged provenance, repeated CVE ids."""
+    static = StaticDeviceInfo.from_fields(draw(st.fixed_dictionaries(dict.fromkeys(STATIC_FIELDS, _TEXTS))))
+    deployment = draw(st.dictionaries(st.sampled_from(["unit_id", "plant_id"]), _TEXTS.filter(bool)))
+    return Asset(
+        ip="10.0.0.1",
+        last_seen=ts(draw(st.integers(0, 2))),
+        mac=draw(_MACS),
+        oui_vendor=draw(_TEXTS),
+        open_ports=draw(st.frozensets(st.sampled_from([PortSpec(102), PortSpec(502), PortSpec(161, "udp")]))),
+        protocols=draw(st.frozensets(st.sampled_from(["modbus", "s7comm"]))),
+        static_info=static,
+        deployment_info=DeploymentInfo.from_dict(deployment),
+        vulnerabilities=tuple(draw(st.lists(st.sampled_from(_CVES), max_size=3))) if static else (),
+        sources=draw(_SOURCE_SETS),
+        provenance=tuple(draw(st.lists(_PROVENANCE, max_size=4))),
+    )
+
+
+@settings(max_examples=400)
+@given(asset=_folded_asset(), evidence=_folded_asset())
+def test_merge_equals_the_reference_merge_on_pairs_random_observation_never_draws(asset, evidence):
+    # same_record descends into the provenance log: each entry a ProvenanceEntry, in the reference's order
+    assert same_record(merge_observation(asset, evidence), reference_merge(asset, evidence))
+
+
 def test_depth_monotone_under_random_merges(rng):
     for _ in range(300):
         asset = Asset.discovered("10.1.2.3", ts())
@@ -239,7 +334,7 @@ def test_static_info_normalizes_empty_to_absent():
 
 
 def test_each_static_and_deployment_field_is_cleaned_once(monkeypatch):
-    from icsrecon.passive import _Evidence, _identity_items
+    from icsrecon.passive import _identity_items
 
     static = {"manufacturer": " Siemens ", "model": "S7-1200", "serial": "  "}
     deployment = {" plant ": "north", "unit_id": "7"}
@@ -257,16 +352,16 @@ def test_each_static_and_deployment_field_is_cleaned_once(monkeypatch):
 
     monkeypatch.setattr(model, "_clean", counting_clean)
     raw = {"ip": "10.0.0.1", "last_seen": "2026-01-01T00:00:00Z", "static_info": static, "deployment_info": deployment}
-    evidence = _Evidence(b"\x02\x00\x00\x00\x00\x01", 0.0)
+    fold = model.Fold("10.0.0.1", 0.0, "02:00:00:00:00:01", None, frozenset({"passive"}))
     memo = {}
 
     def passive_flow(when):  # as analyze_capture folds a flow: its items through the capture's memo
-        evidence.add_flow(when, 502, "modbus", *_identity_items(memo, Codec, [b"reply"]))
+        fold.add(when, "passive", (PortSpec(502),), ("modbus",), *_identity_items(memo, Codec, [b"reply"]))
 
     for build in (
         lambda: Asset.from_dict(raw),
         lambda: (StaticDeviceInfo.from_fields(static), DeploymentInfo.from_dict(deployment)),
-        lambda: (passive_flow(1.0), evidence.freeze("10.0.0.1")),
+        lambda: (passive_flow(1.0), fold.freeze()),
     ):
         calls.clear()
         build()
@@ -278,7 +373,7 @@ def test_each_static_and_deployment_field_is_cleaned_once(monkeypatch):
     asset = Asset.from_dict(raw)
     assert asset.static_info == StaticDeviceInfo("Siemens", "S7-1200")
     assert asset.deployment_info == DeploymentInfo({"plant": "north", "unit_id": "7"}.items())
-    assert evidence.freeze("10.0.0.1")[6:8] == asset[6:8]  # static and deployment info
+    assert fold.freeze()[6:8] == asset[6:8]  # static and deployment info
 
 
 @pytest.mark.parametrize(

@@ -6,6 +6,7 @@ import contextlib
 import hashlib
 import json
 import logging
+import re
 import socket
 import threading
 import time
@@ -100,6 +101,29 @@ def test_scan_config_keys_set_empty_or_absent(tmp_path):
     path.write_text("[scan]\ntargets = 192.168.90.13\nmethods =\n")
     with pytest.raises(ConfigError, match="at least one discovery method"):
         load_scan_config(path)
+
+
+@pytest.mark.parametrize(
+    "load, text, named",
+    [
+        (load_scan_config, "[scan]\ntargets = 192.168.90.13\nrate_limt_pps = 5\n", r"\[scan\] rate_limt_pps"),
+        (load_scan_config, "[scan]\ntargets = 192.168.90.13\n[network]\nmod = sim\n", r"\[network\] mod"),
+        (load_scan_config, "[scan]\ntargets = 192.168.90.13\n[netwrok]\nmode = sim\n", r"\[netwrok\] is not"),
+        (load_fixtures, "[device:plc]\nprotocol = modbus\nip = 10.0.0.1\nlisten_port = 502\nfragil = true\n",
+         r"\[device:plc\] fragil"),
+    ],
+    ids=["scan-key", "network-key", "section", "device-key"],
+)
+def test_a_key_or_section_the_loader_does_not_read_is_refused(tmp_path, load, text, named):
+    path = tmp_path / "typo.conf"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}: {named}"):
+        load(path)
+
+
+def test_every_shipped_config_loads():
+    assert len(load_fixtures(default_fixtures_path()).devices) == 5
+    assert load_scan_config(default_fixtures_path().with_name("demo_scan.conf"))[1].mode == "sim"
 
 
 def test_fixture_device_keys_absent_keep_the_defaults(tmp_path):
