@@ -311,7 +311,7 @@ def build_cotp_confirm(request: CotpConnectionRequest) -> bytes:
             src_tsap=request.src_tsap,
             dst_tsap=request.dst_tsap,
             dst_ref=request.src_ref,
-            src_ref=request.src_ref + 1,
+            src_ref=(request.src_ref + 1) & 0xFFFF,  # wraps in its 16-bit word, so a CR with src_ref 0xFFFF is answered
             tpdu_size=request.tpdu_size,
         )
     )

@@ -3,8 +3,13 @@
 Both file kinds use the same INI dialect: a ``[scan]`` (plus optional
 ``[network]``) section for scan runs, and ``[station]`` plus one
 ``[device:<name>]`` section per simulated device for fixtures. Device
-identity fields are ``identity.<field> = value`` keys. A section or a
-key that its loader does not read is refused.
+identity fields are ``identity.<field> = value`` keys.
+
+Each section has one table, and each of its rows names a key, the record
+field the key sets and the reader of its text. That table is all a loader
+reads and all it accepts: a section or a key no table names is refused,
+and a value its reader refuses is a ConfigError naming the file, the
+section and the key. A key that is absent leaves its record's own default.
 
 Each loader imports the module it builds for: ``load_scan_config`` the
 scanner, ``load_fixtures`` the simulator, so neither loads the other.
@@ -27,26 +32,62 @@ if TYPE_CHECKING:
 DEFAULT_FIXTURES = "station_default.conf"
 
 
-def _split(raw: str) -> list[str]:
-    return [token for token in raw.replace(",", " ").split() if token]
+def _tokens(text: str) -> list[str]:
+    return [token for token in text.replace(",", " ").split() if token]
 
 
-# each section a file kind reads, and the keys its loader reads there; "device:" stands for every
-# [device:<name>] section and "identity." for every identity.<field> key
-_SCAN_SECTIONS = {
-    "scan": {"targets", "ports", "methods", "rate_limit_pps", "safe_mode", "unit_id_sweep", "timeout_ms", "vuln_db",
-             "vuln_aliases", "workers", "modbus_unit"},
-    "network": {"mode", "map_file"},
+def _boolean(text: str) -> bool:
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+    except KeyError:
+        raise ValueError(f"not a boolean: {text!r}") from None
+
+
+def _mode(text: str) -> str:
+    if text.lower() not in ("real", "sim"):
+        raise ValueError(f"must be real or sim, not {text!r}")
+    return text.lower()
+
+
+# each file kind's sections -> key -> (the record field it sets, the reader of its text); "device:" stands for every
+# [device:<name>] section, and a key ending in "." for every key under it, gathered in a dict. A reader's None (an
+# empty port or TSAP list) leaves the field at its record's default, as an absent key does
+_SCAN_TABLES = {
+    "scan": {
+        "targets": ("targets", lambda text: tuple(_tokens(text))),
+        "ports": ("ports", lambda text: frozenset(int(port) for port in _tokens(text)) or None),
+        "methods": ("methods", lambda text: frozenset(_tokens(text))),
+        "rate_limit_pps": ("rate_limit_pps", int),
+        "safe_mode": ("safe_mode", _boolean),
+        "unit_id_sweep": ("unit_id_sweep", _boolean),
+        "timeout_ms": ("timeout_ms", int),
+        "vuln_db": ("vuln_db_path", str),
+        "vuln_aliases": ("vuln_alias_path", str),
+        "workers": ("workers", int),
+        "modbus_unit": ("modbus_unit", int),
+    },
+    "network": {"mode": ("mode", _mode), "map_file": ("map_file", str)},
 }
-_FIXTURE_SECTIONS = {
-    "station": {"scanner_ip"},
-    "device:": {"protocol", "ip", "listen_port", "mac", "features", "accepted_tsaps", "fragile", "max_pps",
-                "fault_on_malformed", "unit_id", "identity."},
+_FIXTURE_TABLES = {
+    "station": {"scanner_ip": ("scanner_ip", _check_ip)},
+    "device:": {
+        "protocol": ("protocol", str),
+        "ip": ("ip", str),
+        "listen_port": ("listen_port", int),
+        "mac": ("mac", str),
+        "features": ("feature_flags", lambda text: frozenset(_tokens(text))),
+        "accepted_tsaps": ("accepted_tsaps", lambda text: tuple(int(tsap, 0) for tsap in _tokens(text)) or None),
+        "fragile": ("fragile", _boolean),
+        "max_pps": ("max_pps", int),
+        "fault_on_malformed": ("fault_on_malformed", _boolean),
+        "unit_id": ("unit_id", int),
+        "identity.": ("identity", str),
+    },
 }
 
 
-def _parser(path: str | Path, sections: dict[str, set[str]]) -> configparser.ConfigParser:
-    """The file parsed; a ConfigError for a section or a key that ``sections`` does not list, so no typo is ignored."""
+def _read(path: str | Path, tables: dict[str, dict]) -> dict[str, dict]:
+    """Each section of the file -> the record fields its present keys set, each read through its table's row."""
     parser = configparser.ConfigParser()
     try:
         read = parser.read(str(path))
@@ -54,14 +95,26 @@ def _parser(path: str | Path, sections: dict[str, set[str]]) -> configparser.Con
         raise ConfigError(f"{path}: {exc}") from exc
     if not read:
         raise ConfigError(f"config file not found: {path}")
+    sections = {}
     for name in parser.sections():
-        keys = sections.get("".join(name.partition(":")[:2]))
-        if keys is None:
+        table = tables.get("".join(name.partition(":")[:2]))
+        if table is None:
             raise ConfigError(f"{path}: [{name}] is not a section this file reads")
+        fields = sections[name] = {}
         for key in parser[name]:
-            if key not in keys and "".join(key.partition(".")[:2]) not in keys:
+            head = "".join(key.partition(".")[:2])  # the key itself, or "identity." for identity.<field>
+            if head not in table:
                 raise ConfigError(f"{path}: [{name}] {key} is not a key this section reads")
-    return parser
+            field, reader = table[head]
+            try:
+                value = reader(parser[name][key])
+            except (ValueError, configparser.InterpolationError) as exc:  # a "%" that names no key, such as "100%"
+                raise ConfigError(f"{path}: [{name}] {key}: {exc}") from exc
+            if head.endswith("."):
+                fields.setdefault(field, {})[key[len(head):]] = value
+            elif value is not None:
+                fields[field] = value
+    return sections
 
 
 class NetworkSettings(NamedTuple):
@@ -72,39 +125,16 @@ class NetworkSettings(NamedTuple):
 def load_scan_config(path: str | Path, overrides: dict | None = None) -> tuple[ScanConfig, NetworkSettings]:
     from .scanner import ScanConfig
 
-    parser = _parser(path, _SCAN_SECTIONS)
-    if not parser.has_section("scan"):
+    sections = _read(path, _SCAN_TABLES)
+    if "scan" not in sections:
         raise ConfigError(f"{path}: missing [scan] section")
-    section = parser["scan"]
-    try:
-        values = {  # None: the key is absent (or, for ports, empty), so ScanConfig's own default applies
-            "targets": tuple(_split(section.get("targets", ""))),
-            "ports": frozenset(int(p) for p in _split(section.get("ports", ""))) or None,
-            "methods": frozenset(_split(section["methods"])) if "methods" in section else None,
-            "rate_limit_pps": section.getint("rate_limit_pps"),
-            "safe_mode": section.getboolean("safe_mode"),
-            "unit_id_sweep": section.getboolean("unit_id_sweep"),
-            "timeout_ms": section.getint("timeout_ms"),
-            "vuln_db_path": section.get("vuln_db"),
-            "vuln_alias_path": section.get("vuln_aliases"),
-            "workers": section.getint("workers"),
-            "modbus_unit": section.getint("modbus_unit"),
-        }
-        values.update({key: value for key, value in (overrides or {}).items() if value is not None})
-        if not values["targets"]:
-            raise ConfigError(f"{path}: no scan targets configured")
-        config = ScanConfig(**{key: value for key, value in values.items() if value is not None})
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-
-    network = NetworkSettings()
-    if parser.has_section("network"):
-        net = parser["network"]
-        mode = net.get("mode", "real").strip().lower()
-        if mode not in ("real", "sim"):
-            raise ConfigError(f"{path}: network mode must be real or sim, not {mode!r}")
-        network = NetworkSettings(mode=mode, map_file=net.get("map_file", None))
-    return config, network
+    fields = sections["scan"] | {key: value for key, value in (overrides or {}).items() if value is not None}
+    if not fields.get("targets"):
+        raise ConfigError(f"{path}: no scan targets configured")
+    network = NetworkSettings(**sections.get("network", {}))
+    if network.mode == "real" and network.map_file is not None:  # a simulator's map must not turn into a real scan
+        raise ConfigError(f"{path}: [network] map_file is read only with mode = sim, and this file's mode is real")
+    return ScanConfig(**fields), network
 
 
 class StationConfig(NamedTuple):
@@ -112,53 +142,13 @@ class StationConfig(NamedTuple):
     devices: tuple[SimDeviceConfig, ...]
 
 
-def _device_from_section(name: str, section: configparser.SectionProxy) -> SimDeviceConfig:
-    from .simulator import SimDeviceConfig
-
-    identity = {
-        key.split(".", 1)[1]: value
-        for key, value in section.items()
-        if key.startswith("identity.")
-    }
-    tsaps = section.get("accepted_tsaps", "").strip()
-    try:
-        optional = {  # None: the key is absent, so SimDeviceConfig's own default applies
-            "mac": section.get("mac"),
-            "fragile": section.getboolean("fragile"),
-            "max_pps": section.getint("max_pps"),
-            "fault_on_malformed": section.getboolean("fault_on_malformed"),
-            "unit_id": section.getint("unit_id"),
-        }
-        return SimDeviceConfig(
-            name=name,
-            protocol=section.get("protocol", ""),
-            ip=section.get("ip", ""),
-            listen_port=section.getint("listen_port"),
-            identity=identity,
-            feature_flags=frozenset(_split(section.get("features", ""))),
-            accepted_tsaps=tuple(int(t, 0) for t in _split(tsaps)) or None,
-            **{key: value for key, value in optional.items() if value is not None},
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"device {name!r}: {exc}") from exc
-
-
 def load_fixtures(path: str | Path) -> StationConfig:
-    from .simulator import SCANNER_IP
+    from .simulator import SCANNER_IP, SimDeviceConfig
 
-    parser = _parser(path, _FIXTURE_SECTIONS)
-    scanner_ip = SCANNER_IP
-    if parser.has_section("station"):
-        scanner_ip = parser["station"].get("scanner_ip", scanner_ip)
-        try:
-            scanner_ip = _check_ip(scanner_ip)
-        except ValueError as exc:
-            raise ConfigError(f"{path}: scanner_ip: {exc}") from exc
-    devices = []
-    for section_name in parser.sections():
-        if section_name != "station":
-            devices.append(_device_from_section(section_name.split(":", 1)[1], parser[section_name]))
-    return StationConfig(scanner_ip=scanner_ip, devices=tuple(devices))
+    sections = _read(path, _FIXTURE_TABLES)
+    station = sections.pop("station", {})
+    devices = tuple(SimDeviceConfig(name=name.partition(":")[2], **fields) for name, fields in sections.items())
+    return StationConfig(scanner_ip=station.get("scanner_ip", SCANNER_IP), devices=devices)
 
 
 def default_fixtures_path() -> Path:

@@ -75,8 +75,10 @@ class SimDeviceConfig(_SimDeviceConfigFields):
 
     __slots__ = ()
 
-    def __new__(cls, name, protocol, ip, listen_port, mac="02:00:00:00:00:01", identity=None, feature_flags=frozenset(),
-                fragile=False, max_pps=50, fault_on_malformed=False, accepted_tsaps=None, unit_id=1):
+    # protocol, ip and listen_port are None only where a fixture leaves them out, and the checks below refuse that
+    def __new__(cls, name, protocol=None, ip=None, listen_port=None, mac="02:00:00:00:00:01", identity=None,
+                feature_flags=frozenset(), fragile=False, max_pps=50, fault_on_malformed=False, accepted_tsaps=None,
+                unit_id=1):
         if protocol not in PROTOCOLS:
             raise ConfigError(f"{name}: unsupported protocol {protocol!r}")
         feature_flags = frozenset(feature_flags)

@@ -114,21 +114,24 @@ def test_missing_config_is_operational_error(capsys):
 
 
 @pytest.mark.parametrize(
-    "text",
+    "text, named",
     [
-        "[scan]\ntargets = 192.168.90.13\nports = 502, 5o2\n",
-        "[scan]\ntargets = 192.168.90.13\nrate_limit_pps = fast\n",
-        "[scan]\ntargets = 192.168.90.13\nsafe_mode = maybe\n",
-        "targets = 192.168.90.13\n",  # no section header
+        ("[scan]\ntargets = 192.168.90.13\nports = 502, 5o2\n", "[scan] ports: "),
+        ("[scan]\ntargets = 192.168.90.13\nrate_limit_pps = fast\n", "[scan] rate_limit_pps: "),
+        ("[scan]\ntargets = 192.168.90.13\nsafe_mode = maybe\n", "[scan] safe_mode: "),
+        ("[scan]\ntargets = 192.168.90.13\nvuln_db = 100%.json\n", "[scan] vuln_db: "),  # no key to interpolate
+        ("[scan]\ntargets = 192.168.90.13\n[network]\nmap_file = station_map.json\n", "[network] map_file "),
+        ("targets = 192.168.90.13\n", "no section headers"),
     ],
-    ids=["ports", "rate_limit_pps", "safe_mode", "no_section_header"],
+    ids=["ports", "rate_limit_pps", "safe_mode", "percent", "map_file_under_mode_real", "no_section_header"],
 )
-def test_bad_scan_config_value_is_operational_error(tmp_path, capsys, text):
+def test_bad_scan_config_value_is_operational_error(tmp_path, capsys, text, named):
     path = tmp_path / "scan.conf"
     path.write_text(text)
     code = main(["scan", "--config", str(path)])
     assert code == 1
-    assert "error[ConfigError]" in capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error[ConfigError]: {path}: ") and named in err
 
 
 @pytest.mark.parametrize("entry", [[1], "x", None])
@@ -430,8 +433,20 @@ def test_simulate_device_without_listen_port_is_config_error(tmp_path, capsys):
     map_path = tmp_path / "map.json"
     code = main(["simulate", "--fixtures", str(fixtures), "--map-out", str(map_path), "--max-seconds", "5"])
     assert code == 1
-    assert "error[ConfigError]" in capsys.readouterr().err
+    assert "error[ConfigError]: a: listen_port must be" in capsys.readouterr().err
     assert not map_path.exists()  # rejected before any device started
+
+
+@pytest.mark.parametrize("line", ["max_pps = lots", "fragile = maybe", "identity.product_code = 100%"],
+                         ids=["max_pps", "fragile", "identity_percent"])
+def test_bad_fixture_value_names_the_file_section_and_key(tmp_path, capsys, line):
+    fixtures = tmp_path / "station.conf"
+    fixtures.write_text(f"[device:plc]\nprotocol = modbus\nip = 10.0.0.1\nlisten_port = 502\n{line}\n")
+    map_path = tmp_path / "map.json"
+    assert main(["simulate", "--fixtures", str(fixtures), "--map-out", str(map_path), "--max-seconds", "5"]) == 1
+    key = line.partition(" =")[0]
+    assert capsys.readouterr().err.startswith(f"error[ConfigError]: {fixtures}: [device:plc] {key}: ")
+    assert not map_path.exists()
 
 
 @pytest.mark.parametrize(
@@ -494,7 +509,7 @@ def test_scan_with_a_map_file_without_control_port_is_format_error(tmp_path, cap
     map_path = tmp_path / "map.json"
     map_path.write_text(json.dumps({"scanner_ip": "192.168.90.1", "hosts": {}}))
     config = tmp_path / "scan.conf"
-    config.write_text("[scan]\ntargets = 192.168.90.10\n")
+    config.write_text("[scan]\ntargets = 192.168.90.10\n[network]\nmode = real\n")  # --map-file selects the simulator
     assert main(["scan", "--config", str(config), "--map-file", str(map_path)]) == 1
     assert "error[FormatError]: station map lacks 'control_port'" in capsys.readouterr().err
 

@@ -15,7 +15,7 @@ from collections import Counter
 import pytest
 
 from icsrecon.codecs import PROTOCOLS, enip, modbus, s7
-from icsrecon.config import default_fixtures_path, load_fixtures, load_scan_config
+from icsrecon.config import _FIXTURE_TABLES, _SCAN_TABLES, default_fixtures_path, load_fixtures, load_scan_config
 from icsrecon.errors import ConfigError, IcsReconError, PrivilegeRequired
 from icsrecon.model import Asset, PortSpec, compute_depth
 from icsrecon.netbase import ConnectResult, RealNetwork
@@ -119,6 +119,79 @@ def test_a_key_or_section_the_loader_does_not_read_is_refused(tmp_path, load, te
     path.write_text(text)
     with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}: {named}"):
         load(path)
+
+
+@pytest.mark.parametrize("network", ["map_file = station_map.json\n", "mode = real\nmap_file = station_map.json\n"],
+                         ids=["mode-absent", "mode-real"])
+def test_a_map_file_under_mode_real_is_refused(tmp_path, network):
+    path = tmp_path / "scan.conf"
+    path.write_text("[scan]\ntargets = 192.168.90.13\n[network]\n" + network)
+    with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}: \[network\] map_file"):
+        load_scan_config(path)  # else a config written for the simulator would scan the real network
+
+
+# (section, key) -> (the lines its section holds, the record field the key sets, the value that field then holds),
+# each value other than the field's default; stated here, not read from the tables, so a row that sets the wrong field
+# shows
+ROWS = {
+    ("scan", "targets"): ({"targets": "10.0.0.1, 10.0.0.0/30"}, "targets", ("10.0.0.1", "10.0.0.0/30")),
+    ("scan", "ports"): ({"ports": "502 20000"}, "ports", frozenset({502, 20000})),
+    ("scan", "methods"): ({"methods": "arp tcp_connect"}, "methods", frozenset({"arp", "tcp_connect"})),
+    ("scan", "rate_limit_pps"): ({"rate_limit_pps": "7"}, "rate_limit_pps", 7),
+    ("scan", "safe_mode"): ({"safe_mode": "off"}, "safe_mode", False),
+    ("scan", "unit_id_sweep"): ({"unit_id_sweep": "yes", "safe_mode": "no"}, "unit_id_sweep", True),
+    ("scan", "timeout_ms"): ({"timeout_ms": "250"}, "timeout_ms", 250),
+    ("scan", "vuln_db"): ({"vuln_db": "cves.json"}, "vuln_db_path", "cves.json"),
+    ("scan", "vuln_aliases"): ({"vuln_aliases": "aliases.json"}, "vuln_alias_path", "aliases.json"),
+    ("scan", "workers"): ({"workers": "3"}, "workers", 3),
+    ("scan", "modbus_unit"): ({"modbus_unit": "0"}, "modbus_unit", 0),
+    ("network", "mode"): ({"mode": "SIM"}, "mode", "sim"),
+    ("network", "map_file"): ({"mode": "sim", "map_file": "station_map.json"}, "map_file", "station_map.json"),
+    ("station", "scanner_ip"): ({"scanner_ip": "10.0.0.254"}, "scanner_ip", "10.0.0.254"),
+    ("device:", "protocol"): ({"protocol": "enip"}, "protocol", "enip"),
+    ("device:", "ip"): ({"ip": "10.0.0.2"}, "ip", "10.0.0.2"),
+    ("device:", "listen_port"): ({"listen_port": "1502"}, "listen_port", 1502),
+    ("device:", "mac"): ({"mac": "00-1B-1B-AA-10-01"}, "mac", "00:1b:1b:aa:10:01"),
+    ("device:", "features"): ({"features": "report_slave_id_fc11"}, "feature_flags", frozenset({"report_slave_id_fc11"})),
+    ("device:", "accepted_tsaps"): ({"accepted_tsaps": "0x0102, 512"}, "accepted_tsaps", (0x0102, 0x0200)),
+    ("device:", "fragile"): ({"fragile": "true"}, "fragile", True),
+    ("device:", "max_pps"): ({"max_pps": "7"}, "max_pps", 7),
+    ("device:", "fault_on_malformed"): ({"fault_on_malformed": "1"}, "fault_on_malformed", True),
+    ("device:", "unit_id"): ({"unit_id": "9"}, "unit_id", 9),
+    ("device:", "identity."): ({"identity.plant_id": "LINE-A"}, "identity", {"plant_id": "LINE-A"}),
+}
+
+
+def ini(sections: dict[str, dict[str, str]]) -> str:
+    return "".join(f"[{name}]\n" + "".join(f"{key} = {text}\n" for key, text in keys.items())
+                   for name, keys in sections.items())
+
+
+def loaded_field(path, section: str, field: str):
+    if section in _SCAN_TABLES:
+        record = load_scan_config(path)[section == "network"]
+    else:
+        station = load_fixtures(path)
+        record = station if section == "station" else station.devices[0]
+    return getattr(record, field)
+
+
+@pytest.mark.parametrize(
+    "section, key", [(section, key) for tables in (_SCAN_TABLES, _FIXTURE_TABLES) for section in tables
+                     for key in tables[section]]
+)
+def test_every_table_row_sets_its_record_field(tmp_path, section, key):
+    lines, field, value = ROWS[section, key]
+    if section in _SCAN_TABLES:
+        base = {"scan": {"targets": "192.168.90.13"}}
+    else:
+        base = {"device:plc": {"protocol": "modbus", "ip": "10.0.0.1", "listen_port": "502"}}
+    path = tmp_path / "row.conf"
+    path.write_text(ini(base))
+    assert loaded_field(path, section, field) != value
+    name = "device:plc" if section == "device:" else section
+    path.write_text(ini(base | {name: base.get(name, {}) | lines}))
+    assert loaded_field(path, section, field) == value
 
 
 def test_every_shipped_config_loads():

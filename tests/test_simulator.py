@@ -11,14 +11,16 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from icsrecon.codecs import enip, modbus, s7
+from icsrecon.codecs import PROTOCOLS, cut_frames, enip, modbus, s7
 from icsrecon.config import default_fixtures_path, load_fixtures
-from icsrecon.errors import ConfigError, PortUnavailable
+from icsrecon.errors import ConfigError, DecodeError, FormatError, PortUnavailable
 from icsrecon.netbase import recv_frame
 from icsrecon.passive import PcapFile, read_capture
 from icsrecon.pcapio import TCP_FIN, parse_ethernet, parse_ipv4, parse_tcp
 from icsrecon.simulator import (
+    REPLIES,
     ControlClient,
     ControlledStation,
     Counters,
@@ -28,6 +30,7 @@ from icsrecon.simulator import (
     SimNetwork,
     SimState,
     StationHandle,
+    _Connection,
 )
 
 
@@ -349,6 +352,51 @@ def test_unknown_enip_command_gets_status_one():
         assert handle.device("controllogix_like").get_counters().malformed_seen == 0
     finally:
         handle.stop()
+
+
+def test_s7_cr_with_the_last_source_reference_is_confirmed():
+    station = s7_station()
+    try:
+        request = s7.encode_envelope(s7.CotpConnectionRequest(0x0100, 0x0102, src_ref=0xFFFF))
+        reply = s7.decode_envelope(exchange(station, 102, "192.168.90.10", request, s7)).cotp
+        assert (reply.dst_ref, reply.src_ref) == (0xFFFF, 0x0000)  # the reference wraps in its 16-bit word
+        assert station.device("plc").get_counters().malformed_seen == 0
+    finally:
+        station.stop()
+
+
+# each protocol's requests in the order a scan sends them, so a mutated stream walks an S7 connection through its states
+VALID_REQUESTS = {
+    modbus.NAME: modbus.build_device_id_request(1) + modbus.build_report_slave_id_request(1)
+    + modbus.build_read_holding_request(1, 0, 10),
+    s7.NAME: s7.build_cotp_connect(0x0100, 0x0102) + s7.build_setup_communication()
+    + s7.build_szl_read(s7.SZL_MODULE_ID) + s7.build_szl_read(s7.SZL_COMPONENT_ID),
+    enip.NAME: enip.build_list_identity() + enip.encode_header(0x0999, b""),
+}
+DEFAULT_DEVICES = {config.name: config for config in load_fixtures(default_fixtures_path()).devices}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    name=st.sampled_from(sorted(DEFAULT_DEVICES)),
+    writes=st.lists(st.tuples(st.integers(0, 0xFFFF), st.binary(min_size=1, max_size=4)), max_size=4),
+)
+@example(name="et200s_like", writes=[(8, b"\xff\xff")])  # the CR's src_ref: 0xFFFF once killed the connection
+def test_a_device_answers_any_frame_cut_from_mutated_requests_or_refuses_it_as_malformed(name, writes):
+    config = DEFAULT_DEVICES[name]
+    codec, stream = PROTOCOLS[config.protocol], VALID_REQUESTS[config.protocol]
+    for at, data in writes:
+        at %= len(stream)
+        stream = stream[:at] + data + stream[at + len(data):]
+    connection = _Connection(SimDevice(config, StationHandle([])))
+    for frame in cut_frames(stream, codec.HEADER_SIZE, codec.frame_size)[0]:
+        try:
+            reply = REPLIES[config.protocol](connection, frame)
+        except (DecodeError, FormatError):
+            return  # the device counts a malformed packet and hangs up
+        assert reply is None or isinstance(reply, bytes)
+        if connection.disconnect:
+            return
 
 
 def test_fault_latching_no_replies_until_reset(station):
