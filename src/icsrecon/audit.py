@@ -50,9 +50,9 @@ class _RecordingSocket:
 class RecordingNetwork(Network):
     """Network decorator writing an audit pcap of all probe traffic."""
 
-    def __init__(self, inner: Network, pcap_path: str, source_ip: str | None = None):
+    def __init__(self, inner: Network, pcap_path: str):
         self.inner = inner
-        self.source_ip = source_ip or getattr(inner, "source_ip", "0.0.0.0")
+        self.source_ip = getattr(inner, "source_ip", "0.0.0.0")
         self._writer = PcapWriter(pcap_path)
         self.recorder = TrafficRecorder(self._writer)
         self._client_port = 47000

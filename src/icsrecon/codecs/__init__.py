@@ -27,8 +27,10 @@ no caller switches on a protocol's name: ``claims(frame)`` (the passive
 rule for a stream's first complete frame; never raises), the scanner's
 probe ``opening_requests(unit)``, tried in order until ``confirm(reply)``
 returns (it raises ``ConnectionRefusedByTsap`` to move on to the next),
-and ``EXCHANGES`` (the simulator's feature flags, answered by
-``simulator.REPLIES``).
+its ``enumeration(unit, first)``, a generator of the requests that follow
+the probe's confirmed reply ``first``, sent each reply in turn and
+bounded by the codec alone, and ``EXCHANGES`` (the simulator's feature
+flags, answered by ``simulator.REPLIES``).
 """
 
 import functools

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import ipaddress
 import struct
-from typing import Iterable, NamedTuple
+from typing import Generator, Iterable, NamedTuple
 
 from . import cut_frames, encoder
 from ..errors import DecodeError, FormatError, LengthMismatch, Truncated, UnexpectedCommand
@@ -73,7 +73,6 @@ class EnipMessage(NamedTuple):
     session: int = 0
     status: int = 0
     options: int = 0
-    identity: CipIdentity | None = None
 
 
 @encoder
@@ -131,6 +130,11 @@ def confirm(reply: bytes) -> None:
     message, _ = decode_header(reply)
     if message.command != CMD_LIST_IDENTITY:
         raise FormatError(f"probe got command 0x{message.command:04x}")
+
+
+def enumeration(unit: int, first: bytes) -> Generator[bytes, bytes, None]:
+    """No request follows: the ListIdentity reply ``first`` that confirmed EtherNet/IP is all there is to read."""
+    yield from ()
 
 
 @encoder

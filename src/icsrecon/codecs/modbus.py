@@ -16,7 +16,7 @@ function|0x80 and exactly one exception-code byte. Only FC 0x2B and FC
 from __future__ import annotations
 
 import struct
-from typing import Iterable, NamedTuple
+from typing import Generator, Iterable, NamedTuple
 
 from . import cut_frames, encoder
 from ..errors import (
@@ -153,6 +153,21 @@ def claims(frame: bytes) -> bool:
 
 def opening_requests(unit: int) -> tuple[bytes, ...]:
     return (build_device_id_request(unit=unit),)
+
+
+def enumeration(unit: int, first: bytes) -> Generator[bytes, bytes, None]:
+    """After the probe's reply ``first``, each request sent back its reply: FC 0x2B continuations while the last
+    reply parses and says more objects follow, at most ``MAX_CONTINUATIONS``, then FC 0x11."""
+    reply = first
+    for _round in range(MAX_CONTINUATIONS):
+        try:
+            ident = parse_device_id_response(reply)
+        except (DecodeError, FormatError):  # an exception reply, say: the device has no more objects to give
+            break
+        if not ident.more_follows:
+            break
+        reply = yield build_device_id_request(unit=unit, object_id=ident.next_object_id)
+    yield build_report_slave_id_request(unit)
 
 
 def exception_frame(transaction_id: int, unit_id: int, function: int, code: int) -> bytes:

@@ -25,7 +25,7 @@ encoders refuse anything else.
 from __future__ import annotations
 
 import struct
-from typing import Iterable, NamedTuple
+from typing import Generator, Iterable, NamedTuple
 
 from . import cut_frames, encoder
 from ..errors import ConnectionRefusedByTsap, DecodeError, FormatError, LengthMismatch, Truncated
@@ -299,6 +299,18 @@ def confirm(reply: bytes) -> None:
         raise ConnectionRefusedByTsap("TSAP pair refused")
     if not isinstance(cotp, CotpConnectionConfirm):
         raise FormatError(f"unexpected COTP answer {type(cotp).__name__}")
+
+
+def enumeration(unit: int, first: bytes) -> Generator[bytes, bytes, None]:
+    """After the probe's reply ``first``, each request sent back its reply: setup communication, then, if a COTP
+    data TPDU answers it, one read per list of :data:`SZL_LISTS`."""
+    reply = yield build_setup_communication(pdu_ref=1)
+    try:
+        answered = isinstance(decode_envelope(reply).cotp, CotpData)
+    except (DecodeError, FormatError):
+        return
+    for szl_id in SZL_LISTS if answered else ():
+        yield build_szl_read(szl_id, pdu_ref=2)
 
 
 def build_cotp_connect(src_tsap: int, dst_tsap: int) -> bytes:

@@ -58,7 +58,6 @@ _SCAN_TABLES = {
         "ports": ("ports", lambda text: frozenset(int(port) for port in _tokens(text)) or None),
         "methods": ("methods", lambda text: frozenset(_tokens(text))),
         "rate_limit_pps": ("rate_limit_pps", int),
-        "safe_mode": ("safe_mode", _boolean),
         "unit_id_sweep": ("unit_id_sweep", _boolean),
         "timeout_ms": ("timeout_ms", int),
         "vuln_db": ("vuln_db_path", str),

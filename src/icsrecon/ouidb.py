@@ -18,11 +18,11 @@ def load_oui_table() -> dict[str, str]:
         return json.load(fh)
 
 
-def vendor_for_mac(mac: str | None, table: dict[str, str] | None = None) -> str | None:
+def vendor_for_mac(mac: str | None) -> str | None:
     if not mac:
         return None
     prefix = mac.lower().replace("-", ":")[:8]
-    return (table or load_oui_table()).get(prefix)
+    return load_oui_table().get(prefix)
 
 
 @lru_cache(maxsize=1)

@@ -11,13 +11,15 @@ sent, gets ICMP and then TCP connect, stopping at the first that
 answers. Each host is then handled in one pass over its ports, in
 order: a port with a known protocol is probed on the connection that
 found it open and, once its protocol is confirmed, enumerated at once
-on that same connection, reusing the first reply. Only an open port
-without a known protocol is closed immediately. No session outlives its
-port, so a device's idle timeout never runs while another port is
-probed. A single token bucket gates every emitted packet across all
-workers; TCP connect scanning (full handshake) is used instead of
-half-open scanning because it needs no privilege and is gentler on
-fragile stacks.
+on that same connection, reusing the first reply. What follows the probe
+is the codec's ``enumeration``; one loop sends every protocol's requests
+and the unit sweep's, and ends a session at the first reply that does not
+arrive whole. Only an open port without a known protocol is closed
+immediately. No session outlives its port, so a device's idle timeout
+never runs while another port is probed. A single token bucket gates
+every emitted packet across all workers; TCP connect scanning (full
+handshake) is used instead of half-open scanning because it needs no
+privilege and is gentler on fragile stacks.
 """
 
 from __future__ import annotations
@@ -346,89 +348,52 @@ class Scanner:
 
     # -- phase 3: enumeration, on the probe's session, closed by its connection's opener ---
 
+    def _converse(self, sock: socket.socket, codec, requests) -> tuple[list[bytes], bool]:
+        """Each request the generator ``requests`` yields, sent and its reply sent back; the replies, and False if
+        one did not arrive whole, which ends the session, as a late reply would answer the next request."""
+        replies: list[bytes] = []
+        with contextlib.suppress(StopIteration):
+            request = next(requests)
+            while True:
+                try:
+                    replies.append(self._exchange(sock, request, codec))
+                except (OSError, FramingError):
+                    return replies, False
+                request = requests.send(replies[-1])
+        return replies, True
+
+    def _enumerate(self, asset: Asset, session: Session, codec, step: str) -> tuple[Asset, bool]:
+        """The codec's enumeration on a confirmed protocol's session, its identity merged; and whether it is in step."""
+        if codec.NAME not in asset.protocols:
+            raise ValueError(f"{asset.ip}: {codec.NAME} not confirmed at protocol level")
+        self._note(ScanPhase.ENUMERATION, asset.ip, step)
+        sock, first = session
+        replies, in_step = self._converse(sock, codec, codec.enumeration(self.config.modbus_unit, first))
+        static_fields, deployment = codec.identity_fields([first, *replies])
+        static, deploy = StaticDeviceInfo.from_fields(static_fields), DeploymentInfo.from_dict(deployment)
+        if static is not None or deploy is not None:
+            asset = self._merge(asset, static_info=static, deployment_info=deploy)
+        return asset, in_step
+
     def enumerate_modbus(self, asset: Asset, session: Session) -> Asset:
-        if "modbus" not in asset.protocols:
-            raise ValueError(f"{asset.ip}: modbus not confirmed at protocol level")
-        self._note(ScanPhase.ENUMERATION, asset.ip, "enumerate_modbus")
-        sock, reply = session
-        replies = [reply]
-        unit = self.config.modbus_unit
-        in_step = True  # after a timeout, reset or unframeable reply, a late reply would answer the next request
-        try:
-            ident = modbus.parse_device_id_response(reply)
-            for _round in range(modbus.MAX_CONTINUATIONS):
-                if not ident.more_follows:
-                    break
-                request = modbus.build_device_id_request(unit=unit, object_id=ident.next_object_id)
-                replies.append(self._exchange(sock, request, modbus))
-                ident = modbus.parse_device_id_response(replies[-1])
-        except (OSError, FramingError):
-            in_step = False
-        except (DecodeError, FormatError):
-            pass  # identification unsupported (exception reply) or malformed; deployment may still work
-        if in_step:
-            try:
-                replies.append(self._exchange(sock, modbus.build_report_slave_id_request(unit), modbus))
-            except (OSError, FramingError):
-                in_step = False
-            except (DecodeError, FormatError):
-                pass
-        static_fields, deployment = modbus.identity_fields(replies)
+        asset, in_step = self._enumerate(asset, session, modbus, "enumerate_modbus")
         if in_step and self.config.unit_id_sweep and not self.config.safe_mode:
-            responding = self._sweep_units(sock)
-            if responding:
-                deployment["unit_ids"] = ",".join(str(u) for u in responding)
-        return self._apply_identity(asset, static_fields, deployment)
+            if unit_ids := ",".join(str(unit) for unit in self._sweep_units(session[0])):
+                asset = self._merge(asset, deployment_info=DeploymentInfo.from_dict({"unit_ids": unit_ids}))
+        return asset
 
     def _sweep_units(self, sock: socket.socket) -> list[int]:
+        """Units 1..247 that answer FC 0x11, one request each, until the scan is cancelled or the stream breaks."""
         self._sweep_used = True
-        responding = []
-        for unit in range(1, 248):
-            if self._stop.is_set():
-                break
-            try:
-                reply = self._exchange(sock, modbus.build_report_slave_id_request(unit), modbus)
-                modbus.parse_report_slave_id_response(reply)
-                responding.append(unit)
-            except (OSError, FramingError):
-                break  # the stream is out of step from here on
-            except (DecodeError, FormatError):
-                continue
-        return responding
+        requests = (modbus.build_report_slave_id_request(unit) for unit in range(1, 248) if not self._stop.is_set())
+        replies = self._converse(sock, modbus, requests)[0]
+        return [unit for unit, reply in enumerate(replies, start=1) if modbus.identity_fields([reply])[1]]
 
     def enumerate_s7(self, asset: Asset, session: Session) -> Asset:
-        if "s7comm" not in asset.protocols:
-            raise ValueError(f"{asset.ip}: s7comm not confirmed at protocol level")
-        self._note(ScanPhase.ENUMERATION, asset.ip, "enumerate_s7")
-        sock, replies = session[0], []
-        try:
-            reply = self._exchange(sock, s7.build_setup_communication(pdu_ref=1), s7)
-            if not isinstance(s7.decode_envelope(reply).cotp, s7.CotpData):
-                return asset
-        except (OSError, DecodeError, FormatError):
-            return asset
-        for szl_id in s7.SZL_LISTS:
-            try:
-                replies.append(self._exchange(sock, s7.build_szl_read(szl_id, pdu_ref=2), s7))
-            except (OSError, FramingError):
-                break  # a late reply would answer the next read
-            except (DecodeError, FormatError):
-                continue  # a bad reply for this list; the other may still answer
-        return self._apply_identity(asset, *s7.identity_fields(replies))
+        return self._enumerate(asset, session, s7, "enumerate_s7")[0]
 
     def enumerate_enip(self, asset: Asset, session: Session) -> Asset:
-        if "enip" not in asset.protocols:
-            raise ValueError(f"{asset.ip}: enip not confirmed at protocol level")
-        self._note(ScanPhase.ENUMERATION, asset.ip, "enumerate_enip")
-        # the ListIdentity reply that confirmed EtherNet/IP is all there is to read
-        return self._apply_identity(asset, *enip.identity_fields([session[1]]))
-
-    def _apply_identity(self, asset: Asset, static_fields: dict[str, str], deployment: dict[str, str]) -> Asset:
-        static = StaticDeviceInfo.from_fields(static_fields)
-        deploy = DeploymentInfo.from_dict(deployment)
-        if static is None and deploy is None:
-            return asset
-        return self._merge(asset, static_info=static, deployment_info=deploy)
+        return self._enumerate(asset, session, enip, "enumerate_enip")[0]
 
     # -- phase 4: vulnerability identification --------------------------------
 

@@ -122,11 +122,11 @@ class SimDevice:
     # -- state & counters: one note_received per arriving packet -----------
 
     def note_received(self, now: float | None = None) -> SimState:
-        """Count one packet; a fragile device faults past max_pps in one sliding second of ``now`` (default: station clock)."""
+        """Count one packet; a fragile device faults past max_pps in one sliding second of ``now`` (default: wall clock)."""
         with self._lock:
             self.packets_received += 1
             if self.config.fragile and self.state is SimState.RUNNING:
-                now = self.station.clock() if now is None else now
+                now = time.time() if now is None else now
                 self._window.append(now)
                 while self._window[0] < now - 1.0:
                     self._window.popleft()
@@ -327,12 +327,10 @@ class StationHandle:
         configs: list[SimDeviceConfig],
         scanner_ip: str = SCANNER_IP,
         pcap_path: str | None = None,
-        clock=time.time,
     ):
         self.scanner_ip = scanner_ip
-        self.clock = clock
         self._pcap_writer = PcapWriter(pcap_path) if pcap_path else None
-        self.recorder = TrafficRecorder(self._pcap_writer, clock=clock)
+        self.recorder = TrafficRecorder(self._pcap_writer)
         self.recorder.register_mac(scanner_ip, "02:00:5e:00:00:01")
         self.devices: list[SimDevice] = []
         self._selector: selectors.BaseSelector | None = None
@@ -487,8 +485,8 @@ class StationHandle:
         self.recorder.arp_exchange(self.scanner_ip, ip, answered=True)
         return device.config.mac
 
-    def unmapped_syn(self, ip: str, port: int, client_port: int = 0) -> str:
-        flow = self.recorder.tcp_flow((self.scanner_ip, client_port or 65000), (ip, port))
+    def unmapped_syn(self, ip: str, port: int) -> str:
+        flow = self.recorder.tcp_flow((self.scanner_ip, 65000), (ip, port))
         device = self._by_ip.get(ip)
         if device is None:
             flow.unanswered()

@@ -118,7 +118,7 @@ def test_missing_config_is_operational_error(capsys):
     [
         ("[scan]\ntargets = 192.168.90.13\nports = 502, 5o2\n", "[scan] ports: "),
         ("[scan]\ntargets = 192.168.90.13\nrate_limit_pps = fast\n", "[scan] rate_limit_pps: "),
-        ("[scan]\ntargets = 192.168.90.13\nsafe_mode = maybe\n", "[scan] safe_mode: "),
+        ("[scan]\ntargets = 192.168.90.13\nsafe_mode = maybe\n", "[scan] safe_mode is not a key"),  # flags only
         ("[scan]\ntargets = 192.168.90.13\nvuln_db = 100%.json\n", "[scan] vuln_db: "),  # no key to interpolate
         ("[scan]\ntargets = 192.168.90.13\n[network]\nmap_file = station_map.json\n", "[network] map_file "),
         ("targets = 192.168.90.13\n", "no section headers"),
@@ -132,6 +132,20 @@ def test_bad_scan_config_value_is_operational_error(tmp_path, capsys, text, name
     assert code == 1
     out, err = capsys.readouterr()
     assert out == "" and err.startswith(f"error[ConfigError]: {path}: ") and named in err
+
+
+def test_a_scan_config_cannot_leave_safe_mode(sim, tmp_path, capsys):
+    # only --unsafe with its acknowledgement leaves safe mode: a file asking for a fast sweep is refused, unsent
+    path = tmp_path / "unsafe.conf"
+    path.write_text(
+        "[scan]\ntargets = 192.168.90.13\nsafe_mode = off\nunit_id_sweep = true\nrate_limit_pps = 400\n"
+        f"[network]\nmode = sim\nmap_file = {sim['map']}\n"
+    )
+    assert main(["scan", "--config", str(path), "--out", str(tmp_path / "inventory.json")]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error[ConfigError]: ") and "[scan] safe_mode" in err
+    assert [device.get_counters().packets_received for device in sim["station"].devices] == [0] * 5
+    assert not (tmp_path / "inventory.json").exists()
 
 
 @pytest.mark.parametrize("entry", [[1], "x", None])

@@ -11,13 +11,14 @@ import socket
 import threading
 import time
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
 from icsrecon.codecs import PROTOCOLS, enip, modbus, s7
 from icsrecon.config import _FIXTURE_TABLES, _SCAN_TABLES, default_fixtures_path, load_fixtures, load_scan_config
 from icsrecon.errors import ConfigError, IcsReconError, PrivilegeRequired
-from icsrecon.model import Asset, PortSpec, compute_depth
+from icsrecon.model import Asset, DeploymentInfo, PortSpec, StaticDeviceInfo, compute_depth
 from icsrecon.netbase import ConnectResult, RealNetwork
 from icsrecon.scanner import DEFAULT_PORTS, PROTOCOL_PORTS, ScanConfig, Scanner, expand_targets
 from icsrecon.simulator import REPLIES, SimDeviceConfig, SimNetwork, StationHandle
@@ -138,8 +139,7 @@ ROWS = {
     ("scan", "ports"): ({"ports": "502 20000"}, "ports", frozenset({502, 20000})),
     ("scan", "methods"): ({"methods": "arp tcp_connect"}, "methods", frozenset({"arp", "tcp_connect"})),
     ("scan", "rate_limit_pps"): ({"rate_limit_pps": "7"}, "rate_limit_pps", 7),
-    ("scan", "safe_mode"): ({"safe_mode": "off"}, "safe_mode", False),
-    ("scan", "unit_id_sweep"): ({"unit_id_sweep": "yes", "safe_mode": "no"}, "unit_id_sweep", True),
+    ("scan", "unit_id_sweep"): ({"unit_id_sweep": "yes"}, "unit_id_sweep", True),
     ("scan", "timeout_ms"): ({"timeout_ms": "250"}, "timeout_ms", 250),
     ("scan", "vuln_db"): ({"vuln_db": "cves.json"}, "vuln_db_path", "cves.json"),
     ("scan", "vuln_aliases"): ({"vuln_aliases": "aliases.json"}, "vuln_alias_path", "aliases.json"),
@@ -169,7 +169,7 @@ def ini(sections: dict[str, dict[str, str]]) -> str:
 
 def loaded_field(path, section: str, field: str):
     if section in _SCAN_TABLES:
-        record = load_scan_config(path)[section == "network"]
+        record = load_scan_config(path, {"safe_mode": False})[section == "network"]  # as --unsafe, so a sweep loads
     else:
         station = load_fixtures(path)
         record = station if section == "station" else station.devices[0]
@@ -662,6 +662,76 @@ def test_unit_sweep_stops_at_its_first_timeout():
         device.setblocking(False)
         assert device.recv(4096) == modbus.build_report_slave_id_request(1)
     assert scanner.limiter.granted == 1
+
+
+def test_unit_sweep_stops_when_the_scan_is_cancelled():
+    # the peer answers units 1-3 and cancels the scan as it answers unit 3: no request for unit 4 goes out
+    stop = threading.Event()
+    config = quick_config(targets=("192.168.90.13",), safe_mode=False, unit_id_sweep=True)
+    scanner = Scanner(config, network=RealNetwork(), stop_event=stop)
+    client, device = socket.socketpair()
+    requests = []
+
+    def serve():
+        with contextlib.suppress(OSError):
+            while request := device.recv(4096):
+                requests.append(request)
+                if request[6] == 3:
+                    stop.set()
+                device.sendall(modbus.build_report_slave_id_response(1, request[6], slave_id=request[6]))
+
+    peer = threading.Thread(target=serve)
+    peer.start()
+    with device:
+        with client:
+            assert scanner._sweep_units(client) == [1, 2, 3]
+        peer.join(timeout=5)
+    assert not peer.is_alive()
+    assert requests == [modbus.build_report_slave_id_request(unit) for unit in (1, 2, 3)]
+    assert scanner.limiter.granted == 3
+
+
+def drive(enumeration, answer) -> tuple[list[bytes], list[bytes]]:
+    """Each request a codec's ``enumeration`` yields, sent back ``answer(request)`` in memory: requests, replies."""
+    requests, replies = [], []
+    with contextlib.suppress(StopIteration):
+        requests.append(next(enumeration))
+        while True:
+            replies.append(answer(requests[-1]))
+            requests.append(enumeration.send(replies[-1]))
+    return requests, replies
+
+
+def test_each_codec_enumeration_in_memory_reads_what_the_socket_scan_merges(station):
+    report = Scanner(quick_config(), network=SimNetwork(station)).run()
+    merged = {asset.ip: (asset.static_info, asset.deployment_info) for asset in report.inventory}
+    spent = {}
+    for config in load_fixtures(default_fixtures_path()).devices:
+        codec, reply_to = PROTOCOLS[config.protocol], REPLIES[config.protocol]
+        connection = SimpleNamespace(device=SimpleNamespace(config=config), connected=False, disconnect=False)
+        first = reply_to(connection, codec.opening_requests(1)[0])
+        codec.confirm(first)
+        requests, replies = drive(codec.enumeration(1, first), lambda request: reply_to(connection, request))
+        static, deployment = codec.identity_fields([first, *replies])
+        assert (StaticDeviceInfo.from_fields(static), DeploymentInfo.from_dict(deployment)) == merged[config.ip]
+        spent[config.ip] = len(requests)
+    assert spent == dict(zip(FIXTURE_IPS, (3, 3, 3, 1, 0)))  # the scan's 10 enumeration tokens
+
+
+# a reply to every request that always asks for more: a Modbus reply saying more objects follow, an S7 COTP data TPDU
+ASKING_FOR_MORE = {
+    "modbus": modbus.build_device_id_response(1, 1, {0x00: "Vendor"}, more_follows=True, next_object_id=1),
+    "s7comm": s7.build_setup_ack(1),
+    "enip": enip.encode_header(enip.CMD_LIST_IDENTITY, b""),
+}
+
+
+@pytest.mark.parametrize("name, most", [("modbus", 4), ("s7comm", 3), ("enip", 0)])
+def test_each_codec_enumeration_sends_at_most_its_bound(name, most):
+    codec, reply = PROTOCOLS[name], ASKING_FOR_MORE[name]
+    requests, _replies = drive(codec.enumeration(1, reply), lambda request: reply)
+    assert len(requests) == most
+    assert most == {"modbus": modbus.MAX_CONTINUATIONS + 1, "s7comm": 1 + len(s7.SZL_LISTS), "enip": 0}[name]
 
 
 def test_exchange_sends_each_request_once():
