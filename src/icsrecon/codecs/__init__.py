@@ -29,8 +29,10 @@ probe ``opening_requests(unit)``, tried in order until ``confirm(reply)``
 returns (it raises ``ConnectionRefusedByTsap`` to move on to the next),
 its ``enumeration(unit, first)``, a generator of the requests that follow
 the probe's confirmed reply ``first``, sent each reply in turn and
-bounded by the codec alone, and ``EXCHANGES`` (the simulator's feature
-flags, answered by ``simulator.REPLIES``).
+bounded by the codec alone, and a simulated device's side: its reply
+(or None) and whether it hangs up, ``respond(device, session, request)``
+from its config and a per-connection dict only the codec reads, and
+``SERVES``, each feature flag's identity part, with ``EXCHANGES`` its keys.
 """
 
 import functools

@@ -27,7 +27,7 @@ NAME = "enip"
 PORT = 44818
 ENCAP_HEADER = struct.Struct("<HHII8sI")
 HEADER_SIZE = ENCAP_HEADER.size
-EXCHANGES = frozenset({"list_identity"})
+LIST_IDENTITY_FLAG = "list_identity"  # the simulator's feature flag
 
 CMD_NOP = 0x0000
 CMD_LIST_SERVICES = 0x0004
@@ -153,6 +153,36 @@ def encode_identity_item(identity: CipIdentity, ip: str = "0.0.0.0", port: int =
 
 def build_list_identity_response(identity: CipIdentity, ip: str = "0.0.0.0", port: int = PORT) -> bytes:
     return encode_header(CMD_LIST_IDENTITY, encode_identity_item(identity, ip, port))
+
+
+def _list_identity_reply(device) -> bytes:
+    identity = device.identity
+    revision = identity.get("firmware_version", "1.0").split(".")
+    major = int(revision[0]) if revision[0].isdigit() else 1
+    minor = int(revision[1]) if len(revision) > 1 and revision[1].isdigit() else 0
+    cip = CipIdentity(
+        vendor_id=int(identity.get("vendor_id", "1")),
+        device_type=int(identity.get("device_type", "14")),
+        product_code=int(identity.get("product_code_number", "0") or 0),
+        revision=(major, minor),
+        status=int(identity.get("status", "0x0060"), 0),
+        serial=int(identity.get("serial_number", "0"), 0),
+        product_name=identity.get("product_name", device.name),
+        state=3,
+    )
+    return build_list_identity_response(cip, ip=device.ip, port=device.listen_port)
+
+
+SERVES = {LIST_IDENTITY_FLAG: _list_identity_reply}
+EXCHANGES = frozenset(SERVES)
+
+
+def respond(device, session: dict, request: bytes) -> tuple[bytes | None, bool]:
+    """A device's reply, never hanging up: ListIdentity under its flag, any other command status 0x0001."""
+    message, _payload = decode_header(request)
+    if message.command == CMD_LIST_IDENTITY and LIST_IDENTITY_FLAG in device.feature_flags:
+        return _list_identity_reply(device), False
+    return encode_header(message.command, b"", status=0x0001), False
 
 
 def parse_list_identity(data: bytes) -> CipIdentity:

@@ -33,7 +33,7 @@ PORT = 502
 MBAP = struct.Struct(">HHHB")
 READ_HOLDING = struct.Struct(">HH")  # FC 0x03 request: first register, register count
 HEADER_SIZE = MBAP.size
-EXCHANGES = frozenset({"device_id_fc2b", "report_slave_id_fc11"})
+DEVICE_ID_FLAG, SLAVE_ID_FLAG = "device_id_fc2b", "report_slave_id_fc11"  # the simulator's feature flags
 
 FC_READ_HOLDING = 0x03
 FC_REPORT_SLAVE_ID = 0x11
@@ -193,6 +193,8 @@ def build_device_id_response(
     more_follows: bool = False,
     next_object_id: int = 0,
 ) -> bytes:
+    if not objects:
+        raise ValueError("an empty object list, which parse_device_id_response refuses")
     body = bytearray([MEI_DEVICE_ID, read_code, conformity, 0xFF if more_follows else 0x00, next_object_id, len(objects)])
     for object_id in sorted(objects):
         text = objects[object_id]
@@ -280,6 +282,44 @@ def build_read_holding_request(unit: int, start: int, count: int, transaction_id
 def build_read_holding_response(transaction_id: int, unit: int, registers: list[int]) -> bytes:
     body = bytes([2 * len(registers)]) + b"".join(struct.pack(">H", r) for r in registers)
     return frame(transaction_id, unit, FC_READ_HOLDING, body)
+
+
+def _device_id_reply(device, tx: int = 0, unit: int = 0) -> bytes:
+    identity = device.identity
+    objects = {
+        OBJ_VENDOR_NAME: identity.get("manufacturer", ""),
+        OBJ_PRODUCT_CODE: identity.get("product_code", ""),
+        OBJ_REVISION: identity.get("firmware_version", ""),
+    }
+    return build_device_id_response(tx, unit, {k: v for k, v in objects.items() if v})
+
+
+def _slave_id_reply(device, tx: int = 0, unit: int = 0) -> bytes:
+    slave_id = int(device.identity.get("slave_id", device.unit_id))
+    extra = device.identity.get("product_code", "").encode("ascii")  # UnicodeEncodeError, a ValueError, at load
+    return build_report_slave_id_response(tx, unit, slave_id, running=True, additional=extra)
+
+
+SERVES = {DEVICE_ID_FLAG: _device_id_reply, SLAVE_ID_FLAG: _slave_id_reply}
+EXCHANGES = frozenset(SERVES)
+
+
+def respond(device, session: dict, request: bytes) -> tuple[bytes | None, bool]:
+    """A device's reply, never hanging up: FC 0x2B and FC 0x11 under their flags, reads, else an exception."""
+    header, pdu = decode_modbus(request)
+    tx, unit = header.transaction_id, header.unit_id
+    if unit not in (device.unit_id, 0x00, 0xFF):
+        return exception_frame(tx, unit, pdu.function, 0x0B), False  # gateway-style: the unit is not present
+    device_id = pdu.function == FC_ENCAPSULATED and pdu.payload[:1] == bytes([MEI_DEVICE_ID])
+    if device_id and DEVICE_ID_FLAG in device.feature_flags:
+        return _device_id_reply(device, tx, unit), False
+    if pdu.function == FC_REPORT_SLAVE_ID and SLAVE_ID_FLAG in device.feature_flags:
+        return _slave_id_reply(device, tx, unit), False
+    if pdu.function == FC_READ_HOLDING and len(pdu.payload) == READ_HOLDING.size:
+        _start, count = READ_HOLDING.unpack(pdu.payload)
+        if 1 <= count <= 125:
+            return build_read_holding_response(tx, unit, [0] * count), False
+    return exception_frame(tx, unit, pdu.function, EXC_ILLEGAL_FUNCTION), False
 
 
 def identity_key(wire: bytes) -> bytes | None:

@@ -103,7 +103,6 @@ SZL_LISTS = {
     szl_id: SzlList(struct.Struct(f">H{width}s{words}H"), width, words, flag)
     for szl_id, width, words, flag in ((SZL_MODULE_ID, 20, 3, "szl_0011"), (SZL_COMPONENT_ID, 32, 0, "szl_001c"))
 }
-EXCHANGES = frozenset(szl.flag for szl in SZL_LISTS.values())
 
 
 class CotpConnectionRequest(NamedTuple):
@@ -478,12 +477,47 @@ def module_id_entries(identity: dict[str, str]) -> tuple[SzlEntry, ...]:
 
 
 def component_id_entries(identity: dict[str, str]) -> tuple[SzlEntry, ...]:
-    """Identity fields -> list 0x001C entries; raises ValueError for one the list cannot carry."""
+    """Identity fields -> list 0x001C entries; raises ValueError for one the list cannot carry, or for none at all."""
     entries = tuple(
         SzlEntry(index=index, text=identity[key]) for index, key in COMPONENT_KEYS.items() if identity.get(key)
     )
+    if not entries:
+        raise ValueError(f"a list 0x001C reply needs a record, and none of {', '.join(COMPONENT_KEYS.values())} is set")
     _encode_szl_records(SZL_COMPONENT_ID, entries)
     return entries
+
+
+SERVES = {
+    SZL_LISTS[SZL_MODULE_ID].flag: lambda device: module_id_entries(device.identity),
+    SZL_LISTS[SZL_COMPONENT_ID].flag: lambda device: component_id_entries(device.identity),
+}
+EXCHANGES = frozenset(SERVES)
+
+
+def respond(device, session: dict, request: bytes) -> tuple[bytes | None, bool]:
+    """A device's reply (or None) and hang-up: connect (kept in ``session``), setup, lists under their flags."""
+    cotp = decode_envelope(request).cotp
+    if isinstance(cotp, CotpConnectionRequest):
+        if device.accepted_tsaps is not None and cotp.dst_tsap not in device.accepted_tsaps:
+            return build_cotp_disconnect(reason=0x83), True
+        session["connected"] = True
+        return build_cotp_confirm(cotp), False
+    if not session.get("connected") or not isinstance(cotp, CotpData):
+        return None, True
+    message = decode_s7(cotp.payload)
+    if isinstance(message, S7SetupCommunication) and message.is_request:
+        return build_setup_ack(message.pdu_ref), False
+    if isinstance(message, S7SzlRequest):
+        szl = SZL_LISTS.get(message.szl_id)
+        entries, error = (), 0x8104  # refused: a list this device does not serve
+        if szl and szl.flag in device.feature_flags:
+            entries, error = SERVES[szl.flag](device), 0
+        response = S7SzlResponse(
+            szl_id=message.szl_id, szl_index=message.szl_index, entries=entries,
+            pdu_ref=message.pdu_ref, sequence=message.sequence, error_code=error,
+        )
+        return build_szl_response_frame(response), False
+    raise FormatError("unsupported S7 request")
 
 
 def _pack_version(text: str) -> int:

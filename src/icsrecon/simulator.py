@@ -4,8 +4,9 @@ Each simulated device listens on a loopback TCP port, served with the
 control socket by one accept loop and a thread per connection; an
 address-mapping layer presents the set to the scanner as distinct
 logical hosts on one subnet (CI cannot create interface aliases
-portably). All framing goes through the shared codecs, so every reply
-the simulator emits parses cleanly on the scanner side.
+portably). Replies come from each codec's ``respond``, and a device
+whose ``SERVES`` identity its codec cannot read is refused at load, so
+every reply the simulator emits parses cleanly on the scanner side.
 
 Fragility model: a fragile device faults when the observed packet rate
 over a sliding one-second window exceeds its budget, or (optionally)
@@ -31,7 +32,7 @@ import time
 from enum import Enum
 from typing import NamedTuple
 
-from .codecs import PROTOCOLS, enip, modbus, s7
+from .codecs import PROTOCOLS
 from .errors import ConfigError, DecodeError, FormatError, IcsReconError, PortUnavailable
 from .model import _check_ip, _check_mac
 from .netbase import ConnectResult, Network, recv_frame
@@ -40,6 +41,7 @@ from .pcapio import PcapWriter, TrafficRecorder
 logger = logging.getLogger(__name__)
 
 CONNECTION_IDLE_TIMEOUT = 5.0
+CONTROL_TIMEOUT = 5.0  # a control client's connect and each of its calls
 SCANNER_IP = "192.168.90.1"  # the scanner's address on a station whose fixtures name none
 SEGMENT_PREFIX = 24  # the station's link: the /24 around its scanner address; ARP reaches nothing else
 
@@ -91,6 +93,8 @@ class SimDeviceConfig(_SimDeviceConfigFields):
             raise ConfigError(f"{name}: listen_port must be an integer within 1..65535, got {listen_port!r}")
         if not 0 <= unit_id <= 0xFF:
             raise ConfigError(f"{name}: unit_id must be within 0..255, got {unit_id}")
+        if accepted_tsaps is not None and not all(0 <= tsap <= 0xFFFF for tsap in accepted_tsaps):
+            raise ConfigError(f"{name}: accepted_tsaps must each be within 0..0xFFFF, got {accepted_tsaps}")
         try:
             ip, mac = _check_ip(ip), _check_mac(mac)
         except ValueError as exc:
@@ -101,9 +105,9 @@ class SimDeviceConfig(_SimDeviceConfigFields):
                                      max_pps, fault_on_malformed, accepted_tsaps, unit_id))
         for flag in sorted(feature_flags):  # each reply the device serves is built once, before any device starts
             try:
-                IDENTITY_REPLIES[flag](config)
+                PROTOCOLS[protocol].SERVES[flag](config)
             except ValueError as exc:
-                raise ConfigError(f"{name}: identity for {flag} cannot be encoded: {exc}") from exc
+                raise ConfigError(f"{name}: identity for {flag} cannot be served: {exc}") from exc
         return config
 
 
@@ -164,128 +168,13 @@ class SimDevice:
             return Counters(self.packets_received, self.packets_sent, self.malformed_seen)
 
 
-# -- protocol handlers ----------------------------------------------------
-
-
-class _Connection:
-    """One client connection's state, handed with each request to its device's reply function."""
-
-    __slots__ = ("device", "connected", "disconnect")
-
-    def __init__(self, device: SimDevice):
-        self.device = device
-        self.connected = False  # a COTP connection was confirmed
-        self.disconnect = False  # the device hangs up once this reply is sent
-
-
-def _modbus_device_id(config: SimDeviceConfig, tx: int = 0, unit: int = 0) -> bytes:
-    identity = config.identity
-    objects = {
-        modbus.OBJ_VENDOR_NAME: identity.get("manufacturer", ""),
-        modbus.OBJ_PRODUCT_CODE: identity.get("product_code", ""),
-        modbus.OBJ_REVISION: identity.get("firmware_version", ""),
-    }
-    return modbus.build_device_id_response(tx, unit, {k: v for k, v in objects.items() if v})
-
-
-def _modbus_slave_id(config: SimDeviceConfig, tx: int = 0, unit: int = 0) -> bytes:
-    slave_id = int(config.identity.get("slave_id", config.unit_id))
-    extra = config.identity.get("product_code", "").encode("ascii")  # UnicodeEncodeError, a ValueError, at load
-    return modbus.build_report_slave_id_response(tx, unit, slave_id, running=True, additional=extra)
-
-
-def _modbus_reply(connection: _Connection, request: bytes) -> bytes | None:
-    """Answers FC 0x2B, FC 0x11 and register reads; an exception for anything else, or for a flag not set."""
-    header, pdu = modbus.decode_modbus(request)
-    config = connection.device.config
-    tx, unit = header.transaction_id, header.unit_id
-    if unit not in (config.unit_id, 0x00, 0xFF):
-        return modbus.exception_frame(tx, unit, pdu.function, 0x0B)  # gateway-style: the unit is not present
-    device_id = pdu.function == modbus.FC_ENCAPSULATED and pdu.payload[:1] == bytes([modbus.MEI_DEVICE_ID])
-    if device_id and "device_id_fc2b" in config.feature_flags:
-        return _modbus_device_id(config, tx, unit)
-    if pdu.function == modbus.FC_REPORT_SLAVE_ID and "report_slave_id_fc11" in config.feature_flags:
-        return _modbus_slave_id(config, tx, unit)
-    if pdu.function == modbus.FC_READ_HOLDING and len(pdu.payload) == modbus.READ_HOLDING.size:
-        _start, count = modbus.READ_HOLDING.unpack(pdu.payload)
-        if 1 <= count <= 125:
-            return modbus.build_read_holding_response(tx, unit, [0] * count)
-    return modbus.exception_frame(tx, unit, pdu.function, modbus.EXC_ILLEGAL_FUNCTION)
-
-
-def _s7_reply(connection: _Connection, request: bytes) -> bytes | None:
-    """COTP connect, then S7 setup, then status-list reads; a list whose flag is not set is refused."""
-    cotp = s7.decode_envelope(request).cotp
-    config = connection.device.config
-    if isinstance(cotp, s7.CotpConnectionRequest):
-        if config.accepted_tsaps is not None and cotp.dst_tsap not in config.accepted_tsaps:
-            connection.disconnect = True
-            return s7.build_cotp_disconnect(reason=0x83)
-        connection.connected = True
-        return s7.build_cotp_confirm(cotp)
-    if not connection.connected or not isinstance(cotp, s7.CotpData):
-        connection.disconnect = True
-        return None
-    message = s7.decode_s7(cotp.payload)
-    if isinstance(message, s7.S7SetupCommunication) and message.is_request:
-        return s7.build_setup_ack(message.pdu_ref)
-    if isinstance(message, s7.S7SzlRequest):
-        szl = s7.SZL_LISTS.get(message.szl_id)
-        entries, error = (), 0x8104  # refused: a list this device does not serve
-        if szl and szl.flag in config.feature_flags:
-            entries, error = IDENTITY_REPLIES[szl.flag](config), 0
-        response = s7.S7SzlResponse(
-            szl_id=message.szl_id, szl_index=message.szl_index, entries=entries,
-            pdu_ref=message.pdu_ref, sequence=message.sequence, error_code=error,
-        )
-        return s7.build_szl_response_frame(response)
-    raise FormatError("unsupported S7 request")
-
-
-def _enip_list_identity(config: SimDeviceConfig) -> bytes:
-    identity = config.identity
-    revision = identity.get("firmware_version", "1.0").split(".")
-    major = int(revision[0]) if revision[0].isdigit() else 1
-    minor = int(revision[1]) if len(revision) > 1 and revision[1].isdigit() else 0
-    cip = enip.CipIdentity(
-        vendor_id=int(identity.get("vendor_id", "1")),
-        device_type=int(identity.get("device_type", "14")),
-        product_code=int(identity.get("product_code_number", "0") or 0),
-        revision=(major, minor),
-        status=int(identity.get("status", "0x0060"), 0),
-        serial=int(identity.get("serial_number", "0"), 0),
-        product_name=identity.get("product_name", config.name),
-        state=3,
-    )
-    return enip.build_list_identity_response(cip, ip=config.ip, port=config.listen_port)
-
-
-def _enip_reply(connection: _Connection, request: bytes) -> bytes | None:
-    message, _payload = enip.decode_header(request)
-    config = connection.device.config
-    if message.command == enip.CMD_LIST_IDENTITY and "list_identity" in config.feature_flags:
-        return _enip_list_identity(config)
-    return enip.encode_header(message.command, b"", status=0x0001)
-
-
-# identity flag -> its reply's identity part, built from the config alone (a whole Modbus or EtherNet/IP reply, or S7
-# list entries); SimDeviceConfig builds each one a device serves once, so an identity it cannot encode fails at load
-IDENTITY_REPLIES = {
-    "device_id_fc2b": _modbus_device_id, "report_slave_id_fc11": _modbus_slave_id, "list_identity": _enip_list_identity,
-    "szl_0011": lambda config: s7.module_id_entries(config.identity),
-    "szl_001c": lambda config: s7.component_id_entries(config.identity),
-}
-REPLIES = {modbus.NAME: _modbus_reply, s7.NAME: _s7_reply, enip.NAME: _enip_reply}  # codec NAME -> reply function
-
-
 def _serve_device(device: SimDevice, sock: socket.socket, address: tuple[str, int]) -> None:
     """One connection to a device: frames in, replies out, until the client goes, idles or sends junk."""
     station = device.station
     device.note_received()  # the connection attempt itself
     flow = station.recorder.tcp_flow((station.scanner_ip, address[1]), (device.config.ip, device.config.listen_port))
     flow.handshake()
-    codec = PROTOCOLS[device.config.protocol]
-    reply_to, connection = REPLIES[device.config.protocol], _Connection(device)
+    codec, session = PROTOCOLS[device.config.protocol], {}  # the session is the codec's own, one per connection
     reset = False
     try:
         while True:
@@ -304,7 +193,7 @@ def _serve_device(device: SimDevice, sock: socket.socket, address: tuple[str, in
             if state is SimState.FAULT:
                 continue  # accepts traffic, never replies
             try:
-                reply = reply_to(connection, request)
+                reply, hang_up = codec.respond(device.config, session, request)
             except (DecodeError, FormatError):
                 device.note_malformed()
                 reset = True
@@ -313,7 +202,7 @@ def _serve_device(device: SimDevice, sock: socket.socket, address: tuple[str, in
                 sock.sendall(reply)
                 device.note_sent()
                 flow.server_payload(reply)
-            if connection.disconnect:
+            if hang_up:
                 return
     finally:
         flow.close(reset=reset)
@@ -604,8 +493,8 @@ class ControlledStation:
 class ControlClient:
     """JSON-lines client for a ControlledStation."""
 
-    def __init__(self, port: int, host: str = "127.0.0.1", timeout: float = 5.0):
-        self._sock = socket.create_connection((host, port), timeout=timeout)
+    def __init__(self, port: int):
+        self._sock = socket.create_connection(("127.0.0.1", port), timeout=CONTROL_TIMEOUT)
         self._fh = self._sock.makefile("rwb")
         self._lock = threading.Lock()
 
@@ -632,7 +521,7 @@ class ControlClient:
 class RemoteStation:
     """SimNetwork's station for a simulator in another process: map file plus control socket."""
 
-    def __init__(self, map_document: dict, timeout: float = 5.0):
+    def __init__(self, map_document: dict):
         try:
             self.scanner_ip = _check_ip(map_document["scanner_ip"])
             self._hosts = map_document["hosts"]
@@ -647,7 +536,7 @@ class RemoteStation:
             ports = host.get("ports") if isinstance(host, dict) else None
             if not isinstance(ports, dict) or not all(isinstance(port, int) for port in ports.values()):
                 raise FormatError(f"station map host {ip} must be an object holding a ports object of port -> port")
-        self._client = ControlClient(control_port, timeout=timeout)
+        self._client = ControlClient(control_port)
 
     def lookup(self, ip: str, port: int) -> int | None:
         host = self._hosts.get(ip)

@@ -485,10 +485,17 @@ def test_bad_fixture_value_names_the_file_section_and_key(tmp_path, capsys, line
         ("modbus", "features = report_slave_id_fc11\nidentity.product_code = Pompé"),
         ("s7comm", "features = szl_001c\nidentity.system_name = Sté"),
         ("enip", "features = list_identity\nidentity.product_name = Réacteur"),
+        # replies the device's own codec refuses: FC 0x2B with no object, a list 0x001C reply with no record
+        ("modbus", "features = device_id_fc2b\nidentity.slave_id = 5"),
+        ("s7comm", "features = szl_001c\nidentity.module_order_number = 6ES7 151-8AB01-0AB0"),
+        # a CR's called TSAP is 16 bits
+        ("s7comm", "accepted_tsaps = 0x0102 0x10102"),
+        ("s7comm", "accepted_tsaps = -1"),
     ],
     ids=["unit_id", "slave_id", "enip_number", "long_text", "long_reply", "s7_version", "s7_hardware_300",
          "s7_firmware_300", "s7_patch_70000", "s7_order_number_21", "s7_component_text_33", "modbus_object_not_ascii",
-         "modbus_slave_id_extra_not_ascii", "s7_component_text_not_ascii", "enip_product_name_not_ascii"],
+         "modbus_slave_id_extra_not_ascii", "s7_component_text_not_ascii", "enip_product_name_not_ascii",
+         "modbus_no_object", "s7_component_no_record", "s7_tsap_over_16_bits", "s7_tsap_negative"],
 )
 def test_simulate_refuses_a_device_whose_identity_replies_cannot_be_built(tmp_path, capsys, protocol, lines):
     fixtures = tmp_path / "station.conf"

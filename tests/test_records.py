@@ -58,7 +58,7 @@ def _package_classes() -> dict[str, type]:
 
 def test_no_class_is_a_dataclass():
     classes = _package_classes()
-    assert {"scanner.Scanner", "passive.PcapFile", "simulator.RemoteStation", "simulator._Connection"} <= classes.keys()
+    assert {"scanner.Scanner", "passive.PcapFile", "simulator.RemoteStation", "passive._Flow"} <= classes.keys()
     assert [name for name, cls in classes.items() if dataclasses.is_dataclass(cls)] == []
 
 

@@ -11,7 +11,6 @@ import socket
 import threading
 import time
 from collections import Counter
-from types import SimpleNamespace
 
 import pytest
 
@@ -21,7 +20,7 @@ from icsrecon.errors import ConfigError, IcsReconError, PrivilegeRequired
 from icsrecon.model import Asset, DeploymentInfo, PortSpec, StaticDeviceInfo, compute_depth
 from icsrecon.netbase import ConnectResult, RealNetwork
 from icsrecon.scanner import DEFAULT_PORTS, PROTOCOL_PORTS, ScanConfig, Scanner, expand_targets
-from icsrecon.simulator import REPLIES, SimDeviceConfig, SimNetwork, StationHandle
+from icsrecon.simulator import SimDeviceConfig, SimNetwork, StationHandle
 from icsrecon.taxonomy import classify_run
 
 FIXTURE_IPS = ("192.168.90.10", "192.168.90.11", "192.168.90.12", "192.168.90.13", "192.168.90.14")
@@ -216,12 +215,11 @@ def test_protocol_table_and_the_ports_derived_from_it():
     assert [codec.PORT for codec in PROTOCOLS.values()] == [502, 102, 44818]
     assert DEFAULT_PORTS == frozenset({102, 502, 44818})
     assert PROTOCOL_PORTS == {102: "s7comm", 502: "modbus", 44818: "enip"}
-    # every codec states the shared interface, and the simulator answers each one
-    functions = ("frame_size", "identity_fields", "identity_key", "claims", "opening_requests", "confirm")
+    # every codec states the shared interface, the simulated device's side too
+    functions = ("frame_size", "identity_fields", "identity_key", "claims", "opening_requests", "confirm", "respond")
     for codec in PROTOCOLS.values():
         assert isinstance(codec.HEADER_SIZE, int) and codec.EXCHANGES and isinstance(codec.EXCHANGES, frozenset)
         assert all(callable(getattr(codec, name, None)) for name in functions), codec.NAME
-    assert list(REPLIES) == list(PROTOCOLS)
 
 
 # -- phase 1 -----------------------------------------------------------------
@@ -707,11 +705,10 @@ def test_each_codec_enumeration_in_memory_reads_what_the_socket_scan_merges(stat
     merged = {asset.ip: (asset.static_info, asset.deployment_info) for asset in report.inventory}
     spent = {}
     for config in load_fixtures(default_fixtures_path()).devices:
-        codec, reply_to = PROTOCOLS[config.protocol], REPLIES[config.protocol]
-        connection = SimpleNamespace(device=SimpleNamespace(config=config), connected=False, disconnect=False)
-        first = reply_to(connection, codec.opening_requests(1)[0])
+        codec, session = PROTOCOLS[config.protocol], {}
+        first, _hang_up = codec.respond(config, session, codec.opening_requests(1)[0])
         codec.confirm(first)
-        requests, replies = drive(codec.enumeration(1, first), lambda request: reply_to(connection, request))
+        requests, replies = drive(codec.enumeration(1, first), lambda request: codec.respond(config, session, request)[0])
         static, deployment = codec.identity_fields([first, *replies])
         assert (StaticDeviceInfo.from_fields(static), DeploymentInfo.from_dict(deployment)) == merged[config.ip]
         spent[config.ip] = len(requests)

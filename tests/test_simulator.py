@@ -20,7 +20,6 @@ from icsrecon.netbase import recv_frame
 from icsrecon.passive import PcapFile, read_capture
 from icsrecon.pcapio import TCP_FIN, parse_ethernet, parse_ipv4, parse_tcp
 from icsrecon.simulator import (
-    REPLIES,
     ControlClient,
     ControlledStation,
     Counters,
@@ -30,7 +29,6 @@ from icsrecon.simulator import (
     SimNetwork,
     SimState,
     StationHandle,
-    _Connection,
 )
 
 
@@ -388,15 +386,195 @@ def test_a_device_answers_any_frame_cut_from_mutated_requests_or_refuses_it_as_m
     for at, data in writes:
         at %= len(stream)
         stream = stream[:at] + data + stream[at + len(data):]
-    connection = _Connection(SimDevice(config, StationHandle([])))
+    session: dict = {}
     for frame in cut_frames(stream, codec.HEADER_SIZE, codec.frame_size)[0]:
         try:
-            reply = REPLIES[config.protocol](connection, frame)
+            reply, hang_up = codec.respond(config, session, frame)
         except (DecodeError, FormatError):
             return  # the device counts a malformed packet and hangs up
         assert reply is None or isinstance(reply, bytes)
-        if connection.disconnect:
+        if hang_up:
             return
+
+
+# -- the simulator's reply functions as they stood before each codec's respond held them, kept as the reference --
+
+
+class ReferenceConnection:
+    """One client connection's state, handed with each request to the reference reply function."""
+
+    def __init__(self, config: SimDeviceConfig):
+        self.config = config
+        self.connected = False  # a COTP connection was confirmed
+        self.disconnect = False  # the device hangs up once this reply is sent
+
+
+def reference_modbus_device_id(config, tx=0, unit=0):
+    identity = config.identity
+    objects = {
+        modbus.OBJ_VENDOR_NAME: identity.get("manufacturer", ""),
+        modbus.OBJ_PRODUCT_CODE: identity.get("product_code", ""),
+        modbus.OBJ_REVISION: identity.get("firmware_version", ""),
+    }
+    return modbus.build_device_id_response(tx, unit, {k: v for k, v in objects.items() if v})
+
+
+def reference_modbus_slave_id(config, tx=0, unit=0):
+    slave_id = int(config.identity.get("slave_id", config.unit_id))
+    extra = config.identity.get("product_code", "").encode("ascii")
+    return modbus.build_report_slave_id_response(tx, unit, slave_id, running=True, additional=extra)
+
+
+def reference_modbus_reply(connection, request):
+    header, pdu = modbus.decode_modbus(request)
+    config = connection.config
+    tx, unit = header.transaction_id, header.unit_id
+    if unit not in (config.unit_id, 0x00, 0xFF):
+        return modbus.exception_frame(tx, unit, pdu.function, 0x0B)
+    device_id = pdu.function == modbus.FC_ENCAPSULATED and pdu.payload[:1] == bytes([modbus.MEI_DEVICE_ID])
+    if device_id and "device_id_fc2b" in config.feature_flags:
+        return reference_modbus_device_id(config, tx, unit)
+    if pdu.function == modbus.FC_REPORT_SLAVE_ID and "report_slave_id_fc11" in config.feature_flags:
+        return reference_modbus_slave_id(config, tx, unit)
+    if pdu.function == modbus.FC_READ_HOLDING and len(pdu.payload) == modbus.READ_HOLDING.size:
+        _start, count = modbus.READ_HOLDING.unpack(pdu.payload)
+        if 1 <= count <= 125:
+            return modbus.build_read_holding_response(tx, unit, [0] * count)
+    return modbus.exception_frame(tx, unit, pdu.function, modbus.EXC_ILLEGAL_FUNCTION)
+
+
+def reference_s7_reply(connection, request):
+    cotp = s7.decode_envelope(request).cotp
+    config = connection.config
+    if isinstance(cotp, s7.CotpConnectionRequest):
+        if config.accepted_tsaps is not None and cotp.dst_tsap not in config.accepted_tsaps:
+            connection.disconnect = True
+            return s7.build_cotp_disconnect(reason=0x83)
+        connection.connected = True
+        return s7.build_cotp_confirm(cotp)
+    if not connection.connected or not isinstance(cotp, s7.CotpData):
+        connection.disconnect = True
+        return None
+    message = s7.decode_s7(cotp.payload)
+    if isinstance(message, s7.S7SetupCommunication) and message.is_request:
+        return s7.build_setup_ack(message.pdu_ref)
+    if isinstance(message, s7.S7SzlRequest):
+        szl = s7.SZL_LISTS.get(message.szl_id)
+        entries, error = (), 0x8104
+        if szl and szl.flag in config.feature_flags:
+            entries, error = REFERENCE_IDENTITY_REPLIES[szl.flag](config), 0
+        response = s7.S7SzlResponse(
+            szl_id=message.szl_id, szl_index=message.szl_index, entries=entries,
+            pdu_ref=message.pdu_ref, sequence=message.sequence, error_code=error,
+        )
+        return s7.build_szl_response_frame(response)
+    raise FormatError("unsupported S7 request")
+
+
+def reference_enip_list_identity(config):
+    identity = config.identity
+    revision = identity.get("firmware_version", "1.0").split(".")
+    major = int(revision[0]) if revision[0].isdigit() else 1
+    minor = int(revision[1]) if len(revision) > 1 and revision[1].isdigit() else 0
+    cip = enip.CipIdentity(
+        vendor_id=int(identity.get("vendor_id", "1")),
+        device_type=int(identity.get("device_type", "14")),
+        product_code=int(identity.get("product_code_number", "0") or 0),
+        revision=(major, minor),
+        status=int(identity.get("status", "0x0060"), 0),
+        serial=int(identity.get("serial_number", "0"), 0),
+        product_name=identity.get("product_name", config.name),
+        state=3,
+    )
+    return enip.build_list_identity_response(cip, ip=config.ip, port=config.listen_port)
+
+
+def reference_enip_reply(connection, request):
+    message, _payload = enip.decode_header(request)
+    config = connection.config
+    if message.command == enip.CMD_LIST_IDENTITY and "list_identity" in config.feature_flags:
+        return reference_enip_list_identity(config)
+    return enip.encode_header(message.command, b"", status=0x0001)
+
+
+REFERENCE_IDENTITY_REPLIES = {
+    "device_id_fc2b": reference_modbus_device_id, "report_slave_id_fc11": reference_modbus_slave_id,
+    "list_identity": reference_enip_list_identity,
+    "szl_0011": lambda config: s7.module_id_entries(config.identity),
+    "szl_001c": lambda config: s7.component_id_entries(config.identity),
+}
+
+
+def reference_reply(connection: ReferenceConnection, request: bytes) -> bytes | None:
+    """The reply the simulator sent before each codec's ``respond`` held it; ``connection.disconnect`` says hang up."""
+    reply_to = {modbus.NAME: reference_modbus_reply, s7.NAME: reference_s7_reply, enip.NAME: reference_enip_reply}
+    return reply_to[connection.config.protocol](connection, request)
+
+
+REFERENCE_DEVICES = {
+    **DEFAULT_DEVICES,
+    "s7_locked": SimDeviceConfig(
+        name="s7_locked", protocol="s7comm", ip="192.168.90.20", listen_port=102, accepted_tsaps=(0x0200,),
+        identity={"module_order_number": "6ES7 315-2EH14-0AB0", "hardware_version": "4.1",
+                  "firmware_version": "3.3.12", "system_name": "Line 2", "copyright": "Original Siemens Equipment"},
+        feature_flags=frozenset({"szl_0011", "szl_001c"}),
+    ),
+    "modbus_unit_7": modbus_config(name="modbus_unit_7", unit_id=7),
+    "enip_silent": SimDeviceConfig(name="enip_silent", protocol="enip", ip="192.168.90.21", listen_port=44818),
+}
+# whole requests a stream is cut from before it is mutated: every branch of each device's replies, and some refusals
+REQUEST_POOL = {
+    modbus.NAME: (
+        *(modbus.build_device_id_request(unit) for unit in (0, 1, 7, 0xFF, 3)),
+        modbus.build_device_id_request(1, object_id=2), modbus.build_device_id_request(7, read_code=4),
+        *(modbus.build_report_slave_id_request(unit) for unit in (0, 1, 7, 0xFF, 3)),
+        *(modbus.build_read_holding_request(7, 0, count) for count in (0, 1, 125, 126)),
+        modbus.frame(1, 1, modbus.FC_ENCAPSULATED, b"\x0d\x01\x00"), modbus.frame(1, 7, 0x05, b"\x00\x01\xff\x00"),
+    ),
+    s7.NAME: (
+        *(s7.build_cotp_connect(src, dst) for src, dst in s7.DEFAULT_TSAP_PAIRS), s7.build_cotp_connect(0x0100, 0x0999),
+        s7.build_setup_communication(), s7.build_setup_ack(1), s7.build_cotp_disconnect(),
+        *(s7.build_szl_read(szl_id) for szl_id in (s7.SZL_MODULE_ID, s7.SZL_COMPONENT_ID, 0x0131)),
+        s7.build_szl_read(s7.SZL_MODULE_ID, szl_index=1, pdu_ref=0xFFFF, sequence=0xFF),
+    ),
+    enip.NAME: (
+        enip.build_list_identity(), enip.encode_header(0x0999, b""), enip.encode_header(enip.CMD_LIST_SERVICES, b""),
+        enip.encode_header(enip.CMD_REGISTER_SESSION, b"\x01\x00\x00\x00", session=7),
+    ),
+}
+
+
+def compared_outcomes(config: SimDeviceConfig, stream: bytes) -> list[tuple]:
+    """For each frame cut from ``stream``, (codec.respond's reply and hang-up, or exception class; the reference's),
+    until either side hangs up or raises."""
+    codec, session, connection = PROTOCOLS[config.protocol], {}, ReferenceConnection(config)
+    outcomes = []
+    for frame in cut_frames(stream, codec.HEADER_SIZE, codec.frame_size)[0]:
+        try:
+            new = codec.respond(config, session, frame)
+        except Exception as exc:  # the exception class is compared
+            new = type(exc)
+        try:
+            old = reference_reply(connection, frame), connection.disconnect
+        except Exception as exc:
+            old = type(exc)
+        outcomes.append((new, old))
+        if isinstance(new, type) or isinstance(old, type) or new[1] or old[1]:
+            break
+    return outcomes
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_each_codec_responds_as_the_reference_reply_to_mutated_request_streams(data):
+    config = REFERENCE_DEVICES[data.draw(st.sampled_from(sorted(REFERENCE_DEVICES)), label="device")]
+    stream = b"".join(data.draw(st.lists(st.sampled_from(REQUEST_POOL[config.protocol]), min_size=1, max_size=6)))
+    for at, written in data.draw(st.lists(st.tuples(st.integers(0, 0xFFFF), st.binary(min_size=1, max_size=4)),
+                                          max_size=3)):
+        at %= len(stream)
+        stream = stream[:at] + written + stream[at + len(written):]
+    for new, old in compared_outcomes(config, stream):
+        assert new == old
 
 
 def test_fault_latching_no_replies_until_reset(station):
