@@ -32,7 +32,9 @@ the probe's confirmed reply ``first``, sent each reply in turn and
 bounded by the codec alone, and a simulated device's side: its reply
 (or None) and whether it hangs up, ``respond(device, session, request)``
 from its config and a per-connection dict only the codec reads, and
-``SERVES``, each feature flag's identity part, with ``EXCHANGES`` its keys.
+``SERVES``, each feature flag's identity part, with ``EXCHANGES`` its keys,
+and ``DEVICE_FIELDS``, the device config fields only its ``respond`` reads,
+each with its value where a fixture leaves it out.
 """
 
 import functools

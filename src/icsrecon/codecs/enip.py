@@ -175,6 +175,7 @@ def _list_identity_reply(device) -> bytes:
 
 SERVES = {LIST_IDENTITY_FLAG: _list_identity_reply}
 EXCHANGES = frozenset(SERVES)
+DEVICE_FIELDS = {}
 
 
 def respond(device, session: dict, request: bytes) -> tuple[bytes | None, bool]:

@@ -302,6 +302,7 @@ def _slave_id_reply(device, tx: int = 0, unit: int = 0) -> bytes:
 
 SERVES = {DEVICE_ID_FLAG: _device_id_reply, SLAVE_ID_FLAG: _slave_id_reply}
 EXCHANGES = frozenset(SERVES)
+DEVICE_FIELDS = {"unit_id": 1}
 
 
 def respond(device, session: dict, request: bytes) -> tuple[bytes | None, bool]:

@@ -492,6 +492,7 @@ SERVES = {
     SZL_LISTS[SZL_COMPONENT_ID].flag: lambda device: component_id_entries(device.identity),
 }
 EXCHANGES = frozenset(SERVES)
+DEVICE_FIELDS = {"accepted_tsaps": None}  # None: any called TSAP
 
 
 def respond(device, session: dict, request: bytes) -> tuple[bytes | None, bool]:

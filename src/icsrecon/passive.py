@@ -1,9 +1,9 @@
 """Zero-packet asset extraction from mirrored traffic.
 
-The analyzer never opens a sending socket: everything comes from
-capture records (offline pcap files, or a live interface behind the
-same reader seam). Each frame is dissected once, by offset: one read at
-offset 12 gives the ethertype and the IPv4 version/IHL, total length,
+The analyzer never opens a sending socket: everything comes from pcap
+records, a file's 256 KiB reads or a live interface's frames, which the
+dissect loop walks in place. Each frame is dissected once, by offset:
+one read at offset 12 gives the ethertype and the IPv4 version/IHL, total length,
 flags/fragment word and protocol, so a TCP frame costs that read, one
 TCP header unpack and one lookup of its raw source and destination
 addresses and ports, which finds its flow, its direction and its sender
@@ -48,11 +48,14 @@ from .pcapio import (
     ETHERTYPE_ARP,
     ETHERTYPE_IPV4,
     PROTO_TCP,
+    RECORD_FIELDS,
+    RECORD_HEADER,
     TCP_ACK,
     TCP_FIN,
     TCP_SYN,
     ip_text,
     mac_text,
+    record_tail,
 )
 
 REASSEMBLY_CAP = 64 * 1024
@@ -64,44 +67,33 @@ class PcapFile(NamedTuple):
 
 
 class LiveInterface:
-    """A live interface, read through an AF_PACKET socket by iterating it."""
+    """A live interface, read through an AF_PACKET socket: its chunks are one nanosecond pcap record per frame."""
 
     __slots__ = ("name",)
-    skipped = 0  # the kernel hands over whole frames
+    record_header = struct.Struct("<" + RECORD_FIELDS)
+    divisor = 1e9
 
     def __init__(self, name: str):
         self.name = name
 
-    def __iter__(self) -> Iterator[tuple[float, bytes]]:
+    def chunks(self) -> Iterator[bytes]:
         import socket  # here, so that reading a pcap file never loads it
 
         if os.geteuid() != 0:
             raise PrivilegeRequired("live_capture")
         sock = socket.socket(socket.AF_PACKET, socket.SOCK_RAW, socket.htons(0x0003))
         sock.bind((self.name, 0))
+        pack = self.record_header.pack
         try:
             while True:
                 frame = sock.recv(65536)
-                yield time.time(), frame
+                now = time.time_ns()
+                yield pack(now // 1_000_000_000, now % 1_000_000_000, len(frame), len(frame)) + frame
         finally:
             sock.close()
 
 
 CaptureSource = PcapFile | LiveInterface
-
-
-def read_capture(source: CaptureSource) -> CaptureReader | LiveInterface:
-    """The source's (timestamp, link frame) records.
-
-    The returned reader's ``skipped`` counts the malformed records it
-    dropped without aborting the stream; a wrong magic number raises
-    FormatError up front.
-    """
-    if isinstance(source, PcapFile):
-        return CaptureReader(source.path)
-    if isinstance(source, LiveInterface):
-        return source
-    raise TypeError(f"not a capture source: {source!r}")
 
 
 def _frames(protocol: str | None, data: bytes) -> list[bytes]:
@@ -242,92 +234,113 @@ def _open_direction(table: dict, flows: list[_Flow], key: bytes, seen: list | No
     return entry
 
 
-def _dissect(records: Iterable[tuple[float, bytes]]) -> tuple[dict[bytes, list], list[_Flow], int, int]:
+def _dissect(
+    chunks: Iterable[bytes], record_header: struct.Struct, divisor: float
+) -> tuple[dict[bytes, list], list[_Flow], int, int]:
     """Senders (raw IPv4 -> [raw MAC, last seen]), flows in first-frame order, frames read and frames skipped.
 
-    One pass by offset, under ``pcapio.ipv4_span``'s and ``pcapio.tcp_data_start``'s rules; an IPv4
-    fragment with a nonzero offset is not read as TCP.
+    ``chunks`` of at most ``pcapio.READ_SIZE`` bytes hold pcap records laid out by ``record_header``, with
+    ``divisor`` fraction ticks a second, walked in place. One pass by offset, under ``pcapio.ipv4_span``'s
+    and ``pcapio.tcp_data_start``'s rules; an IPv4 fragment with a nonzero offset is not read as TCP.
     """
     senders: dict[bytes, list] = {}
     # raw source and destination IPv4, source and destination port -> flow, direction, sender entry
     table: dict[bytes, tuple[_Flow, _Direction, list | None]] = {}
     flows: list[_Flow] = []
     frames_read = skipped = 0
-    headers, tcp_fields = _HEADERS.unpack_from, _TCP_FIELDS.unpack_from
-    for when, frame in records:
-        frames_read += 1
-        size = len(frame)
-        if size < ETHERNET_HEADER + 20:  # too short for an IPv4 header, and for an ARP message
-            if size < ETHERNET_HEADER or frame[12:14] == _IPV4_TYPE:
+    headers, tcp_fields, unpack = _HEADERS.unpack_from, _TCP_FIELDS.unpack_from, record_header.unpack_from
+    tail = b""
+    for chunk in chunks:
+        if tail:
+            chunk = tail + chunk
+        at, chunk_size = 0, len(chunk)
+        last = chunk_size - RECORD_HEADER
+        while at <= last:
+            sec, frac, size, _orig = unpack(chunk, at)
+            offset = at + RECORD_HEADER
+            at = offset + size
+            if at > chunk_size:  # the record goes on in the next chunk
+                at = offset - RECORD_HEADER
+                break
+            frame = chunk[offset:at]
+            when = sec + frac / divisor
+            frames_read += 1
+            if size < ETHERNET_HEADER + 20:  # too short for an IPv4 header, and for an ARP message
+                if size < ETHERNET_HEADER or frame[12:14] == _IPV4_TYPE:
+                    skipped += 1
+                continue
+            ethertype, version_ihl, total, fragment, protocol = headers(frame, 12)
+            if ethertype != ETHERTYPE_IPV4:
+                if ethertype == ETHERTYPE_ARP and size >= ETHERNET_HEADER + ARP_LENGTH:
+                    _saw(senders, frame[28:32], frame[22:28], when)  # ARP sender IPv4 and MAC
+                continue
+            ihl = (version_ihl & 0x0F) * 4
+            if not 0x45 <= version_ihl <= 0x4F or size < ETHERNET_HEADER + ihl or total < ihl:  # version 4, IHL >= 5
                 skipped += 1
-            continue
-        ethertype, version_ihl, total, fragment, protocol = headers(frame, 12)
-        if ethertype != ETHERTYPE_IPV4:
-            if ethertype == ETHERTYPE_ARP and size >= ETHERNET_HEADER + ARP_LENGTH:
-                _saw(senders, frame[28:32], frame[22:28], when)  # ARP sender IPv4 and MAC
-            continue
-        ihl = (version_ihl & 0x0F) * 4
-        if not 0x45 <= version_ihl <= 0x4F or size < ETHERNET_HEADER + ihl or total < ihl:  # version 4, IHL >= 5
-            skipped += 1
-            continue
-        if protocol == PROTO_TCP and not fragment & 0x1FFF:  # a later fragment carries no TCP header
-            start = ETHERNET_HEADER + ihl
-            end = ETHERNET_HEADER + total
-            if end > size:
-                end = size
-            if end - start >= 20:
-                seq, data_offset, flags = tcp_fields(frame, start)
-                data = start + (data_offset >> 4) * 4
-                if start + 20 <= data <= end:
-                    key = frame[26:38] if ihl == 20 else frame[26:34] + frame[start : start + 4]
-                    entry = table.get(key)
-                    if entry is None:
-                        entry = _open_direction(table, flows, key, _saw(senders, frame[26:30], frame[6:12], when))
+                continue
+            if protocol == PROTO_TCP and not fragment & 0x1FFF:  # a later fragment carries no TCP header
+                start = ETHERNET_HEADER + ihl
+                end = ETHERNET_HEADER + total
+                if end > size:
+                    end = size
+                if end - start >= 20:
+                    seq, data_offset, flags = tcp_fields(frame, start)
+                    data = start + (data_offset >> 4) * 4
+                    if start + 20 <= data <= end:
+                        key = frame[26:38] if ihl == 20 else frame[26:34] + frame[start : start + 4]
+                        entry = table.get(key)
                         if entry is None:
-                            skipped += 1  # a port 0; its sender counted
-                            continue
-                    flow, direction, seen = entry
-                    if seen is not None and when > seen[1]:
-                        seen[1] = when
-                    if when > flow.last_seen:
-                        flow.last_seen = when
-                    # the SYN and the FIN each take one sequence number, in order or to start the direction
-                    if flags & TCP_SYN:
-                        if flow.client is None and not (flags & TCP_ACK):
-                            flow.client = flow.endpoints[direction is flow.reverse]
-                        next_seq = direction.next_seq
-                        if next_seq is None or seq == next_seq:
-                            direction.next_seq = (seq + 1) & 0xFFFFFFFF
-                    if data < end:
-                        next_seq = direction.next_seq
-                        if next_seq is None or seq == next_seq:  # in order: keep what fits under the cap
-                            if not direction.capped:
-                                buffer = direction.buffer
-                                room = REASSEMBLY_CAP - len(buffer)
-                                if end - data > room:
-                                    buffer += frame[data : data + room]
-                                    direction.capped = True
-                                else:
-                                    buffer += frame[data:end]
-                            direction.next_seq = (seq + end - data) & 0xFFFFFFFF
-                        elif _seq_after(seq, next_seq):
-                            flow.out_of_order += 1  # dropped, by design
-                        # else: a retransmission of data already consumed; ignored
-                    if flags & TCP_FIN:
-                        fin = (seq + end - data) & 0xFFFFFFFF
-                        next_seq = direction.next_seq
-                        if next_seq is None or fin == next_seq:
-                            direction.next_seq = (fin + 1) & 0xFFFFFFFF
-                    continue
-            skipped += 1  # a malformed TCP header; its sender still counts
-        _saw(senders, frame[26:30], frame[6:12], when)  # IPv4 and Ethernet sources
+                            entry = _open_direction(table, flows, key, _saw(senders, frame[26:30], frame[6:12], when))
+                            if entry is None:
+                                skipped += 1  # a port 0; its sender counted
+                                continue
+                        flow, direction, seen = entry
+                        if seen is not None and when > seen[1]:
+                            seen[1] = when
+                        if when > flow.last_seen:
+                            flow.last_seen = when
+                        # the SYN and the FIN each take one sequence number, in order or to start the direction
+                        if flags & TCP_SYN:
+                            if flow.client is None and not (flags & TCP_ACK):
+                                flow.client = flow.endpoints[direction is flow.reverse]
+                            next_seq = direction.next_seq
+                            if next_seq is None or seq == next_seq:
+                                direction.next_seq = (seq + 1) & 0xFFFFFFFF
+                        if data < end:
+                            next_seq = direction.next_seq
+                            if next_seq is None or seq == next_seq:  # in order: keep what fits under the cap
+                                if not direction.capped:
+                                    buffer = direction.buffer
+                                    room = REASSEMBLY_CAP - len(buffer)
+                                    if end - data > room:
+                                        buffer += frame[data : data + room]
+                                        direction.capped = True
+                                    else:
+                                        buffer += frame[data:end]
+                                direction.next_seq = (seq + end - data) & 0xFFFFFFFF
+                            elif _seq_after(seq, next_seq):
+                                flow.out_of_order += 1  # dropped, by design
+                            # else: a retransmission of data already consumed; ignored
+                        if flags & TCP_FIN:
+                            fin = (seq + end - data) & 0xFFFFFFFF
+                            next_seq = direction.next_seq
+                            if next_seq is None or fin == next_seq:
+                                direction.next_seq = (fin + 1) & 0xFFFFFFFF
+                        continue
+                skipped += 1  # a malformed TCP header; its sender still counts
+            _saw(senders, frame[26:30], frame[6:12], when)  # IPv4 and Ethernet sources
+        tail = record_tail(chunk, at, unpack)
+        if tail is None:
+            break
+    if tail != b"":  # a record over the bound, or one cut short by the end of the stream
+        skipped += 1
     return senders, flows, frames_read, skipped
 
 
 def analyze_capture(source: CaptureSource) -> RunReport:
     """Single pass over the capture; builds the passive inventory."""
-    reader = read_capture(source)
-    senders, flows, frames_read, skipped = _dissect(reader)
+    reader = CaptureReader(source.path) if isinstance(source, PcapFile) else source
+    senders, flows, frames_read, skipped = _dissect(reader.chunks(), reader.record_header, reader.divisor)
 
     folds = {raw_ip: Fold(ip_text(raw_ip), last, mac := mac_text(raw_mac), vendor_for_mac(mac), _PASSIVE)
              for raw_ip, (raw_mac, last) in senders.items()}
@@ -356,7 +369,7 @@ def analyze_capture(source: CaptureSource) -> RunReport:
         nature="real_time" if isinstance(source, LiveInterface) else "offline",
         source=source.path if isinstance(source, PcapFile) else source.name,
         frames_read=frames_read,
-        frames_skipped=skipped + reader.skipped,
+        frames_skipped=skipped,
         out_of_order_segments=out_of_order,
         classified_flows=classified,
     )

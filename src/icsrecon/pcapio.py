@@ -1,9 +1,10 @@
 """Classic libpcap file I/O and minimal Ethernet/IPv4/TCP frames.
 
 The reader accepts both byte orders and both tick resolutions
-(microsecond magic 0xA1B2C3D4, nanosecond 0xA1B23C4D); malformed
-records are counted and skipped, never aborting the stream. The writer
-emits little-endian microsecond files with Ethernet link type.
+(microsecond magic 0xA1B2C3D4, nanosecond 0xA1B23C4D), as records or
+as raw chunks; malformed records are counted and end the stream, never
+raising. The writer emits little-endian microsecond files with Ethernet
+link type.
 
 Frame builders synthesize honest ARP/ICMP/TCP traffic (checksums
 included) so recorded captures look like mirror-port output; the
@@ -23,6 +24,12 @@ MAGIC_MICROS = 0xA1B2C3D4
 MAGIC_NANOS = 0xA1B23C4D
 LINKTYPE_ETHERNET = 1
 SNAPLEN = 65535
+RECORD_FIELDS = "IIII"  # a record header: seconds, fraction, captured length, original length
+RECORD_HEADER = 16
+MAX_RECORD = 262_144  # libpcap's MAXIMUM_SNAPLEN, tcpdump's default snaplen
+# Each read of a capture's records. At most MAX_RECORD + RECORD_HEADER, it cannot hold a whole record over
+# the bound after a carried one, so a walk checks the bound only in ``record_tail``.
+READ_SIZE = 256 * 1024
 
 ETHERTYPE_IPV4 = 0x0800
 ETHERTYPE_ARP = 0x0806
@@ -240,8 +247,19 @@ class PcapWriter:
                 self._fh.close()
 
 
+def record_tail(chunk: bytes, at: int, unpack) -> bytes | None:
+    """The record cut at ``chunk[at:]``, carried into the next chunk; None if it is over MAX_RECORD.
+
+    A walk stops at None, and counts one skipped record if it stops
+    carrying anything but b"".
+    """
+    if len(chunk) - at >= RECORD_HEADER and unpack(chunk, at)[2] > MAX_RECORD:
+        return None
+    return chunk[at:]
+
+
 class CaptureReader:
-    """Iterates (timestamp, frame) records from a classic pcap file.
+    """Iterates (timestamp, frame) records from a classic pcap file, or hands out its ``chunks``.
 
     Malformed records bump :attr:`skipped` and end the stream instead
     of raising; a wrong magic number, a truncated global header or a
@@ -255,12 +273,14 @@ class CaptureReader:
             header = fh.read(24)
         if len(header) < 4:
             raise FormatError("capture file shorter than a pcap global header", offset=0)
-        self._endian, self._nanos = self._classify_magic(header[:4])
+        endian, nanos = self._classify_magic(header[:4])
         if len(header) < 24:
             raise FormatError("truncated pcap global header", offset=len(header))
-        self.link_type = struct.unpack(self._endian + "I", header[20:24])[0]
+        self.link_type = struct.unpack(endian + "I", header[20:24])[0]
         if self.link_type != LINKTYPE_ETHERNET:
             raise FormatError(f"link type {self.link_type} is not Ethernet ({LINKTYPE_ETHERNET})", offset=20)
+        self.record_header = struct.Struct(endian + RECORD_FIELDS)
+        self.divisor = 1e9 if nanos else 1e6  # fraction ticks per second
 
     @staticmethod
     def _classify_magic(raw: bytes) -> tuple[str, bool]:
@@ -272,30 +292,33 @@ class CaptureReader:
                 return endian, True
         raise FormatError(f"not a libpcap capture (magic {raw.hex()})", offset=0)
 
-    def __iter__(self) -> Iterator[tuple[float, bytes]]:
-        divisor = 1e9 if self._nanos else 1e6
-        record_header = struct.Struct(self._endian + "IIII").unpack  # seconds, fraction, captured, original
+    def chunks(self) -> Iterator[bytes]:
+        """The bytes after the global header, READ_SIZE at a time."""
         with open(self.path, "rb") as fh:
             fh.seek(24)
             read = fh.read
-            while True:
-                record = read(16)
-                if not record:
-                    return
-                if len(record) < 16:
-                    self.skipped += 1
-                    return
-                sec, frac, incl, _orig = record_header(record)
-                if incl > SNAPLEN * 4:
-                    # implausible length: count it and stop, the stream
-                    # offset can no longer be trusted
-                    self.skipped += 1
-                    return
-                frame = read(incl)
-                if len(frame) < incl:
-                    self.skipped += 1
-                    return
-                yield sec + frac / divisor, frame
+            while chunk := read(READ_SIZE):
+                yield chunk
+
+    def __iter__(self) -> Iterator[tuple[float, bytes]]:
+        unpack, divisor = self.record_header.unpack_from, self.divisor
+        tail = b""
+        for chunk in self.chunks():
+            if tail:
+                chunk = tail + chunk
+            at, last = 0, len(chunk) - RECORD_HEADER
+            while at <= last:
+                sec, frac, incl, _orig = unpack(chunk, at)
+                start = at + RECORD_HEADER
+                if start + incl > len(chunk):
+                    break
+                at = start + incl
+                yield sec + frac / divisor, chunk[start:at]
+            tail = record_tail(chunk, at, unpack)
+            if tail is None:
+                break
+        if tail != b"":
+            self.skipped += 1
 
 
 class TcpFlowRecord:

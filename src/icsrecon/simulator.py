@@ -6,7 +6,9 @@ address-mapping layer presents the set to the scanner as distinct
 logical hosts on one subnet (CI cannot create interface aliases
 portably). Replies come from each codec's ``respond``, and a device
 whose ``SERVES`` identity its codec cannot read is refused at load, so
-every reply the simulator emits parses cleanly on the scanner side.
+every reply the simulator emits parses cleanly on the scanner side; so
+is a device setting a field that its codec's ``respond`` never reads,
+one outside the codec's ``DEVICE_FIELDS``.
 
 Fragility model: a fragile device faults when the observed packet rate
 over a sliding one-second window exceeds its budget, or (optionally)
@@ -69,7 +71,7 @@ class _SimDeviceConfigFields(NamedTuple):
     max_pps: int
     fault_on_malformed: bool
     accepted_tsaps: tuple[int, ...] | None
-    unit_id: int
+    unit_id: int | None
 
 
 class SimDeviceConfig(_SimDeviceConfigFields):
@@ -80,18 +82,24 @@ class SimDeviceConfig(_SimDeviceConfigFields):
     # protocol, ip and listen_port are None only where a fixture leaves them out, and the checks below refuse that
     def __new__(cls, name, protocol=None, ip=None, listen_port=None, mac="02:00:00:00:00:01", identity=None,
                 feature_flags=frozenset(), fragile=False, max_pps=50, fault_on_malformed=False, accepted_tsaps=None,
-                unit_id=1):
+                unit_id=None):
         if protocol not in PROTOCOLS:
             raise ConfigError(f"{name}: unsupported protocol {protocol!r}")
         feature_flags = frozenset(feature_flags)
         extra = feature_flags - PROTOCOLS[protocol].EXCHANGES
         if extra:
             raise ConfigError(f"{name}: flags {sorted(extra)} not valid for {protocol}")
+        own = PROTOCOLS[protocol].DEVICE_FIELDS  # the fields only this protocol reads, each with its default
+        given = {"accepted_tsaps": accepted_tsaps, "unit_id": unit_id}
+        for field, value in given.items():
+            if value is not None and field not in own:
+                raise ConfigError(f"{name}: {field} is not read by a {protocol} device")
+        accepted_tsaps, unit_id = (own.get(field) if value is None else value for field, value in given.items())
         if max_pps < 1:
             raise ConfigError(f"{name}: max_pps must be >= 1")
         if isinstance(listen_port, bool) or not isinstance(listen_port, int) or not 1 <= listen_port <= 65535:
             raise ConfigError(f"{name}: listen_port must be an integer within 1..65535, got {listen_port!r}")
-        if not 0 <= unit_id <= 0xFF:
+        if unit_id is not None and not 0 <= unit_id <= 0xFF:
             raise ConfigError(f"{name}: unit_id must be within 0..255, got {unit_id}")
         if accepted_tsaps is not None and not all(0 <= tsap <= 0xFFFF for tsap in accepted_tsaps):
             raise ConfigError(f"{name}: accepted_tsaps must each be within 0..0xFFFF, got {accepted_tsaps}")

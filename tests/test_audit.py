@@ -5,8 +5,9 @@ from __future__ import annotations
 from collections import Counter
 
 from icsrecon.config import default_fixtures_path, load_fixtures
-from icsrecon.passive import PcapFile, analyze_capture, read_capture
+from icsrecon.passive import PcapFile, analyze_capture
 from icsrecon.pcapio import (
+    CaptureReader,
     ETHERTYPE_ARP,
     PROTO_ICMP,
     PROTO_TCP,
@@ -70,7 +71,7 @@ def test_audit_capture_holds_one_arp_request_per_dead_address(tmp_path):
         station.stop()
     assert report.packets_sent == 37
     arp_requests, echoes = Counter(), Counter()
-    for _, frame in read_capture(PcapFile(str(audit_path))):
+    for _, frame in CaptureReader(str(audit_path)):
         eth = parse_ethernet(frame)
         if eth.ethertype == ETHERTYPE_ARP:
             message = parse_arp(eth.payload)
@@ -86,7 +87,7 @@ def test_audit_capture_holds_one_arp_request_per_dead_address(tmp_path):
 
 def syn_client_ports(pcap_path) -> list[int]:
     ports = []
-    for _, frame in read_capture(PcapFile(str(pcap_path))):
+    for _, frame in CaptureReader(str(pcap_path)):
         eth = parse_ethernet(frame)
         packet = parse_ipv4(eth.payload) if eth is not None and eth.ethertype == 0x0800 else None
         if packet is None or packet.proto != PROTO_TCP:

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import random
+import socket
+import struct
 from datetime import datetime, timezone
 
 import pytest
@@ -33,18 +36,22 @@ from icsrecon.passive import (
     _Flow,
     analyze_capture,
     classify_flow,
-    read_capture,
 )
 from icsrecon.pcapio import (
     BROADCAST_MAC,
     ETHERTYPE_ARP,
     ETHERTYPE_IPV4,
+    LINKTYPE_ETHERNET,
+    MAGIC_MICROS,
+    MAGIC_NANOS,
+    MAX_RECORD,
     PROTO_ICMP,
     PROTO_TCP,
     TCP_ACK,
     TCP_FIN,
     TCP_PSH,
     TCP_SYN,
+    CaptureReader,
     PcapWriter,
     TrafficRecorder,
     arp_frame,
@@ -82,13 +89,35 @@ def make_recorder(tmp_path, name="crafted.pcap"):
     return path, writer, recorder
 
 
-# -- read_capture -------------------------------------------------------------
+def _pcap_records(records) -> bytes:
+    """(time, frame) records packed as ``LiveInterface``'s records, little-endian nanosecond, each time exactly."""
+    packed = b""
+    for when, frame in records:
+        sec = int(when)
+        nanos = round((when - sec) * 1e9)
+        assert sec + nanos / LiveInterface.divisor == when, f"{when} does not pack exactly"
+        packed += LiveInterface.record_header.pack(sec, nanos, len(frame), len(frame)) + frame
+    return packed
+
+
+def _dissect_records(records):
+    """``_dissect`` over (time, frame) records, packed into one chunk."""
+    return _dissect([_pcap_records(records)], LiveInterface.record_header, LiveInterface.divisor)
+
+
+def _dissect_file(path):
+    """``_dissect`` over a capture file's chunks, as ``analyze_capture`` walks them."""
+    reader = CaptureReader(str(path))
+    return _dissect(reader.chunks(), reader.record_header, reader.divisor)
+
+
+# -- reading a capture ---------------------------------------------------------
 
 
 def test_empty_pcap_yields_empty_stream(tmp_path):
     path = tmp_path / "empty.pcap"
     PcapWriter(str(path)).close()
-    assert list(read_capture(PcapFile(str(path)))) == []
+    assert list(CaptureReader(str(path))) == []
 
 
 def test_single_arp_frame(tmp_path):
@@ -96,7 +125,7 @@ def test_single_arp_frame(tmp_path):
     recorder.register_mac("10.0.0.9", "00:1b:1b:00:00:09")
     recorder.arp_exchange("10.0.0.9", "10.0.0.1", answered=False)
     writer.close()
-    frames = list(read_capture(PcapFile(str(path))))
+    frames = list(CaptureReader(str(path)))
     assert len(frames) == 1
 
 
@@ -104,7 +133,7 @@ def test_wrong_magic_raises_format_error(tmp_path):
     path = tmp_path / "junk.bin"
     path.write_bytes(b"\x00" * 64)
     with pytest.raises(FormatError):
-        list(read_capture(PcapFile(str(path))))
+        analyze_capture(PcapFile(str(path)))
 
 
 # -- classification -------------------------------------------------------------
@@ -232,8 +261,8 @@ def test_live_interface_run_is_real_time(tmp_path, monkeypatch):
     flow.server_payload(modbus.build_report_slave_id_response(1, 1, slave_id=5))
     flow.close()
     writer.close()
-    frames = list(read_capture(PcapFile(str(path))))
-    monkeypatch.setattr(LiveInterface, "__iter__", lambda self: iter(frames))
+    frames = list(CaptureReader(str(path)))
+    monkeypatch.setattr(LiveInterface, "chunks", lambda self: iter([_pcap_records(enumerate(f for _, f in frames))]))
     report = analyze_capture(LiveInterface("eth9"))
     assert report.to_document()["nature"] == "real_time"
     assert report.source == "eth9" and report.frames_read == len(frames)
@@ -270,7 +299,7 @@ def test_flow_without_syn_gives_the_port_to_the_first_address_in_text_order(tmp_
 def test_reassembly_cap_is_enforced(low_cap):
     # one IPv4 packet cannot carry 64 KiB of payload, so the cap is lowered to 16 bytes
     records = [(1.0, _tcp_frame(HOST_A, HOST_B, 40000, 502, 0, TCP_PSH | TCP_ACK, b"x" * (low_cap + 500)))]
-    _senders, [flow], _read, _skipped = _dissect(records)
+    _senders, [flow], _read, _skipped = _dissect_records(records)
     direction = flow.forward
     assert len(direction.buffer) == low_cap
     assert direction.capped
@@ -473,7 +502,7 @@ def test_dissection_matches_the_parse_chain_across_a_16_byte_cap(records, tmp_pa
 
 def _check_dissection(records, tmp_path_factory):
     want_senders, want_flows, want_skipped = _chain_dissect(records)
-    senders, flows, frames_read, skipped = _dissect(records)
+    senders, flows, frames_read, skipped = _dissect_records(records)
     assert (frames_read, skipped) == (len(records), want_skipped)
     assert {ip_text(ip): [mac_text(mac), last] for ip, (mac, last) in senders.items()} == want_senders
     raw_views = _flow_views(flows, lambda endpoint: (ip_text(endpoint[0]), endpoint[1]))
@@ -508,7 +537,7 @@ def test_header_options_dissect_like_the_parse_chain():
     ]
     records = [(float(when), frame) for when, frame in enumerate(frames)]
     want_senders, want_flows, want_skipped = _chain_dissect(records)
-    senders, flows, frames_read, skipped = _dissect(records)
+    senders, flows, frames_read, skipped = _dissect_records(records)
     assert (frames_read, skipped, want_skipped) == (5, 0, 0)
     assert {ip_text(ip): [mac_text(mac), last] for ip, (mac, last) in senders.items()} == want_senders
     assert _flow_views(flows, _text_endpoint) == _flow_views(want_flows.values(), lambda e: e)
@@ -527,7 +556,7 @@ def test_flow_first_seen_from_the_server_is_one_flow_with_the_right_server():
         (3.0, _tcp_frame(HOST_A, HOST_B, 1024, 60000, 1000, TCP_PSH | TCP_ACK, b"request")),
         (4.0, _tcp_frame(HOST_B, HOST_A, 60000, 1024, 5000, TCP_PSH | TCP_ACK, b"reply")),
     ]
-    senders, flows, _read, _skipped = _dissect(records)
+    senders, flows, _read, _skipped = _dissect_records(records)
     [flow] = flows
     assert [_text_endpoint(e) for e in flow.endpoints] == [server, client]
     assert (_text_endpoint(flow.client), _text_endpoint(flow.server())) == (client, server)
@@ -551,7 +580,7 @@ def test_capped_direction_keeps_its_sequence_and_counts_out_of_order():
         (51.0, _tcp_frame(HOST_A, HOST_B, 40000, 502, 1000, TCP_PSH | TCP_ACK, payloads[0])),  # retransmission
         (52.0, _tcp_frame(HOST_A, HOST_B, 40000, 502, after, TCP_FIN | TCP_ACK, b"end")),
     ]
-    _senders, [flow], _read, _skipped = _dissect(records)
+    _senders, [flow], _read, _skipped = _dissect_records(records)
     _chain_senders, want_flows, _chain_skipped = _chain_dissect(records)
     assert _flow_views([flow], _text_endpoint) == _flow_views(want_flows.values(), lambda e: e)
     direction = flow.forward
@@ -564,7 +593,7 @@ def test_capped_direction_keeps_its_sequence_and_counts_out_of_order():
 def _one_flow_like_the_chain(frames):
     """The one flow ``_dissect`` builds from ``frames``, checked against the parse chain's."""
     records = [(float(when), frame) for when, frame in enumerate(frames)]
-    _senders, [flow], _read, _skipped = _dissect(records)
+    _senders, [flow], _read, _skipped = _dissect_records(records)
     _chain_senders, want_flows, _chain_skipped = _chain_dissect(records)
     assert _flow_views([flow], _text_endpoint) == _flow_views(want_flows.values(), lambda e: e)
     return flow
@@ -613,6 +642,76 @@ def _write_capture(path, frames):
         writer.write(float(when), frame)
     writer.close()
     return path
+
+
+def test_record_of_libpcaps_maximum_length_is_read(tmp_path):
+    # 262,144 bytes is libpcap's MAXIMUM_SNAPLEN and tcpdump's default snaplen; the record spans two reads
+    path = _write_capture(tmp_path / "max.pcap", [bytes(MAX_RECORD), arp_frame(2, MAC_B, "10.0.0.5", MAC_A, HOST_A)])
+    report = analyze_capture(PcapFile(str(path)))
+    assert (report.frames_read, report.frames_skipped) == (2, 0)
+    assert [asset.ip for asset in report.inventory] == ["10.0.0.5"]
+    assert [len(frame) for _when, frame in CaptureReader(str(path))] == [MAX_RECORD, len(VALID_FRAMES[1])]
+
+
+def _over_the_bound(blob):
+    """The second record's captured length set past MAX_RECORD."""
+    second = 24 + 16 + len(VALID_FRAMES[0])
+    return blob[: second + 8] + struct.pack("<I", MAX_RECORD + 1) + blob[second + 12 :]
+
+
+@pytest.mark.parametrize(
+    "frames, damage",
+    [
+        (VALID_FRAMES[:2], lambda blob: blob[: -len(VALID_FRAMES[1]) - 5]),
+        (VALID_FRAMES[:2], lambda blob: blob[:-7]),
+        (VALID_FRAMES[:2], _over_the_bound),
+        ([VALID_FRAMES[0], bytes(MAX_RECORD + 1), VALID_FRAMES[1]], lambda blob: blob),  # the reads hold all of it
+    ],
+    ids=["final_header_cut", "final_frame_cut", "length_over_the_bound", "whole_record_over_the_bound"],
+)
+def test_malformed_record_is_counted_once_in_the_report(tmp_path, frames, damage):
+    path = _write_capture(tmp_path / "damaged.pcap", frames)
+    path.write_bytes(damage(path.read_bytes()))
+    reader = CaptureReader(str(path))
+    records = list(reader)
+    report = analyze_capture(PcapFile(str(path)))
+    assert (report.frames_read, report.frames_skipped) == (len(records), reader.skipped) == (1, 1)
+
+
+def test_live_interface_reads_each_frame_with_its_time_and_closes_its_socket(monkeypatch):
+    frames = [VALID_FRAMES[0], VALID_FRAMES[1], VALID_FRAMES[7]]  # ARP from A, ARP from B, TCP data from A
+    stamps = [1_700_000_000_123_456_789, 1_700_000_001_000_000_000, 1_700_000_002_999_999_999]
+    sockets = []
+
+    class StandInSocket:
+        def __init__(self, *args):
+            self.args, self.received, self.closed = args, list(frames), False
+            sockets.append(self)
+
+        def bind(self, address):
+            self.address = address
+
+        def recv(self, size):
+            return self.received.pop(0)
+
+        def close(self):
+            self.closed = True
+
+    monkeypatch.setattr(socket, "socket", StandInSocket)
+    monkeypatch.setattr(passive.os, "geteuid", lambda: 0)
+    monkeypatch.setattr(passive.time, "time_ns", iter(stamps).__next__)
+    live = LiveInterface("eth9")
+    chunks = live.chunks()
+    senders, [flow], frames_read, skipped = _dissect(itertools.islice(chunks, 3), live.record_header, live.divisor)
+    [sock] = sockets
+    assert sock.args == (socket.AF_PACKET, socket.SOCK_RAW, socket.htons(0x0003)) and sock.address == ("eth9", 0)
+    times = [stamp // 10**9 + stamp % 10**9 / 1e9 for stamp in stamps]
+    assert (frames_read, skipped) == (3, 0)
+    assert {ip_text(ip): last for ip, (_mac, last) in senders.items()} == {HOST_A: times[2], HOST_B: times[1]}
+    assert flow.last_seen == times[2] and bytes(flow.forward.buffer) == b"request"
+    assert not sock.closed
+    chunks.close()
+    assert sock.closed
 
 
 def test_later_fragment_is_not_read_as_tcp(tmp_path):
@@ -745,7 +844,7 @@ def record_flows(path, flows):
 
 def one_merge_per_observation(source):
     """The reference fold: one ``merge_observation`` per sender, then per classified flow, in flow order."""
-    senders, flows, _read, _skipped = _dissect(read_capture(source))
+    senders, flows, _read, _skipped = _dissect_file(source.path)
     assets = {}
 
     def fold(evidence):
@@ -1089,7 +1188,7 @@ def test_identity_seen_again_after_another_logs_both_displacements(tmp_path, mon
     decoded = []
     identity_fields = modbus.identity_fields
     monkeypatch.setattr(modbus, "identity_fields", lambda frames: decoded.append(frames) or identity_fields(frames))
-    _senders, flows, _read, _skipped = _dissect(read_capture(PcapFile(str(path))))
+    _senders, flows, _read, _skipped = _dissect_file(path)
     times = [datetime.fromtimestamp(flow.last_seen, tz=timezone.utc) for flow in flows]
     asset = analyze_capture(PcapFile(str(path))).inventory.get("10.0.0.2")
     assert len(decoded) == 2  # the third flow's reply differs from the first's only in its transaction id
@@ -1147,7 +1246,7 @@ def station_mirror(tmp_path_factory):
         Scanner(config, network=SimNetwork(station)).run()
     finally:
         station.stop()
-    return list(read_capture(PcapFile(str(path))))
+    return list(CaptureReader(str(path)))
 
 
 @settings(max_examples=100, deadline=None)
@@ -1170,3 +1269,57 @@ def test_damaged_station_capture_raises_only_package_errors(station_mirror, tmp_
     except IcsReconError:
         return
     assert report.frames_read == len(frames)
+
+
+LAYOUTS = {"le_micro": ("<", False), "be_micro": (">", False), "le_nano": ("<", True), "be_nano": (">", True)}
+
+
+def _relayout(blob, endian, nanos, over=None):
+    """A little-endian microsecond capture in another header layout, each time kept; record ``over`` past the bound."""
+    magic = MAGIC_NANOS if nanos else MAGIC_MICROS
+    out, at, index = [struct.pack(endian + "IHHiIII", magic, 2, 4, 0, 0, 65535, LINKTYPE_ETHERNET)], 24, 0
+    while at + 16 <= len(blob):
+        sec, usec, incl, orig = struct.unpack_from("<IIII", blob, at)
+        length = MAX_RECORD + 1 if index == over else incl
+        out.append(struct.pack(endian + "IIII", sec, usec * 1000 if nanos else usec, length, orig))
+        out.append(blob[at + 16 : at + 16 + incl])
+        at, index = at + 16 + incl, index + 1
+    return b"".join(out) + blob[at:]
+
+
+@pytest.mark.parametrize("layout", LAYOUTS.values(), ids=list(LAYOUTS))
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(seed=st.integers(0, 2**32 - 1), changes=st.integers(1, 16))
+def test_chunked_walk_of_a_damaged_capture_matches_the_reader_and_the_parse_chain(
+    station_mirror, tmp_path, layout, seed, changes
+):
+    rng = random.Random(seed)
+    frames = [bytearray(frame) for _when, frame in station_mirror]
+    for _ in range(changes):
+        frame = rng.choice(frames)
+        frame[rng.randrange(len(frame))] = rng.randrange(256)
+    for index in rng.sample(range(len(frames)), len(frames) // 5):
+        del frames[index][rng.randrange(len(frames[index])) :]
+    path = tmp_path / "damaged.pcap"
+    writer = PcapWriter(str(path))
+    for (when, _frame), frame in zip(station_mirror, frames):
+        writer.write(when, bytes(frame))
+    writer.close()
+    over = rng.choice([None, rng.randrange(len(frames))])
+    blob = _relayout(path.read_bytes(), *layout, over=over)
+    if rng.random() < 0.5:
+        blob = blob[: rng.randrange(24, len(blob))]  # a final record cut short, or none at all
+    path.write_bytes(blob)
+
+    reader = CaptureReader(str(path))
+    records = list(reader)
+    chunks, at = [], 24
+    while at < len(blob):  # 1-byte chunks, cuts inside a record header and longer runs
+        size = rng.choice([1, rng.randrange(1, 20), rng.randrange(1, 600), rng.randrange(1, 8000)])
+        chunks.append(blob[at : at + size])
+        at += size
+    want_senders, want_flows, want_skipped = _chain_dissect(records)
+    senders, flows, frames_read, skipped = _dissect(chunks, reader.record_header, reader.divisor)
+    assert (frames_read, skipped) == (len(records), want_skipped + reader.skipped)
+    assert {ip_text(ip): [mac_text(mac), last] for ip, (mac, last) in senders.items()} == want_senders
+    assert _flow_views(flows, _text_endpoint) == _flow_views(want_flows.values(), lambda e: e)

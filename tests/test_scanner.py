@@ -152,7 +152,9 @@ ROWS = {
     ("device:", "listen_port"): ({"listen_port": "1502"}, "listen_port", 1502),
     ("device:", "mac"): ({"mac": "00-1B-1B-AA-10-01"}, "mac", "00:1b:1b:aa:10:01"),
     ("device:", "features"): ({"features": "report_slave_id_fc11"}, "feature_flags", frozenset({"report_slave_id_fc11"})),
-    ("device:", "accepted_tsaps"): ({"accepted_tsaps": "0x0102, 512"}, "accepted_tsaps", (0x0102, 0x0200)),
+    ("device:", "accepted_tsaps"): (
+        {"protocol": "s7comm", "accepted_tsaps": "0x0102, 512"}, "accepted_tsaps", (0x0102, 0x0200)  # an S7 field
+    ),
     ("device:", "fragile"): ({"fragile": "true"}, "fragile", True),
     ("device:", "max_pps"): ({"max_pps": "7"}, "max_pps", 7),
     ("device:", "fault_on_malformed"): ({"fault_on_malformed": "1"}, "fault_on_malformed", True),
@@ -1009,11 +1011,10 @@ def test_report_document_shape(station):
 def modbus_requests_in_capture(pcap_path):
     """All client->server Modbus frames in a capture, as (unit, function)."""
     from icsrecon.codecs import modbus
-    from icsrecon.passive import PcapFile, read_capture
-    from icsrecon.pcapio import parse_ethernet, parse_ipv4, parse_tcp, PROTO_TCP
+    from icsrecon.pcapio import CaptureReader, parse_ethernet, parse_ipv4, parse_tcp, PROTO_TCP
 
     requests = []
-    for _, frame in read_capture(PcapFile(str(pcap_path))):
+    for _, frame in CaptureReader(str(pcap_path)):
         eth = parse_ethernet(frame)
         if eth is None or eth.ethertype != 0x0800:
             continue

@@ -17,8 +17,7 @@ from icsrecon.codecs import PROTOCOLS, cut_frames, enip, modbus, s7
 from icsrecon.config import default_fixtures_path, load_fixtures
 from icsrecon.errors import ConfigError, DecodeError, FormatError, PortUnavailable
 from icsrecon.netbase import recv_frame
-from icsrecon.passive import PcapFile, read_capture
-from icsrecon.pcapio import TCP_FIN, parse_ethernet, parse_ipv4, parse_tcp
+from icsrecon.pcapio import CaptureReader, TCP_FIN, parse_ethernet, parse_ipv4, parse_tcp
 from icsrecon.simulator import (
     ControlClient,
     ControlledStation,
@@ -76,6 +75,20 @@ def test_max_pps_positive():
 def test_unknown_protocol():
     with pytest.raises(ConfigError):
         modbus_config(protocol="profinet")
+
+
+@pytest.mark.parametrize(
+    "protocol, key, value",
+    [("modbus", "accepted_tsaps", "0x0200"), ("enip", "unit_id", "9"), ("s7comm", "unit_id", "1"),
+     ("enip", "accepted_tsaps", "0x0102")],
+)
+def test_a_device_field_only_another_protocol_reads_is_refused(tmp_path, protocol, key, value):
+    path = tmp_path / "station.conf"
+    path.write_text(f"[device:plc]\nprotocol = {protocol}\nip = 10.0.0.1\nlisten_port = 1000\n{key} = {value}\n")
+    with pytest.raises(ConfigError, match=f"^plc: {key} is not read by a {protocol} device$"):
+        load_fixtures(path)
+    path.write_text(path.read_text().replace(f"{key} = {value}\n", ""))
+    assert load_fixtures(path).devices[0].accepted_tsaps is None
 
 
 @pytest.mark.parametrize("port", [None, 0, 65536, -1, "502", True, 502.0])
@@ -686,10 +699,10 @@ def test_wait_idle_returns_after_the_last_teardown_frame(tmp_path):
         closer.start()
         assert station.wait_idle(timeout=5.0)
         closer.join(timeout=5.0)
-        after_wait = [frame for _, frame in read_capture(PcapFile(str(pcap)))]
+        after_wait = [frame for _, frame in CaptureReader(str(pcap))]
     finally:
         station.stop()
-    assert len(after_wait) == len(list(read_capture(PcapFile(str(pcap)))))
+    assert len(after_wait) == len(list(CaptureReader(str(pcap))))
     last = parse_tcp(parse_ipv4(parse_ethernet(after_wait[-1]).payload).payload)
     assert last.flags & TCP_FIN  # the teardown was already written when the wait returned
 
