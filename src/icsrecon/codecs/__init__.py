@@ -6,12 +6,13 @@ simulator, so both sides of every exchange speak from one table:
 states its well-known ``PORT``.
 Decoders raise only :class:`icsrecon.errors.DecodeError` /
 :class:`icsrecon.errors.FormatError` subclasses, never anything else,
-regardless of input. Each codec's ``identity_fields`` turns reply
-frames into static / deployment fields for scanner and analyzer alike,
-and its ``identity_key(frame)`` gives the bytes of a reply that
-``identity_fields`` reads, less the per-exchange identifiers, or None
-for a frame it skips: the analyzer decodes each distinct set of keys
-once per capture.
+regardless of input. Each codec's ``IDENTITY`` names the inventory field
+(or None) of each ``identity.<key>`` its device serves, for its builders
+and for its ``identity_fields``, which turns reply frames into fields so
+named for scanner and analyzer alike; its ``identity_key(frame)`` gives
+the bytes of a reply that ``identity_fields`` reads, less the
+per-exchange identifiers, or None for a frame it skips: the analyzer
+decodes each distinct set of keys once per capture.
 
 Each codec states its frame rule once, as ``HEADER_SIZE`` plus
 ``frame_size(buf, at)``: the length of the frame whose header starts at
@@ -40,6 +41,8 @@ each with its value where a fixture leaves it out.
 import functools
 import struct
 
+from ..model import STATIC_FIELDS
+
 
 def encoder(encode):
     """``encode`` raising ValueError, not ``struct.error``, for a field its wire format cannot carry."""
@@ -50,6 +53,24 @@ def encoder(encode):
         except struct.error as exc:
             raise ValueError(f"{encode.__name__}: a field out of range: {exc}") from exc
     return checked
+
+
+def version(text: str) -> tuple[int, int]:
+    """A version text's major and minor, a byte each: dotted decimal, minor 0 when absent, further parts ignored."""
+    parts = [*text.split("."), "0"][:2]
+    if not all(part.isdecimal() and int(part) <= 0xFF for part in parts):
+        raise ValueError(f"version {text!r} is not dotted decimal with a major and a minor of 0..255")
+    return int(parts[0]), int(parts[1])
+
+
+def identity_split(identity: dict[str, str | None], values: dict[str, str]) -> tuple[dict[str, str], dict[str, str]]:
+    """Values by identity key -> static and deployment fields, named by a codec's ``identity``; None values left out."""
+    static, deployment = {}, {}
+    for key, value in values.items():
+        field = identity[key]
+        if field and value is not None:
+            (static if field in STATIC_FIELDS else deployment)[field] = value
+    return static, deployment
 
 
 def cut_frames(buffer: bytes, header_size: int, frame_size) -> tuple[list[bytes], bytes]:
@@ -71,8 +92,8 @@ def cut_frames(buffer: bytes, header_size: int, frame_size) -> tuple[list[bytes]
     return frames, buffer[start:]
 
 
-from . import enip, modbus, s7  # noqa: E402  (the codecs import cut_frames and encoder from here)
+from . import enip, modbus, s7  # noqa: E402  (the codecs import their shared helpers from here)
 
 PROTOCOLS = {codec.NAME: codec for codec in (modbus, s7, enip)}  # in classification order
 
-__all__ = ["PROTOCOLS", "cut_frames", "encoder", "modbus", "s7", "enip"]
+__all__ = ["PROTOCOLS", "cut_frames", "encoder", "identity_split", "version", "modbus", "s7", "enip"]

@@ -19,7 +19,7 @@ import ipaddress
 import struct
 from typing import Generator, Iterable, NamedTuple
 
-from . import cut_frames, encoder
+from . import cut_frames, encoder, identity_split, version
 from ..errors import DecodeError, FormatError, LengthMismatch, Truncated, UnexpectedCommand
 from ..ouidb import load_enip_vendors
 
@@ -54,6 +54,10 @@ CPF_ITEM = struct.Struct("<HHH")  # item count, then the first item's type id an
 SOCKET_ADDRESS = struct.Struct(">HH4s8s")  # family, port, IPv4 address, zero
 # protocol version, socket address, vendor, device type, product code, revision (major, minor), status, serial
 IDENTITY_FIXED = struct.Struct(f"<H{SOCKET_ADDRESS.size}sHHHBBHI")
+
+# identity key -> inventory field: the vendor by the shipped vendor table, the revision major.minor, the serial 0x%08X
+IDENTITY = {"vendor_id": "manufacturer", "product_name": "model", "firmware_version": "firmware_version",
+            "serial_number": "serial", "device_type": None, "product_code_number": None, "status": None}
 
 
 class CipIdentity(NamedTuple):
@@ -157,14 +161,11 @@ def build_list_identity_response(identity: CipIdentity, ip: str = "0.0.0.0", por
 
 def _list_identity_reply(device) -> bytes:
     identity = device.identity
-    revision = identity.get("firmware_version", "1.0").split(".")
-    major = int(revision[0]) if revision[0].isdigit() else 1
-    minor = int(revision[1]) if len(revision) > 1 and revision[1].isdigit() else 0
     cip = CipIdentity(
         vendor_id=int(identity.get("vendor_id", "1")),
         device_type=int(identity.get("device_type", "14")),
         product_code=int(identity.get("product_code_number", "0") or 0),
-        revision=(major, minor),
+        revision=version(identity.get("firmware_version", "1.0")),
         status=int(identity.get("status", "0x0060"), 0),
         serial=int(identity.get("serial_number", "0"), 0),
         product_name=identity.get("product_name", device.name),
@@ -250,12 +251,7 @@ def identity_fields(replies: Iterable[bytes]) -> tuple[dict[str, str], dict[str,
 
 
 def identity_to_fields(identity: CipIdentity, vendor_name: str | None) -> dict[str, str]:
-    """Map a CIP identity onto static-info fields."""
-    fields = {
-        "model": identity.product_name,
-        "firmware_version": f"{identity.revision[0]}.{identity.revision[1]}",
-        "serial": f"0x{identity.serial:08X}",
-    }
-    if vendor_name:
-        fields["manufacturer"] = vendor_name
-    return fields
+    """Map a CIP identity onto static-info fields, each named by ``IDENTITY``."""
+    values = {"vendor_id": vendor_name, "product_name": identity.product_name,
+              "firmware_version": "%d.%d" % identity.revision, "serial_number": f"0x{identity.serial:08X}"}
+    return identity_split(IDENTITY, values)[0]

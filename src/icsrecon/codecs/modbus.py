@@ -18,7 +18,7 @@ from __future__ import annotations
 import struct
 from typing import Generator, Iterable, NamedTuple
 
-from . import cut_frames, encoder
+from . import cut_frames, encoder, identity_split
 from ..errors import (
     DecodeError,
     FormatError,
@@ -46,7 +46,11 @@ MAX_CONTINUATIONS = 3  # FC 0x2B rounds read after the first, whatever more-foll
 OBJ_VENDOR_NAME = 0x00
 OBJ_PRODUCT_CODE = 0x01
 OBJ_REVISION = 0x02
-OBJECT_FIELDS = {OBJ_VENDOR_NAME: "manufacturer", OBJ_PRODUCT_CODE: "model", OBJ_REVISION: "firmware_version"}
+OBJECT_KEYS = {OBJ_VENDOR_NAME: "manufacturer", OBJ_PRODUCT_CODE: "product_code", OBJ_REVISION: "firmware_version"}
+
+# identity key -> inventory field; FC 0x11 also carries product_code after the slave id, which no decoder reads
+IDENTITY = {"manufacturer": "manufacturer", "product_code": "model", "firmware_version": "firmware_version",
+            "slave_id": "modbus_slave_id"}
 
 EXC_ILLEGAL_FUNCTION = 0x01
 
@@ -285,12 +289,7 @@ def build_read_holding_response(transaction_id: int, unit: int, registers: list[
 
 
 def _device_id_reply(device, tx: int = 0, unit: int = 0) -> bytes:
-    identity = device.identity
-    objects = {
-        OBJ_VENDOR_NAME: identity.get("manufacturer", ""),
-        OBJ_PRODUCT_CODE: identity.get("product_code", ""),
-        OBJ_REVISION: identity.get("firmware_version", ""),
-    }
+    objects = {object_id: device.identity.get(key) for object_id, key in OBJECT_KEYS.items()}
     return build_device_id_response(tx, unit, {k: v for k, v in objects.items() if v})
 
 
@@ -336,23 +335,23 @@ def identity_key(wire: bytes) -> bytes | None:
 def identity_fields(replies: Iterable[bytes]) -> tuple[dict[str, str], dict[str, str]]:
     """Static and deployment fields from a server's reply frames; never raises.
 
-    FC 0x2B objects map through ``OBJECT_FIELDS`` and merge across
-    continuation rounds (later ones win), FC 0x11 gives the slave id and
+    FC 0x2B objects read back as their ``OBJECT_KEYS``, merging across
+    continuation rounds (later ones win), and FC 0x11 as the slave id and
     the replying unit. Frames without an ``identity_key`` are skipped
     before decoding, and frames that do not decode are skipped.
     """
-    static: dict[str, str] = {}
-    deployment: dict[str, str] = {}
+    values, unit = {}, {}
     for wire in replies:
         if identity_key(wire) is None:
             continue
         try:
             if wire[7] == FC_ENCAPSULATED:
                 objects = parse_device_id_response(wire).objects
-                static.update((OBJECT_FIELDS[k], v) for k, v in objects.items() if k in OBJECT_FIELDS)
+                values.update((OBJECT_KEYS[k], v) for k, v in objects.items() if k in OBJECT_KEYS)
             else:
-                deployment["modbus_slave_id"] = str(parse_report_slave_id_response(wire).slave_id)
-                deployment["unit_id"] = str(wire[6])  # the MBAP unit id of the reply
+                values["slave_id"] = str(parse_report_slave_id_response(wire).slave_id)
+                unit["unit_id"] = str(wire[6])  # the MBAP unit id of the reply
         except (DecodeError, FormatError):
             continue
-    return static, deployment
+    static, deployment = identity_split(IDENTITY, values)
+    return static, deployment | unit

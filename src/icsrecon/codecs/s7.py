@@ -27,7 +27,7 @@ from __future__ import annotations
 import struct
 from typing import Generator, Iterable, NamedTuple
 
-from . import cut_frames, encoder
+from . import cut_frames, encoder, identity_split, version
 from ..errors import ConnectionRefusedByTsap, DecodeError, FormatError, LengthMismatch, Truncated
 
 NAME = "s7comm"
@@ -77,8 +77,11 @@ _PDU_REF_AT = HEADER_SIZE + 3 + 4  # after the TPKT and DT headers, protocol id,
 DEFAULT_TSAP_PAIRS = ((0x0100, 0x0102), (0x0100, 0x0200), (0x0100, 0x0201))
 
 _MODULE_ID_INDEX_ORDER = 0x0001
-_MODULE_ID_INDEX_HARDWARE = 0x0006
-_MODULE_ID_INDEX_FIRMWARE = 0x0007
+
+# list 0x0011 record index -> identity key and how many parts of its version the record's words carry (0: the
+# record's text, the order number every record carries), for building and decoding alike
+MODULE_KEYS = {_MODULE_ID_INDEX_ORDER: ("module_order_number", 0), 0x0006: ("hardware_version", 2),
+               0x0007: ("firmware_version", 3)}
 
 # list 0x001C entry index -> identity key, for building and decoding alike
 COMPONENT_KEYS = {
@@ -88,6 +91,11 @@ COMPONENT_KEYS = {
     0x0004: "copyright",
     0x0005: "serial",
 }
+
+# identity key -> inventory field; a copyright naming Siemens reads back as Siemens
+IDENTITY = {"module_order_number": "model", "hardware_version": "hardware_version",
+            "firmware_version": "firmware_version", "system_name": "system_name", "module_name": "module_name",
+            "plant_id": "plant_id", "copyright": "manufacturer", "serial": "serial"}
 
 
 class SzlList(NamedTuple):
@@ -462,18 +470,13 @@ def build_szl_response_frame(response: S7SzlResponse) -> bytes:
 
 def module_id_entries(identity: dict[str, str]) -> tuple[SzlEntry, ...]:
     """Identity fields -> list 0x0011 entries (order nr, hw, fw); raises ValueError for one the list cannot carry."""
-    entries = []
-    order = identity.get("module_order_number", "")
-    entries.append(SzlEntry(index=_MODULE_ID_INDEX_ORDER, text=order))
-    hardware = identity.get("hardware_version")
-    if hardware:
-        entries.append(SzlEntry(index=_MODULE_ID_INDEX_HARDWARE, text=order, words=(0, _pack_version(hardware), 0)))
-    firmware = identity.get("firmware_version")
-    if firmware:
-        major_minor, patch = _pack_firmware(firmware)
-        entries.append(SzlEntry(index=_MODULE_ID_INDEX_FIRMWARE, text=order, words=(0, major_minor, patch)))
+    order = identity.get(MODULE_KEYS[_MODULE_ID_INDEX_ORDER][0], "")
+    entries = tuple(
+        SzlEntry(index, order, _module_words(identity[key], parts) if parts else (0, 0, 0))
+        for index, (key, parts) in MODULE_KEYS.items() if not parts or identity.get(key)
+    )
     _encode_szl_records(SZL_MODULE_ID, entries)
-    return tuple(entries)
+    return entries
 
 
 def component_id_entries(identity: dict[str, str]) -> tuple[SzlEntry, ...]:
@@ -521,35 +524,23 @@ def respond(device, session: dict, request: bytes) -> tuple[bytes | None, bool]:
     raise FormatError("unsupported S7 request")
 
 
-def _pack_version(text: str) -> int:
-    parts = text.split(".")
-    try:
-        major = int(parts[0])
-        minor = int(parts[1]) if len(parts) > 1 else 0
-    except ValueError as exc:
-        raise ValueError(f"version {text!r} is not dotted-numeric") from exc
-    if not (0 <= major <= 0xFF and 0 <= minor <= 0xFF):
-        raise ValueError(f"version {text!r} does not fit a version word, a byte each")
-    return (major << 8) | minor
+def _module_words(text: str, parts: int) -> tuple[int, int, int]:
+    """A version's list 0x0011 words: major.minor, then a patch where ``parts`` is 3 (none over 16 bits fits)."""
+    major, minor = version(text)
+    return 0, (major << 8) | minor, int([*text.split("."), "0", "0"][2]) if parts == 3 else 0
 
 
-def _pack_firmware(text: str) -> tuple[int, int]:
-    parts = text.split(".")
-    return _pack_version(text), int(parts[2]) if len(parts) > 2 else 0  # the record refuses a patch over 16 bits
-
-
-def _unpack_version(word: int) -> str:
-    return f"{word >> 8}.{word & 0xFF}"
+def _module_value(entry: SzlEntry) -> str:
+    """The identity value a list 0x0011 record carries: its text, or the version ``_module_words`` packed."""
+    parts = MODULE_KEYS[entry.index][1]
+    return ".".join(map(str, (*divmod(entry.words[1], 0x100), entry.words[2])[:parts])) if parts else entry.text
 
 
 def parse_szl_response(data: bytes) -> tuple[dict[str, str], dict[str, str]]:
-    """Parse a status-list reply frame into static and deployment fields.
+    """Parse a status-list reply frame into static and deployment fields: each record's nonempty value, by ``IDENTITY``.
 
-    Order number -> model, the module list's maker and the component
-    list's copyright -> manufacturer, serial -> serial; station naming
-    goes to deployment entries. Refusals surface as a FormatError
-    carrying the device's error code; ``decode_s7`` refuses list ids
-    outside :data:`SZL_LISTS` with a FormatError too.
+    Refusals surface as a FormatError carrying the device's error code;
+    ``decode_s7`` refuses list ids outside :data:`SZL_LISTS` with a FormatError too.
     """
     envelope = decode_envelope(data)
     if not isinstance(envelope.cotp, CotpData):
@@ -561,30 +552,18 @@ def parse_szl_response(data: bytes) -> tuple[dict[str, str], dict[str, str]]:
         raise FormatError(f"status list read refused (code 0x{message.error_code:04x})")
     if not message.entries:
         raise FormatError("status list response with no records")
-
-    static: dict[str, str] = {}
-    deployment: dict[str, str] = {}
     if message.szl_id == SZL_MODULE_ID:
-        static["manufacturer"] = "Siemens"  # status lists are a Siemens-family service
-        for entry in message.entries:
-            if entry.index == _MODULE_ID_INDEX_ORDER and entry.text:
-                static["model"] = entry.text
-            elif entry.index == _MODULE_ID_INDEX_HARDWARE:
-                static["hardware_version"] = _unpack_version(entry.words[1])
-            elif entry.index == _MODULE_ID_INDEX_FIRMWARE:
-                static["firmware_version"] = f"{_unpack_version(entry.words[1])}.{entry.words[2]}"
+        values = {MODULE_KEYS[entry.index][0]: _module_value(entry) for entry in message.entries
+                  if entry.index in MODULE_KEYS}
+        values["copyright"] = "Siemens"  # the list names no maker, but status lists are a Siemens-family service
     else:
-        for entry in message.entries:
-            key = COMPONENT_KEYS.get(entry.index) if entry.text else None
-            if key == "copyright":
-                static["manufacturer"] = "Siemens" if "siemens" in entry.text.lower() else entry.text
-            elif key == "serial":
-                static[key] = entry.text
-            elif key:
-                deployment[key] = entry.text
-    if not static and not deployment:
+        values = {COMPONENT_KEYS[entry.index]: entry.text for entry in message.entries if entry.index in COMPONENT_KEYS}
+        if "siemens" in values.get("copyright", "").lower():
+            values["copyright"] = "Siemens"
+    values = {key: value for key, value in values.items() if value}
+    if not values:
         raise FormatError("status list response with no usable fields")
-    return static, deployment
+    return identity_split(IDENTITY, values)
 
 
 def identity_key(wire: bytes) -> bytes | None:
@@ -611,8 +590,8 @@ def identity_fields(replies: Iterable[bytes]) -> tuple[dict[str, str], dict[str,
             reply_static, reply_deployment = parse_szl_response(wire)
         except (DecodeError, FormatError):
             continue
-        if "manufacturer" in static:
-            reply_static.pop("manufacturer", None)
+        if IDENTITY["copyright"] in static:
+            reply_static.pop(IDENTITY["copyright"], None)
         static.update(reply_static)
         deployment.update(reply_deployment)
     return static, deployment

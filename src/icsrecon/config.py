@@ -3,7 +3,7 @@
 Both file kinds use the same INI dialect: a ``[scan]`` (plus optional
 ``[network]``) section for scan runs, and ``[station]`` plus one
 ``[device:<name>]`` section per simulated device for fixtures. Device
-identity fields are ``identity.<field> = value`` keys.
+identity fields are ``identity.<key> = value`` keys its codec serves.
 
 Each section has one table, and each of its rows names a key, the record
 field the key sets and the reader of its text. That table is all a loader

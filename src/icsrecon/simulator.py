@@ -7,8 +7,8 @@ logical hosts on one subnet (CI cannot create interface aliases
 portably). Replies come from each codec's ``respond``, and a device
 whose ``SERVES`` identity its codec cannot read is refused at load, so
 every reply the simulator emits parses cleanly on the scanner side; so
-is a device setting a field that its codec's ``respond`` never reads,
-one outside the codec's ``DEVICE_FIELDS``.
+is a device setting a field its codec's ``respond`` never reads (one
+outside ``DEVICE_FIELDS``), or an identity key ``IDENTITY`` does not name.
 
 Fragility model: a fragile device faults when the observed packet rate
 over a sliding one-second window exceeds its budget, or (optionally)
@@ -91,9 +91,11 @@ class SimDeviceConfig(_SimDeviceConfigFields):
             raise ConfigError(f"{name}: flags {sorted(extra)} not valid for {protocol}")
         own = PROTOCOLS[protocol].DEVICE_FIELDS  # the fields only this protocol reads, each with its default
         given = {"accepted_tsaps": accepted_tsaps, "unit_id": unit_id}
-        for field, value in given.items():
-            if value is not None and field not in own:
-                raise ConfigError(f"{name}: {field} is not read by a {protocol} device")
+        identity = dict(identity or {})
+        unread = [field for field, value in given.items() if value is not None and field not in own]
+        unread += [f"identity.{key}" for key in sorted(identity.keys() - PROTOCOLS[protocol].IDENTITY)]
+        if unread:
+            raise ConfigError(f"{name}: {unread[0]} is not read by a {protocol} device")
         accepted_tsaps, unit_id = (own.get(field) if value is None else value for field, value in given.items())
         if max_pps < 1:
             raise ConfigError(f"{name}: max_pps must be >= 1")
@@ -109,7 +111,7 @@ class SimDeviceConfig(_SimDeviceConfigFields):
             raise ConfigError(f"{name}: {exc}") from exc
         if mac is None:
             raise ConfigError(f"{name}: mac must be a 48-bit hardware address")
-        config = tuple.__new__(cls, (name, protocol, ip, listen_port, mac, dict(identity or {}), feature_flags, fragile,
+        config = tuple.__new__(cls, (name, protocol, ip, listen_port, mac, identity, feature_flags, fragile,
                                      max_pps, fault_on_malformed, accepted_tsaps, unit_id))
         for flag in sorted(feature_flags):  # each reply the device serves is built once, before any device starts
             try:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import random
 from datetime import datetime, timezone
 
@@ -50,6 +51,17 @@ def same_record(got, want) -> bool:
     if isinstance(got, tuple):
         return len(got) == len(want) and all(map(same_record, got, want))
     return got == want
+
+
+def drive(enumeration, answer) -> tuple[list[bytes], list[bytes]]:
+    """Each request a codec's ``enumeration`` yields, sent back ``answer(request)`` in memory: requests, replies."""
+    requests, replies = [], []
+    with contextlib.suppress(StopIteration):
+        requests.append(next(enumeration))
+        while True:
+            replies.append(answer(requests[-1]))
+            requests.append(enumeration.send(replies[-1]))
+    return requests, replies
 
 
 def one_byte_changed(frames: list[bytes]):

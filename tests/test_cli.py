@@ -485,6 +485,9 @@ def test_bad_fixture_value_names_the_file_section_and_key(tmp_path, capsys, line
         ("modbus", "features = report_slave_id_fc11\nidentity.product_code = Pompé"),
         ("s7comm", "features = szl_001c\nidentity.system_name = Sté"),
         ("enip", "features = list_identity\nidentity.product_name = Réacteur"),
+        # a revision is dotted decimal, as S7's version words are, not text a ListIdentity reply would guess at
+        ("enip", "features = list_identity\nidentity.firmware_version = v2"),
+        ("enip", "features = list_identity\nidentity.firmware_version = 2.x"),
         # replies the device's own codec refuses: FC 0x2B with no object, a list 0x001C reply with no record
         ("modbus", "features = device_id_fc2b\nidentity.slave_id = 5"),
         ("s7comm", "features = szl_001c\nidentity.module_order_number = 6ES7 151-8AB01-0AB0"),
@@ -495,6 +498,7 @@ def test_bad_fixture_value_names_the_file_section_and_key(tmp_path, capsys, line
     ids=["unit_id", "slave_id", "enip_number", "long_text", "long_reply", "s7_version", "s7_hardware_300",
          "s7_firmware_300", "s7_patch_70000", "s7_order_number_21", "s7_component_text_33", "modbus_object_not_ascii",
          "modbus_slave_id_extra_not_ascii", "s7_component_text_not_ascii", "enip_product_name_not_ascii",
+         "enip_version_v2", "enip_version_2x",
          "modbus_no_object", "s7_component_no_record", "s7_tsap_over_16_bits", "s7_tsap_negative"],
 )
 def test_simulate_refuses_a_device_whose_identity_replies_cannot_be_built(tmp_path, capsys, protocol, lines):
@@ -504,6 +508,22 @@ def test_simulate_refuses_a_device_whose_identity_replies_cannot_be_built(tmp_pa
     code = main(["simulate", "--fixtures", str(fixtures), "--map-out", str(map_path), "--max-seconds", "0"])
     assert code == 1
     assert capsys.readouterr().err.startswith("error[ConfigError]: broken: ")
+    assert not map_path.exists()  # rejected before any device started
+
+
+@pytest.mark.parametrize(
+    "protocol, line",
+    [("modbus", "identity.firmware_verison = 2.1"), ("enip", "identity.serial = 0x10"),
+     ("modbus", "identity.plant_id = LINE-A")],
+    ids=["modbus_misspelt", "enip_s7_key", "modbus_s7_key"],
+)
+def test_simulate_refuses_an_identity_key_the_device_does_not_serve(tmp_path, capsys, protocol, line):
+    fixtures = tmp_path / "station.conf"
+    fixtures.write_text(f"[device:plc]\nprotocol = {protocol}\nip = 10.0.0.1\nlisten_port = 1000\n{line}\n")
+    map_path = tmp_path / "map.json"
+    assert main(["simulate", "--fixtures", str(fixtures), "--map-out", str(map_path), "--max-seconds", "0"]) == 1
+    key = line.partition(" =")[0]
+    assert capsys.readouterr().err.startswith(f"error[ConfigError]: plc: {key} is not read by a {protocol} device")
     assert not map_path.exists()  # rejected before any device started
 
 

@@ -147,6 +147,19 @@ def test_parse_szl_component_identification():
     )
 
 
+def test_each_identity_key_has_its_record_index():
+    """Builders and decoders read one slot table, so no round trip sees two of its keys swapped: pin each index."""
+    identity = {**ET200S_IDENTITY, "system_name": "Sys", "module_name": "Mod", "plant_id": "Plant", "copyright": "C",
+                "serial": "SN"}
+    order = ET200S_IDENTITY["module_order_number"]
+    assert s7.module_id_entries(identity) == (
+        s7.SzlEntry(1, order), s7.SzlEntry(6, order, (0, 0x0200, 0)), s7.SzlEntry(7, order, (0, 0x0302, 6))
+    )
+    assert s7.component_id_entries(identity) == (
+        s7.SzlEntry(1, "Sys"), s7.SzlEntry(2, "Mod"), s7.SzlEntry(3, "Plant"), s7.SzlEntry(4, "C"), s7.SzlEntry(5, "SN")
+    )
+
+
 def szl_reply(szl_id: int, entries) -> bytes:
     return s7.build_szl_response_frame(s7.S7SzlResponse(szl_id=szl_id, szl_index=0, entries=entries))
 

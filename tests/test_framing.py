@@ -13,13 +13,18 @@ import threading
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, reject, settings, strategies as st
 
 from icsrecon.codecs import PROTOCOLS, cut_frames, enip, modbus, s7
-from icsrecon.errors import ConnectionRefusedByTsap, DecodeError, FormatError, IcsReconError, LengthMismatch
+from icsrecon.errors import (
+    ConfigError, ConnectionRefusedByTsap, DecodeError, FormatError, IcsReconError, LengthMismatch,
+)
+from icsrecon.model import DeploymentInfo, StaticDeviceInfo
 from icsrecon.netbase import recv_frame
+from icsrecon.ouidb import load_enip_vendors
+from icsrecon.simulator import SimDeviceConfig
 
-from conftest import same_record
+from conftest import drive, same_record
 
 EXTRACTORS = {
     codec: functools.partial(cut_frames, header_size=codec.HEADER_SIZE, frame_size=codec.frame_size)
@@ -330,3 +335,120 @@ def test_an_enip_payload_over_8192_bytes_is_neither_built_nor_decoded():
     with pytest.raises(LengthMismatch):
         enip.decode_header(wire)
     assert not enip.claims(wire)
+
+
+# -- any identity a codec's device serves reads back whole, through the scanner's probe and enumeration ----------
+
+
+def texts(most: int):
+    """Printable ASCII with no surrounding whitespace, as a fixture's value reads: a record pads, a loader strips."""
+    return st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E), max_size=most).map(str.strip)
+
+
+def numbers(most: int):
+    return st.integers(0, most).map(str)
+
+
+@st.composite
+def versions(draw) -> str:
+    """Major, then maybe minor, then maybe a patch, in canonical decimal: what a version word and a patch word carry."""
+    parts = draw(st.lists(BYTE, min_size=1, max_size=2))
+    if len(parts) == 2:
+        parts += draw(st.lists(WORD, max_size=1))
+    return ".".join(map(str, parts))
+
+
+def version_parts(text: str) -> tuple[int, int, int]:
+    major, minor, patch = [*map(int, text.split(".")), 0, 0][:3]
+    return major, minor, patch
+
+
+# each codec's identity keys, each with the values its encoders accept
+IDENTITIES = {
+    "modbus": {"manufacturer": texts(80), "product_code": texts(80), "firmware_version": texts(80),
+               "slave_id": numbers(0xFF)},
+    "s7comm": {
+        "module_order_number": texts(20), "hardware_version": versions(), "firmware_version": versions(),
+        **dict.fromkeys(("system_name", "module_name", "plant_id", "serial"), texts(32)),
+        "copyright": texts(32) | st.sampled_from(("Original Siemens Equipment", "SIEMENS AG")),
+    },
+    "enip": {
+        "vendor_id": st.sampled_from(sorted(load_enip_vendors())).map(str) | numbers(0xFFFF),
+        "device_type": numbers(0xFFFF), "product_code_number": numbers(0xFFFF), "status": numbers(0xFFFF),
+        "firmware_version": versions(), "serial_number": numbers(0xFFFFFFFF), "product_name": texts(255),
+    },
+}
+
+
+def modbus_fields(identity: dict, flags: frozenset, config: SimDeviceConfig, unit: int) -> tuple[dict, dict]:
+    """FC 0x2B objects as themselves; FC 0x11 adds the reply's MBAP unit, and the slave id defaults to the device's."""
+    static, deployment = {}, {}
+    if "device_id_fc2b" in flags:
+        static = {key: identity.get(key) for key in ("manufacturer", "firmware_version")}
+        static["model"] = identity.get("product_code")
+    if "report_slave_id_fc11" in flags:
+        deployment = {"modbus_slave_id": identity.get("slave_id", str(config.unit_id)), "unit_id": str(unit)}
+    return static, deployment
+
+
+def s7_fields(identity: dict, flags: frozenset, config: SimDeviceConfig, unit: int) -> tuple[dict, dict]:
+    """The module list names Siemens, and is read first, so its maker wins; a copyright naming Siemens reads as
+    Siemens; the hardware word is major.minor, the firmware words major.minor.patch."""
+    static, deployment = {}, {}
+    if "szl_001c" in flags:
+        copyright = identity.get("copyright", "")
+        static = {"manufacturer": "Siemens" if "siemens" in copyright.lower() else copyright,
+                  "serial": identity.get("serial")}
+        deployment = {key: identity.get(key) for key in ("system_name", "module_name", "plant_id")}
+    if "szl_0011" in flags:
+        static |= {"manufacturer": "Siemens", "model": identity.get("module_order_number")}
+        if "hardware_version" in identity:
+            static["hardware_version"] = "%d.%d" % version_parts(identity["hardware_version"])[:2]
+        if "firmware_version" in identity:
+            static["firmware_version"] = "%d.%d.%d" % version_parts(identity["firmware_version"])
+    return static, deployment
+
+
+def enip_fields(identity: dict, flags: frozenset, config: SimDeviceConfig, unit: int) -> tuple[dict, dict]:
+    """The vendor through the shipped table, the revision as major.minor, the serial as 0x%08X; left out, the model
+    is the device's name, the firmware 1.0 and the serial 0."""
+    if "list_identity" not in flags:
+        return {}, {}
+    return {
+        "manufacturer": load_enip_vendors().get(int(identity.get("vendor_id", "1"))),
+        "model": identity.get("product_name", config.name),
+        "firmware_version": "%d.%d" % version_parts(identity.get("firmware_version", "1.0"))[:2],
+        "serial": f"0x{int(identity.get('serial_number', '0')):08X}",
+    }, {}
+
+
+EXPECTED_FIELDS = {"modbus": modbus_fields, "s7comm": s7_fields, "enip": enip_fields}
+
+
+@pytest.mark.parametrize("name", PROTOCOLS)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_any_servable_identity_reads_back_whole(name, data):
+    codec = PROTOCOLS[name]
+    identity = data.draw(st.fixed_dictionaries({}, optional=IDENTITIES[name]))
+    flags = frozenset(data.draw(st.sets(st.sampled_from(sorted(codec.EXCHANGES)))))
+    device = {"unit_id": data.draw(BYTE)} if name == "modbus" else {}
+    try:
+        config = SimDeviceConfig("plc-1", name, "10.0.0.1", codec.PORT, identity=identity, feature_flags=flags,
+                                 **device)
+    except ConfigError:
+        reject()  # an identity some reply cannot carry, say an FC 0x2B reply with no object
+    unit = data.draw(st.sampled_from((config.unit_id, 0, 0xFF))) if name == "modbus" else 1
+    session = {}
+    first, _hang_up = codec.respond(config, session, codec.opening_requests(unit)[0])
+    codec.confirm(first)
+    _requests, replies = drive(codec.enumeration(unit, first), lambda request: codec.respond(config, session, request)[0])
+    static, deployment = codec.identity_fields([first, *replies])
+    want_static, want_deployment = EXPECTED_FIELDS[name](identity, flags, config, unit)
+    assert StaticDeviceInfo.from_fields(static) == StaticDeviceInfo.from_fields(want_static)
+    assert DeploymentInfo.from_dict(deployment) == DeploymentInfo.from_dict(want_deployment)
+
+
+@pytest.mark.parametrize("name", PROTOCOLS)
+def test_the_property_draws_every_identity_key_a_codec_serves(name):
+    assert IDENTITIES[name].keys() == PROTOCOLS[name].IDENTITY.keys()

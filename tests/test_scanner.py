@@ -23,6 +23,8 @@ from icsrecon.scanner import DEFAULT_PORTS, PROTOCOL_PORTS, ScanConfig, Scanner,
 from icsrecon.simulator import SimDeviceConfig, SimNetwork, StationHandle
 from icsrecon.taxonomy import classify_run
 
+from conftest import drive
+
 FIXTURE_IPS = ("192.168.90.10", "192.168.90.11", "192.168.90.12", "192.168.90.13", "192.168.90.14")
 
 
@@ -159,7 +161,7 @@ ROWS = {
     ("device:", "max_pps"): ({"max_pps": "7"}, "max_pps", 7),
     ("device:", "fault_on_malformed"): ({"fault_on_malformed": "1"}, "fault_on_malformed", True),
     ("device:", "unit_id"): ({"unit_id": "9"}, "unit_id", 9),
-    ("device:", "identity."): ({"identity.plant_id": "LINE-A"}, "identity", {"plant_id": "LINE-A"}),
+    ("device:", "identity."): ({"identity.product_code": "RTU-1"}, "identity", {"product_code": "RTU-1"}),
 }
 
 
@@ -689,17 +691,6 @@ def test_unit_sweep_stops_when_the_scan_is_cancelled():
     assert not peer.is_alive()
     assert requests == [modbus.build_report_slave_id_request(unit) for unit in (1, 2, 3)]
     assert scanner.limiter.granted == 3
-
-
-def drive(enumeration, answer) -> tuple[list[bytes], list[bytes]]:
-    """Each request a codec's ``enumeration`` yields, sent back ``answer(request)`` in memory: requests, replies."""
-    requests, replies = [], []
-    with contextlib.suppress(StopIteration):
-        requests.append(next(enumeration))
-        while True:
-            replies.append(answer(requests[-1]))
-            requests.append(enumeration.send(replies[-1]))
-    return requests, replies
 
 
 def test_each_codec_enumeration_in_memory_reads_what_the_socket_scan_merges(station):
