@@ -70,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
     sniff = sub.add_parser("sniff", help="passive analysis of a capture")
     source = sniff.add_mutually_exclusive_group(required=True)
     source.add_argument("--pcap", help="libpcap capture file to analyze offline")
-    source.add_argument("--interface", help="live capture interface (requires privilege)")
+    source.add_argument("--interface", help="live capture interface (requires privilege; Ctrl-C ends the capture)")
     sniff.add_argument("--out", default="inventory.json", help="inventory output path")
     sniff.add_argument("--report-out", help="passive run report output path (JSON)")
 
@@ -170,8 +170,15 @@ def cmd_scan(args) -> int:
 def cmd_sniff(args) -> int:
     from .passive import LiveInterface, PcapFile, analyze_capture
 
-    source = PcapFile(args.pcap) if args.pcap else LiveInterface(args.interface)
-    report = analyze_capture(source)
+    stop = threading.Event()
+    if args.pcap:
+        report = analyze_capture(PcapFile(args.pcap))
+    else:  # a live capture runs until SIGINT, and what it read is written
+        previous = signal.signal(signal.SIGINT, lambda *_: stop.set())
+        try:
+            report = analyze_capture(LiveInterface(args.interface, stop))
+        finally:
+            signal.signal(signal.SIGINT, previous)
     report.save(args.out, args.report_out)
     _summary(
         command="sniff",
@@ -181,6 +188,9 @@ def cmd_sniff(args) -> int:
         classified_flows=report.classified_flows,
         inventory=args.out,
     )
+    if stop.is_set():
+        print("sniff cancelled; partial results written", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -3,12 +3,14 @@
 The analyzer never opens a sending socket: everything comes from pcap
 records, a file's 256 KiB reads or a live interface's frames, which the
 dissect loop walks in place. Each frame is dissected once, by offset:
-one read at offset 12 gives the ethertype and the IPv4 version/IHL, total length,
-flags/fragment word and protocol, so a TCP frame costs that read, one
-TCP header unpack and one lookup of its raw source and destination
-addresses and ports, which finds its flow, its direction and its sender
-at once. An IPv4 fragment with a nonzero offset carries no TCP header:
-it counts its sender and opens no flow. A segment from or to port 0 is
+one read at offset 12 gives its ethertype and IPv4 fields and, behind a
+20-byte IPv4 header, its raw addresses and ports and its TCP fields, so
+a TCP frame costs that read and one lookup, which finds its direction;
+IPv4 options cost a second read of the TCP header. A frame stamps only
+its direction, which holds its flow and its sender: each flow and sender
+takes the latest of its directions' times once the walk ends. An IPv4
+fragment with a nonzero offset carries no TCP header: it counts its
+sender and opens no flow. A segment from or to port 0 is
 malformed: it is counted as skipped and its sender still counts, and
 this is checked only where a direction is opened. Addresses stay raw
 bytes until they become text once per asset. Protocol claims need payload
@@ -24,9 +26,9 @@ end; a flow's displaced values are stamped with its own time, and
 a flow is dropped once folded, so its buffers go. The report's
 ``levels_achieved`` counts each level on its own evidence. Reassembly is
 in-order per direction, capped at 64 KiB, and done in the dissect loop
-itself: an in-order segment is sliced straight into its direction's
-buffer, and past the cap it only advances the sequence number; a SYN
-or a FIN takes one sequence number there too. Out-of-order
+itself: an in-order segment is sliced from its chunk straight into its
+direction's buffer, and past the cap it only advances the sequence
+number; a SYN or a FIN takes one sequence number there too. Out-of-order
 segments are dropped and counted; retransmissions are ignored.
 """
 
@@ -34,6 +36,7 @@ from __future__ import annotations
 
 import os
 import struct
+import threading
 import time
 from typing import Iterable, Iterator, NamedTuple
 
@@ -67,14 +70,19 @@ class PcapFile(NamedTuple):
 
 
 class LiveInterface:
-    """A live interface, read through an AF_PACKET socket: its chunks are one nanosecond pcap record per frame."""
+    """A live interface, read through an AF_PACKET socket: its chunks are one nanosecond pcap record per frame.
 
-    __slots__ = ("name",)
+    The chunks end once ``stop`` is set: a socket with no frame to read looks at it every ``poll_s`` seconds.
+    """
+
+    __slots__ = ("name", "stop")
     record_header = struct.Struct("<" + RECORD_FIELDS)
     divisor = 1e9
+    poll_s = 0.25
 
-    def __init__(self, name: str):
+    def __init__(self, name: str, stop: threading.Event | None = None):
         self.name = name
+        self.stop = threading.Event() if stop is None else stop
 
     def chunks(self) -> Iterator[bytes]:
         import socket  # here, so that reading a pcap file never loads it
@@ -83,10 +91,14 @@ class LiveInterface:
             raise PrivilegeRequired("live_capture")
         sock = socket.socket(socket.AF_PACKET, socket.SOCK_RAW, socket.htons(0x0003))
         sock.bind((self.name, 0))
+        sock.settimeout(self.poll_s)
         pack = self.record_header.pack
         try:
-            while True:
-                frame = sock.recv(65536)
+            while not self.stop.is_set():
+                try:
+                    frame = sock.recv(65536)
+                except TimeoutError:  # no frame yet
+                    continue
                 now = time.time_ns()
                 yield pack(now // 1_000_000_000, now % 1_000_000_000, len(frame), len(frame)) + frame
         finally:
@@ -117,12 +129,15 @@ def classify_flow(data: bytes) -> tuple[str | None, list[bytes]]:
 
 
 class _Direction:
-    __slots__ = ("next_seq", "buffer", "capped")
+    __slots__ = ("next_seq", "buffer", "capped", "flow", "seen", "last_seen")
 
     def __init__(self):
         self.next_seq: int | None = None
         self.buffer = bytearray()
         self.capped = False
+        self.flow: _Flow | None = None  # set, with ``seen``, when a frame opens the direction
+        self.seen: list | None = None  # its sender's [raw MAC, last seen] entry; None for the unnumbered address
+        self.last_seen = 0.0
 
 
 def _seq_after(a: int, b: int) -> bool:
@@ -197,9 +212,7 @@ def _identity_items(memo: dict, codec, replies: list[bytes]) -> tuple[tuple, tup
     return items
 
 
-_HEADERS = struct.Struct(">HBxH2xHxB")  # ethertype; IPv4 version/IHL, total length, flags/fragment word, protocol
-_TCP_FIELDS = struct.Struct(">4xI4xBB")  # sequence number, data offset, flags
-_IPV4_TYPE = ETHERTYPE_IPV4.to_bytes(2, "big")
+_HEADERS = struct.Struct(">HBxH2xHxB2x12sI4xBB")  # from offset 12: Ethernet and IPv4, then TCP behind 20 bytes
 _NO_ADDRESS = b"\x00\x00\x00\x00"
 
 
@@ -214,8 +227,8 @@ def _saw(senders: dict[bytes, list], sender: bytes, mac: bytes, when: float) -> 
     return entry
 
 
-def _open_direction(table: dict, flows: list[_Flow], key: bytes, seen: list | None) -> tuple | None:
-    """Register the direction a raw key names: the reverse of a known flow's first direction, or a new flow.
+def _open_direction(table: dict, flows: list[_Flow], key: bytes, seen: list | None) -> _Direction | None:
+    """Register the direction a raw key names, with its sender: the reverse of a known flow's first, or a new flow's.
 
     None for a segment from or to port 0, which no connection uses: it is malformed.
     """
@@ -228,10 +241,11 @@ def _open_direction(table: dict, flows: list[_Flow], key: bytes, seen: list | No
         flows.append(flow)
         direction = flow.forward
     else:
-        flow = known[0]
+        flow = known.flow
         direction = flow.reverse
-    entry = table[key] = (flow, direction, seen)
-    return entry
+    direction.flow, direction.seen = flow, seen
+    table[key] = direction
+    return direction
 
 
 def _dissect(
@@ -241,14 +255,15 @@ def _dissect(
 
     ``chunks`` of at most ``pcapio.READ_SIZE`` bytes hold pcap records laid out by ``record_header``, with
     ``divisor`` fraction ticks a second, walked in place. One pass by offset, under ``pcapio.ipv4_span``'s
-    and ``pcapio.tcp_data_start``'s rules; an IPv4 fragment with a nonzero offset is not read as TCP.
+    and ``pcapio.tcp_data_start``'s rules; an IPv4 fragment with a nonzero offset is not read as TCP. One read
+    gives a frame's headers; a TCP frame stamps its direction alone, and each flow and sender takes the latest
+    time of its directions once the walk ends.
     """
     senders: dict[bytes, list] = {}
-    # raw source and destination IPv4, source and destination port -> flow, direction, sender entry
-    table: dict[bytes, tuple[_Flow, _Direction, list | None]] = {}
+    table: dict[bytes, _Direction] = {}  # raw source and destination IPv4, source and destination port -> direction
     flows: list[_Flow] = []
     frames_read = skipped = 0
-    headers, tcp_fields, unpack = _HEADERS.unpack_from, _TCP_FIELDS.unpack_from, record_header.unpack_from
+    fields, unpack = _HEADERS.unpack_from, record_header.unpack_from
     tail = b""
     for chunk in chunks:
         if tail:
@@ -262,78 +277,85 @@ def _dissect(
             if at > chunk_size:  # the record goes on in the next chunk
                 at = offset - RECORD_HEADER
                 break
-            frame = chunk[offset:at]
             when = sec + frac / divisor
             frames_read += 1
-            if size < ETHERNET_HEADER + 20:  # too short for an IPv4 header, and for an ARP message
-                if size < ETHERNET_HEADER or frame[12:14] == _IPV4_TYPE:
-                    skipped += 1
-                continue
-            ethertype, version_ihl, total, fragment, protocol = headers(frame, 12)
-            if ethertype != ETHERTYPE_IPV4:
-                if ethertype == ETHERTYPE_ARP and size >= ETHERNET_HEADER + ARP_LENGTH:
-                    _saw(senders, frame[28:32], frame[22:28], when)  # ARP sender IPv4 and MAC
-                continue
-            ihl = (version_ihl & 0x0F) * 4
-            if not 0x45 <= version_ihl <= 0x4F or size < ETHERNET_HEADER + ihl or total < ihl:  # version 4, IHL >= 5
+            if size < ETHERNET_HEADER:  # no ethertype
                 skipped += 1
                 continue
+            ethertype, version_ihl, total, fragment, protocol, key, seq, data_offset, flags = (
+                fields(chunk, offset + 12) if size >= ETHERNET_HEADER + 40  # one read of both headers; a shorter
+                else fields(chunk[offset:at] + bytes(40), 12))  # frame reads padded, the bounds below keep to it
+            if version_ihl == 0x45 and ethertype == ETHERTYPE_IPV4 and total >= 20 and size >= ETHERNET_HEADER + 20:
+                start = offset + ETHERNET_HEADER + 20  # the common IPv4 header, read with the TCP key and fields
+            else:
+                if ethertype != ETHERTYPE_IPV4:
+                    if ethertype == ETHERTYPE_ARP and size >= ETHERNET_HEADER + ARP_LENGTH:  # ARP sender IPv4 and MAC
+                        _saw(senders, chunk[offset + 28 : offset + 32], chunk[offset + 22 : offset + 28], when)
+                    continue
+                ihl = (version_ihl & 0x0F) * 4
+                if not 0x45 <= version_ihl <= 0x4F or size < ETHERNET_HEADER + ihl or total < ihl:  # IPv4, IHL >= 5
+                    skipped += 1
+                    continue
+                start = offset + ETHERNET_HEADER + ihl  # behind IPv4 options: read again as if they were cut out
+                *_, key, seq, data_offset, flags = fields(chunk[offset : offset + 34] + chunk[start:at] + bytes(20), 12)
             if protocol == PROTO_TCP and not fragment & 0x1FFF:  # a later fragment carries no TCP header
-                start = ETHERNET_HEADER + ihl
-                end = ETHERNET_HEADER + total
-                if end > size:
-                    end = size
-                if end - start >= 20:
-                    seq, data_offset, flags = tcp_fields(frame, start)
-                    data = start + (data_offset >> 4) * 4
-                    if start + 20 <= data <= end:
-                        key = frame[26:38] if ihl == 20 else frame[26:34] + frame[start : start + 4]
-                        entry = table.get(key)
-                        if entry is None:
-                            entry = _open_direction(table, flows, key, _saw(senders, frame[26:30], frame[6:12], when))
-                            if entry is None:
-                                skipped += 1  # a port 0; its sender counted
-                                continue
-                        flow, direction, seen = entry
-                        if seen is not None and when > seen[1]:
-                            seen[1] = when
-                        if when > flow.last_seen:
-                            flow.last_seen = when
-                        # the SYN and the FIN each take one sequence number, in order or to start the direction
-                        if flags & TCP_SYN:
-                            if flow.client is None and not (flags & TCP_ACK):
-                                flow.client = flow.endpoints[direction is flow.reverse]
-                            next_seq = direction.next_seq
-                            if next_seq is None or seq == next_seq:
-                                direction.next_seq = (seq + 1) & 0xFFFFFFFF
-                        if data < end:
-                            next_seq = direction.next_seq
-                            if next_seq is None or seq == next_seq:  # in order: keep what fits under the cap
-                                if not direction.capped:
-                                    buffer = direction.buffer
-                                    room = REASSEMBLY_CAP - len(buffer)
-                                    if end - data > room:
-                                        buffer += frame[data : data + room]
-                                        direction.capped = True
-                                    else:
-                                        buffer += frame[data:end]
-                                direction.next_seq = (seq + end - data) & 0xFFFFFFFF
-                            elif _seq_after(seq, next_seq):
-                                flow.out_of_order += 1  # dropped, by design
-                            # else: a retransmission of data already consumed; ignored
-                        if flags & TCP_FIN:
-                            fin = (seq + end - data) & 0xFFFFFFFF
-                            next_seq = direction.next_seq
-                            if next_seq is None or fin == next_seq:
-                                direction.next_seq = (fin + 1) & 0xFFFFFFFF
-                        continue
+                end = offset + ETHERNET_HEADER + total
+                if end > at:
+                    end = at
+                data = start + (data_offset >> 4) * 4
+                if start + 20 <= data <= end:
+                    direction = table.get(key)
+                    if direction is None:
+                        seen = _saw(senders, chunk[offset + 26 : offset + 30], chunk[offset + 6 : offset + 12], when)
+                        direction = _open_direction(table, flows, key, seen)
+                        if direction is None:
+                            skipped += 1  # a port 0; its sender counted
+                            continue
+                    if when > direction.last_seen:
+                        direction.last_seen = when
+                    # the SYN and the FIN each take one sequence number, in order or to start the direction
+                    if flags & TCP_SYN:
+                        flow = direction.flow
+                        if flow.client is None and not (flags & TCP_ACK):
+                            flow.client = flow.endpoints[direction is flow.reverse]
+                        next_seq = direction.next_seq
+                        if next_seq is None or seq == next_seq:
+                            direction.next_seq = (seq + 1) & 0xFFFFFFFF
+                    if data < end:
+                        next_seq = direction.next_seq
+                        if next_seq is None or seq == next_seq:  # in order: keep what fits under the cap
+                            if not direction.capped:
+                                buffer = direction.buffer
+                                room = REASSEMBLY_CAP - len(buffer)
+                                if end - data > room:
+                                    buffer += chunk[data : data + room]
+                                    direction.capped = True
+                                else:
+                                    buffer += chunk[data:end]
+                            direction.next_seq = (seq + end - data) & 0xFFFFFFFF
+                        elif _seq_after(seq, next_seq):
+                            direction.flow.out_of_order += 1  # dropped, by design
+                        # else: a retransmission of data already consumed; ignored
+                    if flags & TCP_FIN:
+                        fin = (seq + end - data) & 0xFFFFFFFF
+                        next_seq = direction.next_seq
+                        if next_seq is None or fin == next_seq:
+                            direction.next_seq = (fin + 1) & 0xFFFFFFFF
+                    continue
                 skipped += 1  # a malformed TCP header; its sender still counts
-            _saw(senders, frame[26:30], frame[6:12], when)  # IPv4 and Ethernet sources
+            _saw(senders, chunk[offset + 26 : offset + 30], chunk[offset + 6 : offset + 12], when)  # IPv4, MAC sources
         tail = record_tail(chunk, at, unpack)
         if tail is None:
             break
     if tail != b"":  # a record over the bound, or one cut short by the end of the stream
         skipped += 1
+    for direction in table.values():  # each frame stamped its direction alone: its flow and sender take the latest
+        flow, seen, when = direction.flow, direction.seen, direction.last_seen
+        direction.flow = None  # no cycle is left, so a flow's buffers go with its last reference
+        if when > flow.last_seen:
+            flow.last_seen = when
+        if seen is not None and when > seen[1]:
+            seen[1] = when
     return senders, flows, frames_read, skipped
 
 

@@ -6,8 +6,10 @@ import hashlib
 import itertools
 import json
 import random
+import signal
 import socket
 import struct
+import threading
 from datetime import datetime, timezone
 
 import pytest
@@ -351,6 +353,11 @@ def _with_options(frame: bytes, ip_options: bytes = b"", tcp_options: bytes = b"
     return frame[:14] + ip + ip_options + tcp + tcp_options + payload
 
 
+def _padded(frame: bytes) -> bytes:
+    """``frame`` padded to Ethernet's 60-byte minimum, as a frame read off the wire is."""
+    return frame + bytes(60 - len(frame))
+
+
 VALID_FRAMES = [
     arp_frame(1, MAC_A, HOST_A, BROADCAST_MAC, HOST_B),
     arp_frame(2, MAC_B, HOST_B, MAC_A, HOST_A),
@@ -370,6 +377,12 @@ VALID_FRAMES = [
     _tcp_frame(HOST_B, HOST_A, 502, 40000, 5009, TCP_PSH | TCP_ACK, b"a reply of over sixteen bytes"),
     _fragment(_tcp_frame(HOST_A, HOST_B, 40000, 502, 1021, TCP_PSH | TCP_ACK, b"not a header"), 185),  # offset 1480
     _fragment(_tcp_frame(HOST_B, HOST_A, 502, 40000, 5038, TCP_PSH | TCP_ACK, b"first part"), 0x2000),  # MF set
+    # padded to 60 bytes, each long enough for one read of 20-byte IPv4 and TCP headers
+    _padded(arp_frame(1, MAC_A, HOST_A, BROADCAST_MAC, HOST_B)),
+    _padded(arp_frame(2, MAC_B, HOST_B, MAC_A, HOST_A)),
+    _padded(_ip_frame(HOST_A, HOST_B, PROTO_ICMP, icmp_echo(1, 2))),
+    _padded(_ip_frame(HOST_B, HOST_A, 17, bytes(12))),
+    _padded(_tcp_frame(HOST_A, HOST_B, 40000, 502, 1021, TCP_ACK)),  # a pure ACK: its IPv4 total length ends at 54
 ]
 _DATA = VALID_FRAMES[7]
 MALFORMED_FRAMES = [
@@ -678,27 +691,43 @@ def test_malformed_record_is_counted_once_in_the_report(tmp_path, frames, damage
     assert (report.frames_read, report.frames_skipped) == (len(records), reader.skipped) == (1, 1)
 
 
-def test_live_interface_reads_each_frame_with_its_time_and_closes_its_socket(monkeypatch):
-    frames = [VALID_FRAMES[0], VALID_FRAMES[1], VALID_FRAMES[7]]  # ARP from A, ARP from B, TCP data from A
-    stamps = [1_700_000_000_123_456_789, 1_700_000_001_000_000_000, 1_700_000_002_999_999_999]
+def _stand_in_socket(monkeypatch, frames, when_idle=None):
+    """Put a stand-in for the AF_PACKET socket: it receives ``frames``, then times out, calling ``when_idle`` first.
+
+    Returns the list of stand-ins made.
+    """
     sockets = []
 
     class StandInSocket:
         def __init__(self, *args):
-            self.args, self.received, self.closed = args, list(frames), False
+            self.args, self.received, self.closed, self.timeout = args, list(frames), False, None
             sockets.append(self)
 
         def bind(self, address):
             self.address = address
 
+        def settimeout(self, seconds):
+            self.timeout = seconds
+
         def recv(self, size):
-            return self.received.pop(0)
+            if self.received:
+                return self.received.pop(0)
+            if when_idle is not None:
+                when_idle()
+            raise TimeoutError
 
         def close(self):
             self.closed = True
 
     monkeypatch.setattr(socket, "socket", StandInSocket)
     monkeypatch.setattr(passive.os, "geteuid", lambda: 0)
+    return sockets
+
+
+def test_live_interface_reads_each_frame_with_its_time_and_closes_its_socket(monkeypatch):
+    frames = [VALID_FRAMES[0], VALID_FRAMES[1], VALID_FRAMES[7]]  # ARP from A, ARP from B, TCP data from A
+    stamps = [1_700_000_000_123_456_789, 1_700_000_001_000_000_000, 1_700_000_002_999_999_999]
+    sockets = _stand_in_socket(monkeypatch, frames)
     monkeypatch.setattr(passive.time, "time_ns", iter(stamps).__next__)
     live = LiveInterface("eth9")
     chunks = live.chunks()
@@ -712,6 +741,41 @@ def test_live_interface_reads_each_frame_with_its_time_and_closes_its_socket(mon
     assert not sock.closed
     chunks.close()
     assert sock.closed
+
+
+def test_live_interface_ends_once_its_stop_event_is_set(monkeypatch):
+    stop, idle = threading.Event(), []
+
+    def when_idle():  # the second wait with no frame sets the event; a third would be one too many
+        idle.append(stop.is_set())
+        assert len(idle) <= 2, "the chunks went on after the stop event was set"
+        if len(idle) == 2:
+            stop.set()
+
+    sockets = _stand_in_socket(monkeypatch, [VALID_FRAMES[0], VALID_FRAMES[7]], when_idle)
+    live = LiveInterface("eth9", stop)
+    senders, [flow], frames_read, skipped = _dissect(live.chunks(), live.record_header, live.divisor)
+    [sock] = sockets
+    assert (frames_read, skipped, idle) == (2, 0, [False, False]) and bytes(flow.forward.buffer) == b"request"
+    assert sock.closed and 0 < sock.timeout <= 1
+
+
+def test_sniff_of_an_interface_writes_what_it_read_on_sigint_and_exits_1(tmp_path, monkeypatch, capsys):
+    idle = []
+
+    def when_idle():  # Ctrl-C, through the handler sniff put in place, at the first wait with no frame
+        idle.append(signal.getsignal(signal.SIGINT))
+        assert len(idle) == 1, "the capture went on after SIGINT"
+        assert callable(idle[0]) and idle[0] is not signal.default_int_handler, "sniff put no SIGINT handler in place"
+        signal.raise_signal(signal.SIGINT)
+
+    _stand_in_socket(monkeypatch, [VALID_FRAMES[0], VALID_FRAMES[1]], when_idle)
+    before = signal.getsignal(signal.SIGINT)
+    out = tmp_path / "live.json"
+    assert cli_main(["sniff", "--interface", "eth9", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "sniff cancelled; partial results written\n"
+    assert {asset.ip for asset in Inventory.load(str(out))} == {HOST_A, HOST_B}
+    assert len(idle) == 1 and signal.getsignal(signal.SIGINT) is before
 
 
 def test_later_fragment_is_not_read_as_tcp(tmp_path):
