@@ -2,9 +2,9 @@
 
 The scanner only ever talks through a :class:`Network`: ICMP/ARP
 liveness checks, which addresses ARP can reach, plus TCP connections
-that yield ordinary socket objects. The real implementation uses the
-operating system; the simulator provides a drop-in replacement whose
-TCP connections are genuine loopback sockets.
+that yield socket objects. The real implementation uses the operating
+system; the simulator's drop-in replacement hands out in-memory
+connections with the socket methods the scanner calls.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ ARPHRD_ETHER = 1  # hardware type of an Ethernet interface, the only kind ARP ru
 
 class ConnectResult(NamedTuple):
     status: str  # "open" | "refused" | "timeout"
-    sock: socket.socket | None = None
+    sock: socket.socket | None = None  # or the simulator's in-memory stand-in
 
 
 class Network:

@@ -1,14 +1,18 @@
 """Protocol-faithful stand-ins for small ICS field stations.
 
-Each simulated device listens on a loopback TCP port, served with the
-control socket by one accept loop and a thread per connection; an
-address-mapping layer presents the set to the scanner as distinct
-logical hosts on one subnet (CI cannot create interface aliases
-portably). Replies come from each codec's ``respond``, and a device
-whose ``SERVES`` identity its codec cannot read is refused at load, so
-every reply the simulator emits parses cleanly on the scanner side; so
-is a device setting a field its codec's ``respond`` never reads (one
-outside ``DEVICE_FIELDS``), or an identity key ``IDENTITY`` does not name.
+Every simulated device is served in memory: ``StationHandle.connect``
+opens the device's side of a session, whose ``send`` frames the
+client's bytes by the codec's frame rule and answers them, and
+``SimNetwork`` wraps it in a socket-like connection for the scanner. A
+station in another process (``simulate``) carries the same sessions over
+its control socket, the one listening socket here, so both stations
+share one dialogue path. An address-mapping layer presents the devices
+as distinct logical hosts on one subnet. Replies come from each codec's
+``respond``, and a device whose ``SERVES`` identity its codec cannot
+read is refused at load, so every reply the simulator emits parses
+cleanly on the scanner side; so is a device setting a field its codec's
+``respond`` never reads (one outside ``DEVICE_FIELDS``), or an identity
+key ``IDENTITY`` does not name.
 
 Fragility model: a fragile device faults when the observed packet rate
 over a sliding one-second window exceeds its budget, or (optionally)
@@ -22,29 +26,28 @@ from __future__ import annotations
 
 import collections
 import contextlib
-import functools
 import ipaddress
+import itertools
 import json
 import logging
-import select
-import selectors
 import socket
 import threading
 import time
 from enum import Enum
 from typing import NamedTuple
 
-from .codecs import PROTOCOLS
+from .codecs import PROTOCOLS, cut_frames
 from .errors import ConfigError, DecodeError, FormatError, IcsReconError, PortUnavailable
 from .model import _check_ip, _check_mac
-from .netbase import ConnectResult, Network, recv_frame
-from .pcapio import PcapWriter, TrafficRecorder
+from .netbase import ConnectResult, Network
+from .pcapio import PcapWriter, TcpFlowRecord, TrafficRecorder
 
 logger = logging.getLogger(__name__)
 
-CONNECTION_IDLE_TIMEOUT = 5.0
+CONNECTION_IDLE_TIMEOUT = 5.0  # a device hangs up a session idle for longer, at its next request
 CONTROL_TIMEOUT = 5.0  # a control client's connect and each of its calls
 SCANNER_IP = "192.168.90.1"  # the scanner's address on a station whose fixtures name none
+CLIENT_PORTS = range(49152, 65536)  # the scanner's side of each recorded connection, in turn
 SEGMENT_PREFIX = 24  # the station's link: the /24 around its scanner address; ARP reaches nothing else
 
 
@@ -124,14 +127,12 @@ class SimDeviceConfig(_SimDeviceConfigFields):
 class SimDevice:
     """One simulated device: state machine, counters, protocol logic."""
 
-    def __init__(self, config: SimDeviceConfig, station: "StationHandle"):
+    def __init__(self, config: SimDeviceConfig):
         self.config = config
-        self.station = station
         self.state = SimState.RUNNING
         self.packets_received = self.packets_sent = self.malformed_seen = 0
         self._window: collections.deque[float] = collections.deque()
         self._lock = threading.Lock()
-        self.bound_port: int | None = None
 
     # -- state & counters: one note_received per arriving packet -----------
 
@@ -178,48 +179,64 @@ class SimDevice:
             return Counters(self.packets_received, self.packets_sent, self.malformed_seen)
 
 
-def _serve_device(device: SimDevice, sock: socket.socket, address: tuple[str, int]) -> None:
-    """One connection to a device: frames in, replies out, until the client goes, idles or sends junk."""
-    station = device.station
-    device.note_received()  # the connection attempt itself
-    flow = station.recorder.tcp_flow((station.scanner_ip, address[1]), (device.config.ip, device.config.listen_port))
-    flow.handshake()
-    codec, session = PROTOCOLS[device.config.protocol], {}  # the session is the codec's own, one per connection
-    reset = False
-    try:
-        while True:
-            try:
-                request = recv_frame(sock, codec, CONNECTION_IDLE_TIMEOUT)
-            except socket.timeout:
-                return
-            except (FormatError, OSError):
-                request = None  # unframeable input: whatever is pending is one malformed packet
+class DeviceSession:
+    """The device's side of one connection: each ``send`` is framed, counted, recorded in the mirror and answered."""
+
+    def __init__(self, device: SimDevice, flow: TcpFlowRecord):
+        self._device = device
+        self._flow = flow
+        self._codec = PROTOCOLS[device.config.protocol]
+        self._state: dict = {}  # the codec's own, one per connection
+        self._pending = b""  # the start of a frame not yet complete
+        self._open = True
+        device.note_received()  # the connection attempt itself
+        flow.handshake()
+        self._last = time.monotonic()
+
+    def send(self, data: bytes) -> tuple[bytes, bool]:
+        """The device's replies to the client's ``data``, one packet per frame or unframeable rest; and whether it
+        has hung up."""
+        if self._open and time.monotonic() - self._last > CONNECTION_IDLE_TIMEOUT:
+            self.close()  # the device dropped the idle session before ``data`` came
+        if not self._open:
+            return b"", True
+        device, codec, replies = self._device, self._codec, []
+        frames, self._pending = cut_frames(self._pending + data, codec.HEADER_SIZE, codec.frame_size)
+        if len(self._pending) >= codec.HEADER_SIZE and codec.frame_size(self._pending) is None:
+            frames.append(None)  # unframeable: whatever is pending is one malformed packet
+        for request in frames:
             state = device.note_received()
             if request is None:
                 device.note_malformed()
-                reset = True
-                return
-            flow.client_payload(request)
+                self.close(reset=True)
+                break
+            self._flow.client_payload(request)
             if state is SimState.FAULT:
                 continue  # accepts traffic, never replies
             try:
-                reply, hang_up = codec.respond(device.config, session, request)
+                reply, hang_up = codec.respond(device.config, self._state, request)
             except (DecodeError, FormatError):
                 device.note_malformed()
-                reset = True
-                return
+                self.close(reset=True)
+                break
             if reply is not None:
-                sock.sendall(reply)
+                replies.append(reply)
                 device.note_sent()
-                flow.server_payload(reply)
+                self._flow.server_payload(reply)
             if hang_up:
-                return
-    finally:
-        flow.close(reset=reset)
+                self.close()
+                break
+        self._last = time.monotonic()
+        return b"".join(replies), not self._open
+
+    def close(self, reset: bool = False) -> None:
+        """End the session from either side; its teardown, a reset after malformed input, is recorded once."""
+        self._open = False
+        self._flow.close(reset=reset)
 
 
 class StationHandle:
-    """A set of simulated devices plus the address-mapping layer."""
+    """A set of simulated devices plus the address-mapping layer; each session is served on its caller's thread."""
 
     def __init__(
         self,
@@ -232,20 +249,14 @@ class StationHandle:
         self.recorder = TrafficRecorder(self._pcap_writer)
         self.recorder.register_mac(scanner_ip, "02:00:5e:00:00:01")
         self.devices: list[SimDevice] = []
-        self._selector: selectors.BaseSelector | None = None
-        self._loop: threading.Thread | None = None
-        self._listeners: list[socket.socket] = []  # the devices' listeners, the ones wait_idle() checks
         self._by_endpoint: dict[tuple[str, int], SimDevice] = {}
         self._by_ip: dict[str, SimDevice] = {}
-        self._idle = threading.Condition()
-        self._in_flight = 0
-        seen = set()
+        self._connections = itertools.count()  # picks each connection's client port
         for config in configs:
             endpoint = (config.ip, config.listen_port)
-            if endpoint in seen:
+            if endpoint in self._by_endpoint:
                 raise PortUnavailable(f"duplicate endpoint {config.ip}:{config.listen_port}")
-            seen.add(endpoint)
-            device = SimDevice(config, self)
+            device = SimDevice(config)
             self.devices.append(device)
             self._by_endpoint[endpoint] = device
             self._by_ip.setdefault(config.ip, device)
@@ -254,105 +265,12 @@ class StationHandle:
     # -- lifecycle ---------------------------------------------------------
 
     def start(self) -> "StationHandle":
-        self._selector = selectors.DefaultSelector()
-        self._wake, self._waker = socket.socketpair()
-        self._selector.register(self._wake, selectors.EVENT_READ)
-        self._loop = threading.Thread(target=self._accept_loop, daemon=True, name="sim-accept")
-        self._loop.start()
-        for device in self.devices:
-            try:
-                device.bound_port = self.listen(functools.partial(_serve_device, device))
-            except OSError as exc:
-                self.stop()
-                raise PortUnavailable(f"{device.config.name}: {exc}") from exc
-        return self
-
-    def listen(self, serve, counted: bool = True) -> int:
-        """Bind a loopback port; each connection runs ``serve(sock, address)`` on a thread of its own.
-
-        A ``counted`` connection holds wait_idle(), and so stop(), until it is served.
-        """
-        listener = socket.create_server(("127.0.0.1", 0))
-        listener.setblocking(False)
-        self._selector.register(listener, selectors.EVENT_READ, (serve, counted))
-        if counted:
-            self._listeners.append(listener)
-        self._waker.send(b"\0")  # a loop already in select() takes the new listener on
-        return listener.getsockname()[1]
-
-    def _accept_loop(self) -> None:
-        while True:
-            for key, _ in self._selector.select():
-                if key.data is None:  # the wake socket: a byte for a new listener, end of file from stop()
-                    if not self._wake.recv(4096):
-                        return
-                    continue
-                serve, counted = key.data
-                if counted:
-                    self._serving(+1)  # before accept(), so wait_idle() never sees the connection in neither place
-                try:
-                    sock, address = key.fileobj.accept()
-                except OSError:  # the client went away while queued
-                    if counted:
-                        self._serving(-1)
-                    continue
-                sock.setblocking(True)  # some systems hand on the listener's non-blocking mode
-                threading.Thread(target=self._serve, args=(serve, counted, sock, address), daemon=True).start()
-
-    def _serve(self, serve, counted: bool, sock: socket.socket, address: tuple[str, int]) -> None:
-        try:
-            serve(sock, address)
-        except OSError:  # the client went away mid-reply
-            pass
-        finally:
-            with contextlib.suppress(OSError):
-                sock.shutdown(socket.SHUT_WR)  # an orderly end of stream before the close
-            sock.close()
-            if counted:
-                self._serving(-1)
+        return self  # nothing runs until a client connects
 
     def stop(self) -> None:
-        """Close every listener at once; wait for the connections being served (up to their idle timeout)."""
-        with self._idle:
-            self._listeners = []  # wait_idle() polls the list under this lock: it never sees a closed socket
-        if self._loop is not None:
-            self._waker.close()
-            self._loop.join()
-            for key in list(self._selector.get_map().values()):
-                key.fileobj.close()
-            self._selector.close()
-            self._selector = self._loop = None
-        self.wait_idle()  # teardown frames of the last connections belong in the pcap
+        """End the mirror capture; a session still open records nothing more."""
         if self._pcap_writer is not None:
             self._pcap_writer.close()
-
-    def _serving(self, delta: int) -> None:
-        with self._idle:
-            self._in_flight += delta
-            self._idle.notify_all()
-
-    def wait_idle(self, timeout: float = CONNECTION_IDLE_TIMEOUT + 1.0) -> bool:
-        """Wait until every connection is accepted and served, and its teardown recorded.
-
-        A handler outlives its client by at most the idle timeout; False
-        means a connection was still pending or open when ``timeout`` ran out.
-        """
-        def idle() -> bool:  # a readable listening socket holds a connection not yet accepted
-            if self._in_flight:
-                return False
-            queued = select.poll()  # poll, unlike select(), takes descriptors of 1024 and up
-            for listener in self._listeners:
-                queued.register(listener, select.POLLIN)
-            return not queued.poll(0)
-
-        with self._idle:
-            return self._idle.wait_for(idle, timeout)
-
-    def __enter__(self) -> "StationHandle":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
 
     # -- address mapping ---------------------------------------------------
 
@@ -362,9 +280,19 @@ class StationHandle:
                 return device
         raise KeyError(name)
 
-    def lookup(self, ip: str, port: int) -> int | None:
+    def connect(self, ip: str, port: int) -> DeviceSession | str:
+        """The device's side of a new session with ``ip:port``; "refused" or "timeout" where no device listens."""
+        client_port = CLIENT_PORTS[next(self._connections) % len(CLIENT_PORTS)]
+        flow = self.recorder.tcp_flow((self.scanner_ip, client_port), (ip, port))
         device = self._by_endpoint.get((ip, port))
-        return None if device is None else device.bound_port
+        if device is not None:
+            return DeviceSession(device, flow)
+        device = self._by_ip.get(ip)
+        if device is not None and device.note_received() is SimState.RUNNING:
+            flow.refused()
+            return "refused"
+        flow.unanswered()
+        return "timeout"
 
     def ping(self, ip: str) -> bool:
         device = self._by_ip.get(ip)
@@ -384,30 +312,45 @@ class StationHandle:
         self.recorder.arp_exchange(self.scanner_ip, ip, answered=True)
         return device.config.mac
 
-    def unmapped_syn(self, ip: str, port: int) -> str:
-        flow = self.recorder.tcp_flow((self.scanner_ip, 65000), (ip, port))
-        device = self._by_ip.get(ip)
-        if device is None:
-            flow.unanswered()
-            return "timeout"
-        if device.note_received() is SimState.RUNNING:
-            flow.refused()
-            return "refused"
-        flow.unanswered()
-        return "timeout"
-
     def address_map(self) -> dict:
-        return {
-            "scanner_ip": self.scanner_ip,
-            "hosts": {
-                device.config.ip: {
-                    "mac": device.config.mac,
-                    "name": device.config.name,
-                    "ports": {str(device.config.listen_port): device.bound_port},
-                }
-                for device in self.devices
-            },
-        }
+        hosts: dict[str, dict] = {}
+        for config in (device.config for device in self.devices):
+            host = hosts.setdefault(config.ip, {"mac": config.mac, "name": config.name, "ports": []})
+            host["ports"].append(config.listen_port)
+        return {"scanner_ip": self.scanner_ip, "hosts": hosts}
+
+
+class SimConnection:
+    """The scanner's end of one session, in place of a socket: what the device sends back waits here to be read."""
+
+    def __init__(self, session: DeviceSession | RemoteSession, timeout: float | None):
+        self._session = session
+        self._timeout = timeout
+        self._inbox = b""
+        self._ended = False  # the device hung up: a read past the inbox finds the end of the stream
+
+    def sendall(self, data: bytes) -> None:
+        reply, self._ended = self._session.send(data)
+        self._inbox += reply
+
+    def recv(self, size: int) -> bytes:
+        if not self._inbox and not self._ended:
+            time.sleep(self._timeout or 0.0)  # nothing is coming: the read waits out its timeout, as on a silent socket
+            raise socket.timeout("timed out")
+        data, self._inbox = self._inbox[:size], self._inbox[size:]
+        return data
+
+    def settimeout(self, value: float | None) -> None:
+        self._timeout = value
+
+    def close(self) -> None:
+        self._session.close()
+
+    def __enter__(self) -> "SimConnection":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
 
 class SimNetwork(Network):
@@ -428,17 +371,10 @@ class SimNetwork(Network):
         return self.station.arp(ip)
 
     def connect(self, ip: str, port: int, timeout: float) -> ConnectResult:
-        real_port = self.station.lookup(ip, port)
-        if real_port is None:
-            return ConnectResult(self.station.unmapped_syn(ip, port))
-        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        sock.settimeout(timeout)
-        try:
-            sock.connect(("127.0.0.1", real_port))
-            return ConnectResult("open", sock)
-        except (ConnectionRefusedError, socket.timeout, OSError):
-            sock.close()
-            return ConnectResult("timeout")
+        session = self.station.connect(ip, port)
+        if isinstance(session, str):
+            return ConnectResult(session)
+        return ConnectResult("open", SimConnection(session, timeout))
 
     def close(self) -> None:
         """Close a remote station's control channel; a local one keeps running."""
@@ -449,43 +385,80 @@ class SimNetwork(Network):
 # -- remote control (separate-process simulator) ---------------------------
 
 
-CONTROL_OPS = {  # op -> the fields its response adds to "ok": true
-    "ping": lambda station, request: {"alive": station.ping(request["ip"])},
-    "arp": lambda station, request: {"mac": station.arp(request["ip"])},
-    "unmapped_syn": lambda station, request: {"status": station.unmapped_syn(request["ip"], request["port"])},
-    "state": lambda station, request: {"state": station.device(request["name"]).get_state().value},
-    "counters": lambda station, request: {"counters": station.device(request["name"]).get_counters()._asdict()},
-    "reset": lambda station, request: {"state": station.device(request["name"]).reset().value},
-    "info": lambda station, request: {"map": station.address_map()},
-    "shutdown": lambda station, request: {},
+def _open_session(station: StationHandle, sessions: dict, request: dict) -> dict:
+    session = station.connect(request["ip"], request["port"])
+    if isinstance(session, str):
+        return {"status": session}
+    sessions[id(session)] = session
+    return {"status": "open", "session": id(session)}
+
+
+def _send(station: StationHandle, sessions: dict, request: dict) -> dict:
+    reply, hang_up = sessions[request["session"]].send(bytes.fromhex(request["data"]))
+    return {"reply": reply.hex(), "hang_up": hang_up}
+
+
+CONTROL_OPS = {  # op -> the fields its response adds to "ok": true; ``sessions`` are the control connection's own
+    "ping": lambda station, sessions, request: {"alive": station.ping(request["ip"])},
+    "arp": lambda station, sessions, request: {"mac": station.arp(request["ip"])},
+    "connect": _open_session,
+    "send": _send,
+    "close": lambda station, sessions, request: sessions.pop(request["session"]).close() or {},
+    "state": lambda station, sessions, request: {"state": station.device(request["name"]).get_state().value},
+    "counters": lambda station, sessions, request: {
+        "counters": station.device(request["name"]).get_counters()._asdict()},
+    "reset": lambda station, sessions, request: {"state": station.device(request["name"]).reset().value},
+    "info": lambda station, sessions, request: {"map": station.address_map()},
+    "shutdown": lambda station, sessions, request: {},
 }
 
 
 class ControlledStation:
-    """Station plus its control socket, as run by the simulate command."""
+    """Station plus its control socket, as run by the simulate command: the one socket the simulator listens on."""
 
     def __init__(self, station: StationHandle):
         self.station = station
         self._shutdown = threading.Event()
-        self.control_port = station.listen(self._serve, counted=False)  # stop() never waits for a control client
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self.control_port = self._listener.getsockname()[1]
+        self._clients = threading.Thread(target=self._take_clients, daemon=True, name="sim-control")
+        self._clients.start()
 
-    def _serve(self, sock: socket.socket, address: tuple[str, int]) -> None:
-        """JSON-lines requests, one response each, until the client closes or asks for shutdown."""
-        with sock.makefile("rb") as rfile:
-            for line in rfile:
-                request: dict = {}
-                try:
-                    request = json.loads(line.decode("utf-8"))
-                    op = CONTROL_OPS.get(request.get("op"))
-                    if op is None:
-                        raise FormatError(f"unknown op {request.get('op')!r}")
-                    response = {"ok": True, **op(self.station, request)}
-                except Exception as exc:  # never kill the control channel
-                    response = {"ok": False, "error": str(exc)}
-                sock.sendall((json.dumps(response) + "\n").encode("utf-8"))
-                if isinstance(request, dict) and request.get("op") == "shutdown":
-                    self._shutdown.set()
-                    return
+    def _take_clients(self) -> None:
+        while True:
+            try:
+                sock, _address = self._listener.accept()
+            except OSError:  # stop() shut the listener down
+                return
+            threading.Thread(target=self._serve, args=(sock,), daemon=True).start()
+
+    def _serve(self, sock: socket.socket) -> None:
+        """JSON-lines requests, one response each, until the client closes or asks for shutdown.
+
+        The sessions the client opened and left open close with its connection.
+        """
+        sessions: dict[int, DeviceSession] = {}
+        try:
+            with sock, sock.makefile("rb") as rfile:
+                for line in rfile:
+                    request: dict = {}
+                    try:
+                        request = json.loads(line.decode("utf-8"))
+                        op = CONTROL_OPS.get(request.get("op"))
+                        if op is None:
+                            raise FormatError(f"unknown op {request.get('op')!r}")
+                        response = {"ok": True, **op(self.station, sessions, request)}
+                    except Exception as exc:  # never kill the control channel
+                        response = {"ok": False, "error": str(exc)}
+                    sock.sendall((json.dumps(response) + "\n").encode("utf-8"))
+                    if isinstance(request, dict) and request.get("op") == "shutdown":
+                        self._shutdown.set()
+                        return
+        except OSError:  # the client went away mid-reply
+            pass
+        finally:
+            for session in sessions.values():
+                session.close()
 
     def map_document(self) -> dict:
         doc = self.station.address_map()
@@ -497,6 +470,11 @@ class ControlledStation:
         return self._shutdown.wait(timeout)
 
     def stop(self) -> None:
+        """Stop taking control clients at once; one still connected is served until it leaves."""
+        with contextlib.suppress(OSError):  # a second stop finds the listener closed
+            self._listener.shutdown(socket.SHUT_RDWR)  # wakes the accept() in _take_clients
+        self._clients.join()
+        self._listener.close()
         self.station.stop()
 
 
@@ -528,38 +506,43 @@ class ControlClient:
             self._sock.close()
 
 
+class RemoteSession:
+    """A device session held by a simulator in another process, driven through its control channel."""
+
+    def __init__(self, client: ControlClient, session: int):
+        self._client = client
+        self._session = session
+
+    def send(self, data: bytes) -> tuple[bytes, bool]:
+        response = self._client.call("send", session=self._session, data=data.hex())
+        return bytes.fromhex(response["reply"]), response["hang_up"]
+
+    def close(self) -> None:
+        self._client.call("close", session=self._session)
+
+
 class RemoteStation:
-    """SimNetwork's station for a simulator in another process: map file plus control socket."""
+    """SimNetwork's station for a simulator in another process: the map's scanner address and control socket."""
 
     def __init__(self, map_document: dict):
         try:
             self.scanner_ip = _check_ip(map_document["scanner_ip"])
-            self._hosts = map_document["hosts"]
             control_port = map_document["control_port"]
         except KeyError as exc:
             raise FormatError(f"station map lacks {exc}; simulate --map-out writes a complete one") from exc
         except ValueError as exc:
             raise FormatError(f"station map scanner_ip: {exc}") from exc
-        if not isinstance(self._hosts, dict):
-            raise FormatError("station map hosts must be a JSON object of address -> host")
-        for ip, host in self._hosts.items():
-            ports = host.get("ports") if isinstance(host, dict) else None
-            if not isinstance(ports, dict) or not all(isinstance(port, int) for port in ports.values()):
-                raise FormatError(f"station map host {ip} must be an object holding a ports object of port -> port")
         self._client = ControlClient(control_port)
 
-    def lookup(self, ip: str, port: int) -> int | None:
-        host = self._hosts.get(ip)
-        return host["ports"].get(str(port)) if host else None
+    def connect(self, ip: str, port: int) -> RemoteSession | str:
+        response = self._client.call("connect", ip=ip, port=port)
+        return RemoteSession(self._client, response["session"]) if response["status"] == "open" else response["status"]
 
     def ping(self, ip: str) -> bool:
         return bool(self._client.call("ping", ip=ip)["alive"])
 
     def arp(self, ip: str) -> str | None:
         return self._client.call("arp", ip=ip)["mac"]
-
-    def unmapped_syn(self, ip: str, port: int) -> str:
-        return self._client.call("unmapped_syn", ip=ip, port=port)["status"]
 
     def close(self) -> None:
         self._client.close()

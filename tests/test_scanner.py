@@ -20,7 +20,7 @@ from icsrecon.errors import ConfigError, IcsReconError, PrivilegeRequired
 from icsrecon.model import Asset, DeploymentInfo, PortSpec, StaticDeviceInfo, compute_depth
 from icsrecon.netbase import ConnectResult, RealNetwork
 from icsrecon.scanner import DEFAULT_PORTS, PROTOCOL_PORTS, ScanConfig, Scanner, expand_targets
-from icsrecon.simulator import SimDeviceConfig, SimNetwork, StationHandle
+from icsrecon.simulator import SimConnection, SimDeviceConfig, SimNetwork, StationHandle
 from icsrecon.taxonomy import classify_run
 
 from conftest import drive
@@ -407,19 +407,14 @@ def test_scan_ports_no_listeners_keeps_depth_one(station):
     assert compute_depth(asset) == 1
 
 
-class CloseCountingSocket(socket.socket):
-    """A socket that counts the times it is closed; a plain socket ignores all but the first."""
+class CloseCountingSocket(SimConnection):
+    """The simulator's connection, counting the times it is closed; its session takes only the first."""
 
     closes = 0
 
     def close(self):
         self.closes += 1
         super().close()
-
-    def __exit__(self, *args):
-        if self.fileno() == -1:
-            self.closes += 1  # socket.__exit__ skips close() on a closed socket
-        super().__exit__(*args)
 
 
 class CountingNetwork(SimNetwork):
@@ -437,10 +432,9 @@ class CountingNetwork(SimNetwork):
             self.connects[(ip, port)] += 1
             if result.sock is None:
                 return result
-            sock = CloseCountingSocket(fileno=result.sock.detach())
-            sock.settimeout(timeout)
-            self.sockets.append(sock)
-        return ConnectResult(result.status, sock)
+            result.sock.__class__ = CloseCountingSocket  # the same connection, now counting its closes
+            self.sockets.append(result.sock)
+        return result
 
     def closes(self) -> list[int]:
         return [sock.closes for sock in self.sockets]
@@ -458,7 +452,7 @@ def port_found_open(station, ip, port):
     assert result.status == "open"
     with result.sock:  # the port scan's connection: its opener closes it, not the probe
         yield scanner, scanner._merge(asset, open_ports=frozenset({PortSpec(port)})), result.sock
-        assert result.sock.fileno() != -1
+        assert result.sock.closes == 0
 
 
 def test_probe_modbus_exception_still_confirms(station):

@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-import os
-import resource
+import contextlib
 import socket
 import sys
 import threading
@@ -13,11 +12,13 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from icsrecon import simulator
 from icsrecon.codecs import PROTOCOLS, cut_frames, enip, modbus, s7
 from icsrecon.config import default_fixtures_path, load_fixtures
 from icsrecon.errors import ConfigError, DecodeError, FormatError, PortUnavailable
 from icsrecon.netbase import recv_frame
-from icsrecon.pcapio import CaptureReader, TCP_FIN, parse_ethernet, parse_ipv4, parse_tcp
+from icsrecon.pcapio import TCP_FIN, CaptureReader, parse_ethernet, parse_ipv4, parse_tcp
+from icsrecon.scanner import ScanConfig, Scanner
 from icsrecon.simulator import (
     ControlClient,
     ControlledStation,
@@ -52,9 +53,8 @@ def station():
     handle.stop()
 
 
-def exchange(station, config_port, ip, request, codec):
-    real_port = station.lookup(ip, config_port)
-    with socket.create_connection(("127.0.0.1", real_port), timeout=2) as sock:
+def exchange(station, port, ip, request, codec):
+    with SimNetwork(station).connect(ip, port, 2.0).sock as sock:
         sock.sendall(request)
         return recv_frame(sock, codec, 2.0)
 
@@ -118,8 +118,7 @@ def test_fixture_addresses_are_checked_when_loaded(tmp_path, text, message):
 
 
 def make_device(**kw) -> SimDevice:
-    station = StationHandle([], scanner_ip="192.168.90.1")
-    return SimDevice(modbus_config(**kw), station)
+    return SimDevice(modbus_config(**kw))
 
 
 def test_burst_over_budget_faults_within_one_second():
@@ -183,12 +182,9 @@ def s7_station(**kw) -> StationHandle:
 
 def send_malformed_s7(station: StationHandle) -> None:
     """One connection, one malformed request; the device must hang up, not leave the read to time out."""
-    with socket.create_connection(("127.0.0.1", station.lookup("192.168.90.10", 102)), timeout=2) as sock:
+    with SimNetwork(station).connect("192.168.90.10", 102, 2.0).sock as sock:
         sock.sendall(MALFORMED_S7)
-        try:
-            assert sock.recv(64) == b""
-        except ConnectionResetError:
-            pass
+        assert sock.recv(64) == b""
 
 
 def test_malformed_request_takes_one_place_in_the_rate_window():
@@ -252,7 +248,10 @@ def test_empty_station_is_valid():
 def test_distinct_ips_may_share_port_number():
     handle = StationHandle([modbus_config(), modbus_config(name="rtu2", ip="192.168.90.99")]).start()
     try:
-        assert handle.lookup("192.168.90.13", 502) != handle.lookup("192.168.90.99", 502)
+        for ip in ("192.168.90.13", "192.168.90.99"):
+            exchange(handle, 502, ip, modbus.build_report_slave_id_request(unit=1), modbus)
+        # each connection reached its own device: the attempt and the request
+        assert [device.get_counters().packets_received for device in handle.devices] == [2, 2]
     finally:
         handle.stop()
 
@@ -325,8 +324,7 @@ def test_s7_szl_refused_without_feature():
     config = load_fixtures(default_fixtures_path())
     handle = StationHandle(list(config.devices)).start()
     try:
-        real_port = handle.lookup("192.168.90.12", 102)  # the HMI-like panel
-        with socket.create_connection(("127.0.0.1", real_port), timeout=2) as sock:
+        with SimNetwork(handle).connect("192.168.90.12", 102, 2.0).sock as sock:  # the HMI-like panel
             sock.sendall(s7.build_cotp_connect(0x0100, 0x0102))
             assert isinstance(s7.decode_envelope(recv_frame(sock, s7, 2.0)).cotp, s7.CotpConnectionConfirm)
             sock.sendall(s7.build_setup_communication(pdu_ref=1))
@@ -593,15 +591,36 @@ def test_each_codec_responds_as_the_reference_reply_to_mutated_request_streams(d
 def test_fault_latching_no_replies_until_reset(station):
     device = station.device("rtu")
     device.state = SimState.FAULT
-    real_port = station.lookup("192.168.90.13", 502)
     # connections are still accepted, but nothing comes back
-    with socket.create_connection(("127.0.0.1", real_port), timeout=2) as sock:
+    with SimNetwork(station).connect("192.168.90.13", 502, 2.0).sock as sock:
         sock.sendall(modbus.build_report_slave_id_request(unit=1))
         with pytest.raises(socket.timeout):
             recv_frame(sock, modbus, 1.0)
     device.reset()
     reply = exchange(station, 502, "192.168.90.13", modbus.build_report_slave_id_request(unit=1), modbus)
     assert modbus.parse_report_slave_id_response(reply).slave_id == 5
+
+
+def test_a_frame_split_over_two_sends_is_one_packet_answered_once_whole(station):
+    request = modbus.build_report_slave_id_request(unit=1)
+    session = station.connect("192.168.90.13", 502)
+    assert session.send(request[:3]) == (b"", False)
+    reply, hung_up = session.send(request[3:])
+    assert modbus.parse_report_slave_id_response(reply).slave_id == 5 and not hung_up
+    session.close()
+    assert station.device("rtu").get_counters() == Counters(packets_received=2, packets_sent=1)
+
+
+def test_a_session_idle_past_the_timeout_is_hung_up_at_its_next_request(monkeypatch, station):
+    monkeypatch.setattr(simulator, "CONNECTION_IDLE_TIMEOUT", 0.05)
+    request = modbus.build_report_slave_id_request(unit=1)
+    with SimNetwork(station).connect("192.168.90.13", 502, 2.0).sock as sock:
+        sock.sendall(request)
+        recv_frame(sock, modbus, 2.0)
+        time.sleep(0.1)
+        sock.sendall(request)
+        assert sock.recv(64) == b""  # the device hung up before this request came: it is not counted
+    assert station.device("rtu").get_counters() == Counters(packets_received=2, packets_sent=1)
 
 
 def test_ping_and_arp_through_mapping_layer(station):
@@ -648,7 +667,6 @@ def test_control_ops_counters_reset_and_info(station):
     request = modbus.build_report_slave_id_request(unit=1)
     try:
         exchange(station, 502, "192.168.90.13", request, modbus)
-        assert station.wait_idle(timeout=5.0)
         counters = client.call("counters", name="rtu")["counters"]
         assert (counters["packets_received"], counters["packets_sent"]) == (2, 1)
         station.device("rtu").state = SimState.FAULT
@@ -688,64 +706,7 @@ def test_control_client_shared_by_concurrent_callers():
         controlled.stop()
 
 
-def test_wait_idle_returns_after_the_last_teardown_frame(tmp_path):
-    pcap = tmp_path / "mirror.pcap"
-    station = StationHandle([modbus_config()], pcap_path=str(pcap)).start()
-    try:
-        sock = socket.create_connection(("127.0.0.1", station.lookup("192.168.90.13", 502)), timeout=2)
-        sock.sendall(modbus.build_report_slave_id_request(unit=1))
-        recv_frame(sock, modbus, 2.0)
-        closer = threading.Timer(0.3, sock.close)  # the client lingers, then goes away
-        closer.start()
-        assert station.wait_idle(timeout=5.0)
-        closer.join(timeout=5.0)
-        after_wait = [frame for _, frame in CaptureReader(str(pcap))]
-    finally:
-        station.stop()
-    assert len(after_wait) == len(list(CaptureReader(str(pcap))))
-    last = parse_tcp(parse_ipv4(parse_ethernet(after_wait[-1]).payload).payload)
-    assert last.flags & TCP_FIN  # the teardown was already written when the wait returned
-
-
-def test_wait_idle_is_bounded_while_a_client_holds_its_connection(station):
-    with socket.create_connection(("127.0.0.1", station.lookup("192.168.90.13", 502)), timeout=2) as sock:
-        sock.sendall(modbus.build_report_slave_id_request(unit=1))
-        recv_frame(sock, modbus, 2.0)  # the server has accepted and is serving it
-        assert not station.wait_idle(timeout=0.2)
-    assert station.wait_idle(timeout=5.0)
-
-
-def test_wait_idle_counts_a_connection_not_yet_accepted(station):
-    port = station.lookup("192.168.90.13", 502)
-    for _ in range(20):
-        # nothing is sent or read: the connection may still sit in the accept queue
-        with socket.create_connection(("127.0.0.1", port), timeout=2):
-            assert not station.wait_idle(timeout=0.2)
-
-
-def test_wait_idle_takes_listeners_on_descriptors_of_1024_and_up():
-    # select() refuses a descriptor of 1024 or more, which a site-scale station reaches
-    if resource.getrlimit(resource.RLIMIT_NOFILE)[0] < 1100:
-        pytest.skip("this process may not open 1100 files")
-    held = []
-    try:
-        while not held or held[-1] < 1030:  # the lowest free descriptor first, so every one below is taken
-            held.append(os.open(os.devnull, os.O_RDONLY))
-        station = StationHandle([modbus_config()]).start()
-        try:
-            assert min(listener.fileno() for listener in station._listeners) > 1030
-            assert station.wait_idle(timeout=1.0)
-            with socket.create_connection(("127.0.0.1", station.lookup("192.168.90.13", 502)), timeout=2):
-                assert not station.wait_idle(timeout=0.2)
-            assert station.wait_idle(timeout=5.0)
-        finally:
-            station.stop()
-    finally:
-        for fd in held:
-            os.close(fd)
-
-
-# -- accept loop: one thread for every listener, a stop that waits for nothing idle --------
+# -- in memory: no thread and no socket for a device, one dialogue for both stations --------
 
 
 def fifty_devices() -> list[SimDeviceConfig]:
@@ -758,12 +719,12 @@ def timed_stop(stoppable) -> float:
     return time.perf_counter() - started
 
 
-def test_a_station_of_fifty_devices_starts_one_thread():
+def test_a_station_of_fifty_devices_starts_no_thread():
     station = StationHandle(fifty_devices())
     before = threading.active_count()
     station.start()
     try:
-        assert threading.active_count() <= before + 1
+        assert threading.active_count() == before
         assert exchange(station, 502, "192.168.90.149", modbus.build_report_slave_id_request(unit=1), modbus)
     finally:
         station.stop()
@@ -782,7 +743,6 @@ def test_concurrent_connections_to_every_device_are_each_served_once():
     try:
         with ThreadPoolExecutor(max_workers=8) as pool:
             assert list(pool.map(slave_ids, range(8))) == [[5] * 10] * 8
-        assert station.wait_idle(timeout=5.0)
         received = sum(device.get_counters().packets_received for device in station.devices)
         assert received == 2 * 8 * 10  # each connection, then its one request
     finally:
@@ -801,17 +761,19 @@ def test_a_second_stop_is_harmless(tmp_path):
     controlled.stop()
     controlled.stop()
     station.stop()
-    assert station.wait_idle(timeout=0.1)
+    assert list(CaptureReader(str(tmp_path / "mirror.pcap"))) == []  # a whole capture, of no traffic
 
 
 def test_after_stop_no_device_port_nor_the_control_port_accepts():
     config = load_fixtures(default_fixtures_path())
     controlled = ControlledStation(StationHandle(list(config.devices), scanner_ip=config.scanner_ip).start())
-    ports = [device.bound_port for device in controlled.station.devices] + [controlled.control_port]
+    # a device has no port of its own to accept on: the map names only the fixtures' ports
+    hosts = controlled.map_document()["hosts"]
+    assert {(ip, port) for ip, host in hosts.items() for port in host["ports"]} == {
+        (device.ip, device.listen_port) for device in config.devices}
     controlled.stop()
-    for port in ports:
-        with pytest.raises(ConnectionRefusedError):
-            socket.create_connection(("127.0.0.1", port), timeout=2).close()
+    with pytest.raises(ConnectionRefusedError):
+        socket.create_connection(("127.0.0.1", controlled.control_port), timeout=2).close()
 
 
 def test_an_open_control_client_does_not_delay_stop():
@@ -834,3 +796,113 @@ def test_wait_is_false_on_timeout_and_true_once_a_shutdown_arrives():
         assert controlled.wait(5.0) is True
     finally:
         controlled.stop()
+
+
+def default_station() -> StationHandle:
+    fixtures = load_fixtures(default_fixtures_path())
+    return StationHandle(list(fixtures.devices), scanner_ip=fixtures.scanner_ip).start()
+
+
+def default_scan(network):
+    """The bench's scan: the five devices and two dead addresses, in safe mode at 50 pps."""
+    targets = (*sorted(config.ip for config in DEFAULT_DEVICES.values()), "192.168.90.200", "192.168.90.201")
+    config = ScanConfig(targets=targets, methods=frozenset({"arp", "icmp"}), rate_limit_pps=50)
+    return Scanner(config, network=network).run()
+
+
+DEFAULT_DEPTHS = {"192.168.90.10": 5, "192.168.90.11": 5, "192.168.90.12": 3, "192.168.90.13": 5, "192.168.90.14": 4}
+
+
+def timeless(asset):
+    return asset._replace(last_seen=None, provenance=tuple(entry._replace(at=None) for entry in asset.provenance))
+
+
+def test_an_in_process_station_and_a_scan_through_it_open_no_socket_and_start_no_thread(monkeypatch):
+    started = []
+    start = threading.Thread.start
+
+    def recorded_start(thread):
+        started.append(thread.name)
+        start(thread)
+
+    def no_socket(*args, **kwargs):
+        raise AssertionError("a socket was opened")
+
+    monkeypatch.setattr(socket, "socket", no_socket)
+    monkeypatch.setattr(threading.Thread, "start", recorded_start)
+    station = default_station()
+    try:
+        report = default_scan(SimNetwork(station))
+    finally:
+        station.stop()
+    assert report.per_asset_depth == DEFAULT_DEPTHS and report.anomalies == []
+    assert started and all(name.startswith("ThreadPoolExecutor") for name in started)  # the scanner's workers only
+
+
+@contextlib.contextmanager
+def served(handle: StationHandle, remote: bool):
+    """``handle`` itself, or a RemoteStation of it behind a control socket; stopped after."""
+    controlled = ControlledStation(handle)
+    station = RemoteStation(controlled.map_document()) if remote else handle
+    try:
+        yield station
+    finally:
+        if remote:
+            station.close()
+        controlled.stop()
+
+
+def test_both_stations_give_the_same_scan():
+    reports, counters = [], []
+    for remote in (False, True):
+        handle = default_station()
+        with served(handle, remote) as station:
+            reports.append(default_scan(SimNetwork(station)))
+        counters.append([device.get_counters() for device in handle.devices])
+    here, there = reports
+    assert here.packets_sent == there.packets_sent == 37
+    assert here.per_asset_depth == there.per_asset_depth == DEFAULT_DEPTHS
+    assert [timeless(asset) for asset in here.inventory.assets()] == [
+        timeless(asset) for asset in there.inventory.assets()]
+    assert counters[0] == counters[1]
+
+
+@pytest.mark.parametrize("remote", [False, True], ids=["in-process", "remote"])
+def test_a_faulted_device_costs_each_read_its_timeout_in_both_stations(remote):
+    handle = StationHandle([modbus_config()]).start()
+    handle.device("rtu").state = SimState.FAULT
+    with served(handle, remote) as station, SimNetwork(station).connect("192.168.90.13", 502, 0.05).sock as sock:
+        for _ in range(2):
+            sock.sendall(modbus.build_report_slave_id_request(unit=1))
+            started = time.monotonic()
+            with pytest.raises(socket.timeout):
+                recv_frame(sock, modbus, 0.05)
+            assert time.monotonic() - started >= 0.05
+    assert handle.device("rtu").get_counters() == Counters(packets_received=3)
+
+
+@pytest.mark.parametrize("remote", [False, True], ids=["in-process", "remote"])
+def test_a_malformed_request_ends_the_stream_at_once_in_both_stations(remote):
+    handle = s7_station()
+    with served(handle, remote) as station:
+        send_malformed_s7(station)
+    assert handle.device("plc").get_counters() == Counters(packets_received=2, packets_sent=0, malformed_seen=1)
+
+
+def test_a_session_left_open_closes_with_its_control_connection(tmp_path):
+    pcap = str(tmp_path / "mirror.pcap")
+    controlled = ControlledStation(StationHandle([modbus_config()], pcap_path=pcap).start())
+    remote = RemoteStation(controlled.map_document())
+
+    def flags() -> list[int]:
+        return [parse_tcp(parse_ipv4(parse_ethernet(frame).payload).payload).flags for _, frame in CaptureReader(pcap)]
+
+    try:
+        remote.connect("192.168.90.13", 502)  # its client never closes it
+        remote.close()
+        deadline = time.monotonic() + 5.0
+        while len(flags()) < 4 and time.monotonic() < deadline:
+            time.sleep(0.01)
+    finally:
+        controlled.stop()
+    assert len(flags()) == 4 and flags()[-1] & TCP_FIN  # the handshake's three frames, then the teardown
