@@ -26,10 +26,16 @@ end; a flow's displaced values are stamped with its own time, and
 a flow is dropped once folded, so its buffers go. The report's
 ``levels_achieved`` counts each level on its own evidence. Reassembly is
 in-order per direction, capped at 64 KiB, and done in the dissect loop
-itself: an in-order segment is sliced from its chunk straight into its
-direction's buffer, and past the cap it only advances the sequence
-number; a SYN or a FIN takes one sequence number there too. Out-of-order
-segments are dropped and counted; retransmissions are ignored.
+itself; past the cap a segment only advances the sequence number, and a
+SYN or a FIN takes one sequence number there too. A direction's first
+in-order segment is sliced from its chunk into its buffer. At its second
+or a later one, the server's direction of a flow whose client a SYN named
+settles its codec by ``classify_flow``'s rule, once every codec ahead of
+the winner has a whole first frame; from then on the loop cuts its frames
+as they arrive, under the cap, and keeps its identity frames alone, and
+its client's direction keeps no bytes. Any other direction stays in its
+buffer and is classified once its flow is. Out-of-order segments are
+dropped and counted; retransmissions are ignored.
 """
 
 from __future__ import annotations
@@ -128,13 +134,62 @@ def classify_flow(data: bytes) -> tuple[str | None, list[bytes]]:
     return ("dnp3" if data[:2] == b"\x05\x64" else None), []
 
 
+class _Settled:
+    """A server's stream once its codec is settled: the identity frames its rule cuts under the cap, in order, and
+    ``carry``, the bytes of a frame not yet whole at stream offset ``at``, None once no frame can follow."""
+
+    __slots__ = ("codec", "frames", "carry", "at")
+
+    def __init__(self, codec):
+        self.codec, self.frames, self.carry, self.at = codec, [], b"", 0
+
+    def take(self, segment: bytes) -> None:
+        """Cut the frames ``carry`` and ``segment`` complete under the cap; stop at the cap or a rejected header."""
+        codec = self.codec
+        data = (self.carry + segment)[: REASSEMBLY_CAP - self.at]
+        frames, rest = cut_frames(data, codec.HEADER_SIZE, codec.frame_size)
+        self.frames += [frame for frame in frames if codec.identity_key(frame) is not None]
+        self.at += len(data) - len(rest)
+        rejected = len(rest) >= codec.HEADER_SIZE and codec.frame_size(rest) is None
+        self.carry = None if rejected or self.at + len(rest) >= REASSEMBLY_CAP else rest
+
+
+def _settle(direction: _Direction) -> None:
+    """Rule on the codec of a direction holding two in-order data segments or more, by ``classify_flow``.
+
+    Only a server's direction, in a flow whose client a SYN named, settles, and only once each codec ahead of the
+    winner has a whole first frame; its client's direction then keeps no bytes, which the flow's classification
+    would not read. A client's direction, or one that no codec claims, stays raw for good.
+    """
+    flow, data = direction.flow, direction.buffer
+    if flow.client is None:
+        return  # no SYN yet
+    if flow.client == flow.endpoints[direction is flow.reverse]:
+        direction.settled = False
+        return
+    codec = PROTOCOLS.get(classify_flow(data)[0])
+    for ahead in PROTOCOLS.values():
+        if ahead is codec:
+            break
+        if len(data) < ahead.HEADER_SIZE or (ahead.frame_size(data, 0) or 0) > len(data):
+            return  # its first frame, which it may claim, is not whole yet
+    if codec is None:
+        direction.settled = False
+        return
+    settled = direction.settled = _Settled(codec)
+    settled.take(data)
+    client = flow.forward if direction is flow.reverse else flow.reverse
+    direction.buffer, client.buffer, client.capped = bytearray(), bytearray(), True
+
+
 class _Direction:
-    __slots__ = ("next_seq", "buffer", "capped", "flow", "seen", "last_seen")
+    __slots__ = ("next_seq", "buffer", "capped", "settled", "flow", "seen", "last_seen")
 
     def __init__(self):
         self.next_seq: int | None = None
         self.buffer = bytearray()
-        self.capped = False
+        self.capped = False  # keeps no more bytes: past the cap, or the client of a settled server
+        self.settled: _Settled | bool | None = None  # None until ruled on, False for a direction kept raw
         self.flow: _Flow | None = None  # set, with ``seen``, when a frame opens the direction
         self.seen: list | None = None  # its sender's [raw MAC, last seen] entry; None for the unnumbered address
         self.last_seen = 0.0
@@ -174,6 +229,8 @@ class _Flow:
         """The flow's protocol, its server and the server's frames, each direction cut once."""
         server = self.server()
         sent = self.direction(server)
+        if sent.settled:
+            return sent.settled.codec.NAME, server, sent.settled.frames
         protocol, replies = classify_flow(sent.buffer)
         if protocol is None:
             protocol, _requests = classify_flow((self.reverse if sent is self.forward else self.forward).buffer)
@@ -324,7 +381,18 @@ def _dissect(
                     if data < end:
                         next_seq = direction.next_seq
                         if next_seq is None or seq == next_seq:  # in order: keep what fits under the cap
-                            if not direction.capped:
+                            settled = direction.settled
+                            if settled:  # its frames are cut here, and only its identity frames kept
+                                carry, codec, size = settled.carry, settled.codec, end - data
+                                if (carry == b"" and size >= codec.HEADER_SIZE and settled.at + size <= REASSEMBLY_CAP
+                                        and codec.frame_size(chunk, data) == size):  # the segment is one whole frame
+                                    frame = chunk[data:end]
+                                    if codec.identity_key(frame) is not None:
+                                        settled.frames.append(frame)
+                                    settled.at += size
+                                elif carry is not None:
+                                    settled.take(chunk[data:end])
+                            elif not direction.capped:
                                 buffer = direction.buffer
                                 room = REASSEMBLY_CAP - len(buffer)
                                 if end - data > room:
@@ -332,6 +400,8 @@ def _dissect(
                                     direction.capped = True
                                 else:
                                     buffer += chunk[data:end]
+                                if settled is None and room < REASSEMBLY_CAP:  # a second segment, not yet ruled on
+                                    _settle(direction)
                             direction.next_seq = (seq + end - data) & 0xFFFFFFFF
                         elif _seq_after(seq, next_seq):
                             direction.flow.out_of_order += 1  # dropped, by design

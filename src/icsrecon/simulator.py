@@ -532,6 +532,8 @@ class RemoteStation:
             raise FormatError(f"station map lacks {exc}; simulate --map-out writes a complete one") from exc
         except ValueError as exc:
             raise FormatError(f"station map scanner_ip: {exc}") from exc
+        if type(control_port) is not int or not 1 <= control_port <= 65535:  # a bool is no port number
+            raise FormatError(f"station map control_port: {control_port!r} is not a port number 1..65535")
         self._client = ControlClient(control_port)
 
     def connect(self, ip: str, port: int) -> RemoteSession | str:

@@ -581,8 +581,15 @@ def test_scan_with_a_map_file_without_control_port_is_format_error(tmp_path, cap
             json.dumps({"scanner_ip": "not-an-ip", "hosts": {}, "control_port": 1}),
             "scanner_ip: not an IPv4 address",
         ),
+        *(
+            (json.dumps({"scanner_ip": "192.168.90.1", "control_port": port}), "control_port: ")
+            for port in ("x", True, 0, 65536)
+        ),
     ],
-    ids=["not-json", "array", "scanner-ip-not-ipv4"],
+    ids=[
+        "not-json", "array", "scanner-ip-not-ipv4",
+        "control-port-text", "control-port-bool", "control-port-0", "control-port-65536",
+    ],
 )
 def test_scan_with_a_malformed_map_file_is_format_error(tmp_path, capsys, text, message):
     map_path = tmp_path / "map.json"

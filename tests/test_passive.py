@@ -10,6 +10,7 @@ import signal
 import socket
 import struct
 import threading
+import tracemalloc
 from datetime import datetime, timezone
 
 import pytest
@@ -17,7 +18,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from icsrecon import passive
 from icsrecon.cli import main as cli_main
-from icsrecon.codecs import PROTOCOLS, enip, modbus, s7
+from icsrecon.codecs import PROTOCOLS, cut_frames, enip, modbus, s7
 from icsrecon.config import default_fixtures_path, load_fixtures
 from icsrecon.errors import DecodeError, FormatError, IcsReconError
 from icsrecon.model import (
@@ -35,7 +36,6 @@ from icsrecon.passive import (
     PcapFile,
     REASSEMBLY_CAP,
     _dissect,
-    _Flow,
     analyze_capture,
     classify_flow,
 )
@@ -404,7 +404,55 @@ FRAMES = st.one_of(
 )
 
 
-CHAIN_CAP = REASSEMBLY_CAP
+CHAIN_CAP = 64 * 1024  # the analyzer's reassembly cap, stated again
+CHAIN_SERVER_PORTS = {codec.PORT for codec in PROTOCOLS.values()} | {20000}  # 20000: DNP3
+
+
+class _ChainDirection:
+    def __init__(self):
+        self.next_seq, self.buffer, self.capped = None, b"", False
+
+
+class _ChainFlow:
+    """The parse chain's connection: text endpoints, sorted, and each direction's in-order bytes under the cap."""
+
+    def __init__(self, first, second):
+        self.endpoints = (first, second)
+        self.directions = {first: _ChainDirection(), second: _ChainDirection()}  # one, if both ends are one
+        self.client, self.out_of_order, self.last_seen = None, 0, 0.0
+
+    def direction(self, sender):
+        return self.directions[sender]
+
+    def classify(self):
+        """The protocol, the server and all the server's frames, read from the raw bytes of each direction.
+
+        The server is the other end of the SYN's sender, else the first endpoint on a well-known port, else the
+        lowest port, ties by text; the protocol is the first codec to claim its first whole frame in the server's
+        bytes, else in the client's; DNP3 by its start bytes, and never cut.
+        """
+        first, second = self.endpoints
+        if self.client is not None:
+            server = second if self.client == first else first
+        else:
+            known = [endpoint for endpoint in self.endpoints if endpoint[1] in CHAIN_SERVER_PORTS]
+            server = min(known) if known else min(self.endpoints, key=lambda endpoint: endpoint[1])
+        client = second if server == first else first
+
+        def frames(protocol, data):
+            codec = PROTOCOLS.get(protocol)
+            return cut_frames(data, codec.HEADER_SIZE, codec.frame_size)[0] if codec else []
+
+        def protocol_of(data):
+            for protocol, codec in PROTOCOLS.items():
+                cut = frames(protocol, data)
+                if cut and codec.claims(cut[0]):
+                    return protocol
+            return "dnp3" if data[:2] == b"\x05\x64" else None
+
+        sent = self.directions[server].buffer
+        protocol = protocol_of(sent) or protocol_of(self.directions[client].buffer)
+        return protocol, server, frames(protocol, sent)
 
 
 def _chain_bump(direction, seq):
@@ -472,7 +520,7 @@ def _chain_dissect(records):
             continue
         src, dst = (packet.src_ip, segment.src_port), (packet.dst_ip, segment.dst_port)
         key = (src, dst) if src < dst else (dst, src)
-        flow = flows.setdefault(key, _Flow(*key))
+        flow = flows.setdefault(key, _ChainFlow(*key))
         flow.last_seen = max(flow.last_seen, when)
         direction = flow.direction(src)
         if segment.flags & TCP_SYN:
@@ -486,16 +534,38 @@ def _chain_dissect(records):
     return senders, flows, skipped
 
 
+def _text_endpoint(endpoint):
+    return ip_text(endpoint[0]), endpoint[1]
+
+
 def _flow_views(flows, name):
-    return {
-        frozenset(map(name, flow.endpoints)): (
-            {name(e): (bytes(d.buffer), d.next_seq, d.capped) for e in flow.endpoints for d in [flow.direction(e)]},
+    """Each flow by its endpoints: what ``analyze_capture`` reads of its classification, each direction's next
+    sequence number, its client, out-of-order count and time, and last its raw bytes and cap flags."""
+    views = {}
+    for flow in flows:
+        protocol, server, replies = flow.classify()
+        codec = PROTOCOLS.get(protocol)
+        identity = [reply for reply in replies if codec.identity_key(reply) is not None] if codec else replies
+        directions = {name(endpoint): flow.direction(endpoint) for endpoint in flow.endpoints}
+        views[frozenset(directions)] = (
+            (protocol, name(server), identity),
+            {endpoint: direction.next_seq for endpoint, direction in directions.items()},
             flow.client and name(flow.client),
             flow.out_of_order,
             flow.last_seen,
+            {endpoint: (bytes(direction.buffer), direction.capped) for endpoint, direction in directions.items()},
         )
-        for flow in flows
-    }
+    return views
+
+
+def _assert_like_the_chain(flows, chain_flows):
+    """``_dissect``'s flows are the parse chain's; raw bytes are compared where neither direction settled."""
+    settled = {frozenset(map(_text_endpoint, f.endpoints)) for f in flows if f.forward.settled or f.reverse.settled}
+
+    def read(views):
+        return {key: view[:-1] if key in settled else view for key, view in views.items()}
+
+    assert read(_flow_views(flows, _text_endpoint)) == read(_flow_views(chain_flows.values(), lambda e: e))
 
 
 RECORDS = st.lists(st.tuples(st.integers(0, 40).map(float), FRAMES), max_size=24)
@@ -518,8 +588,7 @@ def _check_dissection(records, tmp_path_factory):
     senders, flows, frames_read, skipped = _dissect_records(records)
     assert (frames_read, skipped) == (len(records), want_skipped)
     assert {ip_text(ip): [mac_text(mac), last] for ip, (mac, last) in senders.items()} == want_senders
-    raw_views = _flow_views(flows, lambda endpoint: (ip_text(endpoint[0]), endpoint[1]))
-    assert raw_views == _flow_views(want_flows.values(), lambda endpoint: endpoint)
+    _assert_like_the_chain(flows, want_flows)
 
     path = tmp_path_factory.getbasetemp() / "dissect.pcap"
     writer = PcapWriter(str(path))
@@ -529,10 +598,6 @@ def _check_dissection(records, tmp_path_factory):
     report = analyze_capture(PcapFile(str(path)))
     assert (report.frames_read, report.frames_skipped) == (len(records), want_skipped)
     assert {asset.ip: asset.mac for asset in report.inventory} == {ip: mac for ip, (mac, _) in want_senders.items()}
-
-
-def _text_endpoint(endpoint):
-    return ip_text(endpoint[0]), endpoint[1]
 
 
 def test_header_options_dissect_like_the_parse_chain():
@@ -553,7 +618,7 @@ def test_header_options_dissect_like_the_parse_chain():
     senders, flows, frames_read, skipped = _dissect_records(records)
     assert (frames_read, skipped, want_skipped) == (5, 0, 0)
     assert {ip_text(ip): [mac_text(mac), last] for ip, (mac, last) in senders.items()} == want_senders
-    assert _flow_views(flows, _text_endpoint) == _flow_views(want_flows.values(), lambda e: e)
+    _assert_like_the_chain(flows, want_flows)
     [flow] = flows
     assert bytes(flow.direction(flow.client).buffer) == b"request!"
     assert bytes(flow.direction(flow.server()).buffer) == b"reply"
@@ -595,7 +660,7 @@ def test_capped_direction_keeps_its_sequence_and_counts_out_of_order():
     ]
     _senders, [flow], _read, _skipped = _dissect_records(records)
     _chain_senders, want_flows, _chain_skipped = _chain_dissect(records)
-    assert _flow_views([flow], _text_endpoint) == _flow_views(want_flows.values(), lambda e: e)
+    _assert_like_the_chain([flow], want_flows)
     direction = flow.forward
     assert direction.capped
     assert bytes(direction.buffer) == b"".join(payloads)[:REASSEMBLY_CAP]
@@ -608,7 +673,7 @@ def _one_flow_like_the_chain(frames):
     records = [(float(when), frame) for when, frame in enumerate(frames)]
     _senders, [flow], _read, _skipped = _dissect_records(records)
     _chain_senders, want_flows, _chain_skipped = _chain_dissect(records)
-    assert _flow_views([flow], _text_endpoint) == _flow_views(want_flows.values(), lambda e: e)
+    _assert_like_the_chain([flow], want_flows)
     return flow
 
 
@@ -1166,6 +1231,177 @@ def test_modbus_identity_prefilter_changes_nothing(replies):
     assert modbus.identity_fields(replies) == _decode_every_frame(replies)
 
 
+# -- settled server streams ------------------------------------------------------
+
+JUNK = b"\xff" * 24  # a header every codec's rule rejects
+
+
+def _session(client_segments, server_segments, turns, syn=True):
+    """The frames of one connection: a handshake if ``syn``, then each side's segments in sequence, the server's
+    next where ``turns`` is true, the client's where it is false, and what is left at the end."""
+    frames = []
+    if syn:
+        frames += [
+            _tcp_frame(HOST_A, HOST_B, 40000, 502, 999, TCP_SYN),
+            _tcp_frame(HOST_B, HOST_A, 502, 40000, 4999, TCP_SYN | TCP_ACK),
+        ]
+    sides = {False: [40000, 502, 1000, list(client_segments)], True: [502, 40000, 5000, list(server_segments)]}
+    for from_server in [*turns, *[False] * len(client_segments), *[True] * len(server_segments)]:
+        sport, dport, seq, segments = sides[from_server]
+        if segments:
+            payload = segments.pop(0)
+            src, dst = (HOST_B, HOST_A) if from_server else (HOST_A, HOST_B)
+            frames.append(_tcp_frame(src, dst, sport, dport, seq, TCP_PSH | TCP_ACK, payload))
+            sides[from_server][2] = seq + len(payload)
+    return frames
+
+
+def _cut(draw, frames):
+    """``frames`` joined and cut into segments: one frame each, at random bytes, or at some frame ends and bytes."""
+    stream = b"".join(frames)
+    ends = list(itertools.accumulate(map(len, frames)))[:-1]
+    anywhere = st.integers(1, max(len(stream) - 1, 1))
+    some = st.sets(st.sampled_from(ends or [1]) | anywhere, max_size=10)
+    cuts = draw(st.one_of(st.just(set(ends)), st.sets(anywhere, max_size=10), some))
+    bounds = [0, *sorted(cut for cut in cuts if 0 < cut < len(stream)), len(stream)]
+    return [stream[start:end] for start, end in zip(bounds, bounds[1:])]
+
+
+@st.composite
+def polling_sessions(draw, caps=None):
+    """One connection's frames, mostly opened by a SYN, of polls and identity exchanges of one protocol, each
+    stream cut at random bytes; its server's replies may hold a runt or a rejected header partway. ``caps`` "any"
+    draws a reassembly cap too, the module's (None) or one in the server's stream; "near" one a byte off the end of
+    one of its frames, past the first two."""
+    protocol = draw(st.sampled_from(["modbus", "modbus", "s7comm", "enip"]))
+    kinds = st.sampled_from(["identity", "deployment", "other"])
+    exchange = st.tuples(kinds, st.sampled_from(TEXTS), st.integers(1, 6), st.integers(0, 0xFFFF))
+    pairs = [_request_reply(protocol, kind, text, "1.0", number, tx) for kind, text, number, tx in draw(
+        st.lists(exchange, min_size=1, max_size=8))]
+    requests, replies = [request for request, _reply in pairs], [reply for _request, reply in pairs]
+    spoil = draw(st.sampled_from([None, None, "runt", "junk"]))
+    if spoil:
+        at = draw(st.integers(0, len(replies)))
+        replies.insert(at, JUNK if spoil == "junk" else replies[at - 1][: draw(st.integers(1, 12))])
+    server_segments, client_segments = _cut(draw, replies), _cut(draw, requests)
+    order = draw(st.lists(st.booleans(), max_size=len(server_segments) + len(client_segments)))
+    frames = _session(client_segments, server_segments, order, syn=draw(st.sampled_from([True, True, True, False])))
+    ends = [end for end in itertools.accumulate(map(len, replies)) if end >= 17]
+    cap = None
+    if caps == "any":
+        cap = draw(st.one_of(st.none(), st.integers(16, max(16, ends[-1] if ends else 16))))
+    elif caps == "near":
+        cap = draw(st.sampled_from(ends[2:] or ends or [17])) + draw(st.sampled_from([-1, -1, 0, 1]))
+    return frames, cap, len(server_segments)
+
+
+def _check_settled_session(session):
+    """The session's flow is the parse chain's, under its cap; a server that sent one segment has not settled."""
+    frames, cap, server_segments = session
+    with pytest.MonkeyPatch.context() as patch:
+        if cap is not None:
+            patch.setattr(passive, "REASSEMBLY_CAP", cap)
+            patch.setitem(globals(), "CHAIN_CAP", cap)
+        flow = _one_flow_like_the_chain(frames)
+    assert server_segments > 1 or not (flow.forward.settled or flow.reverse.settled)
+
+
+@settings(max_examples=200, deadline=None)
+@given(session=polling_sessions(caps="any"))
+def test_settled_streams_classify_like_the_raw_chain(session):
+    _check_settled_session(session)
+
+
+@settings(max_examples=200, deadline=None)
+@given(session=polling_sessions(caps="near"))
+def test_settled_streams_classify_like_the_raw_chain_with_the_cap_a_byte_off_a_frames_end(session):
+    _check_settled_session(session)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(session=polling_sessions())
+def test_settled_streams_classify_like_the_raw_chain_under_a_16_byte_cap(session, low_cap):
+    _check_settled_session(session)
+
+
+def _polls(count):
+    requests = [modbus.build_read_holding_request(1, 0, 2, tx) for tx in range(count)]
+    return requests, [modbus.build_read_holding_response(tx, 1, [tx, 0]) for tx in range(count)]
+
+
+def test_a_server_stream_settles_at_its_second_segment_and_keeps_only_its_identity_frames():
+    requests, replies = _polls(3)
+    identity = modbus.build_report_slave_id_response(9, 1, 5)
+    server = [replies[0], replies[1] + identity[:5], identity[5:], replies[2]]
+    flow = _one_flow_like_the_chain(_session(requests, server, [False, True] * 4))
+    settled, client = flow.reverse.settled, flow.forward
+    assert (settled.codec, settled.frames, settled.carry) == (modbus, [identity], b"")
+    assert settled.at == len(b"".join(server))
+    assert flow.classify()[0] == "modbus" and flow.reverse.buffer == b""
+    assert (client.buffer, client.capped, client.settled) == (b"", True, False)  # not read once its server settled
+
+    flow = _one_flow_like_the_chain(_session(requests, [b"".join(replies)], [False, True] * 3))
+    assert (flow.reverse.settled, bytes(flow.reverse.buffer)) == (None, b"".join(replies))  # one segment: raw
+    flow = _one_flow_like_the_chain(_session(requests, replies, [True] * 3, syn=False))
+    assert (flow.forward.settled, bytes(flow.forward.buffer)) == (None, b"".join(replies))  # no SYN: raw
+    http = [b"HTTP/1.1 200 OK\r\n", b"Server: plc\r\n\r\n"]  # 32 bytes, each codec's header rejected
+    flow = _one_flow_like_the_chain(_session(requests, http, [True] * 2))
+    assert (flow.reverse.settled, bytes(flow.reverse.buffer)) == (False, b"".join(http))  # no codec claims it
+
+
+def test_a_codec_ahead_whose_first_frame_is_not_whole_keeps_the_stream_raw():
+    # a ListIdentity request whose session handle reads as an MBAP length of 100: EtherNet/IP claims its first
+    # 24 bytes, but Modbus, ahead of it, claims the stream once its 106-byte first frame is whole
+    request = enip.encode_header(enip.CMD_LIST_IDENTITY, b"", session=0x6400)
+    assert modbus.frame_size(request) == 106
+    segments = [request[:12], request[12:], request * 4]
+    flow = _one_flow_like_the_chain(_session([], segments[:2], [True] * 2))
+    assert flow.reverse.settled is None and flow.classify()[0] == "enip"
+    flow = _one_flow_like_the_chain(_session([], segments, [True] * 3))
+    assert flow.reverse.settled.codec is modbus and flow.classify()[0] == "modbus"
+
+
+def _polling_capture(path, sessions, polls):
+    """``sessions`` Modbus sessions, each one identity exchange and then ``polls`` polls of 125 registers."""
+    path, writer, recorder = make_recorder(path.parent, path.name)
+    flows = []
+    for index in range(sessions):
+        flow = recorder.tcp_flow(("10.3.0.1", 30000 + index), (f"10.4.0.{index + 1}", 502))
+        flow.handshake()
+        flow.client_payload(modbus.build_device_id_request(1, 1))
+        flow.server_payload(modbus.build_device_id_response(1, 1, {0: "WAGO", 1: f"RTU-{index}", 2: "1.0"}))
+        flows.append(flow)
+    for tx in range(polls):
+        for flow in flows:
+            flow.client_payload(modbus.build_read_holding_request(1, 0, 125, tx))
+            flow.server_payload(modbus.build_read_holding_response(tx, 1, list(range(125))))
+    for flow in flows:
+        flow.close()
+    writer.close()
+    return path
+
+
+def _heap_peak(path):
+    tracemalloc.start()
+    try:
+        report = analyze_capture(PcapFile(str(path)))
+        return tracemalloc.get_traced_memory()[1], report
+    finally:
+        tracemalloc.stop()
+
+
+def test_the_heap_of_polling_sessions_past_the_cap_holds_their_identity_frames_alone(tmp_path):
+    # 16 server streams of 300 replies of 259 bytes, each past the 64 KiB cap: raw, they held 1 MiB and more;
+    # the 256 KiB reads of the capture, with the tail of one carried into the next, take most of the bound
+    peaks = []
+    for polls in (300, 600):
+        peak, report = _heap_peak(_polling_capture(tmp_path / f"polls{polls}.pcap", 16, polls))
+        assert report.classified_flows == 16 and report.per_asset_depth["10.4.0.16"] == 4
+        peaks.append(peak)
+    assert peaks[0] < 1.25 * 2**20
+    assert peaks[1] - peaks[0] <= 16 * 1024  # twice the polls, the same heap
+
+
 # -- one decode per distinct identity reply set --------------------------------------
 
 S7_REPLIES = [
@@ -1386,4 +1622,4 @@ def test_chunked_walk_of_a_damaged_capture_matches_the_reader_and_the_parse_chai
     senders, flows, frames_read, skipped = _dissect(chunks, reader.record_header, reader.divisor)
     assert (frames_read, skipped) == (len(records), want_skipped + reader.skipped)
     assert {ip_text(ip): [mac_text(mac), last] for ip, (mac, last) in senders.items()} == want_senders
-    assert _flow_views(flows, _text_endpoint) == _flow_views(want_flows.values(), lambda e: e)
+    _assert_like_the_chain(flows, want_flows)
