@@ -9,10 +9,11 @@ Decoders raise only :class:`icsrecon.errors.DecodeError` /
 regardless of input. Each codec's ``IDENTITY`` names the inventory field
 (or None) of each ``identity.<key>`` its device serves, for its builders
 and for its ``identity_fields``, which turns reply frames into fields so
-named for scanner and analyzer alike; its ``identity_key(frame)`` gives
-the bytes of a reply that ``identity_fields`` reads, less the
-per-exchange identifiers, or None for a frame it skips: the analyzer
-decodes each distinct set of keys once per capture.
+named for scanner and analyzer alike; its ``identity_key(buf, at=0,
+end=None)`` gives the bytes of the frame ``buf[at:end]``, read where it
+lies, that ``identity_fields`` reads, less the per-exchange identifiers,
+or None for a frame it skips: the analyzer decodes each distinct set of
+keys once per capture.
 
 Each codec states its frame rule once, as ``HEADER_SIZE`` plus
 ``frame_size(buf, at)``: the length of the frame whose header starts at

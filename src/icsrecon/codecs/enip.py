@@ -223,14 +223,14 @@ def parse_list_identity(data: bytes) -> CipIdentity:
     )
 
 
-def identity_key(wire: bytes) -> bytes | None:
-    """The bytes of a reply that ``identity_fields`` reads, all but the session handle and sender context.
-
-    None for a frame of another command, which it skips.
+def identity_key(wire: bytes, at: int = 0, end: int | None = None) -> bytes | None:
+    """The bytes of the reply ``wire[at:end]``, read where it lies, that ``identity_fields`` reads, all but the session
+    handle and sender context; None for a frame of another command, which it skips.
     """
-    if len(wire) < HEADER_SIZE or wire[:2] != _LIST_IDENTITY:
+    end = len(wire) if end is None else end
+    if end - at < HEADER_SIZE or wire[at : at + 2] != _LIST_IDENTITY:
         return None
-    return wire[:4] + wire[8:12] + wire[20:]
+    return wire[at : at + 4] + wire[at + 8 : at + 12] + wire[at + 20 : end]
 
 
 def identity_fields(replies: Iterable[bytes]) -> tuple[dict[str, str], dict[str, str]]:

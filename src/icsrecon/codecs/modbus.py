@@ -322,14 +322,15 @@ def respond(device, session: dict, request: bytes) -> tuple[bytes | None, bool]:
     return exception_frame(tx, unit, pdu.function, EXC_ILLEGAL_FUNCTION), False
 
 
-def identity_key(wire: bytes) -> bytes | None:
-    """The bytes of a reply that ``identity_fields`` reads, all but the transaction id; None for one it skips.
-
-    Only FC 0x2B and FC 0x11 replies carry identity: not register polls, exception replies or runts.
+def identity_key(wire: bytes, at: int = 0, end: int | None = None) -> bytes | None:
+    """The bytes of the reply ``wire[at:end]``, read where it lies, that ``identity_fields`` reads, all but the
+    transaction id; None for one it skips. Only FC 0x2B and FC 0x11 replies carry identity: not register polls,
+    exception replies or runts.
     """
-    if len(wire) < 8 or wire[7] not in _IDENTITY_FUNCTIONS:
+    end = len(wire) if end is None else end
+    if end - at < 8 or wire[at + 7] not in _IDENTITY_FUNCTIONS:
         return None
-    return wire[2:]
+    return wire[at + 2 : end]
 
 
 def identity_fields(replies: Iterable[bytes]) -> tuple[dict[str, str], dict[str, str]]:

@@ -566,14 +566,16 @@ def parse_szl_response(data: bytes) -> tuple[dict[str, str], dict[str, str]]:
     return identity_split(IDENTITY, values)
 
 
-def identity_key(wire: bytes) -> bytes | None:
-    """The bytes of a reply that ``identity_fields`` reads, all but the PDU reference; None for one it skips.
-
-    Only a status-list reply in a standard COTP DT (length indicator 2) can carry identity.
+def identity_key(wire: bytes, at: int = 0, end: int | None = None) -> bytes | None:
+    """The bytes of the reply ``wire[at:end]``, read where it lies, that ``identity_fields`` reads, all but the PDU
+    reference; None for one it skips. Only a status-list reply in a standard COTP DT (length indicator 2) can carry
+    identity.
     """
-    if len(wire) <= _METHOD_AT or wire[4:6] != _STANDARD_DT or wire[7:9] != _USERDATA or wire[_METHOD_AT] != 0x12:
+    end = len(wire) if end is None else end
+    if (end - at <= _METHOD_AT or wire[at + 4 : at + 6] != _STANDARD_DT or wire[at + 7 : at + 9] != _USERDATA
+            or wire[at + _METHOD_AT] != 0x12):
         return None
-    return wire[:_PDU_REF_AT] + wire[_PDU_REF_AT + 2 :]
+    return wire[at : at + _PDU_REF_AT] + wire[at + _PDU_REF_AT + 2 : end]
 
 
 def identity_fields(replies: Iterable[bytes]) -> tuple[dict[str, str], dict[str, str]]:

@@ -41,6 +41,7 @@ _CVE_ID_RE = re.compile(r"CVE-[0-9]{4}-[0-9]{4,}")  # fullmatch, ASCII digits, a
 _PROTOCOL_TOKEN_RE = re.compile(r"^[a-z0-9_]+$")
 _OCTET = r"(?:25[0-5]|2[0-4][0-9]|1[0-9][0-9]|[1-9]?[0-9])"
 _DOTTED_QUAD_RE = re.compile(rf"{_OCTET}\.{_OCTET}\.{_OCTET}\.{_OCTET}")
+_MAC_RE = re.compile(r"^([0-9a-f]{2}:){5}[0-9a-f]{2}$")
 
 
 class DepthLevel(IntEnum):
@@ -345,7 +346,7 @@ def _check_mac(mac: str | None) -> str | None:
     if mac is None:
         return None
     mac = mac.lower().replace("-", ":")
-    if not re.match(r"^([0-9a-f]{2}:){5}[0-9a-f]{2}$", mac):
+    if not _MAC_RE.match(mac):
         raise ValueError(f"not a 48-bit hardware address: {mac!r}")
     return mac
 

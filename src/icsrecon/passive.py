@@ -2,28 +2,28 @@
 
 The analyzer never opens a sending socket: everything comes from pcap
 records, a file's 256 KiB reads or a live interface's frames, which the
-dissect loop walks in place. Each frame is dissected once, by offset:
-one read at offset 12 gives its ethertype and IPv4 fields and, behind a
-20-byte IPv4 header, its raw addresses and ports and its TCP fields, so
-a TCP frame costs that read and one lookup, which finds its direction;
-IPv4 options cost a second read of the TCP header. A frame stamps only
-its direction, which holds its flow and its sender: each flow and sender
-takes the latest of its directions' times once the walk ends. An IPv4
-fragment with a nonzero offset carries no TCP header: it counts its
-sender and opens no flow. A segment from or to port 0 is
-malformed: it is counted as skipped and its sender still counts, and
-this is checked only where a direction is opened. Addresses stay raw
-bytes until they become text once per asset. Protocol claims need payload
-evidence, never a port alone; identity replies are decoded by the
-shared codecs, once per distinct reply set in a capture: a flow's
-identity frames are named by their codec's ``identity_key``, which
-leaves out per-exchange identifiers such as a Modbus transaction id,
-and a set of keys seen before in the same capture reuses the fields it
-decoded and cleaned then. Each address's evidence is folded flow by
-flow, in first-frame order, memo hits included, into one ``model.Fold``,
-the fold ``merge_observation`` runs, and frozen into one asset at the
-end; a flow's displaced values are stamped with its own time, and
-a flow is dropped once folded, so its buffers go. The report's
+dissect loop walks in place. Each frame is dissected once, by offset: a
+frame of 54 bytes or more takes one size test, then one read at offset 12
+gives its ethertype and IPv4 fields and, behind a 20-byte IPv4 header, its
+raw addresses and ports and its TCP fields, so a TCP frame costs that read
+and one lookup, which finds its direction or opens it in the loop; IPv4
+options cost a second read of the TCP header. A frame stamps only its
+direction, which holds its flow and its sender: each flow and sender takes
+the latest of its directions' times once the walk ends. An IPv4 fragment
+with a nonzero offset carries no TCP header: it counts its sender and
+opens no flow. A segment from or to port 0 is malformed: it is counted as
+skipped and its sender still counts, and this is checked only where a
+direction is opened. Addresses stay raw bytes until they become text once
+per asset. Protocol claims need payload evidence, never a port alone;
+identity replies are decoded by the shared codecs, once per distinct reply
+set in a capture: a flow's identity frames are named by their codec's
+``identity_key``, which leaves out per-exchange identifiers such as a
+Modbus transaction id, and a set of keys seen before in the same capture
+reuses the fields it decoded and cleaned then. Each address's evidence is
+folded flow by flow, in first-frame order, memo hits included, into one
+``model.Fold``, the fold ``merge_observation`` runs, and frozen into one
+asset at the end; a flow's displaced values are stamped with its own time,
+and a flow is dropped once folded, so its buffers go. The report's
 ``levels_achieved`` counts each level on its own evidence. Reassembly is
 in-order per direction, capped at 64 KiB, and done in the dissect loop
 itself; past the cap a segment only advances the sequence number, and a
@@ -32,10 +32,12 @@ in-order segment is sliced from its chunk into its buffer. At its second
 or a later one, the server's direction of a flow whose client a SYN named
 settles its codec by ``classify_flow``'s rule, once every codec ahead of
 the winner has a whole first frame; from then on the loop cuts its frames
-as they arrive, under the cap, and keeps its identity frames alone, and
-its client's direction keeps no bytes. Any other direction stays in its
-buffer and is classified once its flow is. Out-of-order segments are
-dropped and counted; retransmissions are ignored.
+as they arrive, under the cap, and keeps its identity frames alone: a
+segment that is one whole frame is tested where it lies in the read, and
+only an identity frame is copied out. Its client's direction keeps no
+bytes. Any other direction stays in its buffer and is classified once its
+flow is. Out-of-order segments are dropped and counted; retransmissions
+are ignored.
 """
 
 from __future__ import annotations
@@ -53,12 +55,10 @@ from .ouidb import vendor_for_mac
 from .pcapio import (
     ARP_LENGTH,
     CaptureReader,
-    ETHERNET_HEADER,
     ETHERTYPE_ARP,
     ETHERTYPE_IPV4,
     PROTO_TCP,
     RECORD_FIELDS,
-    RECORD_HEADER,
     TCP_ACK,
     TCP_FIN,
     TCP_SYN,
@@ -270,6 +270,7 @@ def _identity_items(memo: dict, codec, replies: list[bytes]) -> tuple[tuple, tup
 
 
 _HEADERS = struct.Struct(">HBxH2xHxB2x12sI4xBB")  # from offset 12: Ethernet and IPv4, then TCP behind 20 bytes
+_PORTS = struct.Struct(">HH")  # a raw flow key's source and destination ports, at its offset 8
 _NO_ADDRESS = b"\x00\x00\x00\x00"
 
 
@@ -284,27 +285,6 @@ def _saw(senders: dict[bytes, list], sender: bytes, mac: bytes, when: float) -> 
     return entry
 
 
-def _open_direction(table: dict, flows: list[_Flow], key: bytes, seen: list | None) -> _Direction | None:
-    """Register the direction a raw key names, with its sender: the reverse of a known flow's first, or a new flow's.
-
-    None for a segment from or to port 0, which no connection uses: it is malformed.
-    """
-    known = table.get(key[4:8] + key[:4] + key[10:12] + key[8:10])
-    if known is None:
-        src_port, dst_port = struct.unpack_from(">HH", key, 8)
-        if not (src_port and dst_port):
-            return None
-        flow = _Flow((key[:4], src_port), (key[4:8], dst_port))
-        flows.append(flow)
-        direction = flow.forward
-    else:
-        flow = known.flow
-        direction = flow.reverse
-    direction.flow, direction.seen = flow, seen
-    table[key] = direction
-    return direction
-
-
 def _dissect(
     chunks: Iterable[bytes], record_header: struct.Struct, divisor: float
 ) -> tuple[dict[bytes, list], list[_Flow], int, int]:
@@ -312,62 +292,79 @@ def _dissect(
 
     ``chunks`` of at most ``pcapio.READ_SIZE`` bytes hold pcap records laid out by ``record_header``, with
     ``divisor`` fraction ticks a second, walked in place. One pass by offset, under ``pcapio.ipv4_span``'s
-    and ``pcapio.tcp_data_start``'s rules; an IPv4 fragment with a nonzero offset is not read as TCP. One read
-    gives a frame's headers; a TCP frame stamps its direction alone, and each flow and sender takes the latest
-    time of its directions once the walk ends.
+    and ``pcapio.tcp_data_start``'s rules; an IPv4 fragment with a nonzero offset is not read as TCP. The common
+    frame, of 54 bytes or more, takes one size test and one read of its headers; a TCP frame stamps its direction
+    alone, and each flow and sender takes the latest time of its directions once the walk ends.
     """
     senders: dict[bytes, list] = {}
     table: dict[bytes, _Direction] = {}  # raw source and destination IPv4, source and destination port -> direction
     flows: list[_Flow] = []
     frames_read = skipped = 0
-    fields, unpack = _HEADERS.unpack_from, record_header.unpack_from
+    fields, unpack, ports = _HEADERS.unpack_from, record_header.unpack_from, _PORTS.unpack_from
     tail = b""
+    # The offsets below are literals. A pcap record is its 16-byte header, then its frame. In the frame, Ethernet
+    # holds the source MAC at 6..12 and the ethertype at 12..14; IPv4 starts at 14, with its source address at
+    # 26..30; TCP starts at 34 behind a 20-byte IPv4 header, so a frame of 54 bytes holds both headers.
     for chunk in chunks:
         if tail:
             chunk = tail + chunk
         at, chunk_size = 0, len(chunk)
-        last = chunk_size - RECORD_HEADER
+        last = chunk_size - 16
         while at <= last:
             sec, frac, size, _orig = unpack(chunk, at)
-            offset = at + RECORD_HEADER
+            offset = at + 16
             at = offset + size
             if at > chunk_size:  # the record goes on in the next chunk
-                at = offset - RECORD_HEADER
+                at = offset - 16
                 break
             when = sec + frac / divisor
             frames_read += 1
-            if size < ETHERNET_HEADER:  # no ethertype
+            if size >= 54:  # the common frame: one read of both headers
+                ethertype, version_ihl, total, fragment, protocol, key, seq, doff, flags = fields(chunk, offset + 12)
+            elif size >= 14:  # a shorter frame reads padded, and the bounds below keep to it
+                ethertype, version_ihl, total, fragment, protocol, key, seq, doff, flags = fields(
+                    chunk[offset:at] + bytes(40), 12)
+                if size < 34:  # no IPv4 header fits: read as version 0, which the IPv4 rules skip
+                    version_ihl = 0
+            else:  # no ethertype
                 skipped += 1
                 continue
-            ethertype, version_ihl, total, fragment, protocol, key, seq, data_offset, flags = (
-                fields(chunk, offset + 12) if size >= ETHERNET_HEADER + 40  # one read of both headers; a shorter
-                else fields(chunk[offset:at] + bytes(40), 12))  # frame reads padded, the bounds below keep to it
-            if version_ihl == 0x45 and ethertype == ETHERTYPE_IPV4 and total >= 20 and size >= ETHERNET_HEADER + 20:
-                start = offset + ETHERNET_HEADER + 20  # the common IPv4 header, read with the TCP key and fields
+            if version_ihl == 0x45 and ethertype == ETHERTYPE_IPV4 and total >= 20:
+                start = offset + 34  # the common IPv4 header, read with the TCP key and fields
             else:
                 if ethertype != ETHERTYPE_IPV4:
-                    if ethertype == ETHERTYPE_ARP and size >= ETHERNET_HEADER + ARP_LENGTH:  # ARP sender IPv4 and MAC
+                    if ethertype == ETHERTYPE_ARP and size >= 14 + ARP_LENGTH:  # ARP sender IPv4 and MAC
                         _saw(senders, chunk[offset + 28 : offset + 32], chunk[offset + 22 : offset + 28], when)
                     continue
                 ihl = (version_ihl & 0x0F) * 4
-                if not 0x45 <= version_ihl <= 0x4F or size < ETHERNET_HEADER + ihl or total < ihl:  # IPv4, IHL >= 5
+                if not 0x45 <= version_ihl <= 0x4F or size < 14 + ihl or total < ihl:  # IPv4, IHL >= 5
                     skipped += 1
                     continue
-                start = offset + ETHERNET_HEADER + ihl  # behind IPv4 options: read again as if they were cut out
-                *_, key, seq, data_offset, flags = fields(chunk[offset : offset + 34] + chunk[start:at] + bytes(20), 12)
+                start = offset + 14 + ihl  # behind IPv4 options: read again as if they were cut out
+                *_, key, seq, doff, flags = fields(chunk[offset : offset + 34] + chunk[start:at] + bytes(20), 12)
             if protocol == PROTO_TCP and not fragment & 0x1FFF:  # a later fragment carries no TCP header
-                end = offset + ETHERNET_HEADER + total
+                end = offset + 14 + total
                 if end > at:
                     end = at
-                data = start + (data_offset >> 4) * 4
+                data = start + (doff >> 4) * 4
                 if start + 20 <= data <= end:
                     direction = table.get(key)
-                    if direction is None:
+                    if direction is None:  # a new direction: the reverse of a known flow's first, or a new flow's
                         seen = _saw(senders, chunk[offset + 26 : offset + 30], chunk[offset + 6 : offset + 12], when)
-                        direction = _open_direction(table, flows, key, seen)
-                        if direction is None:
-                            skipped += 1  # a port 0; its sender counted
-                            continue
+                        known = table.get(key[4:8] + key[:4] + key[10:12] + key[8:10])
+                        if known is None:
+                            src_port, dst_port = ports(key, 8)
+                            if not (src_port and dst_port):  # no connection uses port 0: malformed
+                                skipped += 1  # its sender counted
+                                continue
+                            flow = _Flow((key[:4], src_port), (key[4:8], dst_port))
+                            flows.append(flow)
+                            direction = flow.forward
+                        else:
+                            flow = known.flow
+                            direction = flow.reverse
+                        direction.flow, direction.seen = flow, seen
+                        table[key] = direction
                     if when > direction.last_seen:
                         direction.last_seen = when
                     # the SYN and the FIN each take one sequence number, in order or to start the direction
@@ -385,10 +382,9 @@ def _dissect(
                             if settled:  # its frames are cut here, and only its identity frames kept
                                 carry, codec, size = settled.carry, settled.codec, end - data
                                 if (carry == b"" and size >= codec.HEADER_SIZE and settled.at + size <= REASSEMBLY_CAP
-                                        and codec.frame_size(chunk, data) == size):  # the segment is one whole frame
-                                    frame = chunk[data:end]
-                                    if codec.identity_key(frame) is not None:
-                                        settled.frames.append(frame)
+                                        and codec.frame_size(chunk, data) == size):  # the segment is one whole frame,
+                                    if codec.identity_key(chunk, data, end) is not None:  # tested where it lies
+                                        settled.frames.append(chunk[data:end])
                                     settled.at += size
                                 elif carry is not None:
                                     settled.take(chunk[data:end])

@@ -16,6 +16,7 @@ from __future__ import annotations
 import struct
 import threading
 import time
+from functools import partial
 from typing import BinaryIO, Callable, Iterator, NamedTuple
 
 from .errors import FormatError
@@ -293,12 +294,10 @@ class CaptureReader:
         raise FormatError(f"not a libpcap capture (magic {raw.hex()})", offset=0)
 
     def chunks(self) -> Iterator[bytes]:
-        """The bytes after the global header, READ_SIZE at a time."""
+        """The bytes after the global header, READ_SIZE at a time; none is held here while the next is read."""
         with open(self.path, "rb") as fh:
             fh.seek(24)
-            read = fh.read
-            while chunk := read(READ_SIZE):
-                yield chunk
+            yield from iter(partial(fh.read, READ_SIZE), b"")
 
     def __iter__(self) -> Iterator[tuple[float, bytes]]:
         unpack, divisor = self.record_header.unpack_from, self.divisor

@@ -49,6 +49,7 @@ from icsrecon.pcapio import (
     MAX_RECORD,
     PROTO_ICMP,
     PROTO_TCP,
+    READ_SIZE,
     TCP_ACK,
     TCP_FIN,
     TCP_PSH,
@@ -1402,6 +1403,22 @@ def test_the_heap_of_polling_sessions_past_the_cap_holds_their_identity_frames_a
     assert peaks[1] - peaks[0] <= 16 * 1024  # twice the polls, the same heap
 
 
+def test_the_walk_holds_no_more_than_a_read_and_the_one_its_tail_joins(tmp_path):
+    # past the walk's own state, only the read being walked and the next one, which the previous tail joins, may
+    # be held at once: a reader that kept the read it handed out while it made the next one held three
+    path = _polling_capture(tmp_path / "polls.pcap", 16, 300)
+    assert path.stat().st_size >= 4 * READ_SIZE
+    reader = CaptureReader(str(path))
+    tracemalloc.start()
+    try:
+        _senders, flows, frames_read, skipped = _dissect(reader.chunks(), reader.record_header, reader.divisor)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (len(flows), frames_read, skipped) == (16, sum(1 for _ in CaptureReader(str(path))), 0)
+    assert peak < 2.5 * READ_SIZE
+
+
 # -- one decode per distinct identity reply set --------------------------------------
 
 S7_REPLIES = [
@@ -1466,6 +1483,22 @@ def test_equal_identity_keys_give_equal_identity_fields(protocol, valid, data):
         assert codec.identity_fields(twins) == fields
     # frames without a key add no field, so the memo decodes a flow's identity frames alone
     assert codec.identity_fields([wire for wire, key in zip(replies, keys) if key is not None]) == fields
+
+
+@pytest.mark.parametrize(
+    "protocol, valid", [("modbus", MODBUS_REPLIES), ("s7comm", S7_REPLIES), ("enip", ENIP_REPLIES)], ids=list(PROTOCOLS)
+)
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_identity_key_reads_a_frame_where_it_lies(protocol, valid, data):
+    # the analyzer tests a whole-frame segment in its capture read, between the bytes of other records
+    codec = PROTOCOLS[protocol]
+    frame = data.draw(st.one_of(st.sampled_from(valid), one_byte_changed(valid), st.binary(max_size=40)))
+    before, after = data.draw(st.binary(max_size=40)), data.draw(st.binary(max_size=40))
+    at, end = len(before), len(before) + len(frame)
+    key = codec.identity_key(frame)
+    assert codec.identity_key(before + frame + after, at, end) == key
+    assert codec.identity_key(before + frame, at) == key  # no end: the frame runs to the end of the buffer
 
 
 def test_only_frames_identity_fields_may_read_have_a_key():
