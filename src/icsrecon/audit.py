@@ -9,8 +9,8 @@ wrapper exists for real-network runs and for audit trails.
 
 from __future__ import annotations
 
+import itertools
 import socket
-import threading
 
 from .netbase import ConnectResult, Network
 from .pcapio import PcapWriter, TcpFlowRecord, TrafficRecorder
@@ -52,11 +52,9 @@ class RecordingNetwork(Network):
 
     def __init__(self, inner: Network, pcap_path: str):
         self.inner = inner
-        self.source_ip = getattr(inner, "source_ip", "0.0.0.0")
         self._writer = PcapWriter(pcap_path)
         self.recorder = TrafficRecorder(self._writer)
-        self._client_port = 47000
-        self._port_lock = threading.Lock()
+        self._client_ports = itertools.cycle(range(47001, 64001))  # the scanner's side of a connection with no socket
 
     def close(self) -> None:
         """Finish the pcap; ``inner`` belongs to the caller."""
@@ -70,22 +68,23 @@ class RecordingNetwork(Network):
 
     def ping(self, ip: str, timeout: float) -> bool:
         answered = self.inner.ping(ip, timeout)
-        self.recorder.icmp_echo_exchange(self.source_ip, ip, answered=answered)
+        self.recorder.icmp_echo_exchange(self.inner.source_for(ip), ip, answered=answered)
         return answered
 
     def arp(self, ip: str, timeout: float) -> str | None:
         mac = self.inner.arp(ip, timeout)
         if mac:
             self.recorder.register_mac(ip, mac)
-        self.recorder.arp_exchange(self.source_ip, ip, answered=mac is not None)
+        self.recorder.arp_exchange(self.inner.source_for(ip), ip, answered=mac is not None)
         return mac
 
     def connect(self, ip: str, port: int, timeout: float) -> ConnectResult:
         result = self.inner.connect(ip, port, timeout)
-        with self._port_lock:
-            self._client_port = self._client_port + 1 if self._client_port < 64000 else 47001
-            client_port = self._client_port
-        flow = self.recorder.tcp_flow((self.source_ip, client_port), (ip, port))
+        if isinstance(result.sock, socket.socket):  # a real connection, recorded from the address it was given
+            source = result.sock.getsockname()
+        else:
+            source = (self.inner.source_for(ip), next(self._client_ports))
+        flow = self.recorder.tcp_flow(source, (ip, port))
         if result.status == "open":
             flow.handshake()
             return ConnectResult("open", _RecordingSocket(result.sock, flow))

@@ -21,7 +21,7 @@ import sys
 import threading
 
 from . import vulnmatch
-from .errors import ConfigError, FormatError, IcsReconError
+from .errors import FormatError, IcsReconError
 from .model import Inventory, compute_depth, json_text, read_json, write_whole
 
 logger = logging.getLogger("icsrecon")
@@ -62,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="acknowledge that unsafe scanning can fault fragile devices",
     )
     scan.add_argument("--unit-id-sweep", action="store_true", help="sweep Modbus unit ids 1..247 (unsafe mode only)")
-    scan.add_argument("--map-file", help="override the simulator map file from the config")
+    scan.add_argument("--map-file", help="scan the simulated station this map names (overrides the config's map_file)")
     scan.add_argument("--out", default="inventory.json", help="inventory output path")
     scan.add_argument("--report-out", help="scan report output path (JSON)")
     scan.add_argument("--pcap-out", help="audit capture of all probe traffic (pcap)")
@@ -109,17 +109,14 @@ def _read_json_object(path: str, what: str) -> dict:
     return document
 
 
-def _network_for(settings, override_map: str | None):
-    if settings.mode == "sim" or override_map:
-        from .simulator import RemoteStation, SimNetwork
+def _network_for(map_path: str | None):
+    if map_path is None:
+        from .netbase import RealNetwork
 
-        map_path = override_map or settings.map_file
-        if not map_path:
-            raise ConfigError("simulator mode needs a map file (simulate --map-out writes one)")
-        return SimNetwork(RemoteStation(_read_json_object(map_path, "station map")))
-    from .netbase import RealNetwork
+        return RealNetwork()
+    from .simulator import RemoteStation, SimNetwork
 
-    return RealNetwork()
+    return SimNetwork(RemoteStation(_read_json_object(map_path, "station map")))
 
 
 def cmd_scan(args) -> int:
@@ -137,8 +134,8 @@ def cmd_scan(args) -> int:
         overrides["safe_mode"] = False
     if args.unit_id_sweep:
         overrides["unit_id_sweep"] = True
-    config, net_settings = load_scan_config(args.config, overrides)
-    network = _network_for(net_settings, args.map_file)
+    config, map_file = load_scan_config(args.config, overrides)
+    network = _network_for(map_file if args.map_file is None else args.map_file)
 
     stop = threading.Event()
     previous = signal.signal(signal.SIGINT, lambda *_: stop.set())

@@ -1,9 +1,11 @@
 """Key/section config files for scans and simulated stations.
 
-Both file kinds use the same INI dialect: a ``[scan]`` (plus optional
-``[network]``) section for scan runs, and ``[station]`` plus one
-``[device:<name>]`` section per simulated device for fixtures. Device
-identity fields are ``identity.<key> = value`` keys its codec serves.
+Both file kinds use the same INI dialect: a ``[scan]`` section for scan
+runs, with an optional ``[network] map_file`` that sends the scan to the
+simulated station its map names (with no map it scans the real network),
+and ``[station]`` plus one ``[device:<name>]`` section per simulated
+device for fixtures. Device identity fields are
+``identity.<key> = value`` keys its codec serves.
 
 Each section has one table, and each of its rows names a key, the record
 field the key sets and the reader of its text. That table is all a loader
@@ -43,12 +45,6 @@ def _boolean(text: str) -> bool:
         raise ValueError(f"not a boolean: {text!r}") from None
 
 
-def _mode(text: str) -> str:
-    if text.lower() not in ("real", "sim"):
-        raise ValueError(f"must be real or sim, not {text!r}")
-    return text.lower()
-
-
 # each file kind's sections -> key -> (the record field it sets, the reader of its text); "device:" stands for every
 # [device:<name>] section, and a key ending in "." for every key under it, gathered in a dict. A reader's None (an
 # empty port or TSAP list) leaves the field at its record's default, as an absent key does
@@ -65,7 +61,7 @@ _SCAN_TABLES = {
         "workers": ("workers", int),
         "modbus_unit": ("modbus_unit", int),
     },
-    "network": {"mode": ("mode", _mode), "map_file": ("map_file", str)},
+    "network": {"map_file": ("map_file", str)},
 }
 _FIXTURE_TABLES = {
     "station": {"scanner_ip": ("scanner_ip", _check_ip)},
@@ -116,12 +112,7 @@ def _read(path: str | Path, tables: dict[str, dict]) -> dict[str, dict]:
     return sections
 
 
-class NetworkSettings(NamedTuple):
-    mode: str = "real"  # real | sim
-    map_file: str | None = None
-
-
-def load_scan_config(path: str | Path, overrides: dict | None = None) -> tuple[ScanConfig, NetworkSettings]:
+def load_scan_config(path: str | Path, overrides: dict | None = None) -> tuple[ScanConfig, str | None]:
     from .scanner import ScanConfig
 
     sections = _read(path, _SCAN_TABLES)
@@ -130,10 +121,7 @@ def load_scan_config(path: str | Path, overrides: dict | None = None) -> tuple[S
     fields = sections["scan"] | {key: value for key, value in (overrides or {}).items() if value is not None}
     if not fields.get("targets"):
         raise ConfigError(f"{path}: no scan targets configured")
-    network = NetworkSettings(**sections.get("network", {}))
-    if network.mode == "real" and network.map_file is not None:  # a simulator's map must not turn into a real scan
-        raise ConfigError(f"{path}: [network] map_file is read only with mode = sim, and this file's mode is real")
-    return ScanConfig(**fields), network
+    return ScanConfig(**fields), sections.get("network", {}).get("map_file")
 
 
 class StationConfig(NamedTuple):

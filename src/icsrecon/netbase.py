@@ -9,6 +9,7 @@ connections with the socket methods the scanner calls.
 
 from __future__ import annotations
 
+import contextlib
 import ipaddress
 import os
 import socket
@@ -31,6 +32,10 @@ class ConnectResult(NamedTuple):
 
 class Network:
     """Interface the scanner depends on; see RealNetwork / SimNetwork."""
+
+    def source_for(self, ip: str) -> str:
+        """The scanner's address in a packet to ``ip``: here the ``source_ip`` the network states."""
+        return self.source_ip
 
     def require(self, method: str) -> None:
         """Raise PrivilegeRequired if the method is unavailable, ValueError if unknown."""
@@ -134,6 +139,13 @@ class RealNetwork(Network):
     def on_link(self, ip: str) -> bool:
         return self._interface_for(ip) is not None
 
+    def source_for(self, ip: str) -> str:
+        """The address the routing table sends from to ``ip``; a UDP connect picks it and sends nothing."""
+        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as udp, contextlib.suppress(OSError):
+            udp.connect((ip, 9))
+            return udp.getsockname()[0]
+        return "0.0.0.0"  # no route reaches ip, so nothing was sent to it
+
     def ping(self, ip: str, timeout: float) -> bool:
         self.require("icmp")
         with socket.socket(socket.AF_INET, socket.SOCK_RAW, socket.IPPROTO_ICMP) as sock:
@@ -159,9 +171,7 @@ class RealNetwork(Network):
         if iface is None:
             return None
         deadline = time.monotonic() + timeout
-        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as udp:
-            udp.connect((ip, 9))  # routing only: picks the source address and sends nothing
-            source_ip = udp.getsockname()[0]
+        source_ip = self.source_for(ip)
         with socket.socket(socket.AF_PACKET, socket.SOCK_RAW, socket.htons(ETHERTYPE_ARP)) as sock:
             sock.bind((iface, ETHERTYPE_ARP))
             _name, _proto, _kind, hatype, hardware = sock.getsockname()

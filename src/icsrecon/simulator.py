@@ -296,21 +296,16 @@ class StationHandle:
 
     def ping(self, ip: str) -> bool:
         device = self._by_ip.get(ip)
-        if device is None:
-            self.recorder.icmp_echo_exchange(self.scanner_ip, ip, answered=False)
-            return False
-        answered = device.note_received() is SimState.RUNNING
+        answered = device is not None and device.note_received() is SimState.RUNNING
         self.recorder.icmp_echo_exchange(self.scanner_ip, ip, answered=answered)
         return answered
 
     def arp(self, ip: str) -> str | None:
         device = self._by_ip.get(ip)
-        if device is None:
-            self.recorder.arp_exchange(self.scanner_ip, ip, answered=False)
-            return None
-        device.note_received()  # link-layer resolution keeps working even for faulted devices
-        self.recorder.arp_exchange(self.scanner_ip, ip, answered=True)
-        return device.config.mac
+        if device is not None:
+            device.note_received()  # link-layer resolution keeps working even for faulted devices
+        self.recorder.arp_exchange(self.scanner_ip, ip, answered=device is not None)
+        return None if device is None else device.config.mac
 
     def address_map(self) -> dict:
         hosts: dict[str, dict] = {}
@@ -486,8 +481,9 @@ class ControlClient:
         self._fh = self._sock.makefile("rwb")
         self._lock = threading.Lock()
 
-    def call(self, op: str, **kwargs) -> dict:
-        """One request/response pair; safe to share across threads."""
+    def call(self, op: str, *reads: str, **kwargs) -> dict:
+        """One request/response pair; safe to share across threads. FormatError, naming ``op``, for a reply that is not
+        a JSON object or lacks one of the fields ``reads``."""
         request = {"op": op, **kwargs}
         with self._lock:
             self._fh.write((json.dumps(request) + "\n").encode("utf-8"))
@@ -495,9 +491,16 @@ class ControlClient:
             line = self._fh.readline()
         if not line:
             raise IcsReconError("control channel closed")
-        response = json.loads(line.decode("utf-8"))
+        try:
+            response = json.loads(line.decode("utf-8"))
+        except ValueError as exc:  # not UTF-8 or not JSON
+            raise FormatError(f"control call {op}: the reply is not JSON: {exc}") from exc
+        if not isinstance(response, dict):
+            raise FormatError(f"control call {op}: the reply is not a JSON object")
         if not response.get("ok"):
             raise IcsReconError(f"control call {op} failed: {response.get('error')}")
+        if missing := [field for field in reads if field not in response]:
+            raise FormatError(f"control call {op}: the reply lacks {', '.join(missing)}")
         return response
 
     def close(self) -> None:
@@ -514,7 +517,7 @@ class RemoteSession:
         self._session = session
 
     def send(self, data: bytes) -> tuple[bytes, bool]:
-        response = self._client.call("send", session=self._session, data=data.hex())
+        response = self._client.call("send", "reply", "hang_up", session=self._session, data=data.hex())
         return bytes.fromhex(response["reply"]), response["hang_up"]
 
     def close(self) -> None:
@@ -537,14 +540,16 @@ class RemoteStation:
         self._client = ControlClient(control_port)
 
     def connect(self, ip: str, port: int) -> RemoteSession | str:
-        response = self._client.call("connect", ip=ip, port=port)
+        response = self._client.call("connect", "status", ip=ip, port=port)
+        if response["status"] == "open" and "session" not in response:  # only an open status carries a session
+            raise FormatError("control call connect: the reply lacks session")
         return RemoteSession(self._client, response["session"]) if response["status"] == "open" else response["status"]
 
     def ping(self, ip: str) -> bool:
-        return bool(self._client.call("ping", ip=ip)["alive"])
+        return bool(self._client.call("ping", "alive", ip=ip)["alive"])
 
     def arp(self, ip: str) -> str | None:
-        return self._client.call("arp", ip=ip)["mac"]
+        return self._client.call("arp", "mac", ip=ip)["mac"]
 
     def close(self) -> None:
         self._client.close()

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -15,13 +17,16 @@ from importlib import resources
 import pytest
 
 import icsrecon
+from icsrecon import cli
 from icsrecon.cli import build_parser, main
 from icsrecon.config import default_fixtures_path, load_fixtures
+from icsrecon.errors import FormatError, IcsReconError
 from icsrecon.model import Asset, DeploymentInfo, PortSpec, ProvenanceEntry, StaticDeviceInfo
+from icsrecon.netbase import RealNetwork
 from icsrecon.pcapio import (
     PROTO_TCP, TCP_ACK, TCP_FIN, TCP_SYN, CaptureReader, PcapWriter, arp_frame, parse_ethernet, parse_ipv4, parse_tcp,
 )
-from icsrecon.simulator import ControlClient, ControlledStation, StationHandle
+from icsrecon.simulator import ControlClient, ControlledStation, RemoteStation, SimNetwork, StationHandle
 
 FIXTURE_DIR = resources.files("icsrecon.data").joinpath("fixtures")
 CVE_DB = str(FIXTURE_DIR.joinpath("cve_demo.json"))
@@ -89,7 +94,6 @@ def scan_config_file(tmp_path, map_path: str, extra: str = "") -> str:
         "timeout_ms = 500\n"
         f"{extra}"
         "[network]\n"
-        "mode = sim\n"
         f"map_file = {map_path}\n"
     )
     return str(path)
@@ -137,7 +141,10 @@ def test_missing_config_is_operational_error(capsys):
         ("[scan]\ntargets = 192.168.90.13\nrate_limit_pps = fast\n", "[scan] rate_limit_pps: "),
         ("[scan]\ntargets = 192.168.90.13\nsafe_mode = maybe\n", "[scan] safe_mode is not a key"),  # flags only
         ("[scan]\ntargets = 192.168.90.13\nvuln_db = 100%.json\n", "[scan] vuln_db: "),  # no key to interpolate
-        ("[scan]\ntargets = 192.168.90.13\n[network]\nmap_file = station_map.json\n", "[network] map_file "),
+        (  # the map file alone selects the network, so a file still stating a mode scans nothing
+            "[scan]\ntargets = 192.168.90.13\n[network]\nmode = real\nmap_file = station_map.json\n",
+            "[network] mode is not a key",
+        ),
         ("targets = 192.168.90.13\n", "no section headers"),
     ],
     ids=["ports", "rate_limit_pps", "safe_mode", "percent", "map_file_under_mode_real", "no_section_header"],
@@ -156,7 +163,7 @@ def test_a_scan_config_cannot_leave_safe_mode(sim, tmp_path, capsys):
     path = tmp_path / "unsafe.conf"
     path.write_text(
         "[scan]\ntargets = 192.168.90.13\nsafe_mode = off\nunit_id_sweep = true\nrate_limit_pps = 400\n"
-        f"[network]\nmode = sim\nmap_file = {sim['map']}\n"
+        f"[network]\nmap_file = {sim['map']}\n"
     )
     assert main(["scan", "--config", str(path), "--out", str(tmp_path / "inventory.json")]) == 1
     out, err = capsys.readouterr()
@@ -567,7 +574,8 @@ def test_scan_with_a_map_file_without_control_port_is_format_error(tmp_path, cap
     map_path = tmp_path / "map.json"
     map_path.write_text(json.dumps({"scanner_ip": "192.168.90.1", "hosts": {}}))
     config = tmp_path / "scan.conf"
-    config.write_text("[scan]\ntargets = 192.168.90.10\n[network]\nmode = real\n")  # --map-file selects the simulator
+    # --map-file wins over the config's map, which is never read
+    config.write_text(f"[scan]\ntargets = 192.168.90.10\n[network]\nmap_file = {tmp_path / 'absent.json'}\n")
     assert main(["scan", "--config", str(config), "--map-file", str(map_path)]) == 1
     assert "error[FormatError]: station map lacks 'control_port'" in capsys.readouterr().err
 
@@ -599,6 +607,108 @@ def test_scan_with_a_malformed_map_file_is_format_error(tmp_path, capsys, text, 
     assert main(["scan", "--config", str(config), "--map-file", str(map_path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error[FormatError]: ") and message in err
+
+
+@pytest.mark.parametrize(
+    "map_line, argv, selected",
+    [
+        ("", [], None),
+        ("map_file = config_map.json\n", [], "config_map.json"),
+        ("", ["--map-file", "cli_map.json"], "cli_map.json"),
+        ("map_file = config_map.json\n", ["--map-file", "cli_map.json"], "cli_map.json"),
+    ],
+    ids=["no-map", "config-map", "cli-map", "cli-map-wins"],
+)
+def test_the_map_file_alone_selects_the_network(tmp_path, monkeypatch, capsys, map_line, argv, selected):
+    chosen = []
+
+    def network_for(map_path):  # stops the scan before anything is sent
+        chosen.append(map_path)
+        raise IcsReconError("no network in this test")
+
+    monkeypatch.setattr(cli, "_network_for", network_for)
+    config = tmp_path / "scan.conf"
+    config.write_text("[scan]\ntargets = 192.168.90.10\n[network]\n" + map_line)
+    assert main(["scan", "--config", str(config), *argv]) == 1
+    assert chosen == [selected]
+    config.write_text("[scan]\ntargets = 192.168.90.10\n[network]\nmode = sim\n" + map_line)
+    assert main(["scan", "--config", str(config), *argv]) == 1
+    out, err = capsys.readouterr()
+    assert chosen == [selected]  # a file stating a mode is refused before any network is built
+    assert err.endswith(f"error[ConfigError]: {config}: [network] mode is not a key this section reads\n")
+
+
+def test_a_map_names_the_remote_station_and_no_map_the_real_network(sim):
+    assert type(cli._network_for(None)) is RealNetwork
+    network = cli._network_for(sim["map"])
+    try:
+        assert isinstance(network, SimNetwork) and isinstance(network.station, RemoteStation)
+        assert network.ping("192.168.90.10", 0.5)
+    finally:
+        network.close()
+    assert sim["station"].device("et200s_like").get_counters().packets_received == 1
+
+
+@contextlib.contextmanager
+def control_port_answering(reply: bytes):
+    """A loopback port that answers each request line with ``reply``, where a station's control socket would listen."""
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def serve():
+        with contextlib.suppress(OSError):  # the listener shut down before a client came
+            sock, _address = listener.accept()
+            with sock, sock.makefile("rb") as requests:
+                for _request in requests:
+                    sock.sendall(reply)
+
+    server = threading.Thread(target=serve, daemon=True)
+    server.start()
+    try:
+        yield listener.getsockname()[1]
+    finally:
+        with contextlib.suppress(OSError):
+            listener.shutdown(socket.SHUT_RDWR)
+        listener.close()
+        server.join(5)
+    assert not server.is_alive()
+
+
+@pytest.mark.parametrize(
+    "reply", [b"HTTP/1.1 400 Bad Request\r\n", b"[]\n", b'{"ok": true}\n'], ids=["not-json", "array", "no-mac"]
+)
+def test_scan_against_a_port_that_is_no_control_socket_is_format_error(tmp_path, capsys, reply):
+    config = tmp_path / "scan.conf"
+    config.write_text("[scan]\ntargets = 192.168.90.10\nmethods = arp\n")
+    map_path = tmp_path / "map.json"
+    with control_port_answering(reply) as port:
+        map_path.write_text(json.dumps({"scanner_ip": "192.168.90.1", "control_port": port}))
+        code = main(["scan", "--config", str(config), "--map-file", str(map_path), "--out", str(tmp_path / "inv.json")])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == "" and err.startswith("error[FormatError]: control call arp: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "reply, use, lacks",
+    [
+        ({"ok": True}, lambda station: station.ping("192.168.90.10"), "ping: the reply lacks alive"),
+        ({"ok": True}, lambda station: station.arp("192.168.90.10"), "arp: the reply lacks mac"),
+        ({"ok": True}, lambda station: station.connect("192.168.90.10", 502), "connect: the reply lacks status"),
+        ({"ok": True, "status": "open"}, lambda station: station.connect("192.168.90.10", 502),
+         "connect: the reply lacks session"),
+        ({"ok": True, "status": "open", "session": 1}, lambda station: station.connect("192.168.90.10", 502).send(b"x"),
+         "send: the reply lacks reply, hang_up"),
+    ],
+    ids=["alive", "mac", "status", "session", "reply-hang_up"],
+)
+def test_a_control_reply_lacking_a_field_its_op_reads_is_format_error(reply, use, lacks):
+    with control_port_answering(json.dumps(reply).encode() + b"\n") as port:
+        station = RemoteStation({"scanner_ip": "192.168.90.1", "control_port": port})
+        try:
+            with pytest.raises(FormatError, match=f"^control call {lacks}$"):
+                use(station)
+        finally:
+            station.close()
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,4 @@
-"""RealNetwork's link table, its one-frame ARP and its ICMP echo, through fake sockets only."""
+"""RealNetwork's link table, its one-frame ARP and its ICMP echo, through fake sockets; its audit capture on loopback."""
 
 from __future__ import annotations
 
@@ -11,8 +11,12 @@ import time
 import pytest
 
 from icsrecon import netbase
+from icsrecon.audit import RecordingNetwork
 from icsrecon.netbase import ARPHRD_ETHER, RealNetwork, link_routes
-from icsrecon.pcapio import BROADCAST_MAC, ETHERTYPE_ARP, arp_frame, icmp_echo
+from icsrecon.pcapio import (
+    BROADCAST_MAC, ETHERTYPE_ARP, PROTO_ICMP, PROTO_TCP, TCP_SYN, CaptureReader, arp_frame, icmp_echo, parse_arp,
+    parse_ethernet, parse_ipv4, parse_tcp,
+)
 from icsrecon.scanner import ScanConfig, Scanner
 
 # /proc/net/route as a little-endian host prints it: each address is the hex of its network-order word
@@ -280,3 +284,59 @@ def test_an_arp_request_that_cannot_be_sent_falls_through_to_icmp(links, monkeyp
     assert scanner.anomalies == ["arp request failed: [Errno 100] Network is down"]
     arp_only, assets = discover(RealNetwork(**links), "192.168.90.10", {"arp"})
     assert assets == [] and arp_only.anomalies == scanner.anomalies
+
+
+# -- the audit capture of a real scan ---------------------------------------------
+
+
+def test_source_for_is_the_routed_address_and_sends_nothing(monkeypatch):
+    assert RealNetwork().source_for("127.0.0.1") == "127.0.0.1"
+    sockets = fake_sockets(monkeypatch)
+    assert RealNetwork().source_for("192.168.90.10") == "192.168.90.1"
+    (udp,) = sockets.opened
+    assert udp.connected == ("192.168.90.10", 9) and udp.sent == []
+
+    def unreachable(self, address):
+        raise OSError(101, "Network is unreachable")
+
+    monkeypatch.setattr(FakeSocket, "connect", unreachable)
+    assert RealNetwork().source_for("10.200.0.1") == "0.0.0.0"  # no route, so nothing was sent from anywhere
+
+
+def test_the_audit_capture_of_a_real_scan_names_the_scanner(tmp_path):
+    class Unprivileged(RealNetwork):  # no raw sockets here: ICMP and ARP go unanswered, and are still recorded
+        def ping(self, ip, timeout):
+            return False
+
+        def arp(self, ip, timeout):
+            return None
+
+    with socket.create_server(("127.0.0.1", 0)) as closed:
+        closed_port = closed.getsockname()[1]  # nothing listens there once it closes
+    pcap = tmp_path / "audit.pcap"
+    network = RecordingNetwork(Unprivileged(), str(pcap))
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        port = listener.getsockname()[1]
+        result = network.connect("127.0.0.1", port, 1.0)
+        served, client = listener.accept()
+        with served, result.sock as sock:
+            sock.sendall(b"hello")
+    try:
+        assert result.status == "open" and network.connect("127.0.0.1", closed_port, 1.0).status == "refused"
+        assert not network.ping("127.0.0.1", 0.1) and network.arp("127.0.0.1", 0.1) is None
+    finally:
+        network.close()
+    syns, echo_sources, arp_senders = [], [], []
+    for _, frame in CaptureReader(str(pcap)):
+        eth = parse_ethernet(frame)
+        if eth.ethertype == ETHERTYPE_ARP:
+            arp_senders.append(parse_arp(eth.payload).sender_ip)
+            continue
+        packet = parse_ipv4(eth.payload)
+        if packet.proto == PROTO_ICMP and packet.dst_ip == "127.0.0.1":
+            echo_sources.append(packet.src_ip)
+        elif packet.proto == PROTO_TCP and (segment := parse_tcp(packet.payload)).flags == TCP_SYN:
+            syns.append(((packet.src_ip, segment.src_port), segment.dst_port))
+    # the open connection from the address its socket was given, the refused one from the routed address
+    assert syns == [(client, port), (("127.0.0.1", 47001), closed_port)]
+    assert echo_sources == ["127.0.0.1"] and arp_senders == ["127.0.0.1"]

@@ -38,7 +38,7 @@ NAMED_TUPLES = {
     "pcapio.EthernetFrame", "pcapio.ArpMessage", "pcapio.Ipv4Packet", "pcapio.TcpSegment",
     "model.CveRecord", "model.ProvenanceEntry", "passive.PcapFile", "netbase.ConnectResult", "taxonomy.Violation",
     "taxonomy.SpecificationFeatures", "taxonomy.ExecutionFeatures", "taxonomy.ToolProfile",
-    "config.NetworkSettings", "config.StationConfig", "simulator.Counters",
+    "config.StationConfig", "simulator.Counters",
     "model._PortSpecFields", "model._StaticDeviceInfoFields", "model._DeploymentInfoFields", "model._AssetFields",
     "scanner._ScanConfigFields", "simulator._SimDeviceConfigFields",
     *CHECKED_RECORDS,

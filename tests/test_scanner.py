@@ -92,11 +92,11 @@ def test_modbus_unit_outside_a_byte_is_config_error(tmp_path):
 def test_scan_config_keys_set_empty_or_absent(tmp_path):
     path = tmp_path / "scan.conf"
     path.write_text("[scan]\ntargets = 192.168.90.13\n")
-    config, network = load_scan_config(path)
+    config, map_file = load_scan_config(path)
     assert config == ScanConfig(targets=("192.168.90.13",))  # every absent key keeps ScanConfig's default
     assert (config.methods, config.rate_limit_pps, config.safe_mode, config.timeout_ms) == ({"icmp"}, 20, True, 800)
     assert (config.unit_id_sweep, config.workers, config.modbus_unit, config.vuln_db_path) == (False, 8, 1, None)
-    assert network == ("real", None)
+    assert map_file is None  # no station map: the scan runs on the real network
     path.write_text("[scan]\ntargets = 192.168.90.13\nports =\nworkers = 2\nvuln_db =\n")
     config, _ = load_scan_config(path)
     assert (config.ports, config.workers, config.vuln_db_path) == (DEFAULT_PORTS, 2, "")
@@ -123,13 +123,17 @@ def test_a_key_or_section_the_loader_does_not_read_is_refused(tmp_path, load, te
         load(path)
 
 
-@pytest.mark.parametrize("network", ["map_file = station_map.json\n", "mode = real\nmap_file = station_map.json\n"],
-                         ids=["mode-absent", "mode-real"])
-def test_a_map_file_under_mode_real_is_refused(tmp_path, network):
+@pytest.mark.parametrize(
+    "network",
+    ["mode = real\nmap_file = station_map.json\n", "mode = sim\nmap_file = station_map.json\n", "mode = real\n"],
+    ids=["real-with-map", "sim-with-map", "real"],
+)
+def test_a_network_mode_key_is_refused(tmp_path, network):
+    # the map file alone selects the network, so a file still stating a mode is refused before it scans anything
     path = tmp_path / "scan.conf"
     path.write_text("[scan]\ntargets = 192.168.90.13\n[network]\n" + network)
-    with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}: \[network\] map_file"):
-        load_scan_config(path)  # else a config written for the simulator would scan the real network
+    with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}: \[network\] mode is not a key"):
+        load_scan_config(path)
 
 
 # (section, key) -> (the lines its section holds, the record field the key sets, the value that field then holds),
@@ -146,8 +150,7 @@ ROWS = {
     ("scan", "vuln_aliases"): ({"vuln_aliases": "aliases.json"}, "vuln_alias_path", "aliases.json"),
     ("scan", "workers"): ({"workers": "3"}, "workers", 3),
     ("scan", "modbus_unit"): ({"modbus_unit": "0"}, "modbus_unit", 0),
-    ("network", "mode"): ({"mode": "SIM"}, "mode", "sim"),
-    ("network", "map_file"): ({"mode": "sim", "map_file": "station_map.json"}, "map_file", "station_map.json"),
+    ("network", "map_file"): ({"map_file": "station_map.json"}, "map_file", "station_map.json"),
     ("station", "scanner_ip"): ({"scanner_ip": "10.0.0.254"}, "scanner_ip", "10.0.0.254"),
     ("device:", "protocol"): ({"protocol": "enip"}, "protocol", "enip"),
     ("device:", "ip"): ({"ip": "10.0.0.2"}, "ip", "10.0.0.2"),
@@ -171,8 +174,10 @@ def ini(sections: dict[str, dict[str, str]]) -> str:
 
 
 def loaded_field(path, section: str, field: str):
+    if section == "network":
+        return load_scan_config(path)[1]  # the map file, the one value the section holds
     if section in _SCAN_TABLES:
-        record = load_scan_config(path, {"safe_mode": False})[section == "network"]  # as --unsafe, so a sweep loads
+        record = load_scan_config(path, {"safe_mode": False})[0]  # as --unsafe, so a sweep loads
     else:
         station = load_fixtures(path)
         record = station if section == "station" else station.devices[0]
@@ -199,7 +204,7 @@ def test_every_table_row_sets_its_record_field(tmp_path, section, key):
 
 def test_every_shipped_config_loads():
     assert len(load_fixtures(default_fixtures_path()).devices) == 5
-    assert load_scan_config(default_fixtures_path().with_name("demo_scan.conf"))[1].mode == "sim"
+    assert load_scan_config(default_fixtures_path().with_name("demo_scan.conf"))[1] == "station_map.json"
 
 
 def test_fixture_device_keys_absent_keep_the_defaults(tmp_path):
