@@ -34,7 +34,7 @@ import socket
 import threading
 import time
 from enum import Enum
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .codecs import PROTOCOLS, cut_frames
 from .errors import ConfigError, DecodeError, FormatError, IcsReconError, PortUnavailable
@@ -473,6 +473,40 @@ class ControlledStation:
         self.station.stop()
 
 
+def _reply_value(wanted: str, test: Callable[[object], bool]) -> Callable[[object], object]:
+    """A reader that returns a value ``test`` accepts as it is and refuses any other as not ``wanted``."""
+
+    def read(value: object) -> object:
+        if not test(value):
+            raise ValueError(f"{value!r} is not {wanted}")
+        return value
+
+    return read
+
+
+_REPLY_FIELDS = {  # field of a control reply -> its reader: the value a station's caller takes, or ValueError/TypeError
+    "alive": _reply_value("true or false", lambda value: type(value) is bool),
+    "hang_up": _reply_value("true or false", lambda value: type(value) is bool),
+    "mac": _check_mac,
+    "status": _reply_value("open, refused or timeout", lambda value: value in ("open", "refused", "timeout")),
+    "session": _reply_value("an integer", lambda value: type(value) is int),  # a bool is no session
+    "reply": bytes.fromhex,
+}
+
+
+def _read_reply(op: str, response: dict, *fields: str) -> dict:
+    """The ``fields`` of a reply to ``op``, each through its reader; FormatError, naming ``op``, for one absent or bad."""
+    if missing := [field for field in fields if field not in response]:
+        raise FormatError(f"control call {op}: the reply lacks {', '.join(missing)}")
+    read = {}
+    for field in fields:
+        try:
+            read[field] = _REPLY_FIELDS[field](response[field])
+        except (TypeError, ValueError) as exc:
+            raise FormatError(f"control call {op}: {field}: {exc}") from exc
+    return read
+
+
 class ControlClient:
     """JSON-lines client for a ControlledStation."""
 
@@ -483,7 +517,8 @@ class ControlClient:
 
     def call(self, op: str, *reads: str, **kwargs) -> dict:
         """One request/response pair; safe to share across threads. FormatError, naming ``op``, for a reply that is not
-        a JSON object or lacks one of the fields ``reads``."""
+        a JSON object or lacks one of the fields ``reads`` or holds a bad one; those are returned as ``_read_reply``
+        reads them."""
         request = {"op": op, **kwargs}
         with self._lock:
             self._fh.write((json.dumps(request) + "\n").encode("utf-8"))
@@ -499,9 +534,7 @@ class ControlClient:
             raise FormatError(f"control call {op}: the reply is not a JSON object")
         if not response.get("ok"):
             raise IcsReconError(f"control call {op} failed: {response.get('error')}")
-        if missing := [field for field in reads if field not in response]:
-            raise FormatError(f"control call {op}: the reply lacks {', '.join(missing)}")
-        return response
+        return {**response, **_read_reply(op, response, *reads)}
 
     def close(self) -> None:
         with contextlib.suppress(OSError):
@@ -518,7 +551,7 @@ class RemoteSession:
 
     def send(self, data: bytes) -> tuple[bytes, bool]:
         response = self._client.call("send", "reply", "hang_up", session=self._session, data=data.hex())
-        return bytes.fromhex(response["reply"]), response["hang_up"]
+        return response["reply"], response["hang_up"]
 
     def close(self) -> None:
         self._client.call("close", session=self._session)
@@ -541,12 +574,12 @@ class RemoteStation:
 
     def connect(self, ip: str, port: int) -> RemoteSession | str:
         response = self._client.call("connect", "status", ip=ip, port=port)
-        if response["status"] == "open" and "session" not in response:  # only an open status carries a session
-            raise FormatError("control call connect: the reply lacks session")
-        return RemoteSession(self._client, response["session"]) if response["status"] == "open" else response["status"]
+        if response["status"] != "open":
+            return response["status"]
+        return RemoteSession(self._client, _read_reply("connect", response, "session")["session"])  # only open has one
 
     def ping(self, ip: str) -> bool:
-        return bool(self._client.call("ping", "alive", ip=ip)["alive"])
+        return self._client.call("ping", "alive", ip=ip)["alive"]
 
     def arp(self, ip: str) -> str | None:
         return self._client.call("arp", "mac", ip=ip)["mac"]

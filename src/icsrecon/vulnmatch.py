@@ -10,14 +10,10 @@ supply at least a manufacturer or a model).
 
 The database is indexed once, when it is built, by canonical vendor and
 then by normalized product, so a lookup only examines the records whose
-vendor and product clauses can hold. A load checks the records one
-field at a time (``CveRecord.columns``), parses each distinct bound text
-once and compares each distinct range once. ``record_applies`` checks
-each candidate on its own, and three bounded caches of 1024 texts each
-keep it from redoing the work that candidates share: the vendor and
-product normalizations and the parsed versions. A vendor, product,
-firmware or bound text is normalized or parsed once while its cache
-holds it.
+vendor and product clauses hold. Building it also parses each distinct
+bound text once, checks every range, and keeps the parsed keys, padded
+to one width: a lookup parses the device firmware once and compares it
+with kept keys, so ``record_applies`` checks only the version clause.
 
 The database is a local JSON file; there is no network fetch, so scans
 stay air-gap friendly.
@@ -30,7 +26,8 @@ import logging
 import re
 from functools import lru_cache
 from importlib import resources
-from itertools import chain, repeat
+from itertools import repeat
+from operator import attrgetter, gt
 from typing import Callable, Iterable
 
 from .errors import FormatError
@@ -41,19 +38,23 @@ logger = logging.getLogger(__name__)
 CONFIDENCE_NOTE = "cpe-style match - verify manually"
 
 _NON_ALNUM = re.compile(r"[^a-z0-9]+")
+_BOTTOM, _TOP = (), ((float("inf"), ""),)  # below and above every key: an absent version_min, an absent version_max
 
 
 class CveDatabase:
     """CVE records plus the alias table, indexed for ``match``.
 
-    ``index`` maps canonical vendor -> normalized product -> records; it
-    is derived from ``records`` and ``aliases`` at construction.
+    ``index`` maps canonical vendor -> normalized product -> records, and
+    ``bounds`` each distinct bound text -> its key, padded with
+    ``padding`` to the longest; both are derived at construction, which
+    refuses a bound that does not parse or a range that is inverted.
     """
 
-    __slots__ = ("records", "aliases", "index")
+    __slots__ = ("records", "aliases", "index", "bounds", "padding")
 
     def __init__(self, records: tuple[CveRecord, ...], aliases: dict[str, str]):
         self.records, self.aliases = records, aliases
+        self.bounds, self.padding = _bound_keys(records)
         self.index: dict[str, dict[str, list[CveRecord]]] = {}
         groups: dict[str, dict[str, list[CveRecord]]] = {}
         products = {product: normalize_product(product) for product in {record.product for record in records}}
@@ -66,15 +67,41 @@ class CveDatabase:
         return len(self.records)
 
 
-@lru_cache(maxsize=1024)
+def _bound_keys(records: tuple[CveRecord, ...]) -> tuple[dict[str, tuple], tuple]:
+    """Each distinct bound text -> its key padded to the longest, and that padding.
+
+    One pass parses the distinct texts, one compares every range; a
+    record is named only once a pass fails: of several, the first whose
+    bound does not parse, else the first whose range is inverted.
+    """
+    lows, highs = list(map(attrgetter("version_min"), records)), list(map(attrgetter("version_max"), records))
+    keys, faults = {}, {}
+    for text in {*lows, *highs}:
+        if text:  # null and "" are no bound
+            try:
+                keys[text] = parse_version(text)
+            except ValueError as exc:
+                faults[text] = exc
+    if faults:
+        position, name, text = next((position, name, text) for position, pair in enumerate(zip(lows, highs))
+                                    for name, text in zip(("version_min", "version_max"), pair) if text in faults)
+        raise FormatError(f"{records[position].cve_id}: {name}: {faults[text]}") from faults[text]
+    padding = ((0, ""),) * max(map(len, keys.values()), default=0)  # an absent segment, below every other
+    keys = {text: key + padding[len(key):] for text, key in keys.items()}
+    inverted = list(map(gt, map(keys.get, lows, repeat(_BOTTOM)), map(keys.get, highs, repeat(_TOP))))
+    if True in inverted:
+        record = records[inverted.index(True)]
+        raise FormatError(f"{record.cve_id}: version_min {record.version_min} above version_max {record.version_max}")
+    return keys, padding
+
+
 def normalize_vendor(text: str) -> str:
-    """Case- and space-folded vendor name; the last 1024 are kept, process-wide."""
+    """Case- and space-folded vendor name."""
     return " ".join(text.lower().split())
 
 
-@lru_cache(maxsize=1024)
 def normalize_product(text: str) -> str:
-    """Lower-case product name without its non-alphanumerics; the last 1024 are kept, process-wide."""
+    """Lower-case product name without its non-alphanumerics."""
     return _NON_ALNUM.sub("", text.lower())
 
 
@@ -97,7 +124,8 @@ def load_db(path: str, alias_path: str | None = None) -> CveDatabase:
 
     Every check is one pass over one field of all the records. Of several
     faults the first named is a field fault, then a duplicate id, then an
-    unparseable bound text, then an inverted range, each at its lowest index.
+    unparseable bound text, then an inverted range, each at its lowest
+    index, then a fault of the alias table.
     """
     raw = read_json(path, "CVE database")
     if not isinstance(raw, list):
@@ -107,41 +135,28 @@ def load_db(path: str, alias_path: str | None = None) -> CveDatabase:
         seen: set[str] = set()
         position = next(i for i, cve_id in enumerate(ids) if cve_id in seen or seen.add(cve_id))
         raise FormatError(f"duplicate CVE id {ids[position]} at index {position}")
-    bounds = list(zip(lows, highs))
-    keys = {}  # bound text -> its key, for this load only; null and "" are no bound
-    for text in dict.fromkeys(chain.from_iterable(bounds)):  # each distinct text once, in order of first appearance
-        try:
-            keys[text] = text and parse_version(text)
-        except ValueError as exc:
-            position = next(i for i, pair in enumerate(bounds) if text in pair)
-            name = "version_min" if lows[position] == text else "version_max"
-            raise FormatError(f"{ids[position]}: {name}: {exc}") from exc
-    for low, high in dict.fromkeys(bounds):  # each distinct range once, in order of first appearance
-        if low and high and _compare_keys(keys[low], keys[high]) > 0:
-            position = bounds.index((low, high))
-            raise FormatError(f"{ids[position]}: version_min {low} above version_max {high}")
     normalized = {vendor: normalize_vendor(vendor) for vendor in set(vendors)}
     vendors = map(normalized.__getitem__, vendors)
     rows = zip(ids, vendors, products, summaries, lows, highs, severities, repeat(None))  # a database's notes are not kept
     records = tuple(map(tuple.__new__, repeat(CveRecord), rows))  # the columns are checked: no call per record
-    return CveDatabase(records=records, aliases=load_aliases(alias_path))
+    try:
+        aliases = load_aliases(alias_path)
+    except FormatError:
+        CveDatabase(records=records, aliases={})  # a fault of the records is named first
+        raise
+    return CveDatabase(records=records, aliases=aliases)
 
 
 _SEGMENT = re.compile(r"^(\d*)(.*)$", re.DOTALL)
 
 
-@lru_cache(maxsize=1024)
 def parse_version(text: str) -> tuple[tuple[int, str], ...]:
     """Dotted version -> comparable key.
 
     Each dot-separated segment becomes (numeric prefix, remaining
     suffix); missing segments compare as (0, ""). A version with no
-    digits anywhere does not parse.
-
-    The last 1024 keys are kept, process-wide, so the firmware and the
-    bounds that each lookup compares are parsed once while the cache
-    holds them; a text that does not parse is not kept and raises again
-    every time.
+    digits anywhere does not parse. A database parses each bound text
+    once, when it is built, and a lookup its device's firmware once.
     """
     segments = text.split(".")
     if all(map(str.isdecimal, segments)):  # plain "4.2.1": the pattern below would give the same key
@@ -159,51 +174,23 @@ def parse_version(text: str) -> tuple[tuple[int, str], ...]:
     return tuple(key)
 
 
-def compare_versions(a: str, b: str) -> int:
-    """-1 / 0 / +1 with left-to-right segments, absent segments = 0."""
-    return _compare_keys(parse_version(a), parse_version(b))
-
-
-def _compare_keys(ka: tuple[tuple[int, str], ...], kb: tuple[tuple[int, str], ...]) -> int:
-    if len(ka) != len(kb):
-        width = max(len(ka), len(kb))
-        ka += ((0, ""),) * (width - len(ka))
-        kb += ((0, ""),) * (width - len(kb))
-    if ka < kb:
-        return -1
-    if ka > kb:
-        return 1
-    return 0
-
-
 def _canonical_vendor(name: str, aliases: dict[str, str]) -> str:
     norm = normalize_vendor(name)
     return aliases.get(norm, norm)
 
 
-def record_applies(record: CveRecord, info: StaticDeviceInfo, aliases: dict[str, str]) -> bool:
-    """The match predicate for one record.
+def record_applies(record: CveRecord, firmware: tuple | None, bounds: dict[str, tuple]) -> bool:
+    """The version clause for one index candidate, whose vendor and product clauses hold.
 
-    Device-side absences leave their clause unconstrained; an
-    unparseable device version skips version-bounded records (``match``
-    logs that once per lookup).
+    ``firmware`` is the device's key with the database's ``padding``
+    appended, None when the device has none (the clause is
+    unconstrained), and ``()`` when it does not parse, which skips
+    version-bounded records (``match`` logs that once per lookup).
     """
-    if info.manufacturer is not None:
-        if _canonical_vendor(record.vendor, aliases) != _canonical_vendor(info.manufacturer, aliases):
-            return False
-    if info.model is not None:
-        product = normalize_product(record.product)
-        if not product or product not in normalize_product(info.model):
-            return False
-    if info.firmware_version is not None and (record.version_min or record.version_max):
-        try:
-            if record.version_min and compare_versions(info.firmware_version, record.version_min) < 0:
-                return False
-            if record.version_max and compare_versions(info.firmware_version, record.version_max) >= 0:
-                return False
-        except ValueError:
-            return False
-    return True
+    low, high = record.version_min, record.version_max
+    if firmware is None or not (low or high):
+        return True
+    return firmware != () and (not low or bounds[low] <= firmware) and (not high or firmware < bounds[high])
 
 
 def match(info: StaticDeviceInfo, db: CveDatabase) -> list[CveRecord]:
@@ -211,7 +198,8 @@ def match(info: StaticDeviceInfo, db: CveDatabase) -> list[CveRecord]:
 
     Requires manufacturer or model to be present; results carry the
     manual-verification note. Only the index groups whose vendor and
-    product clauses hold are passed to ``record_applies``.
+    product clauses hold are passed to ``record_applies``, with the
+    firmware parsed once.
     """
     if not (info.manufacturer or info.model):
         raise ValueError("matching needs a manufacturer or a model")
@@ -227,11 +215,12 @@ def match(info: StaticDeviceInfo, db: CveDatabase) -> list[CveRecord]:
         if model is None or (product and product in model)
         for record in records
     ]
-    hits = [record for record in candidates if record_applies(record, info, db.aliases)]
-    if info.firmware_version is not None:
-        try:
-            parse_version(info.firmware_version)
+    firmware = info.firmware_version
+    if firmware is not None:
+        try:  # as long as every bound now, a key equal to one once padded compares above it, which no clause tells apart
+            firmware = parse_version(firmware) + db.padding
         except ValueError:
+            firmware = ()
             skipped = sum(1 for record in candidates if record.version_min or record.version_max)
             if skipped:
                 logger.warning(
@@ -239,6 +228,7 @@ def match(info: StaticDeviceInfo, db: CveDatabase) -> list[CveRecord]:
                     info.firmware_version,
                     skipped,
                 )
+    hits = [record for record in candidates if record_applies(record, firmware, db.bounds)]
     hits.sort(key=lambda r: (-(r.severity if r.severity is not None else -1.0), r.cve_id))
     return [r._replace(note=CONFIDENCE_NOTE) for r in hits]
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import json
 import os
+import re
 import signal
 import socket
 import subprocess
@@ -674,7 +675,8 @@ def control_port_answering(reply: bytes):
 
 
 @pytest.mark.parametrize(
-    "reply", [b"HTTP/1.1 400 Bad Request\r\n", b"[]\n", b'{"ok": true}\n'], ids=["not-json", "array", "no-mac"]
+    "reply", [b"HTTP/1.1 400 Bad Request\r\n", b"[]\n", b'{"ok": true}\n', b'{"ok": true, "mac": 5}\n'],
+    ids=["not-json", "array", "no-mac", "mac-int"],
 )
 def test_scan_against_a_port_that_is_no_control_socket_is_format_error(tmp_path, capsys, reply):
     config = tmp_path / "scan.conf"
@@ -706,6 +708,41 @@ def test_a_control_reply_lacking_a_field_its_op_reads_is_format_error(reply, use
         station = RemoteStation({"scanner_ip": "192.168.90.1", "control_port": port})
         try:
             with pytest.raises(FormatError, match=f"^control call {lacks}$"):
+                use(station)
+        finally:
+            station.close()
+
+
+def _send_x(station):
+    return station.connect("192.168.90.10", 502).send(b"x")
+
+
+@pytest.mark.parametrize(
+    "reply, use, message",
+    [
+        ({"alive": 1}, lambda station: station.ping("192.168.90.10"), "ping: alive: 1 is not true or false"),
+        ({"mac": 5}, lambda station: station.arp("192.168.90.10"), "arp: mac: expected text, got 5"),
+        ({"mac": "00:11"}, lambda station: station.arp("192.168.90.10"),
+         "arp: mac: not a 48-bit hardware address: '00:11'"),
+        ({"status": "closed"}, lambda station: station.connect("192.168.90.10", 502),
+         "connect: status: 'closed' is not open, refused or timeout"),
+        ({"status": "open", "session": True}, lambda station: station.connect("192.168.90.10", 502),
+         "connect: session: True is not an integer"),
+        ({"status": "open", "session": "1"}, lambda station: station.connect("192.168.90.10", 502),
+         "connect: session: '1' is not an integer"),
+        ({"status": "open", "session": 1, "reply": 5, "hang_up": False}, _send_x, "send: reply: "),
+        ({"status": "open", "session": 1, "reply": "zz", "hang_up": False}, _send_x, "send: reply: "),
+        ({"status": "open", "session": 1, "reply": "00", "hang_up": None}, _send_x,
+         "send: hang_up: None is not true or false"),
+    ],
+    ids=["alive-int", "mac-int", "mac-short", "status-closed", "session-bool", "session-text", "reply-int",
+         "reply-not-hex", "hang_up-null"],
+)
+def test_a_control_reply_holding_a_bad_field_its_op_reads_is_format_error(reply, use, message):
+    with control_port_answering(json.dumps({"ok": True, **reply}).encode() + b"\n") as port:
+        station = RemoteStation({"scanner_ip": "192.168.90.1", "control_port": port})
+        try:
+            with pytest.raises(FormatError, match=f"^control call {re.escape(message)}"):
                 use(station)
         finally:
             station.close()

@@ -15,7 +15,6 @@ from icsrecon.model import CveRecord, StaticDeviceInfo
 from icsrecon import vulnmatch
 from icsrecon.vulnmatch import (
     CveDatabase,
-    compare_versions,
     load_aliases,
     load_db,
     match,
@@ -33,6 +32,18 @@ FIXTURE_DB = str(resources.files("icsrecon.data").joinpath("fixtures").joinpath(
 
 def db_from(records, aliases=None) -> CveDatabase:
     return CveDatabase(records=tuple(records), aliases=aliases or {})
+
+
+def compare_keys(ka: tuple, kb: tuple) -> int:
+    """-1 / 0 / +1 for two version keys, the shorter padded with absent segments."""
+    width = max(len(ka), len(kb))
+    ka, kb = ka + ((0, ""),) * (width - len(ka)), kb + ((0, ""),) * (width - len(kb))
+    return (ka > kb) - (ka < kb)
+
+
+def compare_versions(a: str, b: str) -> int:
+    """-1 / 0 / +1 with left-to-right segments, absent segments = 0."""
+    return compare_keys(parse_version(a), parse_version(b))
 
 
 def record(cve_id="CVE-2020-10000", vendor="siemens", product="et200s", vmin=None, vmax=None, severity=None):
@@ -215,9 +226,9 @@ def test_lookup_examines_only_its_vendor_and_product_group(monkeypatch):
     examined = []
     original = vulnmatch.record_applies
 
-    def counting(record, info, aliases):
+    def counting(record, firmware, bounds):
         examined.append(record)
-        return original(record, info, aliases)
+        return original(record, firmware, bounds)
 
     monkeypatch.setattr(vulnmatch, "record_applies", counting)
 
@@ -412,23 +423,24 @@ def test_reused_bound_texts_still_checked_per_record(tmp_path):
 
 
 def test_more_bound_texts_than_the_parse_cache_holds_are_each_checked(tmp_path):
-    count = parse_version.cache_info().maxsize
+    count = 1500  # distinct texts per bound
     base = {"vendor": "a", "product": "b"}
     rows = [{**base, "cve_id": f"CVE-2020-{10000 + i}", "version_min": f"1.{i}", "version_max": f"2.{i}"}
             for i in range(count)]
-    # both bounds seen before: "2.0" evicted from the cache by now, "1.{count - 1}" still in it
+    # both bounds seen before, "2.0" first and "1.{count - 1}" last
     rows.append({**base, "cve_id": "CVE-2020-99999", "version_min": "2.0", "version_max": f"1.{count - 1}"})
     path = tmp_path / "many.json"
     path.write_text(json.dumps(rows))
     with pytest.raises(FormatError, match="CVE-2020-99999: version_min"):
         load_db(str(path))
-    assert parse_version.cache_info().currsize <= count
 
     path.write_text(json.dumps(rows[:-1]))
     db = load_db(str(path))
     for firmware, expected in (("1.5", 6), ("2.0", count - 1), ("2.0.1", count - 1), ("0.9", 0)):
         info = StaticDeviceInfo(manufacturer="a", model="b", firmware_version=firmware)
-        assert len(match(info, db)) == expected, firmware
+        hits = match(info, db)
+        assert len(hits) == expected, firmware
+        assert {h.cve_id for h in hits} == naive_match_oracle(info, db)
 
 
 def reference_load(raw: list) -> list[CveRecord]:
@@ -456,7 +468,7 @@ def reference_load(raw: list) -> list[CveRecord]:
             high = high and parse_version(high)
         except ValueError as exc:
             raise FormatError(f"{record.cve_id}: {name}: {exc}") from exc
-        if low and high and vulnmatch._compare_keys(low, high) > 0:
+        if low and high and compare_keys(low, high) > 0:
             raise FormatError(
                 f"{record.cve_id}: version_min {record.version_min} above version_max {record.version_max}"
             )
@@ -600,6 +612,53 @@ def test_faults_are_named_field_then_duplicate_then_bound_then_range(tmp_path):
         "CVE-2020-10002: version_max: unparseable version 'n/a'",
         "CVE-2020-10000: version_min 5.0 above version_max 1.0",
     ]
+
+
+@pytest.mark.parametrize(
+    "bounds, message",
+    [({"vmin": "5.0", "vmax": "1.0"}, "CVE-2020-22222: version_min 5.0 above version_max 1.0"),
+     ({"vmin": "1.0", "vmax": "n/a"}, "CVE-2020-22222: version_max: unparseable version 'n/a'"),
+     ({"vmin": "fw", "vmax": "1.0"}, "CVE-2020-22222: version_min: unparseable version 'fw'")],
+    ids=["inverted", "unparseable-max", "unparseable-min"],
+)
+def test_a_database_built_directly_refuses_a_bound_as_load_db_does(tmp_path, bounds, message):
+    records = [record(cve_id="CVE-2020-11111", vmin="1.0", vmax="2.0"), record(cve_id="CVE-2020-22222", **bounds)]
+    with pytest.raises(FormatError) as built:
+        db_from(records)
+    path = tmp_path / "db.json"
+    path.write_text(json.dumps([r.to_dict() for r in records]))
+    with pytest.raises(FormatError) as loaded:
+        load_db(str(path))
+    aliases = tmp_path / "aliases.json"
+    aliases.write_text("[]")  # a fault of the alias table is named after one of the records
+    with pytest.raises(FormatError) as with_bad_aliases:
+        load_db(str(path), alias_path=str(aliases))
+    assert str(built.value) == str(loaded.value) == str(with_bad_aliases.value) == message
+    records[1] = record(cve_id="CVE-2020-22222")
+    path.write_text(json.dumps([r.to_dict() for r in records]))
+    with pytest.raises(FormatError, match="alias table"):
+        load_db(str(path), alias_path=str(aliases))
+
+
+def test_a_lookup_parses_its_firmware_once_and_no_database_text(monkeypatch):
+    db = db_from([
+        record(cve_id=f"CVE-2020-{10000 + i}", product=product, vmin=low, vmax=high)
+        for i, (product, low, high) in enumerate([("et200s", "1.0", "4.0"), ("et200s", None, "2.0"),
+                                                  ("et200s", "3.0", None), ("s7", "1.0", "9.0"), ("", None, None)])
+    ])
+    parsed = []
+    original = vulnmatch.parse_version
+    monkeypatch.setattr(vulnmatch, "parse_version", lambda text: parsed.append(text) or original(text))
+    hits = 0
+    for firmware in ("3.2.6", None, "fw-x", "1.5"):
+        for manufacturer, model in (("Siemens", "ET200S"), ("Siemens", None), (None, "6ES7 ET200S S7")):
+            info = StaticDeviceInfo(manufacturer=manufacturer, model=model, firmware_version=firmware)
+            parsed.clear()
+            got = {h.cve_id for h in match(info, db)}
+            assert parsed == ([] if firmware is None else [firmware])
+            assert got == naive_match_oracle(info, db)
+            hits += len(got)
+    assert hits == 31
 
 
 def test_unparseable_firmware_warns_on_every_lookup(caplog):
@@ -753,9 +812,8 @@ def test_no_match_without_version_satisfaction():
 
 
 def test_match_is_unchanged_when_every_cache_is_filled_past_its_size():
-    """More vendor spellings, product texts and version texts than each 1024-entry cache holds."""
-    caches = (normalize_vendor, normalize_product, parse_version)
-    size = max(cache.cache_info().maxsize for cache in caches)
+    """Over a thousand distinct vendor spellings, product texts and version texts, from 1,500 records."""
+    count = 1500
     rng = random.Random(0xCACE)
 
     def spelling(name: str) -> str:  # one of many case and spacing variants of the same name
@@ -768,11 +826,11 @@ def test_match_is_unchanged_when_every_cache_is_filled_past_its_size():
             product=spelling(f"et 200s {i % 40} cpu"), vmin=rng.choice([None, f"1.{i}"]),
             vmax=rng.choice([None, f"1.{i + rng.randrange(1, 400)}"]), severity=rng.choice([None, 5.0, 9.8]),
         )
-        for i in range(3 * size // 2)
+        for i in range(count)
     ]
     for texts in ({r.vendor for r in records}, {r.product for r in records},
                   {v for r in records for v in (r.version_min, r.version_max) if v}):
-        assert len(texts) > size
+        assert len(texts) > 1000
     db = db_from(records, {"siemens ag": "siemens"})
     infos = []
     for j in range(80):
@@ -781,13 +839,8 @@ def test_match_is_unchanged_when_every_cache_is_filled_past_its_size():
         firmware = rng.choice([None, f"1.{rng.randrange(2000)}", "fw-x"])
         infos.append(StaticDeviceInfo(manufacturer=manufacturer, model=model, firmware_version=firmware))
 
-    for cache in caches:
-        cache.cache_clear()
     shared = [[h.cve_id for h in match(info, db)] for info in infos]
-    assert all(cache.cache_info().misses > size for cache in caches)  # each cache evicted along the way
     for info, got in zip(infos, shared):
-        for cache in caches:
-            cache.cache_clear()
         assert got == [h.cve_id for h in match(info, db)]
         assert set(got) == naive_match_oracle(info, db)
     assert sum(map(len, shared)) > 100
